@@ -152,8 +152,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
     arch = _arch_from_args(args)
     report = accessible_dimension(
         arch, mode=args.mode, samples=args.samples, seed=args.seed,
-        tolerances=(args.tol_loose, args.tol_tight), n_max=args.n_max,
-        workers=args.workers)
+        tolerances=(args.tol_loose, args.tol_tight), n_max=args.n_max)
     payload = report.to_json_dict()
     payload["config"] = _config_dict(
         args, ["family", "n", "t", "rounds", "r", "infile", "mode", "samples",
@@ -214,8 +213,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = growth_sweep(
         n=args.n, family=args.family, t_max=args.t_max, samples=args.samples,
         seed=args.seed, mode=args.mode,
-        tolerances=(args.tol_loose, args.tol_tight), n_max=args.n_max,
-        workers=args.workers)
+        tolerances=(args.tol_loose, args.tol_tight), n_max=args.n_max)
     cfg = _config_dict(
         args, ["n", "family", "t_max", "samples", "seed", "mode", "n_max"])
     comment = f"archdim {__version__} config={json.dumps(cfg, sort_keys=True)}"
@@ -273,7 +271,6 @@ def _add_rank_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-loose", type=float, default=DEFAULT_TOLERANCES[0])
     p.add_argument("--tol-tight", type=float, default=DEFAULT_TOLERANCES[1])
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> _Parser:

@@ -14,7 +14,6 @@ measure-zero set.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +39,7 @@ _PAULI_STACK = np.stack([
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ])
+_GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 
 
 def subseed(seed: int, *key: int) -> int:
@@ -164,14 +164,22 @@ def contract_state(arch: Architecture, gates: GateAssignment,
 
 def pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:
     """Real coefficients of a Hermitian operator over the 4^n Pauli strings,
-    ordered lexicographically by label with qubit 1 as the leading digit."""
-    t = op.reshape((2,) * (2 * n))
+    ordered lexicographically by label with qubit 1 as the leading digit.
+
+    A stack of operators, shape (B, 2^n, 2^n), gives a (B, 4^n) array whose
+    rows equal, bit for bit, the expansions of the operators one at a time.
+    """
+    batch = op.shape[:-2]
+    lead = len(batch)
+    t = op.reshape(batch + (2,) * (2 * n))
     for q in range(n - 1, -1, -1):
         m = n - 1 - q  # qubits already consumed
-        row_axis = m + q
-        col_axis = n + q
+        row_axis = m + lead + q
+        col_axis = n + lead + q
         t = np.tensordot(_PAULI_STACK, t, axes=([2, 1], [row_axis, col_axis]))
-    return t.reshape(4 ** n).real / 2 ** n
+    # t is (4,) * n + batch: one Pauli axis per qubit, then the batch
+    t = np.moveaxis(t.reshape((4 ** n,) + batch), 0, -1)
+    return t.real / 2 ** n
 
 
 def perturbation_operator(arch: Architecture, gates: GateAssignment,
@@ -214,6 +222,16 @@ class TangentFrame:
         return self.matrix[:, 15 * gate_index: 15 * (gate_index + 1)]
 
 
+def _cone_index(cone: np.ndarray, n: int, base: int) -> np.ndarray:
+    """Flat indices of the basis elements (base 2: computational states,
+    base 4: Pauli strings) that are trivial outside ``cone``, in
+    lexicographic order over the cone's qubits (1-based, ascending)."""
+    idx = np.zeros(1, dtype=np.intp)
+    for q in cone:
+        idx = (idx[:, None] + np.arange(base) * base ** (n - q)).ravel()
+    return idx
+
+
 def tangent_frame(arch: Architecture, gates: GateAssignment,
                   mode: str = "unitary",
                   n_max: int = DEFAULT_N_MAX) -> TangentFrame:
@@ -221,7 +239,15 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
 
     Unitary mode stores the Pauli-basis expansion of each K_{j,k}
     (4^n real rows); state mode stores Re and Im of i K_{j,k} |psi>
-    (2 * 2^n real rows).
+    (2 * 2^n real rows).  Each gate's 15 generators are applied as one
+    batch.
+
+    In unitary mode K_{j,k} = I_out (x) K' is the identity outside gate j's
+    forward light cone C_j: the qubits that gates j, j+1, ... connect to
+    gate j's wires (row a of ``reach_matrix(arch, j, R)`` for wires (a, b)).
+    The sweep therefore forms only K', from the 2^|C_j| suffix rows whose
+    out-of-cone bits are 0, and expands it over the |C_j| cone qubits; the
+    rows of block j with a non-identity letter outside C_j are exactly 0.
     """
     if mode not in ("unitary", "state"):
         raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
@@ -240,23 +266,26 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
         for (a, b), u in zip(arch.gates, gates.matrices):
             states.append(apply_gate_left(states[-1], u, (a, b), n))
 
+    # reach[u - 1]: the qubits that qubit u reaches through gates j, j+1, ...
+    reach = np.eye(n, dtype=bool)
     suffix = np.eye(dim, dtype=complex)
     for j in range(r - 1, -1, -1):
         wires = arch.gates[j]
+        block = slice(15 * j, 15 * (j + 1))
         if mode == "unitary":
-            suffix_dag = suffix.conj().T
-            batch = np.stack([
-                apply_gate_right(suffix, s, wires, n)
-                for s in TWO_QUBIT_GENERATOR_MATS])
-            ks = batch @ suffix_dag
-            for k in range(15):
-                cols[:, 15 * j + k] = pauli_coefficients(ks[k], n)
+            a, b = wires
+            reach[[a - 1, b - 1]] = reach[a - 1] | reach[b - 1]
+            cone = np.flatnonzero(reach[a - 1]) + 1
+            sub = suffix[_cone_index(cone, n, 2)]
+            ks = apply_gate_right(sub, _GENERATOR_STACK, wires, n) @ sub.conj().T
+            cols[_cone_index(cone, n, 4), block] = \
+                pauli_coefficients(ks, cone.size).T
         else:
             psi_back = states[j + 1]  # prefix including gate j
-            for k, s in enumerate(TWO_QUBIT_GENERATOR_MATS):
-                v = 1j * (suffix @ apply_gate_left(psi_back, s, wires, n))
-                cols[: dim, 15 * j + k] = v.real
-                cols[dim:, 15 * j + k] = v.imag
+            batch = apply_gate_left(psi_back, _GENERATOR_STACK, wires, n)
+            v = 1j * (suffix @ batch.T)
+            cols[:dim, block] = v.real
+            cols[dim:, block] = v.imag
         suffix = apply_gate_right(suffix, gates.matrices[j], wires, n)
     return TangentFrame(cols, mode, n, r)
 
@@ -413,13 +442,12 @@ class RankReport:
 def accessible_dimension(arch: Architecture, mode: str = "unitary",
                          samples: int = 5, seed: int = 0,
                          tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                         n_max: int = DEFAULT_N_MAX,
-                         workers: int = 1) -> RankReport:
+                         n_max: int = DEFAULT_N_MAX) -> RankReport:
     """Consensus Jacobian rank over independent Haar-random gate assignments.
 
     All samples must agree at both tolerances; any disagreement is surfaced
     as an inconclusive report, never averaged away.  Per-sample seeds derive
-    from ``seed`` by counter, so the result is independent of ``workers``.
+    from ``seed`` by counter.
     """
     if samples < 3:
         raise ValidationError(f"need at least 3 samples, got {samples}")
@@ -429,11 +457,7 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
         gates = GateAssignment.haar(arch, subseed(seed, i))
         return numerical_rank(tangent_frame(arch, gates, mode, n_max), tolerances)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = tuple(pool.map(one, range(samples)))
-    else:
-        estimates = tuple(one(i) for i in range(samples))
+    estimates = tuple(one(i) for i in range(samples))
 
     reason = None
     for i, e in enumerate(estimates):
@@ -514,18 +538,17 @@ def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
         suffixes[j] = acc
         acc = apply_gate_right(acc, gates.matrices[j], arch.gates[j], n)
 
+    singles = np.stack([PauliString.single(1, letter, 1).to_matrix()
+                        for letter in "XYZ"])
     results = []
     for j1, j2, q in wires:
         block = frame.column_block(j2)
-        worst = 0.0
         suffix = suffixes[j1]
-        for letter in "XYZ":
-            p1 = PauliString.single(1, letter, 1).to_matrix()
-            k_op = apply_gate_right(suffix, p1, (q,), n) @ suffix.conj().T
-            target = pauli_coefficients(k_op, n)
-            sol, *_ = np.linalg.lstsq(block, target, rcond=None)
-            residual = np.linalg.norm(block @ sol - target)
-            scale = np.linalg.norm(target)
-            worst = max(worst, residual / scale if scale else residual)
-        results.append(WireRedundancy(j1, j2, q, worst))
+        k_ops = apply_gate_right(suffix, singles, (q,), n) @ suffix.conj().T
+        targets = pauli_coefficients(k_ops, n).T  # one column per letter
+        sol, *_ = np.linalg.lstsq(block, targets, rcond=None)
+        residual = np.linalg.norm(block @ sol - targets, axis=0)
+        scale = np.linalg.norm(targets, axis=0)
+        worst = (residual / np.where(scale > 0, scale, 1.0)).max()
+        results.append(WireRedundancy(j1, j2, q, float(worst)))
     return GaugeRedundancyReport(tuple(results), tolerance)

@@ -23,27 +23,39 @@ def _check_wires(wires: tuple[int, ...], n: int) -> None:
 
 def apply_gate_left(target: np.ndarray, gate: np.ndarray,
                     wires: tuple[int, ...], n: int) -> np.ndarray:
-    """G_embedded @ target for a matrix or state-vector target."""
+    """G_embedded @ target for a matrix or state-vector target.
+
+    A stack of gates, shape (B, 2^k, 2^k), gives the stack of B products.
+    """
     _check_wires(wires, n)
     k = len(wires)
-    g = gate.reshape((2,) * (2 * k))
+    batch = gate.shape[:-2]
+    lead = len(batch)
+    g = gate.reshape(batch + (2,) * (2 * k))
     tail = target.shape[1:]
     t = target.reshape((2,) * n + tail)
     in_axes = [w - 1 for w in wires]
-    res = np.tensordot(g, t, axes=(list(range(k, 2 * k)), in_axes))
-    res = np.moveaxis(res, range(k), in_axes)
-    return res.reshape(target.shape)
+    res = np.tensordot(g, t, axes=(list(range(lead + k, lead + 2 * k)), in_axes))
+    res = np.moveaxis(res, range(lead, lead + k), [lead + a for a in in_axes])
+    return res.reshape(batch + target.shape)
 
 
 def apply_gate_right(target: np.ndarray, gate: np.ndarray,
                      wires: tuple[int, ...], n: int) -> np.ndarray:
-    """target @ G_embedded for a 2^n x 2^n matrix target."""
+    """target @ G_embedded for a target with 2^n columns.
+
+    A stack of gates, shape (B, 2^k, 2^k), gives the stack of B products.
+    """
     _check_wires(wires, n)
     k = len(wires)
-    g = gate.reshape((2,) * (2 * k))
+    batch = gate.shape[:-2]
+    lead = len(batch)
+    g = gate.reshape(batch + (2,) * (2 * k))
     t = target.reshape((target.shape[0],) + (2,) * n)
     # column axis of wire w sits at 1 + (w - 1) = w behind the row axis
     col_axes = list(wires)
-    res = np.tensordot(t, g, axes=(col_axes, list(range(k))))
-    res = np.moveaxis(res, range(-k, 0), col_axes)
-    return res.reshape(target.shape)
+    res = np.tensordot(t, g, axes=(col_axes, list(range(lead, lead + k))))
+    # tensordot leaves (row, untouched columns, batch, gate columns)
+    res = np.moveaxis(res, range(-k - lead, 0),
+                      list(range(lead)) + [lead + w for w in wires])
+    return res.reshape(batch + target.shape)

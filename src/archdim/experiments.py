@@ -101,7 +101,7 @@ def check_ramp(rows: list[SweepRow]) -> None:
 def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
                  seed: int = 0, mode: str = "unitary",
                  tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                 n_max: int = DEFAULT_N_MAX, workers: int = 1,
+                 n_max: int = DEFAULT_N_MAX,
                  ) -> list[SweepRow]:
     """One row per slice count T = 1..t_max, ramp shape asserted.
 
@@ -115,7 +115,7 @@ def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
         arch = _build_family(family, n, t)
         started = time.perf_counter()
         report = accessible_dimension(
-            arch, mode, samples, subseed(seed, t), tolerances, n_max, workers)
+            arch, mode, samples, subseed(seed, t), tolerances, n_max)
         cert = witness_point(arch, mode)
         westimate = numerical_rank(
             tangent_frame(arch, cert.to_gate_assignment(), mode, n_max),

@@ -20,11 +20,13 @@ from archdim import (
     numerical_rank,
     pauli_coefficients,
     perturbation_operator,
+    random_adjacent,
     staircase,
     subseed,
     tangent_frame,
     witness_point,
 )
+from archdim.architecture import reach_matrix
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
 from archdim.witness import _slice_tableau
@@ -71,6 +73,14 @@ def test_apply_gate_left_right_match_embedding_oracle():
         emb = _embed_oracle(gate, wires, n)
         assert np.abs(apply_gate_left(m, gate, wires, n) - emb @ m).max() < 1e-10
         assert np.abs(apply_gate_right(m, gate, wires, n) - m @ emb).max() < 1e-10
+        # a stack of gates gives the stack of products
+        stack = np.stack([gate, gate.conj().T, gate @ gate])
+        lefts = apply_gate_left(m, stack, wires, n)
+        rights = apply_gate_right(m[:3], stack, wires, n)
+        for g, left, right in zip(stack, lefts, rights):
+            emb = _embed_oracle(g, wires, n)
+            assert np.abs(left - emb @ m).max() < 1e-10
+            assert np.abs(right - m[:3] @ emb).max() < 1e-10
 
 
 # -- Haar sampling ---------------------------------------------------------------
@@ -216,6 +226,18 @@ def test_pauli_coefficients_against_trace_oracle():
             assert abs(coeffs[idx] - oracle) < 1e-10
 
 
+def test_batched_pauli_coefficients_bit_identical():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3, 4):
+        h = rng.standard_normal((15, 2 ** n, 2 ** n)) \
+            + 1j * rng.standard_normal((15, 2 ** n, 2 ** n))
+        h = h + np.swapaxes(h, 1, 2).conj()
+        batched = pauli_coefficients(h, n)
+        assert batched.shape == (15, 4 ** n)
+        for op, row in zip(h, batched):
+            assert np.array_equal(row, pauli_coefficients(op, n))
+
+
 def test_perturbation_operator_is_conjugated_generator():
     arch = staircase(3, 2)
     gates = GateAssignment.haar(arch, 17)
@@ -322,6 +344,60 @@ def test_frame_matches_perturbation_operator_columns():
                       - pauli_coefficients(kop, 3)).max() < 1e-10
 
 
+FRAME_CASES = [
+    pytest.param(lambda: staircase(5, 2), id="staircase-5-2"),
+    pytest.param(lambda: staircase(6, 1), id="staircase-6-1"),
+    pytest.param(lambda: brickwork(4, 6), id="brickwork-4-6"),
+    pytest.param(lambda: random_adjacent(5, 14, 6), id="random-5-14"),
+]
+
+
+@pytest.mark.parametrize("build", FRAME_CASES)
+def test_unitary_frame_matches_columnwise_reference(build):
+    arch = build()
+    gates = GateAssignment.haar(arch, 21)
+    frame = tangent_frame(arch, gates)
+    ref = np.stack([
+        pauli_coefficients(perturbation_operator(arch, gates, j, k), arch.n)
+        for j in range(arch.gate_count) for k in range(15)], axis=1)
+    assert np.abs(frame.matrix - ref).max() < 1e-12
+    got, want = numerical_rank(frame), numerical_rank(ref)
+    assert (got.loose_rank, got.tight_rank) == (want.loose_rank, want.tight_rank)
+
+
+@pytest.mark.parametrize("build", FRAME_CASES)
+def test_state_frame_matches_columnwise_reference(build):
+    arch = build()
+    gates = GateAssignment.haar(arch, 22)
+    frame = tangent_frame(arch, gates, mode="state")
+    psi = contract_state(arch, gates)
+    cols = []
+    for j in range(arch.gate_count):
+        for k in range(15):
+            v = 1j * perturbation_operator(arch, gates, j, k) @ psi
+            cols.append(np.concatenate([v.real, v.imag]))
+    ref = np.stack(cols, axis=1)
+    assert np.abs(frame.matrix - ref).max() < 1e-12
+    got, want = numerical_rank(frame), numerical_rank(ref)
+    assert (got.loose_rank, got.tight_rank) == (want.loose_rank, want.tight_rank)
+
+
+@pytest.mark.parametrize("build", FRAME_CASES)
+def test_unitary_frame_vanishes_outside_light_cone(build):
+    arch = build()
+    n = arch.n
+    frame = tangent_frame(arch, GateAssignment.haar(arch, 23))
+    # letters[i, q] is the letter (0 = I) of Pauli row i on qubit q + 1
+    letters = (np.arange(4 ** n)[:, None] // 4 ** np.arange(n - 1, -1, -1)) % 4
+    partial = False
+    for j, (a, _b) in enumerate(arch.gates):
+        cone = reach_matrix(arch, j, arch.gate_count)[a - 1]
+        outside = (letters[:, ~cone] != 0).any(axis=1)
+        assert np.all(frame.column_block(j)[outside] == 0.0)
+        partial |= not cone.all()
+    assert partial
+
+
 # -- numerical rank -----------------------------------------------------------------
 
 
@@ -392,14 +468,6 @@ def test_accessible_dimension_sample_constancy():
     ranks = report.sample_ranks()
     assert len(set(ranks)) == 1
     assert not report.inconclusive
-
-
-def test_accessible_dimension_workers_bit_identical():
-    serial = accessible_dimension(staircase(3, 2), samples=4, seed=9, workers=1)
-    threaded = accessible_dimension(staircase(3, 2), samples=4, seed=9, workers=3)
-    assert serial.consensus == threaded.consensus
-    for a, b in zip(serial.estimates, threaded.estimates):
-        assert np.array_equal(a.singular_values, b.singular_values)
 
 
 def test_accessible_dimension_state_mode_cap():
