@@ -48,14 +48,21 @@ def complexity_lower_bound(r_gates: int, l_gates: int, n: int) -> LowerBoundResu
     )
 
 
+def gauge_fixed_count(arch: Architecture) -> int:
+    """9R + 3 * touched qubits: the perturbation directions left once every
+    internally contracted wire sheds its 3-parameter single-qubit gauge.
+
+    Each of the 2R gate wires carries 3 single-qubit generators, and all but
+    the last gate on a qubit pass them to the next gate on that qubit, so
+    15R - 3 (2R - touched) directions remain.  This is at most 15R, because
+    at most 2R qubits are touched.
+    """
+    return 9 * arch.gate_count + 3 * len(arch.touched_qubits())
+
+
 def dimension_upper_bound(arch: Architecture) -> int:
-    """min(15R, 9R + 3 * touched qubits, 4^n - 1)."""
-    r = arch.gate_count
-    if r == 0:
-        return 0
-    return min(15 * r,
-               9 * r + 3 * len(arch.touched_qubits()),
-               4 ** arch.n - 1)
+    """min(9R + 3 * touched qubits, 4^n - 1)."""
+    return min(gauge_fixed_count(arch), saturation_threshold(arch.n, "unitary"))
 
 
 def saturation_threshold(n: int, mode: str) -> int:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .architecture import Architecture, is_causal_slice
+from .bounds import gauge_fixed_count, saturation_threshold
 from .clifford import CliffordCircuit
 from .dense import apply_gate_left, apply_gate_right
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     SizeLimit,
     ValidationError,
 )
-from .pauli import PauliString, TWO_QUBIT_GENERATOR_MATS
+from .pauli import PauliString, TWO_QUBIT_GENERATOR_MATS, TWO_QUBIT_GENERATORS
 
 DEFAULT_N_MAX = 8
 DEFAULT_TOLERANCES = (1e-6, 1e-10)
@@ -40,6 +41,18 @@ _PAULI_STACK = np.stack([
     np.array([[1, 0], [0, -1]], dtype=complex),
 ])
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
+
+# _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
+# gauge-fixed frame.  A single-qubit generator on a wire that a later gate
+# also acts on is dropped (see ``tangent_frame``): XI, YI, ZI for wire a,
+# IX, IY, IZ for wire b.
+_KEPT = {
+    (later_a, later_b): np.array([
+        k for k, p in enumerate(TWO_QUBIT_GENERATORS)
+        if not (later_a and p.letter(2) == "I")
+        and not (later_b and p.letter(1) == "I")])
+    for later_a in (False, True) for later_b in (False, True)
+}
 
 
 def subseed(seed: int, *key: int) -> int:
@@ -67,15 +80,22 @@ def haar_su4(rng: int | np.random.Generator) -> np.ndarray:
     return u / np.linalg.det(u) ** 0.25
 
 
-def _check_size(arch: Architecture, n_max: int) -> None:
+def frame_shape(arch: Architecture, mode: str) -> tuple[int, int]:
+    """(rows, columns) of the gauge-fixed tangent frame: 4^n Pauli rows in
+    unitary mode, 2 * 2^n real rows in state mode, 9R + 3 * touched qubits
+    columns in both."""
+    rows = 4 ** arch.n if mode == "unitary" else 2 * 2 ** arch.n
+    return rows, gauge_fixed_count(arch)
+
+
+def _check_size(arch: Architecture, n_max: int, mode: str = "unitary") -> None:
     if arch.n > n_max:
         raise SizeLimit(
             f"n={arch.n} exceeds the dense-simulation limit n_max={n_max}")
     if n_max > DEFAULT_N_MAX and arch.n > DEFAULT_N_MAX:
-        rows = 4 ** arch.n
-        cols = 15 * arch.gate_count
+        rows, cols = frame_shape(arch, mode)
         est = rows * max(cols, 1) * 8 / 1e9
-        print(f"archdim: n={arch.n} frame may need ~{est:.1f} GB",
+        print(f"archdim: n={arch.n} {mode} frame may need ~{est:.1f} GB",
               file=sys.stderr)
 
 
@@ -92,12 +112,17 @@ class GateAssignment:
         if mats.ndim != 3 or mats.shape[1:] != (4, 4):
             raise ValidationError(f"expected (R, 4, 4) array, got {mats.shape}")
         object.__setattr__(self, "matrices", mats)
-        eye = np.eye(4)
-        for i, u in enumerate(mats):
-            if np.abs(u.conj().T @ u - eye).max() > 1e-10:
+        gram = np.swapaxes(mats, 1, 2).conj() @ mats
+        # written as ~(x <= tol) so that a NaN entry fails the check
+        with np.errstate(invalid="ignore"):
+            not_unitary = ~(np.abs(gram - np.eye(4)).max(axis=(1, 2)) <= 1e-10)
+            not_special = ~(np.abs(np.linalg.det(mats) - 1.0) <= 1e-10)
+        bad = np.flatnonzero(not_unitary | not_special)
+        if bad.size:
+            i = int(bad[0])
+            if not_unitary[i]:
                 raise ValidationError(f"gate {i} is not unitary within 1e-10")
-            if abs(np.linalg.det(u) - 1.0) > 1e-10:
-                raise ValidationError(f"gate {i} is not special unitary")
+            raise ValidationError(f"gate {i} is not special unitary")
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -153,7 +178,7 @@ def contract(arch: Architecture, gates: GateAssignment,
 def contract_state(arch: Architecture, gates: GateAssignment,
                    n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """The contracted circuit applied to |0...0>."""
-    _check_size(arch, n_max)
+    _check_size(arch, n_max, "state")
     _require_match(arch, gates)
     psi = np.zeros(2 ** arch.n, dtype=complex)
     psi[0] = 1.0
@@ -208,18 +233,26 @@ def perturbation_operator(arch: Architecture, gates: GateAssignment,
 
 @dataclass(frozen=True, eq=False)
 class TangentFrame:
-    """Real matrix of perturbation-direction coordinates, 15 columns per gate."""
+    """Real matrix of gauge-fixed perturbation-direction coordinates.
+
+    ``columns[c]`` is the (gate, generator) pair of column c: a 0-based gate
+    index and an index into the 15 two-qubit generators.  Columns are
+    ordered by gate, then generator.
+    """
 
     matrix: np.ndarray
     mode: str
     n: int
     gate_count: int
+    columns: np.ndarray  # (C, 2) int
 
     def column_block(self, gate_index: int) -> np.ndarray:
-        """The 15 columns belonging to one gate (0-based index)."""
+        """The kept columns of one gate (0-based index)."""
         if not 0 <= gate_index < self.gate_count:
             raise ValidationError(f"gate index {gate_index} out of range")
-        return self.matrix[:, 15 * gate_index: 15 * (gate_index + 1)]
+        start, stop = np.searchsorted(self.columns[:, 0],
+                                      [gate_index, gate_index + 1])
+        return self.matrix[:, start:stop]
 
 
 def _cone_index(cone: np.ndarray, n: int, base: int) -> np.ndarray:
@@ -235,12 +268,21 @@ def _cone_index(cone: np.ndarray, n: int, base: int) -> np.ndarray:
 def tangent_frame(arch: Architecture, gates: GateAssignment,
                   mode: str = "unitary",
                   n_max: int = DEFAULT_N_MAX) -> TangentFrame:
-    """All 15R perturbation directions, computed in one suffix sweep.
+    """The gauge-fixed perturbation directions, computed in one suffix sweep.
 
     Unitary mode stores the Pauli-basis expansion of each K_{j,k}
     (4^n real rows); state mode stores Re and Im of i K_{j,k} |psi>
-    (2 * 2^n real rows).  Each gate's 15 generators are applied as one
+    (2 * 2^n real rows).  Each gate's kept generators are applied as one
     batch.
+
+    Gate j on wires (a, b) drops XI, YI, ZI when a later gate acts on a, and
+    IX, IY, IZ when a later gate acts on b, leaving 9R + 3 * touched qubits
+    columns.  The rank is unchanged at every gate assignment, not only a
+    generic one: if j2 is the next gate on wire q, the gates between j and
+    j2 commute with a Pauli P on q, so
+    K_{j,P} = Suffix_{j2} (u_{j2} P u_{j2}^dagger) Suffix_{j2}^dagger, which
+    lies in the real span of gate j2's 15 directions (and, by induction from
+    the last gate back, in the span of the kept ones).
 
     In unitary mode K_{j,k} = I_out (x) K' is the identity outside gate j's
     forward light cone C_j: the qubits that gates j, j+1, ... connect to
@@ -251,13 +293,14 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     """
     if mode not in ("unitary", "state"):
         raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
-    _check_size(arch, n_max)
+    _check_size(arch, n_max, mode)
     _require_match(arch, gates)
     n = arch.n
     dim = 2 ** n
     r = arch.gate_count
-    rows = 4 ** n if mode == "unitary" else 2 * dim
-    cols = np.zeros((rows, 15 * r))
+    rows, width = frame_shape(arch, mode)
+    cols = np.zeros((rows, width))
+    record = np.zeros((width, 2), dtype=np.intp)
 
     states = None
     if mode == "state":
@@ -268,26 +311,34 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
 
     # reach[u - 1]: the qubits that qubit u reaches through gates j, j+1, ...
     reach = np.eye(n, dtype=bool)
+    later = np.zeros(n, dtype=bool)  # qubits acted on by gates after j
     suffix = np.eye(dim, dtype=complex)
+    stop = width  # columns are filled right to left
     for j in range(r - 1, -1, -1):
         wires = arch.gates[j]
-        block = slice(15 * j, 15 * (j + 1))
+        a, b = wires
+        kept = _KEPT[later[a - 1], later[b - 1]]
+        later[[a - 1, b - 1]] = True
+        block = slice(stop - kept.size, stop)
+        stop = block.start
+        record[block, 0] = j
+        record[block, 1] = kept
+        generators = _GENERATOR_STACK[kept]
         if mode == "unitary":
-            a, b = wires
             reach[[a - 1, b - 1]] = reach[a - 1] | reach[b - 1]
             cone = np.flatnonzero(reach[a - 1]) + 1
             sub = suffix[_cone_index(cone, n, 2)]
-            ks = apply_gate_right(sub, _GENERATOR_STACK, wires, n) @ sub.conj().T
+            ks = apply_gate_right(sub, generators, wires, n) @ sub.conj().T
             cols[_cone_index(cone, n, 4), block] = \
                 pauli_coefficients(ks, cone.size).T
         else:
             psi_back = states[j + 1]  # prefix including gate j
-            batch = apply_gate_left(psi_back, _GENERATOR_STACK, wires, n)
+            batch = apply_gate_left(psi_back, generators, wires, n)
             v = 1j * (suffix @ batch.T)
             cols[:dim, block] = v.real
             cols[dim:, block] = v.imag
         suffix = apply_gate_right(suffix, gates.matrices[j], wires, n)
-    return TangentFrame(cols, mode, n, r)
+    return TangentFrame(cols, mode, n, r, record)
 
 
 # -- numerical rank ------------------------------------------------------------
@@ -358,10 +409,8 @@ def dimension_bounds(arch: Architecture, mode: str) -> tuple[int, int, int]:
     lower = sum(
         1 for start, stop in arch.slice_ranges()
         if is_causal_slice(arch, start, stop) is not None)
-    cap = 4 ** arch.n - 1 if mode == "unitary" else 2 * 2 ** arch.n - 1
-    r = arch.gate_count
-    upper = min(15 * r, 9 * r + 3 * len(arch.touched_qubits()), cap) if r else 0
-    return lower, upper, cap
+    cap = saturation_threshold(arch.n, mode)
+    return lower, min(gauge_fixed_count(arch), cap), cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,7 +500,7 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
     """
     if samples < 3:
         raise ValidationError(f"need at least 3 samples, got {samples}")
-    _check_size(arch, n_max)
+    _check_size(arch, n_max, mode)
 
     def one(i: int) -> RankEstimate:
         gates = GateAssignment.haar(arch, subseed(seed, i))
@@ -521,7 +570,9 @@ def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
     single-qubit Pauli directions inserted after j1 commute past the gates
     between j1 and j2, hence must lie in the span of gate j2's fifteen
     perturbation directions.  The least-squares residual of that projection
-    is reported per wire.
+    is reported per wire.  Both sides are built here from dense suffix
+    products, independently of ``tangent_frame``, whose gauge-fixed columns
+    rely on exactly this identity.
     """
     wires = internal_wires(arch)
     if not wires:
@@ -529,7 +580,6 @@ def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
     _check_size(arch, n_max)
     _require_match(arch, gates)
     n = arch.n
-    frame = tangent_frame(arch, gates, "unitary", n_max)
 
     # Suffix products after each gate position, built once right-to-left.
     suffixes: list[np.ndarray | None] = [None] * arch.gate_count
@@ -540,12 +590,16 @@ def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
 
     singles = np.stack([PauliString.single(1, letter, 1).to_matrix()
                         for letter in "XYZ"])
+
+    def directions(suffix, ops, wires):
+        # Pauli expansion of suffix @ op @ suffix^dagger, one column per op
+        k_ops = apply_gate_right(suffix, ops, wires, n) @ suffix.conj().T
+        return pauli_coefficients(k_ops, n).T
+
     results = []
     for j1, j2, q in wires:
-        block = frame.column_block(j2)
-        suffix = suffixes[j1]
-        k_ops = apply_gate_right(suffix, singles, (q,), n) @ suffix.conj().T
-        targets = pauli_coefficients(k_ops, n).T  # one column per letter
+        block = directions(suffixes[j2], _GENERATOR_STACK, arch.gates[j2])
+        targets = directions(suffixes[j1], singles, (q,))
         sol, *_ = np.linalg.lstsq(block, targets, rcond=None)
         residual = np.linalg.norm(block @ sol - targets, axis=0)
         scale = np.linalg.norm(targets, axis=0)

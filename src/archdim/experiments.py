@@ -2,9 +2,8 @@
 Monte Carlo, and witness-vs-Haar comparisons.
 
 All randomness derives from a caller-supplied master seed by counter, so a
-given seed reproduces identical numbers regardless of worker count.  Rows
-carry wall-clock milliseconds for operator convenience; every other column
-is deterministic.
+given seed reproduces identical numbers.  Rows carry wall-clock milliseconds
+for operator convenience; every other column is deterministic.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from archdim import (
     NoInternalWire,
     PauliString,
     SizeLimit,
+    ValidationError,
     accessible_dimension,
     brickwork,
     contract,
@@ -27,6 +28,8 @@ from archdim import (
     witness_point,
 )
 from archdim.architecture import reach_matrix
+from archdim.bounds import gauge_fixed_count
+from archdim.contraction import frame_shape
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
 from archdim.witness import _slice_tableau
@@ -104,6 +107,41 @@ def test_haar_trace_moment():
     assert abs(vals.mean() - 1.0) <= 3.0 / np.sqrt(10 ** 4)
 
 
+def _first_invalid_gate(mats):
+    """Gate-by-gate validation in index order: the reference for the
+    vectorised check in GateAssignment."""
+    for i, u in enumerate(mats):
+        if np.abs(u.conj().T @ u - np.eye(4)).max() > 1e-10:
+            return f"gate {i} is not unitary within 1e-10"
+        if abs(np.linalg.det(u) - 1.0) > 1e-10:
+            return f"gate {i} is not special unitary"
+    return None
+
+
+def test_gate_validation_reports_first_failing_gate():
+    rng = np.random.default_rng(45)
+    for _ in range(40):
+        mats = np.stack([haar_su4(rng) for _ in range(6)])
+        for i in rng.choice(6, size=int(rng.integers(0, 4)), replace=False):
+            if rng.random() < 0.5:
+                mats[i] *= np.exp(0.3j)  # unitary, determinant != 1
+            else:
+                mats[i, 0, 0] += 1e-6  # not unitary
+        expected = _first_invalid_gate(mats)
+        if expected is None:
+            GateAssignment(mats)
+            continue
+        with pytest.raises(ValidationError) as exc:
+            GateAssignment(mats)
+        assert str(exc.value) == expected
+
+
+def test_gate_validation_rejects_nan():
+    mats = np.stack([haar_su4(46), np.full((4, 4), np.nan, dtype=complex)])
+    with pytest.raises(ValidationError, match="gate 1 is not unitary"):
+        GateAssignment(mats)
+
+
 def test_subseed_deterministic_and_spread():
     assert subseed(7, 1) == subseed(7, 1)
     assert subseed(7, 1) != subseed(7, 2)
@@ -174,6 +212,18 @@ def test_n_max_override_prints_memory_estimate(capsys):
     u = contract(arch, gates, n_max=9)
     assert u.shape == (512, 512)
     assert "GB" in capsys.readouterr().err
+
+
+def test_memory_estimate_uses_frame_shape(capsys):
+    # 8 gates touching 9 qubits: 9 * 8 + 3 * 9 = 99 gauge-fixed columns
+    arch = staircase(9, 1)
+    assert frame_shape(arch, "unitary") == (4 ** 9, 99)
+    assert frame_shape(arch, "state") == (2 * 2 ** 9, 99)
+    gates = GateAssignment.haar(arch, 0)
+    contract(arch, gates, n_max=9)
+    assert "unitary frame may need ~0.2 GB" in capsys.readouterr().err
+    contract_state(arch, gates, n_max=9)
+    assert "state frame may need ~0.0 GB" in capsys.readouterr().err
 
 
 def test_contract_state_basics():
@@ -336,12 +386,33 @@ def test_frame_matches_perturbation_operator_columns():
     gates = GateAssignment.haar(arch, 11)
     frame = tangent_frame(arch, gates)
     rng = np.random.default_rng(0)
-    for _ in range(6):
-        j = int(rng.integers(arch.gate_count))
-        k = int(rng.integers(15))
+    for c in rng.choice(frame.matrix.shape[1], size=6, replace=False):
+        j, k = (int(x) for x in frame.columns[c])
         kop = perturbation_operator(arch, gates, j, k)
-        assert np.abs(frame.matrix[:, 15 * j + k]
+        assert np.abs(frame.matrix[:, c]
                       - pauli_coefficients(kop, 3)).max() < 1e-10
+
+
+def _reference_frame(arch, gates, mode):
+    """All 15R directions, one perturbation_operator call per column, in
+    (gate, generator) order."""
+    if mode == "unitary":
+        cols = [pauli_coefficients(perturbation_operator(arch, gates, j, k),
+                                   arch.n)
+                for j in range(arch.gate_count) for k in range(15)]
+    else:
+        psi = contract_state(arch, gates)
+        cols = []
+        for j in range(arch.gate_count):
+            for k in range(15):
+                v = 1j * perturbation_operator(arch, gates, j, k) @ psi
+                cols.append(np.concatenate([v.real, v.imag]))
+    return np.stack(cols, axis=1)
+
+
+def _kept(frame):
+    """Indices into the 15R reference of the frame's columns."""
+    return 15 * frame.columns[:, 0] + frame.columns[:, 1]
 
 
 FRAME_CASES = [
@@ -357,10 +428,8 @@ def test_unitary_frame_matches_columnwise_reference(build):
     arch = build()
     gates = GateAssignment.haar(arch, 21)
     frame = tangent_frame(arch, gates)
-    ref = np.stack([
-        pauli_coefficients(perturbation_operator(arch, gates, j, k), arch.n)
-        for j in range(arch.gate_count) for k in range(15)], axis=1)
-    assert np.abs(frame.matrix - ref).max() < 1e-12
+    ref = _reference_frame(arch, gates, "unitary")
+    assert np.abs(frame.matrix - ref[:, _kept(frame)]).max() < 1e-12
     got, want = numerical_rank(frame), numerical_rank(ref)
     assert (got.loose_rank, got.tight_rank) == (want.loose_rank, want.tight_rank)
 
@@ -370,16 +439,59 @@ def test_state_frame_matches_columnwise_reference(build):
     arch = build()
     gates = GateAssignment.haar(arch, 22)
     frame = tangent_frame(arch, gates, mode="state")
-    psi = contract_state(arch, gates)
-    cols = []
-    for j in range(arch.gate_count):
-        for k in range(15):
-            v = 1j * perturbation_operator(arch, gates, j, k) @ psi
-            cols.append(np.concatenate([v.real, v.imag]))
-    ref = np.stack(cols, axis=1)
-    assert np.abs(frame.matrix - ref).max() < 1e-12
+    ref = _reference_frame(arch, gates, "state")
+    assert np.abs(frame.matrix - ref[:, _kept(frame)]).max() < 1e-12
     got, want = numerical_rank(frame), numerical_rank(ref)
     assert (got.loose_rank, got.tight_rank) == (want.loose_rank, want.tight_rank)
+
+
+def _gauge_cases(mode):
+    """(architecture, gate assignment) pairs: Haar points, identity gates and
+    all-Clifford witness points of ``mode``."""
+    cases = [(p.values[0](), 24) for p in FRAME_CASES]
+    cases += [(staircase(3, 2), "identity"), (brickwork(4, 4), "identity"),
+              (from_gate_sequence(2, [(1, 2), (1, 2)]), 25),
+              (staircase(3, 3), "witness"), (staircase(4, 3), "witness"),
+              (brickwork(4, 4), "witness")]
+    out = []
+    for arch, point in cases:
+        if point == "identity":
+            gates = GateAssignment.explicit([np.eye(4)] * arch.gate_count)
+        elif point == "witness":
+            gates = witness_point(arch, mode).to_gate_assignment()
+        else:
+            gates = GateAssignment.haar(arch, point)
+        out.append((arch, gates))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_gauge_fixed_frame_keeps_full_frame_rank(mode):
+    for arch, gates in _gauge_cases(mode):
+        frame = tangent_frame(arch, gates, mode)
+        r, touched = arch.gate_count, len(arch.touched_qubits())
+        assert frame.matrix.shape == frame_shape(arch, mode)
+        assert frame.matrix.shape[1] == 9 * r + 3 * touched \
+            == gauge_fixed_count(arch)
+        ref = _reference_frame(arch, gates, mode)
+        assert np.abs(frame.matrix - ref[:, _kept(frame)]).max() < 1e-12
+        got, want = numerical_rank(frame), numerical_rank(ref)
+        assert got.conclusive
+        assert (got.loose_rank, got.tight_rank) == \
+            (want.loose_rank, want.tight_rank)
+
+
+def test_frame_drops_single_qubit_generators_of_passed_wires():
+    # gate 0 passes both wires on, gate 1 passes wire 2, gate 2 passes none
+    arch = from_gate_sequence(3, [(1, 2), (1, 2), (2, 3)])
+    frame = tangent_frame(arch, GateAssignment.haar(arch, 26))
+    kept = {j: [int(k) for g, k in frame.columns if g == j] for j in range(3)}
+    assert kept[0] == [k for k in range(15) if k not in (0, 1, 2, 3, 7, 11)]
+    assert kept[1] == [k for k in range(15) if k not in (0, 1, 2)]
+    assert kept[2] == list(range(15))
+    for j in range(3):
+        assert np.array_equal(frame.column_block(j),
+                              frame.matrix[:, frame.columns[:, 0] == j])
 
 
 @pytest.mark.parametrize("build", FRAME_CASES)
