@@ -33,7 +33,6 @@ from .bounds import (
 from .clifford import (
     CliffordCircuit,
     CliffordTableau,
-    clifford_to_unitary,
     conjugate_pauli_by_gate,
     routing_clifford_2q,
 )
@@ -82,7 +81,7 @@ from .experiments import (
     rows_to_csv,
     witness_vs_haar,
 )
-from .pauli import PauliString, nontrivial_strings, pauli_multiply
+from .pauli import PauliString, nontrivial_strings
 from .witness import (
     PathTree,
     WitnessCertificate,

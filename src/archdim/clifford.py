@@ -166,11 +166,6 @@ class CliffordCircuit:
         return cls(n, tuple((op[0], tuple(op[1:])) for op in ops))
 
 
-def clifford_to_unitary(circuit: CliffordCircuit) -> np.ndarray:
-    """Dense unitary of a Clifford circuit."""
-    return circuit.to_unitary()
-
-
 @dataclass
 class CliffordTableau:
     """Conjugation action of a Clifford unitary on the 2n Pauli generators.

@@ -201,11 +201,6 @@ class PauliString:
         return bits, kappa
 
 
-def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Product PQ with the phase tracked mod 4."""
-    return p * q
-
-
 def nontrivial_strings(n: int) -> Iterator[PauliString]:
     """All 4^n - 1 nontrivial unphased strings in lexicographic label order."""
     for idx in range(1, 4 ** n):

@@ -48,13 +48,6 @@ class PathTree:
     wire_pairs: tuple[tuple[int, int], ...]
     next_hop: dict[int, tuple[int, int]]
 
-    def hop_at(self, gate_index: int) -> tuple[int, int] | None:
-        """(source_qubit, destination_qubit) if this gate is a hop."""
-        for q, (idx, nxt) in self.next_hop.items():
-            if idx == gate_index:
-                return q, nxt
-        return None
-
     def path(self, qubit: int) -> list[tuple[int, int, int]]:
         """Hops (gate_index, from_qubit, to_qubit) from a qubit to the sink."""
         out = []
@@ -357,6 +350,9 @@ def _parity_pair(p: PauliString) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class WitnessVerdict:
+    """Outcome of ``verify_certificate``; ``clifford_checked`` is True when
+    the dense Clifford re-check ran (and so passed)."""
+
     slice_count: int
     distinct_directions: int
     witness_rank: int | None
@@ -370,9 +366,11 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
 
     Each direction is rebuilt by inserting Z on the slice's sink and
     conjugating it forward through the later slices' tableaux; the stored
-    routing choices, directions and distinctness are all re-derived.  In
-    unitary mode the numerical rank of the tangent frame at the witness
-    point is additionally required to reach the slice count.
+    routing choices, directions and distinctness are all re-derived.  With
+    ``check_rank`` the numerical rank of the tangent frame at the witness
+    point must reach the slice count, and the contracted dense unitary must
+    conjugate each X_q and Z_q as the slice tableaux do; either failure
+    raises ``CertificateMismatch``.
     """
     if cert.n != arch.n or len(cert.gate_circuits) != arch.gate_count:
         raise CertificateMismatch("certificate does not match the architecture")
@@ -426,7 +424,6 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
         distinct = len(pairs)
 
     rank = None
-    clifford_checked = False
     if check_rank:
         limit = contraction.DEFAULT_N_MAX if n_max is None else n_max
         gates = cert.to_gate_assignment()
@@ -436,13 +433,20 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
         if rank is None or rank < cert.slice_count:
             raise CertificateMismatch(
                 f"witness rank {rank} below slice count {cert.slice_count}")
-        clifford_checked = _contracted_is_clifford(arch, gates, tabs, limit)
-    return WitnessVerdict(cert.slice_count, distinct, rank, clifford_checked)
+        if not _contracted_is_clifford(arch, gates, tabs, limit):
+            raise CertificateMismatch(
+                "contracted witness unitary disagrees with the slice tableaux")
+    return WitnessVerdict(cert.slice_count, distinct, rank, check_rank)
 
 
 def _contracted_is_clifford(arch: Architecture, gates, tabs,
                             n_max: int) -> bool:
-    """Dense check that the contracted witness maps generators to Paulis."""
+    """Dense check that the contracted witness maps generators to Paulis.
+
+    For each X_q and Z_q with tableau image P, U g U^dagger = P is checked
+    as U g = P U (equivalent for unitary U).  Both sides are signed
+    permutations of U's columns or rows, so the check costs O(n 4^n).
+    """
     total = CliffordTableau.identity(arch.n)
     for tab in tabs:
         total = CliffordTableau.compose(tab, total)
@@ -450,8 +454,23 @@ def _contracted_is_clifford(arch: Architecture, gates, tabs,
     for q in range(1, arch.n + 1):
         for kind in ("X", "Z"):
             gen = PauliString.single(arch.n, kind, q)
-            image = total.conjugate(gen)
-            got = dense @ gen.to_matrix() @ dense.conj().T
-            if np.abs(got - image.to_matrix()).max() > 1e-9:
+            right = _pauli_times(gen, dense.T).T  # U g, as g is symmetric
+            left = _pauli_times(total.conjugate(gen), dense)
+            if np.abs(right - left).max() > 1e-9:
                 return False
     return True
+
+
+def _pauli_times(p: PauliString, mat: np.ndarray) -> np.ndarray:
+    """P @ mat as a signed row permutation.
+
+    P |s> = i^(phase + #Y) (-1)^(z.s) |s ^ x>, with the x and z masks in
+    basis-state order (qubit 1 as the most significant bit).
+    """
+    n = p.n
+    x = int(f"{p.x_bits:0{n}b}"[::-1], 2)
+    z = int(f"{p.z_bits:0{n}b}"[::-1], 2)
+    source = np.arange(2 ** n) ^ x  # row r of P @ mat comes from row r ^ x
+    signs = np.where(np.bitwise_count(source & z) & 1, -1.0, 1.0)
+    kappa = p.phase_exp + (p.x_bits & p.z_bits).bit_count()
+    return (1j ** kappa) * signs[:, None] * mat[source]

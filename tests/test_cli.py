@@ -3,9 +3,18 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from archdim import Architecture, WitnessCertificate
+from archdim import (
+    Architecture,
+    GateAssignment,
+    WitnessCertificate,
+    contract,
+    staircase,
+    witness_point,
+)
+from archdim import contraction
 from archdim.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INVALID,
@@ -125,6 +134,20 @@ def test_witness_certificate_artifact(tmp_path):
     cert = WitnessCertificate.from_json(out.read_text())
     assert cert.slice_count == 4
     assert len(cert.directions) == 4
+
+
+def test_witness_dense_clifford_mismatch_exit_code(monkeypatch, capsys):
+    # gate 0 of the witness point off by exp(-1e-3 i X (x) I)
+    arch = staircase(3, 3)
+    mats = witness_point(arch, "unitary").to_gate_assignment().matrices.copy()
+    x_i = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
+    mats[0] = mats[0] @ (np.cos(1e-3) * np.eye(4) - 1j * np.sin(1e-3) * x_i)
+    bad = contract(arch, GateAssignment.explicit(mats, normalize=False))
+    monkeypatch.setattr(contraction, "contract", lambda *args, **kw: bad)
+    rc = main(["witness", "--family", "staircase", "--n", "3", "--t", "3",
+               "--mode", "unitary"])
+    assert rc == EXIT_VERDICT
+    assert "tableaux" in capsys.readouterr().err
 
 
 def test_arch_gen_brickwork_rounds(tmp_path):

@@ -9,7 +9,6 @@ from archdim import (
     PauliString,
     PhasedPauli,
     TrivialPauli,
-    clifford_to_unitary,
     conjugate_pauli_by_gate,
     routing_clifford_2q,
 )
@@ -115,19 +114,19 @@ def test_circuit_inverse_undoes_conjugation():
 
 
 def test_empty_circuit_unitary_is_identity():
-    assert np.allclose(clifford_to_unitary(CliffordCircuit(2)), np.eye(4))
+    assert np.allclose(CliffordCircuit(2).to_unitary(), np.eye(4))
 
 
 def test_single_hadamard_unitary():
     circ = CliffordCircuit(1, (("H", (1,)),))
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert np.abs(clifford_to_unitary(circ) - h).max() < 1e-15
+    assert np.abs(circ.to_unitary() - h).max() < 1e-15
 
 
 def test_unitarity_of_random_circuits():
     rng = np.random.default_rng(15)
     circ = _random_circuit(rng, 3, 12)
-    u = clifford_to_unitary(circ)
+    u = circ.to_unitary()
     assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
 
@@ -136,7 +135,7 @@ def test_dense_conjugation_agrees_with_tableau_on_phased_strings():
     for _ in range(25):
         n = int(rng.integers(2, 4))
         circ = _random_circuit(rng, n, 6)
-        u = clifford_to_unitary(circ)
+        u = circ.to_unitary()
         tab = CliffordTableau.from_circuit(circ)
         p = _random_pauli(rng, n)
         dense = u @ p.to_matrix() @ u.conj().T
@@ -148,7 +147,7 @@ def test_dense_conjugation_agrees_with_tableau_on_generators():
     for _ in range(10):
         n = 2
         circ = _random_circuit(rng, n, 5)
-        u = clifford_to_unitary(circ)
+        u = circ.to_unitary()
         tab = CliffordTableau.from_circuit(circ)
         for q in range(1, n + 1):
             for kind in ("X", "Z"):
@@ -184,7 +183,7 @@ def test_routing_all_fifteen_paulis(target):
         assert len(circ) <= 6
         assert circ.conjugate(p) == expected
         # dense 4x4 oracle
-        u = clifford_to_unitary(circ)
+        u = circ.to_unitary()
         got = u @ p.to_matrix() @ u.conj().T
         assert np.abs(got - expected.to_matrix()).max() < 1e-12
 

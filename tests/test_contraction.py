@@ -537,6 +537,83 @@ def test_spec_spectrum_with_sub_tight_value_is_conclusive():
     assert est.rank == 2
 
 
+def _svd_reference(mat, tol_pair=(1e-6, 1e-10)):
+    """(singular values, loose rank, tight rank) from a full SVD alone."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv[0] == 0.0:
+        return sv, 0, 0
+    return sv, int((sv > tol_pair[0] * sv[0]).sum()), \
+        int((sv > tol_pair[1] * sv[0]).sum())
+
+
+PLANTED_RATIOS = [1.0, 1e-2, 0.5e-4, 1.5e-4, 1e-6 * (1 - 1e-3),
+                  1e-6 * (1 + 1e-3), 1e-8, 1e-10 * (1 - 1e-3),
+                  1e-10 * (1 + 1e-3), 1e-13, 0.0]
+
+
+@pytest.mark.parametrize("ratio", PLANTED_RATIOS)
+def test_gram_route_matches_svd_on_planted_spectra(ratio):
+    # Q1 diag(s) Q2^T: s spans [0.1, 1] and its last value sets
+    # sigma_min / sigma_max, so the decision turns on that value
+    rng = np.random.default_rng(31)
+    m, c = 200, 40
+    q1, _ = np.linalg.qr(rng.standard_normal((m, c)))
+    q2, _ = np.linalg.qr(rng.standard_normal((c, c)))
+    s = np.geomspace(1.0, max(ratio, 0.1), c)
+    s[-1] = ratio
+    mat = 3.0 * (q1 * s) @ q2.T
+    est = numerical_rank(mat)
+    sv, loose, tight = _svd_reference(mat)
+    assert (est.loose_rank, est.tight_rank) == (loose, tight)
+    if ratio < 1e-4:
+        assert est.route == "svd"
+    if ratio >= 1e-2:
+        assert est.route == "gram"
+    if est.route == "gram":
+        assert np.abs(est.singular_values - sv).max() <= 1e-12 * sv[0]
+    else:
+        assert np.array_equal(est.singular_values, sv)
+
+
+def test_gram_route_edge_cases():
+    zero = numerical_rank(np.zeros((5, 3)))
+    assert (zero.rank, zero.route) == (0, "svd")
+    with pytest.raises(np.linalg.LinAlgError):
+        numerical_rank(np.full((6, 3), np.nan))
+    tall = np.ones((6, 3))
+    tall[2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        numerical_rank(tall)
+    # wide frames always take the SVD
+    wide = numerical_rank(np.random.default_rng(32).standard_normal((3, 6)))
+    assert (wide.rank, wide.route) == (3, "svd")
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_gram_route_on_haar_and_witness_frames(mode):
+    # a Haar frame takes the gram route exactly when it is tall with full
+    # column rank (its spectra are far from the cutoffs); rank-deficient
+    # Clifford witness frames take the SVD
+    routes = []
+    for build in FRAME_CASES:
+        arch = build.values[0]()
+        frame = tangent_frame(arch, GateAssignment.haar(arch, 24), mode)
+        m, c = frame.matrix.shape
+        est = numerical_rank(frame)
+        _sv, loose, tight = _svd_reference(frame.matrix)
+        assert (est.loose_rank, est.tight_rank) == (loose, tight)
+        assert est.route == ("gram" if loose == c < m else "svd")
+        routes.append(est.route)
+    assert ("gram" in routes) == (mode == "unitary")
+    for arch in (staircase(4, 3), brickwork(4, 4)):
+        gates = witness_point(arch, mode).to_gate_assignment()
+        frame = tangent_frame(arch, gates, mode)
+        est = numerical_rank(frame)
+        _sv, loose, tight = _svd_reference(frame.matrix)
+        assert est.route == "svd"
+        assert (est.loose_rank, est.tight_rank) == (loose, tight)
+
+
 # -- accessible dimension -------------------------------------------------------------
 
 
@@ -605,6 +682,12 @@ def test_report_json_and_spectra():
     d = report.to_json_dict()
     assert d["consensus"] == 15
     assert len(d["per_sample"]) == 3
+    # staircase(2, 2) frames are 16 x 24, too wide for the gram route;
+    # staircase(3, 1) frames are 64 x 27 with full column rank
+    assert [e["route"] for e in d["per_sample"]] == ["svd"] * 3
+    tall = accessible_dimension(staircase(3, 1), samples=3, seed=1)
+    assert [e["route"] for e in tall.to_json_dict()["per_sample"]] == \
+        ["gram"] * 3
     csv = report.spectra_csv()
     assert csv.startswith("sample,index,singular_value")
 

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from archdim import DimensionMismatch, PauliString, pauli_multiply
+from archdim import DimensionMismatch, PauliString
 from archdim.pauli import TWO_QUBIT_GENERATORS, nontrivial_strings
 
 
 def test_x_times_z_is_minus_i_y():
     x = PauliString.from_label("X")
     z = PauliString.from_label("Z")
-    prod = pauli_multiply(x, z)
+    prod = x * z
     assert prod == PauliString(1, 1, 1, 3)
     assert prod.label() == "-iY"
 

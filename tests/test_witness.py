@@ -24,8 +24,10 @@ from archdim import (
     verify_certificate,
     witness_point,
 )
+from archdim import contraction
+from archdim.clifford import CliffordTableau
 from archdim.pauli import nontrivial_strings
-from archdim.witness import _slice_tableau
+from archdim.witness import _contracted_is_clifford, _pauli_times, _slice_tableau
 
 
 def _random_nontrivial(rng, n):
@@ -273,6 +275,61 @@ def test_witness_contracted_unitary_is_clifford():
     cert = witness_point(staircase(3, 3), "unitary")
     verdict = verify_certificate(cert, staircase(3, 3))
     assert verdict.clifford_checked
+
+
+def _kicked(gates, j=0):
+    """The assignment with gate j multiplied by exp(-1e-3 i X (x) I)."""
+    x_i = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
+    kick = np.cos(1e-3) * np.eye(4) - 1j * np.sin(1e-3) * x_i
+    mats = gates.matrices.copy()
+    mats[j] = mats[j] @ kick
+    return GateAssignment.explicit(mats, normalize=False)
+
+
+def _witness_tableaux(arch, cert):
+    return [_slice_tableau(arch, s.start, s.stop, cert.gate_circuits)
+            for s in cert.slices]
+
+
+def test_pauli_times_matches_dense_product():
+    rng = np.random.default_rng(33)
+    for n in (1, 2, 4):
+        mat = rng.standard_normal((2 ** n, 3)) + 1j * rng.standard_normal((2 ** n, 3))
+        for _ in range(8):
+            p = PauliString(n, int(rng.integers(0, 1 << n)),
+                            int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
+            assert np.abs(_pauli_times(p, mat) - p.to_matrix() @ mat).max() < 1e-12
+
+
+def test_dense_clifford_check_rejects_perturbed_gate():
+    arch = staircase(3, 3)
+    cert = witness_point(arch, "unitary")
+    gates, tabs = cert.to_gate_assignment(), _witness_tableaux(arch, cert)
+    assert _contracted_is_clifford(arch, gates, tabs, 8)
+    assert not _contracted_is_clifford(arch, _kicked(gates), tabs, 8)
+
+
+def test_dense_clifford_check_rejects_flipped_image_sign():
+    arch = staircase(3, 3)
+    cert = witness_point(arch, "unitary")
+    tabs = _witness_tableaux(arch, cert)
+    first = tabs[0]
+    z = list(first.z_images)
+    p = z[0]
+    z[0] = PauliString(p.n, p.x_bits, p.z_bits, p.phase_exp + 2)
+    tabs[0] = CliffordTableau(first.n, list(first.x_images), z)
+    assert not _contracted_is_clifford(arch, cert.to_gate_assignment(), tabs, 8)
+
+
+def test_verify_raises_when_contracted_unitary_disagrees(monkeypatch):
+    arch = staircase(3, 3)
+    cert = witness_point(arch, "unitary")
+    bad = contract(arch, _kicked(cert.to_gate_assignment()))
+    monkeypatch.setattr(contraction, "contract", lambda *args, **kw: bad)
+    with pytest.raises(CertificateMismatch, match="tableaux"):
+        verify_certificate(cert, arch)
+    # without the rank check the dense check does not run
+    assert not verify_certificate(cert, arch, check_rank=False).clifford_checked
 
 
 def test_witness_brickwork():
