@@ -14,6 +14,7 @@ from .architecture import (
     LightCone,
     StaircaseSliceReport,
     brickwork,
+    build_family,
     detect_staircase_slices,
     from_gate_sequence,
     is_causal_slice,
@@ -89,4 +90,5 @@ from .witness import (
     route_pauli_through_slice,
     verify_certificate,
     witness_point,
+    witness_rank,
 )

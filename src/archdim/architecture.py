@@ -164,6 +164,22 @@ def random_adjacent(n: int, r_gates: int, seed: int) -> Architecture:
     return Architecture(n, gates, None)
 
 
+def build_family(family: str, n: int, t_slices: int, rounds: int | None = None,
+                 r_gates: int | None = None, seed: int = 0) -> Architecture:
+    """The architecture a family name describes: ``staircase(n, t_slices)``,
+    ``brickwork(n, rounds)`` with n * t_slices rounds by default (t_slices
+    slices), or ``random_adjacent(n, r_gates, seed)``."""
+    if family == "staircase":
+        return staircase(n, t_slices)
+    if family == "brickwork":
+        return brickwork(n, n * t_slices if rounds is None else rounds)
+    if family == "random":
+        if r_gates is None:
+            raise ValidationError("the random family needs a gate count (--r)")
+        return random_adjacent(n, r_gates, seed)
+    raise ValidationError(f"unknown family {family!r}")
+
+
 # -- causal-slice analysis ----------------------------------------------------
 
 

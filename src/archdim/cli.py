@@ -16,13 +16,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .architecture import (
-    Architecture,
-    brickwork,
-    is_causal_slice,
-    random_adjacent,
-    staircase,
-)
+from .architecture import Architecture, build_family, is_causal_slice
 from .bounds import make_bound_sheet, randomized_bound_probability
 from .contraction import (
     DEFAULT_N_MAX,
@@ -97,17 +91,8 @@ def _load_arch(path: str) -> Architecture:
 def _arch_from_args(args: argparse.Namespace) -> Architecture:
     if getattr(args, "infile", None):
         return _load_arch(args.infile)
-    family = args.family
-    if family == "staircase":
-        return staircase(args.n, args.t)
-    if family == "brickwork":
-        rounds = args.rounds if args.rounds is not None else args.n * args.t
-        return brickwork(args.n, rounds)
-    if family == "random":
-        if args.r is None:
-            raise ValidationError("--r is required for the random family")
-        return random_adjacent(args.n, args.r, args.seed)
-    raise ValidationError(f"unknown family {args.family!r}")
+    return build_family(args.family, args.n, args.t, args.rounds, args.r,
+                        args.seed)
 
 
 # -- subcommand handlers -------------------------------------------------------

@@ -400,8 +400,6 @@ def _certified_gram_spectrum(mat: np.ndarray, loose: float) -> np.ndarray | None
         return None
     gram = mat.T @ mat
     trace = np.trace(gram)
-    if not np.isfinite(trace):
-        return None
     delta = (m + c) * np.finfo(np.float64).eps * trace
     floor = (_GRAM_MARGIN * loose) ** 2
     # Cholesky-first exit: lam_max >= trace / C, so a certifiable spectrum
@@ -430,12 +428,13 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     SVD would return loose = tight = C as well.  The estimate holds
     sqrt(eigvalsh(M^T M)) as its singular values, with ``route="gram"``.
     Every other input takes a full SVD (``route="svd"``): wide frames,
-    rank-deficient or near-cutoff spectra, and all-zero or non-finite
-    matrices.  Ranks never differ between the routes; gram-route singular
-    values differ from LAPACK's SVD by rounding only (below 1e-12 sigma_max
-    on the frames measured).
+    rank-deficient or near-cutoff spectra, and all-zero matrices.  Ranks
+    never differ between the routes; gram-route singular values differ from
+    LAPACK's SVD by rounding only (below 1e-12 sigma_max on the frames
+    measured).
 
-    An empty or all-zero matrix has rank 0 by convention.
+    An empty or all-zero matrix has rank 0 by convention.  A matrix holding
+    NaN or inf raises ``LinAlgError``.
     """
     mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)
     loose, tight = tol_pair
@@ -443,6 +442,8 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
         raise ValidationError(f"tolerances must be (loose, tight), got {tol_pair}")
     if mat.size == 0:
         return RankEstimate(np.zeros(0), tol_pair, 0, 0)
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("frame holds a non-finite entry")
     sv = _certified_gram_spectrum(mat, loose)
     if sv is not None:
         return RankEstimate(sv, tol_pair, sv.size, sv.size, route="gram")

@@ -13,33 +13,26 @@ import math
 import time
 from dataclasses import dataclass
 
-from .architecture import Architecture, brickwork, detect_staircase_slices, \
-    random_adjacent, staircase
+from .architecture import build_family, detect_staircase_slices, \
+    random_adjacent
 from .bounds import randomized_bound_probability, staircase_slice_probability
 from .contraction import (
     DEFAULT_N_MAX,
     DEFAULT_TOLERANCES,
     RankReport,
     accessible_dimension,
-    numerical_rank,
     subseed,
-    tangent_frame,
+    # not called here since the witness rank became exact; kept because
+    # bench/tests/test_bench.py patches it in this namespace
+    tangent_frame,  # noqa: F401
 )
 from .errors import ValidationError, VerdictError
-from .witness import witness_point
+from .witness import witness_point, witness_rank
 
 # Two-sided 99% normal quantile for the binomial interval.
 _Z_99 = 2.5758293035489004
 
 CSV_HEADER = "n,family,T,R,L,dA,witness_rank,lower,upper,cap,samples,seed,ms"
-
-
-def _build_family(family: str, n: int, t_slices: int) -> Architecture:
-    if family == "staircase":
-        return staircase(n, t_slices)
-    if family == "brickwork":
-        return brickwork(n, n * t_slices)
-    raise ValidationError(f"unknown family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class SweepRow:
     r_gates: int
     l_gates: int
     accessible: int | None
-    witness_rank: int | None
+    witness_rank: int
     lower: int
     upper: int
     cap: int
@@ -60,9 +53,9 @@ class SweepRow:
 
     def csv_line(self) -> str:
         d = "" if self.accessible is None else str(self.accessible)
-        w = "" if self.witness_rank is None else str(self.witness_rank)
         return (f"{self.n},{self.family},{self.t_slices},{self.r_gates},"
-                f"{self.l_gates},{d},{w},{self.lower},{self.upper},{self.cap},"
+                f"{self.l_gates},{d},{self.witness_rank},{self.lower},"
+                f"{self.upper},{self.cap},"
                 f"{self.samples},{self.seed},{self.ms}")
 
 
@@ -105,25 +98,24 @@ def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
     """One row per slice count T = 1..t_max, ramp shape asserted.
 
     Inconclusive consensus ranks propagate as empty dimension cells; the
-    sweep continues and the ramp check skips them.
+    sweep continues and the ramp check skips them.  The witness rank is
+    exact (``witness_rank``), so its cell is never empty.
     """
     if t_max < 1:
         raise ValidationError(f"t_max must be positive, got {t_max}")
     rows: list[SweepRow] = []
     for t in range(1, t_max + 1):
-        arch = _build_family(family, n, t)
+        arch = build_family(family, n, t)
         started = time.perf_counter()
         report = accessible_dimension(
             arch, mode, samples, subseed(seed, t), tolerances, n_max)
         cert = witness_point(arch, mode)
-        westimate = numerical_rank(
-            tangent_frame(arch, cert.to_gate_assignment(), mode, n_max),
-            tolerances)
+        wrank = witness_rank(arch, cert.gate_circuits, mode)
         ms = int(round((time.perf_counter() - started) * 1000))
         rows.append(SweepRow(
             n=n, family=family, t_slices=t, r_gates=arch.gate_count,
             l_gates=arch.gate_count // t, accessible=report.consensus,
-            witness_rank=westimate.rank, lower=report.lower_bound,
+            witness_rank=wrank, lower=report.lower_bound,
             upper=report.upper_bound, cap=report.cap, samples=samples,
             seed=seed, ms=ms))
     check_ramp(rows)
@@ -236,14 +228,10 @@ def witness_vs_haar(n: int, family: str, t_slices: int, samples: int = 5,
                     tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
                     n_max: int = DEFAULT_N_MAX) -> WitnessComparison:
     """Assert witness rank <= Haar consensus and both >= the slice count."""
-    arch = _build_family(family, n, t_slices)
+    arch = build_family(family, n, t_slices)
     report = accessible_dimension(arch, mode, samples, seed, tolerances, n_max)
     cert = witness_point(arch, mode)
-    westimate = numerical_rank(
-        tangent_frame(arch, cert.to_gate_assignment(), mode, n_max), tolerances)
-    wrank = westimate.rank
-    if wrank is None:
-        raise VerdictError("witness-point rank is numerically inconclusive")
+    wrank = witness_rank(arch, cert.gate_circuits, mode)
     if wrank < t_slices:
         raise VerdictError(
             f"witness rank {wrank} below slice count {t_slices}")

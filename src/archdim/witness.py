@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .architecture import Architecture, is_causal_slice
 from .clifford import CliffordCircuit, CliffordTableau, routing_clifford_2q
 from .errors import (
     CertificateMismatch,
+    CountMismatch,
     NotCausal,
     NotOnSlice,
     PhasedPauli,
@@ -348,10 +350,81 @@ def _parity_pair(p: PauliString) -> tuple[int, int]:
     return bits, kappa % 2
 
 
+def _symplectic_2q(circuit: CliffordCircuit) -> tuple[int, int, int, int]:
+    """Phase-free images of X_1, Z_1, X_2, Z_2 under a two-qubit circuit, each
+    as a 4-bit index (bits: x_1, z_1, x_2, z_2) into the XOR span of
+    ``witness_rank``."""
+    if circuit.n != 2:
+        raise ValidationError("vertex circuits must act on 2 qubits")
+    out = []
+    for kind, q in (("X", 1), ("Z", 1), ("X", 2), ("Z", 2)):
+        p = circuit.conjugate(PauliString.single(2, kind, q))
+        out.append((p.x_bits & 1) | (p.z_bits & 1) << 1
+                   | (p.x_bits >> 1) << 2 | (p.z_bits >> 1) << 3)
+    return tuple(out)
+
+
+def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
+                 mode: str) -> int:
+    """Exact rank of the tangent frame at an all-Clifford gate assignment.
+
+    Every direction K_{j,k} = Suffix_j S_k Suffix_j^dagger is then +- a Pauli
+    string, so each unitary-mode frame column is a signed unit vector and the
+    rank is the number of distinct (x_bits, z_bits) keys among the 15R
+    directions.  The sweep runs back to front and keeps the phase-free image
+    of every X_q and Z_q under the current suffix as one integer
+    x_bits | z_bits << n.  Gate j on (a, b) adds the 15 nonzero XOR
+    combinations of the images of X_a, Z_a, X_b, Z_b, then replaces those four
+    images by their images under the gate's two-qubit symplectic map.
+
+    In state mode i K_{j,k} U|0> = i U Q|0> with
+    Q = Prefix_j^dagger S_k Prefix_j, and u_j^dagger S_k u_j runs over all 15
+    nontrivial Paulis on (a, b) up to sign.  U is a real-linear isometry and
+    the Hermitian Q maps |0...0> to +- i^kappa |x_bits> with kappa its Y
+    count, so the rank is the number of distinct (x_bits, kappa mod 2)
+    images.  The sweep runs front to back under the inverse prefix: gate j
+    adds its 15 images before its inverse circuit updates the four images.
+
+    No dense matrix and no tolerance enter.  The 15R directions span the
+    same space as the gauge-fixed frame's columns, so this is the rank that
+    ``numerical_rank(tangent_frame(...))`` estimates.
+    """
+    if mode not in ("unitary", "state"):
+        raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
+    if len(circuits) != arch.gate_count:
+        raise CountMismatch(
+            f"{len(circuits)} circuits supplied for {arch.gate_count} slots")
+    n = arch.n
+    mask = (1 << n) - 1
+    # images[2q], images[2q + 1]: X and Z of qubit q + 1 under the current map
+    images = [bit for q in range(n) for bit in (1 << q, 1 << (q + n))]
+    unitary = mode == "unitary"
+    order = range(arch.gate_count - 1, -1, -1) if unitary else range(arch.gate_count)
+    keys: set[int] = set()
+    for j in order:
+        a, b = arch.gates[j]
+        slots = (2 * a - 2, 2 * a - 1, 2 * b - 2, 2 * b - 1)
+        span = [0]
+        for s in slots:
+            img = images[s]
+            span += [v ^ img for v in span]
+        if unitary:
+            keys.update(span[1:])
+            circuit = circuits[j]
+        else:
+            keys.update((v & mask) | ((v & v >> n).bit_count() & 1) << n
+                        for v in span[1:])
+            circuit = circuits[j].inverse()
+        for s, idx in zip(slots, _symplectic_2q(circuit)):
+            images[s] = span[idx]
+    return len(keys)
+
+
 @dataclass(frozen=True)
 class WitnessVerdict:
-    """Outcome of ``verify_certificate``; ``clifford_checked`` is True when
-    the dense Clifford re-check ran (and so passed)."""
+    """Outcome of ``verify_certificate``.  ``witness_rank`` is the exact frame
+    rank, None when the rank check was skipped; ``clifford_checked`` is True
+    when the dense Clifford re-check ran (and so passed)."""
 
     slice_count: int
     distinct_directions: int
@@ -367,10 +440,12 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     Each direction is rebuilt by inserting Z on the slice's sink and
     conjugating it forward through the later slices' tableaux; the stored
     routing choices, directions and distinctness are all re-derived.  With
-    ``check_rank`` the numerical rank of the tangent frame at the witness
-    point must reach the slice count, and the contracted dense unitary must
-    conjugate each X_q and Z_q as the slice tableaux do; either failure
-    raises ``CertificateMismatch``.
+    ``check_rank`` the exact tangent-frame rank at the witness point
+    (``witness_rank``, a stabilizer computation with no tolerance) must reach
+    the slice count, and the contracted dense unitary must conjugate each
+    X_q and Z_q as the slice tableaux do; either failure raises
+    ``CertificateMismatch``.  The dense re-check ties the gate matrices to
+    the tableaux and raises ``SizeLimit`` for n above ``n_max``.
     """
     if cert.n != arch.n or len(cert.gate_circuits) != arch.gate_count:
         raise CertificateMismatch("certificate does not match the architecture")
@@ -425,14 +500,12 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
 
     rank = None
     if check_rank:
-        limit = contraction.DEFAULT_N_MAX if n_max is None else n_max
-        gates = cert.to_gate_assignment()
-        frame = contraction.tangent_frame(arch, gates, cert.mode, limit)
-        estimate = contraction.numerical_rank(frame)
-        rank = estimate.rank
-        if rank is None or rank < cert.slice_count:
+        rank = witness_rank(arch, cert.gate_circuits, cert.mode)
+        if rank < cert.slice_count:
             raise CertificateMismatch(
                 f"witness rank {rank} below slice count {cert.slice_count}")
+        limit = contraction.DEFAULT_N_MAX if n_max is None else n_max
+        gates = cert.to_gate_assignment()
         if not _contracted_is_clifford(arch, gates, tabs, limit):
             raise CertificateMismatch(
                 "contracted witness unitary disagrees with the slice tableaux")

@@ -8,7 +8,9 @@ from archdim import (
     InvalidBoundary,
     InvalidQubit,
     OddQubitCount,
+    ValidationError,
     brickwork,
+    build_family,
     detect_staircase_slices,
     from_gate_sequence,
     is_causal_slice,
@@ -102,6 +104,18 @@ def test_brickwork_partial_tail_merges_into_last_slice():
 def test_brickwork_odd_rejected():
     with pytest.raises(OddQubitCount):
         brickwork(3, 1)
+
+
+def test_build_family_dispatch():
+    assert build_family("staircase", 4, 3) == staircase(4, 3)
+    # brickwork defaults to n * t rounds, i.e. t slices
+    assert build_family("brickwork", 4, 2) == brickwork(4, 8)
+    assert build_family("brickwork", 4, 2, rounds=5) == brickwork(4, 5)
+    assert build_family("random", 4, 1, r_gates=9, seed=3) == random_adjacent(4, 9, 3)
+    with pytest.raises(ValidationError, match="gate count"):
+        build_family("random", 4, 1)
+    with pytest.raises(ValidationError, match="unknown family"):
+        build_family("ladder", 4, 1)
 
 
 def test_random_adjacent_reproducible():

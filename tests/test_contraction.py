@@ -584,6 +584,11 @@ def test_gram_route_edge_cases():
     tall[2, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         numerical_rank(tall)
+    # an inf used to give a conclusive rank 0 (the SVD returns NaN values)
+    for inf_frame in (np.ones((6, 3)), np.ones((3, 6))):
+        inf_frame[2, 1] = np.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            numerical_rank(inf_frame)
     # wide frames always take the SVD
     wide = numerical_rank(np.random.default_rng(32).standard_normal((3, 6)))
     assert (wide.rank, wide.route) == (3, "svd")

@@ -55,7 +55,7 @@ def test_sweep_csv_deterministic_modulo_wall_time():
 
 def test_check_ramp_rejects_violations():
     def row(t, d, cap=63):
-        return SweepRow(3, "staircase", t, 2 * t, 2, d, None, t,
+        return SweepRow(3, "staircase", t, 2 * t, 2, d, t, t,
                         min(18 * t + 9, cap), cap, 3, 0, 0)
 
     check_ramp([row(1, 27), row(2, 45), row(3, 63), row(4, 63)])
@@ -71,7 +71,7 @@ def test_check_ramp_rejects_violations():
 
 def test_check_ramp_skips_inconclusive_rows():
     def row(t, d):
-        return SweepRow(3, "staircase", t, 2 * t, 2, d, None, t, 63, 63, 3, 0, 0)
+        return SweepRow(3, "staircase", t, 2 * t, 2, d, t, t, 63, 63, 3, 0, 0)
 
     check_ramp([row(1, 27), row(2, None), row(3, 63)])
 

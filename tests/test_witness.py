@@ -5,12 +5,16 @@ import pytest
 
 from archdim import (
     CertificateMismatch,
+    CliffordCircuit,
+    CountMismatch,
     GateAssignment,
     NotCausal,
     NotOnSlice,
     PauliString,
+    SizeLimit,
     TooManySlices,
     TrivialPauli,
+    ValidationError,
     WitnessCertificate,
     brickwork,
     build_path_tree,
@@ -18,11 +22,13 @@ from archdim import (
     from_gate_sequence,
     is_causal_slice,
     numerical_rank,
+    random_adjacent,
     route_pauli_through_slice,
     staircase,
     tangent_frame,
     verify_certificate,
     witness_point,
+    witness_rank,
 )
 from archdim import contraction
 from archdim.clifford import CliffordTableau
@@ -262,6 +268,81 @@ def test_witness_rank_meets_slice_count():
         frame = tangent_frame(staircase(n, t), cert.to_gate_assignment())
         est = numerical_rank(frame)
         assert est.rank is not None and est.rank >= t
+
+
+def _dense_rank(arch, circuits, mode):
+    est = numerical_rank(tangent_frame(
+        arch, GateAssignment.from_circuits(circuits), mode))
+    assert est.conclusive, est.gap_description()
+    return est.rank
+
+
+WITNESS_RANK_ARCHS = (
+    [staircase(n, t) for n in range(2, 7) for t in (1, 2, 4)]
+    + [staircase(5, 10), staircase(6, 8)]
+    + [brickwork(n, r) for n, r in ((2, 2), (2, 5), (4, 4), (4, 9), (6, 6))])
+
+_CLIFFORD_OPS = (("H", 1), ("S", 1), ("CNOT", 2), ("CZ", 2), ("SWAP", 2))
+
+
+def _random_clifford_2q(rng) -> CliffordCircuit:
+    ops = []
+    for _ in range(int(rng.integers(0, 6))):
+        name, arity = _CLIFFORD_OPS[int(rng.integers(len(_CLIFFORD_OPS)))]
+        ops.append((name, tuple(int(q) + 1 for q in rng.permutation(2)[:arity])))
+    return CliffordCircuit(2, tuple(ops))
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_witness_rank_matches_dense_rank_at_witness_points(mode):
+    checked = 0
+    for arch in WITNESS_RANK_ARCHS:
+        try:
+            cert = witness_point(arch, mode)
+        except TooManySlices:
+            continue
+        rank = witness_rank(arch, cert.gate_circuits, mode)
+        assert rank == _dense_rank(arch, cert.gate_circuits, mode), arch
+        assert rank >= cert.slice_count
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_witness_rank_matches_dense_rank_at_random_clifford_points(mode):
+    # seeded random H/S/CNOT/CZ/SWAP circuits, empty ones included, on random
+    # adjacent-gate architectures; most frames fall below the generic rank
+    rng = np.random.default_rng(20261018)
+    deficient = 0
+    for case in range(40):
+        n = int(rng.integers(2, 6))
+        arch = random_adjacent(n, int(rng.integers(1, 12)), case)
+        circuits = [_random_clifford_2q(rng) for _ in range(arch.gate_count)]
+        rank = witness_rank(arch, circuits, mode)
+        assert rank == _dense_rank(arch, circuits, mode), (case, arch)
+        deficient += rank < contraction.dimension_bounds(arch, mode)[1]
+    assert deficient >= 10
+
+
+def test_witness_rank_validates_input():
+    arch = staircase(3, 1)
+    cert = witness_point(arch, "unitary")
+    with pytest.raises(CountMismatch):
+        witness_rank(arch, cert.gate_circuits[:-1], "unitary")
+    with pytest.raises(ValidationError):
+        witness_rank(arch, cert.gate_circuits, "density")
+    with pytest.raises(ValidationError):
+        witness_rank(arch, (CliffordCircuit(3),) * 2, "unitary")
+
+
+def test_verify_keeps_the_dense_size_limit():
+    # the exact rank needs no dense matrix, but the dense Clifford re-check
+    # still refuses n above n_max
+    arch = staircase(9, 2)
+    cert = witness_point(arch, "unitary")
+    with pytest.raises(SizeLimit):
+        verify_certificate(cert, arch)
+    assert verify_certificate(cert, arch, check_rank=False).witness_rank is None
 
 
 def test_witness_t1_trivial():
