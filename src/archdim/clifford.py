@@ -171,9 +171,10 @@ class CliffordTableau:
     """Conjugation action of a Clifford unitary on the 2n Pauli generators.
 
     ``x_images[j]`` is C X_{j+1} C^dagger and ``z_images[j]`` is
-    C Z_{j+1} C^dagger, phases included.  The tableau is a builder: gates
-    appended with :meth:`apply_gate` post-compose onto the represented
-    unitary.  Treat a fully built tableau as read-only.
+    C Z_{j+1} C^dagger, phases included.  The tableau is a builder:
+    :meth:`apply_gate` and :meth:`apply_circuit` post-compose (C becomes
+    G C, so G acts after C), and :meth:`prepend_circuit` pre-composes (C
+    becomes C G).  Treat a fully built tableau as read-only.
     """
 
     n: int
@@ -209,6 +210,25 @@ class CliffordTableau:
                 qubits = tuple(wires[q - 1] for q in qubits)
             self.apply_gate(name, qubits)
 
+    def prepend_circuit(self, circuit: CliffordCircuit,
+                        wires: tuple[int, ...]) -> None:
+        """Pre-compose ``circuit`` G, placed on ``wires``: C becomes C G.
+
+        Only the generators on ``wires`` change, each image P becoming
+        C (G P G^dagger) C^dagger; an empty circuit is a no-op.
+        """
+        if circuit.is_identity:
+            return
+        images = {}
+        for local, wire in enumerate(wires, start=1):
+            for kind in ("X", "Z"):
+                moved = circuit.conjugate(
+                    PauliString.single(circuit.n, kind, local))
+                images[kind, wire] = self.conjugate(
+                    moved.embedded(self.n, wires))
+        for (kind, wire), image in images.items():
+            (self.x_images if kind == "X" else self.z_images)[wire - 1] = image
+
     def conjugate(self, p: PauliString) -> PauliString:
         """C P C^dagger by composing generator images.
 
@@ -228,18 +248,6 @@ class CliffordTableau:
         extra = p.phase_exp + (p.x_bits & p.z_bits).bit_count()
         return PauliString(self.n, acc.x_bits, acc.z_bits,
                            acc.phase_exp + extra)
-
-    @classmethod
-    def compose(cls, outer: CliffordTableau,
-                inner: CliffordTableau) -> CliffordTableau:
-        """Tableau of the composite unitary (inner applied first)."""
-        if outer.n != inner.n:
-            raise DimensionMismatch("tableau sizes differ")
-        return cls(
-            outer.n,
-            [outer.conjugate(p) for p in inner.x_images],
-            [outer.conjugate(p) for p in inner.z_images],
-        )
 
     def is_symplectic(self) -> bool:
         """Check that images preserve all pairwise (anti)commutation relations."""

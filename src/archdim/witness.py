@@ -94,18 +94,8 @@ def build_path_tree(arch: Architecture, start: int, stop: int,
                     arch.gates[start:stop], dict(next_hop))
 
 
-@dataclass(frozen=True)
-class RoutingRecord:
-    """Outcome of sweeping one Pauli string through one slice."""
-
-    pauli: PauliString
-    sink: int
-    final: PauliString
-
-
-def route_pauli_through_slice(
-        tree: PathTree, p: PauliString,
-) -> tuple[dict[int, CliffordCircuit], RoutingRecord]:
+def route_pauli_through_slice(tree: PathTree,
+                              p: PauliString) -> dict[int, CliffordCircuit]:
     """Per-gate Clifford circuits conjugating ``p`` to Z on the sink.
 
     Gates off the sweep get the empty circuit.  At each hop gate the current
@@ -140,7 +130,7 @@ def route_pauli_through_slice(
         raise AssertionError(
             f"routing failed: {p.label()} swept to {work.label()}, "
             f"expected {target.label()}")
-    return assignments, RoutingRecord(p, tree.sink, work)
+    return assignments
 
 
 @dataclass(frozen=True)
@@ -169,6 +159,11 @@ class WitnessCertificate:
     slices: tuple[SliceRecord, ...]
     directions: tuple[PauliString, ...] = ()
     state_images: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("unitary", "state"):
+            raise ValidationError(
+                f"certificate mode must be 'unitary' or 'state', got {self.mode!r}")
 
     @property
     def slice_count(self) -> int:
@@ -242,13 +237,58 @@ def _slice_tableau(arch: Architecture, start: int, stop: int,
     return tab
 
 
-def _inverse_slice_tableau(arch: Architecture, start: int, stop: int,
-                           circuits) -> CliffordTableau:
-    tab = CliffordTableau.identity(arch.n)
-    for idx in range(stop - 1, start - 1, -1):
-        c = circuits[idx].inverse()
-        tab.apply_circuit(c, wires=arch.gates[idx])
-    return tab
+def _circuit_tableau(arch: Architecture,
+                     circuits: Sequence[CliffordCircuit]) -> CliffordTableau:
+    """Tableau of the whole assignment, prepending every gate back to front."""
+    total = CliffordTableau.identity(arch.n)
+    for idx in range(arch.gate_count - 1, -1, -1):
+        total.prepend_circuit(circuits[idx], arch.gates[idx])
+    return total
+
+
+class _DirectionSweep:
+    """The marked slices swept front to back under the inverse prefix.
+
+    ``inv_prefix`` is the tableau of Prefix^dagger, the inverse of every gate
+    passed so far, grown by prepending each gate's inverse circuit.  After
+    slice j it stores the pulled-back direction
+    d_j = Prefix_j^dagger Z_sink Prefix_j and its distinctness key: the
+    string up to phase in unitary mode, the (bits, kappa mod 2) image of
+    |0...0> in state mode.  Conjugation by the prefix is a bijection on
+    Paulis up to phase, so a candidate q yields a direction distinct from
+    all earlier ones exactly when key(Prefix^dagger q Prefix) is new.
+    """
+
+    def __init__(self, arch: Architecture, mode: str) -> None:
+        self.arch = arch
+        self.mode = mode
+        self.key = PauliString.key if mode == "unitary" else _parity_pair
+        self.inv_prefix = CliffordTableau.identity(arch.n)
+        self.pulled: list[PauliString] = []
+        self.keys: set[tuple[int, int]] = set()
+
+    def is_new(self, q: PauliString) -> bool:
+        return self.key(self.inv_prefix.conjugate(q)) not in self.keys
+
+    def add_slice(self, start: int, stop: int, sink: int,
+                  circuits: Sequence[CliffordCircuit] | dict) -> None:
+        for idx in range(start, stop):
+            self.inv_prefix.prepend_circuit(
+                circuits[idx].inverse(), self.arch.gates[idx])
+        d = self.inv_prefix.conjugate(PauliString.single(self.arch.n, "Z", sink))
+        self.pulled.append(d)
+        self.keys.add(self.key(d))
+
+    def certificate_directions(
+            self, circuits: Sequence[CliffordCircuit],
+    ) -> tuple[tuple[PauliString, ...], tuple[tuple[int, int], ...]]:
+        """(directions, state_images) as a certificate stores them: the
+        unitary-mode directions in the final frame, each d_j conjugated by
+        the whole circuit's tableau, or the state-mode images d_j |0...0>."""
+        if self.mode == "unitary":
+            total = _circuit_tableau(self.arch, circuits)
+            return tuple(total.conjugate(d) for d in self.pulled), ()
+        return (), tuple(d.state_image() for d in self.pulled)
 
 
 def _last_gate_on(arch: Architecture, start: int, stop: int, qubit: int) -> int:
@@ -278,10 +318,9 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     """All-Clifford gate assignment with T pairwise-distinct directions.
 
     Iterates over the marked slices: pick the lexicographically smallest
-    nontrivial Pauli not yet represented among the accumulated directions
-    (in state mode, one whose (bits, phase-parity) image of |0...0> is new),
-    route it to Z on the slice's sink, conjugate the accumulated directions
-    through the new slice, and append the fresh Z.
+    nontrivial Pauli whose direction would be new (its distinctness key,
+    pulled back through the inverse prefix, is not yet taken), route it to Z
+    on the slice's sink, and pull that Z back through the grown prefix.
     """
     if mode not in ("unitary", "state"):
         raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
@@ -290,59 +329,27 @@ def witness_point(arch: Architecture, mode: str = "unitary",
         raise NotCausal("architecture has no marked slices")
     _direction_budget(arch.n, mode, len(ranges))
 
-    n = arch.n
     per_gate: dict[int, CliffordCircuit] = {
         i: CliffordCircuit(2) for i in range(arch.gate_count)}
-    directions: list[PauliString] = []
-    state_images: list[tuple[int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    inv_prefix = CliffordTableau.identity(n)
+    sweep = _DirectionSweep(arch, mode)
     records: list[SliceRecord] = []
-
     for start, stop in ranges:
         sink = is_causal_slice(arch, start, stop)
         if sink is None:
             raise NotCausal(f"slice [{start}, {stop}) is not causal")
         tree = build_path_tree(arch, start, stop, sink)
-
-        if mode == "unitary":
-            used = {d.key() for d in directions}
-            chosen = next(
-                q for q in nontrivial_strings(n) if q.key() not in used)
-        else:
-            chosen = next(
-                q for q in nontrivial_strings(n)
-                if _parity_pair(inv_prefix.conjugate(q)) not in seen_pairs)
-
-        assignments, _ = route_pauli_through_slice(tree, chosen)
-        per_gate.update(assignments)
-        slice_tab = _slice_tableau(arch, start, stop, assignments)
-
-        z_sink = PauliString.single(n, "Z", sink)
-        directions = [slice_tab.conjugate(d) for d in directions]
-        directions.append(z_sink)
-
-        if mode == "state":
-            inv_prefix = CliffordTableau.compose(
-                inv_prefix, _inverse_slice_tableau(arch, start, stop, per_gate))
-            image = inv_prefix.conjugate(z_sink).state_image()
-            seen_pairs.add((image[0], image[1] % 2))
-            state_images.append(image)
-
+        chosen = next(q for q in nontrivial_strings(arch.n) if sweep.is_new(q))
+        per_gate.update(route_pauli_through_slice(tree, chosen))
+        sweep.add_slice(start, stop, sink, per_gate)
         records.append(SliceRecord(
             start, stop, sink, chosen, _last_gate_on(arch, start, stop, sink)))
 
-    keys = [d.key() for d in directions]
-    if len(set(keys)) != len(keys):
+    if len(sweep.keys) != len(sweep.pulled):
         raise AssertionError("constructed directions are not distinct")
-    if mode == "state" and len(seen_pairs) != len(ranges):
-        raise AssertionError("constructed state images are not distinct")
-
+    circuits = tuple(per_gate[i] for i in range(arch.gate_count))
+    directions, images = sweep.certificate_directions(circuits)
     return WitnessCertificate(
-        n, mode, tuple(per_gate[i] for i in range(arch.gate_count)),
-        tuple(records),
-        tuple(directions) if mode == "unitary" else (),
-        tuple(state_images))
+        arch.n, mode, circuits, tuple(records), directions, images)
 
 
 def _parity_pair(p: PauliString) -> tuple[int, int]:
@@ -437,15 +444,17 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
                        n_max: int | None = None) -> WitnessVerdict:
     """Independently recompute and cross-check a certificate.
 
-    Each direction is rebuilt by inserting Z on the slice's sink and
-    conjugating it forward through the later slices' tableaux; the stored
-    routing choices, directions and distinctness are all re-derived.  With
+    Each slice must route its stored string onto Z of its sink through the
+    slice's gates.  One front-to-back sweep under the inverse prefix then
+    rebuilds every direction (pulled back, then carried to the final frame
+    by the whole circuit's tableau in unitary mode) and its distinctness
+    key; the stored directions and their distinctness are re-derived.  With
     ``check_rank`` the exact tangent-frame rank at the witness point
     (``witness_rank``, a stabilizer computation with no tolerance) must reach
     the slice count, and the contracted dense unitary must conjugate each
-    X_q and Z_q as the slice tableaux do; either failure raises
+    X_q and Z_q as the circuit's tableau does; either failure raises
     ``CertificateMismatch``.  The dense re-check ties the gate matrices to
-    the tableaux and raises ``SizeLimit`` for n above ``n_max``.
+    the tableau and raises ``SizeLimit`` for n above ``n_max``.
     """
     if cert.n != arch.n or len(cert.gate_circuits) != arch.gate_count:
         raise CertificateMismatch("certificate does not match the architecture")
@@ -453,50 +462,27 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     if tuple((s.start, s.stop) for s in cert.slices) != ranges:
         raise CertificateMismatch("certificate slices do not match boundaries")
 
-    tabs = [
-        _slice_tableau(arch, s.start, s.stop, cert.gate_circuits)
-        for s in cert.slices
-    ]
-    for s, tab in zip(cert.slices, tabs):
+    sweep = _DirectionSweep(arch, cert.mode)
+    for s in cert.slices:
         target = PauliString.single(arch.n, "Z", s.sink)
-        if tab.conjugate(s.chosen) != target:
+        routed = s.chosen
+        for idx in range(s.start, s.stop):
+            routed = cert.gate_circuits[idx].conjugate(
+                routed, wires=arch.gates[idx])
+        if routed != target:
             raise CertificateMismatch(
                 f"slice [{s.start}, {s.stop}) does not route "
                 f"{s.chosen.label()} to {target.label()}")
         if _last_gate_on(arch, s.start, s.stop, s.sink) != s.insertion_gate:
             raise CertificateMismatch(
                 f"insertion gate of slice [{s.start}, {s.stop}) is stale")
+        sweep.add_slice(s.start, s.stop, s.sink, cert.gate_circuits)
 
-    recomputed: list[PauliString] = []
-    for j, s in enumerate(cert.slices):
-        d = PauliString.single(arch.n, "Z", s.sink)
-        for tab in tabs[j + 1:]:
-            d = tab.conjugate(d)
-        recomputed.append(d)
-
-    if cert.mode == "unitary":
-        if tuple(recomputed) != cert.directions:
-            raise CertificateMismatch("stored directions disagree with recomputation")
-        keys = {d.key() for d in recomputed}
-        if len(keys) != len(recomputed):
-            raise CertificateMismatch("directions are not pairwise distinct")
-        distinct = len(keys)
-    else:
-        inv_prefix = CliffordTableau.identity(arch.n)
-        images = []
-        for s in cert.slices:
-            inv_prefix = CliffordTableau.compose(
-                inv_prefix,
-                _inverse_slice_tableau(arch, s.start, s.stop, cert.gate_circuits))
-            images.append(
-                inv_prefix.conjugate(
-                    PauliString.single(arch.n, "Z", s.sink)).state_image())
-        if tuple(images) != cert.state_images:
-            raise CertificateMismatch("stored state images disagree with recomputation")
-        pairs = {(bits, kappa % 2) for bits, kappa in images}
-        if len(pairs) != len(images):
-            raise CertificateMismatch("state images are not pairwise distinct")
-        distinct = len(pairs)
+    stored = (cert.directions, cert.state_images)
+    if sweep.certificate_directions(cert.gate_circuits) != stored:
+        raise CertificateMismatch("stored directions disagree with recomputation")
+    if len(sweep.keys) != len(sweep.pulled):
+        raise CertificateMismatch("directions are not pairwise distinct")
 
     rank = None
     if check_rank:
@@ -506,23 +492,22 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
                 f"witness rank {rank} below slice count {cert.slice_count}")
         limit = contraction.DEFAULT_N_MAX if n_max is None else n_max
         gates = cert.to_gate_assignment()
-        if not _contracted_is_clifford(arch, gates, tabs, limit):
+        total = _circuit_tableau(arch, cert.gate_circuits)
+        if not _contracted_is_clifford(arch, gates, total, limit):
             raise CertificateMismatch(
                 "contracted witness unitary disagrees with the slice tableaux")
-    return WitnessVerdict(cert.slice_count, distinct, rank, check_rank)
+    return WitnessVerdict(cert.slice_count, len(sweep.keys), rank, check_rank)
 
 
-def _contracted_is_clifford(arch: Architecture, gates, tabs,
-                            n_max: int) -> bool:
+def _contracted_is_clifford(arch: Architecture, gates,
+                            total: CliffordTableau, n_max: int) -> bool:
     """Dense check that the contracted witness maps generators to Paulis.
 
-    For each X_q and Z_q with tableau image P, U g U^dagger = P is checked
-    as U g = P U (equivalent for unitary U).  Both sides are signed
-    permutations of U's columns or rows, so the check costs O(n 4^n).
+    For each X_q and Z_q with image P under ``total``, the whole circuit's
+    tableau, U g U^dagger = P is checked as U g = P U (equivalent for
+    unitary U).  Both sides are signed permutations of U's columns or rows,
+    so the check costs O(n 4^n).
     """
-    total = CliffordTableau.identity(arch.n)
-    for tab in tabs:
-        total = CliffordTableau.compose(tab, total)
     dense = contraction.contract(arch, gates, n_max=n_max)
     for q in range(1, arch.n + 1):
         for kind in ("X", "Z"):

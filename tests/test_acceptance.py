@@ -154,7 +154,7 @@ def test_criterion_5_clifford_witnesses():
                 continue
             sink = is_causal_slice(arch, start, stop)
             tree = build_path_tree(arch, start, stop, sink)
-            assignments, _ = route_pauli_through_slice(tree, p)
+            assignments = route_pauli_through_slice(tree, p)
             tab = _slice_tableau(arch, start, stop, assignments)
             assert tab.conjugate(p) == PauliString.single(n, "Z", sink)
             checked += 1

@@ -66,17 +66,42 @@ def _random_pauli(rng, n):
                        int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
 
 
-def test_tableau_composition_homomorphism():
+def _random_two_qubit_steps(rng, n, length):
+    """Random two-qubit circuits placed on random ordered wire pairs."""
+    steps = []
+    for _ in range(length):
+        wires = tuple(int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+        steps.append((_random_circuit(rng, 2, int(rng.integers(0, 4))), wires))
+    return steps
+
+
+def test_prepend_circuit_matches_from_circuit_and_dense():
+    # prepending the steps back to front must give the tableau that
+    # post-composing them front to back gives, phases included
     rng = np.random.default_rng(11)
-    for _ in range(1000):
+    for _ in range(300):
         n = int(rng.integers(2, 5))
-        first = _random_circuit(rng, n, 5)
-        second = _random_circuit(rng, n, 5)
-        t1 = CliffordTableau.from_circuit(first)
-        t2 = CliffordTableau.from_circuit(second)
-        composed = CliffordTableau.compose(t2, t1)
-        p = _random_pauli(rng, n)
-        assert composed.conjugate(p) == t2.conjugate(t1.conjugate(p))
+        steps = _random_two_qubit_steps(rng, n, 6)
+        built = CliffordTableau.identity(n)
+        for circuit, wires in reversed(steps):
+            built.prepend_circuit(circuit, wires)
+        flat = CliffordCircuit(n, tuple(
+            (name, tuple(wires[q - 1] for q in qubits))
+            for circuit, wires in steps for name, qubits in circuit.gates))
+        reference = CliffordTableau.from_circuit(flat)
+        assert built.x_images == reference.x_images
+        assert built.z_images == reference.z_images
+        built.prepend_circuit(CliffordCircuit(2), steps[0][1])  # a no-op
+        assert built.x_images == reference.x_images
+        assert built.z_images == reference.z_images
+        u = flat.to_unitary() if n <= 3 else None
+        for _ in range(4):
+            p = _random_pauli(rng, n)
+            assert built.conjugate(p) == reference.conjugate(p)
+            if u is not None:
+                dense = u @ p.to_matrix() @ u.conj().T
+                image = built.conjugate(p).to_matrix()
+                assert np.abs(dense - image).max() < 1e-12
 
 
 def test_tableau_is_symplectic_for_random_circuits():

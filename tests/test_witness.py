@@ -1,5 +1,8 @@
 """Path trees, slice routing, witness construction and verification."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from archdim import (
     ValidationError,
     WitnessCertificate,
     brickwork,
+    build_family,
     build_path_tree,
     contract,
     from_gate_sequence,
@@ -107,10 +111,9 @@ def test_tree_hops_increase_along_paths():
 def test_route_sink_z_needs_no_gates():
     arch = staircase(3, 1)
     tree = build_path_tree(arch, 0, 2, 3)
-    assignments, record = route_pauli_through_slice(
+    assignments = route_pauli_through_slice(
         tree, PauliString.single(3, "Z", 3))
     assert all(c.is_identity for c in assignments.values())
-    assert record.final == PauliString.single(3, "Z", 3)
 
 
 def test_route_identity_rejected():
@@ -131,7 +134,7 @@ def test_route_xxy_through_staircase():
     arch = staircase(3, 1)
     tree = build_path_tree(arch, 0, 2, 3)
     p = PauliString.from_label("XXY")
-    assignments, _ = route_pauli_through_slice(tree, p)
+    assignments = route_pauli_through_slice(tree, p)
     tab = _slice_tableau(arch, 0, 2, assignments)
     assert tab.conjugate(p) == PauliString.single(3, "Z", 3)
 
@@ -149,7 +152,7 @@ def test_route_random_paulis_against_tableau_and_dense():
         sink = is_causal_slice(arch, start, stop)
         tree = build_path_tree(arch, start, stop, sink)
         p = _random_nontrivial(rng, n)
-        assignments, _ = route_pauli_through_slice(tree, p)
+        assignments = route_pauli_through_slice(tree, p)
         tab = _slice_tableau(arch, start, stop, assignments)
         target = PauliString.single(n, "Z", sink)
         assert tab.conjugate(p) == target
@@ -256,7 +259,7 @@ def test_witness_directions_survive_random_slice_conjugation():
         arch = staircase(3, 1)
         p = _random_nontrivial(rng, 3)
         tree = build_path_tree(arch, 0, 2, 3)
-        assignments, _ = route_pauli_through_slice(tree, p)
+        assignments = route_pauli_through_slice(tree, p)
         tab = _slice_tableau(arch, 0, 2, assignments)
         directions = [tab.conjugate(d) for d in directions]
         assert len({d.key() for d in directions}) == len(directions)
@@ -367,9 +370,8 @@ def _kicked(gates, j=0):
     return GateAssignment.explicit(mats, normalize=False)
 
 
-def _witness_tableaux(arch, cert):
-    return [_slice_tableau(arch, s.start, s.stop, cert.gate_circuits)
-            for s in cert.slices]
+def _witness_tableau(arch, cert):
+    return _slice_tableau(arch, 0, arch.gate_count, cert.gate_circuits)
 
 
 def test_pauli_times_matches_dense_product():
@@ -385,21 +387,20 @@ def test_pauli_times_matches_dense_product():
 def test_dense_clifford_check_rejects_perturbed_gate():
     arch = staircase(3, 3)
     cert = witness_point(arch, "unitary")
-    gates, tabs = cert.to_gate_assignment(), _witness_tableaux(arch, cert)
-    assert _contracted_is_clifford(arch, gates, tabs, 8)
-    assert not _contracted_is_clifford(arch, _kicked(gates), tabs, 8)
+    gates, total = cert.to_gate_assignment(), _witness_tableau(arch, cert)
+    assert _contracted_is_clifford(arch, gates, total, 8)
+    assert not _contracted_is_clifford(arch, _kicked(gates), total, 8)
 
 
 def test_dense_clifford_check_rejects_flipped_image_sign():
     arch = staircase(3, 3)
     cert = witness_point(arch, "unitary")
-    tabs = _witness_tableaux(arch, cert)
-    first = tabs[0]
-    z = list(first.z_images)
+    total = _witness_tableau(arch, cert)
+    z = list(total.z_images)
     p = z[0]
     z[0] = PauliString(p.n, p.x_bits, p.z_bits, p.phase_exp + 2)
-    tabs[0] = CliffordTableau(first.n, list(first.x_images), z)
-    assert not _contracted_is_clifford(arch, cert.to_gate_assignment(), tabs, 8)
+    flipped = CliffordTableau(total.n, list(total.x_images), z)
+    assert not _contracted_is_clifford(arch, cert.to_gate_assignment(), flipped, 8)
 
 
 def test_verify_raises_when_contracted_unitary_disagrees(monkeypatch):
@@ -476,10 +477,36 @@ def test_verify_detects_forged_directions():
         verify_certificate(forged, arch)
 
 
+def test_verify_detects_forged_route():
+    # another string in the certificate cannot reach Z on the sink through
+    # the stored gates, though the directions do not depend on it
+    arch = staircase(4, 3)
+    for mode in ("unitary", "state"):
+        cert = witness_point(arch, mode)
+        slices = list(cert.slices)
+        forged = next(q for q in nontrivial_strings(4) if q != slices[1].chosen)
+        slices[1] = dataclasses.replace(slices[1], chosen=forged)
+        with pytest.raises(CertificateMismatch, match="does not route"):
+            verify_certificate(dataclasses.replace(cert, slices=tuple(slices)),
+                               arch, check_rank=False)
+
+
 def test_verify_detects_wrong_architecture():
     cert = witness_point(staircase(3, 2), "unitary")
     with pytest.raises(CertificateMismatch):
         verify_certificate(cert, staircase(3, 3))
+
+
+def test_certificate_rejects_unknown_mode():
+    arch = staircase(3, 3)
+    cert = witness_point(arch, "state")
+    doc = cert.to_json_dict()
+    doc["mode"] = "foo"
+    with pytest.raises(ValidationError, match="mode"):
+        WitnessCertificate.from_json_dict(doc)
+    with pytest.raises(ValidationError, match="mode"):
+        WitnessCertificate(cert.n, "foo", cert.gate_circuits, cert.slices,
+                           cert.directions, cert.state_images)
 
 
 def test_certificate_json_roundtrip():
@@ -491,19 +518,62 @@ def test_certificate_json_roundtrip():
         verify_certificate(again, arch)
 
 
-def test_witness_directions_match_eq_partial_recomputation():
-    # direction j equals Z on slice j's sink conjugated through later slices
-    arch = staircase(3, 4)
-    cert = witness_point(arch, "unitary")
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("arch", [staircase(3, 4), staircase(5, 6), brickwork(4, 8)],
+                         ids=["staircase-3-4", "staircase-5-6", "brickwork-4-8"])
+def test_witness_directions_match_eq_partial_recomputation(arch, mode):
+    # Reference built from post-composed slice tableaux, slice by slice:
+    # direction j is Z on slice j's sink conjugated through the later slices,
+    # and state image j is that Z pulled back through the inverse slices
+    # 1..j, the reversed gates with inverted circuits.
+    cert = witness_point(arch, mode)
+    r = arch.gate_count
     tabs = [_slice_tableau(arch, s.start, s.stop, cert.gate_circuits)
             for s in cert.slices]
+    reversed_arch = from_gate_sequence(arch.n, arch.gates[::-1])
+    inverses = [c.inverse() for c in cert.gate_circuits[::-1]]
+    directions, images = [], []
     for j, s in enumerate(cert.slices):
-        d = PauliString.single(3, "Z", s.sink)
+        z_sink = PauliString.single(arch.n, "Z", s.sink)
+        d = z_sink
         for tab in tabs[j + 1:]:
             d = tab.conjugate(d)
-        assert d == cert.directions[j]
+        directions.append(d)
+        inv_prefix = _slice_tableau(reversed_arch, r - s.stop, r, inverses)
+        images.append(inv_prefix.conjugate(z_sink).state_image())
         # and the slice routes its chosen string onto that Z
-        assert tabs[j].conjugate(s.chosen) == PauliString.single(3, "Z", s.sink)
+        assert tabs[j].conjugate(s.chosen) == z_sink
+    if mode == "unitary":
+        assert cert.directions == tuple(directions)
+    else:
+        assert cert.state_images == tuple(images)
+    verdict = verify_certificate(cert, arch, check_rank=False)
+    assert verdict.distinct_directions == len(cert.slices)
+
+
+# Certificates of staircase n = 2..6 with T in {1, 3, 9}, brickwork(4, 8) and
+# the witness-certify brickwork architectures (n, T) = (4, 8) and (8, 3), both
+# modes, one JSON document per line ("TooManySlices" where T exceeds the
+# mode's direction budget).  The digest pins every chosen string, routing
+# circuit, direction and phase: change it only with the construction itself.
+GOLDEN_ARCHS = (
+    [staircase(n, t) for n in range(2, 7) for t in (1, 3, 9)]
+    + [brickwork(4, 8), build_family("brickwork", 4, 8),
+       build_family("brickwork", 8, 3)])
+GOLDEN_CERTIFICATES_SHA256 = (
+    "d8e59b621ff0613bb6029bc43eaf29484952b1cd20f06a216ffddde68d77420a")
+
+
+def test_witness_certificates_match_golden_digest():
+    digest = hashlib.sha256()
+    for arch in GOLDEN_ARCHS:
+        for mode in ("unitary", "state"):
+            try:
+                text = witness_point(arch, mode).to_json()
+            except TooManySlices:
+                text = "TooManySlices"
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
 
 
 def test_witness_q_selection_is_lexicographically_minimal():
