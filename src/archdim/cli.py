@@ -52,7 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("ARCHDIM_SEED", "0"))
+    text = os.environ.get("ARCHDIM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(
+            f"ARCHDIM_SEED must be an integer, got {text!r}") from None
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -164,11 +169,10 @@ def cmd_dim(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     arch = _arch_from_args(args)
     cert = witness_point(arch, mode=args.mode)
-    verdict = verify_certificate(
-        cert, arch, check_rank=not args.skip_rank_check, n_max=args.n_max)
+    verdict = verify_certificate(cert, arch, check_rank=not args.skip_rank_check)
     payload = cert.to_json_dict()
     payload["config"] = _config_dict(
-        args, ["family", "n", "t", "rounds", "infile", "mode", "n_max"])
+        args, ["family", "n", "t", "rounds", "infile", "mode"])
     payload["version"] = __version__
     print(f"witness over {verdict.slice_count} slices: "
           f"{verdict.distinct_directions} distinct directions"
@@ -288,7 +292,6 @@ def build_parser() -> _Parser:
     wit = sub.add_parser("witness", help="build and verify a witness point")
     _add_family_options(wit, with_random=False)
     wit.add_argument("--mode", choices=["unitary", "state"], default="unitary")
-    wit.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     wit.add_argument("--skip-rank-check", action="store_true")
     wit.add_argument("--out", default=None, help="certificate JSON")
     wit.set_defaults(func=cmd_witness, r=None, seed=_default_seed())
@@ -322,9 +325,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -179,6 +179,7 @@ def randomized_architecture_experiment(n: int, trials: int, seed: int,
     """
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
+    probability_bound = randomized_bound_probability(n, alpha)
     block = n * (n - 1) ** 2
     r_total = trials * block
     arch = random_adjacent(n, r_total, seed)
@@ -194,7 +195,7 @@ def randomized_architecture_experiment(n: int, trials: int, seed: int,
         n=n, trials=trials, block_gates=block, seed=seed, causal_blocks=hits,
         empirical=p_hat, exact=exact, interval=interval,
         within_interval=interval[0] <= p_hat <= interval[1], alpha=alpha,
-        probability_bound=randomized_bound_probability(n, alpha),
+        probability_bound=probability_bound,
         complexity_threshold=threshold)
 
 

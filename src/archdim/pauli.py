@@ -97,10 +97,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_exp % 2 == 0
-
     def weight(self) -> int:
         return (self.x_bits | self.z_bits).bit_count()
 

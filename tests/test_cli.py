@@ -10,11 +10,9 @@ from archdim import (
     Architecture,
     GateAssignment,
     WitnessCertificate,
-    contract,
     staircase,
     witness_point,
 )
-from archdim import contraction
 from archdim.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INVALID,
@@ -142,12 +140,52 @@ def test_witness_dense_clifford_mismatch_exit_code(monkeypatch, capsys):
     mats = witness_point(arch, "unitary").to_gate_assignment().matrices.copy()
     x_i = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
     mats[0] = mats[0] @ (np.cos(1e-3) * np.eye(4) - 1j * np.sin(1e-3) * x_i)
-    bad = contract(arch, GateAssignment.explicit(mats, normalize=False))
-    monkeypatch.setattr(contraction, "contract", lambda *args, **kw: bad)
+    bad = GateAssignment.explicit(mats, normalize=False)
+    monkeypatch.setattr(WitnessCertificate, "to_gate_assignment",
+                        lambda self: bad)
     rc = main(["witness", "--family", "staircase", "--n", "3", "--t", "3",
                "--mode", "unitary"])
     assert rc == EXIT_VERDICT
     assert "tableaux" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_witness_gate_sign_flip_exit_code(monkeypatch, capsys, mode):
+    # the last gate right-multiplied by Z (x) I flips the sign of an image
+    arch = staircase(3, 3)
+    mats = witness_point(arch, mode).to_gate_assignment().matrices.copy()
+    mats[-1] = mats[-1] @ np.diag([1, 1, -1, -1])
+    bad = GateAssignment.explicit(mats, normalize=False)
+    monkeypatch.setattr(WitnessCertificate, "to_gate_assignment",
+                        lambda self: bad)
+    rc = main(["witness", "--family", "staircase", "--n", "3", "--t", "3",
+               "--mode", mode])
+    assert rc == EXIT_VERDICT
+    assert f"gate {arch.gate_count - 1} " in capsys.readouterr().err
+
+
+def test_witness_reports_exact_rank_beyond_n8(capsys):
+    rc = main(["witness", "--family", "staircase", "--n", "9", "--t", "2"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    rank = int(out.rsplit("rank ", 1)[1])
+    assert rank >= 2
+
+
+def test_witness_has_no_n_max_option(capsys):
+    rc = main(["witness", "--family", "staircase", "--n", "3", "--t", "2",
+               "--n-max", "8"])
+    assert rc == EXIT_INVALID
+    assert "--n-max" in capsys.readouterr().err
+
+
+def test_non_integer_seed_environment_is_invalid_input(monkeypatch, capsys):
+    monkeypatch.setenv("ARCHDIM_SEED", "abc")
+    rc = main(["bounds", "--n", "3", "--R", "9", "--L", "3"])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "ARCHDIM_SEED" in err
 
 
 def test_arch_gen_brickwork_rounds(tmp_path):

@@ -205,7 +205,7 @@ def test_routing_all_fifteen_paulis(target):
     expected = PauliString.single(2, "Z", target)
     for p in TWO_QUBIT_GENERATORS:
         circ = routing_clifford_2q(p, target=target)
-        assert len(circ) <= 6
+        assert len(circ) <= 5
         assert circ.conjugate(p) == expected
         # dense 4x4 oracle
         u = circ.to_unitary()

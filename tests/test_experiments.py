@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import archdim.experiments
 from archdim import (
+    AlphaOutOfRange,
     VerdictError,
     growth_sweep,
     randomized_architecture_experiment,
@@ -98,6 +100,16 @@ def test_monte_carlo_calibration_over_seeds():
         randomized_architecture_experiment(4, 1000, seed=s).within_interval
         for s in range(20))
     assert inside >= 19
+
+
+def test_monte_carlo_checks_alpha_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled gates before validating alpha")
+
+    monkeypatch.setattr(archdim.experiments, "random_adjacent", no_sampling)
+    for alpha in (1.5, 1.0, -0.1):
+        with pytest.raises(AlphaOutOfRange):
+            randomized_architecture_experiment(5, 20000, seed=1, alpha=alpha)
 
 
 def test_monte_carlo_summary_json():

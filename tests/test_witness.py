@@ -14,7 +14,6 @@ from archdim import (
     NotCausal,
     NotOnSlice,
     PauliString,
-    SizeLimit,
     TooManySlices,
     TrivialPauli,
     ValidationError,
@@ -37,7 +36,7 @@ from archdim import (
 from archdim import contraction
 from archdim.clifford import CliffordTableau
 from archdim.pauli import nontrivial_strings
-from archdim.witness import _contracted_is_clifford, _pauli_times, _slice_tableau
+from archdim.witness import _first_mismatched_gate, _slice_tableau
 
 
 def _random_nontrivial(rng, n):
@@ -338,16 +337,6 @@ def test_witness_rank_validates_input():
         witness_rank(arch, (CliffordCircuit(3),) * 2, "unitary")
 
 
-def test_verify_keeps_the_dense_size_limit():
-    # the exact rank needs no dense matrix, but the dense Clifford re-check
-    # still refuses n above n_max
-    arch = staircase(9, 2)
-    cert = witness_point(arch, "unitary")
-    with pytest.raises(SizeLimit):
-        verify_certificate(cert, arch)
-    assert verify_certificate(cert, arch, check_rank=False).witness_rank is None
-
-
 def test_witness_t1_trivial():
     cert = witness_point(staircase(2, 1), "unitary")
     assert cert.directions == (PauliString.single(2, "Z", 2),)
@@ -355,10 +344,59 @@ def test_witness_t1_trivial():
     assert verdict.witness_rank >= 1
 
 
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_large_certificate_roundtrips_and_verifies_with_rank(mode):
+    # n = 12 is beyond any dense 2^n check; verification stays stabilizer-only
+    arch = staircase(12, 6)
+    cert = witness_point(arch, mode)
+    again = WitnessCertificate.from_json(cert.to_json())
+    assert again == cert
+    verdict = verify_certificate(again, arch)
+    assert verdict.distinct_directions == 6
+    assert verdict.witness_rank >= 6
+
+
+# -- dense reference for the per-gate check (n <= 6) ------------------------------
+
+
+def _pauli_times(p, mat):
+    """P @ mat as a signed row permutation.
+
+    P |s> = i^(phase + #Y) (-1)^(z.s) |s ^ x>, with the x and z masks in
+    basis-state order (qubit 1 as the most significant bit).
+    """
+    n = p.n
+    x = int(f"{p.x_bits:0{n}b}"[::-1], 2)
+    z = int(f"{p.z_bits:0{n}b}"[::-1], 2)
+    source = np.arange(2 ** n) ^ x  # row r of P @ mat comes from row r ^ x
+    signs = np.where(np.bitwise_count(source & z) & 1, -1.0, 1.0)
+    kappa = p.phase_exp + (p.x_bits & p.z_bits).bit_count()
+    return (1j ** kappa) * signs[:, None] * mat[source]
+
+
+def _dense_is_clifford(arch, gates, total):
+    """Whether the contracted unitary U conjugates each X_q and Z_q to its
+    image under ``total``, the whole circuit's tableau, checked as U g = P U.
+    Both sides are signed permutations of U's columns or rows."""
+    assert arch.n <= 6
+    dense = contract(arch, gates)
+    for q in range(1, arch.n + 1):
+        for kind in ("X", "Z"):
+            gen = PauliString.single(arch.n, kind, q)
+            right = _pauli_times(gen, dense.T).T  # U g, as g is symmetric
+            left = _pauli_times(total.conjugate(gen), dense)
+            if np.abs(right - left).max() > 1e-9:
+                return False
+    return True
+
+
 def test_witness_contracted_unitary_is_clifford():
-    cert = witness_point(staircase(3, 3), "unitary")
-    verdict = verify_certificate(cert, staircase(3, 3))
-    assert verdict.clifford_checked
+    arch = staircase(3, 3)
+    cert = witness_point(arch, "unitary")
+    gates = cert.to_gate_assignment()
+    assert _first_mismatched_gate(gates.matrices, cert.gate_circuits) is None
+    assert _dense_is_clifford(arch, gates, _witness_tableau(arch, cert))
+    assert verify_certificate(cert, arch).witness_rank is not None
 
 
 def _kicked(gates, j=0):
@@ -367,6 +405,14 @@ def _kicked(gates, j=0):
     kick = np.cos(1e-3) * np.eye(4) - 1j * np.sin(1e-3) * x_i
     mats = gates.matrices.copy()
     mats[j] = mats[j] @ kick
+    return GateAssignment.explicit(mats, normalize=False)
+
+
+def _z_flipped(gates, j=0):
+    """The assignment with gate j right-multiplied by Z (x) I, which flips the
+    sign of its X_1 and Y_1 images."""
+    mats = gates.matrices.copy()
+    mats[j] = mats[j] @ np.diag([1, 1, -1, -1])
     return GateAssignment.explicit(mats, normalize=False)
 
 
@@ -388,8 +434,8 @@ def test_dense_clifford_check_rejects_perturbed_gate():
     arch = staircase(3, 3)
     cert = witness_point(arch, "unitary")
     gates, total = cert.to_gate_assignment(), _witness_tableau(arch, cert)
-    assert _contracted_is_clifford(arch, gates, total, 8)
-    assert not _contracted_is_clifford(arch, _kicked(gates), total, 8)
+    assert _dense_is_clifford(arch, gates, total)
+    assert not _dense_is_clifford(arch, _kicked(gates), total)
 
 
 def test_dense_clifford_check_rejects_flipped_image_sign():
@@ -400,18 +446,41 @@ def test_dense_clifford_check_rejects_flipped_image_sign():
     p = z[0]
     z[0] = PauliString(p.n, p.x_bits, p.z_bits, p.phase_exp + 2)
     flipped = CliffordTableau(total.n, list(total.x_images), z)
-    assert not _contracted_is_clifford(arch, cert.to_gate_assignment(), flipped, 8)
+    assert not _dense_is_clifford(arch, cert.to_gate_assignment(), flipped)
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("arch", [staircase(3, 3), brickwork(4, 8)],
+                         ids=["staircase-3-3", "brickwork-4-8"])
+@pytest.mark.parametrize("perturb", [_kicked, _z_flipped], ids=["kick", "z-flip"])
+def test_gate_check_agrees_with_dense_reference(arch, mode, perturb, monkeypatch):
+    # every gate position: the per-gate check and the dense reference both
+    # accept the witness point and both reject it with gate j perturbed
+    cert = witness_point(arch, mode)
+    gates, total = cert.to_gate_assignment(), _witness_tableau(arch, cert)
+    assert _first_mismatched_gate(gates.matrices, cert.gate_circuits) is None
+    assert _dense_is_clifford(arch, gates, total)
+    for j in range(arch.gate_count):
+        bad = perturb(gates, j)
+        assert _first_mismatched_gate(bad.matrices, cert.gate_circuits) == j
+        assert not _dense_is_clifford(arch, bad, total)
+        monkeypatch.setattr(WitnessCertificate, "to_gate_assignment",
+                            lambda self: bad)
+        with pytest.raises(CertificateMismatch, match=f"gate {j} "):
+            verify_certificate(cert, arch)
+        assert verify_certificate(cert, arch, check_rank=False).witness_rank is None
 
 
 def test_verify_raises_when_contracted_unitary_disagrees(monkeypatch):
     arch = staircase(3, 3)
     cert = witness_point(arch, "unitary")
-    bad = contract(arch, _kicked(cert.to_gate_assignment()))
-    monkeypatch.setattr(contraction, "contract", lambda *args, **kw: bad)
+    bad = _kicked(cert.to_gate_assignment())
+    monkeypatch.setattr(WitnessCertificate, "to_gate_assignment",
+                        lambda self: bad)
     with pytest.raises(CertificateMismatch, match="tableaux"):
         verify_certificate(cert, arch)
-    # without the rank check the dense check does not run
-    assert not verify_certificate(cert, arch, check_rank=False).clifford_checked
+    # without the rank check the gate check does not run
+    assert verify_certificate(cert, arch, check_rank=False).witness_rank is None
 
 
 def test_witness_brickwork():
