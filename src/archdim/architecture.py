@@ -258,43 +258,34 @@ class StaircaseSliceReport:
     complete: bool
 
 
-def detect_staircase_slices(arch: Architecture) -> list[StaircaseSliceReport]:
-    """Partition an adjacent-gate stream into blocks of n(n-1)^2 gates and
-    flag the blocks that provably contain a staircase.
+def staircase_block_flags(positions: np.ndarray, n: int) -> np.ndarray:
+    """Flags of a stream of whole blocks of adjacent gates (j, j+1), given
+    each gate's j: ``flags[k, j-1]`` is set when sub-block j (n(n-1) gates)
+    of block k (n(n-1)^2 gates) holds (j, j+1).  A block with every flag set
+    contains the ascending staircase in order, so it is causal."""
+    body = positions.reshape(-1, n - 1, n * (n - 1))
+    return (body == np.arange(1, n)[None, :, None]).any(axis=2)
 
-    Each block splits into n-1 sub-blocks of n(n-1) gates; indicator j is set
-    when sub-block j contains a gate at position (j, j+1).  A block with all
-    indicators set contains the ascending staircase in order and is therefore
-    causal.  A trailing partial block is reported but never flagged.
-    """
-    n = arch.n
+
+def detect_staircase_slices(arch: Architecture) -> list[StaircaseSliceReport]:
+    """``staircase_block_flags`` per block of an adjacent-gate stream.  A
+    trailing partial block is reported but never flagged causal."""
+    n, count = arch.n, arch.gate_count
     if n < 2:
         raise ValidationError(f"need n >= 2, got n={n}")
-    positions = np.empty(arch.gate_count, dtype=np.int64)
     for i, (a, b) in enumerate(arch.gates):
         if abs(a - b) != 1:
             raise ValidationError(
                 f"gate {i} = ({a}, {b}) is not an adjacent pair")
-        positions[i] = min(a, b)
     block = n * (n - 1) ** 2
-    sub = n * (n - 1)
+    # zero padding completes the last block and matches no position
+    positions = np.zeros(-(-count // block) * block, dtype=np.int64)
+    positions[:count] = [min(gate) for gate in arch.gates]
     reports: list[StaircaseSliceReport] = []
-    full = arch.gate_count // block
-    if full:
-        body = positions[: full * block].reshape(full, n - 1, sub)
-        hits = body == (np.arange(1, n)[None, :, None])
-        flags = hits.any(axis=2)
-        for k in range(full):
-            f = tuple(bool(x) for x in flags[k])
-            reports.append(StaircaseSliceReport(
-                k * block, (k + 1) * block, f, all(f), True))
-    if arch.gate_count % block:
-        start = full * block
-        tail = positions[start:]
-        flags_t = []
-        for j in range(1, n):
-            seg = tail[(j - 1) * sub: j * sub]
-            flags_t.append(bool(seg.size) and bool((seg == j).any()))
+    for k, row in enumerate(staircase_block_flags(positions, n)):
+        stop = min((k + 1) * block, count)
+        complete = stop - k * block == block
         reports.append(StaircaseSliceReport(
-            start, arch.gate_count, tuple(flags_t), False, False))
+            k * block, stop, tuple(bool(x) for x in row),
+            complete and bool(row.all()), complete))
     return reports

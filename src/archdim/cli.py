@@ -18,11 +18,7 @@ import tempfile
 from . import __version__
 from .architecture import Architecture, build_family, is_causal_slice
 from .bounds import make_bound_sheet, randomized_bound_probability
-from .contraction import (
-    DEFAULT_N_MAX,
-    DEFAULT_TOLERANCES,
-    accessible_dimension,
-)
+from .contraction import DEFAULT_TOLERANCES, accessible_dimension
 from .errors import (
     ArchdimError,
     CertificateMismatch,
@@ -142,11 +138,11 @@ def cmd_dim(args: argparse.Namespace) -> int:
     arch = _arch_from_args(args)
     report = accessible_dimension(
         arch, mode=args.mode, samples=args.samples, seed=args.seed,
-        tolerances=(args.tol_loose, args.tol_tight), n_max=args.n_max)
+        tolerances=(args.tol_loose, args.tol_tight))
     payload = report.to_json_dict()
     payload["config"] = _config_dict(
         args, ["family", "n", "t", "rounds", "r", "infile", "mode", "samples",
-               "seed", "tol_loose", "tol_tight", "n_max"])
+               "seed", "tol_loose", "tol_tight"])
     payload["version"] = __version__
     if report.inconclusive:
         print(f"inconclusive: {report.inconclusive_reason}")
@@ -202,9 +198,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = growth_sweep(
         n=args.n, family=args.family, t_max=args.t_max, samples=args.samples,
         seed=args.seed, mode=args.mode,
-        tolerances=(args.tol_loose, args.tol_tight), n_max=args.n_max)
+        tolerances=(args.tol_loose, args.tol_tight))
     cfg = _config_dict(
-        args, ["n", "family", "t_max", "samples", "seed", "mode", "n_max"])
+        args, ["n", "family", "t_max", "samples", "seed", "mode"])
     comment = f"archdim {__version__} config={json.dumps(cfg, sort_keys=True)}"
     text = rows_to_csv(rows, header_comment=comment)
     if args.out:
@@ -259,7 +255,6 @@ def _add_rank_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["unitary", "state"], default="unitary")
     p.add_argument("--tol-loose", type=float, default=DEFAULT_TOLERANCES[0])
     p.add_argument("--tol-tight", type=float, default=DEFAULT_TOLERANCES[1])
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
 
 
 def build_parser() -> _Parser:

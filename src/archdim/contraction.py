@@ -8,12 +8,12 @@ of the gates after j.  The tangent frame collects the Pauli-basis expansion
 of every K_{j,k} (or, in state mode, the real/imaginary parts of
 i K_{j,k} |psi>); its numerical rank at independent Haar-random points is the
 accessible dimension of the architecture, because the rank is constant off a
-measure-zero set.
+measure-zero set.  A dense call whose estimated peak memory (``_peak_bytes``)
+exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,8 +31,8 @@ from .errors import (
 )
 from .pauli import PauliString, TWO_QUBIT_GENERATOR_MATS, TWO_QUBIT_GENERATORS
 
-DEFAULT_N_MAX = 8
 DEFAULT_TOLERANCES = (1e-6, 1e-10)
+MEMORY_BUDGET = 2 * 2 ** 30
 
 _PAULI_STACK = np.stack([
     np.eye(2, dtype=complex),
@@ -88,15 +88,29 @@ def frame_shape(arch: Architecture, mode: str) -> tuple[int, int]:
     return rows, gauge_fixed_count(arch)
 
 
-def _check_size(arch: Architecture, n_max: int, mode: str = "unitary") -> None:
-    if arch.n > n_max:
-        raise SizeLimit(
-            f"n={arch.n} exceeds the dense-simulation limit n_max={n_max}")
-    if n_max > DEFAULT_N_MAX and arch.n > DEFAULT_N_MAX:
-        rows, cols = frame_shape(arch, mode)
-        est = rows * max(cols, 1) * 8 / 1e9
-        print(f"archdim: n={arch.n} {mode} frame may need ~{est:.1f} GB",
-              file=sys.stderr)
+def _peak_bytes(arch: Architecture, job: str) -> int:
+    """Upper estimate of the peak bytes of a dense call on ``arch``; ``job``
+    is a frame mode or "contract", "contract_state", "perturbation", "gauge".
+    A gate applied to an array holds two more of its size (tensordot's
+    reordered input and output), and 15 directions peak at four stacks of
+    15.  A frame also counts its matrix twice (the SVD's copy), and the
+    gauge check R + 1 suffixes plus 10 operators kept from the last wire."""
+    op = 16 * 4 ** arch.n  # one dense complex 2^n x 2^n operator
+    held = {"contract": 3 * op, "contract_state": 3 * 16 * 2 ** arch.n,
+            "perturbation": 4 * op, "gauge": (arch.gate_count + 71) * op}
+    if job in held:
+        return held[job]
+    rows, cols = frame_shape(arch, job)
+    batch = 60 * (op if job == "unitary" else 16 * 2 ** arch.n)
+    return 2 * 8 * rows * cols + 4 * op + batch
+
+
+def _check_size(arch: Architecture, job: str) -> None:
+    est = _peak_bytes(arch, job)
+    if est > MEMORY_BUDGET:
+        raise SizeLimit(f"{job} on n={arch.n}, R={arch.gate_count} needs an "
+                        f"estimated {est / 2 ** 30:.2f} GiB, over the "
+                        f"{MEMORY_BUDGET / 2 ** 30:.0f} GiB memory budget")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +178,9 @@ def _require_match(arch: Architecture, gates: GateAssignment) -> None:
             f"{len(gates)} gates supplied for {arch.gate_count} slots")
 
 
-def contract(arch: Architecture, gates: GateAssignment,
-             n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+def contract(arch: Architecture, gates: GateAssignment) -> np.ndarray:
     """The 2^n x 2^n unitary obtained by applying the gates in order."""
-    _check_size(arch, n_max)
+    _check_size(arch, "contract")
     _require_match(arch, gates)
     mat = np.eye(2 ** arch.n, dtype=complex)
     for (a, b), u in zip(arch.gates, gates.matrices):
@@ -175,10 +188,9 @@ def contract(arch: Architecture, gates: GateAssignment,
     return mat
 
 
-def contract_state(arch: Architecture, gates: GateAssignment,
-                   n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+def contract_state(arch: Architecture, gates: GateAssignment) -> np.ndarray:
     """The contracted circuit applied to |0...0>."""
-    _check_size(arch, n_max, "state")
+    _check_size(arch, "contract_state")
     _require_match(arch, gates)
     psi = np.zeros(2 ** arch.n, dtype=complex)
     psi[0] = 1.0
@@ -209,13 +221,13 @@ def pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:
 
 def perturbation_operator(arch: Architecture, gates: GateAssignment,
                           gate_index: int, generator: int | PauliString,
-                          n_max: int = DEFAULT_N_MAX) -> np.ndarray:
+                          ) -> np.ndarray:
     """K_{j,k}: conjugation of generator k by the gates after gate j.
 
     ``gate_index`` is 0-based; ``generator`` is an index into the 15
     nontrivial two-qubit strings (label order) or such a string itself.
     """
-    _check_size(arch, n_max)
+    _check_size(arch, "perturbation")
     _require_match(arch, gates)
     if not 0 <= gate_index < arch.gate_count:
         raise ValidationError(f"gate index {gate_index} out of range")
@@ -266,8 +278,7 @@ def _cone_index(cone: np.ndarray, n: int, base: int) -> np.ndarray:
 
 
 def tangent_frame(arch: Architecture, gates: GateAssignment,
-                  mode: str = "unitary",
-                  n_max: int = DEFAULT_N_MAX) -> TangentFrame:
+                  mode: str = "unitary") -> TangentFrame:
     """The gauge-fixed perturbation directions, computed in one suffix sweep.
 
     Unitary mode stores the Pauli-basis expansion of each K_{j,k}
@@ -293,7 +304,7 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     """
     if mode not in ("unitary", "state"):
         raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
-    _check_size(arch, n_max, mode)
+    _check_size(arch, mode)
     _require_match(arch, gates)
     n = arch.n
     dim = 2 ** n
@@ -434,12 +445,14 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     measured).
 
     An empty or all-zero matrix has rank 0 by convention.  A matrix holding
-    NaN or inf raises ``LinAlgError``.
+    NaN or inf raises ``LinAlgError``.  The tolerances must satisfy
+    eps <= tight <= loose < 1.
     """
     mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)
     loose, tight = tol_pair
-    if loose < tight:
-        raise ValidationError(f"tolerances must be (loose, tight), got {tol_pair}")
+    if not np.finfo(float).eps <= tight <= loose < 1.0:
+        raise ValidationError("tolerances must satisfy eps <= tight <= loose"
+                              f" < 1, got (loose, tight) = {tol_pair}")
     if mat.size == 0:
         return RankEstimate(np.zeros(0), tol_pair, 0, 0)
     if not np.isfinite(mat).all():
@@ -551,20 +564,21 @@ class RankReport:
 def accessible_dimension(arch: Architecture, mode: str = "unitary",
                          samples: int = 5, seed: int = 0,
                          tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                         n_max: int = DEFAULT_N_MAX) -> RankReport:
+                         ) -> RankReport:
     """Consensus Jacobian rank over independent Haar-random gate assignments.
 
     All samples must agree at both tolerances; any disagreement is surfaced
     as an inconclusive report, never averaged away.  Per-sample seeds derive
-    from ``seed`` by counter.
+    from ``seed`` by counter.  A frame over ``MEMORY_BUDGET`` raises
+    SizeLimit before the first sample is drawn.
     """
     if samples < 3:
         raise ValidationError(f"need at least 3 samples, got {samples}")
-    _check_size(arch, n_max, mode)
+    _check_size(arch, mode)
 
     def one(i: int) -> RankEstimate:
         gates = GateAssignment.haar(arch, subseed(seed, i))
-        return numerical_rank(tangent_frame(arch, gates, mode, n_max), tolerances)
+        return numerical_rank(tangent_frame(arch, gates, mode), tolerances)
 
     estimates = tuple(one(i) for i in range(samples))
 
@@ -622,8 +636,7 @@ def internal_wires(arch: Architecture) -> list[tuple[int, int, int]]:
 
 
 def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
-                           tolerance: float = 1e-8,
-                           n_max: int = DEFAULT_N_MAX) -> GaugeRedundancyReport:
+                           tolerance: float = 1e-8) -> GaugeRedundancyReport:
     """Certify the 3-parameter redundancy of every internally contracted wire.
 
     For each qubit shared by consecutive gates (j1, j2), the three
@@ -637,7 +650,7 @@ def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
     wires = internal_wires(arch)
     if not wires:
         raise NoInternalWire("architecture has no internally contracted wire")
-    _check_size(arch, n_max)
+    _check_size(arch, "gauge")
     _require_match(arch, gates)
     n = arch.n
 

@@ -56,7 +56,7 @@ class TooManySlices(ValidationError):
 
 
 class SizeLimit(ValidationError):
-    """Qubit count exceeds the configured dense-simulation limit."""
+    """A dense computation's estimated peak memory exceeds the budget."""
 
 
 class CountMismatch(ValidationError):

@@ -13,11 +13,11 @@ import math
 import time
 from dataclasses import dataclass
 
-from .architecture import build_family, detect_staircase_slices, \
-    random_adjacent
+import numpy as np
+
+from .architecture import build_family, staircase_block_flags
 from .bounds import randomized_bound_probability, staircase_slice_probability
 from .contraction import (
-    DEFAULT_N_MAX,
     DEFAULT_TOLERANCES,
     RankReport,
     accessible_dimension,
@@ -62,15 +62,19 @@ class SweepRow:
 def check_ramp(rows: list[SweepRow]) -> None:
     """Assert the ramp shape on the conclusive rows of one sweep.
 
-    The consensus dimension must be nondecreasing, gain at least one per
-    slice while below the cap, stay at or above the slice count until the
-    cap, and sit exactly at the cap from then on.
+    The consensus dimension must lie within the row's bounds, never
+    decrease, gain at least one per slice below the cap, stay at or above
+    the slice count until the cap, and sit exactly at the cap from then on.
     """
     conclusive = [r for r in rows if r.accessible is not None]
     prev: SweepRow | None = None
     for row in conclusive:
         d = row.accessible
         cap = row.cap
+        if not row.lower <= d <= row.upper:
+            raise VerdictError(
+                f"T={row.t_slices}: dimension {d} outside its bounds "
+                f"[{row.lower}, {row.upper}]")
         if row.t_slices <= cap and d < row.t_slices:
             raise VerdictError(
                 f"T={row.t_slices}: dimension {d} below slice count")
@@ -93,13 +97,13 @@ def check_ramp(rows: list[SweepRow]) -> None:
 def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
                  seed: int = 0, mode: str = "unitary",
                  tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                 n_max: int = DEFAULT_N_MAX,
                  ) -> list[SweepRow]:
     """One row per slice count T = 1..t_max, ramp shape asserted.
 
     Inconclusive consensus ranks propagate as empty dimension cells; the
     sweep continues and the ramp check skips them.  The witness rank is
-    exact (``witness_rank``), so its cell is never empty.
+    exact (``witness_rank``), so its cell is never empty.  A frame over the
+    memory budget raises SizeLimit before its first Haar sample.
     """
     if t_max < 1:
         raise ValidationError(f"t_max must be positive, got {t_max}")
@@ -108,7 +112,7 @@ def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
         arch = build_family(family, n, t)
         started = time.perf_counter()
         report = accessible_dimension(
-            arch, mode, samples, subseed(seed, t), tolerances, n_max)
+            arch, mode, samples, subseed(seed, t), tolerances)
         cert = witness_point(arch, mode)
         wrank = witness_rank(arch, cert.gate_circuits, mode)
         ms = int(round((time.perf_counter() - started) * 1000))
@@ -182,10 +186,9 @@ def randomized_architecture_experiment(n: int, trials: int, seed: int,
     probability_bound = randomized_bound_probability(n, alpha)
     block = n * (n - 1) ** 2
     r_total = trials * block
-    arch = random_adjacent(n, r_total, seed)
-    reports = detect_staircase_slices(arch)
-    full = [r for r in reports if r.complete]
-    hits = sum(1 for r in full if r.causal)
+    # the position stream of random_adjacent(n, r_total, seed)
+    positions = np.random.default_rng(seed).integers(1, n, size=r_total)
+    hits = int(staircase_block_flags(positions, n).all(axis=1).sum())
     p_hat = hits / trials
     exact = staircase_slice_probability(n).value
     half = _Z_99 * math.sqrt(exact * (1.0 - exact) / trials)
@@ -227,10 +230,15 @@ class WitnessComparison:
 def witness_vs_haar(n: int, family: str, t_slices: int, samples: int = 5,
                     seed: int = 0, mode: str = "unitary",
                     tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                    n_max: int = DEFAULT_N_MAX) -> WitnessComparison:
-    """Assert witness rank <= Haar consensus and both >= the slice count."""
+                    ) -> WitnessComparison:
+    """Assert witness rank <= Haar consensus, both >= the slice count and
+    the consensus within its bounds (SizeLimit before any sampling)."""
     arch = build_family(family, n, t_slices)
-    report = accessible_dimension(arch, mode, samples, seed, tolerances, n_max)
+    report = accessible_dimension(arch, mode, samples, seed, tolerances)
+    if report.bounds_ok is False:
+        raise VerdictError(
+            f"consensus {report.consensus} outside its bounds "
+            f"[{report.lower_bound}, {report.upper_bound}]")
     cert = witness_point(arch, mode)
     wrank = witness_rank(arch, cert.gate_circuits, mode)
     if wrank < t_slices:

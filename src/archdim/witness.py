@@ -19,6 +19,7 @@ import numpy as np
 
 from . import contraction
 from .architecture import Architecture, is_causal_slice
+from .bounds import saturation_threshold
 from .clifford import CliffordCircuit, CliffordTableau, routing_clifford_2q
 from .errors import (
     CertificateMismatch,
@@ -298,21 +299,6 @@ def _last_gate_on(arch: Architecture, start: int, stop: int, qubit: int) -> int:
     raise NotCausal(f"no gate touches qubit {qubit} in slice [{start}, {stop})")
 
 
-def _direction_budget(n: int, mode: str, t_slices: int) -> None:
-    if mode == "unitary":
-        cap = 4 ** n - 1
-        if t_slices > cap:
-            raise TooManySlices(
-                f"unitary mode supports at most {cap} slices for n={n}, "
-                f"got {t_slices}")
-    else:
-        cap = 2 * 2 ** n - 1
-        if t_slices >= cap:
-            raise TooManySlices(
-                f"state mode needs slice count below {cap} for n={n}, "
-                f"got {t_slices}")
-
-
 def witness_point(arch: Architecture, mode: str = "unitary",
                   ) -> WitnessCertificate:
     """All-Clifford gate assignment with T pairwise-distinct directions.
@@ -327,7 +313,13 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     ranges = arch.slice_ranges()
     if not ranges:
         raise NotCausal("architecture has no marked slices")
-    _direction_budget(arch.n, mode, len(ranges))
+    cap, t = saturation_threshold(arch.n, mode), len(ranges)
+    if mode == "unitary" and t > cap:
+        raise TooManySlices(f"unitary mode supports at most {cap} slices for "
+                            f"n={arch.n}, got {t}")
+    if mode == "state" and t >= cap:
+        raise TooManySlices(f"state mode needs slice count below {cap} for "
+                            f"n={arch.n}, got {t}")
 
     per_gate: dict[int, CliffordCircuit] = {
         i: CliffordCircuit(2) for i in range(arch.gate_count)}

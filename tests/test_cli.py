@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -172,11 +173,47 @@ def test_witness_reports_exact_rank_beyond_n8(capsys):
     assert rank >= 2
 
 
-def test_witness_has_no_n_max_option(capsys):
-    rc = main(["witness", "--family", "staircase", "--n", "3", "--t", "2",
-               "--n-max", "8"])
+@pytest.mark.parametrize("command", [
+    ["witness", "--family", "staircase", "--n", "3", "--t", "2"],
+    ["dim", "--family", "staircase", "--n", "3", "--t", "2"],
+    ["sweep", "--n", "3", "--t-max", "2"],
+], ids=["witness", "dim", "sweep"])
+def test_no_command_has_n_max_option(capsys, command):
+    rc = main(command + ["--n-max", "8"])
     assert rc == EXIT_INVALID
     assert "--n-max" in capsys.readouterr().err
+
+
+def test_dim_state_mode_beyond_n8(capsys):
+    rc = main(["dim", "--family", "staircase", "--n", "9", "--t", "1",
+               "--mode", "state", "--samples", "3"])
+    assert rc == EXIT_OK
+    assert "accessible dimension d_A = " in capsys.readouterr().out
+
+
+def test_dim_over_memory_budget_is_invalid_input(capsys):
+    started = time.perf_counter()
+    rc = main(["dim", "--family", "staircase", "--n", "8", "--t", "40"])
+    assert time.perf_counter() - started < 1.0
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "GiB" in err and "memory budget" in err
+
+
+@pytest.mark.parametrize("arch, loose, tight", [
+    (["--n", "2", "--t", "3"], "0", "0"),
+    (["--n", "2", "--t", "3"], "1e-17", "1e-17"),
+    (["--n", "3", "--t", "2"], "1.5", "1.2"),
+    (["--n", "3", "--t", "2"], "nan", "nan"),
+], ids=["zero", "below-eps", "above-one", "nan"])
+def test_dim_rejects_out_of_range_tolerances(capsys, arch, loose, tight):
+    rc = main(["dim", "--family", "staircase", *arch, "--seed", "1",
+               "--samples", "3", "--tol-loose", loose, "--tol-tight", tight])
+    assert rc == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "d_A" not in captured.out
+    assert "tolerances" in captured.err
 
 
 def test_non_integer_seed_environment_is_invalid_input(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Contraction, Haar sampling, tangent frames, rank estimation, gauge checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from archdim import (
 )
 from archdim.architecture import reach_matrix
 from archdim.bounds import gauge_fixed_count
-from archdim.contraction import frame_shape
+from archdim.contraction import MEMORY_BUDGET, _peak_bytes, frame_shape
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
 from archdim.witness import _slice_tableau
@@ -200,30 +202,73 @@ def test_contract_count_mismatch():
 
 
 def test_contract_size_limit():
-    arch = staircase(9, 1)
+    # one 2^14 x 2^14 complex operator alone is 4 GiB
+    arch = staircase(14, 1)
     gates = GateAssignment.haar(arch, 0)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="GiB"):
         contract(arch, gates)
 
 
-def test_n_max_override_prints_memory_estimate(capsys):
-    arch = staircase(9, 1)
-    gates = GateAssignment.haar(arch, 0)
-    u = contract(arch, gates, n_max=9)
-    assert u.shape == (512, 512)
-    assert "GB" in capsys.readouterr().err
-
-
-def test_memory_estimate_uses_frame_shape(capsys):
+def test_memory_guard_takes_the_frame_shape():
     # 8 gates touching 9 qubits: 9 * 8 + 3 * 9 = 99 gauge-fixed columns
     arch = staircase(9, 1)
     assert frame_shape(arch, "unitary") == (4 ** 9, 99)
     assert frame_shape(arch, "state") == (2 * 2 ** 9, 99)
+    # the frame counts twice (the SVD's copy), beside the 2^9 x 2^9 suffix
+    op = 16 * 4 ** 9
+    assert _peak_bytes(arch, "unitary") > 2 * 8 * 4 ** 9 * 99 + op
+    assert _peak_bytes(arch, "state") > 2 * 8 * 2 * 2 ** 9 * 99 + op
+    # n = 9 fits the budget now that the guard counts bytes, not qubits
     gates = GateAssignment.haar(arch, 0)
-    contract(arch, gates, n_max=9)
-    assert "unitary frame may need ~0.2 GB" in capsys.readouterr().err
-    contract_state(arch, gates, n_max=9)
-    assert "state frame may need ~0.0 GB" in capsys.readouterr().err
+    assert contract(arch, gates).shape == (512, 512)
+    assert contract_state(arch, gates).shape == (512,)
+
+
+@pytest.mark.parametrize("arch, mode", [(staircase(8, 40), "unitary"),
+                                        (staircase(13, 1), "state")])
+def test_over_budget_frame_fails_before_allocating(arch, mode):
+    assert _peak_bytes(arch, mode) > MEMORY_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit) as info:
+            accessible_dimension(arch, mode, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert f"{_peak_bytes(arch, mode) / 2 ** 30:.2f} GiB" in str(info.value)
+    assert "2 GiB memory budget" in str(info.value)
+
+
+# Python objects (gate lists, reach matrices, results) that do not scale
+# with the arrays the estimate counts.
+_OBJECT_SLACK = 2 ** 20
+
+
+@pytest.mark.parametrize("arch", [staircase(7, 1), staircase(6, 3),
+                                  brickwork(6, 1), staircase(9, 1)],
+                         ids=["staircase7x1", "staircase6x3", "brickwork6x1",
+                              "staircase9x1"])
+def test_peak_estimate_bounds_the_traced_peak(arch):
+    gates = GateAssignment.haar(arch, 3)
+    calls = {
+        "unitary": lambda: numerical_rank(tangent_frame(arch, gates)),
+        "state": lambda: numerical_rank(tangent_frame(arch, gates, "state")),
+        "contract": lambda: contract(arch, gates),
+        "contract_state": lambda: contract_state(arch, gates),
+        "perturbation": lambda: perturbation_operator(arch, gates, 0, 5),
+        "gauge": lambda: gauge_redundancy_check(arch, gates),
+    }
+    if arch.n > 7:  # keep the unitary frame and the gauge check small
+        del calls["unitary"], calls["gauge"]
+    for job, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _peak_bytes(arch, job) + _OBJECT_SLACK, job
 
 
 def test_contract_state_basics():

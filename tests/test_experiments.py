@@ -7,7 +7,9 @@ import archdim.experiments
 from archdim import (
     AlphaOutOfRange,
     VerdictError,
+    detect_staircase_slices,
     growth_sweep,
+    random_adjacent,
     randomized_architecture_experiment,
     rows_to_csv,
     witness_vs_haar,
@@ -69,6 +71,8 @@ def test_check_ramp_rejects_violations():
         check_ramp([row(1, 27), row(2, 27)])  # flat below the cap
     with pytest.raises(VerdictError):
         check_ramp([row(63, 62, cap=63)])  # not saturated at the cap
+    with pytest.raises(VerdictError):
+        check_ramp([row(1, 28)])  # above its upper bound 27
 
 
 def test_check_ramp_skips_inconclusive_rows():
@@ -106,10 +110,21 @@ def test_monte_carlo_checks_alpha_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled gates before validating alpha")
 
-    monkeypatch.setattr(archdim.experiments, "random_adjacent", no_sampling)
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
     for alpha in (1.5, 1.0, -0.1):
         with pytest.raises(AlphaOutOfRange):
             randomized_architecture_experiment(5, 20000, seed=1, alpha=alpha)
+
+
+@pytest.mark.parametrize("n, trials, seed", [(2, 50, 1), (4, 300, 6),
+                                             (5, 200, 9), (7, 40, 2)])
+def test_monte_carlo_count_matches_detected_slices(n, trials, seed):
+    # the detector on the same seeded architecture is the reference count
+    block = n * (n - 1) ** 2
+    reports = detect_staircase_slices(random_adjacent(n, trials * block, seed))
+    assert len(reports) == trials and all(r.complete for r in reports)
+    summary = randomized_architecture_experiment(n, trials, seed)
+    assert summary.causal_blocks == sum(r.causal for r in reports)
 
 
 def test_monte_carlo_summary_json():
@@ -137,3 +152,16 @@ def test_witness_vs_haar_brickwork_single_slice():
     cmp = witness_vs_haar(4, "brickwork", 1, samples=3, seed=7)
     assert cmp.witness_rank >= 1
     assert cmp.consensus >= 1
+
+
+def test_witness_vs_haar_rejects_consensus_outside_bounds(monkeypatch):
+    real = archdim.experiments.accessible_dimension
+
+    def inflated(*args, **kwargs):
+        report = real(*args, **kwargs)
+        object.__setattr__(report, "consensus", report.upper_bound + 1)
+        return report
+
+    monkeypatch.setattr(archdim.experiments, "accessible_dimension", inflated)
+    with pytest.raises(VerdictError, match="outside its bounds"):
+        witness_vs_haar(2, "staircase", 1, samples=3, seed=5)
