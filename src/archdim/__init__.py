@@ -25,7 +25,6 @@ from .architecture import (
 from .bounds import (
     BoundSheet,
     complexity_lower_bound,
-    dimension_upper_bound,
     make_bound_sheet,
     randomized_bound_probability,
     saturation_threshold,

@@ -60,11 +60,6 @@ def gauge_fixed_count(arch: Architecture) -> int:
     return 9 * arch.gate_count + 3 * len(arch.touched_qubits())
 
 
-def dimension_upper_bound(arch: Architecture) -> int:
-    """min(9R + 3 * touched qubits, 4^n - 1)."""
-    return min(gauge_fixed_count(arch), saturation_threshold(arch.n, "unitary"))
-
-
 def saturation_threshold(n: int, mode: str) -> int:
     """Slice count at which the accessible dimension saturates its cap."""
     if n < 1:

@@ -118,8 +118,6 @@ class GateAssignment:
     """Ordered 4x4 special unitaries filling an architecture's gate slots."""
 
     matrices: np.ndarray  # (R, 4, 4) complex
-    provenance: str = "explicit"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.matrices, dtype=complex)
@@ -146,18 +144,22 @@ class GateAssignment:
         rng = np.random.default_rng(seed)
         mats = np.stack([haar_su4(rng) for _ in range(arch.gate_count)]) \
             if arch.gate_count else np.zeros((0, 4, 4), dtype=complex)
-        return cls(mats, provenance="haar", seed=seed)
+        return cls(mats)
 
     @classmethod
     def from_circuits(cls, circuits: Sequence[CliffordCircuit]) -> GateAssignment:
+        """Each distinct circuit's SU(4) matrix, formed once, per gate slot."""
+        if not circuits:
+            return cls(np.zeros((0, 4, 4), dtype=complex))
+        distinct: dict[CliffordCircuit, int] = {}
+        which = [distinct.setdefault(c, len(distinct)) for c in circuits]
         mats = []
-        for c in circuits:
+        for c in distinct:
             if c.n != 2:
                 raise ValidationError("vertex circuits must act on 2 qubits")
             u = c.to_unitary()
             mats.append(u / np.linalg.det(u) ** 0.25)
-        stacked = np.stack(mats) if mats else np.zeros((0, 4, 4), dtype=complex)
-        return cls(stacked, provenance="clifford-witness")
+        return cls(np.stack(mats)[which])
 
     @classmethod
     def explicit(cls, matrices: Sequence[np.ndarray],
@@ -169,7 +171,7 @@ class GateAssignment:
                 u = u / np.linalg.det(u) ** 0.25
             mats.append(u)
         stacked = np.stack(mats) if mats else np.zeros((0, 4, 4), dtype=complex)
-        return cls(stacked, provenance="explicit")
+        return cls(stacked)
 
 
 def _require_match(arch: Architecture, gates: GateAssignment) -> None:

@@ -60,12 +60,20 @@ class SweepRow:
 
 
 def check_ramp(rows: list[SweepRow]) -> None:
-    """Assert the ramp shape on the conclusive rows of one sweep.
+    """Assert the ramp shape of one sweep.
 
-    The consensus dimension must lie within the row's bounds, never
-    decrease, gain at least one per slice below the cap, stay at or above
-    the slice count until the cap, and sit exactly at the cap from then on.
+    Every row's witness rank must reach its slice count.  On the conclusive
+    rows the consensus dimension must lie within the row's bounds, be at
+    least the witness rank (an exact rank at one point never exceeds the
+    generic rank), never decrease, gain at least one per slice below the
+    cap, stay at or above the slice count until the cap, and sit exactly at
+    the cap from then on.
     """
+    for row in rows:
+        if row.witness_rank < row.t_slices:
+            raise VerdictError(
+                f"T={row.t_slices}: witness rank {row.witness_rank} below "
+                f"slice count")
     conclusive = [r for r in rows if r.accessible is not None]
     prev: SweepRow | None = None
     for row in conclusive:
@@ -75,6 +83,10 @@ def check_ramp(rows: list[SweepRow]) -> None:
             raise VerdictError(
                 f"T={row.t_slices}: dimension {d} outside its bounds "
                 f"[{row.lower}, {row.upper}]")
+        if row.witness_rank > d:
+            raise VerdictError(
+                f"T={row.t_slices}: witness rank {row.witness_rank} exceeds "
+                f"dimension {d}")
         if row.t_slices <= cap and d < row.t_slices:
             raise VerdictError(
                 f"T={row.t_slices}: dimension {d} below slice count")

@@ -238,15 +238,6 @@ def _slice_tableau(arch: Architecture, start: int, stop: int,
     return tab
 
 
-def _circuit_tableau(arch: Architecture,
-                     circuits: Sequence[CliffordCircuit]) -> CliffordTableau:
-    """Tableau of the whole assignment, prepending every gate back to front."""
-    total = CliffordTableau.identity(arch.n)
-    for idx in range(arch.gate_count - 1, -1, -1):
-        total.prepend_circuit(circuits[idx], arch.gates[idx])
-    return total
-
-
 class _DirectionSweep:
     """The marked slices swept front to back under the inverse prefix.
 
@@ -262,7 +253,6 @@ class _DirectionSweep:
 
     def __init__(self, arch: Architecture, mode: str) -> None:
         self.arch = arch
-        self.mode = mode
         self.key = PauliString.key if mode == "unitary" else _parity_pair
         self.inv_prefix = CliffordTableau.identity(arch.n)
         self.pulled: list[PauliString] = []
@@ -279,17 +269,6 @@ class _DirectionSweep:
         d = self.inv_prefix.conjugate(PauliString.single(self.arch.n, "Z", sink))
         self.pulled.append(d)
         self.keys.add(self.key(d))
-
-    def certificate_directions(
-            self, circuits: Sequence[CliffordCircuit],
-    ) -> tuple[tuple[PauliString, ...], tuple[tuple[int, int], ...]]:
-        """(directions, state_images) as a certificate stores them: the
-        unitary-mode directions in the final frame, each d_j conjugated by
-        the whole circuit's tableau, or the state-mode images d_j |0...0>."""
-        if self.mode == "unitary":
-            total = _circuit_tableau(self.arch, circuits)
-            return tuple(total.conjugate(d) for d in self.pulled), ()
-        return (), tuple(d.state_image() for d in self.pulled)
 
 
 def _last_gate_on(arch: Architecture, start: int, stop: int, qubit: int) -> int:
@@ -339,9 +318,17 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     if len(sweep.keys) != len(sweep.pulled):
         raise AssertionError("constructed directions are not distinct")
     circuits = tuple(per_gate[i] for i in range(arch.gate_count))
-    directions, images = sweep.certificate_directions(circuits)
+    if mode == "state":
+        images = tuple(d.state_image() for d in sweep.pulled)
+        return WitnessCertificate(
+            arch.n, mode, circuits, tuple(records), state_images=images)
+    # carry each d_j to the final frame by U, prepending gates back to front
+    total = CliffordTableau.identity(arch.n)
+    for idx in range(arch.gate_count - 1, -1, -1):
+        total.prepend_circuit(circuits[idx], arch.gates[idx])
+    directions = tuple(total.conjugate(d) for d in sweep.pulled)
     return WitnessCertificate(
-        arch.n, mode, circuits, tuple(records), directions, images)
+        arch.n, mode, circuits, tuple(records), directions=directions)
 
 
 def _parity_pair(p: PauliString) -> tuple[int, int]:
@@ -372,22 +359,21 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
                  mode: str) -> int:
     """Exact rank of the tangent frame at an all-Clifford gate assignment.
 
-    Every direction K_{j,k} = Suffix_j S_k Suffix_j^dagger is then +- a Pauli
-    string, so each unitary-mode frame column is a signed unit vector and the
-    rank is the number of distinct (x_bits, z_bits) keys among the 15R
-    directions.  The sweep runs back to front and keeps the phase-free image
-    of every X_q and Z_q under the current suffix as one integer
-    x_bits | z_bits << n.  Gate j on (a, b) adds the 15 nonzero XOR
-    combinations of the images of X_a, Z_a, X_b, Z_b, then replaces those four
-    images by their images under the gate's two-qubit symplectic map.
+    Every direction is then K_{j,k} = Suffix_j S_k Suffix_j^dagger = U Q U^dagger
+    with Q = Prefix_j^dagger S_k Prefix_j, and u_j^dagger S_k u_j runs over
+    all 15 nontrivial Paulis on (a, b) up to sign.  One sweep runs front to
+    back under the inverse prefix and keeps the phase-free image of every X_q
+    and Z_q as one integer x_bits | z_bits << n: gate j on (a, b) adds the 15
+    nonzero XOR combinations of the images of X_a, Z_a, X_b, Z_b, then its
+    inverse circuit's two-qubit symplectic map replaces those four images.
 
-    In state mode i K_{j,k} U|0> = i U Q|0> with
-    Q = Prefix_j^dagger S_k Prefix_j, and u_j^dagger S_k u_j runs over all 15
-    nontrivial Paulis on (a, b) up to sign.  U is a real-linear isometry and
-    the Hermitian Q maps |0...0> to +- i^kappa |x_bits> with kappa its Y
+    The mode picks only the key.  In unitary mode each frame column is a
+    signed unit vector and conjugation by U is a bijection on phase-free
+    Paulis, so the rank is the number of distinct (x_bits, z_bits) keys of
+    Q.  In state mode i K_{j,k} U|0> = i U Q|0>; U is a real-linear isometry
+    and the Hermitian Q maps |0...0> to +- i^kappa |x_bits> with kappa its Y
     count, so the rank is the number of distinct (x_bits, kappa mod 2)
-    images.  The sweep runs front to back under the inverse prefix: gate j
-    adds its 15 images before its inverse circuit updates the four images.
+    images.
 
     No dense matrix and no tolerance enter.  The 15R directions span the
     same space as the gauge-fixed frame's columns, so this is the rank that
@@ -400,26 +386,22 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
             f"{len(circuits)} circuits supplied for {arch.gate_count} slots")
     n = arch.n
     mask = (1 << n) - 1
-    # images[2q], images[2q + 1]: X and Z of qubit q + 1 under the current map
+    # images[2q], images[2q + 1]: X and Z of qubit q + 1 under the inverse prefix
     images = [bit for q in range(n) for bit in (1 << q, 1 << (q + n))]
-    unitary = mode == "unitary"
-    order = range(arch.gate_count - 1, -1, -1) if unitary else range(arch.gate_count)
+    inverse_maps = {c: _symplectic_2q(c.inverse()) for c in set(circuits)}
     keys: set[int] = set()
-    for j in order:
-        a, b = arch.gates[j]
+    for (a, b), circuit in zip(arch.gates, circuits):
         slots = (2 * a - 2, 2 * a - 1, 2 * b - 2, 2 * b - 1)
         span = [0]
         for s in slots:
             img = images[s]
             span += [v ^ img for v in span]
-        if unitary:
+        if mode == "unitary":
             keys.update(span[1:])
-            circuit = circuits[j]
         else:
             keys.update((v & mask) | ((v & v >> n).bit_count() & 1) << n
                         for v in span[1:])
-            circuit = circuits[j].inverse()
-        for s, idx in zip(slots, _symplectic_2q(circuit)):
+        for s, idx in zip(slots, inverse_maps[circuit]):
             images[s] = span[idx]
     return len(keys)
 
@@ -438,18 +420,21 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
                        check_rank: bool = True) -> WitnessVerdict:
     """Independently recompute and cross-check a certificate.
 
-    Each slice must route its stored string onto Z of its sink through the
-    slice's gates.  One front-to-back sweep under the inverse prefix then
-    rebuilds every direction (pulled back, then carried to the final frame
-    by the whole circuit's tableau in unitary mode) and its distinctness
-    key; the stored directions and their distinctness are re-derived.  With
-    ``check_rank`` the exact tangent-frame rank at the witness point
-    (``witness_rank``, a stabilizer computation with no tolerance) must reach
-    the slice count, and each gate matrix of ``cert.to_gate_assignment()``
-    must conjugate X_1, Z_1, X_2 and Z_2 as its circuit's two-qubit tableau
-    does, phases included; either failure raises ``CertificateMismatch``.
-    Tableau composition is exact, so the gate check ties the matrices to the
-    whole circuit's tableau in O(R) time at any n.
+    One front-to-back sweep under the inverse prefix answers every question
+    about the slices.  A slice's gates S route its stored string q onto
+    Z_sink exactly when q, pulled back through the prefix before the slice,
+    equals the slice's pulled-back direction Prefix^dagger Z_sink Prefix;
+    the comparison is exact, phase included.  The slices tile the circuit,
+    so the final inverse prefix is U^dagger: a stored unitary-mode direction
+    D_j is right exactly when U^dagger D_j U is the pulled-back d_j, and a
+    stored state-mode image must equal d_j |0...0>.  The distinctness keys
+    come from the same sweep.  With ``check_rank`` the exact tangent-frame
+    rank at the witness point (``witness_rank``, a stabilizer computation
+    with no tolerance) must reach the slice count, and each gate matrix of
+    ``cert.to_gate_assignment()`` must conjugate X_1, Z_1, X_2 and Z_2 as its
+    circuit's two-qubit tableau does, phases included; either failure raises
+    ``CertificateMismatch``.  Tableau composition is exact, so the gate check
+    ties the matrices to the whole circuit's tableau in O(R) time at any n.
     """
     if cert.n != arch.n or len(cert.gate_circuits) != arch.gate_count:
         raise CertificateMismatch("certificate does not match the architecture")
@@ -459,22 +444,24 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
 
     sweep = _DirectionSweep(arch, cert.mode)
     for s in cert.slices:
-        target = PauliString.single(arch.n, "Z", s.sink)
-        routed = s.chosen
-        for idx in range(s.start, s.stop):
-            routed = cert.gate_circuits[idx].conjugate(
-                routed, wires=arch.gates[idx])
-        if routed != target:
+        pulled_q = sweep.inv_prefix.conjugate(s.chosen)
+        sweep.add_slice(s.start, s.stop, s.sink, cert.gate_circuits)
+        if sweep.pulled[-1] != pulled_q:
             raise CertificateMismatch(
-                f"slice [{s.start}, {s.stop}) does not route "
-                f"{s.chosen.label()} to {target.label()}")
+                f"slice [{s.start}, {s.stop}) does not route {s.chosen.label()} "
+                f"to {PauliString.single(arch.n, 'Z', s.sink).label()}")
         if _last_gate_on(arch, s.start, s.stop, s.sink) != s.insertion_gate:
             raise CertificateMismatch(
                 f"insertion gate of slice [{s.start}, {s.stop}) is stale")
-        sweep.add_slice(s.start, s.stop, s.sink, cert.gate_circuits)
 
-    stored = (cert.directions, cert.state_images)
-    if sweep.certificate_directions(cert.gate_circuits) != stored:
+    if cert.mode == "unitary":
+        stored = (tuple(sweep.inv_prefix.conjugate(d) for d in cert.directions),
+                  cert.state_images)
+        fresh = (tuple(sweep.pulled), ())
+    else:
+        stored = (cert.directions, cert.state_images)
+        fresh = ((), tuple(d.state_image() for d in sweep.pulled))
+    if stored != fresh:
         raise CertificateMismatch("stored directions disagree with recomputation")
     if len(sweep.keys) != len(sweep.pulled):
         raise CertificateMismatch("directions are not pairwise distinct")

@@ -188,7 +188,7 @@ def test_criterion_6_derivative_check():
             def shifted(p):
                 mats = gates.matrices.copy()
                 mats[j] = p @ mats[j]
-                return contract(arch, GateAssignment(mats, "explicit"))
+                return contract(arch, GateAssignment(mats))
             fd = (shifted(plus) - shifted(plus.conj().T)) / (2 * np.sin(eps))
             pred = 1j * kop @ base
             rel = np.linalg.norm(fd - pred) / np.linalg.norm(pred)

@@ -8,7 +8,6 @@ import pytest
 from archdim import (
     AlphaOutOfRange,
     complexity_lower_bound,
-    dimension_upper_bound,
     from_gate_sequence,
     make_bound_sheet,
     randomized_bound_probability,
@@ -16,6 +15,7 @@ from archdim import (
     staircase,
     staircase_slice_probability,
 )
+from archdim.contraction import dimension_bounds
 
 
 def test_lower_bound_spot_check():
@@ -51,15 +51,15 @@ def test_lower_bound_monotonicity():
 
 
 def test_dimension_upper_bound_examples():
-    assert dimension_upper_bound(staircase(3, 1)) == 27
-    assert dimension_upper_bound(from_gate_sequence(2, [(1, 2)])) == 15
-    assert dimension_upper_bound(from_gate_sequence(4, [])) == 0
+    assert dimension_bounds(staircase(3, 1), "unitary")[1] == 27
+    assert dimension_bounds(from_gate_sequence(2, [(1, 2)]), "unitary")[1] == 15
+    assert dimension_bounds(from_gate_sequence(4, []), "unitary")[1] == 0
 
 
 def test_dimension_upper_counts_touched_qubits_only():
     # two gates on qubits 1..3 of a 5-qubit register
     arch = from_gate_sequence(5, [(1, 2), (2, 3)])
-    assert dimension_upper_bound(arch) == min(30, 18 + 9, 4 ** 5 - 1)
+    assert dimension_bounds(arch, "unitary")[1] == min(30, 18 + 9, 4 ** 5 - 1)
 
 
 def test_saturation_thresholds():
@@ -114,4 +114,4 @@ def test_bound_sheet_consistency_with_witness_machinery():
     # any architecture whose slices certify must fit under the upper bound
     for n, t in ((3, 2), (4, 3)):
         arch = staircase(n, t)
-        assert dimension_upper_bound(arch) >= t
+        assert dimension_bounds(arch, "unitary")[1] >= t

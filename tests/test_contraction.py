@@ -190,7 +190,7 @@ def test_contract_respects_slicing():
     pieces = np.eye(8, dtype=complex)
     for start, stop in arch.slice_ranges():
         sub = from_gate_sequence(3, arch.gates[start:stop])
-        part = GateAssignment(gates.matrices[start:stop], "explicit")
+        part = GateAssignment(gates.matrices[start:stop])
         pieces = contract(sub, part) @ pieces
     assert np.abs(whole - pieces).max() < 1e-9
 
@@ -357,7 +357,7 @@ def test_finite_difference_matches_perturbation_operator():
         def shifted(p):
             mats = gates.matrices.copy()
             mats[j] = p @ mats[j]
-            return contract(arch, GateAssignment(mats, "explicit"))
+            return contract(arch, GateAssignment(mats))
         fd = (shifted(plus) - shifted(plus.conj().T)) / (2 * np.sin(eps))
         pred = 1j * kop @ base
         worst = max(worst, np.linalg.norm(fd - pred) / np.linalg.norm(pred))
@@ -685,7 +685,7 @@ def _fd_jacobian_rank(arch, gates, eps=1e-5):
             def shifted(p):
                 mats = gates.matrices.copy()
                 mats[j] = p @ mats[j]
-                return contract(arch, GateAssignment(mats, "explicit"))
+                return contract(arch, GateAssignment(mats))
             d = (shifted(plus) - shifted(plus.conj().T)) / (2 * np.sin(eps))
             cols.append(np.concatenate([d.real.ravel(), d.imag.ravel()]))
     m = np.stack(cols, axis=1)

@@ -1,5 +1,7 @@
 """Experiment harness: sweeps, Monte Carlo, witness comparisons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,11 @@ def test_check_ramp_rejects_violations():
         check_ramp([row(63, 62, cap=63)])  # not saturated at the cap
     with pytest.raises(VerdictError):
         check_ramp([row(1, 28)])  # above its upper bound 27
+    with pytest.raises(VerdictError, match="exceeds dimension"):
+        check_ramp([dataclasses.replace(row(1, 27), witness_rank=28)])
+    with pytest.raises(VerdictError, match="below slice count"):
+        # checked on inconclusive rows too
+        check_ramp([row(1, 27), dataclasses.replace(row(2, None), witness_rank=1)])
 
 
 def test_check_ramp_skips_inconclusive_rows():

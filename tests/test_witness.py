@@ -356,6 +356,33 @@ def test_large_certificate_roundtrips_and_verifies_with_rank(mode):
     assert verdict.witness_rank >= 6
 
 
+@pytest.mark.parametrize("family, n, t, mode, rank", [
+    ("staircase", 9, 2, "unitary", 99),
+    ("staircase", 12, 24, "unitary", 180),
+    ("staircase", 16, 48, "unitary", 258),
+    ("brickwork", 10, 4, "unitary", 120),
+    ("brickwork", 16, 4, "unitary", 192),
+    ("staircase", 10, 40, "state", 69),
+    ("staircase", 16, 48, "state", 99),
+    ("brickwork", 12, 6, "state", 49),
+])
+def test_witness_rank_pinned_beyond_dense_reach(family, n, t, mode, rank):
+    # no dense frame can check these, so the exact ranks are pinned
+    arch = build_family(family, n, t)
+    assert witness_rank(arch, witness_point(arch, mode).gate_circuits, mode) == rank
+
+
+def test_from_circuits_matches_per_gate_reference():
+    circuits = witness_point(staircase(5, 10), "unitary").gate_circuits
+    assert len(set(circuits)) < len(circuits)
+    reference = []
+    for c in circuits:
+        u = c.to_unitary()
+        reference.append(u / np.linalg.det(u) ** 0.25)
+    assert np.array_equal(GateAssignment.from_circuits(circuits).matrices,
+                          np.stack(reference))
+
+
 # -- dense reference for the per-gate check (n <= 6) ------------------------------
 
 
@@ -558,6 +585,25 @@ def test_verify_detects_forged_route():
         with pytest.raises(CertificateMismatch, match="does not route"):
             verify_certificate(dataclasses.replace(cert, slices=tuple(slices)),
                                arch, check_rank=False)
+
+
+def test_verify_detects_phase_only_tampering():
+    # a stored direction or image that is right up to phase is still forged
+    arch = staircase(4, 3)
+    cert = witness_point(arch, "unitary")
+    directions = list(cert.directions)
+    directions[1] = dataclasses.replace(
+        directions[1], phase_exp=directions[1].phase_exp + 2)
+    forged = [dataclasses.replace(cert, directions=tuple(directions))]
+    cert = witness_point(arch, "state")
+    for shift in (1, 2):
+        images = list(cert.state_images)
+        bits, kappa = images[1]
+        images[1] = (bits, (kappa + shift) % 4)
+        forged.append(dataclasses.replace(cert, state_images=tuple(images)))
+    for cert in forged:
+        with pytest.raises(CertificateMismatch, match="stored directions disagree"):
+            verify_certificate(cert, arch, check_rank=False)
 
 
 def test_verify_detects_wrong_architecture():
