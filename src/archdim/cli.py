@@ -18,7 +18,12 @@ import tempfile
 from . import __version__
 from .architecture import Architecture, build_family, is_causal_slice
 from .bounds import make_bound_sheet, randomized_bound_probability
-from .contraction import DEFAULT_TOLERANCES, accessible_dimension
+from .contraction import (
+    DEFAULT_TOLERANCES,
+    MEMORY_BUDGET,
+    accessible_dimension,
+    peak_bytes,
+)
 from .errors import (
     ArchdimError,
     CertificateMismatch,
@@ -143,6 +148,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
     payload["config"] = _config_dict(
         args, ["family", "n", "t", "rounds", "r", "infile", "mode", "samples",
                "seed", "tol_loose", "tol_tight"])
+    payload["config"].update(memory_budget_bytes=MEMORY_BUDGET,
+                             peak_estimate_bytes=peak_bytes(arch, args.mode))
     payload["version"] = __version__
     if report.inconclusive:
         print(f"inconclusive: {report.inconclusive_reason}")
@@ -201,6 +208,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         tolerances=(args.tol_loose, args.tol_tight))
     cfg = _config_dict(
         args, ["n", "family", "t_max", "samples", "seed", "mode"])
+    # R grows with T, so the last row's frame sets the sweep's peak
+    largest = build_family(args.family, args.n, args.t_max)
+    cfg.update(memory_budget_bytes=MEMORY_BUDGET,
+               peak_estimate_bytes=peak_bytes(largest, args.mode))
     comment = f"archdim {__version__} config={json.dumps(cfg, sort_keys=True)}"
     text = rows_to_csv(rows, header_comment=comment)
     if args.out:

@@ -8,12 +8,13 @@ of the gates after j.  The tangent frame collects the Pauli-basis expansion
 of every K_{j,k} (or, in state mode, the real/imaginary parts of
 i K_{j,k} |psi>); its numerical rank at independent Haar-random points is the
 accessible dimension of the architecture, because the rank is constant off a
-measure-zero set.  A dense call whose estimated peak memory (``_peak_bytes``)
+measure-zero set.  A dense call whose estimated peak memory (``peak_bytes``)
 exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,12 +35,6 @@ from .pauli import PauliString, TWO_QUBIT_GENERATOR_MATS, TWO_QUBIT_GENERATORS
 DEFAULT_TOLERANCES = (1e-6, 1e-10)
 MEMORY_BUDGET = 2 * 2 ** 30
 
-_PAULI_STACK = np.stack([
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-])
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
@@ -88,25 +83,31 @@ def frame_shape(arch: Architecture, mode: str) -> tuple[int, int]:
     return rows, gauge_fixed_count(arch)
 
 
-def _peak_bytes(arch: Architecture, job: str) -> int:
+def peak_bytes(arch: Architecture, job: str) -> int:
     """Upper estimate of the peak bytes of a dense call on ``arch``; ``job``
     is a frame mode or "contract", "contract_state", "perturbation", "gauge".
     A gate applied to an array holds two more of its size (tensordot's
     reordered input and output), and 15 directions peak at four stacks of
-    15.  A frame also counts its matrix twice (the SVD's copy), and the
-    gauge check R + 1 suffixes plus 10 operators kept from the last wire."""
+    15.  A frame also counts its matrix twice (the SVD's copy).  The gauge
+    check holds one pending suffix per qubit (at most one per gate), the
+    running suffix and 10 operators kept from the last wire.  The Pauli
+    expansions of the unitary frame and the gauge check count the cached
+    plans of every size up to n (``_pauli_plan``: 32 * 4^c bytes each, under
+    43 * 4^n in all) and the temporaries of building the largest."""
     op = 16 * 4 ** arch.n  # one dense complex 2^n x 2^n operator
+    plans = 80 * 4 ** arch.n
+    suffixes = min(arch.n, arch.gate_count) + 1
     held = {"contract": 3 * op, "contract_state": 3 * 16 * 2 ** arch.n,
-            "perturbation": 4 * op, "gauge": (arch.gate_count + 71) * op}
+            "perturbation": 4 * op, "gauge": (suffixes + 70) * op + plans}
     if job in held:
         return held[job]
     rows, cols = frame_shape(arch, job)
-    batch = 60 * (op if job == "unitary" else 16 * 2 ** arch.n)
+    batch = 60 * op + plans if job == "unitary" else 60 * 16 * 2 ** arch.n
     return 2 * 8 * rows * cols + 4 * op + batch
 
 
 def _check_size(arch: Architecture, job: str) -> None:
-    est = _peak_bytes(arch, job)
+    est = peak_bytes(arch, job)
     if est > MEMORY_BUDGET:
         raise SizeLimit(f"{job} on n={arch.n}, R={arch.gate_count} needs an "
                         f"estimated {est / 2 ** 30:.2f} GiB, over the "
@@ -201,24 +202,65 @@ def contract_state(arch: Architecture, gates: GateAssignment) -> np.ndarray:
     return psi
 
 
+# 16 sizes cover every cone of a frame or gauge check within MEMORY_BUDGET
+@functools.lru_cache(maxsize=16)
+def _pauli_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(gather, hadamard, order, scale) of ``pauli_coefficients`` on n qubits.
+
+    ``gather[x * 2^n + r]`` is the flat index of entry (r, r XOR x);
+    ``hadamard`` is [[1, 1], [1, -1]]^{(x) n}, whose entry (r, z) is
+    (-1)^{z . r}; label L, with bits x and z, reads the transform at
+    ``order[L] = x * 2^n + z`` and multiplies it by ``scale[L]``, which is
+    +-1 / 2^(n+1): + when its Y count is 0 or 3 mod 4.  Together the four
+    arrays take 32 * 4^n bytes.
+    """
+    dim = 2 ** n
+    r = np.arange(dim)
+    gather = (r * dim + (r ^ r[:, None])).ravel()
+    hadamard = np.ones((1, 1))
+    x = z = ys = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        hadamard = np.kron(hadamard, [[1.0, 1.0], [1.0, -1.0]])
+        # append one qubit's letter I, X, Y, Z as the lowest digit
+        x = (2 * x[:, None] + [0, 1, 1, 0]).ravel()
+        z = (2 * z[:, None] + [0, 0, 1, 1]).ravel()
+        ys = (ys[:, None] + [0, 0, 1, 0]).ravel()
+    scale = np.where((ys + 1) % 4 < 2, 1.0, -1.0) / (2 * dim)
+    plan = (gather, hadamard, x * dim + z, scale)
+    for arr in plan:  # every caller shares the cached arrays
+        arr.flags.writeable = False
+    return plan
+
+
 def pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:
-    """Real coefficients of a Hermitian operator over the 4^n Pauli strings,
+    """Real coefficients tr(P H) / 2^n of the Hermitian part
+    H = (K + K^dagger) / 2 of an operator K over the 4^n Pauli strings P,
     ordered lexicographically by label with qubit 1 as the leading digit.
+    For Hermitian K these are its Pauli coefficients; for any K they are
+    Re tr(P K) / 2^n.
+
+    The transform runs in real arithmetic.  H -> R = Re H + Im H maps
+    Hermitian matrices isometrically onto real ones (a symmetric matrix is
+    orthogonal to an antisymmetric one).  Writing P = i^y X^x Z^z,
+    tr(P H) = i^y sum_r (-1)^{z . r} H[r, r XOR x]; the sum is real for even
+    y and imaginary for odd y, so the same sum over R gives it up to the
+    sign that ``_pauli_plan`` records.  That is one gather,
+    A[x, r] = R[r, r XOR x], one real matmul with the Walsh-Hadamard matrix
+    over the whole stack, and one gather into label order.
 
     A stack of operators, shape (B, 2^n, 2^n), gives a (B, 4^n) array whose
     rows equal, bit for bit, the expansions of the operators one at a time.
     """
-    batch = op.shape[:-2]
-    lead = len(batch)
-    t = op.reshape(batch + (2,) * (2 * n))
-    for q in range(n - 1, -1, -1):
-        m = n - 1 - q  # qubits already consumed
-        row_axis = m + lead + q
-        col_axis = n + lead + q
-        t = np.tensordot(_PAULI_STACK, t, axes=([2, 1], [row_axis, col_axis]))
-    # t is (4,) * n + batch: one Pauli axis per qubit, then the batch
-    t = np.moveaxis(t.reshape((4 ** n,) + batch), 0, -1)
-    return t.real / 2 ** n
+    gather, hadamard, order, scale = _pauli_plan(n)
+    dim = 2 ** n
+    k = op.reshape((-1, dim, dim))
+    twice = k.real + k.imag  # 2R = Re K + Im K + (Re K - Im K)^T
+    twice += np.swapaxes(k.real - k.imag, 1, 2)
+    walsh = np.take(twice.reshape(-1, dim * dim), gather, axis=1)
+    walsh = (walsh.reshape(-1, dim) @ hadamard).reshape(-1, dim * dim)
+    out = np.take(walsh, order, axis=1)
+    out *= scale
+    return out.reshape(op.shape[:-2] + (4 ** n,))
 
 
 def perturbation_operator(arch: Architecture, gates: GateAssignment,
@@ -312,7 +354,8 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     dim = 2 ** n
     r = arch.gate_count
     rows, width = frame_shape(arch, mode)
-    cols = np.zeros((rows, width))
+    # one row per column, so that each gate's block is one contiguous write
+    cols = np.zeros((width, rows))
     record = np.zeros((width, 2), dtype=np.intp)
 
     states = None
@@ -342,16 +385,16 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
             cone = np.flatnonzero(reach[a - 1]) + 1
             sub = suffix[_cone_index(cone, n, 2)]
             ks = apply_gate_right(sub, generators, wires, n) @ sub.conj().T
-            cols[_cone_index(cone, n, 4), block] = \
-                pauli_coefficients(ks, cone.size).T
+            cols[block, _cone_index(cone, n, 4)] = \
+                pauli_coefficients(ks, cone.size)
         else:
             psi_back = states[j + 1]  # prefix including gate j
             batch = apply_gate_left(psi_back, generators, wires, n)
             v = 1j * (suffix @ batch.T)
-            cols[:dim, block] = v.real
-            cols[dim:, block] = v.imag
+            cols[block, :dim] = v.real.T
+            cols[block, dim:] = v.imag.T
         suffix = apply_gate_right(suffix, gates.matrices[j], wires, n)
-    return TangentFrame(cols, mode, n, r, record)
+    return TangentFrame(cols.T, mode, n, r, record)
 
 
 # -- numerical rank ------------------------------------------------------------
@@ -656,13 +699,6 @@ def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
     _require_match(arch, gates)
     n = arch.n
 
-    # Suffix products after each gate position, built once right-to-left.
-    suffixes: list[np.ndarray | None] = [None] * arch.gate_count
-    acc = np.eye(2 ** n, dtype=complex)
-    for j in range(arch.gate_count - 1, -1, -1):
-        suffixes[j] = acc
-        acc = apply_gate_right(acc, gates.matrices[j], arch.gates[j], n)
-
     singles = np.stack([PauliString.single(1, letter, 1).to_matrix()
                         for letter in "XYZ"])
 
@@ -671,13 +707,23 @@ def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
         k_ops = apply_gate_right(suffix, ops, wires, n) @ suffix.conj().T
         return pauli_coefficients(k_ops, n).T
 
-    results = []
-    for j1, j2, q in wires:
-        block = directions(suffixes[j2], _GENERATOR_STACK, arch.gates[j2])
-        targets = directions(suffixes[j1], singles, (q,))
-        sol, *_ = np.linalg.lstsq(block, targets, rcond=None)
-        residual = np.linalg.norm(block @ sol - targets, axis=0)
-        scale = np.linalg.norm(targets, axis=0)
-        worst = (residual / np.where(scale > 0, scale, 1.0)).max()
-        results.append(WireRedundancy(j1, j2, q, float(worst)))
-    return GaugeRedundancyReport(tuple(results), tolerance)
+    # One right-to-left sweep.  pending[q] = (j2, suffix after gate j2) for
+    # the next gate j2 on qubit q: the only suffix a wire on q still needs
+    # once the sweep reaches its earlier gate.
+    results: dict[tuple[int, int, int], WireRedundancy] = {}
+    pending: dict[int, tuple[int, np.ndarray]] = {}
+    suffix = np.eye(2 ** n, dtype=complex)
+    for j1 in range(arch.gate_count - 1, -1, -1):
+        for q in arch.gates[j1]:
+            if q in pending:
+                j2, later = pending[q]
+                block = directions(later, _GENERATOR_STACK, arch.gates[j2])
+                targets = directions(suffix, singles, (q,))
+                sol, *_ = np.linalg.lstsq(block, targets, rcond=None)
+                residual = np.linalg.norm(block @ sol - targets, axis=0)
+                scale = np.linalg.norm(targets, axis=0)
+                worst = (residual / np.where(scale > 0, scale, 1.0)).max()
+                results[j1, j2, q] = WireRedundancy(j1, j2, q, float(worst))
+            pending[q] = (j1, suffix)
+        suffix = apply_gate_right(suffix, gates.matrices[j1], arch.gates[j1], n)
+    return GaugeRedundancyReport(tuple(results[w] for w in wires), tolerance)

@@ -248,7 +248,8 @@ class _DirectionSweep:
     string up to phase in unitary mode, the (bits, kappa mod 2) image of
     |0...0> in state mode.  Conjugation by the prefix is a bijection on
     Paulis up to phase, so a candidate q yields a direction distinct from
-    all earlier ones exactly when key(Prefix^dagger q Prefix) is new.
+    all earlier ones exactly when key(Prefix^dagger q Prefix) is new.  Each
+    distinct gate circuit is inverted once per sweep.
     """
 
     def __init__(self, arch: Architecture, mode: str) -> None:
@@ -257,6 +258,7 @@ class _DirectionSweep:
         self.inv_prefix = CliffordTableau.identity(arch.n)
         self.pulled: list[PauliString] = []
         self.keys: set[tuple[int, int]] = set()
+        self.inverses: dict[CliffordCircuit, CliffordCircuit] = {}
 
     def is_new(self, q: PauliString) -> bool:
         return self.key(self.inv_prefix.conjugate(q)) not in self.keys
@@ -264,8 +266,11 @@ class _DirectionSweep:
     def add_slice(self, start: int, stop: int, sink: int,
                   circuits: Sequence[CliffordCircuit] | dict) -> None:
         for idx in range(start, stop):
-            self.inv_prefix.prepend_circuit(
-                circuits[idx].inverse(), self.arch.gates[idx])
+            circuit = circuits[idx]
+            inverse = self.inverses.get(circuit)
+            if inverse is None:
+                inverse = self.inverses[circuit] = circuit.inverse()
+            self.inv_prefix.prepend_circuit(inverse, self.arch.gates[idx])
         d = self.inv_prefix.conjugate(PauliString.single(self.arch.n, "Z", sink))
         self.pulled.append(d)
         self.keys.add(self.key(d))

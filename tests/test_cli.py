@@ -11,6 +11,7 @@ from archdim import (
     Architecture,
     GateAssignment,
     WitnessCertificate,
+    brickwork,
     staircase,
     witness_point,
 )
@@ -21,6 +22,7 @@ from archdim.cli import (
     EXIT_VERDICT,
     main,
 )
+from archdim.contraction import MEMORY_BUDGET, peak_bytes
 
 
 def test_bounds_command_prints_lower_bound(capsys):
@@ -199,6 +201,24 @@ def test_dim_over_memory_budget_is_invalid_input(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "GiB" in err and "memory budget" in err
+
+
+def test_dim_and_sweep_record_the_memory_budget(tmp_path):
+    dim_out, sweep_out = tmp_path / "dim.json", tmp_path / "sweep.csv"
+    assert main(["dim", "--family", "brickwork", "--n", "4", "--t", "1",
+                 "--samples", "3", "--seed", "3", "--out", str(dim_out)]) \
+        == EXIT_OK
+    assert main(["sweep", "--n", "3", "--t-max", "3", "--samples", "3",
+                 "--seed", "3", "--mode", "state", "--out", str(sweep_out)]) \
+        == EXIT_OK
+    config = json.loads(dim_out.read_text())["config"]
+    comment = sweep_out.read_text().splitlines()[0]
+    sweep_config = json.loads(comment.split("config=", 1)[1])
+    for cfg, arch, mode in ((config, brickwork(4, 4), "unitary"),
+                            (sweep_config, staircase(3, 3), "state")):
+        assert cfg["memory_budget_bytes"] == MEMORY_BUDGET
+        assert cfg["peak_estimate_bytes"] == peak_bytes(arch, mode)
+        assert 0 < cfg["peak_estimate_bytes"] < MEMORY_BUDGET
 
 
 @pytest.mark.parametrize("arch, loose, tight", [

@@ -31,7 +31,7 @@ from archdim import (
 )
 from archdim.architecture import reach_matrix
 from archdim.bounds import gauge_fixed_count
-from archdim.contraction import MEMORY_BUDGET, _peak_bytes, frame_shape
+from archdim.contraction import MEMORY_BUDGET, frame_shape, peak_bytes
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
 from archdim.witness import _slice_tableau
@@ -216,8 +216,8 @@ def test_memory_guard_takes_the_frame_shape():
     assert frame_shape(arch, "state") == (2 * 2 ** 9, 99)
     # the frame counts twice (the SVD's copy), beside the 2^9 x 2^9 suffix
     op = 16 * 4 ** 9
-    assert _peak_bytes(arch, "unitary") > 2 * 8 * 4 ** 9 * 99 + op
-    assert _peak_bytes(arch, "state") > 2 * 8 * 2 * 2 ** 9 * 99 + op
+    assert peak_bytes(arch, "unitary") > 2 * 8 * 4 ** 9 * 99 + op
+    assert peak_bytes(arch, "state") > 2 * 8 * 2 * 2 ** 9 * 99 + op
     # n = 9 fits the budget now that the guard counts bytes, not qubits
     gates = GateAssignment.haar(arch, 0)
     assert contract(arch, gates).shape == (512, 512)
@@ -227,7 +227,7 @@ def test_memory_guard_takes_the_frame_shape():
 @pytest.mark.parametrize("arch, mode", [(staircase(8, 40), "unitary"),
                                         (staircase(13, 1), "state")])
 def test_over_budget_frame_fails_before_allocating(arch, mode):
-    assert _peak_bytes(arch, mode) > MEMORY_BUDGET
+    assert peak_bytes(arch, mode) > MEMORY_BUDGET
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimit) as info:
@@ -236,7 +236,7 @@ def test_over_budget_frame_fails_before_allocating(arch, mode):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
-    assert f"{_peak_bytes(arch, mode) / 2 ** 30:.2f} GiB" in str(info.value)
+    assert f"{peak_bytes(arch, mode) / 2 ** 30:.2f} GiB" in str(info.value)
     assert "2 GiB memory budget" in str(info.value)
 
 
@@ -246,9 +246,10 @@ _OBJECT_SLACK = 2 ** 20
 
 
 @pytest.mark.parametrize("arch", [staircase(7, 1), staircase(6, 3),
-                                  brickwork(6, 1), staircase(9, 1)],
+                                  brickwork(6, 1), staircase(9, 1),
+                                  staircase(6, 12)],
                          ids=["staircase7x1", "staircase6x3", "brickwork6x1",
-                              "staircase9x1"])
+                              "staircase9x1", "staircase6x12"])
 def test_peak_estimate_bounds_the_traced_peak(arch):
     gates = GateAssignment.haar(arch, 3)
     calls = {
@@ -268,7 +269,7 @@ def test_peak_estimate_bounds_the_traced_peak(arch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _peak_bytes(arch, job) + _OBJECT_SLACK, job
+        assert peak <= peak_bytes(arch, job) + _OBJECT_SLACK, job
 
 
 def test_contract_state_basics():
@@ -299,29 +300,74 @@ def test_contract_state_witness_is_stabilizer_state():
 # -- pauli coefficients and perturbation operators --------------------------------
 
 
+_PAULI_STACK = np.stack([
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+])
+
+
+def _pauli_tensordot_reference(op, n):
+    """Re tr(P op) / 2^n over the 4^n labels, one complex tensordot per
+    qubit: the reference for the real-arithmetic ``pauli_coefficients``."""
+    batch = op.shape[:-2]
+    lead = len(batch)
+    t = op.reshape(batch + (2,) * (2 * n))
+    for q in range(n - 1, -1, -1):
+        m = n - 1 - q  # qubits already consumed
+        t = np.tensordot(_PAULI_STACK, t,
+                         axes=([2, 1], [m + lead + q, n + lead + q]))
+    # t is (4,) * n + batch: one Pauli axis per qubit, then the batch
+    t = np.moveaxis(t.reshape((4 ** n,) + batch), 0, -1)
+    return t.real / 2 ** n
+
+
+def _random_ops(rng, shape, n, hermitian):
+    k = rng.standard_normal(shape + (2 ** n, 2 ** n)) \
+        + 1j * rng.standard_normal(shape + (2 ** n, 2 ** n))
+    return k + np.swapaxes(k, -1, -2).conj() if hermitian else k
+
+
 def test_pauli_coefficients_against_trace_oracle():
     rng = np.random.default_rng(42)
-    for n in (1, 2, 3):
-        h = rng.standard_normal((2 ** n, 2 ** n)) \
-            + 1j * rng.standard_normal((2 ** n, 2 ** n))
-        h = h + h.conj().T
-        coeffs = pauli_coefficients(h, n)
+    for n in range(1, 6):
         labels = [PauliString.identity(n)] + list(nontrivial_strings(n))
-        for idx, p in enumerate(labels):
-            oracle = np.trace(p.to_matrix() @ h).real / 2 ** n
-            assert abs(coeffs[idx] - oracle) < 1e-10
+        paulis = np.stack([p.to_matrix() for p in labels])
+        h = _random_ops(rng, (), n, hermitian=True)
+        k = _random_ops(rng, (), n, hermitian=False)
+        stack = _random_ops(rng, (3,), n, hermitian=True)
+        # tr(P h) for every label P; a non-Hermitian k gives the
+        # coefficients of its Hermitian part (k + k^dagger) / 2
+        for op, want in ((h, np.einsum("pij,ji->p", paulis, h).real),
+                         (k, np.einsum("pij,ji->p", paulis,
+                                       (k + k.conj().T) / 2).real)):
+            assert np.abs(pauli_coefficients(op, n) - want / 2 ** n).max() < 1e-10
+        want = np.einsum("pij,bji->bp", paulis, stack).real / 2 ** n
+        assert pauli_coefficients(stack, n).shape == (3, 4 ** n)
+        assert np.abs(pauli_coefficients(stack, n) - want).max() < 1e-10
 
 
 def test_batched_pauli_coefficients_bit_identical():
+    # every cone size of the frames, so every cached plan size
     rng = np.random.default_rng(43)
-    for n in (1, 2, 3, 4):
-        h = rng.standard_normal((15, 2 ** n, 2 ** n)) \
-            + 1j * rng.standard_normal((15, 2 ** n, 2 ** n))
-        h = h + np.swapaxes(h, 1, 2).conj()
+    for n in range(1, 8):
+        h = _random_ops(rng, (15,), n, hermitian=True)
         batched = pauli_coefficients(h, n)
         assert batched.shape == (15, 4 ** n)
         for op, row in zip(h, batched):
             assert np.array_equal(row, pauli_coefficients(op, n))
+
+
+@pytest.mark.parametrize("hermitian", [True, False],
+                         ids=["hermitian", "non-hermitian"])
+def test_pauli_coefficients_match_tensordot_reference(hermitian):
+    rng = np.random.default_rng(47)
+    for n in range(1, 8):
+        ops = _random_ops(rng, (4,), n, hermitian)
+        got = pauli_coefficients(ops, n)
+        want = _pauli_tensordot_reference(ops, n)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_perturbation_operator_is_conjugated_generator():
@@ -426,15 +472,15 @@ def test_frame_matches_perturbation_operator_columns():
         j, k = (int(x) for x in frame.columns[c])
         kop = perturbation_operator(arch, gates, j, k)
         assert np.abs(frame.matrix[:, c]
-                      - pauli_coefficients(kop, 3)).max() < 1e-10
+                      - _pauli_tensordot_reference(kop, 3)).max() < 1e-10
 
 
 def _reference_frame(arch, gates, mode):
     """All 15R directions, one perturbation_operator call per column, in
     (gate, generator) order."""
     if mode == "unitary":
-        cols = [pauli_coefficients(perturbation_operator(arch, gates, j, k),
-                                   arch.n)
+        cols = [_pauli_tensordot_reference(
+                    perturbation_operator(arch, gates, j, k), arch.n)
                 for j in range(arch.gate_count) for k in range(15)]
     else:
         psi = contract_state(arch, gates)
