@@ -183,18 +183,25 @@ def build_family(family: str, n: int, t_slices: int, rounds: int | None = None,
 # -- causal-slice analysis ----------------------------------------------------
 
 
-def reach_matrix(arch: Architecture, start: int, stop: int) -> np.ndarray:
-    """Boolean matrix M with M[u-1, v-1] true iff qubit u has a directed
-    path to qubit v through gates ``start:stop``."""
+def _reach_masks(arch: Architecture, start: int, stop: int) -> list[int]:
+    """Per qubit v, the bitmask of the qubits u (bit u - 1) with a directed
+    path to v through gates ``start:stop``: a gate on (a, b) gives both
+    wires the union of their masks."""
     if not (0 <= start <= stop <= arch.gate_count):
         raise ValidationError(
             f"slice [{start}, {stop}) outside [0, {arch.gate_count})")
-    reach = np.eye(arch.n, dtype=bool)
+    into = [1 << v for v in range(arch.n)]
     for a, b in arch.gates[start:stop]:
-        joined = reach[:, a - 1] | reach[:, b - 1]
-        reach[:, a - 1] = joined
-        reach[:, b - 1] = joined
-    return reach
+        into[a - 1] = into[b - 1] = into[a - 1] | into[b - 1]
+    return into
+
+
+def reach_matrix(arch: Architecture, start: int, stop: int) -> np.ndarray:
+    """Boolean matrix M with M[u-1, v-1] true iff qubit u has a directed
+    path to qubit v through gates ``start:stop``."""
+    into = _reach_masks(arch, start, stop)
+    return np.array([[m >> u & 1 for m in into] for u in range(arch.n)],
+                    dtype=bool)
 
 
 def is_causal_slice(arch: Architecture, start: int, stop: int) -> int | None:
@@ -204,11 +211,12 @@ def is_causal_slice(arch: Architecture, start: int, stop: int) -> int | None:
     slice gates.  Several sinks can coexist; the largest is returned, which
     for the staircase family is the last qubit of the chain.
     """
-    reach = reach_matrix(arch, start, stop)
-    sinks = np.flatnonzero(reach.all(axis=0))
-    if sinks.size == 0:
-        return None
-    return int(sinks[-1]) + 1
+    into = _reach_masks(arch, start, stop)
+    full = (1 << arch.n) - 1
+    for v in range(arch.n, 0, -1):
+        if into[v - 1] == full:
+            return v
+    return None
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ dense matrix.
 Multiplication tracks phases mod 4 exactly, using Y = i X Z per qubit, so
 for example X * Z = -iY on one qubit.  Bitmask integers keep products,
 equality and hashing cheap at any register width.
+
+The packed XZ form used by Clifford tableaux writes the same operator as
+one integer row ``x_bits | z_bits << n`` and an exponent e with
+P = i^e X^x Z^z, all X factors before all Z factors; since each Y carries
+its own i, e = phase_exp + |x & z| (mod 4).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidQubit
 
-_LETTERS = "IXYZ"
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PHASE_PREFIX = {0: "", 1: "+i", 2: "-", 3: "-i"}
 # Accept ASCII and Unicode minus on parse.
@@ -116,6 +120,17 @@ class PauliString:
     def unphased(self) -> PauliString:
         return PauliString(self.n, self.x_bits, self.z_bits, 0)
 
+    def xz_row(self) -> tuple[int, int]:
+        """Packed XZ form (x_bits | z_bits << n, e), self = i^e X^x Z^z."""
+        return (self.x_bits | self.z_bits << self.n,
+                (self.phase_exp + (self.x_bits & self.z_bits).bit_count()) & 3)
+
+    @classmethod
+    def from_xz_row(cls, n: int, row: int, e: int) -> PauliString:
+        """The string i^e X^x Z^z of a packed row ``x | z << n``."""
+        x, z = row & ((1 << n) - 1), row >> n
+        return cls(n, x, z, e - (x & z).bit_count())
+
     def key(self) -> tuple[int, int]:
         """(x_bits, z_bits) pair identifying the string up to phase."""
         return (self.x_bits, self.z_bits)
@@ -190,25 +205,47 @@ class PauliString:
 
         ``bits`` uses qubit 1 as the most significant bit of the integer.
         """
-        kappa = (self.phase_exp + (self.x_bits & self.z_bits).bit_count()) % 4
-        bits = 0
-        for q in range(1, self.n + 1):
-            bits = (bits << 1) | ((self.x_bits >> (q - 1)) & 1)
-        return bits, kappa
+        return xz_state_image(self.n, *self.xz_row())
+
+
+def xz_state_image(n: int, row: int, e: int) -> tuple[int, int]:
+    """(bits, kappa) with ``i^e X^x Z^z |0...0> = i^kappa |bits>``: Z^z fixes
+    |0...0>, so kappa = e and bits is x read with qubit 1 most significant."""
+    x = row & ((1 << n) - 1)
+    return int(format(x, f"0{n}b")[::-1], 2), e & 3
+
+
+def lex_flips(n: int) -> Iterator[list[int]]:
+    """Bits of the packed row ``x | z << n`` to flip to step from each
+    nontrivial unphased string to the next in lexicographic label order,
+    starting from the identity.
+
+    The label is a base-4 odometer with qubit n the fastest digit.  Each
+    letter step I -> X -> Y -> Z -> I flips one bit (x, z, x, z), so a step
+    flips one bit plus one per carry.
+    """
+    digits = [0] * n
+    while True:
+        flips = []
+        pos = n - 1
+        while pos >= 0 and digits[pos] == 3:
+            digits[pos] = 0
+            flips.append(n + pos)
+            pos -= 1
+        if pos < 0:
+            return
+        digits[pos] += 1
+        flips.append(n + pos if digits[pos] == 2 else pos)
+        yield flips
 
 
 def nontrivial_strings(n: int) -> Iterator[PauliString]:
     """All 4^n - 1 nontrivial unphased strings in lexicographic label order."""
-    for idx in range(1, 4 ** n):
-        x = z = 0
-        rem = idx
-        for pos in range(n - 1, -1, -1):
-            digit = rem % 4
-            rem //= 4
-            xb, zb = _LETTER_BITS[_LETTERS[digit]]
-            x |= xb << pos
-            z |= zb << pos
-        yield PauliString(n, x, z, 0)
+    row, mask = 0, (1 << n) - 1
+    for flips in lex_flips(n):
+        for bit in flips:
+            row ^= 1 << bit
+        yield PauliString(n, row & mask, row >> n, 0)
 
 
 TWO_QUBIT_GENERATORS: tuple[PauliString, ...] = tuple(nontrivial_strings(2))

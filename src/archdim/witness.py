@@ -20,7 +20,12 @@ import numpy as np
 from . import contraction
 from .architecture import Architecture, is_causal_slice
 from .bounds import saturation_threshold
-from .clifford import CliffordCircuit, CliffordTableau, routing_clifford_2q
+from .clifford import (
+    CliffordCircuit,
+    CliffordTableau,
+    circuit_images,
+    routing_clifford_2q,
+)
 from .errors import (
     CertificateMismatch,
     CountMismatch,
@@ -31,7 +36,7 @@ from .errors import (
     TrivialPauli,
     ValidationError,
 )
-from .pauli import PauliString, nontrivial_strings
+from .pauli import PauliString, lex_flips, xz_state_image
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,9 @@ def build_path_tree(arch: Architecture, start: int, stop: int,
                     arch.gates[start:stop], dict(next_hop))
 
 
+_EMPTY_2Q = CliffordCircuit(2)
+
+
 def route_pauli_through_slice(tree: PathTree,
                               p: PauliString) -> dict[int, CliffordCircuit]:
     """Per-gate Clifford circuits conjugating ``p`` to Z on the sink.
@@ -112,24 +120,28 @@ def route_pauli_through_slice(tree: PathTree,
     if p.phase_exp != 0:
         raise PhasedPauli(f"cannot route phased string {p.label()!r}")
 
+    n = tree.n
     hop_for_gate = {idx: (q, nxt) for q, (idx, nxt) in tree.next_hop.items()}
     assignments: dict[int, CliffordCircuit] = {}
-    work = p
+    row, e = p.xz_row()  # the swept string, in packed XZ form
     for offset, (a, b) in enumerate(tree.wire_pairs):
         idx = tree.start + offset
         hop = hop_for_gate.get(idx)
-        circuit = CliffordCircuit(2)
+        circuit = _EMPTY_2Q
         if hop is not None:
-            local = work.factor((a, b))
-            if not local.is_identity:
+            x = (row >> (a - 1) & 1) | (row >> (b - 1) & 1) << 1
+            z = (row >> (n + a - 1) & 1) | (row >> (n + b - 1) & 1) << 1
+            if x or z:
                 _, dst = hop
-                circuit = routing_clifford_2q(local, target=1 if dst == a else 2)
-                work = circuit.conjugate(work, wires=(a, b))
+                circuit = routing_clifford_2q(PauliString(2, x, z),
+                                              target=1 if dst == a else 2)
+                row, e = circuit.conjugate_row(row, e, n, wires=(a, b))
         assignments[idx] = circuit
-    target = PauliString.single(tree.n, "Z", tree.sink)
-    if work != target:
+    target = PauliString.single(n, "Z", tree.sink)
+    if (row, e) != target.xz_row():
         raise AssertionError(
-            f"routing failed: {p.label()} swept to {work.label()}, "
+            f"routing failed: {p.label()} swept to "
+            f"{PauliString.from_xz_row(n, row, e).label()}, "
             f"expected {target.label()}")
     return assignments
 
@@ -244,24 +256,53 @@ class _DirectionSweep:
     ``inv_prefix`` is the tableau of Prefix^dagger, the inverse of every gate
     passed so far, grown by prepending each gate's inverse circuit.  After
     slice j it stores the pulled-back direction
-    d_j = Prefix_j^dagger Z_sink Prefix_j and its distinctness key: the
-    string up to phase in unitary mode, the (bits, kappa mod 2) image of
-    |0...0> in state mode.  Conjugation by the prefix is a bijection on
-    Paulis up to phase, so a candidate q yields a direction distinct from
-    all earlier ones exactly when key(Prefix^dagger q Prefix) is new.  Each
-    distinct gate circuit is inverted once per sweep.
+    d_j = Prefix_j^dagger Z_sink Prefix_j, which is the tableau's Z_sink
+    row, in packed XZ form, and its distinctness key: the packed row itself
+    (the string up to phase) in unitary mode, the (bits, kappa mod 2) image
+    of |0...0> in state mode, with bits unreversed.  Conjugation by the
+    prefix is a bijection on Paulis up to phase, so a candidate q yields a
+    direction distinct from all earlier ones exactly when
+    key(Prefix^dagger q Prefix) is new.  Each distinct gate circuit is
+    inverted once per sweep.
     """
 
     def __init__(self, arch: Architecture, mode: str) -> None:
         self.arch = arch
-        self.key = PauliString.key if mode == "unitary" else _parity_pair
+        self.n = arch.n
+        self.state = mode == "state"
         self.inv_prefix = CliffordTableau.identity(arch.n)
-        self.pulled: list[PauliString] = []
-        self.keys: set[tuple[int, int]] = set()
+        self.pulled: list[tuple[int, int]] = []
+        self.keys: set[int] = set()
         self.inverses: dict[CliffordCircuit, CliffordCircuit] = {}
 
-    def is_new(self, q: PauliString) -> bool:
-        return self.key(self.inv_prefix.conjugate(q)) not in self.keys
+    def key(self, row: int, e: int) -> int:
+        if not self.state:
+            return row
+        # x | (kappa mod 2) << n, as kappa = e for the state image
+        return row & ((1 << self.n) - 1) | (e & 1) << self.n
+
+    def first_new(self) -> PauliString:
+        """The lexicographically smallest nontrivial unphased q whose key,
+        pulled back through the prefix, is not taken.
+
+        The scan steps through ``lex_flips`` and keeps the image of
+        X^x Z^z under the inverse prefix up to date, one row XOR per flipped
+        bit.  A key reads only the row and the exponent mod 2, and a row
+        product adds an even cross term to the exponent, so the parity is
+        the sum of the factors' exponents, plus |x & z| for the candidate
+        i^|x & z| X^x Z^z itself.  Each candidate costs O(1) row operations.
+        """
+        n = self.n
+        rows, phases = self.inv_prefix.rows, self.inv_prefix.phases
+        q = img = e = 0
+        for flips in lex_flips(n):
+            for b in flips:
+                q ^= 1 << b
+                img ^= rows[b]
+                e += phases[b]
+            if self.key(img, e + (q & q >> n).bit_count()) not in self.keys:
+                return PauliString(n, q & ((1 << n) - 1), q >> n)
+        raise AssertionError("every nontrivial direction is taken")
 
     def add_slice(self, start: int, stop: int, sink: int,
                   circuits: Sequence[CliffordCircuit] | dict) -> None:
@@ -271,9 +312,17 @@ class _DirectionSweep:
             if inverse is None:
                 inverse = self.inverses[circuit] = circuit.inverse()
             self.inv_prefix.prepend_circuit(inverse, self.arch.gates[idx])
-        d = self.inv_prefix.conjugate(PauliString.single(self.arch.n, "Z", sink))
+        b = self.n + sink - 1
+        d = (self.inv_prefix.rows[b], self.inv_prefix.phases[b])
         self.pulled.append(d)
-        self.keys.add(self.key(d))
+        self.keys.add(self.key(*d))
+
+    def pulled_strings(self) -> tuple[PauliString, ...]:
+        return tuple(PauliString.from_xz_row(self.n, row, e)
+                     for row, e in self.pulled)
+
+    def state_images(self) -> tuple[tuple[int, int], ...]:
+        return tuple(xz_state_image(self.n, row, e) for row, e in self.pulled)
 
 
 def _last_gate_on(arch: Architecture, start: int, stop: int, qubit: int) -> int:
@@ -305,8 +354,7 @@ def witness_point(arch: Architecture, mode: str = "unitary",
         raise TooManySlices(f"state mode needs slice count below {cap} for "
                             f"n={arch.n}, got {t}")
 
-    per_gate: dict[int, CliffordCircuit] = {
-        i: CliffordCircuit(2) for i in range(arch.gate_count)}
+    per_gate: dict[int, CliffordCircuit] = {}  # the slices tile the gates
     sweep = _DirectionSweep(arch, mode)
     records: list[SliceRecord] = []
     for start, stop in ranges:
@@ -314,7 +362,7 @@ def witness_point(arch: Architecture, mode: str = "unitary",
         if sink is None:
             raise NotCausal(f"slice [{start}, {stop}) is not causal")
         tree = build_path_tree(arch, start, stop, sink)
-        chosen = next(q for q in nontrivial_strings(arch.n) if sweep.is_new(q))
+        chosen = sweep.first_new()
         per_gate.update(route_pauli_through_slice(tree, chosen))
         sweep.add_slice(start, stop, sink, per_gate)
         records.append(SliceRecord(
@@ -324,40 +372,15 @@ def witness_point(arch: Architecture, mode: str = "unitary",
         raise AssertionError("constructed directions are not distinct")
     circuits = tuple(per_gate[i] for i in range(arch.gate_count))
     if mode == "state":
-        images = tuple(d.state_image() for d in sweep.pulled)
-        return WitnessCertificate(
-            arch.n, mode, circuits, tuple(records), state_images=images)
+        return WitnessCertificate(arch.n, mode, circuits, tuple(records),
+                                  state_images=sweep.state_images())
     # carry each d_j to the final frame by U, prepending gates back to front
     total = CliffordTableau.identity(arch.n)
     for idx in range(arch.gate_count - 1, -1, -1):
         total.prepend_circuit(circuits[idx], arch.gates[idx])
-    directions = tuple(total.conjugate(d) for d in sweep.pulled)
+    directions = tuple(total.conjugate(d) for d in sweep.pulled_strings())
     return WitnessCertificate(
         arch.n, mode, circuits, tuple(records), directions=directions)
-
-
-def _parity_pair(p: PauliString) -> tuple[int, int]:
-    bits, kappa = p.state_image()
-    return bits, kappa % 2
-
-
-# X_1, Z_1, X_2, Z_2
-_GENERATORS_2Q = tuple(PauliString.single(2, kind, q)
-                       for q in (1, 2) for kind in ("X", "Z"))
-
-
-def _symplectic_2q(circuit: CliffordCircuit) -> tuple[int, int, int, int]:
-    """Phase-free images of X_1, Z_1, X_2, Z_2 under a two-qubit circuit, each
-    as a 4-bit index (bits: x_1, z_1, x_2, z_2) into the XOR span of
-    ``witness_rank``."""
-    if circuit.n != 2:
-        raise ValidationError("vertex circuits must act on 2 qubits")
-    out = []
-    for g in _GENERATORS_2Q:
-        p = circuit.conjugate(g)
-        out.append((p.x_bits & 1) | (p.z_bits & 1) << 1
-                   | (p.x_bits >> 1) << 2 | (p.z_bits >> 1) << 3)
-    return tuple(out)
 
 
 def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
@@ -368,9 +391,10 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
     with Q = Prefix_j^dagger S_k Prefix_j, and u_j^dagger S_k u_j runs over
     all 15 nontrivial Paulis on (a, b) up to sign.  One sweep runs front to
     back under the inverse prefix and keeps the phase-free image of every X_q
-    and Z_q as one integer x_bits | z_bits << n: gate j on (a, b) adds the 15
-    nonzero XOR combinations of the images of X_a, Z_a, X_b, Z_b, then its
-    inverse circuit's two-qubit symplectic map replaces those four images.
+    and Z_q as one packed row x_bits | z_bits << n, in the layout of
+    ``CliffordTableau.rows``: gate j on (a, b) adds the 15 nonzero XOR
+    combinations of the images of X_a, X_b, Z_a, Z_b, then the rows of its
+    inverse circuit's tableau (``circuit_images``) replace those four images.
 
     The mode picks only the key.  In unitary mode each frame column is a
     signed unit vector and conjugation by U is a bijection on phase-free
@@ -391,16 +415,21 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
             f"{len(circuits)} circuits supplied for {arch.gate_count} slots")
     n = arch.n
     mask = (1 << n) - 1
-    # images[2q], images[2q + 1]: X and Z of qubit q + 1 under the inverse prefix
-    images = [bit for q in range(n) for bit in (1 << q, 1 << (q + n))]
-    inverse_maps = {c: _symplectic_2q(c.inverse()) for c in set(circuits)}
+    # images[q - 1], images[n + q - 1]: X_q and Z_q under the inverse prefix
+    images = [1 << b for b in range(2 * n)]
+    distinct = set(circuits)
+    if any(c.n != 2 for c in distinct):
+        raise ValidationError("vertex circuits must act on 2 qubits")
+    inverse_maps = {c: circuit_images(c.inverse())[0] for c in distinct}
     keys: set[int] = set()
     for (a, b), circuit in zip(arch.gates, circuits):
-        slots = (2 * a - 2, 2 * a - 1, 2 * b - 2, 2 * b - 1)
-        span = [0]
-        for s in slots:
-            img = images[s]
-            span += [v ^ img for v in span]
+        slots = (a - 1, b - 1, n + a - 1, n + b - 1)
+        # span[m] XORs the slot images at the set bits of m
+        x_a, x_b, z_a, z_b = (images[s] for s in slots)
+        x_ab, z_ab = x_a ^ x_b, z_a ^ z_b
+        span = (0, x_a, x_b, x_ab, z_a, x_a ^ z_a, x_b ^ z_a, x_ab ^ z_a,
+                z_b, x_a ^ z_b, x_b ^ z_b, x_ab ^ z_b,
+                z_ab, x_a ^ z_ab, x_b ^ z_ab, x_ab ^ z_ab)
         if mode == "unitary":
             keys.update(span[1:])
         else:
@@ -449,7 +478,7 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
 
     sweep = _DirectionSweep(arch, cert.mode)
     for s in cert.slices:
-        pulled_q = sweep.inv_prefix.conjugate(s.chosen)
+        pulled_q = sweep.inv_prefix.conjugate(s.chosen).xz_row()
         sweep.add_slice(s.start, s.stop, s.sink, cert.gate_circuits)
         if sweep.pulled[-1] != pulled_q:
             raise CertificateMismatch(
@@ -462,10 +491,10 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     if cert.mode == "unitary":
         stored = (tuple(sweep.inv_prefix.conjugate(d) for d in cert.directions),
                   cert.state_images)
-        fresh = (tuple(sweep.pulled), ())
+        fresh = (sweep.pulled_strings(), ())
     else:
         stored = (cert.directions, cert.state_images)
-        fresh = ((), tuple(d.state_image() for d in sweep.pulled))
+        fresh = ((), sweep.state_images())
     if stored != fresh:
         raise CertificateMismatch("stored directions disagree with recomputation")
     if len(sweep.keys) != len(sweep.pulled):
@@ -485,22 +514,38 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     return WitnessVerdict(cert.slice_count, len(sweep.keys), rank)
 
 
+def _xz_matrix_2q(row: int) -> np.ndarray:
+    """X^x Z^z for a packed two-qubit row (bits x_1, x_2, z_1, z_2)."""
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    eye = np.eye(2)
+    factors = [(x if row >> q & 1 else eye) @ (z if row >> (q + 2) & 1 else eye)
+               for q in (0, 1)]
+    return np.kron(*factors).astype(complex)
+
+
+# X^x Z^z for every packed two-qubit row; a row with exponent e is i^e times it
+_XZ_MATRICES_2Q = np.stack([_xz_matrix_2q(row) for row in range(16)])
+
+
 def _first_mismatched_gate(matrices: np.ndarray,
                            circuits: Sequence[CliffordCircuit]) -> int | None:
     """First gate j whose matrix u breaks u g = P u, P = C_j g C_j^dagger, for
-    some g in X_1, Z_1, X_2, Z_2; None when every gate agrees.
+    some g in X_1, X_2, Z_1, Z_2; None when every gate agrees.
 
-    The images are formed once per distinct circuit and each generator is
-    compared over all R gates at once, so no array exceeds (R, 4, 4).
+    Each image is i^e times an entry of a 16-matrix table, read off the
+    circuit's cached tableau, and each generator is compared over all R
+    gates at once, so no array exceeds (R, 4, 4).
     """
     if not circuits:
         return None
     distinct: dict[CliffordCircuit, int] = {}
-    which = [distinct.setdefault(c, len(distinct)) for c in circuits]
+    which = np.array([distinct.setdefault(c, len(distinct)) for c in circuits])
+    tableaux = [circuit_images(c) for c in distinct]
     bad = np.zeros(len(circuits), dtype=bool)
-    for g in _GENERATORS_2Q:
-        images = np.stack([c.conjugate(g).to_matrix() for c in distinct])
-        diff = matrices @ g.to_matrix() - images[which] @ matrices
+    for g in range(4):
+        images = np.stack([1j ** phases[g] * _XZ_MATRICES_2Q[rows[g]]
+                           for rows, phases in tableaux])
+        diff = matrices @ _XZ_MATRICES_2Q[1 << g] - images[which] @ matrices
         # written as ~(x <= tol) so that a NaN entry fails the check
         bad |= ~(np.abs(diff) <= 1e-9).all(axis=(1, 2))
     hits = np.flatnonzero(bad)

@@ -18,6 +18,7 @@ from archdim import (
     slice_light_cone,
     staircase,
 )
+from archdim.architecture import reach_matrix
 
 
 # -- construction and validation ------------------------------------------------
@@ -188,6 +189,30 @@ def test_causality_monotone_under_added_gates():
             gates = gates + extra
         grown = from_gate_sequence(n, gates)
         assert is_causal_slice(grown, 0, grown.gate_count) is not None
+
+
+def _forward_reach(arch, start, stop, u):
+    # qubits a Pauli factor starting on u can spread to, gate by gate
+    reached = {u}
+    for a, b in arch.gates[start:stop]:
+        if a in reached or b in reached:
+            reached |= {a, b}
+    return reached
+
+
+def test_sink_and_reach_matrix_match_forward_reference():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        pairs = [tuple(int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+                 for _ in range(int(rng.integers(0, 25)))]
+        arch = from_gate_sequence(n, pairs)
+        start, stop = sorted(int(v) for v in rng.integers(0, len(pairs) + 1, 2))
+        reach = [_forward_reach(arch, start, stop, u) for u in range(1, n + 1)]
+        sinks = [v for v in range(1, n + 1) if all(v in r for r in reach)]
+        assert is_causal_slice(arch, start, stop) == (max(sinks) if sinks else None)
+        matrix = reach_matrix(arch, start, stop)
+        assert matrix.tolist() == [[v in r for v in range(1, n + 1)] for r in reach]
 
 
 def test_light_cone_of_causal_slice_is_complete():

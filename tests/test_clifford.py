@@ -77,11 +77,12 @@ def _random_two_qubit_steps(rng, n, length):
 
 def test_prepend_circuit_matches_from_circuit_and_dense():
     # prepending the steps back to front must give the tableau that
-    # post-composing them front to back gives, phases included
+    # post-composing them front to back gives, phases included; n = 40
+    # makes rows of 80 bits
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        n = int(rng.integers(2, 5))
-        steps = _random_two_qubit_steps(rng, n, 6)
+    sizes = [int(rng.integers(2, 5)) for _ in range(300)] + [16] * 20 + [40] * 20
+    for n in sizes:
+        steps = _random_two_qubit_steps(rng, n, 6 if n < 16 else 40)
         built = CliffordTableau.identity(n)
         for circuit, wires in reversed(steps):
             built.prepend_circuit(circuit, wires)
@@ -110,6 +111,39 @@ def test_tableau_is_symplectic_for_random_circuits():
         n = int(rng.integers(2, 5))
         tab = CliffordTableau.from_circuit(_random_circuit(rng, n, 8))
         assert tab.is_symplectic()
+        # a non-Hermitian image, or Z_1's image equal to X_1's, breaks it
+        phases = list(tab.phases)
+        phases[n] += 1
+        assert not CliffordTableau(n, list(tab.rows), phases).is_symplectic()
+        rows = list(tab.rows)
+        rows[n] = rows[0]
+        assert not CliffordTableau(n, rows, list(tab.phases)).is_symplectic()
+
+
+def test_packed_product_matches_pauli_mul():
+    # image() multiplies the rows at the set bits of its input in increasing
+    # bit order; with arbitrary phased strings as rows that is exactly the
+    # PauliString product, including the input's own XZ-form phase
+    rng = np.random.default_rng(18)
+    for _ in range(150):
+        n = int(rng.integers(1, 70))
+        strings = [_random_pauli_wide(rng, n) for _ in range(2 * n)]
+        tab = CliffordTableau(n, [p.xz_row()[0] for p in strings],
+                              [p.xz_row()[1] for p in strings])
+        assert tab.image(1 | 1 << n, 0) == (strings[0] * strings[n]).xz_row()
+        q = _random_pauli_wide(rng, n)
+        expected = PauliString(n, 0, 0, q.xz_row()[1])
+        for b in range(2 * n):
+            if q.xz_row()[0] >> b & 1:
+                expected = expected * strings[b]
+        assert tab.image(*q.xz_row()) == expected.xz_row()
+        assert PauliString.from_xz_row(n, *q.xz_row()) == q
+
+
+def _random_pauli_wide(rng, n):
+    x = int.from_bytes(rng.bytes(16), "little") & ((1 << n) - 1)
+    z = int.from_bytes(rng.bytes(16), "little") & ((1 << n) - 1)
+    return PauliString(n, x, z, int(rng.integers(0, 4)))
 
 
 def test_tableau_preserves_identity_and_weight_zero():

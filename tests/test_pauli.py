@@ -1,10 +1,12 @@
 """Pauli string algebra: phases, products, labels, embeddings."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from archdim import DimensionMismatch, PauliString
-from archdim.pauli import TWO_QUBIT_GENERATORS, nontrivial_strings
+from archdim.pauli import TWO_QUBIT_GENERATORS, nontrivial_strings, xz_state_image
 
 
 def test_x_times_z_is_minus_i_y():
@@ -124,6 +126,26 @@ def test_state_image():
     assert (bits, kappa) == (0b100, 1)
     bits, kappa = PauliString.from_label("ZZZ").state_image()
     assert (bits, kappa) == (0, 0)
+
+
+def test_state_image_matches_dense_action_on_zero_state():
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        p = PauliString(n, int(rng.integers(0, 1 << n)),
+                        int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
+        bits, kappa = p.state_image()
+        expected = np.zeros(2 ** n, dtype=complex)
+        expected[bits] = 1j ** kappa
+        assert np.abs(p.to_matrix()[:, 0] - expected).max() < 1e-12
+        assert xz_state_image(n, *p.xz_row()) == (bits, kappa)
+
+
+def test_nontrivial_strings_follow_label_order():
+    # the packed odometer reproduces itertools' lexicographic order
+    for n in range(1, 5):
+        labels = ["".join(t) for t in itertools.product("IXYZ", repeat=n)]
+        assert [p.label() for p in nontrivial_strings(n)] == labels[1:]
 
 
 def test_nontrivial_strings_order_and_count():

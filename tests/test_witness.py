@@ -34,9 +34,14 @@ from archdim import (
     witness_rank,
 )
 from archdim import contraction
-from archdim.clifford import CliffordTableau
+from archdim.clifford import CliffordTableau, routing_clifford_2q
 from archdim.pauli import nontrivial_strings
-from archdim.witness import _first_mismatched_gate, _slice_tableau
+from archdim.witness import (
+    _XZ_MATRICES_2Q,
+    _DirectionSweep,
+    _first_mismatched_gate,
+    _slice_tableau,
+)
 
 
 def _random_nontrivial(rng, n):
@@ -469,10 +474,12 @@ def test_dense_clifford_check_rejects_flipped_image_sign():
     arch = staircase(3, 3)
     cert = witness_point(arch, "unitary")
     total = _witness_tableau(arch, cert)
-    z = list(total.z_images)
-    p = z[0]
-    z[0] = PauliString(p.n, p.x_bits, p.z_bits, p.phase_exp + 2)
-    flipped = CliffordTableau(total.n, list(total.x_images), z)
+    phases = list(total.phases)
+    phases[total.n] = (phases[total.n] + 2) % 4  # the image of Z_1
+    flipped = CliffordTableau(total.n, list(total.rows), phases)
+    p = total.z_images[0]
+    assert flipped.z_images[0] == PauliString(p.n, p.x_bits, p.z_bits,
+                                              p.phase_exp + 2)
     assert not _dense_is_clifford(arch, cert.to_gate_assignment(), flipped)
 
 
@@ -696,3 +703,54 @@ def test_witness_q_selection_is_lexicographically_minimal():
     cert = witness_point(arch, "unitary")
     # first slice: nothing used yet, smallest nontrivial string is IX
     assert cert.slices[0].chosen == next(nontrivial_strings(2))
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_direction_scan_matches_string_scan(mode):
+    # the packed, incremental candidate scan picks the string that scanning
+    # nontrivial_strings and conjugating each one by the prefix picks
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        sweep = _DirectionSweep(staircase(n, 1), mode)
+        for _ in range(int(rng.integers(0, 8))):
+            wires = tuple(int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+            circuit = routing_clifford_2q(_random_nontrivial(rng, 2),
+                                          target=int(rng.integers(1, 3)))
+            sweep.inv_prefix.prepend_circuit(circuit, wires)
+
+        def reference_key(p):
+            if mode == "unitary":
+                return p.key()
+            bits, kappa = p.state_image()
+            return bits, kappa % 2
+
+        taken = set()
+        # state keys (bits, kappa mod 2) number 2^(n+1); leave one free
+        room = 4 ** n // 2 if mode == "unitary" else 2 ** (n + 1) - 1
+        for _ in range(int(rng.integers(0, room))):
+            image = sweep.inv_prefix.conjugate(_random_nontrivial(rng, n))
+            sweep.keys.add(sweep.key(*image.xz_row()))
+            taken.add(reference_key(image))
+        expected = next(q for q in nontrivial_strings(n)
+                        if reference_key(sweep.inv_prefix.conjugate(q)) not in taken)
+        assert sweep.first_new() == expected
+
+
+def test_xz_matrix_table_matches_pauli_matrices():
+    for row in range(16):
+        for e in range(4):
+            p = PauliString.from_xz_row(2, row, e)
+            assert np.abs(1j ** e * _XZ_MATRICES_2Q[row] - p.to_matrix()).max() == 0
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_wide_witness_round_trip(mode):
+    # rows of 80 bits: build, then verify with the exact rank and gate checks
+    arch = staircase(40, 6)
+    cert = witness_point(arch, mode)
+    verdict = verify_certificate(cert, arch, check_rank=True)
+    assert verdict.slice_count == verdict.distinct_directions == 6
+    assert verdict.witness_rank >= 6
+    again = WitnessCertificate.from_json(cert.to_json())
+    assert verify_certificate(again, arch, check_rank=True) == verdict
