@@ -10,10 +10,11 @@ output files are written atomically after all computation succeeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-import tempfile
+import uuid
 
 from . import __version__
 from .architecture import Architecture, build_family, is_causal_slice
@@ -62,8 +63,13 @@ def _default_seed() -> int:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a fresh file beside ``path``, then rename it over
+    ``path``.  The file is created with mode 0o666 less the umask, as
+    ``open(path, "w")`` would create it; the rename keeps that mode."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory,
+                       f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -262,13 +268,19 @@ def _add_family_options(p: argparse.ArgumentParser, with_random: bool = True,
 
 def _add_rank_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=["unitary", "state"], default="unitary")
     p.add_argument("--tol-loose", type=float, default=DEFAULT_TOLERANCES[0])
     p.add_argument("--tol-tight", type=float, default=DEFAULT_TOLERANCES[1])
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``archdim`` argument parser, built on first use and then shared by
+    every ``main`` call in the process.  It must stay stateless: no
+    environment reads, no mutable defaults and no ``append`` actions, so
+    that one call's arguments never reach the next.  A ``--seed`` left out
+    parses as None; ``main`` fills it in."""
     parser = _Parser(prog="archdim", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"archdim {__version__}")
@@ -279,7 +291,7 @@ def build_parser() -> _Parser:
 
     gen = arch_sub.add_parser("gen", help="generate an architecture file")
     _add_family_options(gen, with_infile=False)
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_arch_gen, infile=None)
 
@@ -300,7 +312,7 @@ def build_parser() -> _Parser:
     wit.add_argument("--mode", choices=["unitary", "state"], default="unitary")
     wit.add_argument("--skip-rank-check", action="store_true")
     wit.add_argument("--out", default=None, help="certificate JSON")
-    wit.set_defaults(func=cmd_witness, r=None, seed=_default_seed())
+    wit.set_defaults(func=cmd_witness, r=None, seed=None)
 
     bnd = sub.add_parser("bounds", help="closed-form bound sheet")
     bnd.add_argument("--n", type=int, required=True)
@@ -322,7 +334,7 @@ def build_parser() -> _Parser:
     mc = sub.add_parser("mc-arch", help="randomized-architecture Monte Carlo")
     mc.add_argument("--n", type=int, default=5)
     mc.add_argument("--trials", type=int, default=10000)
-    mc.add_argument("--seed", type=int, default=_default_seed())
+    mc.add_argument("--seed", type=int, default=None)
     mc.add_argument("--alpha", type=float, default=0.5)
     mc.add_argument("--out", default=None)
     mc.set_defaults(func=cmd_mc_arch)
@@ -331,11 +343,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    ``ARCHDIM_SEED`` is read on every call, for every command, and fills in
+    ``--seed`` where it was left out; the parser itself is built once per
+    process (``build_parser``) and holds no per-call state.
+    """
     try:
+        seed = _default_seed()
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if getattr(args, "seed", 0) is None:
+        args.seed = seed
     try:
         return args.func(args)
     except ValidationError as exc:

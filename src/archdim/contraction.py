@@ -311,13 +311,20 @@ class TangentFrame:
         return self.matrix[:, start:stop]
 
 
-def _cone_index(cone: np.ndarray, n: int, base: int) -> np.ndarray:
+# A frame's partial cones (those short of the whole register, which uses
+# slices) repeat across its Haar samples and across calls on the same
+# architecture.  One entry takes at most 8 * 4^(n-1) bytes, a quarter of one
+# frame column; the benchmark's dim-wide ops fill 30 entries in all.
+@functools.lru_cache(maxsize=64)
+def _cone_index(cone: tuple[int, ...], n: int, base: int) -> np.ndarray:
     """Flat indices of the basis elements (base 2: computational states,
     base 4: Pauli strings) that are trivial outside ``cone``, in
-    lexicographic order over the cone's qubits (1-based, ascending)."""
+    lexicographic order over the cone's qubits (1-based, ascending).
+    Cached and read-only: every caller shares the array."""
     idx = np.zeros(1, dtype=np.intp)
     for q in cone:
         idx = (idx[:, None] + np.arange(base) * base ** (n - q)).ravel()
+    idx.flags.writeable = False
     return idx
 
 
@@ -382,11 +389,15 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
         generators = _GENERATOR_STACK[kept]
         if mode == "unitary":
             reach[[a - 1, b - 1]] = reach[a - 1] | reach[b - 1]
-            cone = np.flatnonzero(reach[a - 1]) + 1
-            sub = suffix[_cone_index(cone, n, 2)]
+            cone = tuple((np.flatnonzero(reach[a - 1]) + 1).tolist())
+            whole = len(cone) == n  # then plain slices do the gather and scatter
+            sub = suffix if whole else suffix[_cone_index(cone, n, 2)]
             ks = apply_gate_right(sub, generators, wires, n) @ sub.conj().T
-            cols[block, _cone_index(cone, n, 4)] = \
-                pauli_coefficients(ks, cone.size)
+            coeffs = pauli_coefficients(ks, len(cone))
+            if whole:
+                cols[block] = coeffs
+            else:
+                cols[block, _cone_index(cone, n, 4)] = coeffs
         else:
             psi_back = states[j + 1]  # prefix including gate j
             batch = apply_gate_left(psi_back, generators, wires, n)

@@ -525,6 +525,11 @@ def _xz_matrix_2q(row: int) -> np.ndarray:
 
 # X^x Z^z for every packed two-qubit row; a row with exponent e is i^e times it
 _XZ_MATRICES_2Q = np.stack([_xz_matrix_2q(row) for row in range(16)])
+# each is a signed permutation: the one nonzero of row r of table entry t
+# sits in column _XZ_COLUMNS[t, r] and equals _XZ_SIGNS[t, r]
+_XZ_COLUMNS = np.argmax(np.abs(_XZ_MATRICES_2Q), axis=2)
+_XZ_SIGNS = np.take_along_axis(_XZ_MATRICES_2Q, _XZ_COLUMNS[..., None], 2)[..., 0]
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _first_mismatched_gate(matrices: np.ndarray,
@@ -533,20 +538,28 @@ def _first_mismatched_gate(matrices: np.ndarray,
     some g in X_1, X_2, Z_1, Z_2; None when every gate agrees.
 
     Each image is i^e times an entry of a 16-matrix table, read off the
-    circuit's cached tableau, and each generator is compared over all R
-    gates at once, so no array exceeds (R, 4, 4).
+    circuit's cached tableau.  The generator and the table entries are
+    signed permutation matrices, so u g is u with its columns permuted and
+    signed, and P u is u with its rows permuted and phased: gathers, not
+    matrix products.  Each generator is compared over all R gates at once,
+    so no array exceeds (R, 4, 4).
     """
     if not circuits:
         return None
     distinct: dict[CliffordCircuit, int] = {}
     which = np.array([distinct.setdefault(c, len(distinct)) for c in circuits])
     tableaux = [circuit_images(c) for c in distinct]
+    rows = np.array([r for r, _ in tableaux])[which]
+    phases = _I_POWERS[np.array([e for _, e in tableaux])[which] & 3]
+    gate = np.arange(len(circuits))[:, None]
     bad = np.zeros(len(circuits), dtype=bool)
+    u_g = np.empty_like(matrices)
     for g in range(4):
-        images = np.stack([1j ** phases[g] * _XZ_MATRICES_2Q[rows[g]]
-                           for rows, phases in tableaux])
-        diff = matrices @ _XZ_MATRICES_2Q[1 << g] - images[which] @ matrices
+        u_g[:, :, _XZ_COLUMNS[1 << g]] = matrices * _XZ_SIGNS[1 << g]
+        image = rows[:, g]
+        p_u = matrices[gate, _XZ_COLUMNS[image]]
+        p_u *= (phases[:, g, None] * _XZ_SIGNS[image])[:, :, None]
         # written as ~(x <= tol) so that a NaN entry fails the check
-        bad |= ~(np.abs(diff) <= 1e-9).all(axis=(1, 2))
+        bad |= ~(np.abs(u_g - p_u) <= 1e-9).all(axis=(1, 2))
     hits = np.flatnonzero(bad)
     return int(hits[0]) if hits.size else None

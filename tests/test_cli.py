@@ -20,6 +20,7 @@ from archdim.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERDICT,
+    build_parser,
     main,
 )
 from archdim.contraction import MEMORY_BUDGET, peak_bytes
@@ -329,6 +330,59 @@ def test_seed_env_default(monkeypatch, tmp_path, capsys):
                "--out", str(out)])
     assert rc == EXIT_OK
     assert json.loads(out.read_text())["config"]["seed"] == 123
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_seed_env_is_read_on_every_call(monkeypatch, tmp_path):
+    seeds = []
+    for env in ("5", "9"):
+        monkeypatch.setenv("ARCHDIM_SEED", env)
+        out = tmp_path / f"arch{env}.json"
+        assert main(["arch", "gen", "--family", "random", "--n", "3",
+                     "--r", "5", "--out", str(out)]) == EXIT_OK
+        seeds.append(json.loads(out.read_text())["config"]["seed"])
+    assert seeds == [5, 9]
+    # an explicit --seed still wins over the environment
+    out = tmp_path / "explicit.json"
+    assert main(["arch", "gen", "--family", "random", "--n", "3", "--r", "5",
+                 "--seed", "4", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["seed"] == 4
+
+
+def test_options_do_not_carry_over_between_calls(capsys):
+    argv = ["witness", "--family", "staircase", "--n", "3", "--t", "2"]
+    assert main(argv + ["--skip-rank-check"]) == EXIT_OK
+    assert "rank" not in capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    assert ", rank " in capsys.readouterr().out
+
+
+def test_bad_seed_environment_after_a_good_call(monkeypatch, capsys):
+    argv = ["bounds", "--n", "3", "--R", "9", "--L", "3"]
+    assert main(argv) == EXIT_OK
+    monkeypatch.setenv("ARCHDIM_SEED", "1.5")
+    assert main(argv) == EXIT_INVALID
+    assert "ARCHDIM_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_artifacts_get_the_mode_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        plain = tmp_path / "plain.json"
+        plain.write_text("")
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--n", "3", "--R", "9", "--L", "3",
+                     "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert out.stat().st_mode == plain.stat().st_mode
+    assert [p.name for p in tmp_path.iterdir()
+            if p.name.endswith(".tmp")] == []
 
 
 def test_bounds_with_alpha(tmp_path):

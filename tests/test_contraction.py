@@ -29,6 +29,7 @@ from archdim import (
     tangent_frame,
     witness_point,
 )
+from archdim import contraction
 from archdim.architecture import reach_matrix
 from archdim.bounds import gauge_fixed_count
 from archdim.contraction import MEMORY_BUDGET, frame_shape, peak_bytes
@@ -590,6 +591,59 @@ def test_unitary_frame_vanishes_outside_light_cone(build):
         assert np.all(frame.column_block(j)[outside] == 0.0)
         partial |= not cone.all()
     assert partial
+
+
+def _cone_index_loop(cone, n, base):
+    idx = np.zeros(1, dtype=np.intp)
+    for q in cone:
+        idx = (idx[:, None] + np.arange(base) * base ** (n - q)).ravel()
+    return idx
+
+
+def _scatter_reference_unitary_frame(arch, gates):
+    """The unitary frame's suffix sweep with a fresh fancy-index gather and
+    scatter for every cone, the whole register included."""
+    n = arch.n
+    rows, width = frame_shape(arch, "unitary")
+    cols = np.zeros((width, rows))
+    reach = np.eye(n, dtype=bool)
+    later = np.zeros(n, dtype=bool)
+    suffix = np.eye(2 ** n, dtype=complex)
+    stop = width
+    for j in range(arch.gate_count - 1, -1, -1):
+        a, b = wires = arch.gates[j]
+        kept = contraction._KEPT[later[a - 1], later[b - 1]]
+        later[[a - 1, b - 1]] = True
+        block = slice(stop - kept.size, stop)
+        stop = block.start
+        reach[[a - 1, b - 1]] = reach[a - 1] | reach[b - 1]
+        cone = np.flatnonzero(reach[a - 1]) + 1
+        sub = suffix[_cone_index_loop(cone, n, 2)]
+        ks = apply_gate_right(sub, contraction._GENERATOR_STACK[kept], wires,
+                              n) @ sub.conj().T
+        cols[block, _cone_index_loop(cone, n, 4)] = \
+            pauli_coefficients(ks, cone.size)
+        suffix = apply_gate_right(suffix, gates.matrices[j], wires, n)
+    return cols.T
+
+
+@pytest.mark.parametrize("build", FRAME_CASES + [
+    pytest.param(lambda: brickwork(6, 6), id="brickwork-6-6")])
+def test_unitary_frame_bit_identical_to_scatter_reference(build):
+    arch = build()
+    for seed in (27, 28):
+        gates = GateAssignment.haar(arch, seed)
+        frame = tangent_frame(arch, gates)
+        assert np.array_equal(frame.matrix,
+                              _scatter_reference_unitary_frame(arch, gates))
+
+
+def test_cone_index_is_cached_and_read_only():
+    for cone, n, base in [((2, 3), 4, 2), ((1, 3, 4), 5, 4), ((2,), 3, 4)]:
+        idx = contraction._cone_index(cone, n, base)
+        assert idx is contraction._cone_index(cone, n, base)
+        assert not idx.flags.writeable
+        assert np.array_equal(idx, _cone_index_loop(cone, n, base))
 
 
 # -- numerical rank -----------------------------------------------------------------

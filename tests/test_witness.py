@@ -34,7 +34,7 @@ from archdim import (
     witness_rank,
 )
 from archdim import contraction
-from archdim.clifford import CliffordTableau, routing_clifford_2q
+from archdim.clifford import CliffordTableau, circuit_images, routing_clifford_2q
 from archdim.pauli import nontrivial_strings
 from archdim.witness import (
     _XZ_MATRICES_2Q,
@@ -503,6 +503,60 @@ def test_gate_check_agrees_with_dense_reference(arch, mode, perturb, monkeypatch
         with pytest.raises(CertificateMismatch, match=f"gate {j} "):
             verify_certificate(cert, arch)
         assert verify_certificate(cert, arch, check_rank=False).witness_rank is None
+
+
+def _first_mismatched_gate_matmul(matrices, circuits):
+    """Reference for ``_first_mismatched_gate``: both sides of u g = P u as
+    batched (R, 4, 4) matrix products."""
+    if not circuits:
+        return None
+    distinct = {}
+    which = np.array([distinct.setdefault(c, len(distinct)) for c in circuits])
+    tableaux = [circuit_images(c) for c in distinct]
+    bad = np.zeros(len(circuits), dtype=bool)
+    for g in range(4):
+        images = np.stack([1j ** phases[g] * _XZ_MATRICES_2Q[rows[g]]
+                           for rows, phases in tableaux])
+        diff = matrices @ _XZ_MATRICES_2Q[1 << g] - images[which] @ matrices
+        bad |= ~(np.abs(diff) <= 1e-9).all(axis=(1, 2))
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("arch", [staircase(3, 3), brickwork(4, 8),
+                                  staircase(6, 4), build_family("brickwork", 6, 2)],
+                         ids=["staircase-3-3", "brickwork-4-8", "staircase-6-4",
+                              "brickwork-6-2"])
+def test_gate_check_gathers_match_matmul_reference(arch, mode):
+    cert = witness_point(arch, mode)
+    circuits = cert.gate_circuits
+    good = cert.to_gate_assignment().matrices
+    rng = np.random.default_rng(41)
+
+    def both(mats):
+        got = _first_mismatched_gate(mats, circuits)
+        assert got == _first_mismatched_gate_matmul(mats, circuits)
+        return got
+
+    assert both(good) is None
+    for _ in range(6):
+        j, r, c = (int(rng.integers(0, k)) for k in (arch.gate_count, 4, 4))
+        tampered = good.copy()
+        tampered[j, r, c] += 1e-6
+        assert both(tampered) == j
+        # a global phase of u cancels from u g = P u
+        for phase in (-1, 1j):
+            flipped = good.copy()
+            flipped[j] *= phase
+            assert both(flipped) is None
+        nan = good.copy()
+        nan[j, r, c] = np.nan
+        assert both(nan) == j
+        # two bad gates: the first is reported
+        k = int(rng.integers(0, arch.gate_count))
+        tampered[k, c, r] += 1e-3
+        assert both(tampered) == min(j, k)
 
 
 def test_verify_raises_when_contracted_unitary_disagrees(monkeypatch):
