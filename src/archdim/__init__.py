@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .architecture import (
     Architecture,
-    LightCone,
     StaircaseSliceReport,
     brickwork,
     build_family,
@@ -19,7 +18,6 @@ from .architecture import (
     from_gate_sequence,
     is_causal_slice,
     random_adjacent,
-    slice_light_cone,
     staircase,
 )
 from .bounds import (
@@ -44,12 +42,10 @@ from .contraction import (
     accessible_dimension,
     contract,
     contract_state,
-    gauge_redundancy_check,
     haar_su4,
     haar_u4,
     numerical_rank,
     pauli_coefficients,
-    perturbation_operator,
     subseed,
     tangent_frame,
 )
@@ -61,7 +57,6 @@ from .errors import (
     DimensionMismatch,
     InvalidBoundary,
     InvalidQubit,
-    NoInternalWire,
     NotCausal,
     NotOnSlice,
     OddQubitCount,

@@ -84,11 +84,22 @@ class Architecture:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> Architecture:
+        """Architecture from parsed JSON.  ``n``, every gate wire and every
+        boundary must be a JSON integer: a float or a bool is refused, never
+        truncated."""
+
+        def whole(x: object, what: str) -> int:
+            if type(x) is not int:  # bool is a subclass of int
+                raise ValidationError(f"{what} must be an integer, got {x!r}")
+            return x
+
         boundaries = d.get("boundaries")
         return cls(
-            int(d["n"]),
-            tuple((int(a), int(b)) for a, b in d["gates"]),
-            tuple(int(x) for x in boundaries) if boundaries is not None else None,
+            whole(d["n"], "n"),
+            tuple((whole(a, "gate wire"), whole(b, "gate wire"))
+                  for a, b in d["gates"]),
+            tuple(whole(x, "boundary") for x in boundaries)
+            if boundaries is not None else None,
         )
 
     @classmethod
@@ -196,14 +207,6 @@ def _reach_masks(arch: Architecture, start: int, stop: int) -> list[int]:
     return into
 
 
-def reach_matrix(arch: Architecture, start: int, stop: int) -> np.ndarray:
-    """Boolean matrix M with M[u-1, v-1] true iff qubit u has a directed
-    path to qubit v through gates ``start:stop``."""
-    into = _reach_masks(arch, start, stop)
-    return np.array([[m >> u & 1 for m in into] for u in range(arch.n)],
-                    dtype=bool)
-
-
 def is_causal_slice(arch: Architecture, start: int, stop: int) -> int | None:
     """Sink qubit of the slice, or None if the slice is not causal.
 
@@ -217,39 +220,6 @@ def is_causal_slice(arch: Architecture, start: int, stop: int) -> int | None:
         if into[v - 1] == full:
             return v
     return None
-
-
-@dataclass(frozen=True)
-class LightCone:
-    """Backward light cone of a sink within one marked slice.
-
-    ``reached[q-1]`` says whether qubit q has a directed path to the sink
-    through the slice's gates; it is always true for the sink itself.
-    """
-
-    slice_index: int
-    sink: int
-    reached: tuple[bool, ...]
-
-    @property
-    def complete(self) -> bool:
-        return all(self.reached)
-
-
-def slice_light_cone(arch: Architecture, slice_index: int,
-                     sink: int | None = None) -> LightCone:
-    """Light cone of a marked slice; the sink defaults to the causal sink."""
-    ranges = arch.slice_ranges()
-    if not 0 <= slice_index < len(ranges):
-        raise ValidationError(
-            f"slice index {slice_index} outside [0, {len(ranges)})")
-    start, stop = ranges[slice_index]
-    if sink is None:
-        sink = is_causal_slice(arch, start, stop)
-        if sink is None:
-            raise ValidationError(f"slice {slice_index} has no causal sink")
-    reach = reach_matrix(arch, start, stop)
-    return LightCone(slice_index, sink, tuple(bool(x) for x in reach[:, sink - 1]))
 
 
 # -- staircase detection in adjacent-gate streams ------------------------------

@@ -26,11 +26,10 @@ from .clifford import CliffordCircuit
 from .dense import apply_gate_left, apply_gate_right
 from .errors import (
     CountMismatch,
-    NoInternalWire,
     SizeLimit,
     ValidationError,
 )
-from .pauli import PauliString, TWO_QUBIT_GENERATOR_MATS, TWO_QUBIT_GENERATORS
+from .pauli import TWO_QUBIT_GENERATOR_MATS, TWO_QUBIT_GENERATORS
 
 DEFAULT_TOLERANCES = (1e-6, 1e-10)
 MEMORY_BUDGET = 2 * 2 ** 30
@@ -85,20 +84,16 @@ def frame_shape(arch: Architecture, mode: str) -> tuple[int, int]:
 
 def peak_bytes(arch: Architecture, job: str) -> int:
     """Upper estimate of the peak bytes of a dense call on ``arch``; ``job``
-    is a frame mode or "contract", "contract_state", "perturbation", "gauge".
-    A gate applied to an array holds two more of its size (tensordot's
-    reordered input and output), and 15 directions peak at four stacks of
-    15.  A frame also counts its matrix twice (the SVD's copy).  The gauge
-    check holds one pending suffix per qubit (at most one per gate), the
-    running suffix and 10 operators kept from the last wire.  The Pauli
-    expansions of the unitary frame and the gauge check count the cached
-    plans of every size up to n (``_pauli_plan``: 32 * 4^c bytes each, under
-    43 * 4^n in all) and the temporaries of building the largest."""
+    is a frame mode, "contract" or "contract_state".  A gate applied to an
+    array holds two more of its size (tensordot's reordered input and
+    output), and 15 directions peak at four stacks of 15.  A frame also
+    counts its matrix twice (the SVD's copy).  The Pauli expansion of the
+    unitary frame counts the cached plans of every size up to n
+    (``_pauli_plan``: 32 * 4^c bytes each, under 43 * 4^n in all) and the
+    temporaries of building the largest."""
     op = 16 * 4 ** arch.n  # one dense complex 2^n x 2^n operator
     plans = 80 * 4 ** arch.n
-    suffixes = min(arch.n, arch.gate_count) + 1
-    held = {"contract": 3 * op, "contract_state": 3 * 16 * 2 ** arch.n,
-            "perturbation": 4 * op, "gauge": (suffixes + 70) * op + plans}
+    held = {"contract": 3 * op, "contract_state": 3 * 16 * 2 ** arch.n}
     if job in held:
         return held[job]
     rows, cols = frame_shape(arch, job)
@@ -162,18 +157,6 @@ class GateAssignment:
             mats.append(u / np.linalg.det(u) ** 0.25)
         return cls(np.stack(mats)[which])
 
-    @classmethod
-    def explicit(cls, matrices: Sequence[np.ndarray],
-                 normalize: bool = True) -> GateAssignment:
-        mats = []
-        for u in matrices:
-            u = np.asarray(u, dtype=complex)
-            if normalize:
-                u = u / np.linalg.det(u) ** 0.25
-            mats.append(u)
-        stacked = np.stack(mats) if mats else np.zeros((0, 4, 4), dtype=complex)
-        return cls(stacked)
-
 
 def _require_match(arch: Architecture, gates: GateAssignment) -> None:
     if len(gates) != arch.gate_count:
@@ -202,7 +185,7 @@ def contract_state(arch: Architecture, gates: GateAssignment) -> np.ndarray:
     return psi
 
 
-# 16 sizes cover every cone of a frame or gauge check within MEMORY_BUDGET
+# 16 sizes cover every cone of a frame within MEMORY_BUDGET
 @functools.lru_cache(maxsize=16)
 def _pauli_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(gather, hadamard, order, scale) of ``pauli_coefficients`` on n qubits.
@@ -261,30 +244,6 @@ def pauli_coefficients(op: np.ndarray, n: int) -> np.ndarray:
     out = np.take(walsh, order, axis=1)
     out *= scale
     return out.reshape(op.shape[:-2] + (4 ** n,))
-
-
-def perturbation_operator(arch: Architecture, gates: GateAssignment,
-                          gate_index: int, generator: int | PauliString,
-                          ) -> np.ndarray:
-    """K_{j,k}: conjugation of generator k by the gates after gate j.
-
-    ``gate_index`` is 0-based; ``generator`` is an index into the 15
-    nontrivial two-qubit strings (label order) or such a string itself.
-    """
-    _check_size(arch, "perturbation")
-    _require_match(arch, gates)
-    if not 0 <= gate_index < arch.gate_count:
-        raise ValidationError(f"gate index {gate_index} out of range")
-    if isinstance(generator, PauliString):
-        s_mat = generator.to_matrix()
-    else:
-        s_mat = TWO_QUBIT_GENERATOR_MATS[generator]
-    n = arch.n
-    suffix = np.eye(2 ** n, dtype=complex)
-    for (a, b), u in list(zip(arch.gates, gates.matrices))[gate_index + 1:]:
-        suffix = apply_gate_left(suffix, u, (a, b), n)
-    wires = arch.gates[gate_index]
-    return apply_gate_right(suffix, s_mat, wires, n) @ suffix.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +307,7 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
 
     In unitary mode K_{j,k} = I_out (x) K' is the identity outside gate j's
     forward light cone C_j: the qubits that gates j, j+1, ... connect to
-    gate j's wires (row a of ``reach_matrix(arch, j, R)`` for wires (a, b)).
+    gate j's wires, which ``reach`` below tracks as the sweep moves back.
     The sweep therefore forms only K', from the 2^|C_j| suffix rows whose
     out-of-cone bits are 0, and expands it over the |C_j| cone qubits; the
     rows of block j with a non-identity letter outside C_j are exactly 0.
@@ -656,85 +615,3 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
         inconclusive_reason=reason, lower_bound=lower, upper_bound=upper,
         cap=cap,
     )
-
-
-# -- gauge redundancy ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WireRedundancy:
-    earlier_gate: int
-    later_gate: int
-    qubit: int
-    max_residual: float
-
-
-@dataclass(frozen=True)
-class GaugeRedundancyReport:
-    wires: tuple[WireRedundancy, ...]
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(w.max_residual <= self.tolerance for w in self.wires)
-
-
-def internal_wires(arch: Architecture) -> list[tuple[int, int, int]]:
-    """(earlier_gate, later_gate, qubit) triples for consecutive shared wires."""
-    out = []
-    last_on: dict[int, int] = {}
-    for idx, (a, b) in enumerate(arch.gates):
-        for q in (a, b):
-            if q in last_on:
-                out.append((last_on[q], idx, q))
-            last_on[q] = idx
-    return out
-
-
-def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
-                           tolerance: float = 1e-8) -> GaugeRedundancyReport:
-    """Certify the 3-parameter redundancy of every internally contracted wire.
-
-    For each qubit shared by consecutive gates (j1, j2), the three
-    single-qubit Pauli directions inserted after j1 commute past the gates
-    between j1 and j2, hence must lie in the span of gate j2's fifteen
-    perturbation directions.  The least-squares residual of that projection
-    is reported per wire.  Both sides are built here from dense suffix
-    products, independently of ``tangent_frame``, whose gauge-fixed columns
-    rely on exactly this identity.
-    """
-    wires = internal_wires(arch)
-    if not wires:
-        raise NoInternalWire("architecture has no internally contracted wire")
-    _check_size(arch, "gauge")
-    _require_match(arch, gates)
-    n = arch.n
-
-    singles = np.stack([PauliString.single(1, letter, 1).to_matrix()
-                        for letter in "XYZ"])
-
-    def directions(suffix, ops, wires):
-        # Pauli expansion of suffix @ op @ suffix^dagger, one column per op
-        k_ops = apply_gate_right(suffix, ops, wires, n) @ suffix.conj().T
-        return pauli_coefficients(k_ops, n).T
-
-    # One right-to-left sweep.  pending[q] = (j2, suffix after gate j2) for
-    # the next gate j2 on qubit q: the only suffix a wire on q still needs
-    # once the sweep reaches its earlier gate.
-    results: dict[tuple[int, int, int], WireRedundancy] = {}
-    pending: dict[int, tuple[int, np.ndarray]] = {}
-    suffix = np.eye(2 ** n, dtype=complex)
-    for j1 in range(arch.gate_count - 1, -1, -1):
-        for q in arch.gates[j1]:
-            if q in pending:
-                j2, later = pending[q]
-                block = directions(later, _GENERATOR_STACK, arch.gates[j2])
-                targets = directions(suffix, singles, (q,))
-                sol, *_ = np.linalg.lstsq(block, targets, rcond=None)
-                residual = np.linalg.norm(block @ sol - targets, axis=0)
-                scale = np.linalg.norm(targets, axis=0)
-                worst = (residual / np.where(scale > 0, scale, 1.0)).max()
-                results[j1, j2, q] = WireRedundancy(j1, j2, q, float(worst))
-            pending[q] = (j1, suffix)
-        suffix = apply_gate_right(suffix, gates.matrices[j1], arch.gates[j1], n)
-    return GaugeRedundancyReport(tuple(results[w] for w in wires), tolerance)

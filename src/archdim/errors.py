@@ -63,10 +63,6 @@ class CountMismatch(ValidationError):
     """Gate assignment length differs from the architecture's gate count."""
 
 
-class NoInternalWire(ValidationError):
-    """No qubit is shared by two consecutive gates."""
-
-
 class AlphaOutOfRange(ValidationError):
     """Probability parameter alpha must lie in [0, 1)."""
 

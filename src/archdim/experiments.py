@@ -19,6 +19,7 @@ from .architecture import build_family, staircase_block_flags
 from .bounds import randomized_bound_probability, staircase_slice_probability
 from .contraction import (
     DEFAULT_TOLERANCES,
+    MEMORY_BUDGET,
     RankReport,
     accessible_dimension,
     subseed,
@@ -26,11 +27,16 @@ from .contraction import (
     # bench/tests/test_bench.py patches it in this namespace
     tangent_frame,  # noqa: F401
 )
-from .errors import ValidationError, VerdictError
+from .errors import SizeLimit, ValidationError, VerdictError
 from .witness import witness_point, witness_rank
 
 # Two-sided 99% normal quantile for the binomial interval.
 _Z_99 = 2.5758293035489004
+
+# Peak bytes per drawn gate of the Monte Carlo: its int64 position and its
+# bool comparison, with one more byte for the per-block flags (which reach
+# one per gate at n = 2).
+_MC_BYTES_PER_GATE = 10
 
 CSV_HEADER = "n,family,T,R,L,dA,witness_rank,lower,upper,cap,samples,seed,ms"
 
@@ -192,12 +198,19 @@ def randomized_architecture_experiment(n: int, trials: int, seed: int,
 
     The 99% interval is the normal approximation around the exact p; the
     summary also evaluates the implied complexity statement at ``alpha``.
+    A draw whose estimated peak is over ``MEMORY_BUDGET`` raises SizeLimit
+    before it allocates.
     """
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
     probability_bound = randomized_bound_probability(n, alpha)
     block = n * (n - 1) ** 2
     r_total = trials * block
+    est = _MC_BYTES_PER_GATE * r_total
+    if est > MEMORY_BUDGET:
+        raise SizeLimit(f"{trials} trials on n={n} ({r_total} gates) need "
+                        f"an estimated {est / 2 ** 30:.2f} GiB, over the "
+                        f"{MEMORY_BUDGET / 2 ** 30:.0f} GiB memory budget")
     # the position stream of random_adjacent(n, r_total, seed)
     positions = np.random.default_rng(seed).integers(1, n, size=r_total)
     hits = int(staircase_block_flags(positions, n).all(axis=1).sum())

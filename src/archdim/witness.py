@@ -56,16 +56,6 @@ class PathTree:
     wire_pairs: tuple[tuple[int, int], ...]
     next_hop: dict[int, tuple[int, int]]
 
-    def path(self, qubit: int) -> list[tuple[int, int, int]]:
-        """Hops (gate_index, from_qubit, to_qubit) from a qubit to the sink."""
-        out = []
-        q = qubit
-        while q != self.sink:
-            idx, nxt = self.next_hop[q]
-            out.append((idx, q, nxt))
-            q = nxt
-        return out
-
 
 def build_path_tree(arch: Architecture, start: int, stop: int,
                     sink: int | None = None) -> PathTree:
@@ -238,16 +228,6 @@ class WitnessCertificate:
     @classmethod
     def from_json(cls, text: str) -> WitnessCertificate:
         return cls.from_json_dict(json.loads(text))
-
-
-def _slice_tableau(arch: Architecture, start: int, stop: int,
-                   circuits: dict[int, CliffordCircuit] | tuple,
-                   ) -> CliffordTableau:
-    tab = CliffordTableau.identity(arch.n)
-    for idx in range(start, stop):
-        c = circuits[idx]
-        tab.apply_circuit(c, wires=arch.gates[idx])
-    return tab
 
 
 class _DirectionSweep:

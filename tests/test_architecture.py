@@ -15,10 +15,11 @@ from archdim import (
     from_gate_sequence,
     is_causal_slice,
     random_adjacent,
-    slice_light_cone,
     staircase,
 )
-from archdim.architecture import reach_matrix
+from archdim.architecture import _reach_masks
+
+from reference import forward_reach
 
 
 # -- construction and validation ------------------------------------------------
@@ -58,6 +59,21 @@ def test_json_roundtrip_exact():
     assert again == arch
     plain = from_gate_sequence(3, [(1, 2), (2, 3)])
     assert Architecture.from_json(plain.to_json()) == plain
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3.9, "gates": [[1, 2], [2, 3]]},
+    {"n": 3, "gates": [[1.5, 2], [2, 3]]},
+    {"n": 3, "gates": [[1, 2], [2, 3]], "boundaries": [2.0]},
+    {"n": True, "gates": []},
+    {"n": 3, "gates": [[1, True]]},
+    {"n": "3", "gates": []},
+], ids=["float-n", "float-wire", "float-boundary", "bool-n", "bool-wire",
+        "string-n"])
+def test_json_refuses_non_integers(doc):
+    # int() would truncate 3.9 to 3 and read true as 1
+    with pytest.raises(ValidationError, match="must be an integer"):
+        Architecture.from_json_dict(doc)
 
 
 # -- families --------------------------------------------------------------------
@@ -191,15 +207,6 @@ def test_causality_monotone_under_added_gates():
         assert is_causal_slice(grown, 0, grown.gate_count) is not None
 
 
-def _forward_reach(arch, start, stop, u):
-    # qubits a Pauli factor starting on u can spread to, gate by gate
-    reached = {u}
-    for a, b in arch.gates[start:stop]:
-        if a in reached or b in reached:
-            reached |= {a, b}
-    return reached
-
-
 def test_sink_and_reach_matrix_match_forward_reference():
     rng = np.random.default_rng(22)
     for _ in range(200):
@@ -208,32 +215,13 @@ def test_sink_and_reach_matrix_match_forward_reference():
                  for _ in range(int(rng.integers(0, 25)))]
         arch = from_gate_sequence(n, pairs)
         start, stop = sorted(int(v) for v in rng.integers(0, len(pairs) + 1, 2))
-        reach = [_forward_reach(arch, start, stop, u) for u in range(1, n + 1)]
+        reach = [forward_reach(arch, start, stop, u) for u in range(1, n + 1)]
         sinks = [v for v in range(1, n + 1) if all(v in r for r in reach)]
         assert is_causal_slice(arch, start, stop) == (max(sinks) if sinks else None)
-        matrix = reach_matrix(arch, start, stop)
-        assert matrix.tolist() == [[v in r for v in range(1, n + 1)] for r in reach]
-
-
-def test_light_cone_of_causal_slice_is_complete():
-    arch = staircase(4, 2)
-    cone = slice_light_cone(arch, 1)
-    assert cone.sink == 4
-    assert cone.complete
-    assert cone.reached[cone.sink - 1]
-
-
-def test_light_cone_rejects_bad_slice_index():
-    with pytest.raises(ValueError):
-        slice_light_cone(staircase(4, 2), 2)
-
-
-def test_light_cone_of_noncausal_target():
-    # an explicit non-sink target yields an incomplete cone
-    arch = staircase(4, 1)
-    cone = slice_light_cone(arch, 0, sink=2)
-    assert not cone.complete
-    assert cone.reached[1]  # the target reaches itself
+        # bit u - 1 of mask v - 1: qubit u reaches qubit v
+        masks = _reach_masks(arch, start, stop)
+        assert [[bool(m >> u & 1) for m in masks] for u in range(n)] == \
+            [[v in r for v in range(1, n + 1)] for r in reach]
 
 
 # -- staircase detection -----------------------------------------------------------

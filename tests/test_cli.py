@@ -1,15 +1,18 @@
 """End-to-end CLI behavior: exit codes, artifacts, reproducibility."""
 
+import ast
+import importlib
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import archdim.experiments
 from archdim import (
     Architecture,
-    GateAssignment,
     WitnessCertificate,
     brickwork,
     staircase,
@@ -24,6 +27,8 @@ from archdim.cli import (
     main,
 )
 from archdim.contraction import MEMORY_BUDGET, peak_bytes
+
+from reference import explicit
 
 
 def test_bounds_command_prints_lower_bound(capsys):
@@ -61,6 +66,15 @@ def test_arch_check_reports_sinks(tmp_path, capsys):
 
 def test_arch_check_missing_file():
     assert main(["arch", "check", "--in", "/nonexistent.json"]) == EXIT_INVALID
+
+
+def test_arch_check_refuses_non_integer_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3.9, "gates": [[1.5, 2], [2, 3]], "boundaries": [2.2]}')
+    assert main(["arch", "check", "--in", str(path)]) == EXIT_INVALID
+    assert "must be an integer" in capsys.readouterr().err
+    path.write_text('{"n": true, "gates": []}')
+    assert main(["arch", "check", "--in", str(path)]) == EXIT_INVALID
 
 
 def test_dim_su4_saturation(tmp_path, capsys):
@@ -144,7 +158,7 @@ def test_witness_dense_clifford_mismatch_exit_code(monkeypatch, capsys):
     mats = witness_point(arch, "unitary").to_gate_assignment().matrices.copy()
     x_i = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
     mats[0] = mats[0] @ (np.cos(1e-3) * np.eye(4) - 1j * np.sin(1e-3) * x_i)
-    bad = GateAssignment.explicit(mats, normalize=False)
+    bad = explicit(mats, normalize=False)
     monkeypatch.setattr(WitnessCertificate, "to_gate_assignment",
                         lambda self: bad)
     rc = main(["witness", "--family", "staircase", "--n", "3", "--t", "3",
@@ -159,7 +173,7 @@ def test_witness_gate_sign_flip_exit_code(monkeypatch, capsys, mode):
     arch = staircase(3, 3)
     mats = witness_point(arch, mode).to_gate_assignment().matrices.copy()
     mats[-1] = mats[-1] @ np.diag([1, 1, -1, -1])
-    bad = GateAssignment.explicit(mats, normalize=False)
+    bad = explicit(mats, normalize=False)
     monkeypatch.setattr(WitnessCertificate, "to_gate_assignment",
                         lambda self: bad)
     rc = main(["witness", "--family", "staircase", "--n", "3", "--t", "3",
@@ -309,6 +323,18 @@ def test_mc_arch_within_interval(tmp_path, capsys):
     assert "causal fraction" in capsys.readouterr().out
 
 
+def test_mc_arch_over_budget_exits_invalid(monkeypatch, tmp_path, capsys):
+    # 500 trials at n = 4 draw 18000 gates, over a 64 KiB budget
+    monkeypatch.setattr(archdim.experiments, "MEMORY_BUDGET", 2 ** 16)
+    out = tmp_path / "mc.json"
+    rc = main(["mc-arch", "--n", "4", "--trials", "500", "--seed", "3",
+               "--out", str(out)])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "(18000 gates)" in err and "memory budget" in err
+    assert not out.exists()
+
+
 def test_validation_never_leaves_partial_output(tmp_path):
     out = tmp_path / "never.json"
     rc = main(["dim", "--family", "staircase", "--n", "2", "--t", "3",
@@ -393,3 +419,21 @@ def test_bounds_with_alpha(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["randomized_probability"] == pytest.approx(
         1 - 18 * 2.718281828459045 ** -10)
+
+
+def test_every_bench_tracer_target_resolves():
+    # bench/tracer.py wraps these by name; a missing one breaks --trace 1.
+    # TARGETS is read from the source, so bench/ is neither imported nor
+    # written to.
+    source = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(source.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS"
+                           for t in node.targets))
+    assert targets
+    for module_name, attr, _span in targets:
+        obj = importlib.import_module(f"archdim.{module_name}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"archdim.{module_name}.{attr}"
+            obj = getattr(obj, part)

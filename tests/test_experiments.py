@@ -1,6 +1,7 @@
 """Experiment harness: sweeps, Monte Carlo, witness comparisons."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import archdim.experiments
 from archdim import (
     AlphaOutOfRange,
+    SizeLimit,
     VerdictError,
     detect_staircase_slices,
     growth_sweep,
@@ -121,6 +123,36 @@ def test_monte_carlo_checks_alpha_before_sampling(monkeypatch):
     for alpha in (1.5, 1.0, -0.1):
         with pytest.raises(AlphaOutOfRange):
             randomized_architecture_experiment(5, 20000, seed=1, alpha=alpha)
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled gates before checking the memory budget")
+
+
+def test_monte_carlo_refuses_over_budget_before_drawing(monkeypatch):
+    # 10000 trials at n = 30 draw 252.3M gates, about 2.35 GiB
+    monkeypatch.setattr(np.random, "default_rng", _no_sampling)
+    with pytest.raises(SizeLimit) as info:
+        randomized_architecture_experiment(30, 10000, seed=1)
+    assert "2.35 GiB, over the 2 GiB memory budget" in str(info.value)
+    # the same check under a small budget: 2000 trials at n = 5 are 160000
+    # gates
+    monkeypatch.setattr(archdim.experiments, "MEMORY_BUDGET", 2 ** 20)
+    with pytest.raises(SizeLimit, match="160000 gates"):
+        randomized_architecture_experiment(5, 2000, seed=1)
+
+
+@pytest.mark.parametrize("n, trials", [(2, 20000), (3, 5000), (5, 2000),
+                                       (12, 100), (20, 20)])
+def test_monte_carlo_estimate_bounds_the_traced_peak(n, trials):
+    gates = trials * n * (n - 1) ** 2
+    tracemalloc.start()
+    try:
+        randomized_architecture_experiment(n, trials, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= archdim.experiments._MC_BYTES_PER_GATE * gates + 2 ** 16
 
 
 @pytest.mark.parametrize("n, trials, seed", [(2, 50, 1), (4, 300, 6),

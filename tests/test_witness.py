@@ -40,8 +40,9 @@ from archdim.witness import (
     _XZ_MATRICES_2Q,
     _DirectionSweep,
     _first_mismatched_gate,
-    _slice_tableau,
 )
+
+from reference import explicit, path, slice_tableau
 
 
 def _random_nontrivial(rng, n):
@@ -59,7 +60,7 @@ def test_staircase_paths_walk_toward_sink():
     arch = staircase(4, 1)
     tree = build_path_tree(arch, 0, 3, 4)
     for q in (1, 2, 3):
-        hops = tree.path(q)
+        hops = path(tree, q)
         assert hops[-1][2] == 4
         assert [h[1] for h in hops] == list(range(q, 4))
 
@@ -67,8 +68,8 @@ def test_staircase_paths_walk_toward_sink():
 def test_single_gate_tree():
     arch = from_gate_sequence(2, [(1, 2)])
     tree = build_path_tree(arch, 0, 1, 2)
-    assert tree.path(1) == [(0, 1, 2)]
-    assert tree.path(2) == []
+    assert path(tree, 1) == [(0, 1, 2)]
+    assert path(tree, 2) == []
 
 
 def test_tree_requires_causal_slice():
@@ -86,7 +87,7 @@ def test_tree_merging_property():
         stop = arch.slice_ranges()[0][1] if arch.slice_boundaries else arch.gate_count
         sink = is_causal_slice(arch, 0, stop)
         tree = build_path_tree(arch, 0, stop, sink)
-        paths = {q: [(q, *[h[2] for h in tree.path(q)])]
+        paths = {q: [(q, *[h[2] for h in path(tree, q)])]
                  for q in range(1, arch.n + 1)}
         seqs = {q: paths[q][0] for q in paths}
         # once two paths share a qubit their suffixes coincide
@@ -104,7 +105,7 @@ def test_tree_hops_increase_along_paths():
     arch = brickwork(4, 4)
     tree = build_path_tree(arch, 0, 12)
     for q in range(1, 5):
-        indices = [h[0] for h in tree.path(q)]
+        indices = [h[0] for h in path(tree, q)]
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)
 
@@ -139,7 +140,7 @@ def test_route_xxy_through_staircase():
     tree = build_path_tree(arch, 0, 2, 3)
     p = PauliString.from_label("XXY")
     assignments = route_pauli_through_slice(tree, p)
-    tab = _slice_tableau(arch, 0, 2, assignments)
+    tab = slice_tableau(arch, 0, 2, assignments)
     assert tab.conjugate(p) == PauliString.single(3, "Z", 3)
 
 
@@ -157,7 +158,7 @@ def test_route_random_paulis_against_tableau_and_dense():
         tree = build_path_tree(arch, start, stop, sink)
         p = _random_nontrivial(rng, n)
         assignments = route_pauli_through_slice(tree, p)
-        tab = _slice_tableau(arch, start, stop, assignments)
+        tab = slice_tableau(arch, start, stop, assignments)
         target = PauliString.single(n, "Z", sink)
         assert tab.conjugate(p) == target
         if n <= 3:
@@ -264,7 +265,7 @@ def test_witness_directions_survive_random_slice_conjugation():
         p = _random_nontrivial(rng, 3)
         tree = build_path_tree(arch, 0, 2, 3)
         assignments = route_pauli_through_slice(tree, p)
-        tab = _slice_tableau(arch, 0, 2, assignments)
+        tab = slice_tableau(arch, 0, 2, assignments)
         directions = [tab.conjugate(d) for d in directions]
         assert len({d.key() for d in directions}) == len(directions)
 
@@ -437,7 +438,7 @@ def _kicked(gates, j=0):
     kick = np.cos(1e-3) * np.eye(4) - 1j * np.sin(1e-3) * x_i
     mats = gates.matrices.copy()
     mats[j] = mats[j] @ kick
-    return GateAssignment.explicit(mats, normalize=False)
+    return explicit(mats, normalize=False)
 
 
 def _z_flipped(gates, j=0):
@@ -445,11 +446,11 @@ def _z_flipped(gates, j=0):
     sign of its X_1 and Y_1 images."""
     mats = gates.matrices.copy()
     mats[j] = mats[j] @ np.diag([1, 1, -1, -1])
-    return GateAssignment.explicit(mats, normalize=False)
+    return explicit(mats, normalize=False)
 
 
 def _witness_tableau(arch, cert):
-    return _slice_tableau(arch, 0, arch.gate_count, cert.gate_circuits)
+    return slice_tableau(arch, 0, arch.gate_count, cert.gate_circuits)
 
 
 def test_pauli_times_matches_dense_product():
@@ -595,7 +596,7 @@ def test_state_images_match_dense_state_map():
     gates = cert.to_gate_assignment()
     u_total = contract(arch, gates)
     psi = u_total[:, 0]
-    tabs = [_slice_tableau(arch, s.start, s.stop, cert.gate_circuits)
+    tabs = [slice_tableau(arch, s.start, s.stop, cert.gate_circuits)
             for s in cert.slices]
     real_vectors = []
     for j, s in enumerate(cert.slices):
@@ -704,7 +705,7 @@ def test_witness_directions_match_eq_partial_recomputation(arch, mode):
     # 1..j, the reversed gates with inverted circuits.
     cert = witness_point(arch, mode)
     r = arch.gate_count
-    tabs = [_slice_tableau(arch, s.start, s.stop, cert.gate_circuits)
+    tabs = [slice_tableau(arch, s.start, s.stop, cert.gate_circuits)
             for s in cert.slices]
     reversed_arch = from_gate_sequence(arch.n, arch.gates[::-1])
     inverses = [c.inverse() for c in cert.gate_circuits[::-1]]
@@ -715,7 +716,7 @@ def test_witness_directions_match_eq_partial_recomputation(arch, mode):
         for tab in tabs[j + 1:]:
             d = tab.conjugate(d)
         directions.append(d)
-        inv_prefix = _slice_tableau(reversed_arch, r - s.stop, r, inverses)
+        inv_prefix = slice_tableau(reversed_arch, r - s.stop, r, inverses)
         images.append(inv_prefix.conjugate(z_sink).state_image())
         # and the slice routes its chosen string onto that Z
         assert tabs[j].conjugate(s.chosen) == z_sink
