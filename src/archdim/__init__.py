@@ -70,11 +70,9 @@ from .errors import (
 from .experiments import (
     MonteCarloSummary,
     SweepRow,
-    WitnessComparison,
     growth_sweep,
     randomized_architecture_experiment,
     rows_to_csv,
-    witness_vs_haar,
 )
 from .pauli import PauliString, nontrivial_strings
 from .witness import (

@@ -16,7 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidBoundary, InvalidQubit, OddQubitCount, ValidationError
+from .errors import (
+    InvalidBoundary,
+    InvalidQubit,
+    OddQubitCount,
+    ValidationError,
+    json_int,
+)
 
 
 @dataclass(frozen=True)
@@ -83,22 +89,30 @@ class Architecture:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> Architecture:
-        """Architecture from parsed JSON.  ``n``, every gate wire and every
-        boundary must be a JSON integer: a float or a bool is refused, never
-        truncated."""
-
-        def whole(x: object, what: str) -> int:
-            if type(x) is not int:  # bool is a subclass of int
-                raise ValidationError(f"{what} must be an integer, got {x!r}")
-            return x
-
-        boundaries = d.get("boundaries")
+    def from_json_dict(cls, d: object) -> Architecture:
+        """Architecture from parsed JSON: an object whose ``n`` is an
+        integer, whose ``gates`` is a list of integer pairs and whose
+        optional ``boundaries`` is a list of integers.  Integers must be
+        JSON integers (``json_int``); any other shape raises
+        ValidationError."""
+        if not isinstance(d, dict):
+            raise ValidationError(
+                f"an architecture must be a JSON object, got {d!r}")
+        gates, boundaries = d["gates"], d.get("boundaries")
+        if not isinstance(gates, list):
+            raise ValidationError(f"gates must be a list, got {gates!r}")
+        for i, gate in enumerate(gates):
+            if not isinstance(gate, list) or len(gate) != 2:
+                raise ValidationError(
+                    f"gate {i} must be a pair of wires, got {gate!r}")
+        if boundaries is not None and not isinstance(boundaries, list):
+            raise ValidationError(
+                f"boundaries must be a list, got {boundaries!r}")
         return cls(
-            whole(d["n"], "n"),
-            tuple((whole(a, "gate wire"), whole(b, "gate wire"))
-                  for a, b in d["gates"]),
-            tuple(whole(x, "boundary") for x in boundaries)
+            json_int(d["n"], "n"),
+            tuple((json_int(a, "gate wire"), json_int(b, "gate wire"))
+                  for a, b in gates),
+            tuple(json_int(x, "boundary") for x in boundaries)
             if boundaries is not None else None,
         )
 

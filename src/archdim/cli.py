@@ -181,7 +181,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
     verdict = verify_certificate(cert, arch, check_rank=not args.skip_rank_check)
     payload = cert.to_json_dict()
     payload["config"] = _config_dict(
-        args, ["family", "n", "t", "rounds", "infile", "mode"])
+        args, ["family", "n", "t", "rounds", "infile", "mode",
+               "skip_rank_check"])
     payload["version"] = __version__
     print(f"witness over {verdict.slice_count} slices: "
           f"{verdict.distinct_directions} distinct directions"
@@ -213,7 +214,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed, mode=args.mode,
         tolerances=(args.tol_loose, args.tol_tight))
     cfg = _config_dict(
-        args, ["n", "family", "t_max", "samples", "seed", "mode"])
+        args, ["n", "family", "t_max", "samples", "seed", "mode", "tol_loose",
+               "tol_tight"])
     # R grows with T, so the last row's frame sets the sweep's peak
     largest = build_family(args.family, args.n, args.t_max)
     cfg.update(memory_budget_bytes=MEMORY_BUDGET,

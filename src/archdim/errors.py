@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the integer check of parsed JSON input.
 
 Validation errors (bad user input) subclass ``ValueError`` so callers may
 catch either the specific class or the builtin.  Verdict errors signal that
@@ -73,3 +73,11 @@ class CertificateMismatch(ArchdimError):
 
 class VerdictError(ArchdimError):
     """A computed quantity violated a bound the library asserts."""
+
+
+def json_int(x: object, what: str) -> int:
+    """``x``, a parsed JSON integer field named ``what``.  A float, a bool
+    or a string raises ValidationError: it is refused, never truncated."""
+    if type(x) is not int:  # bool is a subclass of int
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return x

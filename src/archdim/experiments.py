@@ -1,5 +1,5 @@
-"""Reproducible experiment harness: growth sweeps, randomized-architecture
-Monte Carlo, and witness-vs-Haar comparisons.
+"""Reproducible experiment harness: growth sweeps and the
+randomized-architecture Monte Carlo.
 
 All randomness derives from a caller-supplied master seed by counter, so a
 given seed reproduces identical numbers.  Rows carry wall-clock milliseconds
@@ -20,7 +20,6 @@ from .bounds import randomized_bound_probability, staircase_slice_probability
 from .contraction import (
     DEFAULT_TOLERANCES,
     MEMORY_BUDGET,
-    RankReport,
     accessible_dimension,
     subseed,
     # not called here since the witness rank became exact; kept because
@@ -225,55 +224,3 @@ def randomized_architecture_experiment(n: int, trials: int, seed: int,
         within_interval=interval[0] <= p_hat <= interval[1], alpha=alpha,
         probability_bound=probability_bound,
         complexity_threshold=threshold)
-
-
-@dataclass(frozen=True)
-class WitnessComparison:
-    """Witness-point rank next to the Haar consensus for one architecture."""
-
-    n: int
-    family: str
-    t_slices: int
-    witness_rank: int
-    report: RankReport
-
-    @property
-    def consensus(self) -> int | None:
-        return self.report.consensus
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "family": self.family,
-            "T": self.t_slices,
-            "witness_rank": self.witness_rank,
-            "consensus": self.consensus,
-            "inconclusive": self.report.inconclusive,
-        }
-
-
-def witness_vs_haar(n: int, family: str, t_slices: int, samples: int = 5,
-                    seed: int = 0, mode: str = "unitary",
-                    tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                    ) -> WitnessComparison:
-    """Assert witness rank <= Haar consensus, both >= the slice count and
-    the consensus within its bounds (SizeLimit before any sampling)."""
-    arch = build_family(family, n, t_slices)
-    report = accessible_dimension(arch, mode, samples, seed, tolerances)
-    if report.bounds_ok is False:
-        raise VerdictError(
-            f"consensus {report.consensus} outside its bounds "
-            f"[{report.lower_bound}, {report.upper_bound}]")
-    cert = witness_point(arch, mode)
-    wrank = witness_rank(arch, cert.gate_circuits, mode)
-    if wrank < t_slices:
-        raise VerdictError(
-            f"witness rank {wrank} below slice count {t_slices}")
-    if report.consensus is not None:
-        if report.consensus < t_slices:
-            raise VerdictError(
-                f"consensus {report.consensus} below slice count {t_slices}")
-        if wrank > report.consensus:
-            raise VerdictError(
-                f"witness rank {wrank} exceeds consensus {report.consensus}")
-    return WitnessComparison(n, family, t_slices, wrank, report)

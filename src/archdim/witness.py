@@ -35,6 +35,7 @@ from .errors import (
     TooManySlices,
     TrivialPauli,
     ValidationError,
+    json_int,
 )
 from .pauli import PauliString, lex_flips, xz_state_image
 
@@ -69,7 +70,7 @@ def build_path_tree(arch: Architecture, start: int, stop: int,
     if sink is None:
         sink = is_causal_slice(arch, start, stop)
         if sink is None:
-            raise NotCausal(f"slice [{start}, {stop}) has no sink")
+            raise NotCausal(f"slice [{start}, {stop}) is not causal")
     connected = {sink}
     next_hop: dict[int, tuple[int, int]] = {}
     for idx in range(stop - 1, start - 1, -1):
@@ -205,14 +206,16 @@ class WitnessCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> WitnessCertificate:
-        n = int(d["n"])
+        n = json_int(d["n"], "n")
         mode = d["mode"]
         circuits = tuple(
             CliffordCircuit.from_json_ops(2, ops) for ops in d["gates"])
         slices = tuple(
-            SliceRecord(int(s["start"]), int(s["stop"]), int(s["sink"]),
+            SliceRecord(json_int(s["start"], "slice start"),
+                        json_int(s["stop"], "slice stop"),
+                        json_int(s["sink"], "slice sink"),
                         PauliString.from_label(s["q"]),
-                        int(s["insertion_gate"]))
+                        json_int(s["insertion_gate"], "insertion gate"))
             for s in d["slices"])
         directions: tuple[PauliString, ...] = ()
         images: tuple[tuple[int, int], ...] = ()
@@ -221,7 +224,7 @@ class WitnessCertificate:
                 PauliString.from_label(lbl) for lbl in d["directions"])
         else:
             images = tuple(
-                (int(e["bits"], 2), int(e["phase_exp"]))
+                (int(e["bits"], 2), json_int(e["phase_exp"], "phase_exp"))
                 for e in d["directions"])
         return cls(n, mode, circuits, slices, directions, images)
 
@@ -231,28 +234,37 @@ class WitnessCertificate:
 
 
 class _DirectionSweep:
-    """The marked slices swept front to back under the inverse prefix.
+    """Gates pre-composed front to back under the inverse prefix.
 
     ``inv_prefix`` is the tableau of Prefix^dagger, the inverse of every gate
-    passed so far, grown by prepending each gate's inverse circuit.  After
-    slice j it stores the pulled-back direction
-    d_j = Prefix_j^dagger Z_sink Prefix_j, which is the tableau's Z_sink
-    row, in packed XZ form, and its distinctness key: the packed row itself
-    (the string up to phase) in unitary mode, the (bits, kappa mod 2) image
-    of |0...0> in state mode, with bits unreversed.  Conjugation by the
-    prefix is a bijection on Paulis up to phase, so a candidate q yields a
-    direction distinct from all earlier ones exactly when
-    key(Prefix^dagger q Prefix) is new.  Each distinct gate circuit is
-    inverted once per sweep.
+    passed so far, grown one gate at a time by prepending the gate's
+    inverse circuit (``add_gates``).  Closing a slice (``close_slice``)
+    stores its pulled-back direction d_j = Prefix_j^dagger Z_sink Prefix_j,
+    which is the tableau's Z_sink row, in packed XZ form, and its
+    distinctness key: the packed row itself (the string up to phase) in
+    unitary mode, the (bits, kappa mod 2) image of |0...0> in state mode,
+    with bits unreversed.  Conjugation by the prefix is a bijection on
+    Paulis up to phase, so a candidate q yields a direction distinct from
+    all earlier ones exactly when key(Prefix^dagger q Prefix) is new.  Each
+    distinct gate circuit is inverted once per sweep.
+
+    With ``count_rank``, ``rank_rows`` collects the phase-free rows of all
+    15 directions of every gate passed (see ``witness_rank``): before gate
+    j on (a, b) is pre-composed, its directions pulled back through the
+    prefix are the 15 nonzero XOR combinations v of the current rows of
+    X_a, X_b, Z_a, Z_b.  Each is Hermitian up to sign, so its exponent is
+    |x & z| up to 2, and ``rank`` keys v with e = |x & z|.
     """
 
-    def __init__(self, arch: Architecture, mode: str) -> None:
+    def __init__(self, arch: Architecture, mode: str,
+                 count_rank: bool = False) -> None:
         self.arch = arch
         self.n = arch.n
         self.state = mode == "state"
         self.inv_prefix = CliffordTableau.identity(arch.n)
         self.pulled: list[tuple[int, int]] = []
         self.keys: set[int] = set()
+        self.rank_rows: set[int] | None = set() if count_rank else None
         self.inverses: dict[CliffordCircuit, CliffordCircuit] = {}
 
     def key(self, row: int, e: int) -> int:
@@ -284,14 +296,33 @@ class _DirectionSweep:
                 return PauliString(n, q & ((1 << n) - 1), q >> n)
         raise AssertionError("every nontrivial direction is taken")
 
-    def add_slice(self, start: int, stop: int, sink: int,
+    def add_gates(self, start: int, stop: int,
                   circuits: Sequence[CliffordCircuit] | dict) -> None:
+        """Pre-compose gates start..stop-1 with ``circuits[idx]``, in order."""
+        n, rows, rank_rows = self.n, self.inv_prefix.rows, self.rank_rows
         for idx in range(start, stop):
+            a, b = wires = self.arch.gates[idx]
+            if rank_rows is not None:
+                x_a, x_b = rows[a - 1], rows[b - 1]
+                z_a, z_b = rows[n + a - 1], rows[n + b - 1]
+                # all 16 XOR combinations, the identity row 0 included
+                rank_rows.update([x ^ z for x in (0, x_a, x_b, x_a ^ x_b)
+                                  for z in (0, z_a, z_b, z_a ^ z_b)])
             circuit = circuits[idx]
             inverse = self.inverses.get(circuit)
             if inverse is None:
                 inverse = self.inverses[circuit] = circuit.inverse()
-            self.inv_prefix.prepend_circuit(inverse, self.arch.gates[idx])
+            self.inv_prefix.prepend_circuit(inverse, wires)
+
+    def rank(self) -> int:
+        """The number of distinct keys among the directions of the gates
+        passed; a key reads only the phase-free row, so each distinct
+        nonzero row is keyed once."""
+        n = self.n
+        return len({self.key(v, (v & v >> n).bit_count())
+                    for v in self.rank_rows if v})
+
+    def close_slice(self, sink: int) -> None:
         b = self.n + sink - 1
         d = (self.inv_prefix.rows[b], self.inv_prefix.phases[b])
         self.pulled.append(d)
@@ -338,15 +369,13 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     sweep = _DirectionSweep(arch, mode)
     records: list[SliceRecord] = []
     for start, stop in ranges:
-        sink = is_causal_slice(arch, start, stop)
-        if sink is None:
-            raise NotCausal(f"slice [{start}, {stop}) is not causal")
-        tree = build_path_tree(arch, start, stop, sink)
+        tree = build_path_tree(arch, start, stop)
         chosen = sweep.first_new()
         per_gate.update(route_pauli_through_slice(tree, chosen))
-        sweep.add_slice(start, stop, sink, per_gate)
-        records.append(SliceRecord(
-            start, stop, sink, chosen, _last_gate_on(arch, start, stop, sink)))
+        sweep.add_gates(start, stop, per_gate)
+        sweep.close_slice(tree.sink)
+        records.append(SliceRecord(start, stop, tree.sink, chosen,
+                                   _last_gate_on(arch, start, stop, tree.sink)))
 
     if len(sweep.keys) != len(sweep.pulled):
         raise AssertionError("constructed directions are not distinct")
@@ -369,12 +398,11 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
 
     Every direction is then K_{j,k} = Suffix_j S_k Suffix_j^dagger = U Q U^dagger
     with Q = Prefix_j^dagger S_k Prefix_j, and u_j^dagger S_k u_j runs over
-    all 15 nontrivial Paulis on (a, b) up to sign.  One sweep runs front to
-    back under the inverse prefix and keeps the phase-free image of every X_q
-    and Z_q as one packed row x_bits | z_bits << n, in the layout of
-    ``CliffordTableau.rows``: gate j on (a, b) adds the 15 nonzero XOR
-    combinations of the images of X_a, X_b, Z_a, Z_b, then the rows of its
-    inverse circuit's tableau (``circuit_images``) replace those four images.
+    all 15 nontrivial Paulis on (a, b) up to sign.  One ``_DirectionSweep``
+    runs front to back over every gate, with no marked slices needed, and
+    keys each Q before gate j is pre-composed: Q is the product of the
+    inverse prefix's rows at X_a, X_b, Z_a, Z_b picked by S_k, so its
+    phase-free row is their XOR.  The keys read only those phase-free rows.
 
     The mode picks only the key.  In unitary mode each frame column is a
     signed unit vector and conjugation by U is a bijection on phase-free
@@ -393,31 +421,11 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
     if len(circuits) != arch.gate_count:
         raise CountMismatch(
             f"{len(circuits)} circuits supplied for {arch.gate_count} slots")
-    n = arch.n
-    mask = (1 << n) - 1
-    # images[q - 1], images[n + q - 1]: X_q and Z_q under the inverse prefix
-    images = [1 << b for b in range(2 * n)]
-    distinct = set(circuits)
-    if any(c.n != 2 for c in distinct):
+    if any(c.n != 2 for c in set(circuits)):
         raise ValidationError("vertex circuits must act on 2 qubits")
-    inverse_maps = {c: circuit_images(c.inverse())[0] for c in distinct}
-    keys: set[int] = set()
-    for (a, b), circuit in zip(arch.gates, circuits):
-        slots = (a - 1, b - 1, n + a - 1, n + b - 1)
-        # span[m] XORs the slot images at the set bits of m
-        x_a, x_b, z_a, z_b = (images[s] for s in slots)
-        x_ab, z_ab = x_a ^ x_b, z_a ^ z_b
-        span = (0, x_a, x_b, x_ab, z_a, x_a ^ z_a, x_b ^ z_a, x_ab ^ z_a,
-                z_b, x_a ^ z_b, x_b ^ z_b, x_ab ^ z_b,
-                z_ab, x_a ^ z_ab, x_b ^ z_ab, x_ab ^ z_ab)
-        if mode == "unitary":
-            keys.update(span[1:])
-        else:
-            keys.update((v & mask) | ((v & v >> n).bit_count() & 1) << n
-                        for v in span[1:])
-        for s, idx in zip(slots, inverse_maps[circuit]):
-            images[s] = span[idx]
-    return len(keys)
+    sweep = _DirectionSweep(arch, mode, count_rank=True)
+    sweep.add_gates(0, arch.gate_count, circuits)
+    return sweep.rank()
 
 
 @dataclass(frozen=True)
@@ -442,13 +450,16 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     so the final inverse prefix is U^dagger: a stored unitary-mode direction
     D_j is right exactly when U^dagger D_j U is the pulled-back d_j, and a
     stored state-mode image must equal d_j |0...0>.  The distinctness keys
-    come from the same sweep.  With ``check_rank`` the exact tangent-frame
-    rank at the witness point (``witness_rank``, a stabilizer computation
-    with no tolerance) must reach the slice count, and each gate matrix of
-    ``cert.to_gate_assignment()`` must conjugate X_1, Z_1, X_2 and Z_2 as its
-    circuit's two-qubit tableau does, phases included; either failure raises
-    ``CertificateMismatch``.  Tableau composition is exact, so the gate check
-    ties the matrices to the whole circuit's tableau in O(R) time at any n.
+    come from the same sweep.  With ``check_rank`` the sweep also collects
+    the ``witness_rank`` keys of every gate it passes, and the checked
+    slices tile the gates, so it yields the exact tangent-frame rank at the
+    witness point with no second pass.  That rank must reach the slice
+    count, and each gate matrix of ``cert.to_gate_assignment()`` must
+    conjugate X_1, Z_1, X_2 and Z_2 as its circuit's two-qubit tableau
+    does, phases included; either failure raises ``CertificateMismatch``.
+    Tableau composition is exact, so the gate check ties the matrices to
+    the whole circuit's tableau in O(R) time at any n.  Without
+    ``check_rank`` no rank keys are collected.
     """
     if cert.n != arch.n or len(cert.gate_circuits) != arch.gate_count:
         raise CertificateMismatch("certificate does not match the architecture")
@@ -456,10 +467,11 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     if tuple((s.start, s.stop) for s in cert.slices) != ranges:
         raise CertificateMismatch("certificate slices do not match boundaries")
 
-    sweep = _DirectionSweep(arch, cert.mode)
+    sweep = _DirectionSweep(arch, cert.mode, count_rank=check_rank)
     for s in cert.slices:
         pulled_q = sweep.inv_prefix.conjugate(s.chosen).xz_row()
-        sweep.add_slice(s.start, s.stop, s.sink, cert.gate_circuits)
+        sweep.add_gates(s.start, s.stop, cert.gate_circuits)
+        sweep.close_slice(s.sink)
         if sweep.pulled[-1] != pulled_q:
             raise CertificateMismatch(
                 f"slice [{s.start}, {s.stop}) does not route {s.chosen.label()} "
@@ -482,7 +494,7 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
 
     rank = None
     if check_rank:
-        rank = witness_rank(arch, cert.gate_circuits, cert.mode)
+        rank = sweep.rank()  # the slices tile the gates
         if rank < cert.slice_count:
             raise CertificateMismatch(
                 f"witness rank {rank} below slice count {cert.slice_count}")

@@ -3,8 +3,9 @@
 Each one recomputes, the slow and direct way, a quantity the library builds
 another way: the per-column perturbation operator behind ``tangent_frame``,
 the gauge redundancy that its dropped columns rely on, a slice's tableau
-composed gate by gate, a path-tree walk and a qubit's forward reach.  None
-has a size guard; the tests keep their inputs small.
+composed gate by gate, a path-tree walk, a qubit's forward reach and the
+witness rank from phase-free symplectic images alone.  None has a size
+guard; the tests keep their inputs small.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from archdim import CliffordTableau, GateAssignment, PauliString
 from archdim.architecture import Architecture
-from archdim.clifford import CliffordCircuit
+from archdim.clifford import CliffordCircuit, circuit_images
 from archdim.contraction import pauli_coefficients
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS
@@ -162,3 +163,36 @@ def forward_reach(arch: Architecture, start: int, stop: int, u: int) -> set[int]
         if a in reached or b in reached:
             reached |= {a, b}
     return reached
+
+
+def phase_free_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
+                    mode: str) -> int:
+    """``witness_rank`` from phase-free symplectic images only.
+
+    Front to back, ``images`` holds the image of each X_q and Z_q under the
+    inverse prefix as one packed row x_bits | z_bits << n, with no phase.
+    Gate j on (a, b) adds the 15 nonzero XOR combinations of the images of
+    X_a, X_b, Z_a, Z_b, keyed by the row (unitary) or by
+    (x_bits, |x & z| mod 2) (state), then the rows of its inverse
+    circuit's tableau replace those four images.
+    """
+    n = arch.n
+    mask = (1 << n) - 1
+    images = [1 << b for b in range(2 * n)]
+    inverse_maps = {c: circuit_images(c.inverse())[0] for c in set(circuits)}
+    keys: set[int] = set()
+    for (a, b), circuit in zip(arch.gates, circuits, strict=True):
+        slots = (a - 1, b - 1, n + a - 1, n + b - 1)
+        x_a, x_b, z_a, z_b = (images[s] for s in slots)
+        x_ab, z_ab = x_a ^ x_b, z_a ^ z_b
+        span = (0, x_a, x_b, x_ab, z_a, x_a ^ z_a, x_b ^ z_a, x_ab ^ z_a,
+                z_b, x_a ^ z_b, x_b ^ z_b, x_ab ^ z_b,
+                z_ab, x_a ^ z_ab, x_b ^ z_ab, x_ab ^ z_ab)
+        if mode == "unitary":
+            keys.update(span[1:])
+        else:
+            keys.update((v & mask) | ((v & v >> n).bit_count() & 1) << n
+                        for v in span[1:])
+        for s, idx in zip(slots, inverse_maps[circuit]):
+            images[s] = span[idx]
+    return len(keys)

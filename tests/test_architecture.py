@@ -76,6 +76,29 @@ def test_json_refuses_non_integers(doc):
         Architecture.from_json_dict(doc)
 
 
+WRONG_SHAPES = [
+    [1, 2],
+    "x",
+    None,
+    {"n": 3, "gates": 5},
+    {"n": 3, "gates": "ab"},
+    {"n": 3, "gates": [1, 2]},
+    {"n": 3, "gates": [[1, 2, 3]]},
+    {"n": 3, "gates": [[1, 2], [2, 3]], "boundaries": 1},
+    {"n": 3, "gates": [[1, 2], [2, 3]], "boundaries": {"a": 2}},
+]
+WRONG_SHAPE_IDS = ["list", "string", "null", "int-gates", "string-gates",
+                   "flat-gates", "triple-gate", "int-boundaries",
+                   "object-boundaries"]
+
+
+@pytest.mark.parametrize("doc", WRONG_SHAPES, ids=WRONG_SHAPE_IDS)
+def test_json_refuses_wrong_shapes(doc):
+    # these raised AttributeError or TypeError, which the CLI did not catch
+    with pytest.raises(ValidationError):
+        Architecture.from_json_dict(doc)
+
+
 # -- families --------------------------------------------------------------------
 
 

@@ -77,6 +77,20 @@ def test_arch_check_refuses_non_integer_json(tmp_path, capsys):
     assert main(["arch", "check", "--in", str(path)]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '"x"',
+    '{"n": 3, "gates": 5}',
+    '{"n": 3, "gates": [[1, 2], [2, 3]], "boundaries": 1}',
+], ids=["list", "string", "int-gates", "int-boundaries"])
+def test_arch_check_refuses_wrong_json_shape(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["arch", "check", "--in", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_dim_su4_saturation(tmp_path, capsys):
     out = tmp_path / "dim.json"
     rc = main(["dim", "--family", "staircase", "--n", "2", "--t", "3",
@@ -275,6 +289,22 @@ def test_witness_skip_rank_check(tmp_path, capsys):
                "--mode", "unitary", "--skip-rank-check"])
     assert rc == EXIT_OK
     assert "rank" not in capsys.readouterr().out
+
+
+def test_artifacts_record_tolerances_and_rank_check(tmp_path):
+    sweep_out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "2", "--t-max", "1", "--samples", "3",
+                 "--tol-loose", "1e-4", "--tol-tight", "1e-9",
+                 "--out", str(sweep_out)]) == EXIT_OK
+    comment = sweep_out.read_text().splitlines()[0]
+    config = json.loads(comment.split("config=", 1)[1])
+    assert (config["tol_loose"], config["tol_tight"]) == (1e-4, 1e-9)
+    for flags, skipped in (([], False), (["--skip-rank-check"], True)):
+        cert_out = tmp_path / "cert.json"
+        assert main(["witness", "--n", "3", "--t", "2", "--out", str(cert_out)]
+                    + flags) == EXIT_OK
+        payload = json.loads(cert_out.read_text())
+        assert payload["config"]["skip_rank_check"] is skipped
 
 
 def test_witness_state_mode(tmp_path):

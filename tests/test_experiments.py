@@ -1,4 +1,4 @@
-"""Experiment harness: sweeps, Monte Carlo, witness comparisons."""
+"""Experiment harness: sweeps and the Monte Carlo."""
 
 import dataclasses
 import tracemalloc
@@ -16,7 +16,6 @@ from archdim import (
     random_adjacent,
     randomized_architecture_experiment,
     rows_to_csv,
-    witness_vs_haar,
 )
 from archdim.experiments import CSV_HEADER, SweepRow, check_ramp
 
@@ -172,35 +171,3 @@ def test_monte_carlo_summary_json():
     assert d["alpha"] == 0.25
     assert 0.0 <= d["probability_bound"] <= 1.0
     assert d["trials"] == 200
-
-
-def test_witness_vs_haar_ordering():
-    cmp = witness_vs_haar(3, "staircase", 4, samples=3, seed=5)
-    assert cmp.witness_rank >= 4
-    assert cmp.consensus >= 4
-    assert cmp.witness_rank <= cmp.consensus
-
-
-def test_witness_vs_haar_su4_point():
-    cmp = witness_vs_haar(2, "staircase", 1, samples=3, seed=5)
-    assert 1 <= cmp.witness_rank <= 15
-    assert cmp.consensus == 15
-
-
-def test_witness_vs_haar_brickwork_single_slice():
-    cmp = witness_vs_haar(4, "brickwork", 1, samples=3, seed=7)
-    assert cmp.witness_rank >= 1
-    assert cmp.consensus >= 1
-
-
-def test_witness_vs_haar_rejects_consensus_outside_bounds(monkeypatch):
-    real = archdim.experiments.accessible_dimension
-
-    def inflated(*args, **kwargs):
-        report = real(*args, **kwargs)
-        object.__setattr__(report, "consensus", report.upper_bound + 1)
-        return report
-
-    monkeypatch.setattr(archdim.experiments, "accessible_dimension", inflated)
-    with pytest.raises(VerdictError, match="outside its bounds"):
-        witness_vs_haar(2, "staircase", 1, samples=3, seed=5)

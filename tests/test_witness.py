@@ -42,7 +42,7 @@ from archdim.witness import (
     _first_mismatched_gate,
 )
 
-from reference import explicit, path, slice_tableau
+from reference import explicit, path, phase_free_rank, slice_tableau
 
 
 def _random_nontrivial(rng, n):
@@ -330,6 +330,63 @@ def test_witness_rank_matches_dense_rank_at_random_clifford_points(mode):
         assert rank == _dense_rank(arch, circuits, mode), (case, arch)
         deficient += rank < contraction.dimension_bounds(arch, mode)[1]
     assert deficient >= 10
+
+
+def _random_clifford_point(rng, n, r_gates):
+    """``r_gates`` gates on random wire pairs, not only adjacent ones, each
+    with a random circuit (empty ones included)."""
+    pairs = [tuple(int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+             for _ in range(r_gates)]
+    return (from_gate_sequence(n, pairs),
+            [_random_clifford_2q(rng) for _ in pairs])
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_witness_rank_matches_phase_free_reference_at_random_clifford_points(mode):
+    # the sweep keeps phases the reference never forms; ranks must agree
+    rng = np.random.default_rng(20261019)
+    for n in range(2, 17):
+        for r_gates in (0, 1, int(rng.integers(2, 4 * n)), 4 * n):
+            arch, circuits = _random_clifford_point(rng, n, r_gates)
+            assert (witness_rank(arch, circuits, mode)
+                    == phase_free_rank(arch, circuits, mode)), (n, arch)
+
+
+def test_gate_leaves_the_span_of_its_slot_rows_unchanged():
+    # pre-composing a two-qubit circuit on (a, b) maps the rows of X_a, X_b,
+    # Z_a, Z_b to products of themselves, so gate j's 15 direction keys are
+    # the same read before or after gate j itself is pre-composed
+    rng = np.random.default_rng(7)
+
+    def span(tab, a, b):
+        out = {0}
+        for s in (a - 1, b - 1, tab.n + a - 1, tab.n + b - 1):
+            out |= {v ^ tab.rows[s] for v in out}
+        return out
+
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        arch, circuits = _random_clifford_point(rng, n, 6)
+        tab = CliffordTableau.identity(n)
+        for wires, circuit in zip(arch.gates, circuits):
+            before = span(tab, *wires)
+            tab.prepend_circuit(circuit.inverse(), wires)
+            assert span(tab, *wires) == before
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_witness_and_verify_rank_match_phase_free_reference(mode):
+    checked = 0
+    for arch in WITNESS_RANK_ARCHS:
+        try:
+            cert = witness_point(arch, mode)
+        except TooManySlices:
+            continue
+        expected = phase_free_rank(arch, cert.gate_circuits, mode)
+        assert witness_rank(arch, cert.gate_circuits, mode) == expected, arch
+        assert verify_certificate(cert, arch).witness_rank == expected, arch
+        checked += 1
+    assert checked >= 20
 
 
 def test_witness_rank_validates_input():
@@ -684,6 +741,28 @@ def test_certificate_rejects_unknown_mode():
     with pytest.raises(ValidationError, match="mode"):
         WitnessCertificate(cert.n, "foo", cert.gate_circuits, cert.slices,
                            cert.directions, cert.state_images)
+
+
+@pytest.mark.parametrize("mode, field, value", [
+    ("unitary", "n", 3.0),
+    ("unitary", "start", False),
+    ("unitary", "stop", 2.0),
+    ("unitary", "sink", 3.2),
+    ("unitary", "insertion_gate", "1"),
+    ("state", "phase_exp", 0.0),
+])
+def test_certificate_refuses_non_integer_field(mode, field, value):
+    # int() truncated each value to the stored one, so the document verified
+    arch = staircase(3, 2)
+    doc = witness_point(arch, mode).to_json_dict()
+    if field == "n":
+        doc["n"] = value
+    elif field == "phase_exp":
+        doc["directions"][0]["phase_exp"] = value
+    else:
+        doc["slices"][0][field] = value
+    with pytest.raises(ValidationError, match="must be an integer"):
+        WitnessCertificate.from_json_dict(doc)
 
 
 def test_certificate_json_roundtrip():
