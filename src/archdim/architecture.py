@@ -22,6 +22,7 @@ from .errors import (
     OddQubitCount,
     ValidationError,
     json_int,
+    json_typed,
 )
 
 
@@ -95,19 +96,14 @@ class Architecture:
         optional ``boundaries`` is a list of integers.  Integers must be
         JSON integers (``json_int``); any other shape raises
         ValidationError."""
-        if not isinstance(d, dict):
-            raise ValidationError(
-                f"an architecture must be a JSON object, got {d!r}")
-        gates, boundaries = d["gates"], d.get("boundaries")
-        if not isinstance(gates, list):
-            raise ValidationError(f"gates must be a list, got {gates!r}")
+        json_typed(d, dict, "an architecture")
+        gates, boundaries = json_typed(d["gates"], list, "gates"), d.get("boundaries")
         for i, gate in enumerate(gates):
             if not isinstance(gate, list) or len(gate) != 2:
                 raise ValidationError(
                     f"gate {i} must be a pair of wires, got {gate!r}")
-        if boundaries is not None and not isinstance(boundaries, list):
-            raise ValidationError(
-                f"boundaries must be a list, got {boundaries!r}")
+        if boundaries is not None:
+            json_typed(boundaries, list, "boundaries")
         return cls(
             json_int(d["n"], "n"),
             tuple((json_int(a, "gate wire"), json_int(b, "gate wire"))

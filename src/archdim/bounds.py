@@ -57,7 +57,11 @@ def gauge_fixed_count(arch: Architecture) -> int:
     15R - 3 (2R - touched) directions remain.  This is at most 15R, because
     at most 2R qubits are touched.
     """
-    return 9 * arch.gate_count + 3 * len(arch.touched_qubits())
+    return _gauge_fixed(arch.gate_count, len(arch.touched_qubits()))
+
+
+def _gauge_fixed(r_gates: int, touched: int) -> int:
+    return 9 * r_gates + 3 * touched
 
 
 def saturation_threshold(n: int, mode: str) -> int:
@@ -95,12 +99,12 @@ class StaircaseProbability:
 
 def staircase_slice_probability(n: int) -> StaircaseProbability:
     """p = (1 - (1 - 1/(n-1))^{n(n-1)})^{n-1}, with the chained Bernoulli
-    lower bound 1 - (n-1) e^{-n}."""
+    lower bound 1 - (n-1) e^{-n}, ``randomized_bound_probability`` at 0."""
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     miss = (Fraction(1) - Fraction(1, n - 1)) ** (n * (n - 1))
     exact = (Fraction(1) - miss) ** (n - 1)
-    return StaircaseProbability(exact, 1.0 - (n - 1) * math.exp(-n))
+    return StaircaseProbability(exact, randomized_bound_probability(n, 0.0))
 
 
 @dataclass(frozen=True)
@@ -168,9 +172,9 @@ class BoundSheet:
 
 
 def make_bound_sheet(n: int, r_gates: int, l_gates: int) -> BoundSheet:
-    """Bound sheet for R gates in slices of L; all n qubits assumed touched."""
+    """Bound sheet for R gates in slices of L; the dimension bound is
+    ``gauge_fixed_count`` with min(n, 2R) qubits touched."""
     lower = complexity_lower_bound(r_gates, l_gates, n)
-    dim_upper = min(15 * r_gates, 9 * r_gates + 3 * n) if r_gates else 0
     return BoundSheet(
         n=n,
         r_gates=r_gates,
@@ -179,7 +183,7 @@ def make_bound_sheet(n: int, r_gates: int, l_gates: int) -> BoundSheet:
         lower_bound_complexity=lower.value,
         lower_clamped=lower.clamped,
         lower_floored=lower.floored,
-        dimension_upper=dim_upper,
+        dimension_upper=_gauge_fixed(r_gates, min(n, 2 * r_gates)),
         unitary_cap=saturation_threshold(n, "unitary"),
         state_cap=saturation_threshold(n, "state"),
     )

@@ -3,11 +3,13 @@
 Conjugation works on packed rows with exact phases.  A Pauli operator is one
 integer ``x | z << n`` plus an exponent e in XZ form, P = i^e X^x Z^z, as
 in the bit-packed tableau of Aaronson and Gottesman (quant-ph/0406196) with
-the phase kept mod 4.  Two rows multiply by XOR, and since
-Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1 their exponents add to
-e1 + e2 + 2 |z1 & x2|.  A ``PauliString``, whose letters carry the i of
-each Y, converts with phase_exp = e - |x & z|.  The dense matrix of any
-circuit is available as a cross-check.  ``routing_clifford_2q``
+the phase kept mod 4 (``PauliString.xz_row`` converts).  Two rows multiply
+by XOR, and since Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1 their exponents add
+to e1 + e2 + 2 |z1 & x2|.  Two primitives carry every Clifford action:
+``CliffordCircuit.conjugate_row`` conjugates one row gate by gate, and a
+``CliffordTableau`` holds the 2n generator images, grows by
+``prepend_circuit`` and applies them by ``image`` or ``conjugate``.  The
+dense matrix of any circuit is a cross-check.  ``routing_clifford_2q``
 synthesises, constructively, a short circuit mapping any nontrivial
 two-qubit Pauli onto a bare Z of a chosen wire - the local step used to
 sweep a Pauli string through a causal slice.
@@ -26,6 +28,9 @@ from .errors import (
     InvalidQubit,
     PhasedPauli,
     TrivialPauli,
+    ValidationError,
+    json_int,
+    json_typed,
 )
 from .pauli import PauliString
 
@@ -44,14 +49,8 @@ GATE_MATRICES: dict[str, np.ndarray] = {
     "CZ": np.diag([1, 1, 1, -1]).astype(complex),
 }
 
-# Inverses within the same basis (S^-1 = S S S).
-_GATE_INVERSE = {
-    "H": ("H",),
-    "S": ("S", "S", "S"),
-    "CNOT": ("CNOT",),
-    "SWAP": ("SWAP",),
-    "CZ": ("CZ",),
-}
+# Inverses within the same basis: S^-1 = S S S, every other gate is its own.
+_GATE_INVERSE = {name: (name,) for name in GATE_ARITY} | {"S": ("S",) * 3}
 
 
 def _check_qubits(qubits: tuple[int, ...], n: int) -> None:
@@ -116,9 +115,7 @@ class CliffordCircuit:
                 raise ValueError(f"{name} takes {arity} qubits, got {qubits}")
             if len(set(qubits)) != len(qubits):
                 raise InvalidQubit(f"{name} qubits must be distinct: {qubits}")
-            for q in qubits:
-                if not 1 <= q <= self.n:
-                    raise InvalidQubit(f"qubit {q} outside [1, {self.n}]")
+            _check_qubits(qubits, self.n)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -128,21 +125,14 @@ class CliffordCircuit:
         return not self.gates
 
     def inverse(self) -> CliffordCircuit:
-        ops = []
-        for name, qubits in reversed(self.gates):
-            for inv in _GATE_INVERSE[name]:
-                ops.append((inv, qubits))
-        return CliffordCircuit(self.n, tuple(ops))
-
-    def conjugate(self, p: PauliString,
-                  wires: tuple[int, ...] | None = None) -> PauliString:
-        """C P C^dagger, optionally with local qubits mapped onto ``wires``."""
-        return PauliString.from_xz_row(
-            p.n, *self.conjugate_row(*p.xz_row(), p.n, wires))
+        return CliffordCircuit(self.n, tuple(
+            (inv, qubits) for name, qubits in reversed(self.gates)
+            for inv in _GATE_INVERSE[name]))
 
     def conjugate_row(self, row: int, e: int, n: int,
                       wires: tuple[int, ...] | None = None) -> tuple[int, int]:
-        """``conjugate`` on the packed XZ form of an n-qubit string."""
+        """C P C^dagger for P = i^e X^x Z^z given as a packed n-qubit row,
+        gate by gate, with local qubit q placed on ``wires[q - 1]``."""
         for name, qubits in self.gates:
             if wires is not None:
                 qubits = tuple(wires[q - 1] for q in qubits)
@@ -152,8 +142,7 @@ class CliffordCircuit:
 
     def to_unitary(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix of the circuit (first gate acts first)."""
-        dim = 2 ** self.n
-        mat = np.eye(dim, dtype=complex)
+        mat = np.eye(2 ** self.n, dtype=complex)
         for name, qubits in self.gates:
             mat = apply_gate_left(mat, GATE_MATRICES[name], qubits, self.n)
         return mat
@@ -162,8 +151,16 @@ class CliffordCircuit:
         return [[name, *qubits] for name, qubits in self.gates]
 
     @classmethod
-    def from_json_ops(cls, n: int, ops: list[list]) -> CliffordCircuit:
-        return cls(n, tuple((op[0], tuple(op[1:])) for op in ops))
+    def from_json_ops(cls, n: int, ops: object) -> CliffordCircuit:
+        """Circuit from parsed JSON ops ``[name, qubit, ...]`` with a string
+        name and ``json_int`` qubits; any other shape raises ValidationError."""
+        for op in json_typed(ops, list, "a circuit"):
+            if not (isinstance(op, list) and op and isinstance(op[0], str)):
+                raise ValidationError(
+                    f"an op must be a gate name and its qubits, got {op!r}")
+        return cls(n, tuple(
+            (op[0], tuple(json_int(q, "gate qubit") for q in op[1:]))
+            for op in ops))
 
 
 @dataclass
@@ -174,11 +171,9 @@ class CliffordTableau:
     docstring), the image under C of the generator whose own packed row is
     ``1 << b``: C X_q C^dagger at b = q - 1 and C Z_q C^dagger at
     b = n + q - 1.  Images of X^x Z^z are then products of the rows at its
-    set bits, in increasing bit order.  ``x_images`` and ``z_images`` are
-    read-only ``PauliString`` views.  The tableau is a builder:
-    :meth:`apply_gate` and :meth:`apply_circuit` post-compose (C becomes
-    G C, so G acts after C), and :meth:`prepend_circuit` pre-composes (C
-    becomes C G).  Treat a fully built tableau as read-only.
+    set bits, in increasing bit order (:meth:`image`, :meth:`conjugate`).
+    The tableau grows only by :meth:`prepend_circuit`, which pre-composes
+    (C becomes C G).  Treat a fully built tableau as read-only.
     """
 
     n: int
@@ -188,42 +183,6 @@ class CliffordTableau:
     @classmethod
     def identity(cls, n: int) -> CliffordTableau:
         return cls(n, [1 << b for b in range(2 * n)], [0] * (2 * n))
-
-    @classmethod
-    def from_circuit(cls, circuit: CliffordCircuit, n: int | None = None,
-                     wires: tuple[int, ...] | None = None) -> CliffordTableau:
-        n = circuit.n if n is None else n
-        tab = cls.identity(n)
-        tab.apply_circuit(circuit, wires)
-        return tab
-
-    @property
-    def x_images(self) -> tuple[PauliString, ...]:
-        """C X_q C^dagger for q = 1..n."""
-        return self._strings(0, self.n)
-
-    @property
-    def z_images(self) -> tuple[PauliString, ...]:
-        """C Z_q C^dagger for q = 1..n."""
-        return self._strings(self.n, 2 * self.n)
-
-    def _strings(self, lo: int, hi: int) -> tuple[PauliString, ...]:
-        return tuple(PauliString.from_xz_row(self.n, self.rows[b], self.phases[b])
-                     for b in range(lo, hi))
-
-    def apply_gate(self, name: str, qubits: tuple[int, ...]) -> None:
-        _check_qubits(qubits, self.n)
-        rows, phases = self.rows, self.phases
-        for b in range(2 * self.n):
-            rows[b], phases[b] = _gate_on_row(
-                rows[b], phases[b], self.n, name, qubits)
-
-    def apply_circuit(self, circuit: CliffordCircuit,
-                      wires: tuple[int, ...] | None = None) -> None:
-        for name, qubits in circuit.gates:
-            if wires is not None:
-                qubits = tuple(wires[q - 1] for q in qubits)
-            self.apply_gate(name, qubits)
 
     def prepend_circuit(self, circuit: CliffordCircuit,
                         wires: tuple[int, ...]) -> None:
@@ -275,32 +234,18 @@ class CliffordTableau:
                 f"tableau on {self.n} qubits, string on {p.n}")
         return PauliString.from_xz_row(self.n, *self.image(*p.xz_row()))
 
-    def is_symplectic(self) -> bool:
-        """Check that the images are Hermitian and preserve all pairwise
-        (anti)commutation relations: X_q and Z_q anticommute, all other
-        generator pairs commute."""
-        n, rows = self.n, self.rows
-        for i, (ri, ei) in enumerate(zip(rows, self.phases)):
-            if (ei - (ri & ri >> n).bit_count()) % 2:
-                return False
-            for j in range(i + 1, 2 * n):
-                rj = rows[j]
-                anti = ((ri & rj >> n).bit_count()
-                        + (ri >> n & rj).bit_count()) % 2
-                if anti != (j == i + n):
-                    return False
-        return True
-
 
 @functools.lru_cache(maxsize=1024)
 def circuit_images(circuit: CliffordCircuit,
                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Packed rows and phases of the circuit's own tableau: the images of
-    X_1..X_k, Z_1..Z_k on its k local qubits, in the layout of
+    X_1..X_k, Z_1..Z_k on its k local qubits, each the ``conjugate_row``
+    image of the generator row ``1 << b``, in the layout of
     ``CliffordTableau.rows``.  The rows alone are its phase-free symplectic
     map.  Cached per distinct circuit."""
-    tab = CliffordTableau.from_circuit(circuit)
-    return tuple(tab.rows), tuple(tab.phases)
+    k = circuit.n
+    images = [circuit.conjugate_row(1 << b, 0, k) for b in range(2 * k)]
+    return tuple(r for r, _ in images), tuple(e for _, e in images)
 
 
 def _normalizer_ops(letter: str, qubit: int) -> list[tuple[str, tuple[int, ...]]]:

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the integer check of parsed JSON input.
+"""Exception hierarchy, and the type checks of parsed JSON input.
 
 Validation errors (bad user input) subclass ``ValueError`` so callers may
 catch either the specific class or the builtin.  Verdict errors signal that
@@ -80,4 +80,13 @@ def json_int(x: object, what: str) -> int:
     or a string raises ValidationError: it is refused, never truncated."""
     if type(x) is not int:  # bool is a subclass of int
         raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def json_typed(x: object, kind: type, what: str):
+    """``x``, a parsed JSON value named ``what`` that must be of type
+    ``kind`` (dict, list or str); any other value raises ValidationError."""
+    if not isinstance(x, kind):
+        noun = "a JSON object" if kind is dict else f"a {kind.__name__}"
+        raise ValidationError(f"{what} must be {noun}, got {x!r}")
     return x

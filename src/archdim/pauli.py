@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidQubit
+from .errors import DimensionMismatch, InvalidQubit, ValidationError
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PHASE_PREFIX = {0: "", 1: "+i", 2: "-", 3: "-i"}
@@ -83,9 +83,9 @@ class PauliString:
     @classmethod
     def from_label(cls, text: str) -> PauliString:
         """Parse a text form like ``XYZI``, ``-iXZ`` or ``+IZ``."""
-        m = _LABEL_RE.match(text.strip())
+        m = isinstance(text, str) and _LABEL_RE.match(text.strip())
         if not m:
-            raise ValueError(f"cannot parse Pauli label {text!r}")
+            raise ValidationError(f"cannot parse Pauli label {text!r}")
         prefix, letters = m.groups()
         phase = _PREFIX_PHASE[prefix]
         x = z = 0
@@ -101,9 +101,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
-
     def letter(self, qubit: int) -> str:
         if not 1 <= qubit <= self.n:
             raise InvalidQubit(f"qubit {qubit} outside [1, {self.n}]")
@@ -117,9 +114,6 @@ class PauliString:
         letters = "".join(self.letter(q) for q in range(1, self.n + 1))
         return _PHASE_PREFIX[self.phase_exp] + letters
 
-    def unphased(self) -> PauliString:
-        return PauliString(self.n, self.x_bits, self.z_bits, 0)
-
     def xz_row(self) -> tuple[int, int]:
         """Packed XZ form (x_bits | z_bits << n, e), self = i^e X^x Z^z."""
         return (self.x_bits | self.z_bits << self.n,
@@ -130,13 +124,6 @@ class PauliString:
         """The string i^e X^x Z^z of a packed row ``x | z << n``."""
         x, z = row & ((1 << n) - 1), row >> n
         return cls(n, x, z, e - (x & z).bit_count())
-
-    def key(self) -> tuple[int, int]:
-        """(x_bits, z_bits) pair identifying the string up to phase."""
-        return (self.x_bits, self.z_bits)
-
-    def __str__(self) -> str:
-        return self.label()
 
     # -- algebra -----------------------------------------------------------
 
@@ -156,41 +143,6 @@ class PauliString:
                  + y_self + y_other + 2 * cross - y_res) % 4
         return PauliString(self.n, x, z, phase)
 
-    def commutes_with(self, other: PauliString) -> bool:
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"cannot compare strings on {self.n} and {other.n} qubits")
-        sym = ((self.x_bits & other.z_bits).bit_count()
-               + (self.z_bits & other.x_bits).bit_count())
-        return sym % 2 == 0
-
-    # -- restriction / embedding -------------------------------------------
-
-    def factor(self, qubits: tuple[int, ...]) -> PauliString:
-        """Letters at the given qubits as a new unphased string."""
-        x = z = 0
-        for pos, q in enumerate(qubits):
-            if not 1 <= q <= self.n:
-                raise InvalidQubit(f"qubit {q} outside [1, {self.n}]")
-            p = q - 1
-            x |= ((self.x_bits >> p) & 1) << pos
-            z |= ((self.z_bits >> p) & 1) << pos
-        return PauliString(len(qubits), x, z, 0)
-
-    def embedded(self, n: int, wires: tuple[int, ...]) -> PauliString:
-        """Place this string on the given wires of an n-qubit register."""
-        if len(wires) != self.n:
-            raise DimensionMismatch(
-                f"{self.n}-qubit string needs {self.n} wires, got {len(wires)}")
-        x = z = 0
-        for pos, w in enumerate(wires):
-            if not 1 <= w <= n:
-                raise InvalidQubit(f"wire {w} outside [1, {n}]")
-            p = w - 1
-            x |= ((self.x_bits >> pos) & 1) << p
-            z |= ((self.z_bits >> pos) & 1) << p
-        return PauliString(n, x, z, self.phase_exp)
-
     # -- dense form ---------------------------------------------------------
 
     def to_matrix(self) -> np.ndarray:
@@ -199,13 +151,6 @@ class PauliString:
         for q in range(1, self.n + 1):
             out = np.kron(out, _MAT_1Q[self.letter(q)])
         return (1j ** self.phase_exp) * out
-
-    def state_image(self) -> tuple[int, int]:
-        """(bits, kappa) with ``P |0...0> = i^kappa |bits>``.
-
-        ``bits`` uses qubit 1 as the most significant bit of the integer.
-        """
-        return xz_state_image(self.n, *self.xz_row())
 
 
 def xz_state_image(n: int, row: int, e: int) -> tuple[int, int]:

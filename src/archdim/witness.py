@@ -36,6 +36,7 @@ from .errors import (
     TrivialPauli,
     ValidationError,
     json_int,
+    json_typed,
 )
 from .pauli import PauliString, lex_flips, xz_state_image
 
@@ -112,18 +113,17 @@ def route_pauli_through_slice(tree: PathTree,
         raise PhasedPauli(f"cannot route phased string {p.label()!r}")
 
     n = tree.n
-    hop_for_gate = {idx: (q, nxt) for q, (idx, nxt) in tree.next_hop.items()}
+    dst_for_gate = dict(tree.next_hop.values())  # hop gate -> next qubit
     assignments: dict[int, CliffordCircuit] = {}
     row, e = p.xz_row()  # the swept string, in packed XZ form
     for offset, (a, b) in enumerate(tree.wire_pairs):
         idx = tree.start + offset
-        hop = hop_for_gate.get(idx)
+        dst = dst_for_gate.get(idx)
         circuit = _EMPTY_2Q
-        if hop is not None:
+        if dst is not None:
             x = (row >> (a - 1) & 1) | (row >> (b - 1) & 1) << 1
             z = (row >> (n + a - 1) & 1) | (row >> (n + b - 1) & 1) << 1
             if x or z:
-                _, dst = hop
                 circuit = routing_clifford_2q(PauliString(2, x, z),
                                               target=1 if dst == a else 2)
                 row, e = circuit.conjugate_row(row, e, n, wires=(a, b))
@@ -205,28 +205,32 @@ class WitnessCertificate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> WitnessCertificate:
-        n = json_int(d["n"], "n")
-        mode = d["mode"]
-        circuits = tuple(
-            CliffordCircuit.from_json_ops(2, ops) for ops in d["gates"])
+    def from_json_dict(cls, d: object) -> WitnessCertificate:
+        """Certificate from parsed JSON in the ``to_json_dict`` layout; any
+        other shape, a non-integer number or bad state bits raise ValidationError."""
+        n = json_int(json_typed(d, dict, "a certificate")["n"], "n")
+        circuits = tuple(CliffordCircuit.from_json_ops(2, ops)
+                         for ops in json_typed(d["gates"], list, "gates"))
         slices = tuple(
             SliceRecord(json_int(s["start"], "slice start"),
                         json_int(s["stop"], "slice stop"),
                         json_int(s["sink"], "slice sink"),
                         PauliString.from_label(s["q"]),
                         json_int(s["insertion_gate"], "insertion gate"))
-            for s in d["slices"])
-        directions: tuple[PauliString, ...] = ()
-        images: tuple[tuple[int, int], ...] = ()
-        if mode == "unitary":
-            directions = tuple(
-                PauliString.from_label(lbl) for lbl in d["directions"])
-        else:
-            images = tuple(
-                (int(e["bits"], 2), json_int(e["phase_exp"], "phase_exp"))
-                for e in d["directions"])
-        return cls(n, mode, circuits, slices, directions, images)
+            for s in (json_typed(s, dict, "a slice")
+                      for s in json_typed(d["slices"], list, "slices")))
+        entries = json_typed(d["directions"], list, "directions")
+        if d["mode"] == "unitary":
+            return cls(n, d["mode"], circuits, slices, directions=tuple(
+                PauliString.from_label(p) for p in entries))
+        images = []
+        for e in entries:
+            bits = json_typed(e, dict, "a direction")["bits"]
+            if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
+                raise ValidationError(f"bits must be {n} characters 0 or 1, "
+                                      f"got {bits!r}")
+            images.append((int(bits, 2), json_int(e["phase_exp"], "phase_exp")))
+        return cls(n, d["mode"], circuits, slices, state_images=tuple(images))
 
     @classmethod
     def from_json(cls, text: str) -> WitnessCertificate:
@@ -480,13 +484,10 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
             raise CertificateMismatch(
                 f"insertion gate of slice [{s.start}, {s.stop}) is stale")
 
-    if cert.mode == "unitary":
-        stored = (tuple(sweep.inv_prefix.conjugate(d) for d in cert.directions),
-                  cert.state_images)
-        fresh = (sweep.pulled_strings(), ())
-    else:
-        stored = (cert.directions, cert.state_images)
-        fresh = ((), sweep.state_images())
+    stored = (tuple(sweep.inv_prefix.conjugate(d) for d in cert.directions),
+              cert.state_images)
+    fresh = ((sweep.pulled_strings(), ()) if cert.mode == "unitary"
+             else ((), sweep.state_images()))
     if stored != fresh:
         raise CertificateMismatch("stored directions disagree with recomputation")
     if len(sweep.keys) != len(sweep.pulled):

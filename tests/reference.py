@@ -3,8 +3,9 @@
 Each one recomputes, the slow and direct way, a quantity the library builds
 another way: the per-column perturbation operator behind ``tangent_frame``,
 the gauge redundancy that its dropped columns rely on, a slice's tableau
-composed gate by gate, a path-tree walk, a qubit's forward reach and the
-witness rank from phase-free symplectic images alone.  None has a size
+composed gate by gate, the tableau symplecticity check, a path-tree walk, a
+qubit's forward reach and the witness rank from phase-free symplectic images
+alone.  None has a size
 guard; the tests keep their inputs small.
 """
 
@@ -134,14 +135,43 @@ def gauge_redundancy_check(arch: Architecture, gates: GateAssignment,
         tuple(results[w] for w in internal_wires(arch)), tolerance)
 
 
+def post_composed(n: int,
+                  steps: Sequence[tuple[CliffordCircuit, tuple[int, ...]]],
+                  ) -> CliffordTableau:
+    """Tableau of the (circuit, wires) steps, the first acting first: every
+    generator image is conjugated by each step in turn, gate by gate
+    (``conjugate_row``)."""
+    tab = CliffordTableau.identity(n)
+    for circuit, wires in steps:
+        for b in range(2 * n):
+            tab.rows[b], tab.phases[b] = circuit.conjugate_row(
+                tab.rows[b], tab.phases[b], n, wires)
+    return tab
+
+
 def slice_tableau(arch: Architecture, start: int, stop: int,
                   circuits: dict[int, CliffordCircuit] | Sequence[CliffordCircuit],
                   ) -> CliffordTableau:
     """Tableau of gates ``start:stop``, post-composed one circuit at a time."""
-    tab = CliffordTableau.identity(arch.n)
-    for idx in range(start, stop):
-        tab.apply_circuit(circuits[idx], wires=arch.gates[idx])
-    return tab
+    return post_composed(arch.n, [(circuits[idx], arch.gates[idx])
+                                  for idx in range(start, stop)])
+
+
+def is_symplectic(tab: CliffordTableau) -> bool:
+    """Check that the images are Hermitian and preserve all pairwise
+    (anti)commutation relations: X_q and Z_q anticommute, all other
+    generator pairs commute."""
+    n, rows = tab.n, tab.rows
+    for i, (ri, ei) in enumerate(zip(rows, tab.phases)):
+        if (ei - (ri & ri >> n).bit_count()) % 2:
+            return False
+        for j in range(i + 1, 2 * n):
+            rj = rows[j]
+            anti = ((ri & rj >> n).bit_count()
+                    + (ri >> n & rj).bit_count()) % 2
+            if anti != (j == i + n):
+                return False
+    return True
 
 
 def path(tree: PathTree, qubit: int) -> list[tuple[int, int, int]]:

@@ -99,6 +99,19 @@ def test_staircase_probability_respects_lower_bound():
         assert p.lower <= p.value <= 1.0
 
 
+def test_bounds_equal_their_old_closed_forms():
+    # the sheet's dimension bound is the gauge_fixed_count rule with
+    # min(n, 2R) touched qubits, and the staircase lower bound is the
+    # randomized bound at alpha = 0, bit for bit
+    for n in range(1, 13):
+        for r in range(41):
+            upper = make_bound_sheet(n, r, 1).dimension_upper
+            assert upper == (min(15 * r, 9 * r + 3 * n) if r else 0), (n, r)
+        if n >= 2:
+            lower = staircase_slice_probability(n).lower
+            assert lower.hex() == (1.0 - (n - 1) * math.exp(-n)).hex(), n
+
+
 def test_bound_sheet_cli_example():
     sheet = make_bound_sheet(3, 126, 2)
     assert sheet.lower_bound_complexity == Fraction(6)

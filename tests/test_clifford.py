@@ -12,9 +12,11 @@ from archdim import (
     conjugate_pauli_by_gate,
     routing_clifford_2q,
 )
-from archdim.clifford import GATE_ARITY, GATE_MATRICES
+from archdim.clifford import GATE_ARITY, GATE_MATRICES, circuit_images
 from archdim.dense import apply_gate_left
 from archdim.pauli import TWO_QUBIT_GENERATORS
+
+from reference import is_symplectic, post_composed
 
 GATE_PLACEMENTS = [
     (name, qubits)
@@ -66,6 +68,13 @@ def _random_pauli(rng, n):
                        int(rng.integers(0, 1 << n)), int(rng.integers(0, 4)))
 
 
+def _tableau(circuit):
+    """The circuit's tableau, pre-composed onto the identity in one step."""
+    tab = CliffordTableau.identity(circuit.n)
+    tab.prepend_circuit(circuit, tuple(range(1, circuit.n + 1)))
+    return tab
+
+
 def _random_two_qubit_steps(rng, n, length):
     """Random two-qubit circuits placed on random ordered wire pairs."""
     steps = []
@@ -75,10 +84,10 @@ def _random_two_qubit_steps(rng, n, length):
     return steps
 
 
-def test_prepend_circuit_matches_from_circuit_and_dense():
+def test_prepend_circuit_matches_post_composed_and_dense():
     # prepending the steps back to front must give the tableau that
-    # post-composing them front to back gives, phases included; n = 40
-    # makes rows of 80 bits
+    # post-composing them front to back, gate by gate, gives, phases
+    # included; n = 40 makes rows of 80 bits
     rng = np.random.default_rng(11)
     sizes = [int(rng.integers(2, 5)) for _ in range(300)] + [16] * 20 + [40] * 20
     for n in sizes:
@@ -89,12 +98,10 @@ def test_prepend_circuit_matches_from_circuit_and_dense():
         flat = CliffordCircuit(n, tuple(
             (name, tuple(wires[q - 1] for q in qubits))
             for circuit, wires in steps for name, qubits in circuit.gates))
-        reference = CliffordTableau.from_circuit(flat)
-        assert built.x_images == reference.x_images
-        assert built.z_images == reference.z_images
+        reference = post_composed(n, steps)
+        assert (built.rows, built.phases) == (reference.rows, reference.phases)
         built.prepend_circuit(CliffordCircuit(2), steps[0][1])  # a no-op
-        assert built.x_images == reference.x_images
-        assert built.z_images == reference.z_images
+        assert (built.rows, built.phases) == (reference.rows, reference.phases)
         u = flat.to_unitary() if n <= 3 else None
         for _ in range(4):
             p = _random_pauli(rng, n)
@@ -109,15 +116,15 @@ def test_tableau_is_symplectic_for_random_circuits():
     rng = np.random.default_rng(12)
     for _ in range(50):
         n = int(rng.integers(2, 5))
-        tab = CliffordTableau.from_circuit(_random_circuit(rng, n, 8))
-        assert tab.is_symplectic()
+        tab = _tableau(_random_circuit(rng, n, 8))
+        assert is_symplectic(tab)
         # a non-Hermitian image, or Z_1's image equal to X_1's, breaks it
         phases = list(tab.phases)
         phases[n] += 1
-        assert not CliffordTableau(n, list(tab.rows), phases).is_symplectic()
+        assert not is_symplectic(CliffordTableau(n, list(tab.rows), phases))
         rows = list(tab.rows)
         rows[n] = rows[0]
-        assert not CliffordTableau(n, rows, list(tab.phases)).is_symplectic()
+        assert not is_symplectic(CliffordTableau(n, rows, list(tab.phases)))
 
 
 def test_packed_product_matches_pauli_mul():
@@ -148,7 +155,7 @@ def _random_pauli_wide(rng, n):
 
 def test_tableau_preserves_identity_and_weight_zero():
     rng = np.random.default_rng(13)
-    tab = CliffordTableau.from_circuit(_random_circuit(rng, 3, 10))
+    tab = _tableau(_random_circuit(rng, 3, 10))
     ident = PauliString.identity(3)
     assert tab.conjugate(ident) == ident
 
@@ -165,8 +172,8 @@ def test_circuit_inverse_undoes_conjugation():
         n = int(rng.integers(2, 4))
         circ = _random_circuit(rng, n, 6)
         p = _random_pauli(rng, n)
-        roundtrip = circ.inverse().conjugate(circ.conjugate(p))
-        assert roundtrip == p
+        image = circ.conjugate_row(*p.xz_row(), n)
+        assert circ.inverse().conjugate_row(*image, n) == p.xz_row()
 
 
 # -- dense bridge ---------------------------------------------------------------
@@ -195,7 +202,7 @@ def test_dense_conjugation_agrees_with_tableau_on_phased_strings():
         n = int(rng.integers(2, 4))
         circ = _random_circuit(rng, n, 6)
         u = circ.to_unitary()
-        tab = CliffordTableau.from_circuit(circ)
+        tab = _tableau(circ)
         p = _random_pauli(rng, n)
         dense = u @ p.to_matrix() @ u.conj().T
         assert np.abs(dense - tab.conjugate(p).to_matrix()).max() < 1e-12
@@ -207,7 +214,7 @@ def test_dense_conjugation_agrees_with_tableau_on_generators():
         n = 2
         circ = _random_circuit(rng, n, 5)
         u = circ.to_unitary()
-        tab = CliffordTableau.from_circuit(circ)
+        tab = _tableau(circ)
         for q in range(1, n + 1):
             for kind in ("X", "Z"):
                 gen = PauliString.single(n, kind, q)
@@ -240,7 +247,7 @@ def test_routing_all_fifteen_paulis(target):
     for p in TWO_QUBIT_GENERATORS:
         circ = routing_clifford_2q(p, target=target)
         assert len(circ) <= 5
-        assert circ.conjugate(p) == expected
+        assert circ.conjugate_row(*p.xz_row(), 2) == expected.xz_row()
         # dense 4x4 oracle
         u = circ.to_unitary()
         got = u @ p.to_matrix() @ u.conj().T
@@ -249,6 +256,26 @@ def test_routing_all_fifteen_paulis(target):
 
 def test_local_circuit_embeds_on_wires():
     circ = routing_clifford_2q(PauliString.from_label("XY"))
-    big = PauliString.from_label("XY").embedded(4, (2, 4))
-    moved = circ.conjugate(big, wires=(2, 4))
-    assert moved == PauliString.single(4, "Z", 4)
+    big = PauliString.from_label("IXIY")  # XY placed on wires (2, 4)
+    moved = circ.conjugate_row(*big.xz_row(), 4, wires=(2, 4))
+    assert moved == PauliString.single(4, "Z", 4).xz_row()
+
+
+def test_circuit_images_match_dense_conjugation():
+    # rows and phases of each circuit's own tableau against C g C^dagger for
+    # every generator g (X_1, X_2, Z_1, Z_2 on two qubits), phases included
+    routed = [routing_clifford_2q(p, target=t)
+              for p in TWO_QUBIT_GENERATORS for t in (1, 2)]
+    circuits = [CliffordCircuit(2), CliffordCircuit(1, (("H", (1,)),)),
+                CliffordCircuit(1, (("S", (1,)),))]
+    circuits += routed + [c.inverse() for c in routed]
+    assert len(routed) == 30
+    assert circuit_images(CliffordCircuit(2)) == ((1, 2, 4, 8), (0, 0, 0, 0))
+    for circ in circuits:
+        k, u = circ.n, circ.to_unitary()
+        rows, phases = circuit_images(circ)
+        assert len(rows) == len(phases) == 2 * k
+        for b in range(2 * k):
+            g = PauliString.from_xz_row(k, 1 << b, 0).to_matrix()
+            image = PauliString.from_xz_row(k, rows[b], phases[b]).to_matrix()
+            assert np.abs(u @ g @ u.conj().T - image).max() < 1e-12

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from archdim import (
 )
 from archdim import contraction
 from archdim.clifford import CliffordTableau, circuit_images, routing_clifford_2q
-from archdim.pauli import nontrivial_strings
+from archdim.pauli import nontrivial_strings, xz_state_image
 from archdim.witness import (
     _XZ_MATRICES_2Q,
     _DirectionSweep,
@@ -177,13 +178,13 @@ def test_route_random_paulis_against_tableau_and_dense():
 def test_witness_two_slices_distinct_directions():
     cert = witness_point(staircase(3, 2), "unitary")
     assert len(cert.directions) == 2
-    assert len({d.key() for d in cert.directions}) == 2
+    assert len({(d.x_bits, d.z_bits) for d in cert.directions}) == 2
 
 
 def test_witness_direction_count_full_saturation():
     cert = witness_point(staircase(3, 63), "unitary")
     assert len(cert.directions) == 63
-    assert len({d.key() for d in cert.directions}) == 63
+    assert len({(d.x_bits, d.z_bits) for d in cert.directions}) == 63
 
 
 def test_witness_unitary_threshold():
@@ -267,7 +268,7 @@ def test_witness_directions_survive_random_slice_conjugation():
         assignments = route_pauli_through_slice(tree, p)
         tab = slice_tableau(arch, 0, 2, assignments)
         directions = [tab.conjugate(d) for d in directions]
-        assert len({d.key() for d in directions}) == len(directions)
+        assert len({(d.x_bits, d.z_bits) for d in directions}) == len(directions)
 
 
 def test_witness_rank_meets_slice_count():
@@ -535,9 +536,10 @@ def test_dense_clifford_check_rejects_flipped_image_sign():
     phases = list(total.phases)
     phases[total.n] = (phases[total.n] + 2) % 4  # the image of Z_1
     flipped = CliffordTableau(total.n, list(total.rows), phases)
-    p = total.z_images[0]
-    assert flipped.z_images[0] == PauliString(p.n, p.x_bits, p.z_bits,
-                                              p.phase_exp + 2)
+    z_1 = PauliString.single(total.n, "Z", 1)
+    p = total.conjugate(z_1)
+    assert flipped.conjugate(z_1) == PauliString(p.n, p.x_bits, p.z_bits,
+                                                 p.phase_exp + 2)
     assert not _dense_is_clifford(arch, cert.to_gate_assignment(), flipped)
 
 
@@ -765,6 +767,56 @@ def test_certificate_refuses_non_integer_field(mode, field, value):
         WitnessCertificate.from_json_dict(doc)
 
 
+def _with_slice_q(d, q):
+    return {**d, "slices": [{**d["slices"][0], "q": q}] + d["slices"][1:]}
+
+
+def _with_gate(d, j, ops):
+    gates = list(d["gates"])
+    gates[j] = ops
+    return {**d, "gates": gates}
+
+
+def _with_bits(d, bits):
+    return {**d, "directions": [{**d["directions"][0], "bits": bits}]
+            + d["directions"][1:]}
+
+
+# (mode, mutation) pairs on the certificate of staircase(3, 4), whose gate 1
+# is [["H", 2]], gate 7 [["SWAP", 1, 2]] and, in state mode, first bits "001"
+WRONG_CERTIFICATES = {
+    "not-an-object": ("unitary", lambda d: [1, 2]),
+    "gates-not-a-list": ("unitary", lambda d: {**d, "gates": 5}),
+    "circuit-not-a-list": ("unitary", lambda d: _with_gate(d, 1, 5)),
+    "slices-not-a-list": ("unitary", lambda d: {**d, "slices": 5}),
+    "directions-not-a-list": ("state", lambda d: {**d, "directions": 5}),
+    "slice-not-an-object": ("unitary", lambda d: {**d, "slices": [5]}),
+    "state-direction-not-an-object": ("state",
+                                      lambda d: {**d, "directions": [5]}),
+    "q-not-a-string": ("unitary", lambda d: _with_slice_q(d, 5)),
+    "direction-not-a-string": ("unitary", lambda d: {**d, "directions": [5]}),
+    "bool-qubit": ("unitary", lambda d: _with_gate(d, 7, [["SWAP", True, 2]])),
+    "float-qubit": ("unitary", lambda d: _with_gate(d, 1, [["H", 2.0]])),
+    "empty-op": ("unitary", lambda d: _with_gate(d, 1, [[]])),
+    "gate-name-not-a-string": ("unitary", lambda d: _with_gate(d, 1, [[5, 2]])),
+    "op-not-a-list": ("unitary", lambda d: _with_gate(d, 1, ["H"])),
+    "bits-too-short": ("state", lambda d: _with_bits(d, "1")),
+    "bits-too-long": ("state", lambda d: _with_bits(d, "0001")),
+    "bits-with-space": ("state", lambda d: _with_bits(d, " 01")),
+    "bits-with-underscore": ("state", lambda d: _with_bits(d, "0_1")),
+}
+
+
+@pytest.mark.parametrize("mode, mutate", WRONG_CERTIFICATES.values(),
+                         ids=WRONG_CERTIFICATES.keys())
+def test_certificate_refuses_wrong_shape(mode, mutate):
+    # each raised TypeError, AttributeError, IndexError or a plain
+    # ValueError, or was read leniently (true as qubit 1, "1" as "001")
+    doc = witness_point(staircase(3, 4), mode).to_json_dict()
+    with pytest.raises(ValidationError):
+        WitnessCertificate.from_json(json.dumps(mutate(doc)))
+
+
 def test_certificate_json_roundtrip():
     for mode in ("unitary", "state"):
         arch = staircase(3, 4)
@@ -796,7 +848,8 @@ def test_witness_directions_match_eq_partial_recomputation(arch, mode):
             d = tab.conjugate(d)
         directions.append(d)
         inv_prefix = slice_tableau(reversed_arch, r - s.stop, r, inverses)
-        images.append(inv_prefix.conjugate(z_sink).state_image())
+        images.append(xz_state_image(
+            arch.n, *inv_prefix.conjugate(z_sink).xz_row()))
         # and the slice routes its chosen string onto that Z
         assert tabs[j].conjugate(s.chosen) == z_sink
     if mode == "unitary":
@@ -855,8 +908,8 @@ def test_direction_scan_matches_string_scan(mode):
 
         def reference_key(p):
             if mode == "unitary":
-                return p.key()
-            bits, kappa = p.state_image()
+                return p.x_bits, p.z_bits
+            bits, kappa = xz_state_image(p.n, *p.xz_row())
             return bits, kappa % 2
 
         taken = set()
