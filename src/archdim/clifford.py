@@ -8,11 +8,12 @@ by XOR, and since Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1 their exponents add
 to e1 + e2 + 2 |z1 & x2|.  Two primitives carry every Clifford action:
 ``CliffordCircuit.conjugate_row`` conjugates one row gate by gate, and a
 ``CliffordTableau`` holds the 2n generator images, grows by
-``prepend_circuit`` and applies them by ``image`` or ``conjugate``.  The
-dense matrix of any circuit is a cross-check.  ``routing_clifford_2q``
-synthesises, constructively, a short circuit mapping any nontrivial
-two-qubit Pauli onto a bare Z of a chosen wire - the local step used to
-sweep a Pauli string through a causal slice.
+``prepend_circuit`` and applies them by ``image`` or ``conjugate``.  No
+dense matrix enters: the gate matrices and a circuit's dense unitary, the
+cross-check of every conjugation, live in ``tests/reference.py``.
+``routing_clifford_2q`` synthesises, constructively, a short circuit
+mapping any nontrivial two-qubit Pauli onto a bare Z of a chosen wire - the
+local step used to sweep a Pauli string through a causal slice.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dense import apply_gate_left
 from .errors import (
     DimensionMismatch,
     InvalidQubit,
@@ -34,20 +32,7 @@ from .errors import (
 )
 from .pauli import PauliString
 
-_SQRT2 = 1.0 / np.sqrt(2.0)
-
 GATE_ARITY = {"H": 1, "S": 1, "CNOT": 2, "SWAP": 2, "CZ": 2}
-
-# Local qubit 1 is the most significant bit; CNOT control is its first qubit.
-GATE_MATRICES: dict[str, np.ndarray] = {
-    "H": np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-    "SWAP": np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-}
 
 # Inverses within the same basis: S^-1 = S S S, every other gate is its own.
 _GATE_INVERSE = {name: (name,) for name in GATE_ARITY} | {"S": ("S",) * 3}
@@ -78,7 +63,7 @@ def _gate_on_row(row: int, e: int, n: int, name: str,
             row ^= (1 << xp) | (1 << zp)
         return row, (e + 2 * (a & b)) & 3
     if name not in GATE_ARITY:
-        raise ValueError(f"unknown gate {name!r}")
+        raise ValidationError(f"unknown gate {name!r}")
     pa, pb = qubits[0] - 1, qubits[1] - 1
     xa, xb = row >> pa & 1, row >> pb & 1
     if name == "CNOT":  # x_target ^= x_control, z_control ^= z_target
@@ -110,9 +95,9 @@ class CliffordCircuit:
         for name, qubits in self.gates:
             arity = GATE_ARITY.get(name)
             if arity is None:
-                raise ValueError(f"unknown gate {name!r}")
+                raise ValidationError(f"unknown gate {name!r}")
             if len(qubits) != arity:
-                raise ValueError(f"{name} takes {arity} qubits, got {qubits}")
+                raise ValidationError(f"{name} takes {arity} qubits, got {qubits}")
             if len(set(qubits)) != len(qubits):
                 raise InvalidQubit(f"{name} qubits must be distinct: {qubits}")
             _check_qubits(qubits, self.n)
@@ -139,13 +124,6 @@ class CliffordCircuit:
             _check_qubits(qubits, n)
             row, e = _gate_on_row(row, e, n, name, qubits)
         return row, e
-
-    def to_unitary(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix of the circuit (first gate acts first)."""
-        mat = np.eye(2 ** self.n, dtype=complex)
-        for name, qubits in self.gates:
-            mat = apply_gate_left(mat, GATE_MATRICES[name], qubits, self.n)
-        return mat
 
     def to_json_ops(self) -> list[list]:
         return [[name, *qubits] for name, qubits in self.gates]

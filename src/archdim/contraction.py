@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .architecture import Architecture, is_causal_slice
 from .bounds import gauge_fixed_count, saturation_threshold
-from .clifford import CliffordCircuit
 from .dense import apply_gate_left, apply_gate_right
 from .errors import (
     CountMismatch,
@@ -141,21 +139,6 @@ class GateAssignment:
         mats = np.stack([haar_su4(rng) for _ in range(arch.gate_count)]) \
             if arch.gate_count else np.zeros((0, 4, 4), dtype=complex)
         return cls(mats)
-
-    @classmethod
-    def from_circuits(cls, circuits: Sequence[CliffordCircuit]) -> GateAssignment:
-        """Each distinct circuit's SU(4) matrix, formed once, per gate slot."""
-        if not circuits:
-            return cls(np.zeros((0, 4, 4), dtype=complex))
-        distinct: dict[CliffordCircuit, int] = {}
-        which = [distinct.setdefault(c, len(distinct)) for c in circuits]
-        mats = []
-        for c in distinct:
-            if c.n != 2:
-                raise ValidationError("vertex circuits must act on 2 qubits")
-            u = c.to_unitary()
-            mats.append(u / np.linalg.det(u) ** 0.25)
-        return cls(np.stack(mats)[which])
 
 
 def _require_match(arch: Architecture, gates: GateAssignment) -> None:

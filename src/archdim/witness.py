@@ -15,17 +15,9 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from . import contraction
 from .architecture import Architecture, is_causal_slice
 from .bounds import saturation_threshold
-from .clifford import (
-    CliffordCircuit,
-    CliffordTableau,
-    circuit_images,
-    routing_clifford_2q,
-)
+from .clifford import CliffordCircuit, CliffordTableau, routing_clifford_2q
 from .errors import (
     CertificateMismatch,
     CountMismatch,
@@ -57,6 +49,11 @@ class PathTree:
     sink: int
     wire_pairs: tuple[tuple[int, int], ...]
     next_hop: dict[int, tuple[int, int]]
+
+
+def _check_mode(mode: object, what: str = "mode") -> None:
+    if mode not in ("unitary", "state"):
+        raise ValidationError(f"{what} must be 'unitary' or 'state', got {mode!r}")
 
 
 def build_path_tree(arch: Architecture, start: int, stop: int,
@@ -165,16 +162,11 @@ class WitnessCertificate:
     state_images: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mode not in ("unitary", "state"):
-            raise ValidationError(
-                f"certificate mode must be 'unitary' or 'state', got {self.mode!r}")
+        _check_mode(self.mode, "certificate mode")
 
     @property
     def slice_count(self) -> int:
         return len(self.slices)
-
-    def to_gate_assignment(self) -> "contraction.GateAssignment":
-        return contraction.GateAssignment.from_circuits(self.gate_circuits)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -207,7 +199,8 @@ class WitnessCertificate:
     @classmethod
     def from_json_dict(cls, d: object) -> WitnessCertificate:
         """Certificate from parsed JSON in the ``to_json_dict`` layout; any
-        other shape, a non-integer number or bad state bits raise ValidationError."""
+        other shape, a non-integer number, an unknown mode or bad state bits
+        raise ValidationError."""
         n = json_int(json_typed(d, dict, "a certificate")["n"], "n")
         circuits = tuple(CliffordCircuit.from_json_ops(2, ops)
                          for ops in json_typed(d["gates"], list, "gates"))
@@ -219,9 +212,11 @@ class WitnessCertificate:
                         json_int(s["insertion_gate"], "insertion gate"))
             for s in (json_typed(s, dict, "a slice")
                       for s in json_typed(d["slices"], list, "slices")))
+        mode = d["mode"]  # checked first: it fixes the directions' layout
+        _check_mode(mode, "certificate mode")
         entries = json_typed(d["directions"], list, "directions")
-        if d["mode"] == "unitary":
-            return cls(n, d["mode"], circuits, slices, directions=tuple(
+        if mode == "unitary":
+            return cls(n, mode, circuits, slices, directions=tuple(
                 PauliString.from_label(p) for p in entries))
         images = []
         for e in entries:
@@ -230,7 +225,7 @@ class WitnessCertificate:
                 raise ValidationError(f"bits must be {n} characters 0 or 1, "
                                       f"got {bits!r}")
             images.append((int(bits, 2), json_int(e["phase_exp"], "phase_exp")))
-        return cls(n, d["mode"], circuits, slices, state_images=tuple(images))
+        return cls(n, mode, circuits, slices, state_images=tuple(images))
 
     @classmethod
     def from_json(cls, text: str) -> WitnessCertificate:
@@ -356,8 +351,7 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     pulled back through the inverse prefix, is not yet taken), route it to Z
     on the slice's sink, and pull that Z back through the grown prefix.
     """
-    if mode not in ("unitary", "state"):
-        raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
+    _check_mode(mode)
     ranges = arch.slice_ranges()
     if not ranges:
         raise NotCausal("architecture has no marked slices")
@@ -420,8 +414,7 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
     same space as the gauge-fixed frame's columns, so this is the rank that
     ``numerical_rank(tangent_frame(...))`` estimates.
     """
-    if mode not in ("unitary", "state"):
-        raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
+    _check_mode(mode)
     if len(circuits) != arch.gate_count:
         raise CountMismatch(
             f"{len(circuits)} circuits supplied for {arch.gate_count} slots")
@@ -435,7 +428,7 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
 @dataclass(frozen=True)
 class WitnessVerdict:
     """Outcome of ``verify_certificate``.  ``witness_rank`` is the exact frame
-    rank, None when the rank and gate checks were skipped."""
+    rank, None when the rank check was skipped."""
 
     slice_count: int
     distinct_directions: int
@@ -457,13 +450,10 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     come from the same sweep.  With ``check_rank`` the sweep also collects
     the ``witness_rank`` keys of every gate it passes, and the checked
     slices tile the gates, so it yields the exact tangent-frame rank at the
-    witness point with no second pass.  That rank must reach the slice
-    count, and each gate matrix of ``cert.to_gate_assignment()`` must
-    conjugate X_1, Z_1, X_2 and Z_2 as its circuit's two-qubit tableau
-    does, phases included; either failure raises ``CertificateMismatch``.
-    Tableau composition is exact, so the gate check ties the matrices to
-    the whole circuit's tableau in O(R) time at any n.  Without
-    ``check_rank`` no rank keys are collected.
+    witness point with no second pass; a rank below the slice count raises
+    ``CertificateMismatch``.  Without ``check_rank`` no rank keys are
+    collected.  The certificate's gates are circuits, so every check is a
+    tableau computation: no dense matrix is formed at any n.
     """
     if cert.n != arch.n or len(cert.gate_circuits) != arch.gate_count:
         raise CertificateMismatch("certificate does not match the architecture")
@@ -499,60 +489,5 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
         if rank < cert.slice_count:
             raise CertificateMismatch(
                 f"witness rank {rank} below slice count {cert.slice_count}")
-        bad = _first_mismatched_gate(
-            cert.to_gate_assignment().matrices, cert.gate_circuits)
-        if bad is not None:
-            raise CertificateMismatch(
-                f"gate {bad} matrix disagrees with the circuit tableaux")
     return WitnessVerdict(cert.slice_count, len(sweep.keys), rank)
 
-
-def _xz_matrix_2q(row: int) -> np.ndarray:
-    """X^x Z^z for a packed two-qubit row (bits x_1, x_2, z_1, z_2)."""
-    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
-    eye = np.eye(2)
-    factors = [(x if row >> q & 1 else eye) @ (z if row >> (q + 2) & 1 else eye)
-               for q in (0, 1)]
-    return np.kron(*factors).astype(complex)
-
-
-# X^x Z^z for every packed two-qubit row; a row with exponent e is i^e times it
-_XZ_MATRICES_2Q = np.stack([_xz_matrix_2q(row) for row in range(16)])
-# each is a signed permutation: the one nonzero of row r of table entry t
-# sits in column _XZ_COLUMNS[t, r] and equals _XZ_SIGNS[t, r]
-_XZ_COLUMNS = np.argmax(np.abs(_XZ_MATRICES_2Q), axis=2)
-_XZ_SIGNS = np.take_along_axis(_XZ_MATRICES_2Q, _XZ_COLUMNS[..., None], 2)[..., 0]
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
-def _first_mismatched_gate(matrices: np.ndarray,
-                           circuits: Sequence[CliffordCircuit]) -> int | None:
-    """First gate j whose matrix u breaks u g = P u, P = C_j g C_j^dagger, for
-    some g in X_1, X_2, Z_1, Z_2; None when every gate agrees.
-
-    Each image is i^e times an entry of a 16-matrix table, read off the
-    circuit's cached tableau.  The generator and the table entries are
-    signed permutation matrices, so u g is u with its columns permuted and
-    signed, and P u is u with its rows permuted and phased: gathers, not
-    matrix products.  Each generator is compared over all R gates at once,
-    so no array exceeds (R, 4, 4).
-    """
-    if not circuits:
-        return None
-    distinct: dict[CliffordCircuit, int] = {}
-    which = np.array([distinct.setdefault(c, len(distinct)) for c in circuits])
-    tableaux = [circuit_images(c) for c in distinct]
-    rows = np.array([r for r, _ in tableaux])[which]
-    phases = _I_POWERS[np.array([e for _, e in tableaux])[which] & 3]
-    gate = np.arange(len(circuits))[:, None]
-    bad = np.zeros(len(circuits), dtype=bool)
-    u_g = np.empty_like(matrices)
-    for g in range(4):
-        u_g[:, :, _XZ_COLUMNS[1 << g]] = matrices * _XZ_SIGNS[1 << g]
-        image = rows[:, g]
-        p_u = matrices[gate, _XZ_COLUMNS[image]]
-        p_u *= (phases[:, g, None] * _XZ_SIGNS[image])[:, :, None]
-        # written as ~(x <= tol) so that a NaN entry fails the check
-        bad |= ~(np.abs(u_g - p_u) <= 1e-9).all(axis=(1, 2))
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None

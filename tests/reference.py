@@ -5,8 +5,10 @@ another way: the per-column perturbation operator behind ``tangent_frame``,
 the gauge redundancy that its dropped columns rely on, a slice's tableau
 composed gate by gate, the tableau symplecticity check, a path-tree walk, a
 qubit's forward reach and the witness rank from phase-free symplectic images
-alone.  None has a size
-guard; the tests keep their inputs small.
+alone.  The dense bridge from Clifford circuits to matrices lives here too:
+the elementary gate matrices, a circuit's unitary and the SU(4) gate
+assignment of a witness point; the library itself keeps circuits as
+tableaux only.  None has a size guard; the tests keep their inputs small.
 """
 
 from __future__ import annotations
@@ -26,6 +28,27 @@ from archdim.witness import PathTree
 
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 
+_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# Local qubit 1 is the most significant bit; CNOT control is its first qubit.
+GATE_MATRICES: dict[str, np.ndarray] = {
+    "H": np.array([[_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], dtype=complex),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "CNOT": np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "SWAP": np.array(
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+}
+
+
+def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of the circuit (first gate acts first)."""
+    mat = np.eye(2 ** circuit.n, dtype=complex)
+    for name, qubits in circuit.gates:
+        mat = apply_gate_left(mat, GATE_MATRICES[name], qubits, circuit.n)
+    return mat
+
 
 def explicit(matrices: Sequence[np.ndarray],
              normalize: bool = True) -> GateAssignment:
@@ -39,6 +62,13 @@ def explicit(matrices: Sequence[np.ndarray],
         mats.append(u)
     stacked = np.stack(mats) if mats else np.zeros((0, 4, 4), dtype=complex)
     return GateAssignment(stacked)
+
+
+def gate_assignment(circuits: Sequence[CliffordCircuit]) -> GateAssignment:
+    """The SU(4) matrix of each two-qubit circuit, one per gate slot; each
+    distinct circuit's unitary is formed once."""
+    unitaries = {c: circuit_unitary(c) for c in set(circuits)}
+    return explicit([unitaries[c] for c in circuits])
 
 
 def perturbation_operator(arch: Architecture, gates: GateAssignment,

@@ -9,14 +9,15 @@ from archdim import (
     PauliString,
     PhasedPauli,
     TrivialPauli,
+    ValidationError,
     conjugate_pauli_by_gate,
     routing_clifford_2q,
 )
-from archdim.clifford import GATE_ARITY, GATE_MATRICES, circuit_images
+from archdim.clifford import GATE_ARITY, circuit_images
 from archdim.dense import apply_gate_left
 from archdim.pauli import TWO_QUBIT_GENERATORS
 
-from reference import is_symplectic, post_composed
+from reference import GATE_MATRICES, circuit_unitary, is_symplectic, post_composed
 
 GATE_PLACEMENTS = [
     (name, qubits)
@@ -102,7 +103,7 @@ def test_prepend_circuit_matches_post_composed_and_dense():
         assert (built.rows, built.phases) == (reference.rows, reference.phases)
         built.prepend_circuit(CliffordCircuit(2), steps[0][1])  # a no-op
         assert (built.rows, built.phases) == (reference.rows, reference.phases)
-        u = flat.to_unitary() if n <= 3 else None
+        u = circuit_unitary(flat) if n <= 3 else None
         for _ in range(4):
             p = _random_pauli(rng, n)
             assert built.conjugate(p) == reference.conjugate(p)
@@ -176,23 +177,30 @@ def test_circuit_inverse_undoes_conjugation():
         assert circ.inverse().conjugate_row(*image, n) == p.xz_row()
 
 
+def test_conjugation_by_unknown_gate_is_a_validation_error():
+    # the single-gate route refuses an unknown name as CliffordCircuit does
+    # for certificate ops (test_witness.py, WRONG_CERTIFICATES)
+    with pytest.raises(ValidationError, match="unknown gate 'FOO'"):
+        conjugate_pauli_by_gate(PauliString.from_label("XI"), "FOO", (1, 2))
+
+
 # -- dense bridge ---------------------------------------------------------------
 
 
 def test_empty_circuit_unitary_is_identity():
-    assert np.allclose(CliffordCircuit(2).to_unitary(), np.eye(4))
+    assert np.allclose(circuit_unitary(CliffordCircuit(2)), np.eye(4))
 
 
 def test_single_hadamard_unitary():
     circ = CliffordCircuit(1, (("H", (1,)),))
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert np.abs(circ.to_unitary() - h).max() < 1e-15
+    assert np.abs(circuit_unitary(circ) - h).max() < 1e-15
 
 
 def test_unitarity_of_random_circuits():
     rng = np.random.default_rng(15)
     circ = _random_circuit(rng, 3, 12)
-    u = circ.to_unitary()
+    u = circuit_unitary(circ)
     assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
 
@@ -201,7 +209,7 @@ def test_dense_conjugation_agrees_with_tableau_on_phased_strings():
     for _ in range(25):
         n = int(rng.integers(2, 4))
         circ = _random_circuit(rng, n, 6)
-        u = circ.to_unitary()
+        u = circuit_unitary(circ)
         tab = _tableau(circ)
         p = _random_pauli(rng, n)
         dense = u @ p.to_matrix() @ u.conj().T
@@ -213,7 +221,7 @@ def test_dense_conjugation_agrees_with_tableau_on_generators():
     for _ in range(10):
         n = 2
         circ = _random_circuit(rng, n, 5)
-        u = circ.to_unitary()
+        u = circuit_unitary(circ)
         tab = _tableau(circ)
         for q in range(1, n + 1):
             for kind in ("X", "Z"):
@@ -249,7 +257,7 @@ def test_routing_all_fifteen_paulis(target):
         assert len(circ) <= 5
         assert circ.conjugate_row(*p.xz_row(), 2) == expected.xz_row()
         # dense 4x4 oracle
-        u = circ.to_unitary()
+        u = circuit_unitary(circ)
         got = u @ p.to_matrix() @ u.conj().T
         assert np.abs(got - expected.to_matrix()).max() < 1e-12
 
@@ -272,7 +280,7 @@ def test_circuit_images_match_dense_conjugation():
     assert len(routed) == 30
     assert circuit_images(CliffordCircuit(2)) == ((1, 2, 4, 8), (0, 0, 0, 0))
     for circ in circuits:
-        k, u = circ.n, circ.to_unitary()
+        k, u = circ.n, circuit_unitary(circ)
         rows, phases = circuit_images(circ)
         assert len(rows) == len(phases) == 2 * k
         for b in range(2 * k):

@@ -34,6 +34,7 @@ from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
 from reference import (
     explicit,
     forward_reach,
+    gate_assignment,
     gauge_redundancy_check,
     perturbation_operator,
     slice_tableau,
@@ -289,7 +290,7 @@ def test_contract_state_basics():
 def test_contract_state_witness_is_stabilizer_state():
     arch = staircase(3, 2)
     cert = witness_point(arch, "unitary")
-    psi = contract_state(arch, cert.to_gate_assignment())
+    psi = contract_state(arch, gate_assignment(cert.gate_circuits))
     total = slice_tableau(arch, 0, arch.gate_count, cert.gate_circuits)
     # psi is a +1 eigenvector of every conjugated stabilizer generator
     for q in range(1, 4):
@@ -439,7 +440,7 @@ def test_identity_point_staircase_frame_counts_distinct_strings():
 def test_frame_contains_witness_directions():
     arch = staircase(3, 2)
     cert = witness_point(arch, "unitary")
-    frame = tangent_frame(arch, cert.to_gate_assignment())
+    frame = tangent_frame(arch, gate_assignment(cert.gate_circuits))
     labels = [PauliString.identity(3)] + list(nontrivial_strings(3))
     for d in cert.directions:
         target = np.zeros(64)
@@ -544,7 +545,7 @@ def _gauge_cases(mode):
         if point == "identity":
             gates = explicit([np.eye(4)] * arch.gate_count)
         elif point == "witness":
-            gates = witness_point(arch, mode).to_gate_assignment()
+            gates = gate_assignment(witness_point(arch, mode).gate_circuits)
         else:
             gates = GateAssignment.haar(arch, point)
         out.append((arch, gates))
@@ -751,7 +752,7 @@ def test_gram_route_on_haar_and_witness_frames(mode):
         routes.append(est.route)
     assert ("gram" in routes) == (mode == "unitary")
     for arch in (staircase(4, 3), brickwork(4, 4)):
-        gates = witness_point(arch, mode).to_gate_assignment()
+        gates = gate_assignment(witness_point(arch, mode).gate_circuits)
         frame = tangent_frame(arch, gates, mode)
         est = numerical_rank(frame)
         _sv, loose, tight = _svd_reference(frame.matrix)
@@ -817,7 +818,8 @@ def test_witness_rank_never_exceeds_consensus():
         arch = staircase(n, t)
         report = accessible_dimension(arch, samples=3, seed=21)
         cert = witness_point(arch, "unitary")
-        west = numerical_rank(tangent_frame(arch, cert.to_gate_assignment()))
+        west = numerical_rank(
+            tangent_frame(arch, gate_assignment(cert.gate_circuits)))
         assert west.rank is not None
         assert t <= west.rank <= report.consensus
 
