@@ -8,8 +8,12 @@ of the gates after j.  The tangent frame collects the Pauli-basis expansion
 of every K_{j,k} (or, in state mode, the real/imaginary parts of
 i K_{j,k} |psi>); its numerical rank at independent Haar-random points is the
 accessible dimension of the architecture, because the rank is constant off a
-measure-zero set.  A dense call whose estimated peak memory (``peak_bytes``)
-exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
+measure-zero set.  A unitary frame is built by one forward sweep in the Pauli
+basis, where each gate acts as a real orthogonal 16 x 16 transfer matrix on
+columns grouped by their forward light cones; a state frame by a backward
+sweep through a dense suffix.  A dense call whose estimated peak memory
+(``peak_bytes``) exceeds ``MEMORY_BUDGET`` raises SizeLimit before it
+allocates.
 """
 
 from __future__ import annotations
@@ -55,21 +59,33 @@ def subseed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def haar_u4(rng: int | np.random.Generator) -> np.ndarray:
-    """Haar-random U(4) sample: QR of a complex Ginibre matrix with the
-    R-diagonal phases folded into Q."""
+def _haar_stack(rng: int | np.random.Generator, count: int,
+                special: bool) -> np.ndarray:
+    """``count`` Haar-random U(4) samples, shape (count, 4, 4), or SU(4)
+    samples when ``special``: QR of complex Ginibre matrices with the
+    R-diagonal phases folded into Q, then the determinant phased out.
+
+    One draw and one stacked QR serve every sample; each matrix equals, bit
+    for bit, what sampling them one at a time from the same generator gives.
+    """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    z = (gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
+    z = gen.standard_normal((count, 2, 4, 4))
+    z = z[:, 0] + 1j * z[:, 1]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
+    d = np.diagonal(r, axis1=1, axis2=2)
+    u = q * (d / np.abs(d))[:, None, :]
+    return u / np.linalg.det(u)[:, None, None] ** 0.25 if special else u
+
+
+def haar_u4(rng: int | np.random.Generator) -> np.ndarray:
+    """Haar-random U(4) sample."""
+    return _haar_stack(rng, 1, special=False)[0]
 
 
 def haar_su4(rng: int | np.random.Generator) -> np.ndarray:
     """Haar-random SU(4) sample (U(4) sample with the determinant phased out)."""
-    u = haar_u4(rng)
-    return u / np.linalg.det(u) ** 0.25
+    return _haar_stack(rng, 1, special=True)[0]
 
 
 def frame_shape(arch: Architecture, mode: str) -> tuple[int, int]:
@@ -84,19 +100,26 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     """Upper estimate of the peak bytes of a dense call on ``arch``; ``job``
     is a frame mode, "contract" or "contract_state".  A gate applied to an
     array holds two more of its size (tensordot's reordered input and
-    output), and 15 directions peak at four stacks of 15.  A frame also
-    counts its matrix twice (the SVD's copy).  The Pauli expansion of the
-    unitary frame counts the cached plans of every size up to n
-    (``_pauli_plan``: 32 * 4^c bytes each, under 43 * 4^n in all) and the
-    temporaries of building the largest."""
+    output).  A frame counts its matrix twice (the SVD's copy).
+
+    The state frame adds four 2^n x 2^n operators for the suffix and its
+    update, and one gate's 15 directions at four stacks of 15 vectors.  The
+    unitary frame's forward sweep (``_cone_plan``) holds the two buffers of
+    the whole-register group, the second of them the output frame's
+    storage, beside one gate step's partial groups.  Its transfer matrices
+    and their complex build take 16 KiB per gate."""
     op = 16 * 4 ** arch.n  # one dense complex 2^n x 2^n operator
-    plans = 80 * 4 ** arch.n
     held = {"contract": 3 * op, "contract_state": 3 * 16 * 2 ** arch.n}
     if job in held:
         return held[job]
     rows, cols = frame_shape(arch, job)
-    batch = 60 * op + plans if job == "unitary" else 60 * 16 * 2 ** arch.n
-    return 2 * 8 * rows * cols + 4 * op + batch
+    frame = 8 * rows * cols
+    if job == "unitary":
+        plan = _cone_plan(arch)
+        whole = 8 * 4 ** arch.n * plan.whole_width
+        return 16384 * arch.gate_count + max(
+            whole + frame + plan.step_bytes, 2 * frame)
+    return 2 * frame + 4 * op + 60 * 16 * 2 ** arch.n
 
 
 def _check_size(arch: Architecture, job: str) -> None:
@@ -135,10 +158,7 @@ class GateAssignment:
 
     @classmethod
     def haar(cls, arch: Architecture, seed: int) -> GateAssignment:
-        rng = np.random.default_rng(seed)
-        mats = np.stack([haar_su4(rng) for _ in range(arch.gate_count)]) \
-            if arch.gate_count else np.zeros((0, 4, 4), dtype=complex)
-        return cls(mats)
+        return cls(_haar_stack(seed, arch.gate_count, special=True))
 
 
 def _require_match(arch: Architecture, gates: GateAssignment) -> None:
@@ -168,7 +188,8 @@ def contract_state(arch: Architecture, gates: GateAssignment) -> np.ndarray:
     return psi
 
 
-# 16 sizes cover every cone of a frame within MEMORY_BUDGET
+# The unitary frame's transfer matrices use the n = 2 plan; direct callers
+# of ``pauli_coefficients`` may fill the other entries.
 @functools.lru_cache(maxsize=16)
 def _pauli_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(gather, hadamard, order, scale) of ``pauli_coefficients`` on n qubits.
@@ -253,31 +274,240 @@ class TangentFrame:
         return self.matrix[:, start:stop]
 
 
-# A frame's partial cones (those short of the whole register, which uses
-# slices) repeat across its Haar samples and across calls on the same
-# architecture.  One entry takes at most 8 * 4^(n-1) bytes, a quarter of one
-# frame column; the benchmark's dim-wide ops fill 30 entries in all.
+_Cone = tuple[int, ...]  # 1-based qubits, ascending
+
+
+@dataclass(frozen=True, eq=False)
+class _ConePlan:
+    """The integer bookkeeping of a unitary frame's forward sweep.
+
+    ``steps[j]`` lists the groups gate j writes, each as (cone, the cones
+    of the groups merged into it, whether gate j's own kept generators
+    ``kept[j]`` join it).  ``record`` is the frame's (gate, generator)
+    column list and ``columns[cone]`` the frame columns of each final
+    group, in stored order.  ``whole_width`` counts the columns of the
+    whole-register group at the end (it only grows), and ``whole_writes``
+    the times the sweep writes that group into a buffer: once per gate,
+    and once more for each merge into it.  ``step_bytes`` bounds the bytes
+    one gate's step holds outside the whole-register buffers.
+    """
+
+    steps: tuple[tuple[tuple[_Cone, tuple[_Cone, ...], bool], ...], ...]
+    kept: tuple[np.ndarray, ...]
+    record: np.ndarray
+    columns: dict[_Cone, np.ndarray]
+    whole_width: int
+    whole_writes: int
+    step_bytes: int
+
+
+# Plans repeat across a frame's Haar samples and across calls on the same
+# architecture; the benchmark's dim-wide ops use four architectures.
 @functools.lru_cache(maxsize=64)
-def _cone_index(cone: tuple[int, ...], n: int, base: int) -> np.ndarray:
-    """Flat indices of the basis elements (base 2: computational states,
-    base 4: Pauli strings) that are trivial outside ``cone``, in
-    lexicographic order over the cone's qubits (1-based, ascending).
-    Cached and read-only: every caller shares the array."""
+def _cone_plan(arch: Architecture) -> _ConePlan:
+    """Group the unitary frame's columns by forward light cone.
+
+    After gate j, the columns of gates 0..j sit in groups, one per cone: the
+    qubits that gates up to j connect to a column's own gate wires (1-based,
+    ascending).  A column is the identity outside its cone, so its group is
+    stored over the cone's 4^|cone| Pauli rows only.  Gate j moves every
+    group whose cone meets its wires to the cone grown by both wires, merges
+    the groups that land on one cone (equal cones evolve alike from then
+    on), and adds its own kept generators to the group of cone {a, b}.
+
+    A step holds the groups it reads beside those it writes.  One transfer
+    adds at most a reordered copy of its input and a moved copy of its
+    output, and a merge its parts beside the merged group.  Columns that
+    reach the whole register count at full size until they are copied into
+    its buffer; a whole-register group off the matmul route (wires not
+    adjacent) is reordered into a copy and transferred into another.
+    """
+    n = arch.n
+    last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
+    whole = tuple(range(1, n + 1))
+    groups: dict[_Cone, list[int]] = {}  # cone -> frame columns
+    kept_all, steps = [], []
+    start = whole_writes = step_bytes = 0
+
+    def held(cone: _Cone, count: int) -> int:
+        return 8 * 4 ** len(cone) * count
+
+    def partial_bytes() -> int:
+        return sum(held(cone, len(cols))
+                   for cone, cols in groups.items() if cone != whole)
+
+    for j, (a, b) in enumerate(arch.gates):
+        kept = _KEPT[last[a] > j, last[b] > j]
+        kept_all.append(kept)
+        before = partial_bytes()
+        width = len(groups.get(whole, ()))
+        written = largest_in = largest_out = 0
+        moves: dict[_Cone, list[_Cone]] = {}
+        # the whole-register group, when there is one, leads its merge
+        for cone in sorted((c for c in groups if a in c or b in c),
+                           key=lambda c: c != whole):
+            moves.setdefault(tuple(sorted({*cone, a, b})), []).append(cone)
+        fresh = tuple(sorted((a, b)))
+        moves.setdefault(fresh, [])
+        for cone, sources in moves.items():
+            largest_in = max([largest_in] + [
+                held(src, len(groups[src])) for src in sources if src != whole])
+            cols = [c for src in sources for c in groups.pop(src)]
+            if cone == fresh:
+                cols += range(start, start + kept.size)
+            groups[cone] = cols
+            # the whole-register group's own columns stay in its buffers
+            out = held(cone, len(cols) - (width if cone == whole else 0))
+            written += out
+            largest_out = max(largest_out, out)
+            if cone == whole:
+                merges = len(sources) + (cone == fresh) > 1
+                whole_writes += (whole in sources) \
+                    + (whole not in sources or merges)
+        start += kept.size
+        steps.append(tuple((cone, tuple(sources), cone == fresh)
+                           for cone, sources in moves.items()))
+        scratch = 2 * held(whole, width) if abs(a - b) > 1 else 0
+        step_bytes = max(step_bytes, before + written + largest_in
+                         + largest_out + scratch)
+    record = np.array([(j, k) for j, kept in enumerate(kept_all) for k in kept],
+                      dtype=np.intp).reshape(-1, 2)
+    record.flags.writeable = False
+    return _ConePlan(
+        steps=tuple(steps), kept=tuple(kept_all), record=record,
+        columns={cone: np.array(cols, dtype=np.intp)
+                 for cone, cols in groups.items()},
+        whole_width=len(groups.get(whole, ())), whole_writes=whole_writes,
+        step_bytes=step_bytes)
+
+
+# A frame's partial cones repeat across its Haar samples and across calls on
+# the same architecture.  One entry takes at most 8 * 4^(n-1) bytes, a
+# quarter of one frame column.
+@functools.lru_cache(maxsize=64)
+def _cone_index(cone: _Cone, n: int) -> np.ndarray:
+    """Flat indices of the Pauli strings that are the identity outside
+    ``cone``, in lexicographic label order over the cone's qubits (1-based,
+    ascending).  Cached and read-only: every caller shares the array."""
     idx = np.zeros(1, dtype=np.intp)
     for q in cone:
-        idx = (idx[:, None] + np.arange(base) * base ** (n - q)).ravel()
+        idx = (idx[:, None] + np.arange(4) * 4 ** (n - q)).ravel()
     idx.flags.writeable = False
     return idx
 
 
+# The 16 two-qubit Pauli matrices in label order, identity first.
+_PAULI_STACK = np.concatenate([np.eye(4, dtype=complex)[None],
+                               _GENERATOR_STACK])
+# _SWAPPED[L]: the label L of a gate on wires (a, b) read with b leading.
+_SWAPPED = np.array([4 * (label % 4) + label // 4 for label in range(16)])
+
+
+def transfer_matrices(gates: GateAssignment) -> np.ndarray:
+    """Pauli transfer matrices T_j[P, Q] = tr(P u_j Q u_j^dagger) / 4 over
+    the 16 two-qubit labels, shape (R, 16, 16).  Conjugation by u_j maps
+    label Q to sum_P T_j[P, Q] P, so each T_j is real and orthogonal, with
+    T_j[0, 0] = 1 and the rest of row and column 0 zero."""
+    mats = gates.matrices
+    r = len(mats)
+    # u_j Q for every gate and label, then u_j Q u_j^dagger
+    conj = apply_gate_right(mats.reshape(4 * r, 4), _PAULI_STACK, (1, 2), 2)
+    conj = conj.reshape(16, r, 4, 4) @ np.swapaxes(mats, 1, 2).conj()
+    return np.ascontiguousarray(pauli_coefficients(conj, 2).transpose(1, 2, 0))
+
+
+def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
+              wires: tuple[int, int],
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a transfer matrix t4[P_lo, P_hi, Q_lo, Q_hi] on wires
+    (lo, hi), lo < hi, to a group stored over cone ``old``, shape
+    (4^|old|, m): the group over cone ``new``, shape (4^|new|, m), written
+    into ``out`` when given.  A wire new to the cone enters with the
+    identity letter, so only that slice of t4 is read."""
+    lo, hi = wires
+    t = t4[:, :, :4 if lo in old else 1, :4 if hi in old else 1]
+    p, q = new.index(lo), new.index(hi)
+    rows = 4 ** len(new)
+    if q == p + 1:  # adjacent in the cone: one broadcast matmul
+        x3 = x.reshape(4 ** p, t.shape[2] * t.shape[3], -1)
+        o3 = None if out is None else out.reshape(4 ** p, 16, -1)
+        return np.matmul(t.reshape(16, -1), x3, out=o3).reshape(rows, -1)
+    dims = [4 if w in old else 1 for w in new] + [-1]
+    y = np.moveaxis(np.tensordot(t, x.reshape(dims), axes=([2, 3], [p, q])),
+                    (0, 1), (p, q))
+    if out is None:
+        return y.reshape(rows, -1)
+    np.copyto(out.reshape(y.shape), y)
+    return out
+
+
+def _unitary_frame(arch: Architecture,
+                   gates: GateAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, record) of the unitary frame by the forward sweep of
+    ``_cone_plan``: column (j, k) is T_R ... T_{j+1} e_{S_k}.
+
+    The whole-register group alternates between two buffers, so that each
+    gate is one matmul from one into the other; partial groups are fresh
+    arrays of their cone's size.  The second buffer is the output frame's
+    storage: the sweep starts on the buffer that makes its last write land
+    in the first, and then the output takes the second."""
+    plan = _cone_plan(arch)
+    n = arch.n
+    whole = tuple(range(1, n + 1))
+    size = 4 ** n
+    rows, width = frame_shape(arch, "unitary")
+    buffers = [np.empty(size * plan.whole_width), np.empty(rows * width)]
+    cur = plan.whole_writes % 2  # each write flips it first
+
+    def buffer(i: int, width: int) -> np.ndarray:
+        return buffers[i][:size * width].reshape(size, width)
+
+    groups: dict[_Cone, np.ndarray] = {}
+    transfers = transfer_matrices(gates).reshape(-1, 4, 4, 4, 4)
+    for (a, b), t4, kept, step in zip(arch.gates, transfers, plan.kept,
+                                      plan.steps):
+        labels = kept + 1
+        if a > b:  # read every two-qubit label with the lower wire leading
+            a, b, t4, labels = b, a, t4.transpose(1, 0, 3, 2), _SWAPPED[labels]
+        for cone, sources, takes_kept in step:
+            parts = [_transfer(groups.pop(src), t4, src, cone, (a, b))
+                     for src in sources if src != whole]
+            if takes_kept:  # unit vectors e_{S_k} over the cone {a, b}
+                units = np.zeros((16, kept.size))
+                units[labels, np.arange(kept.size)] = 1.0
+                parts.append(units)
+            if cone != whole:
+                groups[cone] = parts[0] if len(parts) == 1 \
+                    else np.concatenate(parts, axis=1)
+                continue
+            if whole in sources:
+                cur = 1 - cur
+                m = groups[whole].shape[1]
+                parts.insert(0, _transfer(groups.pop(whole), t4, whole, whole,
+                                          (a, b), out=buffer(cur, m)))
+            if len(parts) > 1 or whole not in sources:
+                cur = 1 - cur
+                m = sum(part.shape[1] for part in parts)
+                parts = [np.concatenate(parts, axis=1, out=buffer(cur, m))]
+            groups[whole] = parts[0]
+    # one row per column: each group is written as one transposed block
+    cols = buffers[1].reshape(width, rows)
+    for cone, x in groups.items():
+        if cone == whole:
+            cols[plan.columns[cone]] = x.T
+        else:
+            cols[plan.columns[cone]] = 0.0
+            cols[np.ix_(plan.columns[cone], _cone_index(cone, n))] = x.T
+    return cols.T, plan.record
+
+
 def tangent_frame(arch: Architecture, gates: GateAssignment,
                   mode: str = "unitary") -> TangentFrame:
-    """The gauge-fixed perturbation directions, computed in one suffix sweep.
+    """The gauge-fixed perturbation directions.
 
-    Unitary mode stores the Pauli-basis expansion of each K_{j,k}
-    (4^n real rows); state mode stores Re and Im of i K_{j,k} |psi>
-    (2 * 2^n real rows).  Each gate's kept generators are applied as one
-    batch.
+    Unitary mode stores the Pauli-basis expansion of each
+    K_{j,k} = Suffix_j S_k Suffix_j^dagger (4^n real rows); state mode
+    stores Re and Im of i K_{j,k} |psi> (2 * 2^n real rows).
 
     Gate j on wires (a, b) drops XI, YI, ZI when a later gate acts on a, and
     IX, IY, IZ when a later gate acts on b, leaving 9R + 3 * touched qubits
@@ -288,34 +518,40 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     lies in the real span of gate j2's 15 directions (and, by induction from
     the last gate back, in the span of the kept ones).
 
-    In unitary mode K_{j,k} = I_out (x) K' is the identity outside gate j's
-    forward light cone C_j: the qubits that gates j, j+1, ... connect to
-    gate j's wires, which ``reach`` below tracks as the sweep moves back.
-    The sweep therefore forms only K', from the 2^|C_j| suffix rows whose
-    out-of-cone bits are 0, and expands it over the |C_j| cone qubits; the
-    rows of block j with a non-identity letter outside C_j are exactly 0.
+    Unitary mode sweeps forward in the Pauli basis.  Conjugation by gate j
+    acts on Pauli coefficients as its real orthogonal 16 x 16 transfer
+    matrix T_j (``transfer_matrices``) on its two wires, so column (j, k) is
+    T_R ... T_{j+1} e_{S_k}: gate j applies T_j to every column built so
+    far, then appends its kept generators as unit vectors.  A column is the
+    identity outside its forward light cone, the qubits that gates j, j+1,
+    ... connect to gate j's wires, so columns are held in groups over their
+    current cone only, and groups whose cones become equal merge
+    (``_cone_plan``).  A column's rows with a non-identity letter outside
+    its cone are exactly 0.
+
+    State mode sweeps back through a dense suffix and applies each gate's
+    kept generators as one batch.
     """
     if mode not in ("unitary", "state"):
         raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
     _check_size(arch, mode)
     _require_match(arch, gates)
     n = arch.n
-    dim = 2 ** n
     r = arch.gate_count
+    if mode == "unitary":
+        matrix, record = _unitary_frame(arch, gates)
+        return TangentFrame(matrix, mode, n, r, record)
+    dim = 2 ** n
     rows, width = frame_shape(arch, mode)
     # one row per column, so that each gate's block is one contiguous write
     cols = np.zeros((width, rows))
     record = np.zeros((width, 2), dtype=np.intp)
 
-    states = None
-    if mode == "state":
-        states = [np.zeros(dim, dtype=complex)]
-        states[0][0] = 1.0
-        for (a, b), u in zip(arch.gates, gates.matrices):
-            states.append(apply_gate_left(states[-1], u, (a, b), n))
+    states = [np.zeros(dim, dtype=complex)]
+    states[0][0] = 1.0
+    for (a, b), u in zip(arch.gates, gates.matrices):
+        states.append(apply_gate_left(states[-1], u, (a, b), n))
 
-    # reach[u - 1]: the qubits that qubit u reaches through gates j, j+1, ...
-    reach = np.eye(n, dtype=bool)
     later = np.zeros(n, dtype=bool)  # qubits acted on by gates after j
     suffix = np.eye(dim, dtype=complex)
     stop = width  # columns are filled right to left
@@ -329,23 +565,11 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
         record[block, 0] = j
         record[block, 1] = kept
         generators = _GENERATOR_STACK[kept]
-        if mode == "unitary":
-            reach[[a - 1, b - 1]] = reach[a - 1] | reach[b - 1]
-            cone = tuple((np.flatnonzero(reach[a - 1]) + 1).tolist())
-            whole = len(cone) == n  # then plain slices do the gather and scatter
-            sub = suffix if whole else suffix[_cone_index(cone, n, 2)]
-            ks = apply_gate_right(sub, generators, wires, n) @ sub.conj().T
-            coeffs = pauli_coefficients(ks, len(cone))
-            if whole:
-                cols[block] = coeffs
-            else:
-                cols[block, _cone_index(cone, n, 4)] = coeffs
-        else:
-            psi_back = states[j + 1]  # prefix including gate j
-            batch = apply_gate_left(psi_back, generators, wires, n)
-            v = 1j * (suffix @ batch.T)
-            cols[block, :dim] = v.real.T
-            cols[block, dim:] = v.imag.T
+        psi_back = states[j + 1]  # prefix including gate j
+        batch = apply_gate_left(psi_back, generators, wires, n)
+        v = 1j * (suffix @ batch.T)
+        cols[block, :dim] = v.real.T
+        cols[block, dim:] = v.imag.T
         suffix = apply_gate_right(suffix, gates.matrices[j], wires, n)
     return TangentFrame(cols.T, mode, n, r, record)
 

@@ -1,14 +1,16 @@
 """Dense and by-hand reference implementations that only the tests call.
 
 Each one recomputes, the slow and direct way, a quantity the library builds
-another way: the per-column perturbation operator behind ``tangent_frame``,
-the gauge redundancy that its dropped columns rely on, a slice's tableau
-composed gate by gate, the tableau symplecticity check, a path-tree walk, a
-qubit's forward reach and the witness rank from phase-free symplectic images
-alone.  The dense bridge from Clifford circuits to matrices lives here too:
-the elementary gate matrices, a circuit's unitary and the SU(4) gate
-assignment of a witness point; the library itself keeps circuits as
-tableaux only.  None has a size guard; the tests keep their inputs small.
+another way: Haar sampling one gate at a time, a gate's Pauli transfer
+matrix from traces, the per-column perturbation operator behind
+``tangent_frame``, the gauge redundancy that its dropped columns rely on, a
+slice's tableau composed gate by gate, the tableau symplecticity check, a
+path-tree walk, a qubit's forward reach and the witness rank from
+phase-free symplectic images alone.  The dense bridge from Clifford
+circuits to matrices lives here too: the elementary gate matrices, a
+circuit's unitary and the SU(4) gate assignment of a witness point; the
+library itself keeps circuits as tableaux only.  None has a size guard;
+the tests keep their inputs small.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from archdim.architecture import Architecture
 from archdim.clifford import CliffordCircuit, circuit_images
 from archdim.contraction import pauli_coefficients
 from archdim.dense import apply_gate_left, apply_gate_right
-from archdim.pauli import TWO_QUBIT_GENERATOR_MATS
+from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
 from archdim.witness import PathTree
 
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
@@ -69,6 +71,32 @@ def gate_assignment(circuits: Sequence[CliffordCircuit]) -> GateAssignment:
     distinct circuit's unitary is formed once."""
     unitaries = {c: circuit_unitary(c) for c in set(circuits)}
     return explicit([unitaries[c] for c in circuits])
+
+
+def haar_one_at_a_time(count: int, seed: int,
+                       special: bool = True) -> np.ndarray:
+    """``count`` Haar-random U(4) (or, with ``special``, SU(4)) samples
+    drawn one gate at a time: QR of a complex Ginibre matrix, its R-diagonal
+    phases folded into Q, then the determinant phased out."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((count, 4, 4), dtype=complex)
+    for i in range(count):
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        z /= np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        u = q * (d / np.abs(d))[None, :]
+        out[i] = u / np.linalg.det(u) ** 0.25 if special else u
+    return out
+
+
+def pauli_transfer_matrix(u: np.ndarray) -> np.ndarray:
+    """T[P, Q] = tr(P u Q u^dagger) / 4 over the 16 two-qubit labels in
+    label order (identity first), one trace per entry."""
+    paulis = [PauliString.identity(2).to_matrix()] + [
+        p.to_matrix() for p in nontrivial_strings(2)]
+    return np.array([[np.trace(p @ u @ q @ u.conj().T).real / 4
+                      for q in paulis] for p in paulis])
 
 
 def perturbation_operator(arch: Architecture, gates: GateAssignment,

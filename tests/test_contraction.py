@@ -28,7 +28,12 @@ from archdim import (
 )
 from archdim import contraction
 from archdim.bounds import gauge_fixed_count
-from archdim.contraction import MEMORY_BUDGET, frame_shape, peak_bytes
+from archdim.contraction import (
+    MEMORY_BUDGET,
+    frame_shape,
+    peak_bytes,
+    transfer_matrices,
+)
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
 from reference import (
@@ -36,6 +41,8 @@ from reference import (
     forward_reach,
     gate_assignment,
     gauge_redundancy_check,
+    haar_one_at_a_time,
+    pauli_transfer_matrix,
     perturbation_operator,
     slice_tableau,
 )
@@ -104,6 +111,17 @@ def test_haar_su4_is_special_unitary():
 
 def test_haar_distinct_seeds_differ():
     assert np.linalg.norm(haar_su4(1) - haar_su4(2)) > 1e-3
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 30])
+def test_haar_batch_bit_identical_to_one_at_a_time(count):
+    arch = from_gate_sequence(2, [(1, 2)] * count)
+    for seed in range(5):
+        assert np.array_equal(GateAssignment.haar(arch, seed).matrices,
+                              haar_one_at_a_time(count, seed))
+        assert np.array_equal(haar_su4(seed), haar_one_at_a_time(1, seed)[0])
+        assert np.array_equal(haar_u4(seed),
+                              haar_one_at_a_time(1, seed, special=False)[0])
 
 
 def test_haar_trace_moment():
@@ -218,9 +236,10 @@ def test_memory_guard_takes_the_frame_shape():
     arch = staircase(9, 1)
     assert frame_shape(arch, "unitary") == (4 ** 9, 99)
     assert frame_shape(arch, "state") == (2 * 2 ** 9, 99)
-    # the frame counts twice (the SVD's copy), beside the 2^9 x 2^9 suffix
+    # the frame counts twice (the SVD's copy); the state frame's backward
+    # sweep adds the 2^9 x 2^9 suffix, which the unitary forward sweep lacks
     op = 16 * 4 ** 9
-    assert peak_bytes(arch, "unitary") > 2 * 8 * 4 ** 9 * 99 + op
+    assert peak_bytes(arch, "unitary") >= 2 * 8 * 4 ** 9 * 99
     assert peak_bytes(arch, "state") > 2 * 8 * 2 * 2 ** 9 * 99 + op
     # n = 9 fits the budget now that the guard counts bytes, not qubits
     gates = GateAssignment.haar(arch, 0)
@@ -249,11 +268,26 @@ def test_over_budget_frame_fails_before_allocating(arch, mode):
 _OBJECT_SLACK = 2 ** 20
 
 
-@pytest.mark.parametrize("arch", [staircase(7, 1), staircase(6, 3),
-                                  brickwork(6, 1), staircase(9, 1),
-                                  staircase(6, 12)],
-                         ids=["staircase7x1", "staircase6x3", "brickwork6x1",
-                              "staircase9x1", "staircase6x12"])
+def test_forward_sweep_estimate_within_the_suffix_sweeps():
+    # The backward suffix sweep that the unitary forward sweep replaced
+    # counted the frame twice, 64 dense operators and the Pauli plans.
+    for arch in (staircase(7, 1), staircase(6, 3), brickwork(6, 1),
+                 staircase(6, 12), brickwork(6, 6), staircase(8, 31),
+                 staircase(9, 5)):
+        suffix_sweep = 2 * 8 * 4 ** arch.n * gauge_fixed_count(arch) \
+            + 64 * 16 * 4 ** arch.n + 80 * 4 ** arch.n
+        assert peak_bytes(arch, "unitary") <= suffix_sweep
+    for arch in (staircase(8, 31), staircase(9, 5)):
+        assert peak_bytes(arch, "unitary") <= MEMORY_BUDGET
+
+
+@pytest.mark.parametrize("arch", [
+    staircase(7, 1), staircase(6, 3), brickwork(6, 1), staircase(9, 1),
+    staircase(6, 12), brickwork(6, 6), random_adjacent(6, 40, 1),
+    from_gate_sequence(6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4),
+                           (5, 6)] * 3)],
+    ids=["staircase7x1", "staircase6x3", "brickwork6x1", "staircase9x1",
+         "staircase6x12", "brickwork6x6", "random6x40", "sequence6x21"])
 def test_peak_estimate_bounds_the_traced_peak(arch):
     gates = GateAssignment.haar(arch, 3)
     calls = {
@@ -351,7 +385,7 @@ def test_pauli_coefficients_against_trace_oracle():
 
 
 def test_batched_pauli_coefficients_bit_identical():
-    # every cone size of the frames, so every cached plan size
+    # every plan size from 1 to 7 qubits
     rng = np.random.default_rng(43)
     for n in range(1, 8):
         h = _random_ops(rng, (15,), n, hermitian=True)
@@ -606,8 +640,10 @@ def _cone_index_loop(cone, n, base):
 
 
 def _scatter_reference_unitary_frame(arch, gates):
-    """The unitary frame's suffix sweep with a fresh fancy-index gather and
-    scatter for every cone, the whole register included."""
+    """The unitary frame by a backward suffix sweep, independent of the
+    forward Pauli-transfer sweep: each gate's kept directions are formed
+    from the suffix rows of their cone (a fancy-index gather), expanded with
+    ``pauli_coefficients`` and scattered into the cone's Pauli rows."""
     n = arch.n
     rows, width = frame_shape(arch, "unitary")
     cols = np.zeros((width, rows))
@@ -633,22 +669,49 @@ def _scatter_reference_unitary_frame(arch, gates):
 
 
 @pytest.mark.parametrize("build", FRAME_CASES + [
-    pytest.param(lambda: brickwork(6, 6), id="brickwork-6-6")])
+    pytest.param(lambda: brickwork(6, 6), id="brickwork-6-6"),
+    pytest.param(lambda: staircase(7, 1), id="staircase-7-1"),
+    # non-adjacent and reversed wires take the tensordot route
+    pytest.param(lambda: from_gate_sequence(
+        4, [(3, 1), (2, 4), (1, 4), (4, 3), (2, 1)]), id="sequence-4-5"),
+    # the cone is the whole register from the first gate on
+    pytest.param(lambda: from_gate_sequence(2, [(1, 2), (2, 1)]),
+                 id="sequence-2-2"),
+    pytest.param(lambda: from_gate_sequence(3, []), id="empty-3")])
 def test_unitary_frame_bit_identical_to_scatter_reference(build):
+    # The forward sweep sums in another order than the backward reference,
+    # so the frames agree to rounding, with equal ranks.
     arch = build()
     for seed in (27, 28):
         gates = GateAssignment.haar(arch, seed)
         frame = tangent_frame(arch, gates)
-        assert np.array_equal(frame.matrix,
-                              _scatter_reference_unitary_frame(arch, gates))
+        ref = _scatter_reference_unitary_frame(arch, gates)
+        assert frame.matrix.shape == ref.shape
+        assert np.abs(frame.matrix - ref).max(initial=0.0) < 1e-12
+        got, want = numerical_rank(frame), numerical_rank(ref)
+        assert (got.loose_rank, got.tight_rank) == \
+            (want.loose_rank, want.tight_rank)
+
+
+def test_transfer_matrices_match_trace_oracle():
+    arch = random_adjacent(4, 12, 3)
+    gates = GateAssignment.haar(arch, 29)
+    transfers = transfer_matrices(gates)
+    assert transfers.shape == (12, 16, 16)
+    for t, u in zip(transfers, gates.matrices):
+        assert np.abs(t @ t.T - np.eye(16)).max() < 1e-12
+        assert abs(t[0, 0] - 1.0) < 1e-12
+        assert np.abs(t[0, 1:]).max() < 1e-12
+        assert np.abs(t[1:, 0]).max() < 1e-12
+        assert np.abs(t - pauli_transfer_matrix(u)).max() < 1e-12
 
 
 def test_cone_index_is_cached_and_read_only():
-    for cone, n, base in [((2, 3), 4, 2), ((1, 3, 4), 5, 4), ((2,), 3, 4)]:
-        idx = contraction._cone_index(cone, n, base)
-        assert idx is contraction._cone_index(cone, n, base)
+    for cone, n in [((2, 3), 4), ((1, 3, 4), 5), ((2,), 3)]:
+        idx = contraction._cone_index(cone, n)
+        assert idx is contraction._cone_index(cone, n)
         assert not idx.flags.writeable
-        assert np.array_equal(idx, _cone_index_loop(cone, n, base))
+        assert np.array_equal(idx, _cone_index_loop(cone, n, 4))
 
 
 # -- numerical rank -----------------------------------------------------------------
