@@ -10,8 +10,9 @@ i K_{j,k} |psi>); its numerical rank at independent Haar-random points is the
 accessible dimension of the architecture, because the rank is constant off a
 measure-zero set.  A unitary frame is built by one forward sweep in the Pauli
 basis, where each gate acts as a real orthogonal 16 x 16 transfer matrix on
-columns grouped by their forward light cones; a state frame by a backward
-sweep through a dense suffix.  A dense call whose estimated peak memory
+columns grouped by their forward light cones, and the same sweep reads off
+the frame's Gram matrix for the rank; a state frame by a backward sweep
+through a dense suffix.  A dense call whose estimated peak memory
 (``peak_bytes``) exceeds ``MEMORY_BUDGET`` raises SizeLimit before it
 allocates.
 """
@@ -19,7 +20,8 @@ allocates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +51,12 @@ _KEPT = {
         and not (later_b and p.letter(1) == "I")])
     for later_a in (False, True) for later_b in (False, True)
 }
+
+# The 16 two-qubit Pauli matrices in label order, identity first.
+_PAULI_STACK = np.concatenate([np.eye(4, dtype=complex)[None],
+                               _GENERATOR_STACK])
+# _SWAPPED[L]: the label L of a gate on wires (a, b) read with b leading.
+_SWAPPED = np.array([4 * (label % 4) + label // 4 for label in range(16)])
 
 
 def subseed(seed: int, *key: int) -> int:
@@ -105,9 +113,12 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     The state frame adds four 2^n x 2^n operators for the suffix and its
     update, and one gate's 15 directions at four stacks of 15 vectors.  The
     unitary frame's forward sweep (``_cone_plan``) holds the two buffers of
-    the whole-register group, the second of them the output frame's
-    storage, beside one gate step's partial groups.  Its transfer matrices
-    and their complex build take 16 KiB per gate."""
+    the whole-register group beside one gate step's partial groups, and its
+    transfer matrices and their complex build take 16 KiB per gate.  A tall
+    unitary frame also holds its C x C Gram matrix throughout.  Its
+    certificate runs beside the groups the frame keeps (at most one frame's
+    worth) and takes up to three more C x C arrays; the SVD route forms the
+    matrix from those groups and then copies it."""
     op = 16 * 4 ** arch.n  # one dense complex 2^n x 2^n operator
     held = {"contract": 3 * op, "contract_state": 3 * 16 * 2 ** arch.n}
     if job in held:
@@ -117,8 +128,10 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     if job == "unitary":
         plan = _cone_plan(arch)
         whole = 8 * 4 ** arch.n * plan.whole_width
-        return 16384 * arch.gate_count + max(
-            whole + frame + plan.step_bytes, 2 * frame)
+        gram = 8 * cols * cols if cols < rows else 0
+        return gram + max(
+            16384 * arch.gate_count + 2 * whole + plan.step_bytes,
+            frame + 3 * gram, 2 * frame)
     return 2 * frame + 4 * op + 60 * 16 * 2 ** arch.n
 
 
@@ -257,13 +270,27 @@ class TangentFrame:
     ``columns[c]`` is the (gate, generator) pair of column c: a 0-based gate
     index and an index into the 15 two-qubit generators.  Columns are
     ordered by gate, then generator.
+
+    ``matrix`` is formed on first access and kept.  A state frame has it
+    from the start; a unitary frame holds its sweep's light-cone groups
+    until something reads it.  ``gram`` is the C x C Gram matrix M^T M of a
+    tall unitary frame (fewer columns than rows), read off the sweep in
+    column order, and ``gram_error`` bounds its 2-norm distance from the
+    exact Gram matrix of ``matrix``; ``gram`` is None in state mode and for
+    wide frames.
     """
 
-    matrix: np.ndarray
     mode: str
     n: int
     gate_count: int
     columns: np.ndarray  # (C, 2) int
+    _assemble: Callable[[], np.ndarray] = field(repr=False)
+    gram: np.ndarray | None = None
+    gram_error: float = 0.0
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self._assemble()
 
     def column_block(self, gate_index: int) -> np.ndarray:
         """The kept columns of one gate (0-based index)."""
@@ -281,23 +308,23 @@ _Cone = tuple[int, ...]  # 1-based qubits, ascending
 class _ConePlan:
     """The integer bookkeeping of a unitary frame's forward sweep.
 
-    ``steps[j]`` lists the groups gate j writes, each as (cone, the cones
-    of the groups merged into it, whether gate j's own kept generators
-    ``kept[j]`` join it).  ``record`` is the frame's (gate, generator)
-    column list and ``columns[cone]`` the frame columns of each final
-    group, in stored order.  ``whole_width`` counts the columns of the
-    whole-register group at the end (it only grows), and ``whole_writes``
-    the times the sweep writes that group into a buffer: once per gate,
-    and once more for each merge into it.  ``step_bytes`` bounds the bytes
-    one gate's step holds outside the whole-register buffers.
+    ``labels[j]`` holds gate j's kept generators as two-qubit labels (1 to
+    15) read with the lower wire leading.  ``steps[j]`` lists the groups
+    gate j writes, each as (cone, the cones of the groups merged into it,
+    whether gate j's own kept generators join it, the group's rows of
+    those labels).  Row r of a group over cone c is the Pauli string that
+    is the identity off c; the read rows put each label on gate j's wires
+    and the identity on the rest of c.  ``record`` is the frame's (gate,
+    generator) column list.  ``whole_width`` counts the columns of the
+    whole-register group at the end (it only grows).  ``step_bytes`` bounds
+    the bytes one gate's step holds outside the whole-register buffers.
     """
 
-    steps: tuple[tuple[tuple[_Cone, tuple[_Cone, ...], bool], ...], ...]
-    kept: tuple[np.ndarray, ...]
+    steps: tuple[tuple[tuple[_Cone, tuple[_Cone, ...], bool, np.ndarray],
+                       ...], ...]
+    labels: tuple[np.ndarray, ...]
     record: np.ndarray
-    columns: dict[_Cone, np.ndarray]
     whole_width: int
-    whole_writes: int
     step_bytes: int
 
 
@@ -318,55 +345,59 @@ def _cone_plan(arch: Architecture) -> _ConePlan:
     A step holds the groups it reads beside those it writes.  One transfer
     adds at most a reordered copy of its input and a moved copy of its
     output, and a merge its parts beside the merged group.  Columns that
-    reach the whole register count at full size until they are copied into
+    reach the whole register count at full size until they are written into
     its buffer; a whole-register group off the matmul route (wires not
     adjacent) is reordered into a copy and transferred into another.
     """
     n = arch.n
     last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
     whole = tuple(range(1, n + 1))
-    groups: dict[_Cone, list[int]] = {}  # cone -> frame columns
-    kept_all, steps = [], []
-    start = whole_writes = step_bytes = 0
+    groups: dict[_Cone, int] = {}  # cone -> column count
+    kept_all, labels_all, steps = [], [], []
+    step_bytes = 0
 
     def held(cone: _Cone, count: int) -> int:
         return 8 * 4 ** len(cone) * count
 
     def partial_bytes() -> int:
-        return sum(held(cone, len(cols))
-                   for cone, cols in groups.items() if cone != whole)
+        return sum(held(cone, count)
+                   for cone, count in groups.items() if cone != whole)
 
     for j, (a, b) in enumerate(arch.gates):
         kept = _KEPT[last[a] > j, last[b] > j]
         kept_all.append(kept)
+        labels = _SWAPPED[kept + 1] if a > b else kept + 1
+        labels.flags.writeable = False
+        labels_all.append(labels)
+        lo, hi = sorted((a, b))
         before = partial_bytes()
-        width = len(groups.get(whole, ()))
+        width = groups.get(whole, 0)
         written = largest_in = largest_out = 0
         moves: dict[_Cone, list[_Cone]] = {}
         # the whole-register group, when there is one, leads its merge
         for cone in sorted((c for c in groups if a in c or b in c),
                            key=lambda c: c != whole):
             moves.setdefault(tuple(sorted({*cone, a, b})), []).append(cone)
-        fresh = tuple(sorted((a, b)))
+        fresh = (lo, hi)
         moves.setdefault(fresh, [])
+        step = []
         for cone, sources in moves.items():
             largest_in = max([largest_in] + [
-                held(src, len(groups[src])) for src in sources if src != whole])
-            cols = [c for src in sources for c in groups.pop(src)]
+                held(src, groups[src]) for src in sources if src != whole])
+            count = sum(groups.pop(src) for src in sources)
             if cone == fresh:
-                cols += range(start, start + kept.size)
-            groups[cone] = cols
+                count += kept.size
+            groups[cone] = count
             # the whole-register group's own columns stay in its buffers
-            out = held(cone, len(cols) - (width if cone == whole else 0))
+            out = held(cone, count - (width if cone == whole else 0))
             written += out
             largest_out = max(largest_out, out)
-            if cone == whole:
-                merges = len(sources) + (cone == fresh) > 1
-                whole_writes += (whole in sources) \
-                    + (whole not in sources or merges)
-        start += kept.size
-        steps.append(tuple((cone, tuple(sources), cone == fresh)
-                           for cone, sources in moves.items()))
+            tail = len(cone) - 1
+            read = labels // 4 * 4 ** (tail - cone.index(lo)) \
+                + labels % 4 * 4 ** (tail - cone.index(hi))
+            read.flags.writeable = False
+            step.append((cone, tuple(sources), cone == fresh, read))
+        steps.append(tuple(step))
         scratch = 2 * held(whole, width) if abs(a - b) > 1 else 0
         step_bytes = max(step_bytes, before + written + largest_in
                          + largest_out + scratch)
@@ -374,11 +405,8 @@ def _cone_plan(arch: Architecture) -> _ConePlan:
                       dtype=np.intp).reshape(-1, 2)
     record.flags.writeable = False
     return _ConePlan(
-        steps=tuple(steps), kept=tuple(kept_all), record=record,
-        columns={cone: np.array(cols, dtype=np.intp)
-                 for cone, cols in groups.items()},
-        whole_width=len(groups.get(whole, ())), whole_writes=whole_writes,
-        step_bytes=step_bytes)
+        steps=tuple(steps), labels=tuple(labels_all), record=record,
+        whole_width=groups.get(whole, 0), step_bytes=step_bytes)
 
 
 # A frame's partial cones repeat across its Haar samples and across calls on
@@ -394,13 +422,6 @@ def _cone_index(cone: _Cone, n: int) -> np.ndarray:
         idx = (idx[:, None] + np.arange(4) * 4 ** (n - q)).ravel()
     idx.flags.writeable = False
     return idx
-
-
-# The 16 two-qubit Pauli matrices in label order, identity first.
-_PAULI_STACK = np.concatenate([np.eye(4, dtype=complex)[None],
-                               _GENERATOR_STACK])
-# _SWAPPED[L]: the label L of a gate on wires (a, b) read with b leading.
-_SWAPPED = np.array([4 * (label % 4) + label // 4 for label in range(16)])
 
 
 def transfer_matrices(gates: GateAssignment) -> np.ndarray:
@@ -422,16 +443,24 @@ def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
     """Apply a transfer matrix t4[P_lo, P_hi, Q_lo, Q_hi] on wires
     (lo, hi), lo < hi, to a group stored over cone ``old``, shape
     (4^|old|, m): the group over cone ``new``, shape (4^|new|, m), written
-    into ``out`` when given.  A wire new to the cone enters with the
-    identity letter, so only that slice of t4 is read."""
+    into ``out`` when given.  ``out`` may be a column range of a wider
+    group.  A wire new to the cone enters with the identity letter, so only
+    that slice of t4 is read."""
     lo, hi = wires
     t = t4[:, :, :4 if lo in old else 1, :4 if hi in old else 1]
     p, q = new.index(lo), new.index(hi)
     rows = 4 ** len(new)
-    if q == p + 1:  # adjacent in the cone: one broadcast matmul
+    if q == p + 1 and (out is None or out.flags.c_contiguous):
+        # adjacent in the cone: one broadcast matmul
         x3 = x.reshape(4 ** p, t.shape[2] * t.shape[3], -1)
         o3 = None if out is None else out.reshape(4 ** p, 16, -1)
         return np.matmul(t.reshape(16, -1), x3, out=o3).reshape(rows, -1)
+    if q == p + 1:  # into a column range: one matmul per outer row block
+        m, tail = x.shape[1], 4 ** (len(new) - q - 1)
+        np.matmul(t.reshape(16, -1),
+                  x.reshape(4 ** p, -1, tail, m).swapaxes(1, 2),
+                  out=out.reshape(4 ** p, 16, tail, m).swapaxes(1, 2))
+        return out
     dims = [4 if w in old else 1 for w in new] + [-1]
     y = np.moveaxis(np.tensordot(t, x.reshape(dims), axes=([2, 3], [p, q])),
                     (0, 1), (p, q))
@@ -441,64 +470,110 @@ def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
     return out
 
 
-def _unitary_frame(arch: Architecture,
-                   gates: GateAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, record) of the unitary frame by the forward sweep of
-    ``_cone_plan``: column (j, k) is T_R ... T_{j+1} e_{S_k}.
+def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
+    """The unitary frame by the forward sweep of ``_cone_plan``: column
+    (j, k) is T_R ... T_{j+1} e_{S_k}.
 
     The whole-register group alternates between two buffers, so that each
-    gate is one matmul from one into the other; partial groups are fresh
-    arrays of their cone's size.  The second buffer is the output frame's
-    storage: the sweep starts on the buffer that makes its last write land
-    in the first, and then the output takes the second."""
+    gate is one write from one into the other; a merge writes each part's
+    transfer straight into its column range.  Partial groups are fresh
+    arrays of their cone's size.  The frame keeps the groups and forms its
+    matrix from them on first access.
+
+    A tall frame also reads its Gram matrix off the sweep.  The T_j are
+    orthogonal, so for j < j2 the inner product of columns (j, k) and
+    (j2, k2) of the frame equals the one just after gate j2, when column
+    (j2, k2) is still the unit vector e_{S_k2} on gate j2's wires: column
+    (j, k)'s coefficient on that Pauli string.  After each gate, every group
+    it writes gives those rows for the gate's kept labels (``_cone_plan``);
+    columns of groups it does not write are the identity on its wires and
+    have 0 there.  That is 15 reads per column of a written group.
+
+    Rounding and the unitarity defect of the gates keep the T_j from being
+    exactly orthogonal.  Let tau be the largest Frobenius norm of the
+    computed defects T_j^T T_j - I; with 128 eps for the rounding of that
+    product (eps = 2^-52), it bounds every ||T_j^T T_j - I||_2.  A computed
+    transfer adds at most gamma_16 ||T_j||_F <= 32 eps relative error to a
+    column.  So one gate moves the inner product of two columns by at most
+    rho = tau + 256 eps times their norms, no column norm grows past
+    (1 + rho)^(R/2), and R gates move it by at most (1 + rho)^R - 1 in all.
+    That bounds every entry of the read Gram matrix minus M^T M of the
+    returned frame, so C ((1 + rho)^R - 1) bounds its Frobenius norm and
+    its 2-norm (``gram_error``).  A non-finite transfer stack gives no Gram
+    matrix: every frame entry is a sum of products of the stack's entries,
+    so a finite stack makes a finite frame.
+    """
     plan = _cone_plan(arch)
     n = arch.n
     whole = tuple(range(1, n + 1))
-    size = 4 ** n
     rows, width = frame_shape(arch, "unitary")
-    buffers = [np.empty(size * plan.whole_width), np.empty(rows * width)]
-    cur = plan.whole_writes % 2  # each write flips it first
-
-    def buffer(i: int, width: int) -> np.ndarray:
-        return buffers[i][:size * width].reshape(size, width)
+    buffers = [np.empty(rows * plan.whole_width) for _ in range(2)]
+    cur = 0
+    transfers = transfer_matrices(gates)
+    defect = np.swapaxes(transfers, 1, 2) @ transfers - np.eye(16)
+    tau = np.sqrt((defect * defect).sum(axis=(1, 2)).max(initial=0.0))
+    gram, gram_error = None, 0.0
+    if width < rows and np.isfinite(tau):
+        gram = np.zeros((width, width))
+        rho = tau + 256 * np.finfo(np.float64).eps
+        gram_error = width * float(np.expm1(arch.gate_count * np.log1p(rho)))
 
     groups: dict[_Cone, np.ndarray] = {}
-    transfers = transfer_matrices(gates).reshape(-1, 4, 4, 4, 4)
-    for (a, b), t4, kept, step in zip(arch.gates, transfers, plan.kept,
-                                      plan.steps):
-        labels = kept + 1
-        if a > b:  # read every two-qubit label with the lower wire leading
-            a, b, t4, labels = b, a, t4.transpose(1, 0, 3, 2), _SWAPPED[labels]
-        for cone, sources, takes_kept in step:
-            parts = [_transfer(groups.pop(src), t4, src, cone, (a, b))
-                     for src in sources if src != whole]
+    members: dict[_Cone, np.ndarray] = {}  # the frame columns of each group
+    start = 0
+    for (a, b), t4, labels, step in zip(arch.gates,
+                                        transfers.reshape(-1, 4, 4, 4, 4),
+                                        plan.labels, plan.steps):
+        if a > b:  # the lower wire leads, as in the plan's labels
+            a, b, t4 = b, a, t4.transpose(1, 0, 3, 2)
+        span = slice(start, start + labels.size)  # gate j's frame columns
+        start = span.stop
+        for cone, sources, takes_kept, read in step:
+            cols = [members.pop(src) for src in sources]
             if takes_kept:  # unit vectors e_{S_k} over the cone {a, b}
-                units = np.zeros((16, kept.size))
-                units[labels, np.arange(kept.size)] = 1.0
-                parts.append(units)
-            if cone != whole:
-                groups[cone] = parts[0] if len(parts) == 1 \
+                cols.append(np.arange(span.start, span.stop))
+                units = np.zeros((16, labels.size))
+                units[labels, np.arange(labels.size)] = 1.0
+            cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
+            if cone == whole:
+                cur = 1 - cur
+                x = buffers[cur][:rows * cols.size].reshape(rows, -1)
+                at = 0
+                for src in sources:
+                    part = groups.pop(src)
+                    _transfer(part, t4, src, cone, (a, b),
+                              out=x[:, at:at + part.shape[1]])
+                    at += part.shape[1]
+                if takes_kept:
+                    x[:, at:] = units
+            else:
+                parts = [_transfer(groups.pop(src), t4, src, cone, (a, b))
+                         for src in sources]
+                if takes_kept:
+                    parts.append(units)
+                x = parts[0] if len(parts) == 1 \
                     else np.concatenate(parts, axis=1)
-                continue
-            if whole in sources:
-                cur = 1 - cur
-                m = groups[whole].shape[1]
-                parts.insert(0, _transfer(groups.pop(whole), t4, whole, whole,
-                                          (a, b), out=buffer(cur, m)))
-            if len(parts) > 1 or whole not in sources:
-                cur = 1 - cur
-                m = sum(part.shape[1] for part in parts)
-                parts = [np.concatenate(parts, axis=1, out=buffer(cur, m))]
-            groups[whole] = parts[0]
-    # one row per column: each group is written as one transposed block
-    cols = buffers[1].reshape(width, rows)
-    for cone, x in groups.items():
-        if cone == whole:
-            cols[plan.columns[cone]] = x.T
-        else:
-            cols[plan.columns[cone]] = 0.0
-            cols[np.ix_(plan.columns[cone], _cone_index(cone, n))] = x.T
-    return cols.T, plan.record
+            groups[cone] = x
+            members[cone] = cols
+            if gram is not None:
+                block = x[read]
+                gram[cols, span] = block.T
+                gram[span, cols] = block
+
+    def assemble() -> np.ndarray:
+        # one row per column: each group is written as one transposed block
+        out = np.empty((width, rows))
+        for cone, x in groups.items():
+            if cone == whole:
+                out[members[cone]] = x.T
+            else:
+                out[members[cone]] = 0.0
+                out[np.ix_(members[cone], _cone_index(cone, n))] = x.T
+        groups.clear()
+        return out.T
+
+    return TangentFrame("unitary", n, arch.gate_count, plan.record, assemble,
+                        gram, gram_error)
 
 
 def tangent_frame(arch: Architecture, gates: GateAssignment,
@@ -527,10 +602,14 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     ... connect to gate j's wires, so columns are held in groups over their
     current cone only, and groups whose cones become equal merge
     (``_cone_plan``).  A column's rows with a non-identity letter outside
-    its cone are exactly 0.
+    its cone are exactly 0.  The frame keeps the groups and forms its
+    4^n x C matrix only when ``matrix`` is read.  A tall frame (C < 4^n)
+    carries its Gram matrix, read off the sweep at O(15 C) work per gate
+    with an error bound (``_unitary_frame``); that is all the Gram route of
+    ``numerical_rank`` reads.
 
     State mode sweeps back through a dense suffix and applies each gate's
-    kept generators as one batch.
+    kept generators as one batch; its matrix is formed at once.
     """
     if mode not in ("unitary", "state"):
         raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
@@ -539,8 +618,7 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     n = arch.n
     r = arch.gate_count
     if mode == "unitary":
-        matrix, record = _unitary_frame(arch, gates)
-        return TangentFrame(matrix, mode, n, r, record)
+        return _unitary_frame(arch, gates)
     dim = 2 ** n
     rows, width = frame_shape(arch, mode)
     # one row per column, so that each gate's block is one contiguous write
@@ -571,7 +649,8 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
         cols[block, :dim] = v.real.T
         cols[block, dim:] = v.imag.T
         suffix = apply_gate_right(suffix, gates.matrices[j], wires, n)
-    return TangentFrame(cols.T, mode, n, r, record)
+    matrix = cols.T
+    return TangentFrame(mode, n, r, record, lambda: matrix)
 
 
 # -- numerical rank ------------------------------------------------------------
@@ -584,7 +663,9 @@ class RankEstimate:
     The estimate is conclusive only when both thresholds count the same
     number of singular values above tol * sigma_max.  ``route`` names how
     the singular values were found: ``"gram"`` (certified from the Gram
-    spectrum) or ``"svd"``; see ``numerical_rank``.
+    spectrum) or ``"svd"``; see ``numerical_rank``.  On the gram route,
+    ``gram_margin`` is the factor by which the certificate held,
+    (lam_min - delta) / ((100 loose)^2 (lam_max + delta)) >= 1.
     """
 
     singular_values: np.ndarray
@@ -592,6 +673,7 @@ class RankEstimate:
     loose_rank: int
     tight_rank: int
     route: str = "svd"
+    gram_margin: float | None = None
 
     @property
     def conclusive(self) -> bool:
@@ -616,25 +698,27 @@ class RankEstimate:
 _GRAM_MARGIN = 100.0
 
 
-def _certified_gram_spectrum(mat: np.ndarray, loose: float) -> np.ndarray | None:
-    """Descending singular values of a tall real matrix whose full column
-    rank its Gram spectrum certifies, or None when it cannot.
+def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
+                   product_rows: int,
+                   read_error: float) -> RankEstimate | None:
+    """The full-rank estimate of a real matrix M with C columns whose Gram
+    matrix ``gram`` certifies it, or None when it cannot.
 
-    For M with m rows and C < m columns, lam = eigvalsh(M^T M) lies within
-    delta = (m + C) eps trace(G) of the exact Gram eigenvalues (Weyl): the
-    product's rounding is at most gamma_m ||M||_F^2 in the 2-norm, with
-    ||M||_F^2 = trace(G), and eigvalsh is backward stable.  When
-    lam_min - delta > 0 and lam_min - delta >= (100 loose)^2 (lam_max + delta),
-    every singular value is at least 100x above loose * sigma_max, so an SVD
-    would count all C of them at both tolerances.
+    lam = eigvalsh(G) lies within delta of the eigenvalues of the exact
+    M^T M (Weyl), with delta = (product_rows + C) eps trace(G) + read_error.
+    eigvalsh is backward stable, within C eps ||G||_2 <= C eps trace(G).  A
+    computed product G = fl(M^T M) over m rows adds at most
+    gamma_m ||M||_F^2, with ||M||_F^2 = trace(G): product_rows = m.  A Gram
+    matrix read off the unitary sweep has product_rows = 0 and its
+    ``gram_error`` as read_error.  When lam_min - delta > 0 and
+    lam_min - delta >= (100 loose)^2 (lam_max + delta), every singular value
+    is at least 100x above loose * sigma_max, so an SVD would count all C of
+    them at both tolerances.
     """
-    m, c = mat.shape
-    if c >= m or mat.dtype != np.float64:
-        return None
-    gram = mat.T @ mat
+    c = gram.shape[0]
     trace = np.trace(gram)
-    delta = (m + c) * np.finfo(np.float64).eps * trace
-    floor = (_GRAM_MARGIN * loose) ** 2
+    delta = (product_rows + c) * np.finfo(np.float64).eps * trace + read_error
+    floor = (_GRAM_MARGIN * tol_pair[0]) ** 2
     # Cholesky-first exit: lam_max >= trace / C, so a certifiable spectrum
     # has lam_min above this shift; if G minus it is not positive definite,
     # the eigenvalues are not worth computing.
@@ -647,7 +731,8 @@ def _certified_gram_spectrum(mat: np.ndarray, loose: float) -> np.ndarray | None
     low, high = lam[0] - delta, lam[-1] + delta
     if not (low > 0.0 and low >= floor * high):
         return None
-    return np.sqrt(lam[::-1])
+    return RankEstimate(np.sqrt(lam[::-1]), tol_pair, c, c, route="gram",
+                        gram_margin=float(low / (floor * high)))
 
 
 def numerical_rank(frame: TangentFrame | np.ndarray,
@@ -658,30 +743,40 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     A tall real frame (fewer columns than rows) is first tried on the Gram
     route: the eigenvalues of M^T M, with a rounding bound, certify that all
     C singular values sit at least 100x above the loose cutoff, and then the
-    SVD would return loose = tight = C as well.  The estimate holds
-    sqrt(eigvalsh(M^T M)) as its singular values, with ``route="gram"``.
-    Every other input takes a full SVD (``route="svd"``): wide frames,
-    rank-deficient or near-cutoff spectra, and all-zero matrices.  Ranks
-    never differ between the routes; gram-route singular values differ from
-    LAPACK's SVD by rounding only (below 1e-12 sigma_max on the frames
-    measured).
+    SVD would return loose = tight = C as well.  A unitary frame brings the
+    Gram matrix its sweep read (``TangentFrame.gram``), and a certified one
+    never forms the frame's matrix; any other tall input takes
+    ``mat.T @ mat``.  The estimate holds sqrt(eigvalsh(G)) as its singular
+    values, with ``route="gram"``.  Every other input takes a full SVD
+    (``route="svd"``): wide frames, rank-deficient or near-cutoff spectra,
+    and all-zero matrices.  Ranks never differ between the routes;
+    gram-route singular values differ from LAPACK's SVD by rounding only
+    (below 1e-12 sigma_max on the frames measured).
 
     An empty or all-zero matrix has rank 0 by convention.  A matrix holding
-    NaN or inf raises ``LinAlgError``.  The tolerances must satisfy
+    NaN or inf raises ``LinAlgError``; a frame with a Gram matrix is finite
+    by construction (see ``tangent_frame``).  The tolerances must satisfy
     eps <= tight <= loose < 1.
     """
-    mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)
     loose, tight = tol_pair
     if not np.finfo(float).eps <= tight <= loose < 1.0:
         raise ValidationError("tolerances must satisfy eps <= tight <= loose"
                               f" < 1, got (loose, tight) = {tol_pair}")
+    gram = frame.gram if isinstance(frame, TangentFrame) else None
+    if gram is not None and gram.size:
+        est = _gram_estimate(gram, tol_pair, 0, frame.gram_error)
+        if est is not None:
+            return est
+    mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)
     if mat.size == 0:
         return RankEstimate(np.zeros(0), tol_pair, 0, 0)
     if not np.isfinite(mat).all():
         raise np.linalg.LinAlgError("frame holds a non-finite entry")
-    sv = _certified_gram_spectrum(mat, loose)
-    if sv is not None:
-        return RankEstimate(sv, tol_pair, sv.size, sv.size, route="gram")
+    m, c = mat.shape
+    if gram is None and c < m and mat.dtype == np.float64:
+        est = _gram_estimate(mat.T @ mat, tol_pair, m, 0.0)
+        if est is not None:
+            return est
     sv = np.linalg.svd(mat, compute_uv=False)
     smax = sv[0]
     if smax == 0.0:
@@ -705,6 +800,20 @@ def dimension_bounds(arch: Architecture, mode: str) -> tuple[int, int, int]:
         if is_causal_slice(arch, start, stop) is not None)
     cap = saturation_threshold(arch.n, mode)
     return lower, min(gauge_fixed_count(arch), cap), cap
+
+
+def _sample_json(e: RankEstimate) -> dict:
+    entry = {
+        "loose_rank": e.loose_rank,
+        "tight_rank": e.tight_rank,
+        "sigma_max": float(e.singular_values[0])
+        if e.singular_values.size else 0.0,
+        "status": e.gap_description(),
+        "route": e.route,
+    }
+    if e.gram_margin is not None:
+        entry["gram_margin"] = e.gram_margin
+    return entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -754,17 +863,7 @@ class RankReport:
             "samples": self.samples,
             "seed": self.seed,
             "tolerances": list(self.tolerances),
-            "per_sample": [
-                {
-                    "loose_rank": e.loose_rank,
-                    "tight_rank": e.tight_rank,
-                    "sigma_max": float(e.singular_values[0])
-                    if e.singular_values.size else 0.0,
-                    "status": e.gap_description(),
-                    "route": e.route,
-                }
-                for e in self.estimates
-            ],
+            "per_sample": [_sample_json(e) for e in self.estimates],
             "consensus": self.consensus,
             "inconclusive": self.inconclusive,
             "inconclusive_reason": self.inconclusive_reason,
@@ -779,7 +878,7 @@ class RankReport:
         lines = ["sample,index,singular_value"]
         for i, e in enumerate(self.estimates):
             for idx, val in enumerate(e.singular_values):
-                lines.append(f"{i},{idx},{val!r}")
+                lines.append(f"{i},{idx},{float(val)!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -285,9 +285,13 @@ def test_forward_sweep_estimate_within_the_suffix_sweeps():
     staircase(7, 1), staircase(6, 3), brickwork(6, 1), staircase(9, 1),
     staircase(6, 12), brickwork(6, 6), random_adjacent(6, 40, 1),
     from_gate_sequence(6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4),
-                           (5, 6)] * 3)],
+                           (5, 6)] * 3),
+    # C = 735 of 1024 rows: the Gram certificate's C x C arrays beside the
+    # groups outweigh the frame twice
+    staircase(5, 20)],
     ids=["staircase7x1", "staircase6x3", "brickwork6x1", "staircase9x1",
-         "staircase6x12", "brickwork6x6", "random6x40", "sequence6x21"])
+         "staircase6x12", "brickwork6x6", "random6x40", "sequence6x21",
+         "staircase5x20"])
 def test_peak_estimate_bounds_the_traced_peak(arch):
     gates = GateAssignment.haar(arch, 3)
     calls = {
@@ -680,17 +684,87 @@ def _scatter_reference_unitary_frame(arch, gates):
     pytest.param(lambda: from_gate_sequence(3, []), id="empty-3")])
 def test_unitary_frame_bit_identical_to_scatter_reference(build):
     # The forward sweep sums in another order than the backward reference,
-    # so the frames agree to rounding, with equal ranks.
+    # so the frames agree to rounding, with equal ranks.  The Gram matrix
+    # read off the sweep agrees with the reference's within its bound.
     arch = build()
     for seed in (27, 28):
         gates = GateAssignment.haar(arch, seed)
         frame = tangent_frame(arch, gates)
         ref = _scatter_reference_unitary_frame(arch, gates)
+        rows, cols = ref.shape
+        if cols >= rows:
+            assert frame.gram is None
+        else:
+            assert frame.gram.shape == (cols, cols)
+            assert _gram_gap(frame.gram, ref) <= frame.gram_error
         assert frame.matrix.shape == ref.shape
         assert np.abs(frame.matrix - ref).max(initial=0.0) < 1e-12
         got, want = numerical_rank(frame), numerical_rank(ref)
         assert (got.loose_rank, got.tight_rank) == \
             (want.loose_rank, want.tight_rank)
+
+
+def _gram_gap(gram, mat):
+    """||gram - mat^T mat||_2, 0 for an empty frame."""
+    return np.linalg.norm(gram - mat.T @ mat, 2) if gram.size else 0.0
+
+
+def test_gram_route_leaves_the_frame_matrix_unbuilt():
+    arch = staircase(7, 1)
+    frame = tangent_frame(arch, GateAssignment.haar(arch, 33))
+    est = numerical_rank(frame)
+    assert est.route == "gram"
+    assert "matrix" not in frame.__dict__
+    # the matrix is still there to read, formed once
+    assert frame.matrix is frame.matrix
+    assert numerical_rank(frame.matrix).rank == est.rank
+
+
+def _near_unitary_frame(arch, scale):
+    """The frame at Haar gates moved off unitarity by about ``scale``, and
+    the largest 2-norm defect of their transfer matrices."""
+    haar = GateAssignment.haar(arch, 40).matrices
+    rng = np.random.default_rng(41)
+    gates = GateAssignment(haar + scale * (
+        rng.standard_normal(haar.shape) + 1j * rng.standard_normal(haar.shape)))
+    defect = max(np.linalg.norm(t.T @ t - np.eye(16), 2)
+                 for t in transfer_matrices(gates))
+    return tangent_frame(arch, gates), defect
+
+
+def test_gram_reads_of_near_unitary_gates_stay_inside_the_bound():
+    # gates off unitarity by about 1e-11, inside what GateAssignment
+    # accepts, move the read Gram matrix by about that much: far above the
+    # rounding of Haar frames (a few 1e-15), inside gram_error
+    for arch in (staircase(7, 1), staircase(5, 3), brickwork(4, 2)):
+        frame, defect = _near_unitary_frame(arch, 1e-12)
+        assert 5e-12 < defect < 5e-11
+        gap = _gram_gap(frame.gram, frame.matrix)
+        assert 1e-13 < gap <= frame.gram_error
+        est, plain = numerical_rank(frame), numerical_rank(frame.matrix)
+        assert (est.route, est.rank) == (plain.route, plain.rank) == \
+            ("gram", frame.gram.shape[0])
+    # the defect term is needed: a bound from rounding alone,
+    # C ((1 + 256 eps)^R - 1), falls short at a defect of about 6e-11
+    for arch in (staircase(7, 1), brickwork(4, 2)):
+        frame, _ = _near_unitary_frame(arch, 5e-12)
+        rounding = frame.gram.shape[0] * np.expm1(
+            arch.gate_count * np.log1p(256 * np.finfo(float).eps))
+        assert rounding < _gram_gap(frame.gram, frame.matrix) \
+            <= frame.gram_error
+
+
+def test_non_finite_transfer_stack_gives_no_gram():
+    # GateAssignment refuses a NaN gate, so build the stack past its check
+    arch = staircase(4, 1)
+    mats = GateAssignment.haar(arch, 34).matrices.copy()
+    mats[1, 2, 3] = np.nan
+    gates = object.__new__(GateAssignment)
+    object.__setattr__(gates, "matrices", mats)
+    frame = tangent_frame(arch, gates)
+    assert frame.gram is None
+    with pytest.raises(np.linalg.LinAlgError):
+        numerical_rank(frame)
 
 
 def test_transfer_matrices_match_trace_oracle():
@@ -807,11 +881,18 @@ def test_gram_route_on_haar_and_witness_frames(mode):
     for build in FRAME_CASES:
         arch = build.values[0]()
         frame = tangent_frame(arch, GateAssignment.haar(arch, 24), mode)
-        m, c = frame.matrix.shape
         est = numerical_rank(frame)
+        m, c = frame.matrix.shape
         _sv, loose, tight = _svd_reference(frame.matrix)
         assert (est.loose_rank, est.tight_rank) == (loose, tight)
         assert est.route == ("gram" if loose == c < m else "svd")
+        # the Gram matrix read off the sweep decides as M^T M does
+        plain = numerical_rank(frame.matrix)
+        assert (est.route, est.loose_rank, est.tight_rank) == \
+            (plain.route, plain.loose_rank, plain.tight_rank)
+        if est.route == "gram":
+            assert np.abs(est.singular_values - plain.singular_values).max() \
+                <= 1e-12 * plain.singular_values[0]
         routes.append(est.route)
     assert ("gram" in routes) == (mode == "unitary")
     for arch in (staircase(4, 3), brickwork(4, 4)):
@@ -895,11 +976,22 @@ def test_report_json_and_spectra():
     # staircase(2, 2) frames are 16 x 24, too wide for the gram route;
     # staircase(3, 1) frames are 64 x 27 with full column rank
     assert [e["route"] for e in d["per_sample"]] == ["svd"] * 3
+    assert all("gram_margin" not in e for e in d["per_sample"])
     tall = accessible_dimension(staircase(3, 1), samples=3, seed=1)
-    assert [e["route"] for e in tall.to_json_dict()["per_sample"]] == \
-        ["gram"] * 3
-    csv = report.spectra_csv()
-    assert csv.startswith("sample,index,singular_value")
+    entries = tall.to_json_dict()["per_sample"]
+    assert [e["route"] for e in entries] == ["gram"] * 3
+    # the certificate held by this factor; at 1 it would just hold
+    assert all(e["gram_margin"] >= 1.0 for e in entries)
+    for rep in (report, tall):
+        lines = rep.spectra_csv().splitlines()
+        assert lines[0] == "sample,index,singular_value"
+        values = {}
+        for line in lines[1:]:
+            sample, index, value = line.split(",")
+            values[int(sample), int(index)] = float(value)
+        assert values == {(i, k): float(v)
+                          for i, e in enumerate(rep.estimates)
+                          for k, v in enumerate(e.singular_values)}
 
 
 # -- gauge redundancy ----------------------------------------------------------------
