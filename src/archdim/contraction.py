@@ -11,8 +11,9 @@ accessible dimension of the architecture, because the rank is constant off a
 measure-zero set.  A unitary frame is built by one forward sweep in the Pauli
 basis, where each gate acts as a real orthogonal 16 x 16 transfer matrix on
 columns grouped by their forward light cones, and the same sweep reads off
-the frame's Gram matrix for the rank; a state frame by a backward sweep
-through a dense suffix.  A dense call whose estimated peak memory
+the frame's Gram matrix for the rank; a state frame by a forward sweep over
+a stack of state vectors.  Both read one cached plan per architecture.  A
+dense call whose estimated peak memory
 (``peak_bytes``) exceeds ``MEMORY_BUDGET`` raises SizeLimit before it
 allocates.
 """
@@ -39,6 +40,10 @@ DEFAULT_TOLERANCES = (1e-6, 1e-10)
 MEMORY_BUDGET = 2 * 2 ** 30
 
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
+
+# The state sweep applies a gate to its stack in column chunks of at most
+# this many bytes, so that the allocator reuses the temporaries.
+_STACK_CHUNK = 4 * 2 ** 20
 
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
 # gauge-fixed frame.  A single-qubit generator on a wire that a later gate
@@ -110,29 +115,32 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     array holds two more of its size (tensordot's reordered input and
     output).  A frame counts its matrix twice (the SVD's copy).
 
-    The state frame adds four 2^n x 2^n operators for the suffix and its
-    update, and one gate's 15 directions at four stacks of 15 vectors.  The
-    unitary frame's forward sweep (``_cone_plan``) holds the two buffers of
+    The state sweep holds its C x 2^n complex stack (the frame's size), then
+    the frame beside it; the rank holds the frame beside the SVD's copy or a
+    tall frame's Gram certificate (four C x C arrays).  On top come 16 KiB
+    per gate for the plan and one gate's temporaries, which the allocator
+    keeps: two copies of a stack chunk and about 36 state vectors.  The
+    unitary frame's forward sweep (``_frame_plan``) holds the two buffers of
     the whole-register group beside one gate step's partial groups, and its
     transfer matrices and their complex build take 16 KiB per gate.  A tall
     unitary frame also holds its C x C Gram matrix throughout.  Its
     certificate runs beside the groups the frame keeps (at most one frame's
     worth) and takes up to three more C x C arrays; the SVD route forms the
     matrix from those groups and then copies it."""
-    op = 16 * 4 ** arch.n  # one dense complex 2^n x 2^n operator
-    held = {"contract": 3 * op, "contract_state": 3 * 16 * 2 ** arch.n}
+    vec = 16 * 2 ** arch.n  # one complex state vector
+    held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
         return held[job]
     rows, cols = frame_shape(arch, job)
     frame = 8 * rows * cols
-    if job == "unitary":
-        plan = _cone_plan(arch)
-        whole = 8 * 4 ** arch.n * plan.whole_width
-        gram = 8 * cols * cols if cols < rows else 0
-        return gram + max(
-            16384 * arch.gate_count + 2 * whole + plan.step_bytes,
-            frame + 3 * gram, 2 * frame)
-    return 2 * frame + 4 * op + 60 * 16 * 2 ** arch.n
+    gram = 8 * cols * cols if cols < rows else 0
+    if job == "state":  # a chunk is at most the whole stack
+        temps = 2 * min(frame, max(_STACK_CHUNK, vec)) + 36 * vec
+        return 16384 * arch.gate_count + temps + frame + max(frame, 4 * gram)
+    plan = _frame_plan(arch)
+    whole = 8 * 4 ** arch.n * plan.whole_width
+    return gram + max(16384 * arch.gate_count + 2 * whole + plan.step_bytes,
+                      frame + 3 * gram, 2 * frame)
 
 
 def _check_size(arch: Architecture, job: str) -> None:
@@ -271,9 +279,9 @@ class TangentFrame:
     index and an index into the 15 two-qubit generators.  Columns are
     ordered by gate, then generator.
 
-    ``matrix`` is formed on first access and kept.  A state frame has it
-    from the start; a unitary frame holds its sweep's light-cone groups
-    until something reads it.  ``gram`` is the C x C Gram matrix M^T M of a
+    ``matrix`` is formed on first access and kept.  A state frame forms it
+    from its sweep's vector stack at once; a unitary frame holds its
+    sweep's light-cone groups until something reads it.  ``gram`` is the C x C Gram matrix M^T M of a
     tall unitary frame (fewer columns than rows), read off the sweep in
     column order, and ``gram_error`` bounds its 2-norm distance from the
     exact Gram matrix of ``matrix``; ``gram`` is None in state mode and for
@@ -305,25 +313,28 @@ _Cone = tuple[int, ...]  # 1-based qubits, ascending
 
 
 @dataclass(frozen=True, eq=False)
-class _ConePlan:
-    """The integer bookkeeping of a unitary frame's forward sweep.
+class _FramePlan:
+    """The integer bookkeeping of both frame modes.
 
-    ``labels[j]`` holds gate j's kept generators as two-qubit labels (1 to
-    15) read with the lower wire leading.  ``steps[j]`` lists the groups
-    gate j writes, each as (cone, the cones of the groups merged into it,
-    whether gate j's own kept generators join it, the group's rows of
-    those labels).  Row r of a group over cone c is the Pauli string that
-    is the identity off c; the read rows put each label on gate j's wires
-    and the identity on the rest of c.  ``record`` is the frame's (gate,
-    generator) column list.  ``whole_width`` counts the columns of the
-    whole-register group at the end (it only grows).  ``step_bytes`` bounds
-    the bytes one gate's step holds outside the whole-register buffers.
+    ``kept[j]`` holds gate j's kept generator indices (into the 15), and
+    ``record`` is the frame's (gate, generator) column list.  The rest is
+    the unitary sweep's.  ``labels[j]`` holds gate j's kept generators as
+    two-qubit labels (1 to 15) read with the lower wire leading.
+    ``steps[j]`` lists the groups gate j writes, each as (cone, the cones
+    of the groups merged into it, whether gate j's own kept generators join
+    it, the group's rows of those labels).  Row r of a group over cone c is
+    the Pauli string that is the identity off c; the read rows put each
+    label on gate j's wires and the identity on the rest of c.
+    ``whole_width`` counts the columns of the whole-register group at the
+    end (it only grows).  ``step_bytes`` bounds the bytes one gate's step
+    holds outside the whole-register buffers.
     """
 
+    kept: tuple[np.ndarray, ...]
+    record: np.ndarray
     steps: tuple[tuple[tuple[_Cone, tuple[_Cone, ...], bool, np.ndarray],
                        ...], ...]
     labels: tuple[np.ndarray, ...]
-    record: np.ndarray
     whole_width: int
     step_bytes: int
 
@@ -331,8 +342,8 @@ class _ConePlan:
 # Plans repeat across a frame's Haar samples and across calls on the same
 # architecture; the benchmark's dim-wide ops use four architectures.
 @functools.lru_cache(maxsize=64)
-def _cone_plan(arch: Architecture) -> _ConePlan:
-    """Group the unitary frame's columns by forward light cone.
+def _frame_plan(arch: Architecture) -> _FramePlan:
+    """Each gate's kept generators; the unitary columns' light-cone groups.
 
     After gate j, the columns of gates 0..j sit in groups, one per cone: the
     qubits that gates up to j connect to a column's own gate wires (1-based,
@@ -404,9 +415,10 @@ def _cone_plan(arch: Architecture) -> _ConePlan:
     record = np.array([(j, k) for j, kept in enumerate(kept_all) for k in kept],
                       dtype=np.intp).reshape(-1, 2)
     record.flags.writeable = False
-    return _ConePlan(
-        steps=tuple(steps), labels=tuple(labels_all), record=record,
-        whole_width=groups.get(whole, 0), step_bytes=step_bytes)
+    return _FramePlan(
+        kept=tuple(kept_all), record=record, steps=tuple(steps),
+        labels=tuple(labels_all), whole_width=groups.get(whole, 0),
+        step_bytes=step_bytes)
 
 
 # A frame's partial cones repeat across its Haar samples and across calls on
@@ -471,7 +483,7 @@ def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
 
 
 def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
-    """The unitary frame by the forward sweep of ``_cone_plan``: column
+    """The unitary frame by the forward sweep of ``_frame_plan``: column
     (j, k) is T_R ... T_{j+1} e_{S_k}.
 
     The whole-register group alternates between two buffers, so that each
@@ -485,7 +497,7 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     (j2, k2) of the frame equals the one just after gate j2, when column
     (j2, k2) is still the unit vector e_{S_k2} on gate j2's wires: column
     (j, k)'s coefficient on that Pauli string.  After each gate, every group
-    it writes gives those rows for the gate's kept labels (``_cone_plan``);
+    it writes gives those rows for the gate's kept labels (``_frame_plan``);
     columns of groups it does not write are the identity on its wires and
     have 0 there.  That is 15 reads per column of a written group.
 
@@ -503,7 +515,7 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     matrix: every frame entry is a sum of products of the stack's entries,
     so a finite stack makes a finite frame.
     """
-    plan = _cone_plan(arch)
+    plan = _frame_plan(arch)
     n = arch.n
     whole = tuple(range(1, n + 1))
     rows, width = frame_shape(arch, "unitary")
@@ -601,56 +613,43 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     identity outside its forward light cone, the qubits that gates j, j+1,
     ... connect to gate j's wires, so columns are held in groups over their
     current cone only, and groups whose cones become equal merge
-    (``_cone_plan``).  A column's rows with a non-identity letter outside
+    (``_frame_plan``).  A column's rows with a non-identity letter outside
     its cone are exactly 0.  The frame keeps the groups and forms its
     4^n x C matrix only when ``matrix`` is read.  A tall frame (C < 4^n)
     carries its Gram matrix, read off the sweep at O(15 C) work per gate
     with an error bound (``_unitary_frame``); that is all the Gram route of
     ``numerical_rank`` reads.
 
-    State mode sweeps back through a dense suffix and applies each gate's
-    kept generators as one batch; its matrix is formed at once.
+    State mode sweeps forward over a stack of complex 2^n vectors: gate j
+    applies u_j to the columns built so far, advances psi by u_j, then
+    appends i S_k psi for its kept k, so column (j, k) ends as
+    i K_{j,k} psi.  No 2^n x 2^n operator is formed.
     """
     if mode not in ("unitary", "state"):
         raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
     _check_size(arch, mode)
     _require_match(arch, gates)
-    n = arch.n
-    r = arch.gate_count
     if mode == "unitary":
         return _unitary_frame(arch, gates)
+    plan = _frame_plan(arch)
+    n = arch.n
     dim = 2 ** n
-    rows, width = frame_shape(arch, mode)
-    # one row per column, so that each gate's block is one contiguous write
-    cols = np.zeros((width, rows))
-    record = np.zeros((width, 2), dtype=np.intp)
-
-    states = [np.zeros(dim, dtype=complex)]
-    states[0][0] = 1.0
-    for (a, b), u in zip(arch.gates, gates.matrices):
-        states.append(apply_gate_left(states[-1], u, (a, b), n))
-
-    later = np.zeros(n, dtype=bool)  # qubits acted on by gates after j
-    suffix = np.eye(dim, dtype=complex)
-    stop = width  # columns are filled right to left
-    for j in range(r - 1, -1, -1):
-        wires = arch.gates[j]
-        a, b = wires
-        kept = _KEPT[later[a - 1], later[b - 1]]
-        later[[a - 1, b - 1]] = True
-        block = slice(stop - kept.size, stop)
-        stop = block.start
-        record[block, 0] = j
-        record[block, 1] = kept
-        generators = _GENERATOR_STACK[kept]
-        psi_back = states[j + 1]  # prefix including gate j
-        batch = apply_gate_left(psi_back, generators, wires, n)
-        v = 1j * (suffix @ batch.T)
-        cols[block, :dim] = v.real.T
-        cols[block, dim:] = v.imag.T
-        suffix = apply_gate_right(suffix, gates.matrices[j], wires, n)
-    matrix = cols.T
-    return TangentFrame(mode, n, r, record, lambda: matrix)
+    stack = np.empty((dim, plan.record.shape[0]), dtype=complex)
+    psi = np.zeros(dim, dtype=complex)
+    psi[0] = 1.0
+    filled = 0
+    chunk = max(1, _STACK_CHUNK // (16 * dim))
+    for wires, u, kept in zip(arch.gates, gates.matrices, plan.kept):
+        for lo in range(0, filled, chunk):
+            part = stack[:, lo:min(lo + chunk, filled)]
+            part[...] = apply_gate_left(part, u, wires, n)
+        psi = apply_gate_left(psi, u, wires, n)
+        block = slice(filled, filled + kept.size)
+        stack[:, block] = apply_gate_left(psi, 1j * _GENERATOR_STACK[kept],
+                                          wires, n).T
+        filled = block.stop
+    matrix = np.concatenate([stack.real, stack.imag])
+    return TangentFrame(mode, n, arch.gate_count, plan.record, lambda: matrix)
 
 
 # -- numerical rank ------------------------------------------------------------

@@ -236,11 +236,17 @@ def test_memory_guard_takes_the_frame_shape():
     arch = staircase(9, 1)
     assert frame_shape(arch, "unitary") == (4 ** 9, 99)
     assert frame_shape(arch, "state") == (2 * 2 ** 9, 99)
-    # the frame counts twice (the SVD's copy); the state frame's backward
-    # sweep adds the 2^9 x 2^9 suffix, which the unitary forward sweep lacks
-    op = 16 * 4 ** 9
+    # the frame counts twice (the SVD's copy); the state frame's forward
+    # sweep holds a C x 2^n complex stack, the frame's size, and no 2^n x 2^n
+    # operator: past 16 MiB and 40 state vectors for one gate's temporaries
+    # and the plan, its estimate grows as C * 2^n (at n = 18, 4^n bytes are
+    # 64 GiB)
     assert peak_bytes(arch, "unitary") >= 2 * 8 * 4 ** 9 * 99
-    assert peak_bytes(arch, "state") > 2 * 8 * 2 * 2 ** 9 * 99 + op
+    for tall in (arch, staircase(12, 1), staircase(16, 1), staircase(18, 1)):
+        rows, cols = frame_shape(tall, "state")
+        frame = 8 * rows * cols
+        assert 2 * frame <= peak_bytes(tall, "state") \
+            <= 2 * frame + 2 ** 24 + 40 * 16 * 2 ** tall.n
     # n = 9 fits the budget now that the guard counts bytes, not qubits
     gates = GateAssignment.haar(arch, 0)
     assert contract(arch, gates).shape == (512, 512)
@@ -248,7 +254,7 @@ def test_memory_guard_takes_the_frame_shape():
 
 
 @pytest.mark.parametrize("arch, mode", [(staircase(8, 40), "unitary"),
-                                        (staircase(13, 1), "state")])
+                                        (staircase(20, 1), "state")])
 def test_over_budget_frame_fails_before_allocating(arch, mode):
     assert peak_bytes(arch, mode) > MEMORY_BUDGET
     tracemalloc.start()
@@ -288,10 +294,15 @@ def test_forward_sweep_estimate_within_the_suffix_sweeps():
                            (5, 6)] * 3),
     # C = 735 of 1024 rows: the Gram certificate's C x C arrays beside the
     # groups outweigh the frame twice
-    staircase(5, 20)],
+    staircase(5, 20),
+    # state frames only, up to n = 14; one distant gate's new directions
+    # outweigh its 15-column stack
+    staircase(12, 2), staircase(13, 1), staircase(14, 1),
+    from_gate_sequence(14, [(1, 14)])],
     ids=["staircase7x1", "staircase6x3", "brickwork6x1", "staircase9x1",
          "staircase6x12", "brickwork6x6", "random6x40", "sequence6x21",
-         "staircase5x20"])
+         "staircase5x20", "staircase12x2", "staircase13x1", "staircase14x1",
+         "sequence14x1"])
 def test_peak_estimate_bounds_the_traced_peak(arch):
     gates = GateAssignment.haar(arch, 3)
     calls = {
@@ -302,6 +313,8 @@ def test_peak_estimate_bounds_the_traced_peak(arch):
     }
     if arch.n > 7:  # keep the unitary frame small
         del calls["unitary"]
+    if arch.n > 9:  # and the contracted unitary
+        del calls["contract"]
     for job, call in calls.items():
         tracemalloc.start()
         try:
@@ -652,13 +665,11 @@ def _scatter_reference_unitary_frame(arch, gates):
     rows, width = frame_shape(arch, "unitary")
     cols = np.zeros((width, rows))
     reach = np.eye(n, dtype=bool)
-    later = np.zeros(n, dtype=bool)
     suffix = np.eye(2 ** n, dtype=complex)
     stop = width
     for j in range(arch.gate_count - 1, -1, -1):
         a, b = wires = arch.gates[j]
-        kept = contraction._KEPT[later[a - 1], later[b - 1]]
-        later[[a - 1, b - 1]] = True
+        kept = contraction._frame_plan(arch).kept[j]
         block = slice(stop - kept.size, stop)
         stop = block.start
         reach[[a - 1, b - 1]] = reach[a - 1] | reach[b - 1]
@@ -949,11 +960,24 @@ def test_accessible_dimension_sample_constancy():
     assert not report.inconclusive
 
 
-def test_accessible_dimension_state_mode_cap():
-    report = accessible_dimension(staircase(3, 2), mode="state",
-                                  samples=3, seed=5)
-    assert report.cap == 15
-    assert report.consensus == 15
+@pytest.mark.parametrize("arch, samples, seed, consensus", [
+    (staircase(3, 2), 3, 5, 15),  # the cap 2 * 2^3 - 1
+    (staircase(5, 2), 5, 11, 56),
+    (staircase(6, 2), 5, 11, 73),
+    (staircase(8, 2), 5, 11, 107),
+    (brickwork(4, 1), 5, 11, 22),
+    (brickwork(4, 2), 5, 11, 31),
+    (random_adjacent(5, 14, 6), 5, 11, 57),
+    # 8n - 9 at n = 13, from a 16384 x 147 frame
+    (staircase(13, 1), 3, 0, 95)],
+    ids=["staircase-3-2", "staircase-5-2", "staircase-6-2", "staircase-8-2",
+         "brickwork-4-1", "brickwork-4-2", "random-5-14", "staircase-13-1"])
+def test_accessible_dimension_state_mode_cap(arch, samples, seed, consensus):
+    report = accessible_dimension(arch, mode="state", samples=samples,
+                                  seed=seed)
+    assert not report.inconclusive
+    assert report.consensus == consensus
+    assert report.cap == 2 * 2 ** arch.n - 1
     assert report.bounds_ok
 
 
