@@ -116,17 +116,19 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     output).  A frame counts its matrix twice (the SVD's copy).
 
     The state sweep holds its C x 2^n complex stack (the frame's size), then
-    the frame beside it; the rank holds the frame beside the SVD's copy or a
-    tall frame's Gram certificate (four C x C arrays).  On top come 16 KiB
-    per gate for the plan and one gate's temporaries, which the allocator
-    keeps: two copies of a stack chunk and about 36 state vectors.  The
-    unitary frame's forward sweep (``_frame_plan``) holds the two buffers of
-    the whole-register group beside one gate step's partial groups, and its
-    transfer matrices and their complex build take 16 KiB per gate.  A tall
-    unitary frame also holds its C x C Gram matrix throughout.  Its
-    certificate runs beside the groups the frame keeps (at most one frame's
-    worth) and takes up to three more C x C arrays; the SVD route forms the
-    matrix from those groups and then copies it."""
+    the frame beside it; the rank holds the frame beside the SVD's copy or,
+    for a tall frame, four C x C arrays of the SVD's work.  On top come
+    16 KiB per gate for the plan and one gate's temporaries, which the
+    allocator keeps: two copies of a stack chunk and about 36 state
+    vectors.  The unitary frame's forward sweep (``_frame_plan``) holds the
+    two buffers of the whole-register group beside one gate step's partial
+    groups, and its transfer matrices and their complex build take 16 KiB
+    per gate.  A tall unitary frame also holds its C x C Gram matrix
+    throughout.  Its certificate runs beside the groups the frame keeps (at
+    most one frame's worth) and takes up to three more C x C arrays; the SVD
+    route forms the matrix from those groups and then copies it.  An
+    estimate whose frame terms alone exceed ``MEMORY_BUDGET`` returns
+    before the sweep's plan is built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -137,6 +139,8 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     if job == "state":  # a chunk is at most the whole stack
         temps = 2 * min(frame, max(_STACK_CHUNK, vec)) + 36 * vec
         return 16384 * arch.gate_count + temps + frame + max(frame, 4 * gram)
+    if gram + 2 * frame > MEMORY_BUDGET:
+        return gram + 2 * frame
     plan = _frame_plan(arch)
     whole = 8 * 4 ** arch.n * plan.whole_width
     return gram + max(16384 * arch.gate_count + 2 * whole + plan.step_bytes,
@@ -300,14 +304,6 @@ class TangentFrame:
     def matrix(self) -> np.ndarray:
         return self._assemble()
 
-    def column_block(self, gate_index: int) -> np.ndarray:
-        """The kept columns of one gate (0-based index)."""
-        if not 0 <= gate_index < self.gate_count:
-            raise ValidationError(f"gate index {gate_index} out of range")
-        start, stop = np.searchsorted(self.columns[:, 0],
-                                      [gate_index, gate_index + 1])
-        return self.matrix[:, start:stop]
-
 
 _Cone = tuple[int, ...]  # 1-based qubits, ascending
 
@@ -355,10 +351,10 @@ def _frame_plan(arch: Architecture) -> _FramePlan:
 
     A step holds the groups it reads beside those it writes.  One transfer
     adds at most a reordered copy of its input and a moved copy of its
-    output, and a merge its parts beside the merged group.  Columns that
-    reach the whole register count at full size until they are written into
-    its buffer; a whole-register group off the matmul route (wires not
-    adjacent) is reordered into a copy and transferred into another.
+    output.  Columns that reach the whole register count at full size until
+    they are written into its buffer; a whole-register group off the matmul
+    route (wires not adjacent) is reordered into a copy and transferred
+    into another.
     """
     n = arch.n
     last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
@@ -450,47 +446,43 @@ def transfer_matrices(gates: GateAssignment) -> np.ndarray:
 
 
 def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
-              wires: tuple[int, int],
-              out: np.ndarray | None = None) -> np.ndarray:
+              wires: tuple[int, int], out: np.ndarray) -> None:
     """Apply a transfer matrix t4[P_lo, P_hi, Q_lo, Q_hi] on wires
     (lo, hi), lo < hi, to a group stored over cone ``old``, shape
-    (4^|old|, m): the group over cone ``new``, shape (4^|new|, m), written
-    into ``out`` when given.  ``out`` may be a column range of a wider
-    group.  A wire new to the cone enters with the identity letter, so only
+    (4^|old|, m), and write the group over cone ``new``, shape
+    (4^|new|, m), into ``out``: a whole group or a column range of a wider
+    one.  A wire new to the cone enters with the identity letter, so only
     that slice of t4 is read."""
     lo, hi = wires
     t = t4[:, :, :4 if lo in old else 1, :4 if hi in old else 1]
     p, q = new.index(lo), new.index(hi)
-    rows = 4 ** len(new)
-    if q == p + 1 and (out is None or out.flags.c_contiguous):
+    if q == p + 1 and out.flags.c_contiguous:
         # adjacent in the cone: one broadcast matmul
-        x3 = x.reshape(4 ** p, t.shape[2] * t.shape[3], -1)
-        o3 = None if out is None else out.reshape(4 ** p, 16, -1)
-        return np.matmul(t.reshape(16, -1), x3, out=o3).reshape(rows, -1)
-    if q == p + 1:  # into a column range: one matmul per outer row block
+        np.matmul(t.reshape(16, -1),
+                  x.reshape(4 ** p, t.shape[2] * t.shape[3], -1),
+                  out=out.reshape(4 ** p, 16, -1))
+    elif q == p + 1:  # into a column range: one matmul per outer row block
         m, tail = x.shape[1], 4 ** (len(new) - q - 1)
         np.matmul(t.reshape(16, -1),
                   x.reshape(4 ** p, -1, tail, m).swapaxes(1, 2),
                   out=out.reshape(4 ** p, 16, tail, m).swapaxes(1, 2))
-        return out
-    dims = [4 if w in old else 1 for w in new] + [-1]
-    y = np.moveaxis(np.tensordot(t, x.reshape(dims), axes=([2, 3], [p, q])),
-                    (0, 1), (p, q))
-    if out is None:
-        return y.reshape(rows, -1)
-    np.copyto(out.reshape(y.shape), y)
-    return out
+    else:
+        dims = [4 if w in old else 1 for w in new] + [-1]
+        y = np.moveaxis(np.tensordot(t, x.reshape(dims),
+                                     axes=([2, 3], [p, q])), (0, 1), (p, q))
+        np.copyto(out.reshape(y.shape), y)
 
 
 def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     """The unitary frame by the forward sweep of ``_frame_plan``: column
     (j, k) is T_R ... T_{j+1} e_{S_k}.
 
-    The whole-register group alternates between two buffers, so that each
-    gate is one write from one into the other; a merge writes each part's
-    transfer straight into its column range.  Partial groups are fresh
-    arrays of their cone's size.  The frame keeps the groups and forms its
-    matrix from them on first access.
+    Each group a gate writes is allocated first: the whole-register group
+    alternates between two buffers, and a partial group is a fresh array of
+    its cone's size.  Each source group's transfer then writes straight
+    into its column range, and the gate's kept unit vectors fill the tail.
+    The frame keeps the groups and forms its matrix from them on first
+    access.
 
     A tall frame also reads its Gram matrix off the sweep.  The T_j are
     orthogonal, so for j < j2 the inner product of columns (j, k) and
@@ -542,29 +534,24 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
         start = span.stop
         for cone, sources, takes_kept, read in step:
             cols = [members.pop(src) for src in sources]
-            if takes_kept:  # unit vectors e_{S_k} over the cone {a, b}
+            if takes_kept:
                 cols.append(np.arange(span.start, span.stop))
-                units = np.zeros((16, labels.size))
-                units[labels, np.arange(labels.size)] = 1.0
             cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
             if cone == whole:
                 cur = 1 - cur
                 x = buffers[cur][:rows * cols.size].reshape(rows, -1)
-                at = 0
-                for src in sources:
-                    part = groups.pop(src)
-                    _transfer(part, t4, src, cone, (a, b),
-                              out=x[:, at:at + part.shape[1]])
-                    at += part.shape[1]
-                if takes_kept:
-                    x[:, at:] = units
             else:
-                parts = [_transfer(groups.pop(src), t4, src, cone, (a, b))
-                         for src in sources]
-                if takes_kept:
-                    parts.append(units)
-                x = parts[0] if len(parts) == 1 \
-                    else np.concatenate(parts, axis=1)
+                x = np.empty((4 ** len(cone), cols.size))
+            at = 0
+            for src in sources:
+                part = groups.pop(src)
+                _transfer(part, t4, src, cone, (a, b),
+                          x[:, at:at + part.shape[1]])
+                at += part.shape[1]
+            if takes_kept:  # unit vectors e_{S_k} over the cone {a, b}
+                units = x[:, at:]
+                units[...] = 0.0
+                units[labels, np.arange(labels.size)] = 1.0
             groups[cone] = x
             members[cone] = cols
             if gram is not None:
@@ -698,34 +685,21 @@ _GRAM_MARGIN = 100.0
 
 
 def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
-                   product_rows: int,
                    read_error: float) -> RankEstimate | None:
     """The full-rank estimate of a real matrix M with C columns whose Gram
     matrix ``gram`` certifies it, or None when it cannot.
 
-    lam = eigvalsh(G) lies within delta of the eigenvalues of the exact
-    M^T M (Weyl), with delta = (product_rows + C) eps trace(G) + read_error.
-    eigvalsh is backward stable, within C eps ||G||_2 <= C eps trace(G).  A
-    computed product G = fl(M^T M) over m rows adds at most
-    gamma_m ||M||_F^2, with ||M||_F^2 = trace(G): product_rows = m.  A Gram
-    matrix read off the unitary sweep has product_rows = 0 and its
-    ``gram_error`` as read_error.  When lam_min - delta > 0 and
+    ``gram`` lies within ``read_error`` of the exact M^T M in the 2-norm,
+    and eigvalsh is backward stable, within C eps ||G||_2 <= C eps trace(G).
+    So lam = eigvalsh(G) lies within delta = C eps trace(G) + read_error of
+    the eigenvalues of M^T M (Weyl).  When lam_min - delta > 0 and
     lam_min - delta >= (100 loose)^2 (lam_max + delta), every singular value
     is at least 100x above loose * sigma_max, so an SVD would count all C of
     them at both tolerances.
     """
     c = gram.shape[0]
-    trace = np.trace(gram)
-    delta = (product_rows + c) * np.finfo(np.float64).eps * trace + read_error
+    delta = c * np.finfo(np.float64).eps * np.trace(gram) + read_error
     floor = (_GRAM_MARGIN * tol_pair[0]) ** 2
-    # Cholesky-first exit: lam_max >= trace / C, so a certifiable spectrum
-    # has lam_min above this shift; if G minus it is not positive definite,
-    # the eigenvalues are not worth computing.
-    shift = delta + floor * (trace / c + delta)
-    try:
-        np.linalg.cholesky(gram - shift * np.eye(c))
-    except np.linalg.LinAlgError:
-        return None
     lam = np.linalg.eigvalsh(gram)
     low, high = lam[0] - delta, lam[-1] + delta
     if not (low > 0.0 and low >= floor * high):
@@ -739,18 +713,21 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
                    ) -> RankEstimate:
     """Singular-value rank under two relative thresholds.
 
-    A tall real frame (fewer columns than rows) is first tried on the Gram
-    route: the eigenvalues of M^T M, with a rounding bound, certify that all
-    C singular values sit at least 100x above the loose cutoff, and then the
-    SVD would return loose = tight = C as well.  A unitary frame brings the
-    Gram matrix its sweep read (``TangentFrame.gram``), and a certified one
-    never forms the frame's matrix; any other tall input takes
-    ``mat.T @ mat``.  The estimate holds sqrt(eigvalsh(G)) as its singular
-    values, with ``route="gram"``.  Every other input takes a full SVD
-    (``route="svd"``): wide frames, rank-deficient or near-cutoff spectra,
-    and all-zero matrices.  Ranks never differ between the routes;
-    gram-route singular values differ from LAPACK's SVD by rounding only
-    (below 1e-12 sigma_max on the frames measured).
+    A frame that carries a Gram matrix (``TangentFrame.gram``: a tall
+    unitary frame, which reads it off its sweep) is first tried on the Gram
+    route: the eigenvalues of that matrix, with its error bound, certify
+    that all C singular values sit at least 100x above the loose cutoff,
+    and then the SVD would return loose = tight = C as well.  A certified
+    frame never forms its matrix; the estimate holds sqrt(eigvalsh(G)) as
+    its singular values, with ``route="gram"``.  Every other input takes a
+    full SVD (``route="svd"``): plain arrays, state frames, wide frames,
+    rank-deficient or near-cutoff spectra, and all-zero matrices.  A state
+    frame could never be certified: gate 0 acts on |0...0>, so its at least
+    9 kept directions i S_k u_0 |00> lie in the 7-dimensional tangent space
+    of the sphere at u_0 |00>, and the later gates move them by one unitary.
+    Ranks never differ between the routes; gram-route singular values
+    differ from LAPACK's SVD by rounding only (below 1e-12 sigma_max on the
+    frames measured).
 
     An empty or all-zero matrix has rank 0 by convention.  A matrix holding
     NaN or inf raises ``LinAlgError``; a frame with a Gram matrix is finite
@@ -763,7 +740,7 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
                               f" < 1, got (loose, tight) = {tol_pair}")
     gram = frame.gram if isinstance(frame, TangentFrame) else None
     if gram is not None and gram.size:
-        est = _gram_estimate(gram, tol_pair, 0, frame.gram_error)
+        est = _gram_estimate(gram, tol_pair, frame.gram_error)
         if est is not None:
             return est
     mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)
@@ -771,11 +748,6 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
         return RankEstimate(np.zeros(0), tol_pair, 0, 0)
     if not np.isfinite(mat).all():
         raise np.linalg.LinAlgError("frame holds a non-finite entry")
-    m, c = mat.shape
-    if gram is None and c < m and mat.dtype == np.float64:
-        est = _gram_estimate(mat.T @ mat, tol_pair, m, 0.0)
-        if est is not None:
-            return est
     sv = np.linalg.svd(mat, compute_uv=False)
     smax = sv[0]
     if smax == 0.0:

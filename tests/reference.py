@@ -5,8 +5,9 @@ another way: Haar sampling one gate at a time, a gate's Pauli transfer
 matrix from traces, the per-column perturbation operator behind
 ``tangent_frame``, the gauge redundancy that its dropped columns rely on, a
 slice's tableau composed gate by gate, the tableau symplecticity check, a
-path-tree walk, a qubit's forward reach and the witness rank from
-phase-free symplectic images alone.  The dense bridge from Clifford
+path-tree walk, a qubit's forward reach, the witness rank from
+phase-free symplectic images alone and the Gram certificate of a plain
+matrix from its product M^T M.  The dense bridge from Clifford
 circuits to matrices lives here too: the elementary gate matrices, a
 circuit's unitary and the SU(4) gate assignment of a witness point; the
 library itself keeps circuits as tableaux only.  None has a size guard;
@@ -23,7 +24,12 @@ import numpy as np
 from archdim import CliffordTableau, GateAssignment, PauliString
 from archdim.architecture import Architecture
 from archdim.clifford import CliffordCircuit, circuit_images
-from archdim.contraction import pauli_coefficients
+from archdim.contraction import (
+    DEFAULT_TOLERANCES,
+    RankEstimate,
+    _gram_estimate,
+    pauli_coefficients,
+)
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
 from archdim.witness import PathTree
@@ -284,3 +290,18 @@ def phase_free_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
         for s, idx in zip(slots, inverse_maps[circuit]):
             images[s] = span[idx]
     return len(keys)
+
+
+def gram_certificate(mat: np.ndarray,
+                     tol_pair: tuple[float, float] = DEFAULT_TOLERANCES,
+                     ) -> RankEstimate | None:
+    """The Gram certificate of a tall real matrix M (m rows) from the
+    computed product G = fl(M^T M), or None when it does not certify.
+
+    The product is within gamma_m ||M||_F^2 <= m eps trace(G) of the exact
+    M^T M, so the certificate's eigenvalue bound is
+    delta = (m + C) eps trace(G).
+    """
+    gram = mat.T @ mat
+    read_error = mat.shape[0] * np.finfo(np.float64).eps * np.trace(gram)
+    return _gram_estimate(gram, tol_pair, read_error)

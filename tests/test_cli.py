@@ -198,6 +198,17 @@ def test_dim_over_memory_budget_is_invalid_input(capsys):
     assert "GiB" in err and "memory budget" in err
 
 
+@pytest.mark.parametrize("n", [33, 40])
+def test_dim_far_over_budget_exits_before_planning_the_sweep(n, capsys):
+    # past n = 32 the unitary sweep's plan would overflow its row indices;
+    # the frame alone is over budget, so the guard refuses before planning
+    rc = main(["dim", "--family", "staircase", "--n", str(n), "--t", "2"])
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: unitary on n=")
+    assert "over the 2 GiB memory budget" in err
+
+
 def test_dim_and_sweep_record_the_memory_budget(tmp_path):
     dim_out, sweep_out = tmp_path / "dim.json", tmp_path / "sweep.csv"
     assert main(["dim", "--family", "brickwork", "--n", "4", "--t", "1",

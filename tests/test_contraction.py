@@ -41,6 +41,7 @@ from reference import (
     forward_reach,
     gate_assignment,
     gauge_redundancy_check,
+    gram_certificate,
     haar_one_at_a_time,
     pauli_transfer_matrix,
     perturbation_operator,
@@ -254,7 +255,10 @@ def test_memory_guard_takes_the_frame_shape():
 
 
 @pytest.mark.parametrize("arch, mode", [(staircase(8, 40), "unitary"),
-                                        (staircase(20, 1), "state")])
+                                        (staircase(20, 1), "state"),
+                                        # past n = 32 the sweep's plan
+                                        # would overflow its row indices
+                                        (staircase(33, 2), "unitary")])
 def test_over_budget_frame_fails_before_allocating(arch, mode):
     assert peak_bytes(arch, mode) > MEMORY_BUDGET
     tracemalloc.start()
@@ -627,9 +631,6 @@ def test_frame_drops_single_qubit_generators_of_passed_wires():
     assert kept[0] == [k for k in range(15) if k not in (0, 1, 2, 3, 7, 11)]
     assert kept[1] == [k for k in range(15) if k not in (0, 1, 2)]
     assert kept[2] == list(range(15))
-    for j in range(3):
-        assert np.array_equal(frame.column_block(j),
-                              frame.matrix[:, frame.columns[:, 0] == j])
 
 
 @pytest.mark.parametrize("build", FRAME_CASES)
@@ -644,7 +645,8 @@ def test_unitary_frame_vanishes_outside_light_cone(build):
         reached = forward_reach(arch, j, arch.gate_count, a)
         cone = np.array([q in reached for q in range(1, n + 1)])
         outside = (letters[:, ~cone] != 0).any(axis=1)
-        assert np.all(frame.column_block(j)[outside] == 0.0)
+        block = frame.matrix[:, frame.columns[:, 0] == j]
+        assert np.all(block[outside] == 0.0)
         partial |= not cone.all()
     assert partial
 
@@ -689,6 +691,10 @@ def _scatter_reference_unitary_frame(arch, gates):
     # non-adjacent and reversed wires take the tensordot route
     pytest.param(lambda: from_gate_sequence(
         4, [(3, 1), (2, 4), (1, 4), (4, 3), (2, 1)]), id="sequence-4-5"),
+    # gate 3 merges two groups into the partial cone (1, 2, 3), through
+    # the tensordot route
+    pytest.param(lambda: from_gate_sequence(
+        5, [(1, 3), (2, 3), (1, 2), (3, 1), (4, 5)]), id="sequence-5-5"),
     # the cone is the whole register from the first gate on
     pytest.param(lambda: from_gate_sequence(2, [(1, 2), (2, 1)]),
                  id="sequence-2-2"),
@@ -752,9 +758,9 @@ def test_gram_reads_of_near_unitary_gates_stay_inside_the_bound():
         assert 5e-12 < defect < 5e-11
         gap = _gram_gap(frame.gram, frame.matrix)
         assert 1e-13 < gap <= frame.gram_error
-        est, plain = numerical_rank(frame), numerical_rank(frame.matrix)
-        assert (est.route, est.rank) == (plain.route, plain.rank) == \
-            ("gram", frame.gram.shape[0])
+        est, cert = numerical_rank(frame), gram_certificate(frame.matrix)
+        assert est.route == "gram"
+        assert est.rank == cert.rank == frame.gram.shape[0]
     # the defect term is needed: a bound from rounding alone,
     # C ((1 + 256 eps)^R - 1), falls short at a defect of about 6e-11
     for arch in (staircase(7, 1), brickwork(4, 2)):
@@ -851,17 +857,23 @@ def test_gram_route_matches_svd_on_planted_spectra(ratio):
     s = np.geomspace(1.0, max(ratio, 0.1), c)
     s[-1] = ratio
     mat = 3.0 * (q1 * s) @ q2.T
-    est = numerical_rank(mat)
     sv, loose, tight = _svd_reference(mat)
+    # a plain array takes the SVD
+    est = numerical_rank(mat)
+    assert est.route == "svd"
     assert (est.loose_rank, est.tight_rank) == (loose, tight)
+    assert np.array_equal(est.singular_values, sv)
+    # the M^T M certificate holds only on spectra far from the cutoffs, and
+    # then decides as the SVD does
+    cert = gram_certificate(mat)
     if ratio < 1e-4:
-        assert est.route == "svd"
+        assert cert is None
     if ratio >= 1e-2:
-        assert est.route == "gram"
-    if est.route == "gram":
-        assert np.abs(est.singular_values - sv).max() <= 1e-12 * sv[0]
-    else:
-        assert np.array_equal(est.singular_values, sv)
+        assert cert is not None
+    if cert is not None:
+        assert (cert.route, cert.loose_rank, cert.tight_rank) == \
+            ("gram", loose, tight)
+        assert np.abs(cert.singular_values - sv).max() <= 1e-12 * sv[0]
 
 
 def test_gram_route_edge_cases():
@@ -898,12 +910,13 @@ def test_gram_route_on_haar_and_witness_frames(mode):
         assert (est.loose_rank, est.tight_rank) == (loose, tight)
         assert est.route == ("gram" if loose == c < m else "svd")
         # the Gram matrix read off the sweep decides as M^T M does
-        plain = numerical_rank(frame.matrix)
-        assert (est.route, est.loose_rank, est.tight_rank) == \
-            (plain.route, plain.loose_rank, plain.tight_rank)
-        if est.route == "gram":
-            assert np.abs(est.singular_values - plain.singular_values).max() \
-                <= 1e-12 * plain.singular_values[0]
+        cert = gram_certificate(frame.matrix)
+        assert (est.route == "gram") == (cert is not None)
+        if cert is not None:
+            assert (est.loose_rank, est.tight_rank) == \
+                (cert.loose_rank, cert.tight_rank)
+            assert np.abs(est.singular_values - cert.singular_values).max() \
+                <= 1e-12 * cert.singular_values[0]
         routes.append(est.route)
     assert ("gram" in routes) == (mode == "unitary")
     for arch in (staircase(4, 3), brickwork(4, 4)):
@@ -912,7 +925,32 @@ def test_gram_route_on_haar_and_witness_frames(mode):
         est = numerical_rank(frame)
         _sv, loose, tight = _svd_reference(frame.matrix)
         assert est.route == "svd"
+        assert gram_certificate(frame.matrix) is None
         assert (est.loose_rank, est.tight_rank) == (loose, tight)
+
+
+@pytest.mark.parametrize("build", FRAME_CASES + [
+    pytest.param(lambda: from_gate_sequence(4, [(3, 1), (2, 4)]),
+                 id="sequence-4-2")])
+def test_state_frames_never_pass_the_gram_certificate(build):
+    # gate 0 acts on |0...0>, so its kept columns i S_k u_0 |00> lie in the
+    # 7-dimensional real tangent space of the sphere at u_0 |00>: its block
+    # has rank at most 7, below its 9 or more kept columns, and the frame
+    # is rank-deficient whatever the gates.  Checked at a Haar point and,
+    # where the architecture marks slices, at its witness point.
+    arch = build()
+    points = [GateAssignment.haar(arch, 35)]
+    if arch.slice_ranges():
+        points.append(
+            gate_assignment(witness_point(arch, "state").gate_circuits))
+    for gates in points:
+        frame = tangent_frame(arch, gates, "state")
+        block = frame.matrix[:, frame.columns[:, 0] == 0]
+        sv = np.linalg.svd(block, compute_uv=False)
+        assert int((sv > 1e-10 * sv[0]).sum()) <= 7 < block.shape[1]
+        assert gram_certificate(frame.matrix) is None
+        assert frame.gram is None
+        assert numerical_rank(frame).route == "svd"
 
 
 # -- accessible dimension -------------------------------------------------------------
