@@ -11,9 +11,11 @@ accessible dimension of the architecture, because the rank is constant off a
 measure-zero set.  A unitary frame is built by one forward sweep in the Pauli
 basis, where each gate acts as a real orthogonal 16 x 16 transfer matrix on
 columns grouped by their forward light cones, and the same sweep reads off
-the frame's Gram matrix for the rank; a state frame by a forward sweep over
-a stack of state vectors.  Both read one cached plan per architecture.  A
-dense call whose estimated peak memory
+the frame's Gram matrix for the rank.  A sweep that only reads the Gram
+matrix drops each wire from the cones after its last gate, and every sweep
+holds its groups in one arena laid out by the plan.  A state frame is built
+by a forward sweep over a stack of state vectors.  Both read one cached
+plan per architecture.  A dense call whose estimated peak memory
 (``peak_bytes``) exceeds ``MEMORY_BUDGET`` raises SizeLimit before it
 allocates.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,15 +123,15 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     for a tall frame, four C x C arrays of the SVD's work.  On top come
     16 KiB per gate for the plan and one gate's temporaries, which the
     allocator keeps: two copies of a stack chunk and about 36 state
-    vectors.  The unitary frame's forward sweep (``_frame_plan``) holds the
-    two buffers of the whole-register group beside one gate step's partial
-    groups, and its transfer matrices and their complex build take 16 KiB
-    per gate.  A tall unitary frame also holds its C x C Gram matrix
-    throughout.  Its certificate runs beside the groups the frame keeps (at
-    most one frame's worth) and takes up to three more C x C arrays; the SVD
-    route forms the matrix from those groups and then copies it.  An
-    estimate whose frame terms alone exceed ``MEMORY_BUDGET`` returns
-    before the sweep's plan is built."""
+    vectors.  A unitary frame's sweep holds its plan's arena and one
+    transfer's temporaries (``_frame_plan``), and its transfer matrices and
+    their complex build take 16 KiB per gate.  Forming the matrix holds the
+    unpruned arena's head beside it, and the SVD takes it twice.  A tall
+    frame also holds its C x C Gram matrix throughout.  It runs the pruned
+    plan first, whose arena is gone when the sweep returns, and its
+    certificate takes up to three more C x C arrays; the unpruned sweep
+    runs only when the matrix is read.  An estimate whose frame terms alone
+    exceed ``MEMORY_BUDGET`` returns before the sweep's plans are built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -141,10 +144,15 @@ def peak_bytes(arch: Architecture, job: str) -> int:
         return 16384 * arch.gate_count + temps + frame + max(frame, 4 * gram)
     if gram + 2 * frame > MEMORY_BUDGET:
         return gram + 2 * frame
-    plan = _frame_plan(arch)
-    whole = 8 * 4 ** arch.n * plan.whole_width
-    return gram + max(16384 * arch.gate_count + 2 * whole + plan.step_bytes,
-                      frame + 3 * gram, 2 * frame)
+    transfers = 16384 * arch.gate_count
+    full = _frame_plan(arch)
+    phases = [transfers + 8 * (full.arena + full.scratch),
+              8 * full.held + frame, 2 * frame]
+    if gram:
+        pruned = _frame_plan(arch, prune=True)
+        phases += [transfers + 8 * (pruned.arena + pruned.scratch),
+                   transfers + 3 * gram]
+    return gram + max(phases)
 
 
 def _check_size(arch: Architecture, job: str) -> None:
@@ -284,12 +292,13 @@ class TangentFrame:
     ordered by gate, then generator.
 
     ``matrix`` is formed on first access and kept.  A state frame forms it
-    from its sweep's vector stack at once; a unitary frame holds its
-    sweep's light-cone groups until something reads it.  ``gram`` is the C x C Gram matrix M^T M of a
-    tall unitary frame (fewer columns than rows), read off the sweep in
-    column order, and ``gram_error`` bounds its 2-norm distance from the
-    exact Gram matrix of ``matrix``; ``gram`` is None in state mode and for
-    wide frames.
+    from its sweep's vector stack at once.  A unitary frame holds its
+    sweep's light-cone groups until something reads it or, when it carries
+    a Gram matrix, sweeps again then.  ``gram`` is the C x C Gram matrix
+    M^T M of a tall unitary frame (fewer columns than rows), read off the
+    sweep in column order, and ``gram_error`` bounds its 2-norm distance
+    from the exact Gram matrix of ``matrix``; ``gram`` is None in state
+    mode and for wide frames.
     """
 
     mode: str
@@ -308,6 +317,20 @@ class TangentFrame:
 _Cone = tuple[int, ...]  # 1-based qubits, ascending
 
 
+class _Move(NamedTuple):
+    """One group a gate writes: its cone, the cones of the groups merged
+    into it, whether the gate's own kept generators join it (last), the
+    group's rows of the gate's kept labels, its offset in the sweep's arena
+    (in float64 entries) and its column count."""
+
+    cone: _Cone
+    sources: tuple[_Cone, ...]
+    fresh: bool
+    read: np.ndarray
+    offset: int
+    width: int
+
+
 @dataclass(frozen=True, eq=False)
 class _FramePlan:
     """The integer bookkeeping of both frame modes.
@@ -315,30 +338,64 @@ class _FramePlan:
     ``kept[j]`` holds gate j's kept generator indices (into the 15), and
     ``record`` is the frame's (gate, generator) column list.  The rest is
     the unitary sweep's.  ``labels[j]`` holds gate j's kept generators as
-    two-qubit labels (1 to 15) read with the lower wire leading.
-    ``steps[j]`` lists the groups gate j writes, each as (cone, the cones
-    of the groups merged into it, whether gate j's own kept generators join
-    it, the group's rows of those labels).  Row r of a group over cone c is
-    the Pauli string that is the identity off c; the read rows put each
-    label on gate j's wires and the identity on the rest of c.
-    ``whole_width`` counts the columns of the whole-register group at the
-    end (it only grows).  ``step_bytes`` bounds the bytes one gate's step
-    holds outside the whole-register buffers.
+    two-qubit labels (1 to 15) read with the lower wire leading, and
+    ``steps[j]`` the groups gate j writes.  Row r of a group over cone c is
+    the Pauli string that is the identity off c; a move's read rows put
+    each label on gate j's wires and the identity on the rest of c.
+    ``arena`` counts the float64 entries of the arena that holds every
+    group, ``held`` those of its head, which holds the groups the sweep
+    ends with (none when pruned), and ``scratch`` bounds the entries one
+    transfer's temporaries take beside it.
     """
 
     kept: tuple[np.ndarray, ...]
     record: np.ndarray
-    steps: tuple[tuple[tuple[_Cone, tuple[_Cone, ...], bool, np.ndarray],
-                       ...], ...]
+    steps: tuple[tuple[_Move, ...], ...]
     labels: tuple[np.ndarray, ...]
-    whole_width: int
-    step_bytes: int
+    arena: int
+    held: int
+    scratch: int
+
+
+def _first_fit(spans: list[tuple[int, int, int]],
+               end: int) -> tuple[list[int], int, int]:
+    """Offsets for blocks (first step, last step, size) such that blocks
+    whose step ranges meet never overlap; the arena size they need; and
+    ``held``, the size of the arena's head [0, held), which packs the
+    blocks that last to step ``end`` and which no other block crosses.
+
+    The held blocks come first, then the largest block and the later of
+    two equal ones, each at the lowest offset clear of the blocks already
+    placed that it meets.  A group that every gate rewrites with a growing
+    width, such as the whole-register one, then alternates between two
+    slots back from its widest, and smaller groups fill the gaps.  On the
+    architectures measured the arena stays within 1.06x the most entries
+    live at once.  A block is checked only against the placed blocks live
+    at one of its steps."""
+    held = sum(size for first, last, size in spans if last == end)
+    live: list[list[tuple[int, int]]] = [[] for _ in range(end + 1)]
+    offsets = [0] * len(spans)
+    for i in sorted(range(len(spans)), reverse=True,
+                    key=lambda i: (spans[i][1] == end, spans[i][2], i)):
+        first, last, size = spans[i]
+        at = 0
+        # a zero-size block at the head's end walls it off
+        for lo, hi in sorted({(held, held)}.union(*live[first:last + 1])):
+            if lo - at >= size:
+                break
+            at = max(at, hi)
+        offsets[i] = at
+        for step in live[first:last + 1]:
+            step.append((at, at + size))
+    return offsets, max([held] + [at + span[2] for at, span
+                                  in zip(offsets, spans)]), held
 
 
 # Plans repeat across a frame's Haar samples and across calls on the same
-# architecture; the benchmark's dim-wide ops use four architectures.
-@functools.lru_cache(maxsize=64)
-def _frame_plan(arch: Architecture) -> _FramePlan:
+# architecture; the benchmark's dim-wide ops use four architectures, and a
+# tall one takes two entries, its pruned and its unpruned plan.
+@functools.lru_cache(maxsize=128)
+def _frame_plan(arch: Architecture, *, prune: bool = False) -> _FramePlan:
     """Each gate's kept generators; the unitary columns' light-cone groups.
 
     After gate j, the columns of gates 0..j sit in groups, one per cone: the
@@ -349,27 +406,29 @@ def _frame_plan(arch: Architecture) -> _FramePlan:
     the groups that land on one cone (equal cones evolve alike from then
     on), and adds its own kept generators to the group of cone {a, b}.
 
-    A step holds the groups it reads beside those it writes.  One transfer
-    adds at most a reordered copy of its input and a moved copy of its
-    output.  Columns that reach the whole register count at full size until
-    they are written into its buffer; a whole-register group off the matmul
-    route (wires not adjacent) is reordered into a copy and transferred
-    into another.
+    With ``prune``, a wire whose last gate came before j also leaves every
+    cone that gate j moves.  Only the Gram read needs such a plan: the read
+    at gate j2 sees strings that are the identity off j2's wires, and no
+    later gate changes the letter on a passed wire, so its rows with
+    another letter there never reach a read.  The sweep keeps the identity
+    letter's rows of a dropped wire.  A group no later gate moves is then
+    dead once its gate has read it.
+
+    Every group lives from the gate that writes it to the gate that moves
+    it on (or, unpruned, to the end, where the frame's matrix is formed
+    from the last groups) and has a fixed offset in one arena
+    (``_first_fit``).  A transfer between cone positions next to each
+    other is a matmul into its group; it copies the slice of its source
+    when it drops a wire.  Wires apart in the cone take tensordot, which
+    also copies its input and output.  ``scratch`` is the largest sum.
     """
     n = arch.n
+    end = arch.gate_count
     last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
-    whole = tuple(range(1, n + 1))
-    groups: dict[_Cone, int] = {}  # cone -> column count
+    groups: dict[_Cone, int] = {}  # cone -> index of its group in spans
+    spans: list[list[int]] = []  # [first step, last step, size] per group
     kept_all, labels_all, steps = [], [], []
-    step_bytes = 0
-
-    def held(cone: _Cone, count: int) -> int:
-        return 8 * 4 ** len(cone) * count
-
-    def partial_bytes() -> int:
-        return sum(held(cone, count)
-                   for cone, count in groups.items() if cone != whole)
-
+    scratch = 0
     for j, (a, b) in enumerate(arch.gates):
         kept = _KEPT[last[a] > j, last[b] > j]
         kept_all.append(kept)
@@ -377,44 +436,44 @@ def _frame_plan(arch: Architecture) -> _FramePlan:
         labels.flags.writeable = False
         labels_all.append(labels)
         lo, hi = sorted((a, b))
-        before = partial_bytes()
-        width = groups.get(whole, 0)
-        written = largest_in = largest_out = 0
         moves: dict[_Cone, list[_Cone]] = {}
-        # the whole-register group, when there is one, leads its merge
-        for cone in sorted((c for c in groups if a in c or b in c),
-                           key=lambda c: c != whole):
-            moves.setdefault(tuple(sorted({*cone, a, b})), []).append(cone)
+        for cone in [c for c in groups if a in c or b in c]:
+            live = {q for q in cone if not prune or last[q] >= j}
+            moves.setdefault(tuple(sorted(live | {a, b})), []).append(cone)
         fresh = (lo, hi)
         moves.setdefault(fresh, [])
         step = []
         for cone, sources in moves.items():
-            largest_in = max([largest_in] + [
-                held(src, groups[src]) for src in sources if src != whole])
-            count = sum(groups.pop(src) for src in sources)
-            if cone == fresh:
-                count += kept.size
-            groups[cone] = count
-            # the whole-register group's own columns stay in its buffers
-            out = held(cone, count - (width if cone == whole else 0))
-            written += out
-            largest_out = max(largest_out, out)
+            apart = cone.index(hi) > cone.index(lo) + 1
+            width = kept.size if cone == fresh else 0
+            for src in sources:
+                span = spans[groups.pop(src)]
+                span[1] = j
+                count = span[2] // 4 ** len(src)
+                width += count
+                stay = sum(w in cone for w in src)  # the wires src keeps
+                size_in = count * 4 ** stay
+                scratch = max(scratch, size_in * (stay < len(src))
+                              + (size_in + 4 ** len(cone) * count) * apart)
+            groups[cone] = len(spans)
+            spans.append([j, j if prune else end, 4 ** len(cone) * width])
             tail = len(cone) - 1
             read = labels // 4 * 4 ** (tail - cone.index(lo)) \
                 + labels % 4 * 4 ** (tail - cone.index(hi))
             read.flags.writeable = False
-            step.append((cone, tuple(sources), cone == fresh, read))
-        steps.append(tuple(step))
-        scratch = 2 * held(whole, width) if abs(a - b) > 1 else 0
-        step_bytes = max(step_bytes, before + written + largest_in
-                         + largest_out + scratch)
+            step.append((cone, tuple(sources), cone == fresh, read, width))
+        steps.append(step)
+    offsets, arena, held = _first_fit([tuple(span) for span in spans], end)
+    at = iter(offsets)  # spans are in step order
     record = np.array([(j, k) for j, kept in enumerate(kept_all) for k in kept],
                       dtype=np.intp).reshape(-1, 2)
     record.flags.writeable = False
     return _FramePlan(
-        kept=tuple(kept_all), record=record, steps=tuple(steps),
-        labels=tuple(labels_all), whole_width=groups.get(whole, 0),
-        step_bytes=step_bytes)
+        kept=tuple(kept_all), record=record,
+        steps=tuple(tuple(_Move(cone, sources, fresh, read, next(at), width)
+                          for cone, sources, fresh, read, width in step)
+                    for step in steps),
+        labels=tuple(labels_all), arena=arena, held=held, scratch=scratch)
 
 
 # A frame's partial cones repeat across its Haar samples and across calls on
@@ -452,8 +511,14 @@ def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
     (4^|old|, m), and write the group over cone ``new``, shape
     (4^|new|, m), into ``out``: a whole group or a column range of a wider
     one.  A wire new to the cone enters with the identity letter, so only
-    that slice of t4 is read."""
+    that slice of t4 is read; a wire of ``old`` that ``new`` drops leaves
+    at its identity letter, so only that slice of x is read."""
     lo, hi = wires
+    # new is old and the wires new to it, less the wires it drops
+    if len(new) < len(old) + (lo not in old) + (hi not in old):
+        x = x.reshape([4] * len(old) + [-1])[
+            tuple(slice(None) if w in new else 0 for w in old)]
+        old = tuple(w for w in old if w in new)
     t = t4[:, :, :4 if lo in old else 1, :4 if hi in old else 1]
     p, q = new.index(lo), new.index(hi)
     if q == p + 1 and out.flags.c_contiguous:
@@ -462,7 +527,7 @@ def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
                   x.reshape(4 ** p, t.shape[2] * t.shape[3], -1),
                   out=out.reshape(4 ** p, 16, -1))
     elif q == p + 1:  # into a column range: one matmul per outer row block
-        m, tail = x.shape[1], 4 ** (len(new) - q - 1)
+        m, tail = x.shape[-1], 4 ** (len(new) - q - 1)
         np.matmul(t.reshape(16, -1),
                   x.reshape(4 ** p, -1, tail, m).swapaxes(1, 2),
                   out=out.reshape(4 ** p, 16, tail, m).swapaxes(1, 2))
@@ -473,16 +538,79 @@ def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
         np.copyto(out.reshape(y.shape), y)
 
 
+_Groups = dict[_Cone, tuple[np.ndarray, np.ndarray]]  # cone -> (x, columns)
+
+
+def _sweep(arch: Architecture, transfers: np.ndarray, plan: _FramePlan,
+           gram: np.ndarray | None) -> _Groups:
+    """Run ``plan``'s forward sweep and return the groups left at the end,
+    each with its frame columns; fill ``gram``, when given, with the rows
+    each gate reads.  A pruned plan reuses the space of the groups it
+    returns, so only an unpruned sweep's groups can be read.
+
+    The plan's arena is made by one ``np.empty`` for the rest, which is
+    gone when the sweep returns, and then one for its head, which holds the
+    groups returned; a pruned plan has no head.  Made second, the head
+    tends to sit just above the rest in a heap, so once the matrix is
+    formed from it and it is freed, the two free blocks join into one that
+    takes the SVD's copy of the matrix.  Every group a gate writes is a
+    view at its planned offset.  Each source group's transfer writes
+    straight into its column range, and the gate's kept unit vectors fill
+    the tail."""
+    held = plan.held
+    rest, head = np.empty(plan.arena - held), np.empty(held)
+    groups: _Groups = {}
+    start = 0
+    for (a, b), t4, labels, step in zip(arch.gates,
+                                        transfers.reshape(-1, 4, 4, 4, 4),
+                                        plan.labels, plan.steps):
+        if a > b:  # the lower wire leads, as in the plan's labels
+            a, b, t4 = b, a, t4.transpose(1, 0, 3, 2)
+        span = slice(start, start + labels.size)  # gate j's frame columns
+        start = span.stop
+        for cone, sources, fresh, read, offset, width in step:
+            size = 4 ** len(cone) * width
+            x = head[offset:offset + size] if offset < held \
+                else rest[offset - held:offset - held + size]
+            x = x.reshape(-1, width)
+            cols, at = [], 0
+            for src in sources:
+                part, members = groups.pop(src)
+                _transfer(part, t4, src, cone, (a, b),
+                          x[:, at:at + part.shape[1]])
+                at += part.shape[1]
+                cols.append(members)
+            if fresh:  # unit vectors e_{S_k} over the cone {a, b}
+                units = x[:, at:]
+                units[...] = 0.0
+                units[labels, np.arange(labels.size)] = 1.0
+                cols.append(np.arange(span.start, span.stop))
+            cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
+            groups[cone] = x, cols
+            if gram is not None:
+                block = x[read]
+                gram[cols, span] = block.T
+                gram[span, cols] = block
+    return groups
+
+
+def _assemble(n: int, width: int, groups: _Groups) -> np.ndarray:
+    """The 4^n x C frame, C = ``width``, from an unpruned sweep's last
+    groups."""
+    # one row per column: each group is written as one transposed block
+    out = np.empty((width, 4 ** n))
+    for cone, (x, cols) in groups.items():
+        if len(cone) == n:
+            out[cols] = x.T
+        else:
+            out[cols] = 0.0
+            out[np.ix_(cols, _cone_index(cone, n))] = x.T
+    return out.T
+
+
 def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     """The unitary frame by the forward sweep of ``_frame_plan``: column
     (j, k) is T_R ... T_{j+1} e_{S_k}.
-
-    Each group a gate writes is allocated first: the whole-register group
-    alternates between two buffers, and a partial group is a fresh array of
-    its cone's size.  Each source group's transfer then writes straight
-    into its column range, and the gate's kept unit vectors fill the tail.
-    The frame keeps the groups and forms its matrix from them on first
-    access.
 
     A tall frame also reads its Gram matrix off the sweep.  The T_j are
     orthogonal, so for j < j2 the inner product of columns (j, k) and
@@ -503,16 +631,20 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     (1 + rho)^(R/2), and R gates move it by at most (1 + rho)^R - 1 in all.
     That bounds every entry of the read Gram matrix minus M^T M of the
     returned frame, so C ((1 + rho)^R - 1) bounds its Frobenius norm and
-    its 2-norm (``gram_error``).  A non-finite transfer stack gives no Gram
-    matrix: every frame entry is a sum of products of the stack's entries,
-    so a finite stack makes a finite frame.
+    its 2-norm (``gram_error``).  Pruning dead wires changes none of this:
+    a dropped row never feeds a kept row, so every kept row is computed by
+    the same transfers as before, and the bound holds as written.  A
+    non-finite transfer stack gives no Gram matrix: every frame entry is a
+    sum of products of the stack's entries, so a finite stack makes a
+    finite frame.
+
+    A frame that has a Gram matrix runs the pruned plan, keeps only that
+    matrix and the transfer stack (2 KiB per gate), and releases the
+    sweep's arena on return; reading its ``matrix`` runs the unpruned sweep
+    once.  Any other frame runs the unpruned plan and keeps its last groups
+    until its matrix is formed from them.
     """
-    plan = _frame_plan(arch)
-    n = arch.n
-    whole = tuple(range(1, n + 1))
     rows, width = frame_shape(arch, "unitary")
-    buffers = [np.empty(rows * plan.whole_width) for _ in range(2)]
-    cur = 0
     transfers = transfer_matrices(gates)
     defect = np.swapaxes(transfers, 1, 2) @ transfers - np.eye(16)
     tau = np.sqrt((defect * defect).sum(axis=(1, 2)).max(initial=0.0))
@@ -522,57 +654,24 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
         rho = tau + 256 * np.finfo(np.float64).eps
         gram_error = width * float(np.expm1(arch.gate_count * np.log1p(rho)))
 
-    groups: dict[_Cone, np.ndarray] = {}
-    members: dict[_Cone, np.ndarray] = {}  # the frame columns of each group
-    start = 0
-    for (a, b), t4, labels, step in zip(arch.gates,
-                                        transfers.reshape(-1, 4, 4, 4, 4),
-                                        plan.labels, plan.steps):
-        if a > b:  # the lower wire leads, as in the plan's labels
-            a, b, t4 = b, a, t4.transpose(1, 0, 3, 2)
-        span = slice(start, start + labels.size)  # gate j's frame columns
-        start = span.stop
-        for cone, sources, takes_kept, read in step:
-            cols = [members.pop(src) for src in sources]
-            if takes_kept:
-                cols.append(np.arange(span.start, span.stop))
-            cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
-            if cone == whole:
-                cur = 1 - cur
-                x = buffers[cur][:rows * cols.size].reshape(rows, -1)
-            else:
-                x = np.empty((4 ** len(cone), cols.size))
-            at = 0
-            for src in sources:
-                part = groups.pop(src)
-                _transfer(part, t4, src, cone, (a, b),
-                          x[:, at:at + part.shape[1]])
-                at += part.shape[1]
-            if takes_kept:  # unit vectors e_{S_k} over the cone {a, b}
-                units = x[:, at:]
-                units[...] = 0.0
-                units[labels, np.arange(labels.size)] = 1.0
-            groups[cone] = x
-            members[cone] = cols
-            if gram is not None:
-                block = x[read]
-                gram[cols, span] = block.T
-                gram[span, cols] = block
+    if gram is not None:
+        plan = _frame_plan(arch, prune=True)
+        _sweep(arch, transfers, plan, gram)  # drops its groups and arena
 
-    def assemble() -> np.ndarray:
-        # one row per column: each group is written as one transposed block
-        out = np.empty((width, rows))
-        for cone, x in groups.items():
-            if cone == whole:
-                out[members[cone]] = x.T
-            else:
-                out[members[cone]] = 0.0
-                out[np.ix_(members[cone], _cone_index(cone, n))] = x.T
-        groups.clear()
-        return out.T
+        def assemble() -> np.ndarray:
+            return _assemble(arch.n, width, _sweep(
+                arch, transfers, _frame_plan(arch), None))
+    else:
+        plan = _frame_plan(arch)
+        groups = _sweep(arch, transfers, plan, None)
 
-    return TangentFrame("unitary", n, arch.gate_count, plan.record, assemble,
-                        gram, gram_error)
+        def assemble() -> np.ndarray:
+            out = _assemble(arch.n, width, groups)
+            groups.clear()  # the frame caches its matrix; free the arena
+            return out
+
+    return TangentFrame("unitary", arch.n, arch.gate_count, plan.record,
+                        assemble, gram, gram_error)
 
 
 def tangent_frame(arch: Architecture, gates: GateAssignment,
@@ -601,11 +700,15 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     ... connect to gate j's wires, so columns are held in groups over their
     current cone only, and groups whose cones become equal merge
     (``_frame_plan``).  A column's rows with a non-identity letter outside
-    its cone are exactly 0.  The frame keeps the groups and forms its
-    4^n x C matrix only when ``matrix`` is read.  A tall frame (C < 4^n)
-    carries its Gram matrix, read off the sweep at O(15 C) work per gate
-    with an error bound (``_unitary_frame``); that is all the Gram route of
-    ``numerical_rank`` reads.
+    its cone are exactly 0.  A tall frame (C < 4^n) with a finite transfer
+    stack carries its Gram matrix, read off the sweep at O(15 C) work per
+    gate with an error bound (``_unitary_frame``); that is all the Gram
+    route of ``numerical_rank`` reads.  Its sweep drops a wire from every
+    cone it moves after the wire's last gate, since no later read sees
+    that wire's other letters, and keeps no groups; reading its ``matrix``
+    runs the unpruned sweep once.  Any other unitary frame runs the
+    unpruned sweep, keeps its groups and forms its 4^n x C matrix from
+    them when ``matrix`` is read.
 
     State mode sweeps forward over a stack of complex 2^n vectors: gate j
     applies u_j to the columns built so far, advances psi by u_j, then

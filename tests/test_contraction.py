@@ -685,7 +685,7 @@ def _scatter_reference_unitary_frame(arch, gates):
     return cols.T
 
 
-@pytest.mark.parametrize("build", FRAME_CASES + [
+SWEEP_CASES = FRAME_CASES + [
     pytest.param(lambda: brickwork(6, 6), id="brickwork-6-6"),
     pytest.param(lambda: staircase(7, 1), id="staircase-7-1"),
     # non-adjacent and reversed wires take the tensordot route
@@ -698,7 +698,10 @@ def _scatter_reference_unitary_frame(arch, gates):
     # the cone is the whole register from the first gate on
     pytest.param(lambda: from_gate_sequence(2, [(1, 2), (2, 1)]),
                  id="sequence-2-2"),
-    pytest.param(lambda: from_gate_sequence(3, []), id="empty-3")])
+    pytest.param(lambda: from_gate_sequence(3, []), id="empty-3")]
+
+
+@pytest.mark.parametrize("build", SWEEP_CASES)
 def test_unitary_frame_bit_identical_to_scatter_reference(build):
     # The forward sweep sums in another order than the backward reference,
     # so the frames agree to rounding, with equal ranks.  The Gram matrix
@@ -724,6 +727,129 @@ def test_unitary_frame_bit_identical_to_scatter_reference(build):
 def _gram_gap(gram, mat):
     """||gram - mat^T mat||_2, 0 for an empty frame."""
     return np.linalg.norm(gram - mat.T @ mat, 2) if gram.size else 0.0
+
+
+def _plan_spans(arch, prune):
+    """(first step, last step, offset, size, head) of every group of the
+    plan, read back from its moves."""
+    plan = contraction._frame_plan(arch, prune=prune)
+    spans, groups = [], {}
+    for j, step in enumerate(plan.steps):
+        for move in step:
+            for src in move.sources:
+                spans[groups.pop(src)][1] = j
+            groups[move.cone] = len(spans)
+            size = 4 ** len(move.cone) * move.width
+            spans.append([j, j if prune else arch.gate_count, move.offset,
+                          size])
+    return plan, spans
+
+
+PLAN_CASES = SWEEP_CASES + [
+    pytest.param(lambda: staircase(6, 12), id="staircase-6-12"),
+    pytest.param(lambda: random_adjacent(6, 40, 1), id="random-6-40"),
+    pytest.param(lambda: from_gate_sequence(
+        6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4), (5, 6)] * 3),
+        id="sequence-6-21")]
+
+
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("build", PLAN_CASES)
+def test_live_groups_never_overlap_in_the_arena(build, prune):
+    arch = build()
+    plan, spans = _plan_spans(arch, prune)
+    for i, (first, last, offset, size) in enumerate(spans):
+        assert 0 <= offset and offset + size <= plan.arena
+        # the head holds exactly the groups the sweep ends with
+        if last == arch.gate_count:
+            assert offset + size <= plan.held
+        else:
+            assert offset >= plan.held or offset + size <= plan.held
+        for first2, last2, offset2, size2 in spans[:i]:
+            if first <= last2 and first2 <= last:
+                assert offset + size <= offset2 or offset2 + size2 <= offset
+    if prune:
+        assert plan.held == 0
+    else:
+        assert plan.held == sum(size for first, last, offset, size in spans
+                                if last == arch.gate_count)
+
+
+@pytest.mark.parametrize("build", PLAN_CASES)
+def test_pruned_groups_hold_no_passed_wire(build):
+    # no group written after a wire's last gate contains that wire; the
+    # unpruned plan keeps every wire of a column's forward light cone
+    arch = build()
+    last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
+    pruned, full = (contraction._frame_plan(arch, prune=prune)
+                    for prune in (True, False))
+    dropped = False
+    for j, (step, full_step) in enumerate(zip(pruned.steps, full.steps)):
+        for move in step:
+            assert all(last[w] >= j for w in move.cone)
+        dropped |= any(last[w] < j for move in full_step for w in move.cone)
+    # fewer entries written exactly when the unpruned plan moves a wire on
+    # after its last gate
+    written = [sum(4 ** len(move.cone) * move.width
+                   for step in plan.steps for move in step)
+               for plan in (pruned, full)]
+    assert (written[0] < written[1]) == dropped
+    assert written[0] <= written[1]
+    for field in ("kept", "labels"):
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(getattr(pruned, field), getattr(full, field)))
+    assert np.array_equal(pruned.record, full.record)
+
+
+@pytest.mark.parametrize("build", SWEEP_CASES)
+def test_pruned_gram_matches_the_unpruned_sweep(build):
+    # a tall frame reads its Gram matrix off the pruned sweep; the unpruned
+    # sweep reads it too, within the same bound, and reading the pruned
+    # frame's matrix runs that sweep, which matches the scatter reference
+    arch = build()
+    rows, cols = frame_shape(arch, "unitary")
+    for seed in (27, 28):
+        gates = GateAssignment.haar(arch, seed)
+        frame = tangent_frame(arch, gates)
+        if cols >= rows:
+            assert frame.gram is None
+            continue
+        full = np.zeros((cols, cols))
+        contraction._sweep(arch, transfer_matrices(gates),
+                           contraction._frame_plan(arch), full)
+        if cols:
+            gap = np.linalg.norm(frame.gram - full, 2)
+            assert gap <= frame.gram_error
+        assert "matrix" not in frame.__dict__
+        ref = _scatter_reference_unitary_frame(arch, gates)
+        assert np.abs(frame.matrix - ref).max(initial=0.0) < 1e-12
+
+
+def test_a_failed_certificate_forms_the_matrix_by_one_unpruned_sweep(
+        monkeypatch):
+    # random_adjacent(5, 12, 4) is tall and rank-deficient: every sample's
+    # certificate fails on its pruned frame, and the SVD reads the matrix
+    # that one unpruned sweep forms
+    arch = random_adjacent(5, 12, 4)
+    pruned = contraction._frame_plan(arch, prune=True)
+    swept = []
+    sweep = contraction._sweep
+
+    def counted(arch, transfers, plan, gram):
+        swept.append(plan is pruned)
+        return sweep(arch, transfers, plan, gram)
+
+    monkeypatch.setattr(contraction, "_sweep", counted)
+    report = accessible_dimension(arch, "unitary", 3, 5)
+    assert swept == [True, False] * 3
+    monkeypatch.undo()
+    for i, est in enumerate(report.estimates):
+        gates = GateAssignment.haar(arch, subseed(5, i))
+        want = numerical_rank(_scatter_reference_unitary_frame(arch, gates))
+        assert est.route == want.route == "svd"
+        assert est.rank == want.rank < frame_shape(arch, "unitary")[1]
+        assert np.abs(est.singular_values - want.singular_values).max() \
+            < 1e-12 * want.singular_values[0]
 
 
 def test_gram_route_leaves_the_frame_matrix_unbuilt():
