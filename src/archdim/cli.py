@@ -4,7 +4,10 @@ Subcommands: ``arch gen``, ``arch check``, ``dim``, ``witness``, ``bounds``,
 ``sweep``, ``mc-arch``.  Exit codes: 0 success, 1 invalid input, 2 a rank
 consensus was numerically inconclusive, 3 a bound or verification verdict
 failed.  Every artifact embeds the resolved configuration and tool version;
-output files are written atomically after all computation succeeds.
+output files are written atomically after all computation succeeds.  A JSON
+artifact is one line, ``json.dumps(payload, sort_keys=True)`` and a newline,
+the layout of every library ``to_json``; ``python -m json.tool FILE``
+indents one for reading.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def _config_dict(args: argparse.Namespace, keys: list[str]) -> dict:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True) + "\n"
     if out:
         _write_atomic(out, text)
     else:

@@ -8,8 +8,8 @@ by XOR, and since Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1 their exponents add
 to e1 + e2 + 2 |z1 & x2|.  Two primitives carry every Clifford action:
 ``CliffordCircuit.conjugate_row`` conjugates one row gate by gate, and a
 ``CliffordTableau`` holds the 2n generator images, grows by
-``prepend_circuit`` and applies them by ``image`` or ``conjugate``.  No
-dense matrix enters: the gate matrices and a circuit's dense unitary, the
+``prepend_circuit`` (following a plan cached on each circuit) and applies
+them by ``image`` or ``conjugate``.  No dense matrix enters: the gate matrices and a circuit's dense unitary, the
 cross-check of every conjugation, live in ``tests/reference.py``.
 ``routing_clifford_2q`` synthesises, constructively, a short circuit
 mapping any nontrivial two-qubit Pauli onto a bare Z of a chosen wire - the
@@ -110,9 +110,30 @@ class CliffordCircuit:
         return not self.gates
 
     def inverse(self) -> CliffordCircuit:
+        """The inverse circuit, built once per circuit object."""
+        return self._inverse
+
+    @functools.cached_property
+    def _inverse(self) -> CliffordCircuit:
         return CliffordCircuit(self.n, tuple(
             (inv, qubits) for name, qubits in reversed(self.gates)
             for inv in _GATE_INVERSE[name]))
+
+    @functools.cached_property
+    def prepend_plan(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """How ``CliffordTableau.prepend_circuit`` rewrites a tableau, built
+        once per circuit object from ``circuit_images``: one
+        (slot, picks, phase) entry per local generator slot whose image is
+        not the generator itself, in the slot order of ``circuit_images``.
+        The new row of that slot is the product, in order, of the old rows
+        of the local slots in ``picks`` (the set bits of its local image),
+        and its exponent starts at the local image's phase.  Slots left out
+        keep their rows, so an empty circuit has an empty plan."""
+        local_rows, local_phases = circuit_images(self)
+        return tuple(
+            (s, tuple(i for i in range(2 * self.n) if local >> i & 1), e)
+            for s, (local, e) in enumerate(zip(local_rows, local_phases))
+            if (local, e) != (1 << s, 0))
 
     def conjugate_row(self, row: int, e: int, n: int,
                       wires: tuple[int, ...] | None = None) -> tuple[int, int]:
@@ -167,28 +188,30 @@ class CliffordTableau:
         """Pre-compose ``circuit`` G, placed on ``wires``: C becomes C G.
 
         Only the generators on ``wires`` change, each image P becoming
-        C (G P G^dagger) C^dagger: G's local image of the generator, cached
-        per circuit, names which current rows of ``wires`` to multiply.  An
-        empty circuit is a no-op.
+        C (G P G^dagger) C^dagger: the circuit's cached ``prepend_plan``
+        names which current rows of ``wires`` to multiply for each slot
+        that changes.  The wires are checked even for an empty circuit,
+        which is then a no-op.
         """
-        if circuit.is_identity:
-            return
         n = self.n
         if len(wires) != circuit.n:
             raise DimensionMismatch(
                 f"{circuit.n}-qubit circuit needs {circuit.n} wires, "
                 f"got {len(wires)}")
         _check_qubits(wires, n)
+        plan = circuit.prepend_plan
+        if not plan:
+            return
         slots = [w - 1 for w in wires] + [n + w - 1 for w in wires]
         rows, phases = self.rows, self.phases
         old = [(rows[s], phases[s]) for s in slots]
-        local_rows, local_phases = circuit_images(circuit)
-        for s, local, e in zip(slots, local_rows, local_phases):
+        for k, picks, e in plan:
             acc = 0
-            for i, (row, f) in enumerate(old):
-                if local >> i & 1:
-                    e += f + 2 * ((acc >> n) & row).bit_count()
-                    acc ^= row
+            for i in picks:
+                row, f = old[i]
+                e += f + 2 * ((acc >> n) & row).bit_count()
+                acc ^= row
+            s = slots[k]
             rows[s], phases[s] = acc, e & 3
 
     def image(self, row: int, e: int) -> tuple[int, int]:
@@ -220,7 +243,8 @@ def circuit_images(circuit: CliffordCircuit,
     X_1..X_k, Z_1..Z_k on its k local qubits, each the ``conjugate_row``
     image of the generator row ``1 << b``, in the layout of
     ``CliffordTableau.rows``.  The rows alone are its phase-free symplectic
-    map.  Cached per distinct circuit."""
+    map.  Cached per distinct circuit, equal circuits sharing one entry;
+    ``CliffordCircuit.prepend_plan`` reads it once per circuit object."""
     k = circuit.n
     images = [circuit.conjugate_row(1 << b, 0, k) for b in range(2 * k)]
     return tuple(r for r, _ in images), tuple(e for _, e in images)

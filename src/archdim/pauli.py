@@ -111,7 +111,9 @@ class PauliString:
 
     def label(self) -> str:
         """Canonical text form; phase 0 prints with no prefix."""
-        letters = "".join(self.letter(q) for q in range(1, self.n + 1))
+        x, z = self.x_bits, self.z_bits
+        letters = "".join("IZXY"[(x >> p & 1) << 1 | z >> p & 1]
+                          for p in range(self.n))
         return _PHASE_PREFIX[self.phase_exp] + letters
 
     def xz_row(self) -> tuple[int, int]:

@@ -244,8 +244,9 @@ class _DirectionSweep:
     unitary mode, the (bits, kappa mod 2) image of |0...0> in state mode,
     with bits unreversed.  Conjugation by the prefix is a bijection on
     Paulis up to phase, so a candidate q yields a direction distinct from
-    all earlier ones exactly when key(Prefix^dagger q Prefix) is new.  Each
-    distinct gate circuit is inverted once per sweep.
+    all earlier ones exactly when key(Prefix^dagger q Prefix) is new.  A
+    gate with the empty circuit leaves the prefix as it is, so it is skipped
+    once its rank rows are collected.
 
     With ``count_rank``, ``rank_rows`` collects the phase-free rows of all
     15 directions of every gate passed (see ``witness_rank``): before gate
@@ -264,7 +265,6 @@ class _DirectionSweep:
         self.pulled: list[tuple[int, int]] = []
         self.keys: set[int] = set()
         self.rank_rows: set[int] | None = set() if count_rank else None
-        self.inverses: dict[CliffordCircuit, CliffordCircuit] = {}
 
     def key(self, row: int, e: int) -> int:
         if not self.state:
@@ -308,10 +308,8 @@ class _DirectionSweep:
                 rank_rows.update([x ^ z for x in (0, x_a, x_b, x_a ^ x_b)
                                   for z in (0, z_a, z_b, z_a ^ z_b)])
             circuit = circuits[idx]
-            inverse = self.inverses.get(circuit)
-            if inverse is None:
-                inverse = self.inverses[circuit] = circuit.inverse()
-            self.inv_prefix.prepend_circuit(inverse, wires)
+            if circuit.gates:
+                self.inv_prefix.prepend_circuit(circuit.inverse(), wires)
 
     def rank(self) -> int:
         """The number of distinct keys among the directions of the gates
@@ -384,7 +382,8 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     # carry each d_j to the final frame by U, prepending gates back to front
     total = CliffordTableau.identity(arch.n)
     for idx in range(arch.gate_count - 1, -1, -1):
-        total.prepend_circuit(circuits[idx], arch.gates[idx])
+        if circuits[idx].gates:
+            total.prepend_circuit(circuits[idx], arch.gates[idx])
     directions = tuple(total.conjugate(d) for d in sweep.pulled_strings())
     return WitnessCertificate(
         arch.n, mode, circuits, tuple(records), directions=directions)

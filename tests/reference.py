@@ -5,7 +5,8 @@ another way: Haar sampling one gate at a time, a gate's Pauli transfer
 matrix from traces, the per-column perturbation operator behind
 ``tangent_frame``, the gauge redundancy that its dropped columns rely on, a
 slice's tableau composed gate by gate, the tableau symplecticity check, a
-path-tree walk, a qubit's forward reach, the witness rank from
+path-tree walk, a qubit's forward reach, a circuit pre-composed onto a
+tableau by testing every bit of its ``circuit_images``, the witness rank from
 phase-free symplectic images alone and the Gram certificate of a plain
 matrix from its product M^T M.  The dense bridge from Clifford
 circuits to matrices lives here too: the elementary gate matrices, a
@@ -257,6 +258,23 @@ def forward_reach(arch: Architecture, start: int, stop: int, u: int) -> set[int]
         if a in reached or b in reached:
             reached |= {a, b}
     return reached
+
+
+def prepend_by_images(tab: CliffordTableau, circuit: CliffordCircuit,
+                      wires: tuple[int, ...]) -> None:
+    """``CliffordTableau.prepend_circuit`` without the cached plan: every
+    slot on ``wires`` becomes the product of the old slot rows at the set
+    bits of its local image in ``circuit_images``, testing all of them."""
+    n = tab.n
+    slots = [w - 1 for w in wires] + [n + w - 1 for w in wires]
+    old = [(tab.rows[s], tab.phases[s]) for s in slots]
+    for s, local, e in zip(slots, *circuit_images(circuit)):
+        acc = 0
+        for i, (row, f) in enumerate(old):
+            if local >> i & 1:
+                e += f + 2 * ((acc >> n) & row).bit_count()
+                acc ^= row
+        tab.rows[s], tab.phases[s] = acc, e & 3
 
 
 def phase_free_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],

@@ -15,6 +15,7 @@ from archdim import (
     WitnessCertificate,
     brickwork,
     staircase,
+    witness_point,
 )
 from archdim.cli import (
     EXIT_INCONCLUSIVE,
@@ -426,6 +427,40 @@ def test_bounds_with_alpha(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["randomized_probability"] == pytest.approx(
         1 - 18 * 2.718281828459045 ** -10)
+
+
+JSON_COMMANDS = {
+    "arch-gen": ["arch", "gen", "--family", "staircase", "--n", "3",
+                 "--t", "2"],
+    "arch-check": ["arch", "check"],
+    "dim": ["dim", "--n", "2", "--t", "2", "--samples", "3", "--seed", "3"],
+    "witness-unitary": ["witness", "--n", "4", "--t", "3"],
+    "witness-state": ["witness", "--n", "4", "--t", "3", "--mode", "state"],
+    "bounds": ["bounds", "--n", "3", "--R", "20", "--L", "2",
+               "--alpha", "0.5"],
+    "mc-arch": ["mc-arch", "--n", "4", "--trials", "300", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_json_artifacts_are_one_sorted_line(tmp_path, command):
+    # the layout of every library to_json: one line with sorted keys and a
+    # trailing newline, written by the C encoder
+    argv = list(JSON_COMMANDS[command])
+    if command == "arch-check":
+        arch_path = tmp_path / "arch.json"
+        arch_path.write_text(staircase(3, 2).to_json())
+        argv += ["--in", str(arch_path)]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) in (EXIT_OK, EXIT_VERDICT)
+    text = out.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    assert payload["config"]["command"] == argv[0]
+    if argv[0] == "witness":
+        mode = "state" if "state" in argv else "unitary"
+        del payload["config"], payload["version"]
+        assert payload == witness_point(staircase(4, 3), mode).to_json_dict()
 
 
 def test_every_bench_tracer_target_resolves():

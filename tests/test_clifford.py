@@ -6,6 +6,8 @@ import pytest
 from archdim import (
     CliffordCircuit,
     CliffordTableau,
+    DimensionMismatch,
+    InvalidQubit,
     PauliString,
     PhasedPauli,
     TrivialPauli,
@@ -17,7 +19,13 @@ from archdim.clifford import GATE_ARITY, circuit_images
 from archdim.dense import apply_gate_left
 from archdim.pauli import TWO_QUBIT_GENERATORS
 
-from reference import GATE_MATRICES, circuit_unitary, is_symplectic, post_composed
+from reference import (
+    GATE_MATRICES,
+    circuit_unitary,
+    is_symplectic,
+    post_composed,
+    prepend_by_images,
+)
 
 GATE_PLACEMENTS = [
     (name, qubits)
@@ -287,3 +295,50 @@ def test_circuit_images_match_dense_conjugation():
             g = PauliString.from_xz_row(k, 1 << b, 0).to_matrix()
             image = PauliString.from_xz_row(k, rows[b], phases[b]).to_matrix()
             assert np.abs(u @ g @ u.conj().T - image).max() < 1e-12
+
+
+def test_cached_prepend_plan_matches_circuit_images_reference():
+    # every routing circuit, its inverse and 200 random circuits (empty ones
+    # included) on random wire pairs of one n = 5 tableau, in a seeded
+    # order: after each step the plan-driven tableau and the one built by
+    # testing every bit of ``circuit_images`` agree, phases included
+    rng = np.random.default_rng(20261018)
+    routed = [routing_clifford_2q(p, target=t)
+              for p in TWO_QUBIT_GENERATORS for t in (1, 2)]
+    assert len(routed) == 30
+    circuits = (routed + [c.inverse() for c in routed]
+                + [_random_circuit(rng, 2, int(rng.integers(0, 6)))
+                   for _ in range(200)])
+    n = 5
+    built, reference = CliffordTableau.identity(n), CliffordTableau.identity(n)
+    changed = 0
+    for k in rng.permutation(len(circuits)):
+        circuit = circuits[int(k)]
+        wires = tuple(int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+        before = list(built.rows)
+        built.prepend_circuit(circuit, wires)
+        prepend_by_images(reference, circuit, wires)
+        assert (built.rows, built.phases) == (reference.rows, reference.phases)
+        changed += built.rows != before
+    assert changed > len(circuits) // 2
+    assert is_symplectic(built)
+
+
+def test_prepend_plan_lists_only_changed_slots():
+    assert CliffordCircuit(2).prepend_plan == ()
+    # CNOT(1, 2): X_1 -> X_1 X_2 and Z_2 -> Z_1 Z_2; X_2 and Z_1 stay
+    cnot = CliffordCircuit(2, (("CNOT", (1, 2)),))
+    assert cnot.prepend_plan == ((0, (0, 1), 0), (3, (2, 3), 0))
+    circ = routing_clifford_2q(PauliString.from_label("YX"))
+    assert circ.inverse() is circ.inverse()
+    assert circ.inverse().prepend_plan != circ.prepend_plan
+
+
+def test_prepend_circuit_checks_wires_of_an_empty_circuit():
+    tab = CliffordTableau.identity(3)
+    with pytest.raises(InvalidQubit):
+        tab.prepend_circuit(CliffordCircuit(2), (1, 99))
+    with pytest.raises(DimensionMismatch):
+        tab.prepend_circuit(CliffordCircuit(2), (1,))
+    fresh = CliffordTableau.identity(3)
+    assert (tab.rows, tab.phases) == (fresh.rows, fresh.phases)

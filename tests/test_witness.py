@@ -393,6 +393,45 @@ def test_witness_and_verify_rank_match_phase_free_reference(mode):
     assert checked >= 20
 
 
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_witness_rank_at_the_all_empty_point_matches_dense_rank(mode):
+    # every circuit is empty, so the sweep pre-composes nothing; the rank
+    # rows of each gate must still be collected before its circuit is skipped
+    for arch in (staircase(2, 1), staircase(3, 2), staircase(4, 1),
+                 brickwork(4, 2), random_adjacent(5, 8, 1)):
+        circuits = (CliffordCircuit(2),) * arch.gate_count
+        rank = witness_rank(arch, circuits, mode)
+        assert rank == _dense_rank(arch, circuits, mode) > 0, arch
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_each_sweep_prepends_each_non_empty_circuit_once(mode, monkeypatch):
+    # a work count, not a timing: witness_point and verify_certificate call
+    # prepend_circuit once per non-empty gate circuit in each sweep (the
+    # build sweep, in unitary mode the back-to-front total, and the verify
+    # sweep), and never for an empty one
+    arch = staircase(16, 48)
+    calls = []
+    prepend = CliffordTableau.prepend_circuit
+
+    def counted(tab, circuit, wires):
+        calls.append((tab, circuit, wires))
+        prepend(tab, circuit, wires)
+
+    monkeypatch.setattr(CliffordTableau, "prepend_circuit", counted)
+    cert = witness_point(arch, mode)
+    verify_certificate(cert, arch)
+    sweeps: dict[int, list] = {}
+    for tab, circuit, wires in calls:
+        sweeps.setdefault(id(tab), []).append((circuit, wires))
+    placed = [(c, w) for c, w in zip(cert.gate_circuits, arch.gates) if c.gates]
+    assert 0 < len(placed) < arch.gate_count
+    forward = [(c.inverse(), w) for c, w in placed]
+    expected = ([forward, placed[::-1], forward] if mode == "unitary"
+                else [forward, forward])
+    assert list(sweeps.values()) == expected
+
+
 def test_witness_rank_validates_input():
     arch = staircase(3, 1)
     cert = witness_point(arch, "unitary")
