@@ -42,8 +42,6 @@ from .contraction import (
     accessible_dimension,
     contract,
     contract_state,
-    haar_su4,
-    haar_u4,
     numerical_rank,
     pauli_coefficients,
     subseed,

@@ -173,15 +173,21 @@ def brickwork(n: int, rounds: int) -> Architecture:
                         tuple(boundaries) if boundaries else None)
 
 
+def _adjacent_positions(n: int, count: int, seed: int) -> np.ndarray:
+    """The j of ``count`` gates (j, j+1), drawn uniformly from 1..n-1 per
+    ``seed``: the one position stream of ``random_adjacent`` and the Monte
+    Carlo."""
+    return np.random.default_rng(seed).integers(1, n, size=count)
+
+
 def random_adjacent(n: int, r_gates: int, seed: int) -> Architecture:
     """``r_gates`` gates at positions (j, j+1), j drawn uniformly per seed."""
     if n < 2:
         raise InvalidQubit(f"need n >= 2, got {n}")
     if r_gates < 0:
         raise ValidationError(f"gate count must be nonnegative, got {r_gates}")
-    rng = np.random.default_rng(seed)
-    positions = rng.integers(1, n, size=r_gates)
-    gates = tuple((int(j), int(j) + 1) for j in positions)
+    gates = tuple((int(j), int(j) + 1)
+                  for j in _adjacent_positions(n, r_gates, seed))
     return Architecture(n, gates, None)
 
 

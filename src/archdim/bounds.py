@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .architecture import Architecture
-from .errors import AlphaOutOfRange, ValidationError
+from .errors import AlphaOutOfRange, ValidationError, check_mode
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,8 @@ def saturation_threshold(n: int, mode: str) -> int:
     """Slice count at which the accessible dimension saturates its cap."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if mode == "unitary":
-        return 4 ** n - 1
-    if mode == "state":
-        return 2 ** (n + 1) - 1
-    raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
+    check_mode(mode)
+    return 4 ** n - 1 if mode == "unitary" else 2 ** (n + 1) - 1
 
 
 def randomized_bound_probability(n: int, alpha: float) -> float:

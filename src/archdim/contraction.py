@@ -13,11 +13,12 @@ basis, where each gate acts as a real orthogonal 16 x 16 transfer matrix on
 columns grouped by their forward light cones, and the same sweep reads off
 the frame's Gram matrix for the rank.  A sweep that only reads the Gram
 matrix drops each wire from the cones after its last gate, and every sweep
-holds its groups in one arena laid out by the plan.  A state frame is built
-by a forward sweep over a stack of state vectors.  Both read one cached
-plan per architecture.  A dense call whose estimated peak memory
-(``peak_bytes``) exceeds ``MEMORY_BUDGET`` raises SizeLimit before it
-allocates.
+holds its groups in one arena laid out by the plan.  A unitary frame keeps
+its transfer matrices and forms its 4^n x C matrix, when it is read, by
+one sweep that keeps every wire.  A state frame is built by a forward sweep
+over a stack of state vectors.  Both read one cached plan per
+architecture.  A dense call whose estimated peak memory (``peak_bytes``)
+exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 """
 
 from __future__ import annotations
@@ -32,11 +33,7 @@ import numpy as np
 from .architecture import Architecture, is_causal_slice
 from .bounds import gauge_fixed_count, saturation_threshold
 from .dense import apply_gate_left, apply_gate_right
-from .errors import (
-    CountMismatch,
-    SizeLimit,
-    ValidationError,
-)
+from .errors import CountMismatch, SizeLimit, ValidationError, check_mode
 from .pauli import TWO_QUBIT_GENERATOR_MATS, TWO_QUBIT_GENERATORS
 
 DEFAULT_TOLERANCES = (1e-6, 1e-10)
@@ -75,63 +72,36 @@ def subseed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _haar_stack(rng: int | np.random.Generator, count: int,
-                special: bool) -> np.ndarray:
-    """``count`` Haar-random U(4) samples, shape (count, 4, 4), or SU(4)
-    samples when ``special``: QR of complex Ginibre matrices with the
-    R-diagonal phases folded into Q, then the determinant phased out.
-
-    One draw and one stacked QR serve every sample; each matrix equals, bit
-    for bit, what sampling them one at a time from the same generator gives.
-    """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    z = gen.standard_normal((count, 2, 4, 4))
-    z = z[:, 0] + 1j * z[:, 1]
-    z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    u = q * (d / np.abs(d))[:, None, :]
-    return u / np.linalg.det(u)[:, None, None] ** 0.25 if special else u
-
-
-def haar_u4(rng: int | np.random.Generator) -> np.ndarray:
-    """Haar-random U(4) sample."""
-    return _haar_stack(rng, 1, special=False)[0]
-
-
-def haar_su4(rng: int | np.random.Generator) -> np.ndarray:
-    """Haar-random SU(4) sample (U(4) sample with the determinant phased out)."""
-    return _haar_stack(rng, 1, special=True)[0]
-
-
 def frame_shape(arch: Architecture, mode: str) -> tuple[int, int]:
     """(rows, columns) of the gauge-fixed tangent frame: 4^n Pauli rows in
     unitary mode, 2 * 2^n real rows in state mode, 9R + 3 * touched qubits
-    columns in both."""
+    columns in both.  Any other mode raises ValidationError."""
+    check_mode(mode)
     rows = 4 ** arch.n if mode == "unitary" else 2 * 2 ** arch.n
     return rows, gauge_fixed_count(arch)
 
 
 def peak_bytes(arch: Architecture, job: str) -> int:
     """Upper estimate of the peak bytes of a dense call on ``arch``; ``job``
-    is a frame mode, "contract" or "contract_state".  A gate applied to an
-    array holds two more of its size (tensordot's reordered input and
-    output).  A frame counts its matrix twice (the SVD's copy).
+    is a frame mode, "contract" or "contract_state", and any other job
+    raises ValidationError.  A gate applied to an array holds two more of
+    its size (tensordot's reordered input and output).  A frame counts its
+    matrix twice (the SVD's copy).
 
     The state sweep holds its C x 2^n complex stack (the frame's size), then
     the frame beside it; the rank holds the frame beside the SVD's copy or,
     for a tall frame, four C x C arrays of the SVD's work.  On top come
     16 KiB per gate for the plan and one gate's temporaries, which the
     allocator keeps: two copies of a stack chunk and about 36 state
-    vectors.  A unitary frame's sweep holds its plan's arena and one
-    transfer's temporaries (``_frame_plan``), and its transfer matrices and
-    their complex build take 16 KiB per gate.  Forming the matrix holds the
-    unpruned arena's head beside it, and the SVD takes it twice.  A tall
-    frame also holds its C x C Gram matrix throughout.  It runs the pruned
-    plan first, whose arena is gone when the sweep returns, and its
-    certificate takes up to three more C x C arrays; the unpruned sweep
-    runs only when the matrix is read.  An estimate whose frame terms alone
-    exceed ``MEMORY_BUDGET`` returns before the sweep's plans are built."""
+    vectors.  A unitary frame keeps its transfer matrices, which with their
+    complex build take 16 KiB per gate.  Reading its matrix runs the
+    unpruned sweep, which holds its plan's arena and one transfer's
+    temporaries (``_frame_plan``); forming the matrix holds the arena's head
+    beside it, and the SVD takes it twice.  A tall frame also holds its
+    C x C Gram matrix throughout.  It runs the pruned plan first, whose
+    arena is gone when the sweep returns, and its certificate takes up to
+    three more C x C arrays.  An estimate whose frame terms alone exceed
+    ``MEMORY_BUDGET`` returns before the sweep's plans are built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -155,12 +125,17 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     return gram + max(phases)
 
 
+def check_budget(est: int, budget: int, needs: str) -> None:
+    """Raise SizeLimit when an estimated peak of ``est`` bytes is over
+    ``budget``; ``needs`` opens the message with the call and its verb."""
+    if est > budget:
+        raise SizeLimit(f"{needs} an estimated {est / 2 ** 30:.2f} GiB, over "
+                        f"the {budget / 2 ** 30:.0f} GiB memory budget")
+
+
 def _check_size(arch: Architecture, job: str) -> None:
-    est = peak_bytes(arch, job)
-    if est > MEMORY_BUDGET:
-        raise SizeLimit(f"{job} on n={arch.n}, R={arch.gate_count} needs an "
-                        f"estimated {est / 2 ** 30:.2f} GiB, over the "
-                        f"{MEMORY_BUDGET / 2 ** 30:.0f} GiB memory budget")
+    check_budget(peak_bytes(arch, job), MEMORY_BUDGET,
+                 f"{job} on n={arch.n}, R={arch.gate_count} needs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +166,21 @@ class GateAssignment:
 
     @classmethod
     def haar(cls, arch: Architecture, seed: int) -> GateAssignment:
-        return cls(_haar_stack(seed, arch.gate_count, special=True))
+        """Haar-random SU(4) gates, one per slot: QR of complex Ginibre
+        matrices with the R-diagonal phases folded into Q, then the
+        determinant phased out.
+
+        One draw and one stacked QR serve every gate; each matrix equals,
+        bit for bit, what sampling them one at a time from the same
+        generator gives."""
+        z = np.random.default_rng(seed).standard_normal(
+            (arch.gate_count, 2, 4, 4))
+        z = z[:, 0] + 1j * z[:, 1]
+        z /= np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        u = q * (d / np.abs(d))[:, None, :]
+        return cls(u / np.linalg.det(u)[:, None, None] ** 0.25)
 
 
 def _require_match(arch: Architecture, gates: GateAssignment) -> None:
@@ -292,13 +281,13 @@ class TangentFrame:
     ordered by gate, then generator.
 
     ``matrix`` is formed on first access and kept.  A state frame forms it
-    from its sweep's vector stack at once.  A unitary frame holds its
-    sweep's light-cone groups until something reads it or, when it carries
-    a Gram matrix, sweeps again then.  ``gram`` is the C x C Gram matrix
-    M^T M of a tall unitary frame (fewer columns than rows), read off the
-    sweep in column order, and ``gram_error`` bounds its 2-norm distance
-    from the exact Gram matrix of ``matrix``; ``gram`` is None in state
-    mode and for wide frames.
+    from its sweep's vector stack at once.  A unitary frame, tall or wide,
+    holds its transfer stack and, when ``matrix`` is first read, runs the
+    unpruned sweep and assembles the matrix from it.  ``gram`` is the
+    C x C Gram matrix M^T M of a tall unitary frame (fewer columns than
+    rows), read off the sweep in column order, and ``gram_error`` bounds
+    its 2-norm distance from the exact Gram matrix of ``matrix``; ``gram``
+    is None in state mode and for wide frames.
     """
 
     mode: str
@@ -638,11 +627,11 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     sum of products of the stack's entries, so a finite stack makes a
     finite frame.
 
-    A frame that has a Gram matrix runs the pruned plan, keeps only that
-    matrix and the transfer stack (2 KiB per gate), and releases the
-    sweep's arena on return; reading its ``matrix`` runs the unpruned sweep
-    once.  Any other frame runs the unpruned plan and keeps its last groups
-    until its matrix is formed from them.
+    A tall frame runs the pruned plan for its Gram matrix and releases the
+    sweep's arena on return; a wide frame runs no sweep here.  Every frame
+    keeps its transfer stack (2 KiB per gate), and reading its ``matrix``
+    runs the unpruned sweep once and assembles the matrix from its last
+    groups.
     """
     rows, width = frame_shape(arch, "unitary")
     transfers = transfer_matrices(gates)
@@ -653,22 +642,11 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
         gram = np.zeros((width, width))
         rho = tau + 256 * np.finfo(np.float64).eps
         gram_error = width * float(np.expm1(arch.gate_count * np.log1p(rho)))
+        _sweep(arch, transfers, _frame_plan(arch, prune=True), gram)
+    plan = _frame_plan(arch)
 
-    if gram is not None:
-        plan = _frame_plan(arch, prune=True)
-        _sweep(arch, transfers, plan, gram)  # drops its groups and arena
-
-        def assemble() -> np.ndarray:
-            return _assemble(arch.n, width, _sweep(
-                arch, transfers, _frame_plan(arch), None))
-    else:
-        plan = _frame_plan(arch)
-        groups = _sweep(arch, transfers, plan, None)
-
-        def assemble() -> np.ndarray:
-            out = _assemble(arch.n, width, groups)
-            groups.clear()  # the frame caches its matrix; free the arena
-            return out
+    def assemble() -> np.ndarray:
+        return _assemble(arch.n, width, _sweep(arch, transfers, plan, None))
 
     return TangentFrame("unitary", arch.n, arch.gate_count, plan.record,
                         assemble, gram, gram_error)
@@ -705,18 +683,16 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     gate with an error bound (``_unitary_frame``); that is all the Gram
     route of ``numerical_rank`` reads.  Its sweep drops a wire from every
     cone it moves after the wire's last gate, since no later read sees
-    that wire's other letters, and keeps no groups; reading its ``matrix``
-    runs the unpruned sweep once.  Any other unitary frame runs the
-    unpruned sweep, keeps its groups and forms its 4^n x C matrix from
-    them when ``matrix`` is read.
+    that wire's other letters, and keeps no groups.  Every unitary frame,
+    tall or wide, forms its 4^n x C matrix only when ``matrix`` is read, by
+    one unpruned sweep.
 
     State mode sweeps forward over a stack of complex 2^n vectors: gate j
     applies u_j to the columns built so far, advances psi by u_j, then
     appends i S_k psi for its kept k, so column (j, k) ends as
     i K_{j,k} psi.  No 2^n x 2^n operator is formed.
     """
-    if mode not in ("unitary", "state"):
-        raise ValidationError(f"mode must be 'unitary' or 'state', got {mode!r}")
+    check_mode(mode)
     _check_size(arch, mode)
     _require_match(arch, gates)
     if mode == "unitary":
@@ -967,6 +943,7 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
     from ``seed`` by counter.  A frame over ``MEMORY_BUDGET`` raises
     SizeLimit before the first sample is drawn.
     """
+    check_mode(mode)
     if samples < 3:
         raise ValidationError(f"need at least 3 samples, got {samples}")
     _check_size(arch, mode)

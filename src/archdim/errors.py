@@ -1,4 +1,5 @@
-"""Exception hierarchy, and the type checks of parsed JSON input.
+"""Exception hierarchy, the frame-mode check, and the type checks of parsed
+JSON input.
 
 Validation errors (bad user input) subclass ``ValueError`` so callers may
 catch either the specific class or the builtin.  Verdict errors signal that
@@ -73,6 +74,14 @@ class CertificateMismatch(ArchdimError):
 
 class VerdictError(ArchdimError):
     """A computed quantity violated a bound the library asserts."""
+
+
+def check_mode(mode: object, what: str = "mode") -> None:
+    """Refuse a frame mode other than "unitary" or "state" with a
+    ValidationError that names it ``what``."""
+    if mode not in ("unitary", "state"):
+        raise ValidationError(
+            f"{what} must be 'unitary' or 'state', got {mode!r}")
 
 
 def json_int(x: object, what: str) -> int:

@@ -13,20 +13,23 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .architecture import build_family, staircase_block_flags
+from .architecture import (
+    _adjacent_positions,
+    build_family,
+    staircase_block_flags,
+)
 from .bounds import randomized_bound_probability, staircase_slice_probability
 from .contraction import (
     DEFAULT_TOLERANCES,
     MEMORY_BUDGET,
     accessible_dimension,
+    check_budget,
     subseed,
     # not called here since the witness rank became exact; kept because
     # bench/tests/test_bench.py patches it in this namespace
     tangent_frame,  # noqa: F401
 )
-from .errors import SizeLimit, ValidationError, VerdictError
+from .errors import ValidationError, VerdictError
 from .witness import witness_point, witness_rank
 
 # Two-sided 99% normal quantile for the binomial interval.
@@ -205,13 +208,9 @@ def randomized_architecture_experiment(n: int, trials: int, seed: int,
     probability_bound = randomized_bound_probability(n, alpha)
     block = n * (n - 1) ** 2
     r_total = trials * block
-    est = _MC_BYTES_PER_GATE * r_total
-    if est > MEMORY_BUDGET:
-        raise SizeLimit(f"{trials} trials on n={n} ({r_total} gates) need "
-                        f"an estimated {est / 2 ** 30:.2f} GiB, over the "
-                        f"{MEMORY_BUDGET / 2 ** 30:.0f} GiB memory budget")
-    # the position stream of random_adjacent(n, r_total, seed)
-    positions = np.random.default_rng(seed).integers(1, n, size=r_total)
+    check_budget(_MC_BYTES_PER_GATE * r_total, MEMORY_BUDGET,
+                 f"{trials} trials on n={n} ({r_total} gates) need")
+    positions = _adjacent_positions(n, r_total, seed)
     hits = int(staircase_block_flags(positions, n).all(axis=1).sum())
     p_hat = hits / trials
     exact = staircase_slice_probability(n).value

@@ -27,6 +27,7 @@ from .errors import (
     TooManySlices,
     TrivialPauli,
     ValidationError,
+    check_mode,
     json_int,
     json_typed,
 )
@@ -49,11 +50,6 @@ class PathTree:
     sink: int
     wire_pairs: tuple[tuple[int, int], ...]
     next_hop: dict[int, tuple[int, int]]
-
-
-def _check_mode(mode: object, what: str = "mode") -> None:
-    if mode not in ("unitary", "state"):
-        raise ValidationError(f"{what} must be 'unitary' or 'state', got {mode!r}")
 
 
 def build_path_tree(arch: Architecture, start: int, stop: int,
@@ -162,7 +158,7 @@ class WitnessCertificate:
     state_images: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        _check_mode(self.mode, "certificate mode")
+        check_mode(self.mode, "certificate mode")
 
     @property
     def slice_count(self) -> int:
@@ -213,7 +209,7 @@ class WitnessCertificate:
             for s in (json_typed(s, dict, "a slice")
                       for s in json_typed(d["slices"], list, "slices")))
         mode = d["mode"]  # checked first: it fixes the directions' layout
-        _check_mode(mode, "certificate mode")
+        check_mode(mode, "certificate mode")
         entries = json_typed(d["directions"], list, "directions")
         if mode == "unitary":
             return cls(n, mode, circuits, slices, directions=tuple(
@@ -349,7 +345,7 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     pulled back through the inverse prefix, is not yet taken), route it to Z
     on the slice's sink, and pull that Z back through the grown prefix.
     """
-    _check_mode(mode)
+    check_mode(mode)
     ranges = arch.slice_ranges()
     if not ranges:
         raise NotCausal("architecture has no marked slices")
@@ -413,7 +409,7 @@ def witness_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
     same space as the gauge-fixed frame's columns, so this is the rank that
     ``numerical_rank(tangent_frame(...))`` estimates.
     """
-    _check_mode(mode)
+    check_mode(mode)
     if len(circuits) != arch.gate_count:
         raise CountMismatch(
             f"{len(circuits)} circuits supplied for {arch.gate_count} slots")

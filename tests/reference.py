@@ -80,11 +80,10 @@ def gate_assignment(circuits: Sequence[CliffordCircuit]) -> GateAssignment:
     return explicit([unitaries[c] for c in circuits])
 
 
-def haar_one_at_a_time(count: int, seed: int,
-                       special: bool = True) -> np.ndarray:
-    """``count`` Haar-random U(4) (or, with ``special``, SU(4)) samples
-    drawn one gate at a time: QR of a complex Ginibre matrix, its R-diagonal
-    phases folded into Q, then the determinant phased out."""
+def haar_one_at_a_time(count: int, seed: int) -> np.ndarray:
+    """``count`` Haar-random SU(4) samples drawn one gate at a time: QR of a
+    complex Ginibre matrix, its R-diagonal phases folded into Q, then the
+    determinant phased out."""
     rng = np.random.default_rng(seed)
     out = np.zeros((count, 4, 4), dtype=complex)
     for i in range(count):
@@ -93,7 +92,7 @@ def haar_one_at_a_time(count: int, seed: int,
         q, r = np.linalg.qr(z)
         d = np.diagonal(r)
         u = q * (d / np.abs(d))[None, :]
-        out[i] = u / np.linalg.det(u) ** 0.25 if special else u
+        out[i] = u / np.linalg.det(u) ** 0.25
     return out
 
 

@@ -16,8 +16,6 @@ from archdim import (
     contract,
     contract_state,
     from_gate_sequence,
-    haar_su4,
-    haar_u4,
     numerical_rank,
     pauli_coefficients,
     random_adjacent,
@@ -103,32 +101,36 @@ def test_apply_gate_left_right_match_embedding_oracle():
 # -- Haar sampling ---------------------------------------------------------------
 
 
+def _one_slot(count):
+    """``count`` gates on the one pair of a two-qubit register."""
+    return from_gate_sequence(2, [(1, 2)] * count)
+
+
 def test_haar_su4_is_special_unitary():
-    for seed in range(20):
-        u = haar_su4(seed)
-        assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
-        assert abs(np.linalg.det(u) - 1.0) < 1e-12
+    for seed in range(5):
+        for u in GateAssignment.haar(_one_slot(4), seed).matrices:
+            assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+            assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
 
 def test_haar_distinct_seeds_differ():
-    assert np.linalg.norm(haar_su4(1) - haar_su4(2)) > 1e-3
+    one, two = (GateAssignment.haar(_one_slot(1), seed).matrices[0]
+                for seed in (1, 2))
+    assert np.linalg.norm(one - two) > 1e-3
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 30])
 def test_haar_batch_bit_identical_to_one_at_a_time(count):
-    arch = from_gate_sequence(2, [(1, 2)] * count)
     for seed in range(5):
-        assert np.array_equal(GateAssignment.haar(arch, seed).matrices,
-                              haar_one_at_a_time(count, seed))
-        assert np.array_equal(haar_su4(seed), haar_one_at_a_time(1, seed)[0])
-        assert np.array_equal(haar_u4(seed),
-                              haar_one_at_a_time(1, seed, special=False)[0])
+        got = GateAssignment.haar(_one_slot(count), seed).matrices
+        assert np.array_equal(got, haar_one_at_a_time(count, seed))
 
 
 def test_haar_trace_moment():
-    # E |tr U|^2 = 1 on U(4); 10^4 samples, Var(|tr U|^2) = 1
-    rng = np.random.default_rng(314159)
-    vals = np.array([abs(np.trace(haar_u4(rng))) ** 2 for _ in range(10 ** 4)])
+    # E |tr U|^2 = 1 on SU(4) as on U(4): the defining representation is
+    # irreducible.  10^4 samples, Var(|tr U|^2) = 1 (E |tr U|^4 = 2).
+    mats = GateAssignment.haar(_one_slot(10 ** 4), 314159).matrices
+    vals = np.abs(np.trace(mats, axis1=1, axis2=2)) ** 2
     assert abs(vals.mean() - 1.0) <= 3.0 / np.sqrt(10 ** 4)
 
 
@@ -145,8 +147,8 @@ def _first_invalid_gate(mats):
 
 def test_gate_validation_reports_first_failing_gate():
     rng = np.random.default_rng(45)
-    for _ in range(40):
-        mats = np.stack([haar_su4(rng) for _ in range(6)])
+    for seed in range(40):
+        mats = haar_one_at_a_time(6, seed)
         for i in rng.choice(6, size=int(rng.integers(0, 4)), replace=False):
             if rng.random() < 0.5:
                 mats[i] *= np.exp(0.3j)  # unitary, determinant != 1
@@ -162,7 +164,8 @@ def test_gate_validation_reports_first_failing_gate():
 
 
 def test_gate_validation_rejects_nan():
-    mats = np.stack([haar_su4(46), np.full((4, 4), np.nan, dtype=complex)])
+    mats = np.stack([haar_one_at_a_time(1, 46)[0],
+                     np.full((4, 4), np.nan, dtype=complex)])
     with pytest.raises(ValidationError, match="gate 1 is not unitary"):
         GateAssignment(mats)
 
@@ -192,9 +195,8 @@ def test_contract_single_cnot():
 
 
 def test_contract_two_gates_compose():
-    rng = np.random.default_rng(41)
-    arch = from_gate_sequence(2, [(1, 2), (1, 2)])
-    u, v = haar_su4(rng), haar_su4(rng)
+    arch = _one_slot(2)
+    u, v = haar_one_at_a_time(2, 41)
     gates = explicit([u, v], normalize=False)
     assert np.abs(contract(arch, gates) - v @ u).max() < 1e-12
 
@@ -252,6 +254,36 @@ def test_memory_guard_takes_the_frame_shape():
     gates = GateAssignment.haar(arch, 0)
     assert contract(arch, gates).shape == (512, 512)
     assert contract_state(arch, gates).shape == (512,)
+
+
+def test_budget_refusal_message():
+    with pytest.raises(SizeLimit) as info:
+        contraction.check_budget(3 * 2 ** 30, 2 ** 31, "a job needs")
+    assert str(info.value) == \
+        "a job needs an estimated 3.00 GiB, over the 2 GiB memory budget"
+    contraction.check_budget(2 ** 31, 2 ** 31, "a job at the budget needs")
+
+
+def test_an_unknown_mode_is_refused_before_the_size_estimate():
+    # the mode is checked first: staircase(20, 3) would otherwise be refused
+    # as a state frame over the memory budget
+    message = "mode must be 'unitary' or 'state', got 'foo'"
+    with pytest.raises(ValidationError) as info:
+        accessible_dimension(staircase(20, 3), "foo", 3)
+    assert not isinstance(info.value, SizeLimit)
+    assert str(info.value) == message
+    for job in ("foo", "contract_unitary", None):
+        with pytest.raises(ValidationError, match="must be 'unitary' or"):
+            peak_bytes(staircase(3, 1), job)
+    arch = staircase(3, 1)
+    gates = GateAssignment.haar(arch, 0)
+    for call in (lambda: tangent_frame(arch, gates, "foo"),
+                 lambda: frame_shape(arch, "foo"),
+                 lambda: contraction.dimension_bounds(arch, "foo"),
+                 lambda: witness_point(arch, "foo")):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("arch, mode", [(staircase(8, 40), "unitary"),
@@ -825,12 +857,9 @@ def test_pruned_gram_matches_the_unpruned_sweep(build):
         assert np.abs(frame.matrix - ref).max(initial=0.0) < 1e-12
 
 
-def test_a_failed_certificate_forms_the_matrix_by_one_unpruned_sweep(
-        monkeypatch):
-    # random_adjacent(5, 12, 4) is tall and rank-deficient: every sample's
-    # certificate fails on its pruned frame, and the SVD reads the matrix
-    # that one unpruned sweep forms
-    arch = random_adjacent(5, 12, 4)
+def _count_sweeps(monkeypatch, arch):
+    """The list that records, for each later ``_sweep`` call, whether it ran
+    ``arch``'s pruned plan."""
     pruned = contraction._frame_plan(arch, prune=True)
     swept = []
     sweep = contraction._sweep
@@ -840,6 +869,40 @@ def test_a_failed_certificate_forms_the_matrix_by_one_unpruned_sweep(
         return sweep(arch, transfers, plan, gram)
 
     monkeypatch.setattr(contraction, "_sweep", counted)
+    return swept
+
+
+@pytest.mark.parametrize("arch", [staircase(3, 8), random_adjacent(3, 10, 2),
+                                  staircase(2, 3)],
+                         ids=["staircase-3-8", "random-3-10", "staircase-2-3"])
+def test_a_wide_frame_sweeps_once_when_its_matrix_is_read(arch, monkeypatch):
+    # C >= 4^n: no Gram matrix, so making the frame runs no sweep, and the
+    # first read of its matrix runs the unpruned one
+    rows, cols = frame_shape(arch, "unitary")
+    assert cols >= rows
+    gates = GateAssignment.haar(arch, 36)
+    swept = _count_sweeps(monkeypatch, arch)
+    frame = tangent_frame(arch, gates)
+    assert frame.gram is None
+    assert swept == []
+    est = numerical_rank(frame)
+    assert frame.matrix is frame.matrix
+    assert swept == [False]
+    monkeypatch.undo()
+    ref = _scatter_reference_unitary_frame(arch, gates)
+    assert np.abs(frame.matrix - ref).max() < 1e-12
+    want = numerical_rank(ref)
+    assert (est.route, est.loose_rank, est.tight_rank) == \
+        ("svd", want.loose_rank, want.tight_rank)
+
+
+def test_a_failed_certificate_forms_the_matrix_by_one_unpruned_sweep(
+        monkeypatch):
+    # random_adjacent(5, 12, 4) is tall and rank-deficient: every sample's
+    # certificate fails on its pruned frame, and the SVD reads the matrix
+    # that one unpruned sweep forms
+    arch = random_adjacent(5, 12, 4)
+    swept = _count_sweeps(monkeypatch, arch)
     report = accessible_dimension(arch, "unitary", 3, 5)
     assert swept == [True, False] * 3
     monkeypatch.undo()
@@ -852,14 +915,18 @@ def test_a_failed_certificate_forms_the_matrix_by_one_unpruned_sweep(
             < 1e-12 * want.singular_values[0]
 
 
-def test_gram_route_leaves_the_frame_matrix_unbuilt():
+def test_gram_route_leaves_the_frame_matrix_unbuilt(monkeypatch):
+    # a certified frame runs one pruned sweep and forms no matrix
     arch = staircase(7, 1)
+    swept = _count_sweeps(monkeypatch, arch)
     frame = tangent_frame(arch, GateAssignment.haar(arch, 33))
     est = numerical_rank(frame)
     assert est.route == "gram"
     assert "matrix" not in frame.__dict__
-    # the matrix is still there to read, formed once
+    assert swept == [True]
+    # the matrix is still there to read, formed once by the unpruned sweep
     assert frame.matrix is frame.matrix
+    assert swept == [True, False]
     assert numerical_rank(frame.matrix).rank == est.rank
 
 
