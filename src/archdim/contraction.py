@@ -10,13 +10,18 @@ i K_{j,k} |psi>); its numerical rank at independent Haar-random points is the
 accessible dimension of the architecture, because the rank is constant off a
 measure-zero set.  A unitary frame is built by one forward sweep in the Pauli
 basis, where each gate acts as a real orthogonal 16 x 16 transfer matrix on
-columns grouped by their forward light cones, and the same sweep reads off
-the frame's Gram matrix for the rank.  A sweep that only reads the Gram
-matrix drops each wire from the cones after its last gate, and every sweep
-holds its groups in one arena laid out by the plan.  A unitary frame keeps
-its transfer matrices and forms its 4^n x C matrix, when it is read, by
-one sweep that keeps every wire.  A state frame is built by a forward sweep
-over a stack of state vectors.  Both read one cached plan per
+columns grouped by their forward light cones.  The frame's Gram matrix, for
+the rank, is read off two half sweeps that meet at one gate: the forward
+sweep over the gates before it and a backward one, with the transposed
+transfer matrices, over the rest; a join multiplies the columns the two
+halves hold there.  The plan picks the gate from its multiply-add counts,
+and the last gate means the forward sweep alone.  A sweep that only reads
+the Gram matrix drops each wire from the cones once it has passed the
+wire's gates, and every sweep holds its groups in one arena laid out by
+the plan.  A unitary frame keeps its transfer matrices and forms its
+4^n x C matrix, when it is read, by one forward sweep that keeps every
+wire.  A state frame is built by a forward sweep over a stack of state
+vectors.  Both read one cached plan per
 architecture.  A dense call whose estimated peak memory (``peak_bytes``)
 exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 """
@@ -24,6 +29,7 @@ exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -44,6 +50,10 @@ _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 # The state sweep applies a gate to its stack in column chunks of at most
 # this many bytes, so that the allocator reuses the temporaries.
 _STACK_CHUNK = 4 * 2 ** 20
+
+# The Gram read completes its matrix from each pair's one entry this many
+# rows at a time, so that no C x C temporary is made.
+_STRIP = 256
 
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
 # gauge-fixed frame.  A single-qubit generator on a wire that a later gate
@@ -98,10 +108,14 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     unpruned sweep, which holds its plan's arena and one transfer's
     temporaries (``_frame_plan``); forming the matrix holds the arena's head
     beside it, and the SVD takes it twice.  A tall frame also holds its
-    C x C Gram matrix throughout.  It runs the pruned plan first, whose
-    arena is gone when the sweep returns, and its certificate takes up to
-    three more C x C arrays.  An estimate whose frame terms alone exceed
-    ``MEMORY_BUDGET`` returns before the sweep's plans are built."""
+    C x C Gram matrix throughout.  It runs the Gram read's plan first: one
+    arena holds the forward half's groups, then the groups the join reads
+    beside the backward half's, and the plan's scratch covers one
+    transfer's or read's temporaries, one joined pair's row copies and
+    product, or a strip of the Gram matrix.  The arena is gone when the sweep
+    returns, and the certificate takes up to three more C x C arrays.  An
+    estimate whose frame terms alone exceed ``MEMORY_BUDGET`` returns
+    before the sweep's plans are built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -285,7 +299,7 @@ class TangentFrame:
     holds its transfer stack and, when ``matrix`` is first read, runs the
     unpruned sweep and assembles the matrix from it.  ``gram`` is the
     C x C Gram matrix M^T M of a tall unitary frame (fewer columns than
-    rows), read off the sweep in column order, and ``gram_error`` bounds
+    rows), read off the split sweep in column order, and ``gram_error`` bounds
     its 2-norm distance from the exact Gram matrix of ``matrix``; ``gram``
     is None in state mode and for wide frames.
     """
@@ -308,9 +322,10 @@ _Cone = tuple[int, ...]  # 1-based qubits, ascending
 
 class _Move(NamedTuple):
     """One group a gate writes: its cone, the cones of the groups merged
-    into it, whether the gate's own kept generators join it (last), the
-    group's rows of the gate's kept labels, its offset in the sweep's arena
-    (in float64 entries) and its column count."""
+    into it, whether the gate's own kept columns join it (last), the
+    group's rows the Gram read takes (the gate's kept labels forward, all
+    16 labels backward), its offset in the sweep's arena (in float64
+    entries) and its column count."""
 
     cone: _Cone
     sources: tuple[_Cone, ...]
@@ -318,6 +333,15 @@ class _Move(NamedTuple):
     read: np.ndarray
     offset: int
     width: int
+
+
+class _Join(NamedTuple):
+    """The cones of a forward and a backward group at the split, and their
+    meet: the wires both hold."""
+
+    forward: _Cone
+    backward: _Cone
+    meet: _Cone
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,13 +352,16 @@ class _FramePlan:
     ``record`` is the frame's (gate, generator) column list.  The rest is
     the unitary sweep's.  ``labels[j]`` holds gate j's kept generators as
     two-qubit labels (1 to 15) read with the lower wire leading, and
-    ``steps[j]`` the groups gate j writes.  Row r of a group over cone c is
-    the Pauli string that is the identity off c; a move's read rows put
-    each label on gate j's wires and the identity on the rest of c.
-    ``arena`` counts the float64 entries of the arena that holds every
-    group, ``held`` those of its head, which holds the groups the sweep
-    ends with (none when pruned), and ``scratch`` bounds the entries one
-    transfer's temporaries take beside it.
+    ``steps`` the groups each gate writes, in sweep order: gates 0 to
+    ``split`` - 1 forward, then gates R - 1 down to ``split`` backward
+    (none when ``split`` is R).  Row r of a group over cone c is the Pauli
+    string that is the identity off c; a move's read rows put a label on
+    the gate's wires and the identity on the rest of c.  ``joins`` pairs
+    the groups the two halves meet with.  ``arena`` counts the float64
+    entries of the arena that holds every group, ``held`` those of its
+    head, which holds the groups an unpruned sweep ends with or those a
+    pruned one joins, and ``scratch`` bounds the entries one transfer's,
+    read's or join's temporaries take beside it.
     """
 
     kept: tuple[np.ndarray, ...]
@@ -344,6 +371,8 @@ class _FramePlan:
     arena: int
     held: int
     scratch: int
+    split: int
+    joins: tuple[_Join, ...] = ()
 
 
 def _first_fit(spans: list[tuple[int, int, int]],
@@ -384,7 +413,8 @@ def _first_fit(spans: list[tuple[int, int, int]],
 # architecture; the benchmark's dim-wide ops use four architectures, and a
 # tall one takes two entries, its pruned and its unpruned plan.
 @functools.lru_cache(maxsize=128)
-def _frame_plan(arch: Architecture, *, prune: bool = False) -> _FramePlan:
+def _frame_plan(arch: Architecture, *, prune: bool = False,
+                split: int | None = None) -> _FramePlan:
     """Each gate's kept generators; the unitary columns' light-cone groups.
 
     After gate j, the columns of gates 0..j sit in groups, one per cone: the
@@ -395,74 +425,200 @@ def _frame_plan(arch: Architecture, *, prune: bool = False) -> _FramePlan:
     the groups that land on one cone (equal cones evolve alike from then
     on), and adds its own kept generators to the group of cone {a, b}.
 
-    With ``prune``, a wire whose last gate came before j also leaves every
-    cone that gate j moves.  Only the Gram read needs such a plan: the read
-    at gate j2 sees strings that are the identity off j2's wires, and no
-    later gate changes the letter on a passed wire, so its rows with
-    another letter there never reach a read.  The sweep keeps the identity
-    letter's rows of a dropped wire.  A group no later gate moves is then
-    dead once its gate has read it.
+    With ``prune`` the plan is the Gram read's (``_unitary_frame``), which
+    splits the gates at h = ``split``: gates 0..h-1 sweep forward and gates
+    R-1..h backward, where the same moves carry columns under the
+    transposed transfers and cones grow back from each column's gate.  A
+    wire whose last gate the sweep has passed (its first, backward) also
+    leaves every cone the sweep moves: the reads see strings that are the
+    identity off the gate's wires, and no later gate of the half changes
+    the letter on a passed wire, so its rows with another letter there
+    never reach a read, nor the join, whose other half never holds the
+    wire.  The sweep keeps the identity letter's rows of a dropped wire.
+    The join pairs each forward group at h with each backward one whose
+    cone meets its own; only the strings that are the identity off the
+    meet sit in both.  A group neither a later gate of its half nor the
+    join reads is dead once its gate has read it.  Without ``split``, h
+    minimizes the sweep's work (``_split_point``); h = R is the forward
+    sweep alone.
 
     Every group lives from the gate that writes it to the gate that moves
     it on (or, unpruned, to the end, where the frame's matrix is formed
-    from the last groups) and has a fixed offset in one arena
-    (``_first_fit``).  A transfer between cone positions next to each
-    other is a matmul into its group; it copies the slice of its source
-    when it drops a wire.  Wires apart in the cone take tensordot, which
-    also copies its input and output.  ``scratch`` is the largest sum.
+    from the last groups, or to the join) and has a fixed offset in one
+    arena (``_first_fit``), the two halves' groups on one timeline.  A
+    transfer between cone positions next to each other is a matmul into
+    its group; it copies the slice of its source when it drops a wire.
+    Wires apart in the cone take tensordot, which also copies its input
+    and output.  A backward read copies 16 rows and writes a block of the
+    gate's width, and a join copies the meet's rows of both groups, unless
+    the meet is the whole cone, and their product.  ``scratch`` is the
+    largest sum.
     """
-    n = arch.n
     end = arch.gate_count
     last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
-    groups: dict[_Cone, int] = {}  # cone -> index of its group in spans
-    spans: list[list[int]] = []  # [first step, last step, size] per group
-    kept_all, labels_all, steps = [], [], []
-    scratch = 0
+    kept_all, labels_all = [], []
     for j, (a, b) in enumerate(arch.gates):
         kept = _KEPT[last[a] > j, last[b] > j]
         kept_all.append(kept)
         labels = _SWAPPED[kept + 1] if a > b else kept + 1
         labels.flags.writeable = False
         labels_all.append(labels)
-        lo, hi = sorted((a, b))
-        moves: dict[_Cone, list[_Cone]] = {}
-        for cone in [c for c in groups if a in c or b in c]:
-            live = {q for q in cone if not prune or last[q] >= j}
-            moves.setdefault(tuple(sorted(live | {a, b})), []).append(cone)
-        fresh = (lo, hi)
-        moves.setdefault(fresh, [])
-        step = []
-        for cone, sources in moves.items():
-            apart = cone.index(hi) > cone.index(lo) + 1
-            width = kept.size if cone == fresh else 0
+    forward = _half_plan(arch, labels_all, prune, backward=False)
+    backward = _half_plan(arch, labels_all, prune, backward=True) \
+        if prune else []
+    if split is None:
+        split = _split_point(forward, backward) if prune else end
+    taken = forward[:split] + backward[:end - split]
+    meets = _meets(forward, backward, split)
+    joined = {(False, f) for f, _, _ in meets} \
+        | {(True, b) for _, b, _ in meets}
+    groups: dict[tuple[bool, _Cone], int] = {}  # (half, cone) -> spans index
+    spans: list[list[int]] = []  # [first step, last step, size] per group
+    for s, step in enumerate(taken):
+        for cone, sources, _, _, width in step.moves:
             for src in sources:
-                span = spans[groups.pop(src)]
-                span[1] = j
-                count = span[2] // 4 ** len(src)
-                width += count
-                stay = sum(w in cone for w in src)  # the wires src keeps
-                size_in = count * 4 ** stay
-                scratch = max(scratch, size_in * (stay < len(src))
-                              + (size_in + 4 ** len(cone) * count) * apart)
-            groups[cone] = len(spans)
-            spans.append([j, j if prune else end, 4 ** len(cone) * width])
-            tail = len(cone) - 1
-            read = labels // 4 * 4 ** (tail - cone.index(lo)) \
-                + labels % 4 * 4 ** (tail - cone.index(hi))
-            read.flags.writeable = False
-            step.append((cone, tuple(sources), cone == fresh, read, width))
-        steps.append(step)
+                spans[groups.pop((s >= split, src))][1] = s
+            groups[s >= split, cone] = len(spans)
+            spans.append([s, s, 4 ** len(cone) * width])
+    for key, i in groups.items():
+        if not prune or key in joined:
+            spans[i][1] = end
     offsets, arena, held = _first_fit([tuple(span) for span in spans], end)
     at = iter(offsets)  # spans are in step order
     record = np.array([(j, k) for j, kept in enumerate(kept_all) for k in kept],
                       dtype=np.intp).reshape(-1, 2)
     record.flags.writeable = False
+    # one joined pair's row copies and product, or a strip of the Gram
+    # matrix
+    ahead, behind = _alive(forward, backward, split)
+    scratch = max([step.scratch for step in taken]
+                  + [4 ** len(meet) * (ahead[f] * (meet != f)
+                                       + behind[b] * (meet != b))
+                     + ahead[f] * behind[b] for f, b, meet in meets]
+                  + [prune * _STRIP * len(record)])
     return _FramePlan(
         kept=tuple(kept_all), record=record,
         steps=tuple(tuple(_Move(cone, sources, fresh, read, next(at), width)
-                          for cone, sources, fresh, read, width in step)
-                    for step in steps),
-        labels=tuple(labels_all), arena=arena, held=held, scratch=scratch)
+                          for cone, sources, fresh, read, width in step.moves)
+                    for step in taken),
+        labels=tuple(labels_all), arena=arena, held=held, scratch=scratch,
+        split=split, joins=tuple(_Join(*meet) for meet in meets))
+
+
+_ALL_LABELS = np.arange(16)
+
+
+class _Step(NamedTuple):
+    """One gate of a half sweep: its moves (cone, sources, fresh, read,
+    width), their multiply-adds and temporaries, and the widths of the
+    groups after it."""
+
+    moves: list[tuple]
+    madds: int
+    scratch: int
+    widths: dict[_Cone, int]
+
+
+def _half_plan(arch: Architecture, labels_all: list[np.ndarray],
+               prune: bool, *, backward: bool) -> list[_Step]:
+    """The steps of a sweep over every gate, forward from gate 0 or
+    backward from gate R - 1 (``_frame_plan``).  A transfer into a cone c
+    from a source holding k of the gate's wires takes 4^(|c| + k)
+    multiply-adds per column, and a backward read 16 per column and kept
+    label."""
+    order = range(arch.gate_count)
+    if backward:
+        order = order[::-1]
+    final = {q: s for s, j in enumerate(order) for q in arch.gates[j]}
+    widths: dict[_Cone, int] = {}
+    steps: list[_Step] = []
+    for s, j in enumerate(order):
+        a, b = arch.gates[j]
+        labels = labels_all[j]
+        lo, hi = sorted((a, b))
+        moves: dict[_Cone, list[_Cone]] = {}
+        for cone in [c for c in widths if a in c or b in c]:
+            live = {q for q in cone if not prune or final[q] >= s}
+            moves.setdefault(tuple(sorted(live | {a, b})), []).append(cone)
+        fresh = (lo, hi)
+        moves.setdefault(fresh, [])
+        step, madds, scratch = [], 0, 0
+        for cone, sources in moves.items():
+            apart = cone.index(hi) > cone.index(lo) + 1
+            width = labels.size if cone == fresh else 0
+            for src in sources:
+                count = widths.pop(src)
+                width += count
+                stay = sum(w in cone for w in src)  # the wires src keeps
+                size_in = count * 4 ** stay
+                scratch = max(scratch, size_in * (stay < len(src))
+                              + (size_in + 4 ** len(cone) * count) * apart)
+                madds += 4 ** (len(cone) + (lo in src) + (hi in src)) * count
+            widths[cone] = width
+            tail = len(cone) - 1
+            read = _ALL_LABELS if backward else labels
+            read = read // 4 * 4 ** (tail - cone.index(lo)) \
+                + read % 4 * 4 ** (tail - cone.index(hi))
+            read.flags.writeable = False
+            if backward:
+                madds += 16 * labels.size * width
+                scratch = max(scratch, (16 + labels.size) * width)
+            step.append((cone, tuple(sources), cone == fresh, read, width))
+        steps.append(_Step(step, madds, scratch, dict(widths)))
+    return steps
+
+
+def _alive(forward: list[_Step], backward: list[_Step],
+           split: int) -> tuple[dict[_Cone, int], dict[_Cone, int]]:
+    """The widths of the forward and the backward groups alive at
+    ``split``."""
+    end = len(forward)
+    return (forward[split - 1].widths if split else {},
+            backward[end - split - 1].widths if split < end else {})
+
+
+def _meets(forward: list[_Step], backward: list[_Step],
+           split: int) -> list[tuple[_Cone, _Cone, _Cone]]:
+    """(forward cone, backward cone, meet) of the groups the join at
+    ``split`` pairs: those alive there whose cones meet."""
+    ahead, behind = _alive(forward, backward, split)
+    return [(f, b, meet) for f in ahead for b in behind
+            for meet in [tuple(q for q in f if q in b)] if meet]
+
+
+def _meet_rows(cone: _Cone, meet: _Cone) -> np.ndarray:
+    """The rows of a group over ``cone`` that are the identity off
+    ``meet``, in the meet's label order."""
+    return _cone_index(tuple(cone.index(q) + 1 for q in meet), len(cone))
+
+
+# One array call costs about as much as this many multiply-adds: on a
+# 2-core x86-64 VM with OpenBLAS, a call takes about 10 us beside its
+# arithmetic, and a sweep runs about 6 multiply-adds per ns.
+_CALL_MADDS = 2 ** 16
+
+
+def _split_point(forward: list[_Step], backward: list[_Step]) -> int:
+    """The split h with the least work: the multiply-adds of the forward
+    steps before h, of the backward steps from h and of the join, 4^|meet|
+    per pair of columns it pairs, plus ``_CALL_MADDS`` per array call (a
+    transfer, a read, a join's row copy or product); ties go to the later
+    h."""
+    end = len(forward)
+    work = [[step.madds + _CALL_MADDS * sum(1 + len(move[1])
+                                            for move in step.moves)
+             for step in half] for half in (forward, backward)]
+    before = np.cumsum([0] + work[0])
+    after = np.cumsum([0] + work[1])[::-1]
+
+    def cost(h: int) -> int:
+        ahead, behind = _alive(forward, backward, h)
+        join = sum(4 ** len(meet) * ahead[f] * behind[b]
+                   + _CALL_MADDS * (1 + (meet != f) + (meet != b))
+                   for f, b, meet in _meets(forward, backward, h))
+        return int(before[h] + after[h]) + join
+
+    return min(range(end + 1), key=lambda h: (cost(h), -h))
 
 
 # A frame's partial cones repeat across its Haar samples and across calls on
@@ -532,31 +688,41 @@ _Groups = dict[_Cone, tuple[np.ndarray, np.ndarray]]  # cone -> (x, columns)
 
 def _sweep(arch: Architecture, transfers: np.ndarray, plan: _FramePlan,
            gram: np.ndarray | None) -> _Groups:
-    """Run ``plan``'s forward sweep and return the groups left at the end,
-    each with its frame columns; fill ``gram``, when given, with the rows
-    each gate reads.  A pruned plan reuses the space of the groups it
+    """Run ``plan``'s sweep and return the forward groups left at the end,
+    each with its frame columns; fill ``gram``, when given (all zero), with
+    the Gram matrix.  A pruned plan reuses the space of the groups it
     returns, so only an unpruned sweep's groups can be read.
 
     The plan's arena is made by one ``np.empty`` for the rest, which is
     gone when the sweep returns, and then one for its head, which holds the
-    groups returned; a pruned plan has no head.  Made second, the head
-    tends to sit just above the rest in a heap, so once the matrix is
-    formed from it and it is freed, the two free blocks join into one that
-    takes the SVD's copy of the matrix.  Every group a gate writes is a
-    view at its planned offset.  Each source group's transfer writes
-    straight into its column range, and the gate's kept unit vectors fill
-    the tail."""
-    held = plan.held
+    groups returned or joined.  Made second, the head tends to sit just
+    above the rest in a heap, so once the matrix is formed from it and it
+    is freed, the two free blocks join into one that takes the SVD's copy
+    of the matrix.  Every group a gate writes is a view at its planned
+    offset.  Each source group's transfer writes straight into its column
+    range, and the gate's kept columns fill the tail: unit vectors forward,
+    the kept columns of T_j^T backward.  A forward read takes the group's
+    rows of the gate's kept labels; a backward one takes the product of
+    the gate's kept columns with the group's rows of all 16 labels.  The
+    join writes the product of each joined pair's rows of their meet.  So
+    every pair of columns of different gates is read into one of its two
+    entries, once; a strip of rows at a time then completes the other, and
+    the diagonal is 1, a born unit vector against itself (the pairs of one
+    gate's columns read 0)."""
+    held, split = plan.held, plan.split
     rest, head = np.empty(plan.arena - held), np.empty(held)
-    groups: _Groups = {}
-    start = 0
-    for (a, b), t4, labels, step in zip(arch.gates,
-                                        transfers.reshape(-1, 4, 4, 4, 4),
-                                        plan.labels, plan.steps):
+    stops = list(itertools.accumulate(kept.size for kept in plan.kept))
+    halves: list[_Groups] = [{}, {}]
+    order = list(range(split)) + list(range(arch.gate_count - 1, split - 1, -1))
+    for s, (j, step) in enumerate(zip(order, plan.steps)):
+        backward = s >= split
+        groups = halves[backward]
+        (a, b), labels = arch.gates[j], plan.labels[j]
+        t4 = (transfers[j].T if backward else transfers[j]).reshape(4, 4, 4, 4)
         if a > b:  # the lower wire leads, as in the plan's labels
             a, b, t4 = b, a, t4.transpose(1, 0, 3, 2)
-        span = slice(start, start + labels.size)  # gate j's frame columns
-        start = span.stop
+        born = t4.reshape(16, 16)[:, labels] if backward else None
+        span = slice(stops[j] - labels.size, stops[j])  # gate j's columns
         for cone, sources, fresh, read, offset, width in step:
             size = 4 ** len(cone) * width
             x = head[offset:offset + size] if offset < held \
@@ -569,18 +735,37 @@ def _sweep(arch: Architecture, transfers: np.ndarray, plan: _FramePlan,
                           x[:, at:at + part.shape[1]])
                 at += part.shape[1]
                 cols.append(members)
-            if fresh:  # unit vectors e_{S_k} over the cone {a, b}
+            if fresh:  # over the cone {a, b}
                 units = x[:, at:]
-                units[...] = 0.0
-                units[labels, np.arange(labels.size)] = 1.0
+                if backward:
+                    units[...] = born
+                else:
+                    units[...] = 0.0
+                    units[labels, np.arange(labels.size)] = 1.0
                 cols.append(np.arange(span.start, span.stop))
             cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
             groups[cone] = x, cols
-            if gram is not None:
-                block = x[read]
-                gram[cols, span] = block.T
-                gram[span, cols] = block
-    return groups
+            if gram is not None and at:  # the sources' columns
+                block = x[read, :at]
+                gram[span, cols[:at]] = born.T @ block if backward else block
+    forward, backward = halves
+    if gram is not None:
+        for join in plan.joins:
+            (xf, fcols), (xb, bcols) = forward[join.forward], \
+                backward[join.backward]
+            if join.meet != join.forward:
+                xf = xf[_meet_rows(join.forward, join.meet)]
+            if join.meet != join.backward:
+                xb = xb[_meet_rows(join.backward, join.meet)]
+            gram[np.ix_(fcols, bcols)] = xf.T @ xb
+        # every pair of columns was read into one of its two entries
+        for lo in range(0, len(gram), _STRIP):
+            rows = slice(lo, lo + _STRIP)
+            both = gram[rows, lo:] + gram[lo:, rows].T
+            gram[rows, lo:] = both
+            gram[lo:, rows] = both.T
+        np.fill_diagonal(gram, 1.0)
+    return forward
 
 
 def _assemble(n: int, width: int, groups: _Groups) -> np.ndarray:
@@ -601,37 +786,53 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     """The unitary frame by the forward sweep of ``_frame_plan``: column
     (j, k) is T_R ... T_{j+1} e_{S_k}.
 
-    A tall frame also reads its Gram matrix off the sweep.  The T_j are
-    orthogonal, so for j < j2 the inner product of columns (j, k) and
-    (j2, k2) of the frame equals the one just after gate j2, when column
-    (j2, k2) is still the unit vector e_{S_k2} on gate j2's wires: column
-    (j, k)'s coefficient on that Pauli string.  After each gate, every group
-    it writes gives those rows for the gate's kept labels (``_frame_plan``);
-    columns of groups it does not write are the identity on its wires and
-    have 0 there.  That is 15 reads per column of a written group.
+    A tall frame also reads its Gram matrix off the sweep split at gate h
+    (``_frame_plan``).  The T_j are orthogonal, so for j < j2 the inner
+    product of columns (j, k) and (j2, k2) of the frame equals the one just
+    after gate j2, when column (j2, k2) is still the unit vector e_{S_k2} on
+    gate j2's wires: column (j, k)'s coefficient on that Pauli string.  For
+    j2 < h the forward half reads it there: after each gate, every group it
+    writes gives those rows for the gate's kept labels.  Moved onto the
+    other column by the transposes, it is <e_{S_k}, T_{j+1}^T ... T_{j2}^T
+    e_{S_k2}> for h <= j, which the backward half reads at gate j as the
+    inner product of its born column T_j^T e_{S_k} with every group the
+    gate writes, over their 16 rows on its wires; and for j < h <= j2 it is
+    the join's <T_{h-1} ... T_{j+1} e_{S_k}, T_h^T ... T_{j2}^T e_{S_k2}>.
+    Columns of groups a read does not take are the identity on the gate's
+    wires and have 0 there, and a pair the join skips has no causal path
+    between its gates, so its forward read is 0 as well.  Two columns of
+    one gate pair as the unit vectors they are born as: 1 on the diagonal,
+    0 off it.
 
     Rounding and the unitarity defect of the gates keep the T_j from being
     exactly orthogonal.  Let tau be the largest Frobenius norm of the
     computed defects T_j^T T_j - I; with 128 eps for the rounding of that
-    product (eps = 2^-52), it bounds every ||T_j^T T_j - I||_2.  A computed
-    transfer adds at most gamma_16 ||T_j||_F <= 32 eps relative error to a
-    column.  So one gate moves the inner product of two columns by at most
-    rho = tau + 256 eps times their norms, no column norm grows past
-    (1 + rho)^(R/2), and R gates move it by at most (1 + rho)^R - 1 in all.
-    That bounds every entry of the read Gram matrix minus M^T M of the
-    returned frame, so C ((1 + rho)^R - 1) bounds its Frobenius norm and
-    its 2-norm (``gram_error``).  Pruning dead wires changes none of this:
-    a dropped row never feeds a kept row, so every kept row is computed by
-    the same transfers as before, and the bound holds as written.  A
-    non-finite transfer stack gives no Gram matrix: every frame entry is a
-    sum of products of the stack's entries, so a finite stack makes a
-    finite frame.
+    product (eps = 2^-52), it bounds every ||T_j^T T_j - I||_2, and so
+    every ||T_j T_j^T - I||_2, which has the same singular values.  A
+    computed transfer, or transposed transfer, adds at most
+    gamma_16 ||T_j||_F <= 32 eps relative error to a column.  So one gate
+    moves the inner product of two columns by at most rho = tau + 256 eps
+    times their norms, whether it applies T_j to both, T_j^T to both (with
+    a backward read's 16-term sum), or T_j to one column in place of T_j^T
+    to the other, which is exact but for the two roundings.  No column norm
+    grows past (1 + rho)^(R/2).  A forward read at gate j2 reaches the entry
+    of M^T M of the returned frame through the R - j2 - 1 later gates; a
+    backward read at gate j through j2 - j moves to that forward read and
+    one more; a join through j2 - h + 1.  The join's sum over the 4^m
+    strings of a meet of m wires adds gamma_{4^m} times the norms, with m
+    the widest meet (gamma = 0 without a join).  So every entry of the read
+    Gram matrix is within (1 + gamma) (1 + rho)^R - 1 of M^T M's, and C
+    times that bounds its Frobenius norm and its 2-norm (``gram_error``).
+    Pruning dead wires changes none of this: a dropped row never feeds a
+    kept row, so every kept row is computed by the same transfers as
+    before, and the bound holds as written.  A non-finite transfer stack
+    gives no Gram matrix: every frame entry is a sum of products of the
+    stack's entries, so a finite stack makes a finite frame.
 
-    A tall frame runs the pruned plan for its Gram matrix and releases the
-    sweep's arena on return; a wide frame runs no sweep here.  Every frame
-    keeps its transfer stack (2 KiB per gate), and reading its ``matrix``
-    runs the unpruned sweep once and assembles the matrix from its last
-    groups.
+    A tall frame runs the Gram read's plan and releases the sweep's arena
+    on return; a wide frame runs no sweep here.  Every frame keeps its
+    transfer stack (2 KiB per gate), and reading its ``matrix`` runs the
+    unpruned sweep once and assembles the matrix from its last groups.
     """
     rows, width = frame_shape(arch, "unitary")
     transfers = transfer_matrices(gates)
@@ -640,9 +841,13 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     gram, gram_error = None, 0.0
     if width < rows and np.isfinite(tau):
         gram = np.zeros((width, width))
-        rho = tau + 256 * np.finfo(np.float64).eps
-        gram_error = width * float(np.expm1(arch.gate_count * np.log1p(rho)))
-        _sweep(arch, transfers, _frame_plan(arch, prune=True), gram)
+        pruned = _frame_plan(arch, prune=True)
+        eps = np.finfo(np.float64).eps
+        meet = max((4 ** len(join.meet) for join in pruned.joins), default=0)
+        gram_error = width * float(np.expm1(
+            arch.gate_count * np.log1p(tau + 256 * eps)
+            + np.log1p(meet * eps / (1 - meet * eps))))
+        _sweep(arch, transfers, pruned, gram)
     plan = _frame_plan(arch)
 
     def assemble() -> np.ndarray:
@@ -679,13 +884,19 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     current cone only, and groups whose cones become equal merge
     (``_frame_plan``).  A column's rows with a non-identity letter outside
     its cone are exactly 0.  A tall frame (C < 4^n) with a finite transfer
-    stack carries its Gram matrix, read off the sweep at O(15 C) work per
-    gate with an error bound (``_unitary_frame``); that is all the Gram
-    route of ``numerical_rank`` reads.  Its sweep drops a wire from every
-    cone it moves after the wire's last gate, since no later read sees
-    that wire's other letters, and keeps no groups.  Every unitary frame,
-    tall or wide, forms its 4^n x C matrix only when ``matrix`` is read, by
-    one unpruned sweep.
+    stack carries its Gram matrix with an error bound (``_unitary_frame``);
+    that is all the Gram route of ``numerical_rank`` reads.  It is read off
+    two half sweeps that meet at a gate h the plan picks: the forward sweep
+    over gates 0..h-1, at O(15 C) work per gate, and a backward sweep over
+    gates R-1..h with the transposed transfer matrices, whose column (j, k)
+    is born as T_j^T e_{S_k}; then one product per pair of groups the two
+    halves hold at h whose cones meet.  On shapes where splitting saves no
+    work, h = R and the forward sweep alone reads it.  Each half drops a
+    wire from every cone it moves once it has passed the wire's gates,
+    since no later read nor the join sees that wire's other letters, and
+    keeps only the groups the join reads.  Every unitary frame, tall or
+    wide, forms its 4^n x C matrix only when ``matrix`` is read, by one
+    unpruned forward sweep.
 
     State mode sweeps forward over a stack of complex 2^n vectors: gate j
     applies u_j to the columns built so far, advances psi by u_j, then
@@ -787,6 +998,16 @@ def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
                         gram_margin=float(low / (floor * high)))
 
 
+def _check_tolerances(tol_pair: tuple[float, float]) -> tuple[float, float]:
+    """The (loose, tight) pair, or ValidationError unless
+    eps <= tight <= loose < 1."""
+    loose, tight = tol_pair
+    if not np.finfo(float).eps <= tight <= loose < 1.0:
+        raise ValidationError("tolerances must satisfy eps <= tight <= loose"
+                              f" < 1, got (loose, tight) = {tol_pair}")
+    return loose, tight
+
+
 def numerical_rank(frame: TangentFrame | np.ndarray,
                    tol_pair: tuple[float, float] = DEFAULT_TOLERANCES,
                    ) -> RankEstimate:
@@ -813,10 +1034,7 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     by construction (see ``tangent_frame``).  The tolerances must satisfy
     eps <= tight <= loose < 1.
     """
-    loose, tight = tol_pair
-    if not np.finfo(float).eps <= tight <= loose < 1.0:
-        raise ValidationError("tolerances must satisfy eps <= tight <= loose"
-                              f" < 1, got (loose, tight) = {tol_pair}")
+    loose, tight = _check_tolerances(tol_pair)
     gram = frame.gram if isinstance(frame, TangentFrame) else None
     if gram is not None and gram.size:
         est = _gram_estimate(gram, tol_pair, frame.gram_error)
@@ -941,11 +1159,13 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
     All samples must agree at both tolerances; any disagreement is surfaced
     as an inconclusive report, never averaged away.  Per-sample seeds derive
     from ``seed`` by counter.  A frame over ``MEMORY_BUDGET`` raises
-    SizeLimit before the first sample is drawn.
+    SizeLimit, and a tolerance pair ``numerical_rank`` would refuse raises
+    ValidationError, before the first sample is drawn.
     """
     check_mode(mode)
     if samples < 3:
         raise ValidationError(f"need at least 3 samples, got {samples}")
+    _check_tolerances(tolerances)
     _check_size(arch, mode)
 
     def one(i: int) -> RankEstimate:

@@ -168,7 +168,9 @@ class WitnessCertificate:
         d = {
             "n": self.n,
             "mode": self.mode,
-            "gates": [c.to_json_ops() for c in self.gate_circuits],
+            # most gates of a witness are empty circuits
+            "gates": [c.to_json_ops() if c.gates else []
+                      for c in self.gate_circuits],
             "slices": [
                 {
                     "start": s.start,

@@ -7,8 +7,9 @@ matrix from traces, the per-column perturbation operator behind
 slice's tableau composed gate by gate, the tableau symplecticity check, a
 path-tree walk, a qubit's forward reach, a circuit pre-composed onto a
 tableau by testing every bit of its ``circuit_images``, the witness rank from
-phase-free symplectic images alone and the Gram certificate of a plain
-matrix from its product M^T M.  The dense bridge from Clifford
+phase-free symplectic images alone, the Gram certificate of a plain
+matrix from its product M^T M and the split Gram read over whole 4^n-row
+Pauli vectors.  The dense bridge from Clifford
 circuits to matrices lives here too: the elementary gate matrices, a
 circuit's unitary and the SU(4) gate assignment of a witness point; the
 library itself keeps circuits as tableaux only.  None has a size guard;
@@ -322,3 +323,60 @@ def gram_certificate(mat: np.ndarray,
     gram = mat.T @ mat
     read_error = mat.shape[0] * np.finfo(np.float64).eps * np.trace(gram)
     return _gram_estimate(gram, tol_pair, read_error)
+
+
+def _pauli_transfer(vecs: np.ndarray, t: np.ndarray, wires: tuple[int, int],
+                    n: int) -> np.ndarray:
+    """A 16 x 16 transfer matrix t over the labels of ``wires`` (the first
+    wire leading) applied to the 4^n-row Pauli vectors ``vecs``."""
+    a, b = wires
+    out = np.tensordot(t.reshape(4, 4, 4, 4), vecs.reshape([4] * n + [-1]),
+                       axes=([2, 3], [a - 1, b - 1]))
+    return np.moveaxis(out, (0, 1), (a - 1, b - 1)).reshape(vecs.shape)
+
+
+def split_gram(arch: Architecture, transfers: np.ndarray,
+               kept: Sequence[np.ndarray], split: int) -> np.ndarray:
+    """The unitary frame's Gram matrix read the split way at h = ``split``,
+    over whole 4^n-row Pauli vectors: no light cones, no dropped wires.
+
+    Gates 0..h-1 run forward: gate j applies T_j to the columns so far,
+    appends its kept unit vectors e_{j,k}, and reads every column's
+    coefficients on them.  Gates R-1..h run backward: gate j applies T_j^T
+    to the columns so far, appends T_j^T e_{j,k}, and takes the inner
+    products of those with every column.  The forward and backward columns
+    left at h give the cross block.  ``kept[j]`` holds gate j's kept
+    generator indices (into the 15)."""
+    n, end = arch.n, arch.gate_count
+    starts = np.cumsum([0] + [k.size for k in kept])
+    width = int(starts[-1])
+    gram = np.zeros((width, width))
+
+    def units(j):
+        a, b = arch.gates[j]
+        labels = kept[j] + 1
+        out = np.zeros((4 ** n, labels.size))
+        out[labels // 4 * 4 ** (n - a) + labels % 4 * 4 ** (n - b),
+            np.arange(labels.size)] = 1.0
+        return out
+
+    halves = []
+    for order, flip in ((range(split), False),
+                        (range(end - 1, split - 1, -1), True)):
+        vecs, cols = np.zeros((4 ** n, 0)), np.zeros(0, dtype=np.intp)
+        for j in order:
+            t = transfers[j].T if flip else transfers[j]
+            born = units(j)
+            if flip:
+                born = _pauli_transfer(born, t, arch.gates[j], n)
+            vecs = np.hstack([_pauli_transfer(vecs, t, arch.gates[j], n),
+                              born])
+            cols = np.concatenate([cols, np.arange(starts[j], starts[j + 1])])
+            block = born.T @ vecs
+            gram[np.ix_(np.arange(starts[j], starts[j + 1]), cols)] = block
+            gram[np.ix_(cols, np.arange(starts[j], starts[j + 1]))] = block.T
+        halves.append((vecs, cols))
+    (fvecs, fcols), (bvecs, bcols) = halves
+    gram[np.ix_(fcols, bcols)] = fvecs.T @ bvecs
+    gram[np.ix_(bcols, fcols)] = bvecs.T @ fvecs
+    return gram

@@ -44,6 +44,7 @@ from reference import (
     pauli_transfer_matrix,
     perturbation_operator,
     slice_tableau,
+    split_gram,
 )
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -359,6 +360,21 @@ def test_peak_estimate_bounds_the_traced_peak(arch):
         finally:
             tracemalloc.stop()
         assert peak <= peak_bytes(arch, job) + _OBJECT_SLACK, job
+
+
+def test_the_plan_splits_the_gram_read_only_where_it_saves_work():
+    # dim --family brickwork --n 6 --t 1, one of the traced-peak cases
+    # above with staircase(6, 12), random6x40 and staircase5x20, splits;
+    # dim-wide's staircase frames and every tall frame on 3 qubits, as in
+    # sweep-ramp, keep the forward read
+    for arch in (brickwork(6, 6), staircase(6, 12), random_adjacent(6, 40, 1),
+                 staircase(5, 20)):
+        assert 0 < contraction._frame_plan(arch, prune=True).split \
+            < arch.gate_count
+    for arch in (staircase(6, 2), staircase(7, 1), staircase(3, 1),
+                 staircase(3, 2), staircase(3, 3)):
+        assert contraction._frame_plan(arch, prune=True).split \
+            == arch.gate_count
 
 
 def test_contract_state_basics():
@@ -761,19 +777,24 @@ def _gram_gap(gram, mat):
     return np.linalg.norm(gram - mat.T @ mat, 2) if gram.size else 0.0
 
 
-def _plan_spans(arch, prune):
-    """(first step, last step, offset, size, head) of every group of the
-    plan, read back from its moves."""
-    plan = contraction._frame_plan(arch, prune=prune)
+def _plan_spans(arch, prune, split=None):
+    """(first step, last step, offset, size) of every group of the plan,
+    read back from its moves: a group lives to the end when the unpruned
+    sweep ends with it or the join reads it."""
+    plan = contraction._frame_plan(arch, prune=prune, split=split)
+    joined = {(False, join.forward) for join in plan.joins} \
+        | {(True, join.backward) for join in plan.joins}
     spans, groups = [], {}
-    for j, step in enumerate(plan.steps):
+    for s, step in enumerate(plan.steps):
+        half = s >= plan.split  # the backward half's groups are its own
         for move in step:
             for src in move.sources:
-                spans[groups.pop(src)][1] = j
-            groups[move.cone] = len(spans)
-            size = 4 ** len(move.cone) * move.width
-            spans.append([j, j if prune else arch.gate_count, move.offset,
-                          size])
+                spans[groups.pop((half, src))][1] = s
+            groups[half, move.cone] = len(spans)
+            spans.append([s, s, move.offset, 4 ** len(move.cone) * move.width])
+    for key, i in groups.items():
+        if not prune or key in joined:
+            spans[i][1] = arch.gate_count
     return plan, spans
 
 
@@ -789,37 +810,50 @@ PLAN_CASES = SWEEP_CASES + [
 @pytest.mark.parametrize("build", PLAN_CASES)
 def test_live_groups_never_overlap_in_the_arena(build, prune):
     arch = build()
-    plan, spans = _plan_spans(arch, prune)
-    for i, (first, last, offset, size) in enumerate(spans):
-        assert 0 <= offset and offset + size <= plan.arena
-        # the head holds exactly the groups the sweep ends with
-        if last == arch.gate_count:
-            assert offset + size <= plan.held
-        else:
-            assert offset >= plan.held or offset + size <= plan.held
-        for first2, last2, offset2, size2 in spans[:i]:
-            if first <= last2 and first2 <= last:
-                assert offset + size <= offset2 or offset2 + size2 <= offset
-    if prune:
-        assert plan.held == 0
-    else:
+    end = arch.gate_count
+    # the chosen split, a pure backward sweep and the middle one
+    splits = {None, 0, end // 2} if prune else {None}
+    for split in splits:
+        plan, spans = _plan_spans(arch, prune, split)
+        for i, (first, last, offset, size) in enumerate(spans):
+            assert 0 <= offset and offset + size <= plan.arena
+            # the head holds exactly the groups the sweep ends with
+            if last == end:
+                assert offset + size <= plan.held
+            else:
+                assert offset >= plan.held or offset + size <= plan.held
+            for first2, last2, offset2, size2 in spans[:i]:
+                if first <= last2 and first2 <= last:
+                    assert offset + size <= offset2 \
+                        or offset2 + size2 <= offset
         assert plan.held == sum(size for first, last, offset, size in spans
-                                if last == arch.gate_count)
+                                if last == end)
+        if prune:  # only the join's groups outlive the pruned sweep
+            assert bool(plan.held) == bool(plan.joins)
 
 
 @pytest.mark.parametrize("build", PLAN_CASES)
 def test_pruned_groups_hold_no_passed_wire(build):
-    # no group written after a wire's last gate contains that wire; the
-    # unpruned plan keeps every wire of a column's forward light cone
+    # no group written after a wire's last gate (forward) or before its
+    # first gate (backward) contains that wire; the unpruned plan keeps
+    # every wire of a column's forward light cone
     arch = build()
+    end = arch.gate_count
     last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
-    pruned, full = (contraction._frame_plan(arch, prune=prune)
-                    for prune in (True, False))
+    first = {q: j for j, gate in reversed(list(enumerate(arch.gates)))
+             for q in gate}
+    pruned, full = (contraction._frame_plan(arch, prune=True, split=end),
+                    contraction._frame_plan(arch))
     dropped = False
     for j, (step, full_step) in enumerate(zip(pruned.steps, full.steps)):
         for move in step:
             assert all(last[w] >= j for w in move.cone)
         dropped |= any(last[w] < j for move in full_step for w in move.cone)
+    backward = contraction._frame_plan(arch, prune=True, split=0)
+    for j, step in zip(range(end - 1, -1, -1), backward.steps):
+        for move in step:
+            assert all(first[w] <= j for w in move.cone)
+            assert arch.gates[j][0] in move.cone
     # fewer entries written exactly when the unpruned plan moves a wire on
     # after its last gate
     written = [sum(4 ** len(move.cone) * move.width
@@ -827,10 +861,11 @@ def test_pruned_groups_hold_no_passed_wire(build):
                for plan in (pruned, full)]
     assert (written[0] < written[1]) == dropped
     assert written[0] <= written[1]
-    for field in ("kept", "labels"):
-        assert all(np.array_equal(x, y) for x, y in
-                   zip(getattr(pruned, field), getattr(full, field)))
-    assert np.array_equal(pruned.record, full.record)
+    for plan in (pruned, backward, contraction._frame_plan(arch, prune=True)):
+        for field in ("kept", "labels"):
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(getattr(plan, field), getattr(full, field)))
+        assert np.array_equal(plan.record, full.record)
 
 
 @pytest.mark.parametrize("build", SWEEP_CASES)
@@ -855,6 +890,67 @@ def test_pruned_gram_matches_the_unpruned_sweep(build):
         assert "matrix" not in frame.__dict__
         ref = _scatter_reference_unitary_frame(arch, gates)
         assert np.abs(frame.matrix - ref).max(initial=0.0) < 1e-12
+
+
+def _split_frame(monkeypatch, arch, gates, split):
+    """The unitary frame whose Gram read splits the gates at ``split``."""
+    plan = contraction._frame_plan
+    monkeypatch.setattr(
+        contraction, "_frame_plan",
+        lambda arch, prune=False: plan(arch, prune=prune,
+                                       split=split if prune else None))
+    try:
+        return tangent_frame(arch, gates)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("build", SWEEP_CASES)
+def test_every_split_reads_the_gram_matrix_within_its_bound(build,
+                                                            monkeypatch):
+    # Every split h, from the backward sweep alone (h = 0) to the forward
+    # one (h = R), reads a Gram matrix within gram_error of M^T M and of
+    # the forward read, and certifies the same ranks by the same route.
+    arch = build()
+    rows, cols = frame_shape(arch, "unitary")
+    end = arch.gate_count
+    gates = GateAssignment.haar(arch, 27)
+    whole = _split_frame(monkeypatch, arch, gates, end)
+    want = numerical_rank(whole)
+    for split in range(end + 1):
+        frame = _split_frame(monkeypatch, arch, gates, split)
+        if cols >= rows:
+            assert frame.gram is None
+            continue
+        assert _gram_gap(frame.gram, whole.matrix) <= frame.gram_error
+        if cols:
+            assert np.linalg.norm(frame.gram - whole.gram, 2) \
+                <= frame.gram_error
+        assert frame.gram_error >= whole.gram_error
+        got = numerical_rank(frame)
+        assert (got.route, got.loose_rank, got.tight_rank) == \
+            (want.route, want.loose_rank, want.tight_rank)
+
+
+@pytest.mark.parametrize("build", SWEEP_CASES)
+def test_split_gram_matches_the_dense_reference(build):
+    # the light-cone groups, dropped wires and join of every split read
+    # what whole 4^n-row vectors read, to rounding
+    arch = build()
+    cols = frame_shape(arch, "unitary")[1]
+    end = arch.gate_count
+    transfers = transfer_matrices(GateAssignment.haar(arch, 28))
+    kept = contraction._frame_plan(arch).kept
+    splits = set(range(end + 1))
+    if end > 18:  # the reference takes about 0.15 s a split on brickwork-6-6
+        splits = {0, 1, end // 2, end - 1, end,
+                  contraction._frame_plan(arch, prune=True).split}
+    for split in splits:
+        gram = np.zeros((cols, cols))
+        contraction._sweep(arch, transfers, contraction._frame_plan(
+            arch, prune=True, split=split), gram)
+        ref = split_gram(arch, transfers, kept, split)
+        assert np.abs(gram - ref).max(initial=0.0) < 1e-13
 
 
 def _count_sweeps(monkeypatch, arch):
@@ -1182,6 +1278,30 @@ def _fd_jacobian_rank(arch, gates, eps=1e-5):
     m = np.stack(cols, axis=1)
     sv = np.linalg.svd(m, compute_uv=False)
     return int((sv > 1e-6 * sv[0]).sum())
+
+
+@pytest.mark.parametrize("tolerances", [(2.0, 1e-10), (1e-10, 1e-6),
+                                        (1e-17, 1e-17), (np.nan, 1e-10)],
+                         ids=["above-one", "swapped", "below-eps", "nan"])
+def test_a_refused_tolerance_pair_builds_no_frame(tolerances, monkeypatch):
+    # the pair is checked beside the mode and the sample count, before the
+    # first Haar sample's frame and its Gram sweep
+    built = []
+    frame = contraction.tangent_frame
+
+    def counted(*args):
+        built.append(args)
+        return frame(*args)
+
+    monkeypatch.setattr(contraction, "tangent_frame", counted)
+    with pytest.raises(ValidationError) as info:
+        accessible_dimension(brickwork(6, 6), "unitary", 3, 0, tolerances)
+    assert built == []
+    with pytest.raises(ValidationError) as direct:
+        numerical_rank(np.eye(2), tolerances)
+    assert str(info.value) == str(direct.value)
+    accessible_dimension(staircase(3, 1), "unitary", 3, 0)
+    assert len(built) == 3
 
 
 def test_accessible_dimension_sample_constancy():

@@ -882,6 +882,27 @@ def test_witness_certificates_match_golden_digest():
     assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
 
 
+def test_certificate_json_writes_ops_of_nonempty_circuits_only(monkeypatch):
+    # a witness leaves most gates empty; their op lists are fresh lists,
+    # written without a to_json_ops call
+    cert = witness_point(build_family("brickwork", 8, 3), "state")
+    calls = []
+    to_ops = CliffordCircuit.to_json_ops
+
+    def counted(circuit):
+        calls.append(circuit)
+        return to_ops(circuit)
+
+    monkeypatch.setattr(CliffordCircuit, "to_json_ops", counted)
+    gates = cert.to_json_dict()["gates"]
+    busy = [c for c in cert.gate_circuits if c.gates]
+    assert calls == busy and len(busy) < len(gates)
+    assert gates == [to_ops(c) for c in cert.gate_circuits]
+    empty = [ops for ops in gates if not ops]
+    assert len({id(ops) for ops in empty}) == len(empty) > 1
+    assert cert.to_json_dict()["gates"][0] is not gates[0]
+
+
 def test_witness_q_selection_is_lexicographically_minimal():
     arch = staircase(2, 3)
     cert = witness_point(arch, "unitary")
