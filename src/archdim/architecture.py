@@ -94,10 +94,11 @@ class Architecture:
         """Architecture from parsed JSON: an object whose ``n`` is an
         integer, whose ``gates`` is a list of integer pairs and whose
         optional ``boundaries`` is a list of integers.  Integers must be
-        JSON integers (``json_int``); any other shape raises
-        ValidationError."""
+        JSON integers (``json_int``); any other shape, a missing ``n`` or
+        ``gates`` among them, raises ValidationError."""
         json_typed(d, dict, "an architecture")
-        gates, boundaries = json_typed(d["gates"], list, "gates"), d.get("boundaries")
+        gates = json_typed(d.get("gates"), list, "gates")
+        boundaries = d.get("boundaries")
         for i, gate in enumerate(gates):
             if not isinstance(gate, list) or len(gate) != 2:
                 raise ValidationError(
@@ -105,7 +106,7 @@ class Architecture:
         if boundaries is not None:
             json_typed(boundaries, list, "boundaries")
         return cls(
-            json_int(d["n"], "n"),
+            json_int(d.get("n"), "n"),
             tuple((json_int(a, "gate wire"), json_int(b, "gate wire"))
                   for a, b in gates),
             tuple(json_int(x, "boundary") for x in boundaries)

@@ -51,10 +51,6 @@ _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 # this many bytes, so that the allocator reuses the temporaries.
 _STACK_CHUNK = 4 * 2 ** 20
 
-# The Gram read completes its matrix from each pair's one entry this many
-# rows at a time, so that no C x C temporary is made.
-_STRIP = 256
-
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
 # gauge-fixed frame.  A single-qubit generator on a wire that a later gate
 # also acts on is dropped (see ``tangent_frame``): XI, YI, ZI for wire a,
@@ -75,7 +71,11 @@ _SWAPPED = np.array([4 * (label % 4) + label // 4 for label in range(16)])
 
 
 def subseed(seed: int, *key: int) -> int:
-    """Deterministic 64-bit child seed for (seed, key...)."""
+    """Deterministic 64-bit child seed for (seed, key...).  A seed that is
+    not a nonnegative integer raises ValidationError: a float or a bool is
+    refused, never truncated."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     ss = np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))
@@ -111,11 +111,11 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     C x C Gram matrix throughout.  It runs the Gram read's plan first: one
     arena holds the forward half's groups, then the groups the join reads
     beside the backward half's, and the plan's scratch covers one
-    transfer's or read's temporaries, one joined pair's row copies and
-    product, or a strip of the Gram matrix.  The arena is gone when the sweep
-    returns, and the certificate takes up to three more C x C arrays.  An
-    estimate whose frame terms alone exceed ``MEMORY_BUDGET`` returns
-    before the sweep's plans are built."""
+    transfer's or read's temporaries or one joined pair's row copies and
+    product.  The arena is gone when the sweep returns, and the
+    certificate takes up to three more C x C arrays.  An estimate whose
+    frame terms alone exceed ``MEMORY_BUDGET`` returns before the sweep's
+    plans are built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -322,14 +322,14 @@ _Cone = tuple[int, ...]  # 1-based qubits, ascending
 
 class _Move(NamedTuple):
     """One group a gate writes: its cone, the cones of the groups merged
-    into it, whether the gate's own kept columns join it (last), the
-    group's rows the Gram read takes (the gate's kept labels forward, all
-    16 labels backward), its offset in the sweep's arena (in float64
-    entries) and its column count."""
+    into it, the group's rows the Gram read takes (those that are the
+    identity off the gate's wires, ``_meet_rows``: at the gate's kept
+    labels forward, all 16 backward), its offset in the sweep's arena (in
+    float64 entries) and its column count.  The group over the gate's own
+    wires also takes the gate's kept columns, last."""
 
     cone: _Cone
     sources: tuple[_Cone, ...]
-    fresh: bool
     read: np.ndarray
     offset: int
     width: int
@@ -355,13 +355,13 @@ class _FramePlan:
     ``steps`` the groups each gate writes, in sweep order: gates 0 to
     ``split`` - 1 forward, then gates R - 1 down to ``split`` backward
     (none when ``split`` is R).  Row r of a group over cone c is the Pauli
-    string that is the identity off c; a move's read rows put a label on
-    the gate's wires and the identity on the rest of c.  ``joins`` pairs
-    the groups the two halves meet with.  ``arena`` counts the float64
-    entries of the arena that holds every group, ``held`` those of its
-    head, which holds the groups an unpruned sweep ends with or those a
-    pruned one joins, and ``scratch`` bounds the entries one transfer's,
-    read's or join's temporaries take beside it.
+    string that is the identity off c; a move's read rows are the meet
+    rows of the gate's wires, the strings that are the identity off them.
+    ``joins`` pairs the groups the two halves meet with.  ``arena`` counts
+    the float64 entries of the arena that holds every group, ``held`` those
+    of its head, which holds the groups an unpruned sweep ends with or
+    those a pruned one joins, and ``scratch`` bounds the entries one
+    transfer's, read's or join's temporaries take beside it.
     """
 
     kept: tuple[np.ndarray, ...]
@@ -410,8 +410,10 @@ def _first_fit(spans: list[tuple[int, int, int]],
 
 
 # Plans repeat across a frame's Haar samples and across calls on the same
-# architecture; the benchmark's dim-wide ops use four architectures, and a
-# tall one takes two entries, its pruned and its unpruned plan.
+# architecture.  The benchmark's dim-wide ops use nine architectures, its
+# three dim shapes and the sweep's staircase(3, 1..6), and ``peak_bytes``
+# builds both plans, pruned and unpruned, of each of the six tall ones: 15
+# entries.
 @functools.lru_cache(maxsize=128)
 def _frame_plan(arch: Architecture, *, prune: bool = False,
                 split: int | None = None) -> _FramePlan:
@@ -449,10 +451,10 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     transfer between cone positions next to each other is a matmul into
     its group; it copies the slice of its source when it drops a wire.
     Wires apart in the cone take tensordot, which also copies its input
-    and output.  A backward read copies 16 rows and writes a block of the
-    gate's width, and a join copies the meet's rows of both groups, unless
-    the meet is the whole cone, and their product.  ``scratch`` is the
-    largest sum.
+    and output.  A read copies its rows, 16 backward, where it also makes
+    their product with the gate's born columns; and a join copies the
+    meet's rows of both groups, unless the meet is the whole cone, and
+    their product.  ``scratch`` is the largest sum.
     """
     end = arch.gate_count
     last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
@@ -475,7 +477,7 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     groups: dict[tuple[bool, _Cone], int] = {}  # (half, cone) -> spans index
     spans: list[list[int]] = []  # [first step, last step, size] per group
     for s, step in enumerate(taken):
-        for cone, sources, _, _, width in step.moves:
+        for cone, sources, _, width in step.moves:
             for src in sources:
                 spans[groups.pop((s >= split, src))][1] = s
             groups[s >= split, cone] = len(spans)
@@ -488,30 +490,26 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     record = np.array([(j, k) for j, kept in enumerate(kept_all) for k in kept],
                       dtype=np.intp).reshape(-1, 2)
     record.flags.writeable = False
-    # one joined pair's row copies and product, or a strip of the Gram
-    # matrix
+    # one joined pair's row copies and product
     ahead, behind = _alive(forward, backward, split)
     scratch = max([step.scratch for step in taken]
                   + [4 ** len(meet) * (ahead[f] * (meet != f)
                                        + behind[b] * (meet != b))
-                     + ahead[f] * behind[b] for f, b, meet in meets]
-                  + [prune * _STRIP * len(record)])
+                     + ahead[f] * behind[b] for f, b, meet in meets],
+                  default=0)
     return _FramePlan(
         kept=tuple(kept_all), record=record,
-        steps=tuple(tuple(_Move(cone, sources, fresh, read, next(at), width)
-                          for cone, sources, fresh, read, width in step.moves)
+        steps=tuple(tuple(_Move(cone, sources, read, next(at), width)
+                          for cone, sources, read, width in step.moves)
                     for step in taken),
         labels=tuple(labels_all), arena=arena, held=held, scratch=scratch,
         split=split, joins=tuple(_Join(*meet) for meet in meets))
 
 
-_ALL_LABELS = np.arange(16)
-
-
 class _Step(NamedTuple):
-    """One gate of a half sweep: its moves (cone, sources, fresh, read,
-    width), their multiply-adds and temporaries, and the widths of the
-    groups after it."""
+    """One gate of a half sweep: its moves (cone, sources, read, width),
+    their multiply-adds and temporaries, and the widths of the groups after
+    it."""
 
     moves: list[tuple]
     madds: int
@@ -540,12 +538,11 @@ def _half_plan(arch: Architecture, labels_all: list[np.ndarray],
         for cone in [c for c in widths if a in c or b in c]:
             live = {q for q in cone if not prune or final[q] >= s}
             moves.setdefault(tuple(sorted(live | {a, b})), []).append(cone)
-        fresh = (lo, hi)
-        moves.setdefault(fresh, [])
+        moves.setdefault((lo, hi), [])
         step, madds, scratch = [], 0, 0
         for cone, sources in moves.items():
             apart = cone.index(hi) > cone.index(lo) + 1
-            width = labels.size if cone == fresh else 0
+            width = labels.size if cone == (lo, hi) else 0
             for src in sources:
                 count = widths.pop(src)
                 width += count
@@ -555,15 +552,15 @@ def _half_plan(arch: Architecture, labels_all: list[np.ndarray],
                               + (size_in + 4 ** len(cone) * count) * apart)
                 madds += 4 ** (len(cone) + (lo in src) + (hi in src)) * count
             widths[cone] = width
-            tail = len(cone) - 1
-            read = _ALL_LABELS if backward else labels
-            read = read // 4 * 4 ** (tail - cone.index(lo)) \
-                + read % 4 * 4 ** (tail - cone.index(hi))
-            read.flags.writeable = False
+            read = _meet_rows(cone, (lo, hi))
             if backward:
                 madds += 16 * labels.size * width
-                scratch = max(scratch, (16 + labels.size) * width)
-            step.append((cone, tuple(sources), cone == fresh, read, width))
+            else:
+                read = read[labels]
+                read.flags.writeable = False
+            scratch = max(scratch,
+                          prune * (16 * backward + labels.size) * width)
+            step.append((cone, tuple(sources), read, width))
         steps.append(_Step(step, madds, scratch, dict(widths)))
     return steps
 
@@ -700,15 +697,15 @@ def _sweep(arch: Architecture, transfers: np.ndarray, plan: _FramePlan,
     is freed, the two free blocks join into one that takes the SVD's copy
     of the matrix.  Every group a gate writes is a view at its planned
     offset.  Each source group's transfer writes straight into its column
-    range, and the gate's kept columns fill the tail: unit vectors forward,
-    the kept columns of T_j^T backward.  A forward read takes the group's
-    rows of the gate's kept labels; a backward one takes the product of
-    the gate's kept columns with the group's rows of all 16 labels.  The
-    join writes the product of each joined pair's rows of their meet.  So
-    every pair of columns of different gates is read into one of its two
-    entries, once; a strip of rows at a time then completes the other, and
-    the diagonal is 1, a born unit vector against itself (the pairs of one
-    gate's columns read 0)."""
+    range, and the group over the gate's wires takes the gate's born
+    columns in its tail: the kept columns of I forward, of T_j^T backward.
+    A forward read takes the group's rows of the gate's kept labels; a
+    backward one takes the product of the born columns with the group's
+    rows of all 16 labels.  The join takes the product of each joined
+    pair's rows of their meet.  Each read and join writes its block into
+    both entries of its pairs, and every pair of columns of different
+    gates is read once; the diagonal is 1, a born unit vector against
+    itself (the pairs of one gate's columns read 0)."""
     held, split = plan.held, plan.split
     rest, head = np.empty(plan.arena - held), np.empty(held)
     stops = list(itertools.accumulate(kept.size for kept in plan.kept))
@@ -721,9 +718,9 @@ def _sweep(arch: Architecture, transfers: np.ndarray, plan: _FramePlan,
         t4 = (transfers[j].T if backward else transfers[j]).reshape(4, 4, 4, 4)
         if a > b:  # the lower wire leads, as in the plan's labels
             a, b, t4 = b, a, t4.transpose(1, 0, 3, 2)
-        born = t4.reshape(16, 16)[:, labels] if backward else None
+        born = (t4.reshape(16, 16) if backward else np.eye(16))[:, labels]
         span = slice(stops[j] - labels.size, stops[j])  # gate j's columns
-        for cone, sources, fresh, read, offset, width in step:
+        for cone, sources, read, offset, width in step:
             size = 4 ** len(cone) * width
             x = head[offset:offset + size] if offset < held \
                 else rest[offset - held:offset - held + size]
@@ -735,19 +732,15 @@ def _sweep(arch: Architecture, transfers: np.ndarray, plan: _FramePlan,
                           x[:, at:at + part.shape[1]])
                 at += part.shape[1]
                 cols.append(members)
-            if fresh:  # over the cone {a, b}
-                units = x[:, at:]
-                if backward:
-                    units[...] = born
-                else:
-                    units[...] = 0.0
-                    units[labels, np.arange(labels.size)] = 1.0
+            if cone == (a, b):  # the gate's own group
+                x[:, at:] = born
                 cols.append(np.arange(span.start, span.stop))
             cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
             groups[cone] = x, cols
             if gram is not None and at:  # the sources' columns
-                block = x[read, :at]
-                gram[span, cols[:at]] = born.T @ block if backward else block
+                block = born.T @ x[read, :at] if backward else x[read, :at]
+                gram[span, cols[:at]] = block
+                gram[cols[:at], span] = block.T
     forward, backward = halves
     if gram is not None:
         for join in plan.joins:
@@ -757,13 +750,8 @@ def _sweep(arch: Architecture, transfers: np.ndarray, plan: _FramePlan,
                 xf = xf[_meet_rows(join.forward, join.meet)]
             if join.meet != join.backward:
                 xb = xb[_meet_rows(join.backward, join.meet)]
-            gram[np.ix_(fcols, bcols)] = xf.T @ xb
-        # every pair of columns was read into one of its two entries
-        for lo in range(0, len(gram), _STRIP):
-            rows = slice(lo, lo + _STRIP)
-            both = gram[rows, lo:] + gram[lo:, rows].T
-            gram[rows, lo:] = both
-            gram[lo:, rows] = both.T
+            pairs = np.ix_(fcols, bcols)
+            gram[pairs] = gram.T[pairs] = xf.T @ xb
         np.fill_diagonal(gram, 1.0)
     return forward
 
@@ -798,11 +786,12 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     inner product of its born column T_j^T e_{S_k} with every group the
     gate writes, over their 16 rows on its wires; and for j < h <= j2 it is
     the join's <T_{h-1} ... T_{j+1} e_{S_k}, T_h^T ... T_{j2}^T e_{S_k2}>.
-    Columns of groups a read does not take are the identity on the gate's
-    wires and have 0 there, and a pair the join skips has no causal path
-    between its gates, so its forward read is 0 as well.  Two columns of
-    one gate pair as the unit vectors they are born as: 1 on the diagonal,
-    0 off it.
+    Each read and join writes both entries of the pairs it reads.  Columns
+    of groups a read does not take are the identity on the gate's wires
+    and have 0 there, and a pair the join skips has no causal path between
+    its gates, so its forward read is 0 as well.  Two columns of one gate
+    pair as the unit vectors they are born as: 1 on the diagonal, 0 off
+    it.
 
     Rounding and the unitarity defect of the gates keep the T_j from being
     exactly orthogonal.  Let tau be the largest Frobenius norm of the
@@ -1159,7 +1148,8 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
     All samples must agree at both tolerances; any disagreement is surfaced
     as an inconclusive report, never averaged away.  Per-sample seeds derive
     from ``seed`` by counter.  A frame over ``MEMORY_BUDGET`` raises
-    SizeLimit, and a tolerance pair ``numerical_rank`` would refuse raises
+    SizeLimit, and a tolerance pair ``numerical_rank`` would refuse or a
+    seed that is not a nonnegative integer (``subseed``) raises
     ValidationError, before the first sample is drawn.
     """
     check_mode(mode)

@@ -123,7 +123,8 @@ def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
     Inconclusive consensus ranks propagate as empty dimension cells; the
     sweep continues and the ramp check skips them.  The witness rank is
     exact (``witness_rank``), so its cell is never empty.  A frame over the
-    memory budget raises SizeLimit before its first Haar sample.
+    memory budget raises SizeLimit, and a seed that is not a nonnegative
+    integer ValidationError, before its first Haar sample.
     """
     if t_max < 1:
         raise ValidationError(f"t_max must be positive, got {t_max}")

@@ -197,32 +197,34 @@ class WitnessCertificate:
     @classmethod
     def from_json_dict(cls, d: object) -> WitnessCertificate:
         """Certificate from parsed JSON in the ``to_json_dict`` layout; any
-        other shape, a non-integer number, an unknown mode or bad state bits
-        raise ValidationError."""
-        n = json_int(json_typed(d, dict, "a certificate")["n"], "n")
+        other shape, a missing field among them, a non-integer number, an
+        unknown mode or bad state bits raise ValidationError.  A missing
+        field is read as null, which its check refuses by name."""
+        n = json_int(json_typed(d, dict, "a certificate").get("n"), "n")
         circuits = tuple(CliffordCircuit.from_json_ops(2, ops)
-                         for ops in json_typed(d["gates"], list, "gates"))
+                         for ops in json_typed(d.get("gates"), list, "gates"))
         slices = tuple(
-            SliceRecord(json_int(s["start"], "slice start"),
-                        json_int(s["stop"], "slice stop"),
-                        json_int(s["sink"], "slice sink"),
-                        PauliString.from_label(s["q"]),
-                        json_int(s["insertion_gate"], "insertion gate"))
+            SliceRecord(json_int(s.get("start"), "slice start"),
+                        json_int(s.get("stop"), "slice stop"),
+                        json_int(s.get("sink"), "slice sink"),
+                        PauliString.from_label(s.get("q")),
+                        json_int(s.get("insertion_gate"), "insertion gate"))
             for s in (json_typed(s, dict, "a slice")
-                      for s in json_typed(d["slices"], list, "slices")))
-        mode = d["mode"]  # checked first: it fixes the directions' layout
+                      for s in json_typed(d.get("slices"), list, "slices")))
+        mode = d.get("mode")  # checked first: it fixes the directions' layout
         check_mode(mode, "certificate mode")
-        entries = json_typed(d["directions"], list, "directions")
+        entries = json_typed(d.get("directions"), list, "directions")
         if mode == "unitary":
             return cls(n, mode, circuits, slices, directions=tuple(
                 PauliString.from_label(p) for p in entries))
         images = []
         for e in entries:
-            bits = json_typed(e, dict, "a direction")["bits"]
+            bits = json_typed(e, dict, "a direction").get("bits")
             if not isinstance(bits, str) or len(bits) != n or set(bits) - {"0", "1"}:
                 raise ValidationError(f"bits must be {n} characters 0 or 1, "
                                       f"got {bits!r}")
-            images.append((int(bits, 2), json_int(e["phase_exp"], "phase_exp")))
+            images.append((int(bits, 2),
+                           json_int(e.get("phase_exp"), "phase_exp")))
         return cls(n, mode, circuits, slices, state_images=tuple(images))
 
     @classmethod

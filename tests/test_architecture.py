@@ -86,15 +86,20 @@ WRONG_SHAPES = [
     {"n": 3, "gates": [[1, 2, 3]]},
     {"n": 3, "gates": [[1, 2], [2, 3]], "boundaries": 1},
     {"n": 3, "gates": [[1, 2], [2, 3]], "boundaries": {"a": 2}},
+    {},
+    {"n": 3},
+    {"gates": []},
 ]
 WRONG_SHAPE_IDS = ["list", "string", "null", "int-gates", "string-gates",
                    "flat-gates", "triple-gate", "int-boundaries",
-                   "object-boundaries"]
+                   "object-boundaries", "empty-object", "missing-gates",
+                   "missing-n"]
 
 
 @pytest.mark.parametrize("doc", WRONG_SHAPES, ids=WRONG_SHAPE_IDS)
 def test_json_refuses_wrong_shapes(doc):
-    # these raised AttributeError or TypeError, which the CLI did not catch
+    # these raised AttributeError or TypeError, which the CLI did not
+    # catch, or, for a missing key, KeyError
     with pytest.raises(ValidationError):
         Architecture.from_json_dict(doc)
 

@@ -79,7 +79,8 @@ def test_arch_check_refuses_non_integer_json(tmp_path, capsys):
     '"x"',
     '{"n": 3, "gates": 5}',
     '{"n": 3, "gates": [[1, 2], [2, 3]], "boundaries": 1}',
-], ids=["list", "string", "int-gates", "int-boundaries"])
+    '{"n": 3}',
+], ids=["list", "string", "int-gates", "int-boundaries", "missing-gates"])
 def test_arch_check_refuses_wrong_json_shape(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)

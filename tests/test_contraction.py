@@ -175,6 +175,15 @@ def test_subseed_deterministic_and_spread():
     assert subseed(7, 1) == subseed(7, 1)
     assert subseed(7, 1) != subseed(7, 2)
     assert subseed(7, 1) != subseed(8, 1)
+    assert subseed(np.int64(7), 1) == subseed(7, 1)
+    # int() truncated these to the seeds 1 and 2 they are not
+    for seed in (1.5, 2.0, True):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            subseed(seed, 1)
+    with pytest.raises(ValidationError, match="must be nonnegative"):
+        subseed(-1, 1)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        accessible_dimension(staircase(2, 1), "unitary", 3, 1.9)
 
 
 # -- contraction -----------------------------------------------------------------
@@ -320,8 +329,17 @@ def test_forward_sweep_estimate_within_the_suffix_sweeps():
         suffix_sweep = 2 * 8 * 4 ** arch.n * gauge_fixed_count(arch) \
             + 64 * 16 * 4 ** arch.n + 80 * 4 ** arch.n
         assert peak_bytes(arch, "unitary") <= suffix_sweep
-    for arch in (staircase(8, 31), staircase(9, 5)):
-        assert peak_bytes(arch, "unitary") <= MEMORY_BUDGET
+    # the README's admission boundary: the largest shapes admitted, then
+    # the smallest refused, per n
+    for (n, t), mode, admitted in [
+            ((8, 31), "unitary", True), ((9, 5), "unitary", True),
+            ((9, 6), "unitary", True), ((10, 1), "unitary", True),
+            ((18, 1), "state", True), ((17, 3), "state", True),
+            ((8, 32), "unitary", False), ((9, 7), "unitary", False),
+            ((10, 2), "unitary", False), ((19, 1), "state", False),
+            ((18, 2), "state", False)]:
+        assert (peak_bytes(staircase(n, t), mode) <= MEMORY_BUDGET) \
+            == admitted, (n, t, mode)
 
 
 @pytest.mark.parametrize("arch", [
@@ -951,6 +969,8 @@ def test_split_gram_matches_the_dense_reference(build):
             arch, prune=True, split=split), gram)
         ref = split_gram(arch, transfers, kept, split)
         assert np.abs(gram - ref).max(initial=0.0) < 1e-13
+        # each read writes both entries of its pairs, the same number
+        assert np.array_equal(gram, gram.T)
 
 
 def _count_sweeps(monkeypatch, arch):

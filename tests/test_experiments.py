@@ -10,6 +10,7 @@ import archdim.experiments
 from archdim import (
     AlphaOutOfRange,
     SizeLimit,
+    ValidationError,
     VerdictError,
     detect_staircase_slices,
     growth_sweep,
@@ -58,6 +59,12 @@ def test_sweep_csv_deterministic_modulo_wall_time():
     b = rows_to_csv(growth_sweep(2, "staircase", 2, samples=3, seed=5))
     assert strip_ms(a) == strip_ms(b)
     assert a.splitlines()[0] == CSV_HEADER
+
+
+def test_sweep_refuses_a_non_integer_seed():
+    # int() truncated 2.0 to 2 and drew seed 2's gates under seed 2.0
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        growth_sweep(2, "staircase", 2, samples=3, seed=2.0)
 
 
 def test_check_ramp_rejects_violations():

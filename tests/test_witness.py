@@ -801,14 +801,23 @@ WRONG_CERTIFICATES = {
     "bits-too-long": ("state", lambda d: _with_bits(d, "0001")),
     "bits-with-space": ("state", lambda d: _with_bits(d, " 01")),
     "bits-with-underscore": ("state", lambda d: _with_bits(d, "0_1")),
+    "missing-gates": ("unitary", lambda d: {k: v for k, v in d.items()
+                                            if k != "gates"}),
+    "missing-slice-start": ("unitary", lambda d: {**d, "slices": [
+        {k: v for k, v in d["slices"][0].items() if k != "start"}]}),
+    "missing-mode": ("state", lambda d: {k: v for k, v in d.items()
+                                         if k != "mode"}),
+    "missing-phase-exp": ("state", lambda d: {**d, "directions": [
+        {"bits": d["directions"][0]["bits"]}]}),
 }
 
 
 @pytest.mark.parametrize("mode, mutate", WRONG_CERTIFICATES.values(),
                          ids=WRONG_CERTIFICATES.keys())
 def test_certificate_refuses_wrong_shape(mode, mutate):
-    # each raised TypeError, AttributeError, IndexError or a plain
-    # ValueError, or was read leniently (true as qubit 1, "1" as "001")
+    # each raised TypeError, AttributeError, IndexError, KeyError or a
+    # plain ValueError, or was read leniently (true as qubit 1, "1" as
+    # "001")
     doc = witness_point(staircase(3, 4), mode).to_json_dict()
     with pytest.raises(ValidationError):
         WitnessCertificate.from_json(json.dumps(mutate(doc)))
