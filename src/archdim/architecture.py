@@ -21,6 +21,7 @@ from .errors import (
     InvalidQubit,
     OddQubitCount,
     ValidationError,
+    check_seed,
     json_int,
     json_typed,
 )
@@ -177,8 +178,9 @@ def brickwork(n: int, rounds: int) -> Architecture:
 def _adjacent_positions(n: int, count: int, seed: int) -> np.ndarray:
     """The j of ``count`` gates (j, j+1), drawn uniformly from 1..n-1 per
     ``seed``: the one position stream of ``random_adjacent`` and the Monte
-    Carlo."""
-    return np.random.default_rng(seed).integers(1, n, size=count)
+    Carlo.  A seed that is not a nonnegative integer raises ValidationError
+    (``check_seed``)."""
+    return np.random.default_rng(check_seed(seed)).integers(1, n, size=count)
 
 
 def random_adjacent(n: int, r_gates: int, seed: int) -> Architecture:

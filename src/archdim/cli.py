@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         print(f"error: invalid input ({exc})", file=sys.stderr)
         return EXIT_INVALID
     except ArchdimError as exc:

@@ -20,10 +20,13 @@ the Gram matrix drops each wire from the cones once it has passed the
 wire's gates, and every sweep holds its groups in one arena laid out by
 the plan.  A unitary frame keeps its transfer matrices and forms its
 4^n x C matrix, when it is read, by one forward sweep that keeps every
-wire.  A state frame is built by a forward sweep over a stack of state
-vectors.  Both read one cached plan per
-architecture.  A dense call whose estimated peak memory (``peak_bytes``)
-exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
+wire.  The unitary sweeps read one cached plan per architecture, which
+compiles all of a sweep that the gates do not change, so that a Haar
+sample's sweep is array calls only.  A state frame is built by a forward
+sweep over a stack of state vectors.  Both modes take their columns from
+one cached gauge-fixed record.  A dense call whose estimated peak memory
+(``peak_bytes``) exceeds ``MEMORY_BUDGET`` raises SizeLimit before it
+allocates.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import numpy as np
 from .architecture import Architecture, is_causal_slice
 from .bounds import gauge_fixed_count, saturation_threshold
 from .dense import apply_gate_left, apply_gate_right
-from .errors import CountMismatch, SizeLimit, ValidationError, check_mode
+from .errors import (CountMismatch, SizeLimit, ValidationError, check_mode,
+                     check_seed)
 from .pauli import TWO_QUBIT_GENERATOR_MATS, TWO_QUBIT_GENERATORS
 
 DEFAULT_TOLERANCES = (1e-6, 1e-10)
@@ -72,13 +76,9 @@ _SWAPPED = np.array([4 * (label % 4) + label // 4 for label in range(16)])
 
 def subseed(seed: int, *key: int) -> int:
     """Deterministic 64-bit child seed for (seed, key...).  A seed that is
-    not a nonnegative integer raises ValidationError: a float or a bool is
-    refused, never truncated."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))
+    not a nonnegative integer raises ValidationError (``check_seed``)."""
+    ss = np.random.SeedSequence((check_seed(seed),)
+                                + tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -101,10 +101,12 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     The state sweep holds its C x 2^n complex stack (the frame's size), then
     the frame beside it; the rank holds the frame beside the SVD's copy or,
     for a tall frame, four C x C arrays of the SVD's work.  On top come
-    16 KiB per gate for the plan and one gate's temporaries, which the
-    allocator keeps: two copies of a stack chunk and about 36 state
-    vectors.  A unitary frame keeps its transfer matrices, which with their
-    complex build take 16 KiB per gate.  Reading its matrix runs the
+    16 KiB per gate for the gauge-fixed columns (``_gauge``) and one gate's
+    temporaries, which the allocator keeps: two copies of a stack chunk and
+    about 36 state vectors.  A unitary frame keeps its transfer matrices,
+    which with their complex build take 16 KiB per gate, and its cached
+    plans keep their compiled tables (``_FramePlan.tables``) throughout.
+    Reading its matrix runs the
     unpruned sweep, which holds its plan's arena and one transfer's
     temporaries (``_frame_plan``); forming the matrix holds the arena's head
     beside it, and the SVD takes it twice.  A tall frame also holds its
@@ -130,13 +132,15 @@ def peak_bytes(arch: Architecture, job: str) -> int:
         return gram + 2 * frame
     transfers = 16384 * arch.gate_count
     full = _frame_plan(arch)
+    tables = full.tables
     phases = [transfers + 8 * (full.arena + full.scratch),
               8 * full.held + frame, 2 * frame]
     if gram:
         pruned = _frame_plan(arch, prune=True)
+        tables += pruned.tables
         phases += [transfers + 8 * (pruned.arena + pruned.scratch),
                    transfers + 3 * gram]
-    return gram + max(phases)
+    return gram + tables + max(phases)
 
 
 def check_budget(est: int, budget: int, needs: str) -> None:
@@ -320,48 +324,123 @@ class TangentFrame:
 _Cone = tuple[int, ...]  # 1-based qubits, ascending
 
 
+class _Block(NamedTuple):
+    """Where a group lives in a sweep's arena: the array (1 the head, 0 the
+    rest), its flat slice there and its column count."""
+
+    arena: int
+    span: slice
+    width: int
+
+
+class _Spec(NamedTuple):
+    """The shape logic of one transfer between two cones, which neither the
+    gates nor the column count change (``_spec``).
+
+    ``drop`` is None, or the shape over the source's cone and the index
+    that keeps the identity letter of each wire the move drops.  ``t``
+    slices t4[P_lo, P_hi, Q_lo, Q_hi] to the identity letter of each of the
+    gate's wires new to the cone.  ``path`` is 0 when the wires sit next to
+    each other in the cone and the source fills the group (one broadcast
+    matmul), 1 when they sit next to each other and it fills a column range
+    (one matmul per outer row block) and 2 when they lie apart (tensordot
+    over the cone positions ``pq``).  ``shape`` is the source's shape for
+    that call and ``out`` the shape of its column range."""
+
+    drop: tuple | None
+    t: tuple[slice, ...]
+    path: int
+    shape: tuple[int, ...]
+    out: tuple[int, ...]
+    pq: tuple[int, int]
+
+
+class _Feed(NamedTuple):
+    """One source group's transfer: the source's block, the column range
+    ``cut`` it fills in the move's group, and its ``_Spec``."""
+
+    source: _Block
+    cut: slice
+    spec: _Spec
+
+
 class _Move(NamedTuple):
     """One group a gate writes: its cone, the cones of the groups merged
     into it, the group's rows the Gram read takes (those that are the
-    identity off the gate's wires, ``_meet_rows``: at the gate's kept
-    labels forward, all 16 backward), its offset in the sweep's arena (in
-    float64 entries) and its column count.  The group over the gate's own
-    wires also takes the gate's kept columns, last."""
+    identity off the gate's wires, ``_read``: at the gate's kept labels
+    forward, all 16 backward), its offset in the sweep's arena (in float64
+    entries) and its column count.  The group over the gate's own wires
+    also takes the gate's kept columns, last.
+
+    The rest is compiled for the sweep: the group's ``block``, one ``feed``
+    per source, ``at``, the column count the sources fill (the gate's born
+    columns follow), and ``pairs``, the index of the Gram entries its read
+    writes (None when it has no source): gate j's row and the sources'
+    columns forward, the sources' rows and gate j's columns backward, so
+    that the row is always the later gate's."""
 
     cone: _Cone
     sources: tuple[_Cone, ...]
-    read: np.ndarray
+    read: slice | np.ndarray
     offset: int
     width: int
+    block: _Block
+    feeds: tuple[_Feed, ...]
+    at: int
+    pairs: tuple | None
 
 
 class _Join(NamedTuple):
     """The cones of a forward and a backward group at the split, and their
-    meet: the wires both hold."""
+    meet: the wires both hold.  Compiled for the sweep: both groups'
+    blocks, their rows of the meet (``_rows``) and the index of the Gram
+    entries their product writes, the backward columns' rows (the later
+    gates) and the forward columns."""
 
     forward: _Cone
     backward: _Cone
     meet: _Cone
+    ahead: _Block
+    behind: _Block
+    ahead_rows: slice | np.ndarray
+    behind_rows: slice | np.ndarray
+    pairs: tuple
+
+
+class _Gate(NamedTuple):
+    """The gate of one sweep step: its index, whether the backward half
+    runs it, whether its wires are swapped (a > b; the plan's labels read
+    the lower wire leading), its kept labels and, forward, its born columns
+    I[:, labels] (backward they are T_j^T[:, labels], made per sample)."""
+
+    j: int
+    backward: bool
+    swap: bool
+    labels: np.ndarray
+    born: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
 class _FramePlan:
-    """The integer bookkeeping of both frame modes.
+    """The integer bookkeeping of a unitary sweep.
 
-    ``kept[j]`` holds gate j's kept generator indices (into the 15), and
-    ``record`` is the frame's (gate, generator) column list.  The rest is
-    the unitary sweep's.  ``labels[j]`` holds gate j's kept generators as
-    two-qubit labels (1 to 15) read with the lower wire leading, and
-    ``steps`` the groups each gate writes, in sweep order: gates 0 to
+    ``kept``, ``labels`` and ``record`` are the architecture's gauge-fixed
+    columns (``_gauge``): gate j's kept generator indices (into the 15),
+    the same as two-qubit labels (1 to 15) read with the lower wire
+    leading, and the frame's (gate, generator) column list.  ``steps``
+    holds the groups each gate writes, in sweep order: gates 0 to
     ``split`` - 1 forward, then gates R - 1 down to ``split`` backward
-    (none when ``split`` is R).  Row r of a group over cone c is the Pauli
-    string that is the identity off c; a move's read rows are the meet
-    rows of the gate's wires, the strings that are the identity off them.
-    ``joins`` pairs the groups the two halves meet with.  ``arena`` counts
+    (none when ``split`` is R), with ``gates`` the gate of each step.  Row
+    r of a group over cone c is the Pauli string that is the identity off
+    c; a move's read rows are the meet rows of the gate's wires, the
+    strings that are the identity off them.  ``joins`` pairs the groups the
+    two halves meet with, and ``final`` holds the cone, block and frame
+    columns of each group an unpruned sweep ends with.  ``arena`` counts
     the float64 entries of the arena that holds every group, ``held`` those
     of its head, which holds the groups an unpruned sweep ends with or
     those a pruned one joins, and ``scratch`` bounds the entries one
-    transfer's, read's or join's temporaries take beside it.
+    transfer's, read's or join's temporaries take beside it.  ``tables``
+    bounds the bytes of the compiled tables the plan keeps.
     """
 
     kept: tuple[np.ndarray, ...]
@@ -372,7 +451,10 @@ class _FramePlan:
     held: int
     scratch: int
     split: int
+    gates: tuple[_Gate, ...] = ()
     joins: tuple[_Join, ...] = ()
+    final: tuple[tuple[_Cone, _Block, np.ndarray], ...] = ()
+    tables: int = 0
 
 
 def _first_fit(spans: list[tuple[int, int, int]],
@@ -407,6 +489,27 @@ def _first_fit(spans: list[tuple[int, int, int]],
             step.append((at, at + size))
     return offsets, max([held] + [at + span[2] for at, span
                                   in zip(offsets, spans)]), held
+
+
+@functools.lru_cache(maxsize=128)
+def _gauge(arch: Architecture) -> tuple[tuple[np.ndarray, ...],
+                                        tuple[np.ndarray, ...], np.ndarray]:
+    """The gauge-fixed columns both frame modes share (``tangent_frame``):
+    each gate's kept generator indices (into the 15), the same as
+    two-qubit labels (1 to 15) read with the lower wire leading, and the
+    frame's (gate, generator) column list.  Cached and read-only."""
+    last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
+    kept_all, labels_all = [], []
+    for j, (a, b) in enumerate(arch.gates):
+        kept = _KEPT[last[a] > j, last[b] > j]
+        kept_all.append(kept)
+        labels = _SWAPPED[kept + 1] if a > b else kept + 1
+        labels.flags.writeable = False
+        labels_all.append(labels)
+    record = np.array([(j, k) for j, kept in enumerate(kept_all) for k in kept],
+                      dtype=np.intp).reshape(-1, 2)
+    record.flags.writeable = False
+    return tuple(kept_all), tuple(labels_all), record
 
 
 # Plans repeat across a frame's Haar samples and across calls on the same
@@ -454,17 +557,14 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     and output.  A read copies its rows, 16 backward, where it also makes
     their product with the gate's born columns; and a join copies the
     meet's rows of both groups, unless the meet is the whole cone, and
-    their product.  ``scratch`` is the largest sum.
+    their product.  ``scratch`` is the largest sum; it stays an upper
+    bound where the compiled rows are slices, which copy nothing.
+
+    Last, the plan compiles everything a sweep does that the gates do not
+    change (``_compile``), so that ``_sweep`` runs only array calls.
     """
     end = arch.gate_count
-    last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
-    kept_all, labels_all = [], []
-    for j, (a, b) in enumerate(arch.gates):
-        kept = _KEPT[last[a] > j, last[b] > j]
-        kept_all.append(kept)
-        labels = _SWAPPED[kept + 1] if a > b else kept + 1
-        labels.flags.writeable = False
-        labels_all.append(labels)
+    kept_all, labels_all, record = _gauge(arch)
     forward = _half_plan(arch, labels_all, prune, backward=False)
     backward = _half_plan(arch, labels_all, prune, backward=True) \
         if prune else []
@@ -477,7 +577,7 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     groups: dict[tuple[bool, _Cone], int] = {}  # (half, cone) -> spans index
     spans: list[list[int]] = []  # [first step, last step, size] per group
     for s, step in enumerate(taken):
-        for cone, sources, _, width in step.moves:
+        for cone, sources, width in step.moves:
             for src in sources:
                 spans[groups.pop((s >= split, src))][1] = s
             groups[s >= split, cone] = len(spans)
@@ -486,10 +586,6 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
         if not prune or key in joined:
             spans[i][1] = end
     offsets, arena, held = _first_fit([tuple(span) for span in spans], end)
-    at = iter(offsets)  # spans are in step order
-    record = np.array([(j, k) for j, kept in enumerate(kept_all) for k in kept],
-                      dtype=np.intp).reshape(-1, 2)
-    record.flags.writeable = False
     # one joined pair's row copies and product
     ahead, behind = _alive(forward, backward, split)
     scratch = max([step.scratch for step in taken]
@@ -497,17 +593,181 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
                                        + behind[b] * (meet != b))
                      + ahead[f] * behind[b] for f, b, meet in meets],
                   default=0)
+    gates, steps, joins, final, tables = _compile(
+        arch, labels_all, taken, split, offsets, held, meets, prune)
     return _FramePlan(
-        kept=tuple(kept_all), record=record,
-        steps=tuple(tuple(_Move(cone, sources, read, next(at), width)
-                          for cone, sources, read, width in step.moves)
-                    for step in taken),
-        labels=tuple(labels_all), arena=arena, held=held, scratch=scratch,
-        split=split, joins=tuple(_Join(*meet) for meet in meets))
+        kept=kept_all, record=record, steps=steps, labels=labels_all,
+        arena=arena, held=held, scratch=scratch,
+        split=split, gates=gates, joins=joins, final=final, tables=tables)
+
+
+# Each compiled move, feed, join and gate is counted at this many bytes of
+# Python objects beside its index arrays.  With the specs and reads a first
+# build adds to their caches, tracemalloc on CPython 3.11 measured less on
+# every plan of the tests' shapes.
+_TABLE_OBJECT = 1024
+
+
+def _compile(arch: Architecture, labels_all: list[np.ndarray],
+             taken: list[_Step], split: int, offsets: list[int], held: int,
+             meets: list[tuple[_Cone, _Cone, _Cone]], prune: bool) -> tuple:
+    """The plan's sweep tables (``_FramePlan``): each step's gate, its moves
+    with their blocks, feeds and Gram indices, the joins and, unpruned,
+    the final groups; and the bytes they keep.
+
+    A gate's frame columns run from the sum of the kept counts before it,
+    and a group's columns are its sources' in order, then the gate's born
+    ones.  A column list that runs up by a fixed step is kept as a slice,
+    and any other as a read-only index array."""
+    end = arch.gate_count
+    starts = [0, *itertools.accumulate(labels.size for labels in labels_all)]
+    order = [*range(split), *range(end - 1, split - 1, -1)]
+    born: dict[tuple, np.ndarray] = {}  # one I[:, labels] per label set
+    live: dict[tuple[bool, _Cone], tuple[_Block, np.ndarray]] = {}
+    at_offset = iter(offsets)  # the offsets are in step and move order
+    gates, steps, arrays = [], [], []
+    for s, (j, step) in enumerate(zip(order, taken)):
+        backward = s >= split
+        a, b = arch.gates[j]
+        lo, hi = sorted((a, b))
+        labels = labels_all[j]
+        key = tuple(labels.tolist())
+        if not backward and key not in born:
+            born[key] = np.eye(16)[:, labels]
+            born[key].flags.writeable = False
+        gates.append(_Gate(j, backward, a > b, labels,
+                           None if backward else born[key]))
+        own = slice(starts[j], starts[j + 1])  # gate j's columns
+        moves = []
+        for cone, sources, width in step.moves:
+            offset = next(at_offset)
+            size = 4 ** len(cone) * width
+            arena, start = (1, offset) if offset < held else (0, offset - held)
+            block = _Block(arena, slice(start, start + size), width)
+            feeds, cols, at = [], [], 0
+            for src in sources:
+                source, members = live.pop((backward, src))
+                spec = _spec(src, cone, lo, hi, source.width == width)
+                feeds.append(_Feed(source, slice(at, at + source.width), spec))
+                at += source.width
+                cols.append(members)
+            if cone == (lo, hi):
+                cols.append(np.arange(own.start, own.stop))
+            cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
+            live[backward, cone] = block, cols
+            read, pairs = _read(cone, lo, hi, None if backward else key), None
+            if at:
+                pairs = _pairs(cols[:at], own) if backward \
+                    else _pairs(own, cols[:at])
+                arrays += [*pairs, read]
+            moves.append(_Move(cone, sources, read, offset, width, block,
+                               tuple(feeds), at, pairs))
+        steps.append(tuple(moves))
+    joins = []
+    for f, b, meet in meets:
+        (ahead, fcols), (behind, bcols) = live[False, f], live[True, b]
+        join = _Join(f, b, meet, ahead, behind, _rows(f, meet), _rows(b, meet),
+                     _pairs(bcols, fcols))
+        arrays += [join.ahead_rows, join.behind_rows, *join.pairs]
+        joins.append(join)
+    final = ()
+    if not prune:
+        final = tuple((cone, block, cols)
+                      for (_, cone), (block, cols) in live.items())
+        for _, _, cols in final:
+            cols.flags.writeable = False
+            arrays.append(cols)
+    count = sum(len(step) + sum(len(move.feeds) for move in step)
+                for step in steps) + len(joins)
+    # views share their base's bytes: count each base once
+    bases = {id(x.base if x.base is not None else x):
+             (x.base if x.base is not None else x).nbytes
+             for x in arrays + list(born.values())
+             if isinstance(x, np.ndarray)}
+    tables = sum(bases.values()) + _TABLE_OBJECT * (count + len(gates))
+    return tuple(gates), tuple(steps), tuple(joins), final, tables
+
+
+def _span(index: np.ndarray) -> slice | np.ndarray:
+    """``index`` as a slice when it runs up by a fixed step, else as a
+    read-only array."""
+    if index.size:
+        first, last = int(index[0]), int(index[-1])
+        step = int(index[1]) - first if index.size > 1 else 1
+        if step > 0 and last - first == step * (index.size - 1) \
+                and (index[1:] - index[:-1] == step).all():
+            return slice(first, last + 1, step)
+    index.flags.writeable = False
+    return index
+
+
+def _pairs(rows: np.ndarray | slice, cols: np.ndarray | slice) -> tuple:
+    """The index of the Gram block at ``rows`` x ``cols``: slices where the
+    lists run up by a fixed step, and two broadcast index arrays where
+    neither does."""
+    rows, cols = (_span(x) if isinstance(x, np.ndarray) else x
+                  for x in (rows, cols))
+    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+        rows = rows[:, None]
+    return rows, cols
+
+
+def _rows(cone: _Cone, meet: _Cone) -> slice | np.ndarray:
+    """The rows of a group over ``cone`` that are the identity off ``meet``,
+    in the meet's label order: a leading block where the other wires lead
+    (all rows where there are none), a stride where they trail, and the
+    gather of ``_meet_rows`` otherwise."""
+    rest = len(cone) - len(meet)
+    if cone[rest:] == meet:
+        return slice(0, 4 ** len(meet))
+    if cone[:len(meet)] == meet:
+        return slice(None, None, 4 ** rest)
+    return _meet_rows(cone, meet)
+
+
+# Reads repeat across the moves of a plan and across plans.
+@functools.lru_cache(maxsize=4096)
+def _read(cone: _Cone, lo: int, hi: int,
+          labels: tuple[int, ...] | None) -> slice | np.ndarray:
+    """The rows of a group over ``cone`` a read on wires (lo, hi) takes:
+    those that are the identity off the wires (``_rows``), at the kept
+    ``labels`` forward and all 16 backward (``labels`` None)."""
+    if labels is None:
+        return _rows(cone, (lo, hi))
+    return _span(_meet_rows(cone, (lo, hi))[list(labels)])
+
+
+# Transfer shapes repeat across the moves of a plan and across plans.
+@functools.lru_cache(maxsize=4096)
+def _spec(old: _Cone, new: _Cone, lo: int, hi: int, whole: bool) -> _Spec:
+    """The ``_Spec`` of a transfer on the gate's wires (lo, hi), lo < hi,
+    from a group over cone ``old`` into a group over cone ``new``, which the
+    source fills when ``whole``, else a column range of it."""
+    drop = None
+    # new is old and the wires new to it, less the wires it drops
+    if len(new) < len(old) + (lo not in old) + (hi not in old):
+        drop = ((4,) * len(old) + (-1,),
+                tuple(slice(None) if w in new else 0 for w in old))
+        old = tuple(w for w in old if w in new)
+    t = (slice(None), slice(None), slice(4 if lo in old else 1),
+         slice(4 if hi in old else 1))
+    p, q = new.index(lo), new.index(hi)
+    pair = (4 if lo in old else 1) * (4 if hi in old else 1)
+    if q == p + 1 and whole:
+        path, shape, out = 0, (4 ** p, pair, -1), (4 ** p, 16, -1)
+    elif q == p + 1:
+        tail = 4 ** (len(new) - q - 1)
+        path = 1
+        shape, out = (4 ** p, pair, tail, -1), (4 ** p, 16, tail, -1)
+    else:
+        path = 2
+        shape = tuple(4 if w in old else 1 for w in new) + (-1,)
+        out = (4,) * len(new) + (-1,)
+    return _Spec(drop, t, path, shape, out, (p, q))
 
 
 class _Step(NamedTuple):
-    """One gate of a half sweep: its moves (cone, sources, read, width),
+    """One gate of a half sweep: its moves (cone, sources, width),
     their multiply-adds and temporaries, and the widths of the groups after
     it."""
 
@@ -552,15 +812,10 @@ def _half_plan(arch: Architecture, labels_all: list[np.ndarray],
                               + (size_in + 4 ** len(cone) * count) * apart)
                 madds += 4 ** (len(cone) + (lo in src) + (hi in src)) * count
             widths[cone] = width
-            read = _meet_rows(cone, (lo, hi))
-            if backward:
-                madds += 16 * labels.size * width
-            else:
-                read = read[labels]
-                read.flags.writeable = False
+            madds += 16 * labels.size * width * backward
             scratch = max(scratch,
                           prune * (16 * backward + labels.size) * width)
-            step.append((cone, tuple(sources), read, width))
+            step.append((cone, tuple(sources), width))
         steps.append(_Step(step, madds, scratch, dict(widths)))
     return steps
 
@@ -600,7 +855,8 @@ def _split_point(forward: list[_Step], backward: list[_Step]) -> int:
     steps before h, of the backward steps from h and of the join, 4^|meet|
     per pair of columns it pairs, plus ``_CALL_MADDS`` per array call (a
     transfer, a read, a join's row copy or product); ties go to the later
-    h."""
+    h.  The join is priced on wire bitmasks: a meet is the two cones' AND,
+    and it needs no row copy of a cone it equals."""
     end = len(forward)
     work = [[step.madds + _CALL_MADDS * sum(1 + len(move[1])
                                             for move in step.moves)
@@ -608,11 +864,22 @@ def _split_point(forward: list[_Step], backward: list[_Step]) -> int:
     before = np.cumsum([0] + work[0])
     after = np.cumsum([0] + work[1])[::-1]
 
+    def masks(step: _Step) -> list[tuple[int, int]]:
+        return [(sum(1 << q for q in cone), width)
+                for cone, width in step.widths.items()]
+
+    # the groups alive at h: forward[h - 1]'s and backward[R - h - 1]'s
+    ahead = [[]] + [masks(step) for step in forward]
+    behind = [masks(step) for step in reversed(backward)] + [[]]
+
     def cost(h: int) -> int:
-        ahead, behind = _alive(forward, backward, h)
-        join = sum(4 ** len(meet) * ahead[f] * behind[b]
-                   + _CALL_MADDS * (1 + (meet != f) + (meet != b))
-                   for f, b, meet in _meets(forward, backward, h))
+        join = 0
+        for f, fw in ahead[h]:
+            for b, bw in behind[h]:
+                meet = f & b
+                if meet:
+                    join += 4 ** meet.bit_count() * fw * bw + _CALL_MADDS * (
+                        1 + (meet != f) + (meet != b))
         return int(before[h] + after[h]) + join
 
     return min(range(end + 1), key=lambda h: (cost(h), -h))
@@ -646,122 +913,107 @@ def transfer_matrices(gates: GateAssignment) -> np.ndarray:
     return np.ascontiguousarray(pauli_coefficients(conj, 2).transpose(1, 2, 0))
 
 
-def _transfer(x: np.ndarray, t4: np.ndarray, old: _Cone, new: _Cone,
-              wires: tuple[int, int], out: np.ndarray) -> None:
-    """Apply a transfer matrix t4[P_lo, P_hi, Q_lo, Q_hi] on wires
-    (lo, hi), lo < hi, to a group stored over cone ``old``, shape
-    (4^|old|, m), and write the group over cone ``new``, shape
-    (4^|new|, m), into ``out``: a whole group or a column range of a wider
-    one.  A wire new to the cone enters with the identity letter, so only
-    that slice of t4 is read; a wire of ``old`` that ``new`` drops leaves
-    at its identity letter, so only that slice of x is read."""
-    lo, hi = wires
-    # new is old and the wires new to it, less the wires it drops
-    if len(new) < len(old) + (lo not in old) + (hi not in old):
-        x = x.reshape([4] * len(old) + [-1])[
-            tuple(slice(None) if w in new else 0 for w in old)]
-        old = tuple(w for w in old if w in new)
-    t = t4[:, :, :4 if lo in old else 1, :4 if hi in old else 1]
-    p, q = new.index(lo), new.index(hi)
-    if q == p + 1 and out.flags.c_contiguous:
-        # adjacent in the cone: one broadcast matmul
-        np.matmul(t.reshape(16, -1),
-                  x.reshape(4 ** p, t.shape[2] * t.shape[3], -1),
-                  out=out.reshape(4 ** p, 16, -1))
-    elif q == p + 1:  # into a column range: one matmul per outer row block
-        m, tail = x.shape[-1], 4 ** (len(new) - q - 1)
-        np.matmul(t.reshape(16, -1),
-                  x.reshape(4 ** p, -1, tail, m).swapaxes(1, 2),
-                  out=out.reshape(4 ** p, 16, tail, m).swapaxes(1, 2))
+def _transfer(arenas: tuple[np.ndarray, np.ndarray], t4: np.ndarray,
+              feed: _Feed, x: np.ndarray) -> None:
+    """Apply a transfer matrix t4[P_lo, P_hi, Q_lo, Q_hi] on the gate's
+    wires to a source group and write it into its column range of the
+    group ``x``, as ``feed`` lays out (``_Feed``).  A wire new to the cone
+    enters with the identity letter, so only that slice of t4 is read; a
+    wire the move drops leaves at its identity letter, so only that slice
+    of the source is read."""
+    spec = feed.spec
+    src = arenas[feed.source.arena][feed.source.span]
+    if spec.drop is not None:
+        src = src.reshape(spec.drop[0])[spec.drop[1]]
+    t = t4[spec.t]
+    out = x[:, feed.cut].reshape(spec.out)
+    if spec.path == 0:  # adjacent in the cone: one broadcast matmul
+        np.matmul(t.reshape(16, -1), src.reshape(spec.shape), out=out)
+    elif spec.path == 1:  # into a column range: a matmul per outer block
+        np.matmul(t.reshape(16, -1), src.reshape(spec.shape).swapaxes(1, 2),
+                  out=out.swapaxes(1, 2))
     else:
-        dims = [4 if w in old else 1 for w in new] + [-1]
-        y = np.moveaxis(np.tensordot(t, x.reshape(dims),
-                                     axes=([2, 3], [p, q])), (0, 1), (p, q))
-        np.copyto(out.reshape(y.shape), y)
+        np.copyto(out, np.moveaxis(np.tensordot(
+            t, src.reshape(spec.shape), axes=([2, 3], spec.pq)),
+            (0, 1), spec.pq))
 
 
-_Groups = dict[_Cone, tuple[np.ndarray, np.ndarray]]  # cone -> (x, columns)
-
-
-def _sweep(arch: Architecture, transfers: np.ndarray, plan: _FramePlan,
-           gram: np.ndarray | None) -> _Groups:
-    """Run ``plan``'s sweep and return the forward groups left at the end,
-    each with its frame columns; fill ``gram``, when given (all zero), with
-    the Gram matrix.  A pruned plan reuses the space of the groups it
-    returns, so only an unpruned sweep's groups can be read.
+def _sweep(transfers: np.ndarray, plan: _FramePlan,
+           gram: np.ndarray | None) -> np.ndarray:
+    """Run ``plan``'s sweep and return the arena's head, which holds the
+    groups an unpruned sweep ends with (``_assemble`` reads them); write
+    into ``gram``, when given (all zero), one entry of each pair of columns
+    a read or join takes: the one whose row is the later gate's.
+    ``_gram_read`` closes the matrix.
 
     The plan's arena is made by one ``np.empty`` for the rest, which is
-    gone when the sweep returns, and then one for its head, which holds the
-    groups returned or joined.  Made second, the head tends to sit just
-    above the rest in a heap, so once the matrix is formed from it and it
-    is freed, the two free blocks join into one that takes the SVD's copy
-    of the matrix.  Every group a gate writes is a view at its planned
-    offset.  Each source group's transfer writes straight into its column
-    range, and the group over the gate's wires takes the gate's born
-    columns in its tail: the kept columns of I forward, of T_j^T backward.
-    A forward read takes the group's rows of the gate's kept labels; a
-    backward one takes the product of the born columns with the group's
-    rows of all 16 labels.  The join takes the product of each joined
-    pair's rows of their meet.  Each read and join writes its block into
-    both entries of its pairs, and every pair of columns of different
-    gates is read once; the diagonal is 1, a born unit vector against
-    itself (the pairs of one gate's columns read 0)."""
-    held, split = plan.held, plan.split
-    rest, head = np.empty(plan.arena - held), np.empty(held)
-    stops = list(itertools.accumulate(kept.size for kept in plan.kept))
-    halves: list[_Groups] = [{}, {}]
-    order = list(range(split)) + list(range(arch.gate_count - 1, split - 1, -1))
-    for s, (j, step) in enumerate(zip(order, plan.steps)):
-        backward = s >= split
-        groups = halves[backward]
-        (a, b), labels = arch.gates[j], plan.labels[j]
-        t4 = (transfers[j].T if backward else transfers[j]).reshape(4, 4, 4, 4)
-        if a > b:  # the lower wire leads, as in the plan's labels
-            a, b, t4 = b, a, t4.transpose(1, 0, 3, 2)
-        born = (t4.reshape(16, 16) if backward else np.eye(16))[:, labels]
-        span = slice(stops[j] - labels.size, stops[j])  # gate j's columns
-        for cone, sources, read, offset, width in step:
-            size = 4 ** len(cone) * width
-            x = head[offset:offset + size] if offset < held \
-                else rest[offset - held:offset - held + size]
-            x = x.reshape(-1, width)
-            cols, at = [], 0
-            for src in sources:
-                part, members = groups.pop(src)
-                _transfer(part, t4, src, cone, (a, b),
-                          x[:, at:at + part.shape[1]])
-                at += part.shape[1]
-                cols.append(members)
-            if cone == (a, b):  # the gate's own group
-                x[:, at:] = born
-                cols.append(np.arange(span.start, span.stop))
-            cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
-            groups[cone] = x, cols
-            if gram is not None and at:  # the sources' columns
-                block = born.T @ x[read, :at] if backward else x[read, :at]
-                gram[span, cols[:at]] = block
-                gram[cols[:at], span] = block.T
-    forward, backward = halves
+    gone when the sweep returns, and then one for its head.  Made second,
+    the head tends to sit just above the rest in a heap, so once the matrix
+    is formed from it and it is freed, the two free blocks join into one
+    that takes the SVD's copy of the matrix.  Every group a gate writes is
+    a view of its planned block, and the sweep runs only array calls from
+    the plan's tables: each source group's transfer writes straight into
+    its column range (``_transfer``), and the group over the gate's wires
+    takes the gate's born columns in its tail: the kept columns of I
+    forward, of T_j^T backward.  A forward read copies the group's rows of
+    the gate's kept labels; a backward one takes the product of the born
+    columns with the group's rows of all 16 labels, and a join the product
+    of each joined pair's rows of their meet, each written transposed.  A
+    row selection is a slice where the plan found one."""
+    rest, head = np.empty(plan.arena - plan.held), np.empty(plan.held)
+    arenas = rest, head
+    for gate, step in zip(plan.gates, plan.steps):
+        t4 = transfers[gate.j]
+        t4 = (t4.T if gate.backward else t4).reshape(4, 4, 4, 4)
+        if gate.swap:  # the lower wire leads, as in the plan's labels
+            t4 = t4.transpose(1, 0, 3, 2)
+        born = t4.reshape(16, 16)[:, gate.labels] if gate.backward \
+            else gate.born
+        for move in step:
+            block = move.block
+            x = arenas[block.arena][block.span].reshape(-1, block.width)
+            for feed in move.feeds:
+                _transfer(arenas, t4, feed, x)
+            if move.at < block.width:  # the gate's own group
+                x[:, move.at:] = born
+            if gram is not None and move.at:
+                if gate.backward:
+                    gram[move.pairs] = (born.T @ x[move.read, :move.at]).T
+                else:
+                    gram[move.pairs] = x[move.read, :move.at]
     if gram is not None:
         for join in plan.joins:
-            (xf, fcols), (xb, bcols) = forward[join.forward], \
-                backward[join.backward]
-            if join.meet != join.forward:
-                xf = xf[_meet_rows(join.forward, join.meet)]
-            if join.meet != join.backward:
-                xb = xb[_meet_rows(join.backward, join.meet)]
-            pairs = np.ix_(fcols, bcols)
-            gram[pairs] = gram.T[pairs] = xf.T @ xb
-        np.fill_diagonal(gram, 1.0)
-    return forward
+            ahead, behind = join.ahead, join.behind
+            xf = arenas[ahead.arena][ahead.span].reshape(-1, ahead.width)
+            xb = arenas[behind.arena][behind.span].reshape(-1, behind.width)
+            gram[join.pairs] = (xf[join.ahead_rows].T
+                                @ xb[join.behind_rows]).T
+    return head
 
 
-def _assemble(n: int, width: int, groups: _Groups) -> np.ndarray:
-    """The 4^n x C frame, C = ``width``, from an unpruned sweep's last
-    groups."""
+def _gram_read(transfers: np.ndarray, plan: _FramePlan) -> np.ndarray:
+    """The Gram matrix ``plan``'s sweep reads (``_unitary_frame``).  The
+    sweep writes one entry of each pair of columns it reads, and the other
+    entry stays an exact 0 (a pair no read or join takes, or of one gate's
+    columns, is 0).  Once its arena is released, one symmetrisation fills
+    the other entries and the diagonal takes 1, a born unit vector against
+    itself."""
+    width = plan.record.shape[0]
+    gram = np.zeros((width, width))
+    _sweep(transfers, plan, gram)
+    gram += gram.T
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+def _assemble(n: int, width: int, plan: _FramePlan,
+              head: np.ndarray) -> np.ndarray:
+    """The 4^n x C frame, C = ``width``, from the head of an unpruned
+    sweep's arena, which holds the plan's final groups."""
     # one row per column: each group is written as one transposed block
     out = np.empty((width, 4 ** n))
-    for cone, (x, cols) in groups.items():
+    for cone, block, cols in plan.final:
+        x = head[block.span].reshape(-1, block.width)
         if len(cone) == n:
             out[cols] = x.T
         else:
@@ -786,7 +1038,8 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     inner product of its born column T_j^T e_{S_k} with every group the
     gate writes, over their 16 rows on its wires; and for j < h <= j2 it is
     the join's <T_{h-1} ... T_{j+1} e_{S_k}, T_h^T ... T_{j2}^T e_{S_k2}>.
-    Each read and join writes both entries of the pairs it reads.  Columns
+    Each read and join writes the entry of the pairs it reads whose row is
+    the later gate's (``_sweep``), and ``_gram_read`` mirrors it.  Columns
     of groups a read does not take are the identity on the gate's wires
     and have 0 there, and a pair the join skips has no causal path between
     its gates, so its forward read is 0 as well.  Two columns of one gate
@@ -829,18 +1082,17 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     tau = np.sqrt((defect * defect).sum(axis=(1, 2)).max(initial=0.0))
     gram, gram_error = None, 0.0
     if width < rows and np.isfinite(tau):
-        gram = np.zeros((width, width))
         pruned = _frame_plan(arch, prune=True)
         eps = np.finfo(np.float64).eps
         meet = max((4 ** len(join.meet) for join in pruned.joins), default=0)
         gram_error = width * float(np.expm1(
             arch.gate_count * np.log1p(tau + 256 * eps)
             + np.log1p(meet * eps / (1 - meet * eps))))
-        _sweep(arch, transfers, pruned, gram)
+        gram = _gram_read(transfers, pruned)
     plan = _frame_plan(arch)
 
     def assemble() -> np.ndarray:
-        return _assemble(arch.n, width, _sweep(arch, transfers, plan, None))
+        return _assemble(arch.n, width, plan, _sweep(transfers, plan, None))
 
     return TangentFrame("unitary", arch.n, arch.gate_count, plan.record,
                         assemble, gram, gram_error)
@@ -897,15 +1149,15 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     _require_match(arch, gates)
     if mode == "unitary":
         return _unitary_frame(arch, gates)
-    plan = _frame_plan(arch)
+    kept_all, _, record = _gauge(arch)
     n = arch.n
     dim = 2 ** n
-    stack = np.empty((dim, plan.record.shape[0]), dtype=complex)
+    stack = np.empty((dim, record.shape[0]), dtype=complex)
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
     filled = 0
     chunk = max(1, _STACK_CHUNK // (16 * dim))
-    for wires, u, kept in zip(arch.gates, gates.matrices, plan.kept):
+    for wires, u, kept in zip(arch.gates, gates.matrices, kept_all):
         for lo in range(0, filled, chunk):
             part = stack[:, lo:min(lo + chunk, filled)]
             part[...] = apply_gate_left(part, u, wires, n)
@@ -915,7 +1167,7 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
                                           wires, n).T
         filled = block.stop
     matrix = np.concatenate([stack.real, stack.imag])
-    return TangentFrame(mode, n, arch.gate_count, plan.record, lambda: matrix)
+    return TangentFrame(mode, n, arch.gate_count, record, lambda: matrix)
 
 
 # -- numerical rank ------------------------------------------------------------

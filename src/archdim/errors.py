@@ -1,11 +1,13 @@
-"""Exception hierarchy, the frame-mode check, and the type checks of parsed
-JSON input.
+"""Exception hierarchy, the frame-mode and seed checks, and the type checks
+of parsed JSON input.
 
 Validation errors (bad user input) subclass ``ValueError`` so callers may
 catch either the specific class or the builtin.  Verdict errors signal that
 a computed quantity violated a bound that the library promises to hold;
 they are never raised for bad input.
 """
+
+import numbers
 
 
 class ArchdimError(Exception):
@@ -82,6 +84,17 @@ def check_mode(mode: object, what: str = "mode") -> None:
     if mode not in ("unitary", "state"):
         raise ValidationError(
             f"{what} must be 'unitary' or 'state', got {mode!r}")
+
+
+def check_seed(seed: object) -> int:
+    """``seed`` as an int, or ValidationError unless it is a nonnegative
+    integer (a Python or numpy one): a float or a bool is refused, never
+    truncated."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return int(seed)
 
 
 def json_int(x: object, what: str) -> int:

@@ -8,8 +8,9 @@ slice's tableau composed gate by gate, the tableau symplecticity check, a
 path-tree walk, a qubit's forward reach, a circuit pre-composed onto a
 tableau by testing every bit of its ``circuit_images``, the witness rank from
 phase-free symplectic images alone, the Gram certificate of a plain
-matrix from its product M^T M and the split Gram read over whole 4^n-row
-Pauli vectors.  The dense bridge from Clifford
+matrix from its product M^T M, the split Gram read over whole 4^n-row
+Pauli vectors and the split's price from its meets listed as wire tuples.
+The dense bridge from Clifford
 circuits to matrices lives here too: the elementary gate matrices, a
 circuit's unitary and the SU(4) gate assignment of a witness point; the
 library itself keeps circuits as tableaux only.  None has a size guard;
@@ -380,3 +381,31 @@ def split_gram(arch: Architecture, transfers: np.ndarray,
     gram[np.ix_(fcols, bcols)] = fvecs.T @ bvecs
     gram[np.ix_(bcols, fcols)] = bvecs.T @ fvecs
     return gram
+
+
+def split_point(forward: Sequence, backward: Sequence, call_madds: int) -> int:
+    """The split h of least work from the half plans' steps
+    (``contraction._half_plan``), priced as the plan priced it before it
+    read wire bitmasks: each candidate h lists the groups alive there and
+    the meet of each forward and backward pair as a tuple of wires.  A
+    step costs its multiply-adds and ``call_madds`` per array call; a join
+    4^|meet| per pair of columns it pairs, and one call for the product
+    and one per row copy of a cone that is not the meet.  Ties go to the
+    later h."""
+    end = len(forward)
+    work = [[step.madds + call_madds * sum(1 + len(move[1])
+                                           for move in step.moves)
+             for step in half] for half in (forward, backward)]
+    before = np.cumsum([0] + work[0])
+    after = np.cumsum([0] + work[1])[::-1]
+
+    def cost(h: int) -> int:
+        ahead = forward[h - 1].widths if h else {}
+        behind = backward[end - h - 1].widths if h < end else {}
+        join = sum(4 ** len(meet) * ahead[f] * behind[b]
+                   + call_madds * (1 + (meet != f) + (meet != b))
+                   for f in ahead for b in behind
+                   for meet in [tuple(q for q in f if q in b)] if meet)
+        return int(before[h] + after[h]) + join
+
+    return min(range(end + 1), key=lambda h: (cost(h), -h))

@@ -89,6 +89,31 @@ def test_arch_check_refuses_wrong_json_shape(tmp_path, capsys, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_malformed_json_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "gates": [')
+    assert main(["arch", "check", "--in", str(path)]) == EXIT_INVALID
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_a_missing_key_is_refused_by_name(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3}')
+    assert main(["arch", "check", "--in", str(path)]) == EXIT_INVALID
+    assert "gates" in capsys.readouterr().err
+
+
+def test_an_internal_key_error_propagates(monkeypatch):
+    # only undecodable JSON reads as bad input; a fault inside a command
+    # is not reported as one
+    def broken(n, r, lower):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("archdim.cli.make_bound_sheet", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["bounds", "--n", "3", "--R", "6", "--L", "1"])
+
+
 def test_dim_su4_saturation(tmp_path, capsys):
     out = tmp_path / "dim.json"
     rc = main(["dim", "--family", "staircase", "--n", "2", "--t", "3",

@@ -1,5 +1,6 @@
 """Contraction, Haar sampling, tangent frames, rank estimation, gauge checks."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from archdim import (
     ValidationError,
     accessible_dimension,
     brickwork,
+    build_family,
     contract,
     contract_state,
     from_gate_sequence,
@@ -45,6 +47,7 @@ from reference import (
     perturbation_operator,
     slice_tableau,
     split_gram,
+    split_point,
 )
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -184,6 +187,17 @@ def test_subseed_deterministic_and_spread():
         subseed(-1, 1)
     with pytest.raises(ValidationError, match="seed must be an integer"):
         accessible_dimension(staircase(2, 1), "unitary", 3, 1.9)
+
+
+@pytest.mark.parametrize("seed,match", [(2.0, "must be an integer"),
+                                        (True, "must be an integer"),
+                                        (-1, "must be nonnegative")])
+def test_random_positions_refuse_a_bad_seed(seed, match):
+    # the one position stream of random_adjacent and the Monte Carlo checks
+    # its seed as subseed does
+    with pytest.raises(ValidationError, match=match):
+        random_adjacent(5, 12, seed)
+    assert random_adjacent(5, 12, np.int64(2)) == random_adjacent(5, 12, 2)
 
 
 # -- contraction -----------------------------------------------------------------
@@ -761,6 +775,10 @@ SWEEP_CASES = FRAME_CASES + [
     # the tensordot route
     pytest.param(lambda: from_gate_sequence(
         5, [(1, 3), (2, 3), (1, 2), (3, 1), (4, 5)]), id="sequence-5-5"),
+    # gate 2 moves cone (1, 2, 4) to (1, 2, 3) through the tensordot
+    # route, dropping wire 4, whose last gate has passed
+    pytest.param(lambda: from_gate_sequence(
+        4, [(1, 2), (2, 4), (1, 3), (2, 3)]), id="sequence-4-4"),
     # the cone is the whole register from the first gate on
     pytest.param(lambda: from_gate_sequence(2, [(1, 2), (2, 1)]),
                  id="sequence-2-2"),
@@ -822,6 +840,42 @@ PLAN_CASES = SWEEP_CASES + [
     pytest.param(lambda: from_gate_sequence(
         6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4), (5, 6)] * 3),
         id="sequence-6-21")]
+
+
+@pytest.mark.parametrize("build", PLAN_CASES + [
+    pytest.param(lambda: build_family("staircase", 6, 2),
+                 id="dim-staircase-6-2"),
+    pytest.param(lambda: build_family("staircase", 7, 1),
+                 id="dim-staircase-7-1"),
+    pytest.param(lambda: build_family("brickwork", 6, 1),
+                 id="dim-brickwork-6-1")])
+def test_split_pricing_on_wire_bitmasks_picks_the_same_split(build):
+    # the join priced on wire bitmasks picks the h that listing each
+    # candidate's meets as wire tuples picks
+    arch = build()
+    labels = contraction._gauge(arch)[1]
+    halves = [contraction._half_plan(arch, labels, True, backward=backward)
+              for backward in (False, True)]
+    want = split_point(*halves, contraction._CALL_MADDS)
+    assert contraction._split_point(*halves) == want
+    assert contraction._frame_plan(arch, prune=True).split == want
+
+
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("build", PLAN_CASES)
+def test_plan_tables_bound_what_a_plan_keeps(build, prune):
+    # peak_bytes counts each cached plan's compiled tables; with 4 KiB a
+    # gate for the integer bookkeeping the plans kept before (under the
+    # 16 KiB a gate of the transfer term), they bound all a build keeps
+    arch = build()
+    contraction._frame_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = contraction._frame_plan(arch, prune=prune)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= plan.tables + 4096 * arch.gate_count + 2 ** 14
 
 
 @pytest.mark.parametrize("prune", [False, True])
@@ -899,9 +953,8 @@ def test_pruned_gram_matches_the_unpruned_sweep(build):
         if cols >= rows:
             assert frame.gram is None
             continue
-        full = np.zeros((cols, cols))
-        contraction._sweep(arch, transfer_matrices(gates),
-                           contraction._frame_plan(arch), full)
+        full = contraction._gram_read(transfer_matrices(gates),
+                                      contraction._frame_plan(arch))
         if cols:
             gap = np.linalg.norm(frame.gram - full, 2)
             assert gap <= frame.gram_error
@@ -964,13 +1017,52 @@ def test_split_gram_matches_the_dense_reference(build):
         splits = {0, 1, end // 2, end - 1, end,
                   contraction._frame_plan(arch, prune=True).split}
     for split in splits:
-        gram = np.zeros((cols, cols))
-        contraction._sweep(arch, transfers, contraction._frame_plan(
-            arch, prune=True, split=split), gram)
+        gram = contraction._gram_read(transfers, contraction._frame_plan(
+            arch, prune=True, split=split))
         ref = split_gram(arch, transfers, kept, split)
         assert np.abs(gram - ref).max(initial=0.0) < 1e-13
-        # each read writes both entries of its pairs, the same number
+        # one symmetrisation fills the entries the sweep leaves
         assert np.array_equal(gram, gram.T)
+
+
+def _causal_pairs(arch):
+    """causal[j, j2]: j < j2 and a path of gates runs from gate j to gate
+    j2, so that j2 touches a wire of gate j's forward light cone."""
+    end = arch.gate_count
+    causal = np.zeros((end, end), dtype=bool)
+    for j in range(end):
+        reach = set(arch.gates[j])
+        for j2 in range(j + 1, end):
+            if reach & set(arch.gates[j2]):
+                causal[j, j2] = True
+                reach |= set(arch.gates[j2])
+    return causal
+
+
+@pytest.mark.parametrize("build", PLAN_CASES)
+def test_each_gram_pair_is_written_once(build):
+    # integer bookkeeping only: at every split the reads and joins of the
+    # plan's tables write each pair of columns of causally linked gates
+    # once, into the entry whose row is the later gate's, and no pair of
+    # one gate's columns; a pair with no causal path reads 0 and is not
+    # written.  So the closing gram += gram.T adds only exact zeros.
+    arch = build()
+    end = arch.gate_count
+    for split in {0, end // 2, end,
+                  contraction._frame_plan(arch, prune=True).split}:
+        plan = contraction._frame_plan(arch, prune=True, split=split)
+        cols = plan.record.shape[0]
+        counts = np.zeros((cols, cols), dtype=np.intp)
+        for step in plan.steps:
+            for move in step:
+                assert (move.pairs is None) == (move.at == 0)
+                if move.pairs is not None:
+                    np.add.at(counts, move.pairs, 1)
+        for join in plan.joins:
+            np.add.at(counts, join.pairs, 1)
+        gate = plan.record[:, 0]
+        want = _causal_pairs(arch)[gate[None, :], gate[:, None]]
+        assert np.array_equal(counts, want.astype(np.intp)), split
 
 
 def _count_sweeps(monkeypatch, arch):
@@ -980,9 +1072,9 @@ def _count_sweeps(monkeypatch, arch):
     swept = []
     sweep = contraction._sweep
 
-    def counted(arch, transfers, plan, gram):
+    def counted(transfers, plan, gram):
         swept.append(plan is pruned)
-        return sweep(arch, transfers, plan, gram)
+        return sweep(transfers, plan, gram)
 
     monkeypatch.setattr(contraction, "_sweep", counted)
     return swept
@@ -1112,6 +1204,23 @@ def test_cone_index_is_cached_and_read_only():
         assert idx is contraction._cone_index(cone, n)
         assert not idx.flags.writeable
         assert np.array_equal(idx, _cone_index_loop(cone, n, 4))
+
+
+def test_meet_row_selectors_take_the_meet_rows():
+    # a compiled selector, slice or gather, takes the same rows in the same
+    # order as the meet's gather: a leading block where the other wires
+    # lead, a stride where they trail
+    kinds = set()
+    for size in range(1, 5):
+        cone = tuple(range(2, 2 + size))
+        rows = np.arange(4 ** size)
+        for m in range(1, size + 1):
+            for meet in itertools.combinations(cone, m):
+                sel = contraction._rows(cone, meet)
+                assert np.array_equal(rows[sel],
+                                      contraction._meet_rows(cone, meet))
+                kinds.add(sel.step if isinstance(sel, slice) else "gather")
+    assert {None, "gather"} < kinds
 
 
 # -- numerical rank -----------------------------------------------------------------

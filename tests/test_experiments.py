@@ -67,6 +67,13 @@ def test_sweep_refuses_a_non_integer_seed():
         growth_sweep(2, "staircase", 2, samples=3, seed=2.0)
 
 
+def test_monte_carlo_refuses_a_non_integer_seed():
+    # default_rng raised TypeError on 1.5 before the position stream checked
+    # its seed
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        randomized_architecture_experiment(3, 10, 1.5)
+
+
 def test_check_ramp_rejects_violations():
     def row(t, d, cap=63):
         return SweepRow(3, "staircase", t, 2 * t, 2, d, t, t,
