@@ -20,13 +20,13 @@ the Gram matrix drops each wire from the cones once it has passed the
 wire's gates, and every sweep holds its groups in one arena laid out by
 the plan.  A unitary frame keeps its transfer matrices and forms its
 4^n x C matrix, when it is read, by one forward sweep that keeps every
-wire.  The unitary sweeps read one cached plan per architecture, which
-compiles all of a sweep that the gates do not change, so that a Haar
-sample's sweep is array calls only.  A state frame is built by a forward
-sweep over a stack of state vectors.  Both modes take their columns from
-one cached gauge-fixed record.  A dense call whose estimated peak memory
-(``peak_bytes``) exceeds ``MEMORY_BUDGET`` raises SizeLimit before it
-allocates.
+wire.  Each unitary sweep reads a cached plan with one job, the Gram
+plan's read or the matrix plan's frame, which compiles all of that sweep
+the gates do not change, so that a Haar sample's sweep is array calls
+only.  A state frame is built by a forward sweep over a stack of state
+vectors.  Both modes take their columns from one cached gauge-fixed
+record.  A dense call whose estimated peak memory (``peak_bytes``)
+exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import numpy as np
 from .architecture import Architecture, is_causal_slice
 from .bounds import gauge_fixed_count, saturation_threshold
 from .dense import apply_gate_left, apply_gate_right
-from .errors import (CountMismatch, SizeLimit, ValidationError, check_mode,
-                     check_seed)
+from .errors import (CountMismatch, SizeLimit, ValidationError, check_int,
+                     check_mode, check_seed)
 from .pauli import TWO_QUBIT_GENERATOR_MATS, TWO_QUBIT_GENERATORS
 
 DEFAULT_TOLERANCES = (1e-6, 1e-10)
@@ -106,18 +106,18 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     about 36 state vectors.  A unitary frame keeps its transfer matrices,
     which with their complex build take 16 KiB per gate, and its cached
     plans keep their compiled tables (``_FramePlan.tables``) throughout.
-    Reading its matrix runs the
-    unpruned sweep, which holds its plan's arena and one transfer's
-    temporaries (``_frame_plan``); forming the matrix holds the arena's head
-    beside it, and the SVD takes it twice.  A tall frame also holds its
-    C x C Gram matrix throughout.  It runs the Gram read's plan first: one
-    arena holds the forward half's groups, then the groups the join reads
-    beside the backward half's, and the plan's scratch covers one
-    transfer's or read's temporaries or one joined pair's row copies and
-    product.  The arena is gone when the sweep returns, and the
-    certificate takes up to three more C x C arrays.  An estimate whose
-    frame terms alone exceed ``MEMORY_BUDGET`` returns before the sweep's
-    plans are built."""
+    Reading its matrix runs the matrix plan's sweep, which holds the
+    plan's arena and one transfer's temporaries (``_frame_plan``); the
+    matrix is then formed beside the arena's head, which holds at most its
+    4^n x C entries, and the SVD takes it twice, so the SVD's phase covers
+    that one.  A tall frame also holds its C x C Gram matrix throughout.
+    It runs the Gram plan's sweep first: one arena holds the forward
+    half's groups, then the groups the join reads beside the backward
+    half's, and the plan's scratch covers one transfer's or read's
+    temporaries or one joined pair's row copies and product.  The arena is
+    gone when the sweep returns, and the certificate takes up to three more
+    C x C arrays.  An estimate whose frame terms alone exceed
+    ``MEMORY_BUDGET`` returns before the sweep's plans are built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -133,8 +133,7 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     transfers = 16384 * arch.gate_count
     full = _frame_plan(arch)
     tables = full.tables
-    phases = [transfers + 8 * (full.arena + full.scratch),
-              8 * full.held + frame, 2 * frame]
+    phases = [transfers + 8 * (full.arena + full.scratch), 2 * frame]
     if gram:
         pruned = _frame_plan(arch, prune=True)
         tables += pruned.tables
@@ -186,12 +185,13 @@ class GateAssignment:
     def haar(cls, arch: Architecture, seed: int) -> GateAssignment:
         """Haar-random SU(4) gates, one per slot: QR of complex Ginibre
         matrices with the R-diagonal phases folded into Q, then the
-        determinant phased out.
+        determinant phased out.  A seed that is not a nonnegative integer
+        raises ValidationError (``check_seed``).
 
         One draw and one stacked QR serve every gate; each matrix equals,
         bit for bit, what sampling them one at a time from the same
         generator gives."""
-        z = np.random.default_rng(seed).standard_normal(
+        z = np.random.default_rng(check_seed(seed)).standard_normal(
             (arch.gate_count, 2, 4, 4))
         z = z[:, 0] + 1j * z[:, 1]
         z /= np.sqrt(2.0)
@@ -301,7 +301,7 @@ class TangentFrame:
     ``matrix`` is formed on first access and kept.  A state frame forms it
     from its sweep's vector stack at once.  A unitary frame, tall or wide,
     holds its transfer stack and, when ``matrix`` is first read, runs the
-    unpruned sweep and assembles the matrix from it.  ``gram`` is the
+    matrix plan's sweep and assembles the matrix from it.  ``gram`` is the
     C x C Gram matrix M^T M of a tall unitary frame (fewer columns than
     rows), read off the split sweep in column order, and ``gram_error`` bounds
     its 2-norm distance from the exact Gram matrix of ``matrix``; ``gram``
@@ -366,27 +366,24 @@ class _Feed(NamedTuple):
 
 class _Move(NamedTuple):
     """One group a gate writes: its cone, the cones of the groups merged
-    into it, the group's rows the Gram read takes (those that are the
-    identity off the gate's wires, ``_read``: at the gate's kept labels
-    forward, all 16 backward), its offset in the sweep's arena (in float64
-    entries) and its column count.  The group over the gate's own wires
-    also takes the gate's kept columns, last.
+    into it, its ``block`` in the sweep's arena, one ``feed`` per source
+    and ``at``, the column count the sources fill.  The group over the
+    gate's own wires also takes the gate's kept columns, last.
 
-    The rest is compiled for the sweep: the group's ``block``, one ``feed``
-    per source, ``at``, the column count the sources fill (the gate's born
-    columns follow), and ``pairs``, the index of the Gram entries its read
-    writes (None when it has no source): gate j's row and the sources'
-    columns forward, the sources' rows and gate j's columns backward, so
-    that the row is always the later gate's."""
+    A move of the Gram plan with a source also holds ``read``, the group's
+    rows its read takes (those that are the identity off the gate's wires,
+    ``_read``: at the gate's kept labels forward, all 16 backward), and
+    ``pairs``, the index of the Gram entries the read writes: gate j's row
+    and the sources' columns forward, the sources' rows and gate j's
+    columns backward, so that the row is always the later gate's.  Both
+    are None on every other move, so on every move of the matrix plan."""
 
     cone: _Cone
     sources: tuple[_Cone, ...]
-    read: slice | np.ndarray
-    offset: int
-    width: int
     block: _Block
     feeds: tuple[_Feed, ...]
     at: int
+    read: slice | np.ndarray | None
     pairs: tuple | None
 
 
@@ -422,39 +419,36 @@ class _Gate(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class _FramePlan:
-    """The integer bookkeeping of a unitary sweep.
+    """The integer bookkeeping of one unitary sweep, which has one job: the
+    Gram plan (pruned) reads the Gram matrix, and the matrix plan
+    (unpruned) forms the 4^n x C frame.
 
-    ``kept``, ``labels`` and ``record`` are the architecture's gauge-fixed
-    columns (``_gauge``): gate j's kept generator indices (into the 15),
-    the same as two-qubit labels (1 to 15) read with the lower wire
-    leading, and the frame's (gate, generator) column list.  ``steps``
-    holds the groups each gate writes, in sweep order: gates 0 to
+    ``steps`` holds the groups each gate writes, in sweep order: gates 0 to
     ``split`` - 1 forward, then gates R - 1 down to ``split`` backward
     (none when ``split`` is R), with ``gates`` the gate of each step.  Row
     r of a group over cone c is the Pauli string that is the identity off
-    c; a move's read rows are the meet rows of the gate's wires, the
-    strings that are the identity off them.  ``joins`` pairs the groups the
-    two halves meet with, and ``final`` holds the cone, block and frame
-    columns of each group an unpruned sweep ends with.  ``arena`` counts
-    the float64 entries of the arena that holds every group, ``held`` those
-    of its head, which holds the groups an unpruned sweep ends with or
-    those a pruned one joins, and ``scratch`` bounds the entries one
-    transfer's, read's or join's temporaries take beside it.  ``tables``
-    bounds the bytes of the compiled tables the plan keeps.
+    c; a Gram read takes the meet rows of the gate's wires, the strings
+    that are the identity off them.  Only the Gram plan has read tables
+    (``_Move``) and ``joins``, which pairs the groups the two halves meet
+    with; only the matrix plan has ``final``, the cone, block and frame
+    columns of each group its sweep ends with.  ``arena`` counts the
+    float64 entries of the arena that holds every group, ``held`` those of
+    its head, which holds the groups the matrix plan ends with or those the
+    Gram plan joins, and ``scratch`` bounds the entries one transfer's,
+    read's or join's temporaries take beside it.  ``tables`` bounds the
+    bytes of the compiled tables the plan keeps.  The frame's columns are
+    not the plan's: both plans read them from ``_gauge``.
     """
 
-    kept: tuple[np.ndarray, ...]
-    record: np.ndarray
     steps: tuple[tuple[_Move, ...], ...]
-    labels: tuple[np.ndarray, ...]
     arena: int
     held: int
     scratch: int
     split: int
-    gates: tuple[_Gate, ...] = ()
-    joins: tuple[_Join, ...] = ()
-    final: tuple[tuple[_Cone, _Block, np.ndarray], ...] = ()
-    tables: int = 0
+    gates: tuple[_Gate, ...]
+    joins: tuple[_Join, ...]
+    final: tuple[tuple[_Cone, _Block, np.ndarray], ...]
+    tables: int
 
 
 def _first_fit(spans: list[tuple[int, int, int]],
@@ -520,7 +514,7 @@ def _gauge(arch: Architecture) -> tuple[tuple[np.ndarray, ...],
 @functools.lru_cache(maxsize=128)
 def _frame_plan(arch: Architecture, *, prune: bool = False,
                 split: int | None = None) -> _FramePlan:
-    """Each gate's kept generators; the unitary columns' light-cone groups.
+    """The unitary columns' light-cone groups, compiled for one sweep.
 
     After gate j, the columns of gates 0..j sit in groups, one per cone: the
     qubits that gates up to j connect to a column's own gate wires (1-based,
@@ -530,7 +524,7 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     the groups that land on one cone (equal cones evolve alike from then
     on), and adds its own kept generators to the group of cone {a, b}.
 
-    With ``prune`` the plan is the Gram read's (``_unitary_frame``), which
+    With ``prune`` the plan is the Gram plan (``_unitary_frame``), which
     splits the gates at h = ``split``: gates 0..h-1 sweep forward and gates
     R-1..h backward, where the same moves carry columns under the
     transposed transfers and cones grow back from each column's gate.  A
@@ -560,11 +554,13 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     their product.  ``scratch`` is the largest sum; it stays an upper
     bound where the compiled rows are slices, which copy nothing.
 
-    Last, the plan compiles everything a sweep does that the gates do not
-    change (``_compile``), so that ``_sweep`` runs only array calls.
+    Without ``prune`` it is the matrix plan, the forward sweep whose last
+    groups form the frame's matrix.  Last, the plan compiles everything its
+    sweep does that the gates do not change (``_compile``), so that
+    ``_sweep`` runs only array calls.
     """
     end = arch.gate_count
-    kept_all, labels_all, record = _gauge(arch)
+    labels_all = _gauge(arch)[1]
     forward = _half_plan(arch, labels_all, prune, backward=False)
     backward = _half_plan(arch, labels_all, prune, backward=True) \
         if prune else []
@@ -596,9 +592,8 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     gates, steps, joins, final, tables = _compile(
         arch, labels_all, taken, split, offsets, held, meets, prune)
     return _FramePlan(
-        kept=kept_all, record=record, steps=steps, labels=labels_all,
-        arena=arena, held=held, scratch=scratch,
-        split=split, gates=gates, joins=joins, final=final, tables=tables)
+        steps=steps, arena=arena, held=held, scratch=scratch, split=split,
+        gates=gates, joins=joins, final=final, tables=tables)
 
 
 # Each compiled move, feed, join and gate is counted at this many bytes of
@@ -611,9 +606,10 @@ _TABLE_OBJECT = 1024
 def _compile(arch: Architecture, labels_all: list[np.ndarray],
              taken: list[_Step], split: int, offsets: list[int], held: int,
              meets: list[tuple[_Cone, _Cone, _Cone]], prune: bool) -> tuple:
-    """The plan's sweep tables (``_FramePlan``): each step's gate, its moves
-    with their blocks, feeds and Gram indices, the joins and, unpruned,
-    the final groups; and the bytes they keep.
+    """The plan's sweep tables (``_FramePlan``): each step's gate and its
+    moves with their blocks and feeds; for the Gram plan (``prune``) each
+    move's read rows and Gram indices and the joins, and for the matrix
+    plan the final groups; and the bytes they keep.
 
     A gate's frame columns run from the sum of the kept counts before it,
     and a group's columns are its sources' in order, then the gate's born
@@ -655,13 +651,14 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
                 cols.append(np.arange(own.start, own.stop))
             cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
             live[backward, cone] = block, cols
-            read, pairs = _read(cone, lo, hi, None if backward else key), None
-            if at:
+            read = pairs = None
+            if prune and at:
+                read = _read(cone, lo, hi, None if backward else key)
                 pairs = _pairs(cols[:at], own) if backward \
                     else _pairs(own, cols[:at])
                 arrays += [*pairs, read]
-            moves.append(_Move(cone, sources, read, offset, width, block,
-                               tuple(feeds), at, pairs))
+            moves.append(_Move(cone, sources, block, tuple(feeds), at, read,
+                               pairs))
         steps.append(tuple(moves))
     joins = []
     for f, b, meet in meets:
@@ -941,10 +938,11 @@ def _transfer(arenas: tuple[np.ndarray, np.ndarray], t4: np.ndarray,
 def _sweep(transfers: np.ndarray, plan: _FramePlan,
            gram: np.ndarray | None) -> np.ndarray:
     """Run ``plan``'s sweep and return the arena's head, which holds the
-    groups an unpruned sweep ends with (``_assemble`` reads them); write
-    into ``gram``, when given (all zero), one entry of each pair of columns
-    a read or join takes: the one whose row is the later gate's.
-    ``_gram_read`` closes the matrix.
+    groups the matrix plan ends with (``_assemble`` reads them).  A Gram
+    plan's sweep writes into ``gram`` (all zero) one entry of each pair of
+    columns a read or join takes, the one whose row is the later gate's,
+    wherever the plan has read tables; ``_gram_read`` closes the matrix.
+    The matrix plan has none and takes ``gram`` None.
 
     The plan's arena is made by one ``np.empty`` for the rest, which is
     gone when the sweep returns, and then one for its head.  Made second,
@@ -976,29 +974,28 @@ def _sweep(transfers: np.ndarray, plan: _FramePlan,
                 _transfer(arenas, t4, feed, x)
             if move.at < block.width:  # the gate's own group
                 x[:, move.at:] = born
-            if gram is not None and move.at:
+            if move.pairs is not None:
                 if gate.backward:
                     gram[move.pairs] = (born.T @ x[move.read, :move.at]).T
                 else:
                     gram[move.pairs] = x[move.read, :move.at]
-    if gram is not None:
-        for join in plan.joins:
-            ahead, behind = join.ahead, join.behind
-            xf = arenas[ahead.arena][ahead.span].reshape(-1, ahead.width)
-            xb = arenas[behind.arena][behind.span].reshape(-1, behind.width)
-            gram[join.pairs] = (xf[join.ahead_rows].T
-                                @ xb[join.behind_rows]).T
+    for join in plan.joins:
+        ahead, behind = join.ahead, join.behind
+        xf = arenas[ahead.arena][ahead.span].reshape(-1, ahead.width)
+        xb = arenas[behind.arena][behind.span].reshape(-1, behind.width)
+        gram[join.pairs] = (xf[join.ahead_rows].T @ xb[join.behind_rows]).T
     return head
 
 
 def _gram_read(transfers: np.ndarray, plan: _FramePlan) -> np.ndarray:
-    """The Gram matrix ``plan``'s sweep reads (``_unitary_frame``).  The
+    """The Gram matrix the Gram plan ``plan``'s sweep reads
+    (``_unitary_frame``), C x C for the C kept labels of its gates.  The
     sweep writes one entry of each pair of columns it reads, and the other
     entry stays an exact 0 (a pair no read or join takes, or of one gate's
     columns, is 0).  Once its arena is released, one symmetrisation fills
     the other entries and the diagonal takes 1, a born unit vector against
     itself."""
-    width = plan.record.shape[0]
+    width = sum(gate.labels.size for gate in plan.gates)
     gram = np.zeros((width, width))
     _sweep(transfers, plan, gram)
     gram += gram.T
@@ -1008,7 +1005,7 @@ def _gram_read(transfers: np.ndarray, plan: _FramePlan) -> np.ndarray:
 
 def _assemble(n: int, width: int, plan: _FramePlan,
               head: np.ndarray) -> np.ndarray:
-    """The 4^n x C frame, C = ``width``, from the head of an unpruned
+    """The 4^n x C frame, C = ``width``, from the head of the matrix plan's
     sweep's arena, which holds the plan's final groups."""
     # one row per column: each group is written as one transposed block
     out = np.empty((width, 4 ** n))
@@ -1071,10 +1068,11 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     gives no Gram matrix: every frame entry is a sum of products of the
     stack's entries, so a finite stack makes a finite frame.
 
-    A tall frame runs the Gram read's plan and releases the sweep's arena
-    on return; a wide frame runs no sweep here.  Every frame keeps its
-    transfer stack (2 KiB per gate), and reading its ``matrix`` runs the
-    unpruned sweep once and assembles the matrix from its last groups.
+    A tall frame runs the Gram plan's sweep and releases its arena on
+    return; a wide frame runs no sweep here.  Every frame takes its columns
+    from ``_gauge`` and keeps its transfer stack (2 KiB per gate), and the
+    first read of its ``matrix`` fetches the matrix plan, runs its sweep
+    and assembles the matrix from its last groups.
     """
     rows, width = frame_shape(arch, "unitary")
     transfers = transfer_matrices(gates)
@@ -1089,12 +1087,12 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
             arch.gate_count * np.log1p(tau + 256 * eps)
             + np.log1p(meet * eps / (1 - meet * eps))))
         gram = _gram_read(transfers, pruned)
-    plan = _frame_plan(arch)
 
     def assemble() -> np.ndarray:
+        plan = _frame_plan(arch)
         return _assemble(arch.n, width, plan, _sweep(transfers, plan, None))
 
-    return TangentFrame("unitary", arch.n, arch.gate_count, plan.record,
+    return TangentFrame("unitary", arch.n, arch.gate_count, _gauge(arch)[2],
                         assemble, gram, gram_error)
 
 
@@ -1400,12 +1398,13 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
     All samples must agree at both tolerances; any disagreement is surfaced
     as an inconclusive report, never averaged away.  Per-sample seeds derive
     from ``seed`` by counter.  A frame over ``MEMORY_BUDGET`` raises
-    SizeLimit, and a tolerance pair ``numerical_rank`` would refuse or a
-    seed that is not a nonnegative integer (``subseed``) raises
-    ValidationError, before the first sample is drawn.
+    SizeLimit, and a tolerance pair ``numerical_rank`` would refuse, a
+    sample count that is not an integer of at least 3 or a seed that is not
+    a nonnegative integer (``subseed``) raises ValidationError, before the
+    first sample is drawn.
     """
     check_mode(mode)
-    if samples < 3:
+    if check_int(samples, "samples") < 3:
         raise ValidationError(f"need at least 3 samples, got {samples}")
     _check_tolerances(tolerances)
     _check_size(arch, mode)

@@ -1,5 +1,5 @@
-"""Exception hierarchy, the frame-mode and seed checks, and the type checks
-of parsed JSON input.
+"""Exception hierarchy, the frame-mode, integer and seed checks, and the
+type checks of parsed JSON input.
 
 Validation errors (bad user input) subclass ``ValueError`` so callers may
 catch either the specific class or the builtin.  Verdict errors signal that
@@ -86,15 +86,22 @@ def check_mode(mode: object, what: str = "mode") -> None:
             f"{what} must be 'unitary' or 'state', got {mode!r}")
 
 
+def check_int(x: object, what: str) -> int:
+    """``x`` as an int, or ValidationError that names it ``what`` unless it
+    is an integer (a Python or numpy one): a float or a bool is refused,
+    never truncated."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def check_seed(seed: object) -> int:
     """``seed`` as an int, or ValidationError unless it is a nonnegative
-    integer (a Python or numpy one): a float or a bool is refused, never
-    truncated."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    integer (``check_int``)."""
+    seed = check_int(seed, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    return int(seed)
+    return seed
 
 
 def json_int(x: object, what: str) -> int:

@@ -29,7 +29,7 @@ from .contraction import (
     # bench/tests/test_bench.py patches it in this namespace
     tangent_frame,  # noqa: F401
 )
-from .errors import ValidationError, VerdictError
+from .errors import ValidationError, VerdictError, check_int
 from .witness import witness_point, witness_rank
 
 # Two-sided 99% normal quantile for the binomial interval.
@@ -123,10 +123,11 @@ def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
     Inconclusive consensus ranks propagate as empty dimension cells; the
     sweep continues and the ramp check skips them.  The witness rank is
     exact (``witness_rank``), so its cell is never empty.  A frame over the
-    memory budget raises SizeLimit, and a seed that is not a nonnegative
-    integer ValidationError, before its first Haar sample.
+    memory budget raises SizeLimit, and a ``t_max`` that is not a positive
+    integer, or a sample count or seed ``accessible_dimension`` refuses,
+    ValidationError, before its first Haar sample.
     """
-    if t_max < 1:
+    if check_int(t_max, "t_max") < 1:
         raise ValidationError(f"t_max must be positive, got {t_max}")
     rows: list[SweepRow] = []
     for t in range(1, t_max + 1):
@@ -202,9 +203,10 @@ def randomized_architecture_experiment(n: int, trials: int, seed: int,
     The 99% interval is the normal approximation around the exact p; the
     summary also evaluates the implied complexity statement at ``alpha``.
     A draw whose estimated peak is over ``MEMORY_BUDGET`` raises SizeLimit
-    before it allocates.
+    before it allocates, and a ``trials`` that is not a positive integer
+    ValidationError.
     """
-    if trials < 1:
+    if check_int(trials, "trials") < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
     probability_bound = randomized_bound_probability(n, alpha)
     block = n * (n - 1) ** 2

@@ -9,14 +9,17 @@ import pytest
 import archdim.experiments
 from archdim import (
     AlphaOutOfRange,
+    GateAssignment,
     SizeLimit,
     ValidationError,
     VerdictError,
+    accessible_dimension,
     detect_staircase_slices,
     growth_sweep,
     random_adjacent,
     randomized_architecture_experiment,
     rows_to_csv,
+    staircase,
 )
 from archdim.experiments import CSV_HEADER, SweepRow, check_ramp
 
@@ -65,6 +68,25 @@ def test_sweep_refuses_a_non_integer_seed():
     # int() truncated 2.0 to 2 and drew seed 2's gates under seed 2.0
     with pytest.raises(ValidationError, match="seed must be an integer"):
         growth_sweep(2, "staircase", 2, samples=3, seed=2.0)
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda: accessible_dimension(staircase(2, 1), "unitary", 3.0, 1),
+     "samples"),
+    (lambda: growth_sweep(2, "staircase", 2.5, 3, 1), "t_max"),
+    (lambda: growth_sweep(2, "staircase", 2, samples=3.5, seed=1), "samples"),
+    (lambda: randomized_architecture_experiment(3, 2.5, 1), "trials")],
+    ids=["dim-samples", "sweep-t-max", "sweep-samples", "mc-trials"])
+def test_a_non_integer_count_is_refused_by_name(call, what, monkeypatch):
+    # range() and the position stream raised TypeError deep inside; the
+    # count is refused before any gate or position is drawn
+    def drawn(*args):
+        raise AssertionError("sampled before the count was checked")
+
+    monkeypatch.setattr(archdim.experiments, "_adjacent_positions", drawn)
+    monkeypatch.setattr(GateAssignment, "haar", drawn)
+    with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+        call()
 
 
 def test_monte_carlo_refuses_a_non_integer_seed():
