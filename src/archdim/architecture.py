@@ -10,6 +10,7 @@ alone, which is the structural property the witness construction needs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,8 +22,8 @@ from .errors import (
     InvalidQubit,
     OddQubitCount,
     ValidationError,
+    check_int,
     check_seed,
-    json_int,
     json_typed,
 )
 
@@ -33,7 +34,9 @@ class Architecture:
 
     Gates are (qubit_a, qubit_b) pairs with 1-based, distinct entries.
     ``slice_boundaries`` holds strictly increasing cumulative gate counts and,
-    when present, must end at the total gate count.
+    when present, must end at the total gate count.  ``n``, each wire and
+    each boundary must be an integer (``check_int``), and a Python int is
+    stored: a float or a bool raises ValidationError, never truncated.
     """
 
     n: int
@@ -41,6 +44,16 @@ class Architecture:
     slice_boundaries: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", check_int(self.n, "n"))
+        # one scan of the wires' types lets gates of Python ints pass as
+        # they are; this check runs on every architecture built
+        if set(map(type, itertools.chain.from_iterable(self.gates))) - {int}:
+            object.__setattr__(self, "gates", tuple(
+                (check_int(a, "gate wire"), check_int(b, "gate wire"))
+                for a, b in self.gates))
+        if self.slice_boundaries is not None:
+            object.__setattr__(self, "slice_boundaries", tuple(
+                check_int(x, "boundary") for x in self.slice_boundaries))
         if self.n < 1:
             raise InvalidQubit(f"need at least one qubit, got n={self.n}")
         for i, (a, b) in enumerate(self.gates):
@@ -94,9 +107,9 @@ class Architecture:
     def from_json_dict(cls, d: object) -> Architecture:
         """Architecture from parsed JSON: an object whose ``n`` is an
         integer, whose ``gates`` is a list of integer pairs and whose
-        optional ``boundaries`` is a list of integers.  Integers must be
-        JSON integers (``json_int``); any other shape, a missing ``n`` or
-        ``gates`` among them, raises ValidationError."""
+        optional ``boundaries`` is a list of integers.  The constructor
+        checks the integers (``check_int``); any other shape, a missing
+        ``n`` or ``gates`` among them, raises ValidationError."""
         json_typed(d, dict, "an architecture")
         gates = json_typed(d.get("gates"), list, "gates")
         boundaries = d.get("boundaries")
@@ -106,13 +119,8 @@ class Architecture:
                     f"gate {i} must be a pair of wires, got {gate!r}")
         if boundaries is not None:
             json_typed(boundaries, list, "boundaries")
-        return cls(
-            json_int(d.get("n"), "n"),
-            tuple((json_int(a, "gate wire"), json_int(b, "gate wire"))
-                  for a, b in gates),
-            tuple(json_int(x, "boundary") for x in boundaries)
-            if boundaries is not None else None,
-        )
+        return cls(d.get("n"), tuple((a, b) for a, b in gates),
+                   None if boundaries is None else tuple(boundaries))
 
     @classmethod
     def from_json(cls, text: str) -> Architecture:
@@ -121,20 +129,21 @@ class Architecture:
 
 def from_gate_sequence(n: int, pairs: Sequence[tuple[int, int]],
                        boundaries: Sequence[int] | None = None) -> Architecture:
-    """Validated architecture from an explicit gate list."""
+    """Validated architecture from an explicit gate list (``Architecture``:
+    a wire or boundary that is not an integer is refused, not truncated)."""
     return Architecture(
-        n,
-        tuple((int(a), int(b)) for a, b in pairs),
-        tuple(int(x) for x in boundaries) if boundaries is not None else None,
-    )
+        n, tuple((a, b) for a, b in pairs),
+        tuple(boundaries) if boundaries is not None else None)
 
 
 def staircase(n: int, t_slices: int) -> Architecture:
     """``t_slices`` repetitions of the stepwise string (1,2),(2,3),...,(n-1,n).
 
     Each repetition is a minimal causal slice of n-1 gates with sink n, and
-    slice boundaries are set accordingly.
+    slice boundaries are set accordingly.  ``n`` and ``t_slices`` must be
+    integers (``check_int``).
     """
+    n, t_slices = check_int(n, "n"), check_int(t_slices, "t_slices")
     if n < 2:
         raise InvalidQubit(f"staircase needs n >= 2, got {n}")
     if t_slices < 1:
@@ -152,8 +161,10 @@ def brickwork(n: int, rounds: int) -> Architecture:
     n rounds make one causal slice of n(n-1) gates.  Boundaries are marked
     every n rounds; trailing rounds short of a full slice are merged into
     the final slice (extra gates never break causality).  With fewer than
-    n rounds no boundaries are set.
+    n rounds no boundaries are set.  ``n`` and ``rounds`` must be integers
+    (``check_int``).
     """
+    n, rounds = check_int(n, "n"), check_int(rounds, "rounds")
     if n < 2 or n % 2 != 0:
         raise OddQubitCount(f"brickwork needs an even n >= 2, got {n}")
     if rounds < 1:
@@ -184,7 +195,9 @@ def _adjacent_positions(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def random_adjacent(n: int, r_gates: int, seed: int) -> Architecture:
-    """``r_gates`` gates at positions (j, j+1), j drawn uniformly per seed."""
+    """``r_gates`` gates at positions (j, j+1), j drawn uniformly per seed.
+    ``n`` and ``r_gates`` must be integers (``check_int``)."""
+    n, r_gates = check_int(n, "n"), check_int(r_gates, "r_gates")
     if n < 2:
         raise InvalidQubit(f"need n >= 2, got {n}")
     if r_gates < 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .architecture import Architecture
-from .errors import AlphaOutOfRange, ValidationError, check_mode
+from .errors import AlphaOutOfRange, ValidationError, check_int, check_mode
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,11 @@ def complexity_lower_bound(r_gates: int, l_gates: int, n: int) -> LowerBoundResu
     """Exact rational R/(9L) - n/3, clamped below at zero.
 
     When R is not a multiple of L, the bound uses floor(R/L) full slices
-    and the result is flagged as floored.
+    and the result is flagged as floored.  R, L and n must be integers
+    (``check_int``).
     """
+    r_gates = check_int(r_gates, "r_gates")
+    l_gates, n = check_int(l_gates, "l_gates"), check_int(n, "n")
     if l_gates < 1:
         raise ValidationError(f"slice size must be positive, got {l_gates}")
     if r_gates < 0:
@@ -65,7 +68,9 @@ def _gauge_fixed(r_gates: int, touched: int) -> int:
 
 
 def saturation_threshold(n: int, mode: str) -> int:
-    """Slice count at which the accessible dimension saturates its cap."""
+    """Slice count at which the accessible dimension saturates its cap; ``n``
+    must be an integer (``check_int``)."""
+    n = check_int(n, "n")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     check_mode(mode)
@@ -74,7 +79,9 @@ def saturation_threshold(n: int, mode: str) -> int:
 
 def randomized_bound_probability(n: int, alpha: float) -> float:
     """max(0, 1 - (n-1) e^{-n} / (1 - alpha)): the success probability of the
-    complexity bound for uniformly placed adjacent gates."""
+    complexity bound for uniformly placed adjacent gates; ``n`` must be an
+    integer (``check_int``)."""
+    n = check_int(n, "n")
     if not 0.0 <= alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie in [0, 1), got {alpha}")
     if n < 2:
@@ -96,7 +103,9 @@ class StaircaseProbability:
 
 def staircase_slice_probability(n: int) -> StaircaseProbability:
     """p = (1 - (1 - 1/(n-1))^{n(n-1)})^{n-1}, with the chained Bernoulli
-    lower bound 1 - (n-1) e^{-n}, ``randomized_bound_probability`` at 0."""
+    lower bound 1 - (n-1) e^{-n}, ``randomized_bound_probability`` at 0;
+    ``n`` must be an integer (``check_int``)."""
+    n = check_int(n, "n")
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     miss = (Fraction(1) - Fraction(1, n - 1)) ** (n * (n - 1))
@@ -170,7 +179,10 @@ class BoundSheet:
 
 def make_bound_sheet(n: int, r_gates: int, l_gates: int) -> BoundSheet:
     """Bound sheet for R gates in slices of L; the dimension bound is
-    ``gauge_fixed_count`` with min(n, 2R) qubits touched."""
+    ``gauge_fixed_count`` with min(n, 2R) qubits touched.  n, R and L must
+    be integers (``check_int``)."""
+    n, r_gates = check_int(n, "n"), check_int(r_gates, "r_gates")
+    l_gates = check_int(l_gates, "l_gates")
     lower = complexity_lower_bound(r_gates, l_gates, n)
     return BoundSheet(
         n=n,

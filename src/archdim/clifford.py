@@ -27,7 +27,7 @@ from .errors import (
     PhasedPauli,
     TrivialPauli,
     ValidationError,
-    json_int,
+    check_int,
     json_typed,
 )
 from .pauli import PauliString
@@ -152,13 +152,14 @@ class CliffordCircuit:
     @classmethod
     def from_json_ops(cls, n: int, ops: object) -> CliffordCircuit:
         """Circuit from parsed JSON ops ``[name, qubit, ...]`` with a string
-        name and ``json_int`` qubits; any other shape raises ValidationError."""
+        name and integer qubits (``check_int``); any other shape raises
+        ValidationError."""
         for op in json_typed(ops, list, "a circuit"):
             if not (isinstance(op, list) and op and isinstance(op[0], str)):
                 raise ValidationError(
                     f"an op must be a gate name and its qubits, got {op!r}")
         return cls(n, tuple(
-            (op[0], tuple(json_int(q, "gate qubit") for q in op[1:]))
+            (op[0], tuple(check_int(q, "gate qubit") for q in op[1:]))
             for op in ops))
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -107,13 +108,15 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     which with their complex build take 16 KiB per gate, and its cached
     plans keep their compiled tables (``_FramePlan.tables``) throughout.
     Reading its matrix runs the matrix plan's sweep, which holds the
-    plan's arena and one transfer's temporaries (``_frame_plan``); the
-    matrix is then formed beside the arena's head, which holds at most its
+    plan's arena and its scratch, one transfer's temporaries as the
+    compiled transfer specs count them (``_compile``); the matrix is then
+    formed beside the arena's head, which holds at most its
     4^n x C entries, and the SVD takes it twice, so the SVD's phase covers
     that one.  A tall frame also holds its C x C Gram matrix throughout.
     It runs the Gram plan's sweep first: one arena holds the forward
     half's groups, then the groups the join reads beside the backward
-    half's, and the plan's scratch covers one transfer's or read's
+    half's, and the plan's scratch, counted where ``_compile`` lays out
+    each transfer, read and join, covers one transfer's or read's
     temporaries or one joined pair's row copies and product.  The arena is
     gone when the sweep returns, and the certificate takes up to three more
     C x C arrays.  An estimate whose frame terms alone exceed
@@ -345,7 +348,10 @@ class _Spec(NamedTuple):
     matmul), 1 when they sit next to each other and it fills a column range
     (one matmul per outer row block) and 2 when they lie apart (tensordot
     over the cone positions ``pq``).  ``shape`` is the source's shape for
-    that call and ``out`` the shape of its column range."""
+    that call and ``out`` the shape of its column range.  ``temps`` counts
+    the entries per source column of the temporaries the transfer makes:
+    the copy of the source's kept slice when it drops a wire, and
+    tensordot's reordered input and output on path 2."""
 
     drop: tuple | None
     t: tuple[slice, ...]
@@ -353,6 +359,7 @@ class _Spec(NamedTuple):
     shape: tuple[int, ...]
     out: tuple[int, ...]
     pq: tuple[int, int]
+    temps: int
 
 
 class _Feed(NamedTuple):
@@ -435,9 +442,9 @@ class _FramePlan:
     float64 entries of the arena that holds every group, ``held`` those of
     its head, which holds the groups the matrix plan ends with or those the
     Gram plan joins, and ``scratch`` bounds the entries one transfer's,
-    read's or join's temporaries take beside it.  ``tables`` bounds the
-    bytes of the compiled tables the plan keeps.  The frame's columns are
-    not the plan's: both plans read them from ``_gauge``.
+    read's or join's temporaries take beside it (``_compile``).  ``tables``
+    bounds the bytes of the compiled tables the plan keeps.  The frame's
+    columns are not the plan's: both plans read them from ``_gauge``.
     """
 
     steps: tuple[tuple[_Move, ...], ...]
@@ -541,23 +548,20 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     minimizes the sweep's work (``_split_point``); h = R is the forward
     sweep alone.
 
-    Every group lives from the gate that writes it to the gate that moves
-    it on (or, unpruned, to the end, where the frame's matrix is formed
-    from the last groups, or to the join) and has a fixed offset in one
-    arena (``_first_fit``), the two halves' groups on one timeline.  A
-    transfer between cone positions next to each other is a matmul into
-    its group; it copies the slice of its source when it drops a wire.
-    Wires apart in the cone take tensordot, which also copies its input
-    and output.  A read copies its rows, 16 backward, where it also makes
-    their product with the gate's born columns; and a join copies the
-    meet's rows of both groups, unless the meet is the whole cone, and
-    their product.  ``scratch`` is the largest sum; it stays an upper
-    bound where the compiled rows are slices, which copy nothing.
+    Both half plans (``_half_plan``) work on wire bitmasks and hold only
+    each step's moves, multiply-adds and group widths; one list of the
+    pairs the join at h takes (``_meets``) serves both the pricing of h
+    and the plan.  Every group lives from the gate that writes it to the
+    gate that moves it on (or, unpruned, to the end, where the frame's
+    matrix is formed from the last groups, or to the join) and has a fixed
+    offset in one arena (``_first_fit``), the two halves' groups on one
+    timeline.
 
     Without ``prune`` it is the matrix plan, the forward sweep whose last
     groups form the frame's matrix.  Last, the plan compiles everything its
-    sweep does that the gates do not change (``_compile``), so that
-    ``_sweep`` runs only array calls.
+    sweep does that the gates do not change, and counts the ``scratch``
+    of the temporaries each transfer, read and join makes where it lays
+    them out (``_compile``), so that ``_sweep`` runs only array calls.
     """
     end = arch.gate_count
     labels_all = _gauge(arch)[1]
@@ -568,32 +572,20 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
         split = _split_point(forward, backward) if prune else end
     taken = forward[:split] + backward[:end - split]
     meets = _meets(forward, backward, split)
-    joined = {(False, f) for f, _, _ in meets} \
-        | {(True, b) for _, b, _ in meets}
-    groups: dict[tuple[bool, _Cone], int] = {}  # (half, cone) -> spans index
+    joined = {key for f, b, *_ in meets for key in ((False, f), (True, b))}
+    groups: dict[tuple[bool, int], int] = {}  # (half, cone) -> spans index
     spans: list[list[int]] = []  # [first step, last step, size] per group
     for s, step in enumerate(taken):
         for cone, sources, width in step.moves:
             for src in sources:
                 spans[groups.pop((s >= split, src))][1] = s
             groups[s >= split, cone] = len(spans)
-            spans.append([s, s, 4 ** len(cone) * width])
+            spans.append([s, s, 4 ** cone.bit_count() * width])
     for key, i in groups.items():
         if not prune or key in joined:
             spans[i][1] = end
-    offsets, arena, held = _first_fit([tuple(span) for span in spans], end)
-    # one joined pair's row copies and product
-    ahead, behind = _alive(forward, backward, split)
-    scratch = max([step.scratch for step in taken]
-                  + [4 ** len(meet) * (ahead[f] * (meet != f)
-                                       + behind[b] * (meet != b))
-                     + ahead[f] * behind[b] for f, b, meet in meets],
-                  default=0)
-    gates, steps, joins, final, tables = _compile(
-        arch, labels_all, taken, split, offsets, held, meets, prune)
-    return _FramePlan(
-        steps=steps, arena=arena, held=held, scratch=scratch, split=split,
-        gates=gates, joins=joins, final=final, tables=tables)
+    layout = _first_fit([tuple(span) for span in spans], end)
+    return _compile(arch, labels_all, taken, split, layout, meets, prune)
 
 
 # Each compiled move, feed, join and gate is counted at this many bytes of
@@ -604,24 +596,36 @@ _TABLE_OBJECT = 1024
 
 
 def _compile(arch: Architecture, labels_all: list[np.ndarray],
-             taken: list[_Step], split: int, offsets: list[int], held: int,
-             meets: list[tuple[_Cone, _Cone, _Cone]], prune: bool) -> tuple:
-    """The plan's sweep tables (``_FramePlan``): each step's gate and its
-    moves with their blocks and feeds; for the Gram plan (``prune``) each
-    move's read rows and Gram indices and the joins, and for the matrix
-    plan the final groups; and the bytes they keep.
+             taken: list[_Step], split: int,
+             layout: tuple[list[int], int, int],
+             meets: list[tuple[int, ...]], prune: bool) -> _FramePlan:
+    """The plan (``_FramePlan``) from the half plans' steps it takes, the
+    arena ``layout`` of ``_first_fit`` and the ``meets`` of its split:
+    each step's gate and its moves with their blocks and feeds; for the
+    Gram plan (``prune``) each move's read rows and Gram indices and the
+    joins, and for the matrix plan the final groups; the bytes these
+    tables keep; and the scratch of the sweep's temporaries.
 
-    A gate's frame columns run from the sum of the kept counts before it,
-    and a group's columns are its sources' in order, then the gate's born
-    ones.  A column list that runs up by a fixed step is kept as a slice,
-    and any other as a read-only index array."""
+    The steps' cones are wire bitmasks, which become tuples of wires here
+    (``_wires``).  A gate's frame columns run from the sum of the kept
+    counts before it, and a group's columns are its sources' in order, then
+    the gate's born ones.  A column list that runs up by a fixed step is
+    kept as a slice, and any other as a read-only index array.
+
+    ``scratch`` is the most entries that one transfer, read or join makes
+    beside the arena: a transfer its ``_Spec.temps`` per source column; in
+    the Gram plan a move's read its rows, and backward their product with
+    the born columns; a join the meet's rows of each group whose cone is
+    not the meet, and their product.  It stays an upper bound where the
+    compiled rows are slices, which copy nothing."""
     end = arch.gate_count
+    offsets, arena, held = layout
     starts = [0, *itertools.accumulate(labels.size for labels in labels_all)]
     order = [*range(split), *range(end - 1, split - 1, -1)]
     born: dict[tuple, np.ndarray] = {}  # one I[:, labels] per label set
-    live: dict[tuple[bool, _Cone], tuple[_Block, np.ndarray]] = {}
+    live: dict[tuple[bool, int], tuple[_Block, np.ndarray]] = {}
     at_offset = iter(offsets)  # the offsets are in step and move order
-    gates, steps, arrays = [], [], []
+    gates, steps, arrays, scratch = [], [], [], 0
     for s, (j, step) in enumerate(zip(order, taken)):
         backward = s >= split
         a, b = arch.gates[j]
@@ -635,41 +639,48 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
                            None if backward else born[key]))
         own = slice(starts[j], starts[j + 1])  # gate j's columns
         moves = []
-        for cone, sources, width in step.moves:
+        for mask, sources, width in step.moves:
+            cone = _wires(mask)
             offset = next(at_offset)
             size = 4 ** len(cone) * width
-            arena, start = (1, offset) if offset < held else (0, offset - held)
-            block = _Block(arena, slice(start, start + size), width)
+            place, start = (1, offset) if offset < held else (0, offset - held)
+            block = _Block(place, slice(start, start + size), width)
             feeds, cols, at = [], [], 0
             for src in sources:
                 source, members = live.pop((backward, src))
-                spec = _spec(src, cone, lo, hi, source.width == width)
+                spec = _spec(_wires(src), cone, lo, hi, source.width == width)
+                scratch = max(scratch, spec.temps * source.width)
                 feeds.append(_Feed(source, slice(at, at + source.width), spec))
                 at += source.width
                 cols.append(members)
             if cone == (lo, hi):
                 cols.append(np.arange(own.start, own.stop))
             cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
-            live[backward, cone] = block, cols
+            live[backward, mask] = block, cols
             read = pairs = None
+            if prune:
+                scratch = max(scratch, (16 * backward + labels.size) * width)
             if prune and at:
                 read = _read(cone, lo, hi, None if backward else key)
                 pairs = _pairs(cols[:at], own) if backward \
                     else _pairs(own, cols[:at])
                 arrays += [*pairs, read]
-            moves.append(_Move(cone, sources, block, tuple(feeds), at, read,
-                               pairs))
+            moves.append(_Move(cone, tuple(map(_wires, sources)), block,
+                               tuple(feeds), at, read, pairs))
         steps.append(tuple(moves))
     joins = []
-    for f, b, meet in meets:
+    for f, b, meet, fw, bw in meets:
         (ahead, fcols), (behind, bcols) = live[False, f], live[True, b]
+        f, b, meet = _wires(f), _wires(b), _wires(meet)
         join = _Join(f, b, meet, ahead, behind, _rows(f, meet), _rows(b, meet),
                      _pairs(bcols, fcols))
+        scratch = max(scratch, 4 ** len(meet) * (fw * (meet != f)
+                                                 + bw * (meet != b)) + fw * bw)
         arrays += [join.ahead_rows, join.behind_rows, *join.pairs]
         joins.append(join)
     final = ()
     if not prune:
-        final = tuple((cone, block, cols)
+        final = tuple((_wires(cone), block, cols)
                       for (_, cone), (block, cols) in live.items())
         for _, _, cols in final:
             cols.flags.writeable = False
@@ -682,7 +693,17 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
              for x in arrays + list(born.values())
              if isinstance(x, np.ndarray)}
     tables = sum(bases.values()) + _TABLE_OBJECT * (count + len(gates))
-    return tuple(gates), tuple(steps), tuple(joins), final, tables
+    return _FramePlan(
+        steps=tuple(steps), arena=arena, held=held, scratch=scratch,
+        split=split, gates=tuple(gates), joins=tuple(joins), final=final,
+        tables=tables)
+
+
+# Cones repeat across the moves of a plan and across plans.
+@functools.lru_cache(maxsize=4096)
+def _wires(mask: int) -> _Cone:
+    """The wires of a cone's bitmask (bit q for qubit q), ascending."""
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
 def _span(index: np.ndarray) -> slice | np.ndarray:
@@ -760,79 +781,71 @@ def _spec(old: _Cone, new: _Cone, lo: int, hi: int, whole: bool) -> _Spec:
         path = 2
         shape = tuple(4 if w in old else 1 for w in new) + (-1,)
         out = (4,) * len(new) + (-1,)
-    return _Spec(drop, t, path, shape, out, (p, q))
+    # per column: the kept slice of the source, and tensordot's input and
+    # output
+    temps = 4 ** len(old) * ((drop is not None) + (path == 2)) \
+        + 4 ** len(new) * (path == 2)
+    return _Spec(drop, t, path, shape, out, (p, q), temps)
 
 
 class _Step(NamedTuple):
-    """One gate of a half sweep: its moves (cone, sources, width),
-    their multiply-adds and temporaries, and the widths of the groups after
-    it."""
+    """One gate of a half sweep: its moves (cone, sources, width) and their
+    multiply-adds, and the width of each group after it, cones as wire
+    bitmasks."""
 
-    moves: list[tuple]
+    moves: list[tuple[int, tuple[int, ...], int]]
     madds: int
-    scratch: int
-    widths: dict[_Cone, int]
+    widths: dict[int, int]
 
 
 def _half_plan(arch: Architecture, labels_all: list[np.ndarray],
                prune: bool, *, backward: bool) -> list[_Step]:
     """The steps of a sweep over every gate, forward from gate 0 or
-    backward from gate R - 1 (``_frame_plan``).  A transfer into a cone c
-    from a source holding k of the gate's wires takes 4^(|c| + k)
-    multiply-adds per column, and a backward read 16 per column and kept
-    label."""
+    backward from gate R - 1 (``_frame_plan``), with each cone keyed by
+    its wire bitmask: bit q for qubit q.  A transfer into a cone c from a
+    source holding k of the gate's wires takes 4^(|c| + k) multiply-adds
+    per column, and a backward read 16 per column and kept label."""
     order = range(arch.gate_count)
     if backward:
         order = order[::-1]
-    final = {q: s for s, j in enumerate(order) for q in arch.gates[j]}
-    widths: dict[_Cone, int] = {}
+    pairs = [1 << arch.gates[j][0] | 1 << arch.gates[j][1] for j in order]
+    # the wires a step from s on touches: a pruned cone keeps only those
+    touched = [*itertools.accumulate(pairs[::-1], operator.or_)][::-1]
+    widths: dict[int, int] = {}
     steps: list[_Step] = []
-    for s, j in enumerate(order):
-        a, b = arch.gates[j]
+    for s, (j, pair) in enumerate(zip(order, pairs)):
         labels = labels_all[j]
-        lo, hi = sorted((a, b))
-        moves: dict[_Cone, list[_Cone]] = {}
-        for cone in [c for c in widths if a in c or b in c]:
-            live = {q for q in cone if not prune or final[q] >= s}
-            moves.setdefault(tuple(sorted(live | {a, b})), []).append(cone)
-        moves.setdefault((lo, hi), [])
-        step, madds, scratch = [], 0, 0
+        moves: dict[int, list[int]] = {}
+        for cone in [c for c in widths if c & pair]:
+            grown = (cone & touched[s] if prune else cone) | pair
+            moves.setdefault(grown, []).append(cone)
+        moves.setdefault(pair, [])
+        step, madds = [], 0
         for cone, sources in moves.items():
-            apart = cone.index(hi) > cone.index(lo) + 1
-            width = labels.size if cone == (lo, hi) else 0
+            width = labels.size if cone == pair else 0
             for src in sources:
                 count = widths.pop(src)
                 width += count
-                stay = sum(w in cone for w in src)  # the wires src keeps
-                size_in = count * 4 ** stay
-                scratch = max(scratch, size_in * (stay < len(src))
-                              + (size_in + 4 ** len(cone) * count) * apart)
-                madds += 4 ** (len(cone) + (lo in src) + (hi in src)) * count
+                madds += 4 ** (cone.bit_count()
+                               + (src & pair).bit_count()) * count
             widths[cone] = width
             madds += 16 * labels.size * width * backward
-            scratch = max(scratch,
-                          prune * (16 * backward + labels.size) * width)
             step.append((cone, tuple(sources), width))
-        steps.append(_Step(step, madds, scratch, dict(widths)))
+        steps.append(_Step(step, madds, dict(widths)))
     return steps
 
 
-def _alive(forward: list[_Step], backward: list[_Step],
-           split: int) -> tuple[dict[_Cone, int], dict[_Cone, int]]:
-    """The widths of the forward and the backward groups alive at
-    ``split``."""
-    end = len(forward)
-    return (forward[split - 1].widths if split else {},
-            backward[end - split - 1].widths if split < end else {})
-
-
 def _meets(forward: list[_Step], backward: list[_Step],
-           split: int) -> list[tuple[_Cone, _Cone, _Cone]]:
-    """(forward cone, backward cone, meet) of the groups the join at
-    ``split`` pairs: those alive there whose cones meet."""
-    ahead, behind = _alive(forward, backward, split)
-    return [(f, b, meet) for f in ahead for b in behind
-            for meet in [tuple(q for q in f if q in b)] if meet]
+           split: int) -> list[tuple[int, int, int, int, int]]:
+    """(forward cone, backward cone, meet, forward width, backward width),
+    cones as wire bitmasks, of the groups the join at ``split`` pairs: the
+    groups alive there, after forward step ``split`` - 1 and backward step
+    R - ``split`` - 1, whose cones meet."""
+    end = len(forward)
+    ahead = forward[split - 1].widths if split else {}
+    behind = backward[end - split - 1].widths if split < end else {}
+    return [(f, b, f & b, fw, bw) for f, fw in ahead.items()
+            for b, bw in behind.items() if f & b]
 
 
 def _meet_rows(cone: _Cone, meet: _Cone) -> np.ndarray:
@@ -849,35 +862,23 @@ _CALL_MADDS = 2 ** 16
 
 def _split_point(forward: list[_Step], backward: list[_Step]) -> int:
     """The split h with the least work: the multiply-adds of the forward
-    steps before h, of the backward steps from h and of the join, 4^|meet|
-    per pair of columns it pairs, plus ``_CALL_MADDS`` per array call (a
-    transfer, a read, a join's row copy or product); ties go to the later
-    h.  The join is priced on wire bitmasks: a meet is the two cones' AND,
-    and it needs no row copy of a cone it equals."""
+    steps before h, of the backward steps from h and of the join
+    (``_meets``), 4^|meet| per pair of columns it pairs, plus
+    ``_CALL_MADDS`` per array call (a transfer, a read, a join's row copy
+    of a cone that is not the meet or its product); ties go to the later
+    h."""
     end = len(forward)
-    work = [[step.madds + _CALL_MADDS * sum(1 + len(move[1])
-                                            for move in step.moves)
+    work = [[step.madds + _CALL_MADDS * sum(1 + len(sources)
+                                            for _, sources, _ in step.moves)
              for step in half] for half in (forward, backward)]
     before = np.cumsum([0] + work[0])
     after = np.cumsum([0] + work[1])[::-1]
 
-    def masks(step: _Step) -> list[tuple[int, int]]:
-        return [(sum(1 << q for q in cone), width)
-                for cone, width in step.widths.items()]
-
-    # the groups alive at h: forward[h - 1]'s and backward[R - h - 1]'s
-    ahead = [[]] + [masks(step) for step in forward]
-    behind = [masks(step) for step in reversed(backward)] + [[]]
-
     def cost(h: int) -> int:
-        join = 0
-        for f, fw in ahead[h]:
-            for b, bw in behind[h]:
-                meet = f & b
-                if meet:
-                    join += 4 ** meet.bit_count() * fw * bw + _CALL_MADDS * (
-                        1 + (meet != f) + (meet != b))
-        return int(before[h] + after[h]) + join
+        return int(before[h] + after[h]) + sum(
+            4 ** meet.bit_count() * fw * bw
+            + _CALL_MADDS * (1 + (meet != f) + (meet != b))
+            for f, b, meet, fw, bw in _meets(forward, backward, h))
 
     return min(range(end + 1), key=lambda h: (cost(h), -h))
 

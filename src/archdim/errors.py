@@ -88,8 +88,11 @@ def check_mode(mode: object, what: str = "mode") -> None:
 
 def check_int(x: object, what: str) -> int:
     """``x`` as an int, or ValidationError that names it ``what`` unless it
-    is an integer (a Python or numpy one): a float or a bool is refused,
-    never truncated."""
+    is an integer (a Python or numpy one): a float, a bool, a string or
+    None is refused, never truncated.  Parsed JSON input takes this check
+    too."""
+    if type(x) is int:  # the common case, without the ABC check
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValidationError(f"{what} must be an integer, got {x!r}")
     return int(x)
@@ -102,14 +105,6 @@ def check_seed(seed: object) -> int:
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     return seed
-
-
-def json_int(x: object, what: str) -> int:
-    """``x``, a parsed JSON integer field named ``what``.  A float, a bool
-    or a string raises ValidationError: it is refused, never truncated."""
-    if type(x) is not int:  # bool is a subclass of int
-        raise ValidationError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 def json_typed(x: object, kind: type, what: str):

@@ -27,8 +27,8 @@ from .errors import (
     TooManySlices,
     TrivialPauli,
     ValidationError,
+    check_int,
     check_mode,
-    json_int,
     json_typed,
 )
 from .pauli import PauliString, lex_flips, xz_state_image
@@ -200,15 +200,15 @@ class WitnessCertificate:
         other shape, a missing field among them, a non-integer number, an
         unknown mode or bad state bits raise ValidationError.  A missing
         field is read as null, which its check refuses by name."""
-        n = json_int(json_typed(d, dict, "a certificate").get("n"), "n")
+        n = check_int(json_typed(d, dict, "a certificate").get("n"), "n")
         circuits = tuple(CliffordCircuit.from_json_ops(2, ops)
                          for ops in json_typed(d.get("gates"), list, "gates"))
         slices = tuple(
-            SliceRecord(json_int(s.get("start"), "slice start"),
-                        json_int(s.get("stop"), "slice stop"),
-                        json_int(s.get("sink"), "slice sink"),
+            SliceRecord(check_int(s.get("start"), "slice start"),
+                        check_int(s.get("stop"), "slice stop"),
+                        check_int(s.get("sink"), "slice sink"),
                         PauliString.from_label(s.get("q")),
-                        json_int(s.get("insertion_gate"), "insertion gate"))
+                        check_int(s.get("insertion_gate"), "insertion gate"))
             for s in (json_typed(s, dict, "a slice")
                       for s in json_typed(d.get("slices"), list, "slices")))
         mode = d.get("mode")  # checked first: it fixes the directions' layout
@@ -224,7 +224,7 @@ class WitnessCertificate:
                 raise ValidationError(f"bits must be {n} characters 0 or 1, "
                                       f"got {bits!r}")
             images.append((int(bits, 2),
-                           json_int(e.get("phase_exp"), "phase_exp")))
+                           check_int(e.get("phase_exp"), "phase_exp")))
         return cls(n, mode, circuits, slices, state_images=tuple(images))
 
     @classmethod

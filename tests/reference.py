@@ -386,12 +386,12 @@ def split_gram(arch: Architecture, transfers: np.ndarray,
 def split_point(forward: Sequence, backward: Sequence, call_madds: int) -> int:
     """The split h of least work from the half plans' steps
     (``contraction._half_plan``), priced as the plan priced it before it
-    read wire bitmasks: each candidate h lists the groups alive there and
-    the meet of each forward and backward pair as a tuple of wires.  A
-    step costs its multiply-adds and ``call_madds`` per array call; a join
-    4^|meet| per pair of columns it pairs, and one call for the product
-    and one per row copy of a cone that is not the meet.  Ties go to the
-    later h."""
+    read wire bitmasks: each candidate h lists the groups alive there, with
+    each cone's bitmask turned into a tuple of wires, and the meet of each
+    forward and backward pair as a tuple of wires.  A step costs its
+    multiply-adds and ``call_madds`` per array call; a join 4^|meet| per
+    pair of columns it pairs, and one call for the product and one per row
+    copy of a cone that is not the meet.  Ties go to the later h."""
     end = len(forward)
     work = [[step.madds + call_madds * sum(1 + len(move[1])
                                            for move in step.moves)
@@ -399,9 +399,14 @@ def split_point(forward: Sequence, backward: Sequence, call_madds: int) -> int:
     before = np.cumsum([0] + work[0])
     after = np.cumsum([0] + work[1])[::-1]
 
+    def wires(widths: dict) -> dict:
+        return {tuple(q for q in range(1, mask.bit_length())
+                      if mask & 1 << q): width
+                for mask, width in widths.items()}
+
     def cost(h: int) -> int:
-        ahead = forward[h - 1].widths if h else {}
-        behind = backward[end - h - 1].widths if h < end else {}
+        ahead = wires(forward[h - 1].widths) if h else {}
+        behind = wires(backward[end - h - 1].widths) if h < end else {}
         join = sum(4 ** len(meet) * ahead[f] * behind[b]
                    + call_madds * (1 + (meet != f) + (meet != b))
                    for f in ahead for b in behind

@@ -76,6 +76,37 @@ def test_json_refuses_non_integers(doc):
         Architecture.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("call,what", [
+    (lambda: Architecture(True, ()), "n"),
+    (lambda: Architecture(3, ((1, 2),), (1.0,)), "boundary"),
+    (lambda: from_gate_sequence(3, [(1.9, 2)]), "gate wire"),
+    (lambda: staircase(3.0, 1), "n"),
+    (lambda: staircase(3, True), "t_slices"),
+    (lambda: brickwork(4.0, 1), "n"),
+    (lambda: brickwork(4, 1.5), "rounds"),
+    (lambda: random_adjacent(4.0, 5, 1), "n"),
+    (lambda: random_adjacent(4, 5.0, 1), "r_gates")],
+    ids=["bool-n", "float-boundary", "float-wire", "staircase-float-n",
+         "staircase-bool-t", "brickwork-float-n", "brickwork-float-rounds",
+         "random-float-n", "random-float-r"])
+def test_architectures_refuse_non_integers_by_name(call, what):
+    # these kept a float or bool n, truncated the wire to 1, built one
+    # slice for t = True, or raised TypeError deep inside
+    with pytest.raises(ValidationError, match=f"^{what} must be an integer"):
+        call()
+
+
+def test_numpy_integers_are_stored_as_ints():
+    # a numpy n was kept, and to_json raised TypeError on it
+    arch = brickwork(np.int64(4), np.int64(1))
+    assert type(arch.n) is int
+    assert Architecture.from_json(arch.to_json()) == arch
+    seq = from_gate_sequence(np.int64(3), [np.array([1, 2])], [np.int64(1)])
+    assert seq == from_gate_sequence(3, [(1, 2)], [1])
+    assert all(type(x) is int
+               for x in (seq.n, *seq.gates[0], *seq.slice_boundaries))
+
+
 WRONG_SHAPES = [
     [1, 2],
     "x",

@@ -7,6 +7,7 @@ import pytest
 
 from archdim import (
     AlphaOutOfRange,
+    ValidationError,
     complexity_lower_bound,
     from_gate_sequence,
     make_bound_sheet,
@@ -16,6 +17,23 @@ from archdim import (
     staircase_slice_probability,
 )
 from archdim.contraction import dimension_bounds
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda: saturation_threshold(3.5, "unitary"), "n"),
+    (lambda: randomized_bound_probability(3.5, 0.5), "n"),
+    (lambda: complexity_lower_bound(10.5, 2, 3), "r_gates"),
+    (lambda: complexity_lower_bound(10, 2.0, 3), "l_gates"),
+    (lambda: complexity_lower_bound(10, 2, True), "n"),
+    (lambda: make_bound_sheet(3.0, 10, 2), "n"),
+    (lambda: staircase_slice_probability(3.0), "n")],
+    ids=["threshold-n", "probability-n", "lower-r", "lower-l", "lower-bool-n",
+         "sheet-n", "staircase-probability-n"])
+def test_bound_formulas_refuse_non_integers_by_name(call, what):
+    # 3.5 qubits gave a threshold of 127.0 and a probability of 0.849, True
+    # counted as one qubit, and the others raised TypeError
+    with pytest.raises(ValidationError, match=f"^{what} must be an integer"):
+        call()
 
 
 def test_lower_bound_spot_check():

@@ -849,14 +849,17 @@ PLAN_CASES = SWEEP_CASES + [
         6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4), (5, 6)] * 3),
         id="sequence-6-21")]
 
-
-@pytest.mark.parametrize("build", PLAN_CASES + [
+# the three dim shapes of the benchmark's dim-wide workload
+DIM_CASES = [
     pytest.param(lambda: build_family("staircase", 6, 2),
                  id="dim-staircase-6-2"),
     pytest.param(lambda: build_family("staircase", 7, 1),
                  id="dim-staircase-7-1"),
     pytest.param(lambda: build_family("brickwork", 6, 1),
-                 id="dim-brickwork-6-1")])
+                 id="dim-brickwork-6-1")]
+
+
+@pytest.mark.parametrize("build", PLAN_CASES + DIM_CASES)
 def test_split_pricing_on_wire_bitmasks_picks_the_same_split(build):
     # the join priced on wire bitmasks picks the h that listing each
     # candidate's meets as wire tuples picks
@@ -867,6 +870,40 @@ def test_split_pricing_on_wire_bitmasks_picks_the_same_split(build):
     want = split_point(*halves, contraction._CALL_MADDS)
     assert contraction._split_point(*halves) == want
     assert contraction._frame_plan(arch, prune=True).split == want
+
+
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("build", PLAN_CASES + DIM_CASES)
+def test_each_transfer_allocates_what_its_spec_prices(build, prune):
+    # a plan's scratch counts each transfer's temporaries from its _Spec:
+    # tracemalloc's peak over one _transfer call stays within temps
+    # entries per source column, with 8 KiB for the views and a copy of
+    # the 16 x 16 transfer matrix's slice
+    arch = build()
+    plan = contraction._frame_plan(arch, prune=prune)
+    transfers = transfer_matrices(GateAssignment.haar(arch, 27))
+    arenas = np.zeros(plan.arena - plan.held), np.zeros(plan.held)
+    tracemalloc.start()
+    try:
+        for gate, step in zip(plan.gates, plan.steps):
+            # the transfer matrix as _sweep lays it out
+            t4 = transfers[gate.j]
+            t4 = (t4.T if gate.backward else t4).reshape(4, 4, 4, 4)
+            if gate.swap:
+                t4 = t4.transpose(1, 0, 3, 2)
+            for move in step:
+                block = move.block
+                x = arenas[block.arena][block.span].reshape(-1, block.width)
+                for feed in move.feeds:
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    contraction._transfer(arenas, t4, feed, x)
+                    made = tracemalloc.get_traced_memory()[1] - before
+                    assert made <= 8 * feed.source.width * feed.spec.temps \
+                        + 8192, (gate.j, move.cone, feed.spec)
+                    assert feed.spec.temps * feed.source.width <= plan.scratch
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("prune", [False, True])

@@ -75,8 +75,11 @@ def test_sweep_refuses_a_non_integer_seed():
      "samples"),
     (lambda: growth_sweep(2, "staircase", 2.5, 3, 1), "t_max"),
     (lambda: growth_sweep(2, "staircase", 2, samples=3.5, seed=1), "samples"),
-    (lambda: randomized_architecture_experiment(3, 2.5, 1), "trials")],
-    ids=["dim-samples", "sweep-t-max", "sweep-samples", "mc-trials"])
+    (lambda: randomized_architecture_experiment(3, 2.5, 1), "trials"),
+    (lambda: growth_sweep(2.0, "staircase", 2, 3, 1), "n"),
+    (lambda: randomized_architecture_experiment(3.0, 10, 1), "n")],
+    ids=["dim-samples", "sweep-t-max", "sweep-samples", "mc-trials",
+         "sweep-n", "mc-n"])
 def test_a_non_integer_count_is_refused_by_name(call, what, monkeypatch):
     # range() and the position stream raised TypeError deep inside; the
     # count is refused before any gate or position is drawn

@@ -1,11 +1,20 @@
 import importlib.util
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location(
-    "code_lines", Path(__file__).resolve().parent.parent / "tools"
-    / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+from archdim import contraction
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+frame_digest = _load("frame_digest")
 
 SNIPPET = '''"""Module docstring,
 on two lines."""
@@ -47,3 +56,25 @@ def test_code_lines_counts_each_module(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out] == ["8", "1", "9"]
     assert out[-1].endswith("total")
+
+
+def test_frame_digest_repeats_one_line_per_item(capsys):
+    # two runs, the second with every plan and table rebuilt, print the
+    # same lines: per shape 5 items of each plan, 2 estimates, and per
+    # seed 3 Gram matrices, 3 Gram errors, the matrix, the singular values,
+    # the route and the ranks
+    argv = ["staircase-3-2", "sequence-4-5", "--seeds", "1", "2"]
+    runs = []
+    for _ in range(2):
+        for cached in vars(contraction).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        assert frame_digest.main(argv) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    lines = [line.split() for line in runs[0]]
+    assert len(lines) == 2 * (10 + 2 + 2 * 10)
+    assert all(len(sha) == 64 for sha, _, _ in lines)
+    assert len({(shape, item) for _, shape, item in lines}) == len(lines)
+    assert [shape for _, shape, _ in lines] \
+        == ["staircase-3-2"] * 32 + ["sequence-4-5"] * 32

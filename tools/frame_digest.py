@@ -1,0 +1,115 @@
+"""Print SHA-256 digests of what the unitary frame route computes, so that
+two trees can be checked for bit-identical results.
+
+    PYTHONPATH=src python tools/frame_digest.py [--seeds S ...] [SHAPE ...]
+
+For each shape (all of ``SHAPES`` by default) it prints one
+``sha256 shape quantity`` line per item: each plan's split, arena, held,
+scratch and tables; ``peak_bytes`` in both modes; and per seed (1 to 5 by
+default) the Gram matrix and ``repr(gram_error)`` at the plan's split h, at
+h = 0 and at h = R, the frame's matrix, and the singular values, route and
+loose/tight ranks of ``numerical_rank``.  A wide frame has no Gram matrix,
+and its Gram lines digest ``None``.  Arrays are digested by their shape and
+``tobytes()`` after ``+ 0.0``, which makes -0.0 read as 0.0, and other
+values by ``repr``; pickle is not used, since its bytes follow object
+sharing.  Run the same command on two trees and diff the output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import sys
+from collections.abc import Callable, Iterator
+
+import numpy as np
+
+from archdim import (GateAssignment, brickwork, build_family,
+                     from_gate_sequence, numerical_rank, random_adjacent,
+                     staircase, tangent_frame)
+from archdim import contraction
+
+SHAPES: dict[str, Callable] = {
+    "dim-staircase-6-2": lambda: build_family("staircase", 6, 2),
+    "dim-staircase-7-1": lambda: build_family("staircase", 7, 1),
+    "dim-brickwork-6-1": lambda: build_family("brickwork", 6, 1),
+    **{f"staircase-3-{t}": (lambda t=t: staircase(3, t)) for t in range(1, 7)},
+    "staircase-6-12": lambda: staircase(6, 12),
+    "brickwork-4-2": lambda: brickwork(4, 2),
+    "random-5-12-4": lambda: random_adjacent(5, 12, 4),
+    "random-6-40-1": lambda: random_adjacent(6, 40, 1),
+    # non-adjacent and reversed wires
+    "sequence-4-5": lambda: from_gate_sequence(
+        4, [(3, 1), (2, 4), (1, 4), (4, 3), (2, 1)]),
+    "sequence-6-21": lambda: from_gate_sequence(
+        6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4), (5, 6)] * 3),
+}
+
+
+def digest(value: object) -> str:
+    """The SHA-256 of an array's shape and bytes (after ``+ 0.0`` for a
+    float array) or of any other value's ``repr``."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            value = value + 0.0
+        data = repr(value.shape).encode() \
+            + np.ascontiguousarray(value).tobytes()
+    else:
+        data = repr(value).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@contextlib.contextmanager
+def _split_at(split: int | None) -> Iterator[None]:
+    """Make the Gram plan split at ``split`` (its own choice for None)."""
+    plan = contraction._frame_plan
+    contraction._frame_plan = lambda arch, prune=False: plan(
+        arch, prune=prune, split=split if prune else None)
+    try:
+        yield
+    finally:
+        contraction._frame_plan = plan
+
+
+def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
+    """(quantity, value) of every item digested for ``arch``."""
+    for name, prune in (("matrix", False), ("gram", True)):
+        plan = contraction._frame_plan(arch, prune=prune)
+        for key in ("split", "arena", "held", "scratch", "tables"):
+            yield f"{name}-plan.{key}", getattr(plan, key)
+    for mode in ("unitary", "state"):
+        yield f"peak_bytes.{mode}", contraction.peak_bytes(arch, mode)
+    end = arch.gate_count
+    for seed in seeds:
+        gates = GateAssignment.haar(arch, seed)
+        for label, split in (("plan-h", None), ("h-0", 0), ("h-R", end)):
+            with _split_at(split):
+                frame = tangent_frame(arch, gates)
+            yield f"seed{seed}.gram.{label}", frame.gram
+            yield f"seed{seed}.gram_error.{label}", frame.gram_error
+        frame = tangent_frame(arch, gates)
+        rank = numerical_rank(frame)
+        yield f"seed{seed}.singular_values", rank.singular_values
+        yield f"seed{seed}.route", rank.route
+        yield f"seed{seed}.ranks", (rank.loose_rank, rank.tight_rank)
+        yield f"seed{seed}.matrix", frame.matrix
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("shapes", nargs="*", metavar="SHAPE",
+                        help=f"one of {', '.join(SHAPES)} (all by default)")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
+    args = parser.parse_args(argv)
+    unknown = [shape for shape in args.shapes if shape not in SHAPES]
+    if unknown:
+        parser.error(f"unknown shape {unknown[0]!r}")
+    for shape in args.shapes or SHAPES:
+        for quantity, value in items(SHAPES[shape](), args.seeds):
+            print(digest(value), shape, quantity)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
