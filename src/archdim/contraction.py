@@ -614,10 +614,10 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
 
     ``scratch`` is the most entries that one transfer, read or join makes
     beside the arena: a transfer its ``_Spec.temps`` per source column; in
-    the Gram plan a move's read its rows, and backward their product with
-    the born columns; a join the meet's rows of each group whose cone is
-    not the meet, and their product.  It stays an upper bound where the
-    compiled rows are slices, which copy nothing."""
+    the Gram plan the read of a move with sources its rows, and backward
+    their product with the born columns; a join the meet's rows of each
+    group whose cone is not the meet, and their product.  It stays an upper
+    bound where the compiled rows are slices, which copy nothing."""
     end = arch.gate_count
     offsets, arena, held = layout
     starts = [0, *itertools.accumulate(labels.size for labels in labels_all)]
@@ -658,9 +658,8 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
             cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
             live[backward, mask] = block, cols
             read = pairs = None
-            if prune:
+            if prune and at:  # a move with sources reads them
                 scratch = max(scratch, (16 * backward + labels.size) * width)
-            if prune and at:
                 read = _read(cone, lo, hi, None if backward else key)
                 pairs = _pairs(cols[:at], own) if backward \
                     else _pairs(own, cols[:at])

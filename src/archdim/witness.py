@@ -11,9 +11,11 @@ count.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .architecture import Architecture, is_causal_slice
 from .bounds import saturation_threshold
@@ -50,6 +52,14 @@ class PathTree:
     sink: int
     wire_pairs: tuple[tuple[int, int], ...]
     next_hop: dict[int, tuple[int, int]]
+
+    @functools.cached_property
+    def hops(self) -> tuple[tuple[int, tuple[int, int], int], ...]:
+        """The hop gates in slice order, each as (offset from ``start``,
+        wires, destination qubit); the offsets hold for every slice with
+        the same gates."""
+        return tuple((idx - self.start, self.wire_pairs[idx - self.start], dst)
+                     for idx, dst in sorted(self.next_hop.values()))
 
 
 def build_path_tree(arch: Architecture, start: int, stop: int,
@@ -88,6 +98,32 @@ def build_path_tree(arch: Architecture, start: int, stop: int,
 _EMPTY_2Q = CliffordCircuit(2)
 
 
+def _route(tree: PathTree, p: PauliString,
+           ) -> tuple[tuple[int, CliffordCircuit], ...]:
+    """The non-empty circuits, as (offset, circuit) in slice order, that
+    sweep ``p`` along the tree's hops onto Z on its sink; raises
+    AssertionError if the swept string is anything else."""
+    n = tree.n
+    routed = []
+    row, e = p.xz_row()  # the swept string, in packed XZ form
+    for offset, (a, b), dst in tree.hops:
+        x = (row >> (a - 1) & 1) | (row >> (b - 1) & 1) << 1
+        z = (row >> (n + a - 1) & 1) | (row >> (n + b - 1) & 1) << 1
+        if x or z:
+            circuit = routing_clifford_2q(PauliString(2, x, z),
+                                          target=1 if dst == a else 2)
+            if circuit.gates:  # a bare Z on the destination needs none
+                row, e = circuit.conjugate_row(row, e, n, wires=(a, b))
+                routed.append((offset, circuit))
+    target = PauliString.single(n, "Z", tree.sink)
+    if (row, e) != target.xz_row():
+        raise AssertionError(
+            f"routing failed: {p.label()} swept to "
+            f"{PauliString.from_xz_row(n, row, e).label()}, "
+            f"expected {target.label()}")
+    return tuple(routed)
+
+
 def route_pauli_through_slice(tree: PathTree,
                               p: PauliString) -> dict[int, CliffordCircuit]:
     """Per-gate Clifford circuits conjugating ``p`` to Z on the sink.
@@ -104,29 +140,9 @@ def route_pauli_through_slice(tree: PathTree,
         raise TrivialPauli("the identity string has no routing")
     if p.phase_exp != 0:
         raise PhasedPauli(f"cannot route phased string {p.label()!r}")
-
-    n = tree.n
-    dst_for_gate = dict(tree.next_hop.values())  # hop gate -> next qubit
-    assignments: dict[int, CliffordCircuit] = {}
-    row, e = p.xz_row()  # the swept string, in packed XZ form
-    for offset, (a, b) in enumerate(tree.wire_pairs):
-        idx = tree.start + offset
-        dst = dst_for_gate.get(idx)
-        circuit = _EMPTY_2Q
-        if dst is not None:
-            x = (row >> (a - 1) & 1) | (row >> (b - 1) & 1) << 1
-            z = (row >> (n + a - 1) & 1) | (row >> (n + b - 1) & 1) << 1
-            if x or z:
-                circuit = routing_clifford_2q(PauliString(2, x, z),
-                                              target=1 if dst == a else 2)
-                row, e = circuit.conjugate_row(row, e, n, wires=(a, b))
-        assignments[idx] = circuit
-    target = PauliString.single(n, "Z", tree.sink)
-    if (row, e) != target.xz_row():
-        raise AssertionError(
-            f"routing failed: {p.label()} swept to "
-            f"{PauliString.from_xz_row(n, row, e).label()}, "
-            f"expected {target.label()}")
+    assignments = dict.fromkeys(range(tree.start, tree.stop), _EMPTY_2Q)
+    for offset, circuit in _route(tree, p):
+        assignments[tree.start + offset] = circuit
     return assignments
 
 
@@ -232,12 +248,28 @@ class WitnessCertificate:
         return cls.from_json_dict(json.loads(text))
 
 
+# Steps of the candidate scan that a sweep keeps; later steps are generated
+# on each scan that reaches them.
+_SCAN_PREFIX = 1 << 12
+
+
+def _lex_steps(n: int) -> Iterator[tuple[list[int], int, int]]:
+    """Per step of ``lex_flips``: the flipped bits, the candidate's packed
+    row q and |x & z|."""
+    q = 0
+    for flips in lex_flips(n):
+        for b in flips:
+            q ^= 1 << b
+        yield flips, q, (q & q >> n).bit_count()
+
+
 class _DirectionSweep:
     """Gates pre-composed front to back under the inverse prefix.
 
     ``inv_prefix`` is the tableau of Prefix^dagger, the inverse of every gate
     passed so far, grown one gate at a time by prepending the gate's
-    inverse circuit (``add_gates``).  Closing a slice (``close_slice``)
+    inverse circuit (``add_gates``; ``witness_point`` prepends the
+    non-empty circuits of a slice itself).  Closing a slice (``close_slice``)
     stores its pulled-back direction d_j = Prefix_j^dagger Z_sink Prefix_j,
     which is the tableau's Z_sink row, in packed XZ form, and its
     distinctness key: the packed row itself (the string up to phase) in
@@ -265,38 +297,56 @@ class _DirectionSweep:
         self.pulled: list[tuple[int, int]] = []
         self.keys: set[int] = set()
         self.rank_rows: set[int] | None = set() if count_rank else None
+        # a key is the row, or x | (kappa mod 2) << n in state mode, as
+        # kappa = e for the state image
+        self.row_mask = (1 << self.n) - 1 if self.state else -1
+        self.parity = int(self.state)
+        self.steps: list[tuple[list[int], int, int]] = []
+        self.unseen = _lex_steps(self.n)
 
     def key(self, row: int, e: int) -> int:
-        if not self.state:
-            return row
-        # x | (kappa mod 2) << n, as kappa = e for the state image
-        return row & ((1 << self.n) - 1) | (e & 1) << self.n
+        return row & self.row_mask | (e & self.parity) << self.n
 
     def first_new(self) -> PauliString:
         """The lexicographically smallest nontrivial unphased q whose key,
         pulled back through the prefix, is not taken.
 
-        The scan steps through ``lex_flips`` and keeps the image of
+        The scan steps through ``lex_flips``, read back from the steps
+        the sweep keeps (``_scan_steps``), and keeps the image of
         X^x Z^z under the inverse prefix up to date, one row XOR per flipped
         bit.  A key reads only the row and the exponent mod 2, and a row
         product adds an even cross term to the exponent, so the parity is
         the sum of the factors' exponents, plus |x & z| for the candidate
-        i^|x & z| X^x Z^z itself.  Each candidate costs O(1) row operations.
+        i^|x & z| X^x Z^z itself.  Each candidate costs O(1) row operations,
+        and the key test is ``key`` written out.
         """
-        n = self.n
+        n, keys, row_mask, parity = self.n, self.keys, self.row_mask, self.parity
         rows, phases = self.inv_prefix.rows, self.inv_prefix.phases
-        q = img = e = 0
-        for flips in lex_flips(n):
+        img = e = 0
+        for flips, q, y in self._scan_steps():
             for b in flips:
-                q ^= 1 << b
                 img ^= rows[b]
                 e += phases[b]
-            if self.key(img, e + (q & q >> n).bit_count()) not in self.keys:
+            if (img & row_mask | (e + y & parity) << n) not in keys:
                 return PauliString(n, q & ((1 << n) - 1), q >> n)
         raise AssertionError("every nontrivial direction is taken")
 
+    def _scan_steps(self) -> Iterator[tuple[list[int], int, int]]:
+        """The steps of ``_lex_steps``.  The first ``_SCAN_PREFIX`` are kept
+        in ``steps`` as the sweep's scans first reach them, so that later
+        scans read them back; a scan beyond them generates the rest."""
+        steps = self.steps
+        yield from steps
+        while len(steps) < _SCAN_PREFIX:
+            step = next(self.unseen, None)
+            if step is None:
+                return
+            steps.append(step)
+            yield step
+        yield from itertools.islice(_lex_steps(self.n), _SCAN_PREFIX, None)
+
     def add_gates(self, start: int, stop: int,
-                  circuits: Sequence[CliffordCircuit] | dict) -> None:
+                  circuits: Sequence[CliffordCircuit]) -> None:
         """Pre-compose gates start..stop-1 with ``circuits[idx]``, in order."""
         n, rows, rank_rows = self.n, self.inv_prefix.rows, self.rank_rows
         for idx in range(start, stop):
@@ -315,8 +365,8 @@ class _DirectionSweep:
         """The number of distinct keys among the directions of the gates
         passed; a key reads only the phase-free row, so each distinct
         nonzero row is keyed once."""
-        n = self.n
-        return len({self.key(v, (v & v >> n).bit_count())
+        n, row_mask, parity = self.n, self.row_mask, self.parity
+        return len({v & row_mask | ((v & v >> n).bit_count() & parity) << n
                     for v in self.rank_rows if v})
 
     def close_slice(self, sink: int) -> None:
@@ -348,6 +398,9 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     nontrivial Pauli whose direction would be new (its distinctness key,
     pulled back through the inverse prefix, is not yet taken), route it to Z
     on the slice's sink, and pull that Z back through the grown prefix.
+    Slices of one shape (the same gates) share one path tree, sink and
+    insertion gate, built at the first of them, and one routing per chosen
+    string; each slice writes those circuits at its own start.
     """
     check_mode(mode)
     ranges = arch.slice_ranges()
@@ -361,21 +414,34 @@ def witness_point(arch: Architecture, mode: str = "unitary",
         raise TooManySlices(f"state mode needs slice count below {cap} for "
                             f"n={arch.n}, got {t}")
 
-    per_gate: dict[int, CliffordCircuit] = {}  # the slices tile the gates
+    per_gate = [_EMPTY_2Q] * arch.gate_count  # the slices tile the gates
     sweep = _DirectionSweep(arch, mode)
     records: list[SliceRecord] = []
+    # per slice shape: its tree, its insertion gate's offset, and its
+    # routings by chosen string
+    shapes: dict[tuple, tuple[PathTree, int, dict]] = {}
     for start, stop in ranges:
-        tree = build_path_tree(arch, start, stop)
+        shape = arch.gates[start:stop]
+        if shape not in shapes:
+            tree = build_path_tree(arch, start, stop)
+            shapes[shape] = (tree, _last_gate_on(arch, start, stop, tree.sink)
+                             - start, {})
+        tree, insertion, routes = shapes[shape]
         chosen = sweep.first_new()
-        per_gate.update(route_pauli_through_slice(tree, chosen))
-        sweep.add_gates(start, stop, per_gate)
+        routed = routes.get(chosen)
+        if routed is None:
+            routed = routes[chosen] = _route(tree, chosen)
+        for offset, circuit in routed:  # the slice's other gates are empty
+            per_gate[start + offset] = circuit
+            sweep.inv_prefix.prepend_circuit(circuit.inverse(),
+                                             arch.gates[start + offset])
         sweep.close_slice(tree.sink)
         records.append(SliceRecord(start, stop, tree.sink, chosen,
-                                   _last_gate_on(arch, start, stop, tree.sink)))
+                                   start + insertion))
 
     if len(sweep.keys) != len(sweep.pulled):
         raise AssertionError("constructed directions are not distinct")
-    circuits = tuple(per_gate[i] for i in range(arch.gate_count))
+    circuits = tuple(per_gate)
     if mode == "state":
         return WitnessCertificate(arch.n, mode, circuits, tuple(records),
                                   state_images=sweep.state_images())

@@ -5,7 +5,9 @@ another way: Haar sampling one gate at a time, a gate's Pauli transfer
 matrix from traces, the per-column perturbation operator behind
 ``tangent_frame``, the gauge redundancy that its dropped columns rely on, a
 slice's tableau composed gate by gate, the tableau symplecticity check, a
-path-tree walk, a qubit's forward reach, a circuit pre-composed onto a
+path-tree walk, a qubit's forward reach, the witness point built with a
+path tree, a candidate scan and a routing for every slice, a circuit
+pre-composed onto a
 tableau by testing every bit of its ``circuit_images``, the witness rank from
 phase-free symplectic images alone, the Gram certificate of a plain
 matrix from its product M^T M, the split Gram read over whole 4^n-row
@@ -34,8 +36,16 @@ from archdim.contraction import (
     pauli_coefficients,
 )
 from archdim.dense import apply_gate_left, apply_gate_right
-from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
-from archdim.witness import PathTree
+from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, lex_flips, nontrivial_strings
+from archdim.witness import (
+    PathTree,
+    SliceRecord,
+    WitnessCertificate,
+    _DirectionSweep,
+    _last_gate_on,
+    build_path_tree,
+    route_pauli_through_slice,
+)
 
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 
@@ -249,6 +259,49 @@ def path(tree: PathTree, qubit: int) -> list[tuple[int, int, int]]:
         out.append((idx, q, nxt))
         q = nxt
     return out
+
+
+def first_new(sweep: _DirectionSweep) -> PauliString:
+    """The sweep's next chosen string, scanning ``lex_flips`` afresh and
+    keying each candidate's pulled-back image with ``sweep.key``."""
+    n = sweep.n
+    rows, phases = sweep.inv_prefix.rows, sweep.inv_prefix.phases
+    q = img = e = 0
+    for flips in lex_flips(n):
+        for b in flips:
+            q ^= 1 << b
+            img ^= rows[b]
+            e += phases[b]
+        if sweep.key(img, e + (q & q >> n).bit_count()) not in sweep.keys:
+            return PauliString(n, q & ((1 << n) - 1), q >> n)
+    raise AssertionError("every nontrivial direction is taken")
+
+
+def witness_point(arch: Architecture, mode: str) -> WitnessCertificate:
+    """The witness construction one slice at a time: each slice builds its
+    own path tree, scans for its string and routes it, with no state shared
+    between slices of one shape.  The slice count must fit the mode."""
+    sweep = _DirectionSweep(arch, mode)
+    per_gate: dict[int, CliffordCircuit] = {}
+    records = []
+    for start, stop in arch.slice_ranges():
+        tree = build_path_tree(arch, start, stop)
+        chosen = first_new(sweep)
+        per_gate.update(route_pauli_through_slice(tree, chosen))
+        sweep.add_gates(start, stop, per_gate)
+        sweep.close_slice(tree.sink)
+        records.append(SliceRecord(start, stop, tree.sink, chosen,
+                                   _last_gate_on(arch, start, stop, tree.sink)))
+    circuits = tuple(per_gate[i] for i in range(arch.gate_count))
+    if mode == "state":
+        return WitnessCertificate(arch.n, mode, circuits, tuple(records),
+                                  state_images=sweep.state_images())
+    total = CliffordTableau.identity(arch.n)
+    for idx in range(arch.gate_count - 1, -1, -1):
+        total.prepend_circuit(circuits[idx], arch.gates[idx])
+    return WitnessCertificate(
+        arch.n, mode, circuits, tuple(records),
+        directions=tuple(total.conjugate(d) for d in sweep.pulled_strings()))
 
 
 def forward_reach(arch: Architecture, start: int, stop: int, u: int) -> set[int]:

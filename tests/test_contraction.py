@@ -906,6 +906,48 @@ def test_each_transfer_allocates_what_its_spec_prices(build, prune):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("build", PLAN_CASES + DIM_CASES)
+def test_scratch_prices_only_the_reads_a_sweep_makes(build):
+    # a move's read (its rows, and backward their product with the born
+    # columns) is priced where the sweep makes it, on a move with sources
+    arch = build()
+    plan = contraction._frame_plan(arch, prune=True)
+    for gate, step in zip(plan.gates, plan.steps):
+        for move in step:
+            assert (move.read is None) == (move.at == 0)
+            if move.at:
+                assert (16 * gate.backward + gate.labels.size) \
+                    * move.block.width <= plan.scratch
+
+
+def test_a_lone_gate_plan_makes_no_scratch():
+    # the gate's own group has no source, so the sweep reads nothing
+    plan = contraction._frame_plan(from_gate_sequence(2, [(1, 2)]), prune=True)
+    assert plan.scratch == 0
+
+
+# peak_bytes(arch, "unitary") and (arch, "state") of each plan case,
+# measured while the reads of moves without sources were still priced; no
+# estimate may rise
+PEAK_BYTES_BEFORE = {
+    "staircase-5-2": (1596832, 327680), "staircase-6-1": (4212992, 439328),
+    "brickwork-4-6": (1516152, 482304), "random-5-14": (2657008, 536576),
+    "brickwork-6-6": (20139536, 1708032), "staircase-7-1": (19773728, 812832),
+    "sequence-4-5": (313384, 149504), "sequence-5-5": (1061504, 307712),
+    "sequence-4-4": (262080, 123904), "sequence-2-2": (45376, 41216),
+    "empty-3": (0, 4608), "staircase-6-12": (40388656, 3305472),
+    "random-6-40": (26582480, 2240512), "sequence-6-21": (15479464, 1228800)}
+
+
+@pytest.mark.parametrize("build, before", [
+    pytest.param(case.values[0], PEAK_BYTES_BEFORE[case.id], id=case.id)
+    for case in PLAN_CASES])
+def test_no_peak_estimate_rises(build, before):
+    arch = build()
+    for mode, bound in zip(("unitary", "state"), before):
+        assert peak_bytes(arch, mode) <= bound
+
+
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("build", PLAN_CASES)
 def test_plan_tables_bound_what_a_plan_keeps(build, prune):

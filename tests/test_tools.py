@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 from archdim import contraction
@@ -15,6 +16,7 @@ def _load(name):
 
 code_lines = _load("code_lines")
 frame_digest = _load("frame_digest")
+witness_digest = _load("witness_digest")
 
 SNIPPET = '''"""Module docstring,
 on two lines."""
@@ -78,3 +80,38 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
     assert len({(shape, item) for _, shape, item in lines}) == len(lines)
     assert [shape for _, shape, _ in lines] \
         == ["staircase-3-2"] * 32 + ["sequence-4-5"] * 32
+
+
+def test_witness_digest_repeats_one_line_per_item(capsys):
+    # two runs print the same lines: per shape and mode the certificate
+    # and its witness rank; staircase-16-48 runs in both modes
+    argv = ["staircase-4-12", "staircase-16-48"]
+    runs = []
+    for _ in range(2):
+        assert witness_digest.main(argv) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    lines = [line.split() for line in runs[0]]
+    assert all(len(sha) == 64 for sha, _, _ in lines)
+    assert [(shape, item) for _, shape, item in lines] == [
+        ("staircase-4-12", "unitary.certificate"),
+        ("staircase-4-12", "unitary.rank"),
+        ("staircase-16-48", "unitary.certificate"),
+        ("staircase-16-48", "unitary.rank"),
+        ("staircase-16-48", "state.certificate"),
+        ("staircase-16-48", "state.rank")]
+    assert len({sha for sha, _, _ in lines}) == len(lines)
+
+
+def test_witness_digest_covers_the_witness_certify_workload(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "workloads", TOOLS.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses
+    spec.loader.exec_module(workloads)
+    ops = workloads.WORKLOADS["witness-certify"].templates
+    want = sorted((p["family"], p["n"], p["t"], p["mode"])
+                  for p in ops if p["kind"] == "witness")
+    assert sorted((*built, mode)
+                  for built, modes in witness_digest.SHAPES.values()
+                  for mode in modes) == want

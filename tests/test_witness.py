@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 
@@ -34,7 +35,7 @@ from archdim import (
     witness_point,
     witness_rank,
 )
-from archdim import contraction, dense
+from archdim import contraction, dense, witness
 from archdim.clifford import CliffordTableau, routing_clifford_2q
 from archdim.pauli import nontrivial_strings, xz_state_image
 from archdim.witness import _DirectionSweep
@@ -42,10 +43,12 @@ from archdim.witness import _DirectionSweep
 from reference import (
     circuit_unitary,
     explicit,
+    first_new as reference_first_new,
     gate_assignment,
     path,
     phase_free_rank,
     slice_tableau,
+    witness_point as per_slice_witness_point,
 )
 
 
@@ -891,6 +894,94 @@ def test_witness_certificates_match_golden_digest():
     assert digest.hexdigest() == GOLDEN_CERTIFICATES_SHA256
 
 
+def _sliced(n, blocks):
+    """Architecture whose marked slices are ``blocks``, in order."""
+    gates = [gate for block in blocks for gate in block]
+    return from_gate_sequence(n, gates, itertools.accumulate(map(len, blocks)))
+
+
+def _causal_blocks(rng, n, count):
+    """``count`` random causal gate blocks on n qubits, on any wire pairs."""
+    blocks = []
+    while len(blocks) < count:
+        block = [tuple(int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+                 for _ in range(int(rng.integers(n - 1, 3 * n)))]
+        if is_causal_slice(from_gate_sequence(n, block), 0, len(block)):
+            blocks.append(block)
+    return blocks
+
+
+def _mixed_shape_archs():
+    # slices of differing gates, shapes recurring apart from each other
+    up = [(q, q + 1) for q in range(1, 5)]
+    down = [(q + 1, q) for q in range(4, 0, -1)]  # sink 1
+    archs = [_sliced(5, [up, down, up, up, down, up]),
+             _sliced(5, [down, up] * 5),
+             _sliced(4, [brickwork(4, 1).gates, up[:3], brickwork(4, 1).gates])]
+    rng = np.random.default_rng(20261019)
+    for _ in range(12):
+        n = int(rng.integers(3, 6))
+        pool = _causal_blocks(rng, n, int(rng.integers(2, 4)))
+        picks = rng.integers(len(pool), size=int(rng.integers(3, 8)))
+        archs.append(_sliced(n, [pool[int(i)] for i in picks]))
+    return archs
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_witness_point_matches_the_per_slice_reference(mode):
+    # sharing a tree and the routings between slices of one shape builds
+    # the certificate that building them slice by slice builds
+    archs = GOLDEN_ARCHS + _mixed_shape_archs() + [
+        build_family(family, n, t) for family, n, t in (
+            ("staircase", 9, 2), ("staircase", 12, 24), ("staircase", 16, 48),
+            ("brickwork", 10, 4), ("brickwork", 16, 4), ("staircase", 10, 40),
+            ("brickwork", 12, 6), ("staircase", 5, 20))]
+    compared = 0
+    for arch in archs:
+        try:
+            text = witness_point(arch, mode).to_json()
+        except TooManySlices:
+            continue
+        assert text == per_slice_witness_point(arch, mode).to_json(), arch
+        compared += 1
+    assert compared > len(archs) // 2
+
+
+@pytest.mark.parametrize("arch", [
+    pytest.param(staircase(16, 48), id="staircase-16-48"),
+    pytest.param(_mixed_shape_archs()[0], id="mixed-5-6")])
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_each_shape_builds_one_tree_and_one_routing_per_string(
+        arch, mode, monkeypatch):
+    # a work count: build_path_tree runs once per distinct slice shape, and
+    # routing_clifford_2q runs for each distinct (shape, chosen string)
+    # only, making the calls one routing of that pair makes
+    trees, calls = [], []
+    build, routing = witness.build_path_tree, witness.routing_clifford_2q
+
+    def counted_tree(built, start, stop, sink=None):
+        trees.append(built.gates[start:stop])
+        return build(built, start, stop, sink)
+
+    def counted_routing(p2, target=2):
+        calls.append((p2, target))
+        return routing(p2, target)
+
+    monkeypatch.setattr(witness, "build_path_tree", counted_tree)
+    monkeypatch.setattr(witness, "routing_clifford_2q", counted_routing)
+    cert = witness.witness_point(arch, mode)
+    shapes = {arch.gates[s.start:s.stop] for s in cert.slices}
+    assert sorted(trees) == sorted(shapes)
+    made, calls[:] = calls[:], []
+    first = {}  # each (shape, string) at its first slice
+    for s in cert.slices:
+        first.setdefault((arch.gates[s.start:s.stop], s.chosen), s)
+    assert len(first) < len(cert.slices)
+    for s in first.values():
+        route_pauli_through_slice(build(arch, s.start, s.stop), s.chosen)
+    assert made == calls
+
+
 def test_certificate_json_writes_ops_of_nonempty_circuits_only(monkeypatch):
     # a witness leaves most gates empty; their op lists are fresh lists,
     # written without a to_json_ops call
@@ -949,6 +1040,30 @@ def test_direction_scan_matches_string_scan(mode):
         expected = next(q for q in nontrivial_strings(n)
                         if reference_key(sweep.inv_prefix.conjugate(q)) not in taken)
         assert sweep.first_new() == expected
+
+
+@pytest.mark.parametrize("cap", [1, 5, 1 << 12])
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_capped_scan_picks_the_string_a_fresh_scan_picks(mode, cap, monkeypatch):
+    # a sweep keeps at most _SCAN_PREFIX steps of its scans and generates
+    # the rest on each scan; taking each chosen string's key in turn, every
+    # scan picks what a fresh lex_flips scan picks, until none is left
+    monkeypatch.setattr(witness, "_SCAN_PREFIX", cap)
+    rng = np.random.default_rng(7)
+    n = 3 if mode == "unitary" else 4
+    sweep = _DirectionSweep(staircase(n, 1), mode)
+    for _ in range(6):
+        wires = tuple(int(q) + 1 for q in rng.choice(n, size=2, replace=False))
+        sweep.inv_prefix.prepend_circuit(routing_clifford_2q(
+            _random_nontrivial(rng, 2), target=int(rng.integers(1, 3))), wires)
+    free = 4 ** n - 1 if mode == "unitary" else 2 ** (n + 1) - 1
+    for _ in range(free):
+        chosen = sweep.first_new()
+        assert chosen == reference_first_new(sweep)
+        assert len(sweep.steps) <= cap
+        sweep.keys.add(sweep.key(*sweep.inv_prefix.conjugate(chosen).xz_row()))
+    with pytest.raises(AssertionError, match="every nontrivial direction"):
+        sweep.first_new()
 
 
 @pytest.mark.parametrize("mode", ["unitary", "state"])
