@@ -28,12 +28,7 @@ from .contraction import (
     accessible_dimension,
     peak_bytes,
 )
-from .errors import (
-    ArchdimError,
-    CertificateMismatch,
-    ValidationError,
-    VerdictError,
-)
+from .errors import CertificateMismatch, ValidationError, VerdictError
 from .experiments import (
     growth_sweep,
     randomized_architecture_experiment,
@@ -83,11 +78,20 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _config_dict(args: argparse.Namespace, keys: list[str]) -> dict:
-    cfg = {"command": args.command}
-    for key in keys:
-        cfg[key] = getattr(args, key)
-    return cfg
+def _stamp(payload: dict, args: argparse.Namespace,
+           frame_of: Architecture | None = None) -> dict:
+    """``payload`` with the tool ``version`` and the ``config``: every field
+    the command parsed, seed resolved, except the handler, the output paths
+    and ``arch_command``, which ``command`` already names.  With
+    ``frame_of``, the config also records the memory budget and the peak
+    estimate of that architecture's frame in the command's mode."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("func", "out", "spectra", "arch_command")}
+    if frame_of is not None:
+        config.update(memory_budget_bytes=MEMORY_BUDGET,
+                      peak_estimate_bytes=peak_bytes(frame_of, args.mode))
+    payload.update(config=config, version=__version__)
+    return payload
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -106,20 +110,15 @@ def _load_arch(path: str) -> Architecture:
 def _arch_from_args(args: argparse.Namespace) -> Architecture:
     if getattr(args, "infile", None):
         return _load_arch(args.infile)
-    return build_family(args.family, args.n, args.t, args.rounds, args.r,
-                        args.seed)
+    return build_family(args.family, args.n, args.t, args.rounds,
+                        getattr(args, "r", None), getattr(args, "seed", 0))
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 
 def cmd_arch_gen(args: argparse.Namespace) -> int:
-    arch = _arch_from_args(args)
-    payload = arch.to_json_dict()
-    payload["config"] = _config_dict(
-        args, ["family", "n", "t", "rounds", "r", "seed"])
-    payload["version"] = __version__
-    _emit_json(payload, args.out)
+    _emit_json(_stamp(_arch_from_args(args).to_json_dict(), args), args.out)
     return EXIT_OK
 
 
@@ -135,16 +134,10 @@ def cmd_arch_check(args: argparse.Namespace) -> int:
         })
         state = f"causal, sink {sink}" if sink is not None else "not causal"
         print(f"slice {i} [{start}:{stop}): {state}")
-    payload = {
-        "n": arch.n,
-        "gates": arch.gate_count,
-        "marked_slices": arch.slice_count,
-        "slices": slices,
-        "config": _config_dict(args, ["infile"]),
-        "version": __version__,
-    }
     if args.out:
-        _emit_json(payload, args.out)
+        _emit_json(_stamp({"n": arch.n, "gates": arch.gate_count,
+                           "marked_slices": arch.slice_count,
+                           "slices": slices}, args), args.out)
     return EXIT_OK
 
 
@@ -153,13 +146,6 @@ def cmd_dim(args: argparse.Namespace) -> int:
     report = accessible_dimension(
         arch, mode=args.mode, samples=args.samples, seed=args.seed,
         tolerances=(args.tol_loose, args.tol_tight))
-    payload = report.to_json_dict()
-    payload["config"] = _config_dict(
-        args, ["family", "n", "t", "rounds", "r", "infile", "mode", "samples",
-               "seed", "tol_loose", "tol_tight"])
-    payload["config"].update(memory_budget_bytes=MEMORY_BUDGET,
-                             peak_estimate_bytes=peak_bytes(arch, args.mode))
-    payload["version"] = __version__
     if report.inconclusive:
         print(f"inconclusive: {report.inconclusive_reason}")
     else:
@@ -167,7 +153,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
               f"(bounds [{report.lower_bound}, {report.upper_bound}], "
               f"cap {report.cap})")
     if args.out:
-        _emit_json(payload, args.out)
+        _emit_json(_stamp(report.to_json_dict(), args, arch), args.out)
     if args.spectra:
         _write_atomic(args.spectra, report.spectra_csv())
     if report.inconclusive:
@@ -182,17 +168,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
     arch = _arch_from_args(args)
     cert = witness_point(arch, mode=args.mode)
     verdict = verify_certificate(cert, arch, check_rank=not args.skip_rank_check)
-    payload = cert.to_json_dict()
-    payload["config"] = _config_dict(
-        args, ["family", "n", "t", "rounds", "infile", "mode",
-               "skip_rank_check"])
-    payload["version"] = __version__
     print(f"witness over {verdict.slice_count} slices: "
           f"{verdict.distinct_directions} distinct directions"
           + (f", rank {verdict.witness_rank}"
              if verdict.witness_rank is not None else ""))
     if args.out:
-        _emit_json(payload, args.out)
+        _emit_json(_stamp(cert.to_json_dict(), args), args.out)
     return EXIT_OK
 
 
@@ -204,10 +185,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         prob = randomized_bound_probability(args.n, args.alpha)
         payload["randomized_probability"] = prob
         print(f"{'randomized bound prob':<22}  {prob:.6g} (alpha={args.alpha})")
-    payload["config"] = _config_dict(args, ["n", "R", "L", "alpha"])
-    payload["version"] = __version__
     if args.out:
-        _emit_json(payload, args.out)
+        _emit_json(_stamp(payload, args), args.out)
     return EXIT_OK
 
 
@@ -216,13 +195,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n=args.n, family=args.family, t_max=args.t_max, samples=args.samples,
         seed=args.seed, mode=args.mode,
         tolerances=(args.tol_loose, args.tol_tight))
-    cfg = _config_dict(
-        args, ["n", "family", "t_max", "samples", "seed", "mode", "tol_loose",
-               "tol_tight"])
     # R grows with T, so the last row's frame sets the sweep's peak
     largest = build_family(args.family, args.n, args.t_max)
-    cfg.update(memory_budget_bytes=MEMORY_BUDGET,
-               peak_estimate_bytes=peak_bytes(largest, args.mode))
+    cfg = _stamp({}, args, largest)["config"]
     comment = f"archdim {__version__} config={json.dumps(cfg, sort_keys=True)}"
     text = rows_to_csv(rows, header_comment=comment)
     if args.out:
@@ -237,14 +212,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_mc_arch(args: argparse.Namespace) -> int:
     summary = randomized_architecture_experiment(
         args.n, args.trials, args.seed, alpha=args.alpha)
-    payload = summary.to_json_dict()
-    payload["config"] = _config_dict(args, ["n", "trials", "seed", "alpha"])
-    payload["version"] = __version__
     lo, hi = summary.interval
     print(f"causal fraction {summary.empirical:.5f} "
           f"(exact {summary.exact:.5f}, 99% interval [{lo:.5f}, {hi:.5f}])")
     if args.out:
-        _emit_json(payload, args.out)
+        _emit_json(_stamp(summary.to_json_dict(), args), args.out)
     if not summary.within_interval:
         print("empirical fraction outside the 99% interval", file=sys.stderr)
         return EXIT_VERDICT
@@ -298,7 +270,7 @@ def build_parser() -> _Parser:
     _add_family_options(gen, with_infile=False)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", default=None)
-    gen.set_defaults(func=cmd_arch_gen, infile=None)
+    gen.set_defaults(func=cmd_arch_gen)
 
     check = arch_sub.add_parser("check", help="causal-slice report")
     check.add_argument("--in", dest="infile", required=True)
@@ -317,7 +289,7 @@ def build_parser() -> _Parser:
     wit.add_argument("--mode", choices=["unitary", "state"], default="unitary")
     wit.add_argument("--skip-rank-check", action="store_true")
     wit.add_argument("--out", default=None, help="certificate JSON")
-    wit.set_defaults(func=cmd_witness, r=None, seed=None)
+    wit.set_defaults(func=cmd_witness)
 
     bnd = sub.add_parser("bounds", help="closed-form bound sheet")
     bnd.add_argument("--n", type=int, required=True)
@@ -370,15 +342,12 @@ def main(argv: list[str] | None = None) -> int:
     except (CertificateMismatch, VerdictError) as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file unread or unwritten
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except json.JSONDecodeError as exc:
         print(f"error: invalid input ({exc})", file=sys.stderr)
         return EXIT_INVALID
-    except ArchdimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
 
 
 def console_main() -> None:

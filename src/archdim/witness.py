@@ -11,7 +11,6 @@ count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -38,61 +37,47 @@ from .pauli import PauliString, lex_flips, xz_state_image
 
 @dataclass(frozen=True)
 class PathTree:
-    """In-tree of qubit paths to a slice's sink.
+    """In-tree of qubit paths to a slice's sink, as its hop list.
 
-    ``next_hop[q]`` is the (gate_index, next_qubit) step that carries qubit
-    q's Pauli factor one gate closer to the sink; gate indices are absolute
-    and strictly increase along every root path, so merged paths never
-    diverge after meeting.
+    ``hops`` holds one (offset from ``start``, wires, destination qubit) per
+    hop gate, in slice order: the gate carries the Pauli factor on its other
+    wire onto the destination, one gate closer to the sink.  Offsets
+    strictly increase along every root path, so merged paths never diverge
+    after meeting, and they hold for every slice with the same gates.  The
+    last hop ends on the sink, at the slice's last gate on it.
     """
 
     n: int
     start: int
     stop: int
     sink: int
-    wire_pairs: tuple[tuple[int, int], ...]
-    next_hop: dict[int, tuple[int, int]]
-
-    @functools.cached_property
-    def hops(self) -> tuple[tuple[int, tuple[int, int], int], ...]:
-        """The hop gates in slice order, each as (offset from ``start``,
-        wires, destination qubit); the offsets hold for every slice with
-        the same gates."""
-        return tuple((idx - self.start, self.wire_pairs[idx - self.start], dst)
-                     for idx, dst in sorted(self.next_hop.values()))
+    hops: tuple[tuple[int, tuple[int, int], int], ...]
 
 
-def build_path_tree(arch: Architecture, start: int, stop: int,
-                    sink: int | None = None) -> PathTree:
+def build_path_tree(arch: Architecture, start: int, stop: int) -> PathTree:
     """Deterministic in-tree over a causal slice, built back to front.
 
-    Sweeping the slice's gates in reverse, a qubit not yet connected to the
-    sink is attached through the latest gate that couples it to a connected
-    qubit.  Hop gate indices therefore increase along every path, and each
-    gate carries at most one hop.
+    The sink is the one ``is_causal_slice`` picks.  Sweeping the slice's
+    gates in reverse, a qubit not yet connected to the sink is attached
+    through the latest gate that couples it to a connected qubit; this
+    attaches every qubit with a time-ordered path to the sink, which in a
+    causal slice is every qubit.  Hop offsets therefore increase along every
+    path, and each gate carries at most one hop.  Until the first hop only
+    the sink is connected, so that hop, the tree's last, is the slice's last
+    gate on the sink.
     """
+    sink = is_causal_slice(arch, start, stop)
     if sink is None:
-        sink = is_causal_slice(arch, start, stop)
-        if sink is None:
-            raise NotCausal(f"slice [{start}, {stop}) is not causal")
+        raise NotCausal(f"slice [{start}, {stop}) is not causal")
     connected = {sink}
-    next_hop: dict[int, tuple[int, int]] = {}
+    hops = []
     for idx in range(stop - 1, start - 1, -1):
-        a, b = arch.gates[idx]
-        in_a, in_b = a in connected, b in connected
-        if in_a and not in_b:
-            next_hop[b] = (idx, a)
-            connected.add(b)
-        elif in_b and not in_a:
-            next_hop[a] = (idx, b)
-            connected.add(a)
-    if len(connected) != arch.n:
-        missing = sorted(set(range(1, arch.n + 1)) - connected)
-        raise NotCausal(
-            f"slice [{start}, {stop}) is not causal: qubits {missing} "
-            f"cannot reach {sink}")
-    return PathTree(arch.n, start, stop, sink,
-                    arch.gates[start:stop], dict(next_hop))
+        a, b = wires = arch.gates[idx]
+        in_a = a in connected
+        if in_a != (b in connected):
+            connected.update(wires)
+            hops.append((idx - start, wires, a if in_a else b))
+    return PathTree(arch.n, start, stop, sink, tuple(reversed(hops)))
 
 
 _EMPTY_2Q = CliffordCircuit(2)
@@ -398,9 +383,10 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     nontrivial Pauli whose direction would be new (its distinctness key,
     pulled back through the inverse prefix, is not yet taken), route it to Z
     on the slice's sink, and pull that Z back through the grown prefix.
-    Slices of one shape (the same gates) share one path tree, sink and
-    insertion gate, built at the first of them, and one routing per chosen
-    string; each slice writes those circuits at its own start.
+    Slices of one shape (the same gates) share one path tree, built at the
+    first of them, and one routing per chosen string; each slice writes
+    those circuits at its own start.  A slice's insertion gate is its tree's
+    last hop, the slice's last gate on the sink.
     """
     check_mode(mode)
     ranges = arch.slice_ranges()
@@ -417,16 +403,13 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     per_gate = [_EMPTY_2Q] * arch.gate_count  # the slices tile the gates
     sweep = _DirectionSweep(arch, mode)
     records: list[SliceRecord] = []
-    # per slice shape: its tree, its insertion gate's offset, and its
-    # routings by chosen string
-    shapes: dict[tuple, tuple[PathTree, int, dict]] = {}
+    # per slice shape: its tree and its routings by chosen string
+    shapes: dict[tuple, tuple[PathTree, dict]] = {}
     for start, stop in ranges:
         shape = arch.gates[start:stop]
         if shape not in shapes:
-            tree = build_path_tree(arch, start, stop)
-            shapes[shape] = (tree, _last_gate_on(arch, start, stop, tree.sink)
-                             - start, {})
-        tree, insertion, routes = shapes[shape]
+            shapes[shape] = (build_path_tree(arch, start, stop), {})
+        tree, routes = shapes[shape]
         chosen = sweep.first_new()
         routed = routes.get(chosen)
         if routed is None:
@@ -437,7 +420,7 @@ def witness_point(arch: Architecture, mode: str = "unitary",
                                              arch.gates[start + offset])
         sweep.close_slice(tree.sink)
         records.append(SliceRecord(start, stop, tree.sink, chosen,
-                                   start + insertion))
+                                   start + tree.hops[-1][0]))
 
     if len(sweep.keys) != len(sweep.pulled):
         raise AssertionError("constructed directions are not distinct")
@@ -528,6 +511,10 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
 
     sweep = _DirectionSweep(arch, cert.mode, count_rank=check_rank)
     for s in cert.slices:
+        if not 1 <= s.sink <= arch.n:  # the sink picks a tableau row
+            raise CertificateMismatch(
+                f"slice [{s.start}, {s.stop}) has sink {s.sink}, outside "
+                f"1..{arch.n}")
         pulled_q = sweep.inv_prefix.conjugate(s.chosen).xz_row()
         sweep.add_gates(s.start, s.stop, cert.gate_circuits)
         sweep.close_slice(s.sink)

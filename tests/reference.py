@@ -251,11 +251,16 @@ def is_symplectic(tab: CliffordTableau) -> bool:
 
 
 def path(tree: PathTree, qubit: int) -> list[tuple[int, int, int]]:
-    """Hops (gate_index, from_qubit, to_qubit) from a qubit to the sink."""
+    """Hops (gate_index, from_qubit, to_qubit) from a qubit to the sink,
+    read off the tree's hop list; a qubit with no hop or a cycle of hops
+    raises AssertionError."""
+    step = {a + b - dst: (tree.start + offset, dst)  # keyed by its source
+            for offset, (a, b), dst in tree.hops}
     out = []
     q = qubit
     while q != tree.sink:
-        idx, nxt = tree.next_hop[q]
+        assert q in step and len(out) < tree.n, f"qubit {qubit} stops at {q}"
+        idx, nxt = step[q]
         out.append((idx, q, nxt))
         q = nxt
     return out

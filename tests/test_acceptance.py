@@ -158,7 +158,7 @@ def test_criterion_5_clifford_witnesses():
             if p.is_identity:
                 continue
             sink = is_causal_slice(arch, start, stop)
-            tree = build_path_tree(arch, start, stop, sink)
+            tree = build_path_tree(arch, start, stop)
             assignments = route_pauli_through_slice(tree, p)
             tab = slice_tableau(arch, start, stop, assignments)
             assert tab.conjugate(p) == PauliString.single(n, "Z", sink)

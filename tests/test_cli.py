@@ -96,6 +96,18 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_is_invalid_input(tmp_path, capsys, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "arch.json"
+        path.write_bytes(b'{"n": 3, "gates": [], "name": "\xff\xfe"}')
+    assert main(["arch", "check", "--in", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_a_missing_key_is_refused_by_name(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3}')
@@ -247,6 +259,9 @@ def test_dim_and_sweep_record_the_memory_budget(tmp_path):
     config = json.loads(dim_out.read_text())["config"]
     comment = sweep_out.read_text().splitlines()[0]
     sweep_config = json.loads(comment.split("config=", 1)[1])
+    # the sweep records every option it parsed, and no output path
+    assert set(sweep_config) == ({"command", "family", "n", "t_max"}
+                                 | RANK_KEYS | MEMORY_KEYS)
     for cfg, arch, mode in ((config, brickwork(4, 4), "unitary"),
                             (sweep_config, staircase(3, 3), "state")):
         assert cfg["memory_budget_bytes"] == MEMORY_BUDGET
@@ -455,24 +470,36 @@ def test_bounds_with_alpha(tmp_path):
         1 - 18 * 2.718281828459045 ** -10)
 
 
+FAMILY_KEYS = {"family", "n", "t", "rounds"}
+RANK_KEYS = {"samples", "seed", "mode", "tol_loose", "tol_tight"}
+MEMORY_KEYS = {"memory_budget_bytes", "peak_estimate_bytes"}
+WITNESS_KEYS = {"command", "infile", "mode", "skip_rank_check"} | FAMILY_KEYS
+
+# name -> (argv, the exact key set of the artifact's config)
 JSON_COMMANDS = {
-    "arch-gen": ["arch", "gen", "--family", "staircase", "--n", "3",
-                 "--t", "2"],
-    "arch-check": ["arch", "check"],
-    "dim": ["dim", "--n", "2", "--t", "2", "--samples", "3", "--seed", "3"],
-    "witness-unitary": ["witness", "--n", "4", "--t", "3"],
-    "witness-state": ["witness", "--n", "4", "--t", "3", "--mode", "state"],
-    "bounds": ["bounds", "--n", "3", "--R", "20", "--L", "2",
-               "--alpha", "0.5"],
-    "mc-arch": ["mc-arch", "--n", "4", "--trials", "300", "--seed", "5"],
+    "arch-gen": (["arch", "gen", "--family", "staircase", "--n", "3",
+                  "--t", "2"], {"command", "r", "seed"} | FAMILY_KEYS),
+    "arch-check": (["arch", "check"], {"command", "infile"}),
+    "dim": (["dim", "--n", "2", "--t", "2", "--samples", "3", "--seed", "3"],
+            {"command", "r", "infile"} | FAMILY_KEYS | RANK_KEYS
+            | MEMORY_KEYS),
+    "witness-unitary": (["witness", "--n", "4", "--t", "3"], WITNESS_KEYS),
+    "witness-state": (["witness", "--n", "4", "--t", "3", "--mode", "state"],
+                      WITNESS_KEYS),
+    "bounds": (["bounds", "--n", "3", "--R", "20", "--L", "2",
+                "--alpha", "0.5"], {"command", "n", "R", "L", "alpha"}),
+    "mc-arch": (["mc-arch", "--n", "4", "--trials", "300", "--seed", "5"],
+                {"command", "n", "trials", "seed", "alpha"}),
 }
 
 
 @pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
 def test_json_artifacts_are_one_sorted_line(tmp_path, command):
     # the layout of every library to_json: one line with sorted keys and a
-    # trailing newline, written by the C encoder
-    argv = list(JSON_COMMANDS[command])
+    # trailing newline, written by the C encoder; the config holds every
+    # option the command parsed, and no output path
+    argv, keys = JSON_COMMANDS[command]
+    argv = list(argv)
     if command == "arch-check":
         arch_path = tmp_path / "arch.json"
         arch_path.write_text(staircase(3, 2).to_json())
@@ -483,6 +510,7 @@ def test_json_artifacts_are_one_sorted_line(tmp_path, command):
     payload = json.loads(text)
     assert text == json.dumps(payload, sort_keys=True) + "\n"
     assert payload["config"]["command"] == argv[0]
+    assert set(payload["config"]) == keys
     if argv[0] == "witness":
         mode = "state" if "state" in argv else "unitary"
         del payload["config"], payload["version"]

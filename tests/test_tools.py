@@ -1,8 +1,11 @@
+import argparse
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
 from archdim import contraction
+from archdim.cli import build_parser
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -14,6 +17,7 @@ def _load(name):
     return module
 
 
+cli_digest = _load("cli_digest")
 code_lines = _load("code_lines")
 frame_digest = _load("frame_digest")
 witness_digest = _load("witness_digest")
@@ -115,3 +119,43 @@ def test_witness_digest_covers_the_witness_certify_workload(monkeypatch):
     assert sorted((*built, mode)
                   for built, modes in witness_digest.SHAPES.values()
                   for mode in modes) == want
+
+
+def _leaf_commands(parser, prefix=()):
+    """The word sequences that name each command of an argparse parser."""
+    subs = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix}
+    return set().union(*(_leaf_commands(sub, (*prefix, name))
+                         for action in subs
+                         for name, sub in action.choices.items()))
+
+
+def test_cli_digest_repeats_one_line_per_item(capsys, tmp_path, monkeypatch):
+    # two runs print the same lines, the sweep CSV's wall times blanked: per
+    # command its stdout, then each file it wrote; the working directory and
+    # ARCHDIM_SEED are left as they were
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ARCHDIM_SEED", "4")
+    runs = []
+    for _ in range(2):
+        assert cli_digest.main([]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert Path.cwd() == tmp_path and list(tmp_path.iterdir()) == []
+    assert cli_digest.os.environ["ARCHDIM_SEED"] == "4"
+    lines = [line.split() for line in runs[0]]
+    assert all(len(sha) == 64 for sha, _, _ in lines)
+    names = [name for name, _ in cli_digest.COMMANDS]
+    assert [name for _, name, item in lines if item == "stdout"] == names
+    assert {(name, item) for _, name, item in lines if item != "stdout"} \
+        == {(name, argv[i + 1]) for name, argv in cli_digest.COMMANDS
+            for i, word in enumerate(argv) if word in ("--out", "--spectra")}
+    argvs = [argv for _, argv in cli_digest.COMMANDS]
+    assert {tuple(itertools.takewhile(lambda w: not w.startswith("-"), argv))
+            for argv in argvs} == _leaf_commands(build_parser())
+    assert any(argv[0] == "dim" and "--spectra" in argv for argv in argvs)
+    assert {("state" in argv, "--skip-rank-check" in argv)
+            for argv in argvs if argv[0] == "witness"} \
+        == set(itertools.product((False, True), repeat=2))

@@ -65,7 +65,7 @@ def _random_nontrivial(rng, n):
 
 def test_staircase_paths_walk_toward_sink():
     arch = staircase(4, 1)
-    tree = build_path_tree(arch, 0, 3, 4)
+    tree = build_path_tree(arch, 0, 3)
     for q in (1, 2, 3):
         hops = path(tree, q)
         assert hops[-1][2] == 4
@@ -74,7 +74,7 @@ def test_staircase_paths_walk_toward_sink():
 
 def test_single_gate_tree():
     arch = from_gate_sequence(2, [(1, 2)])
-    tree = build_path_tree(arch, 0, 1, 2)
+    tree = build_path_tree(arch, 0, 1)
     assert path(tree, 1) == [(0, 1, 2)]
     assert path(tree, 2) == []
 
@@ -82,7 +82,7 @@ def test_single_gate_tree():
 def test_tree_requires_causal_slice():
     arch = from_gate_sequence(3, [(1, 2)])
     with pytest.raises(NotCausal):
-        build_path_tree(arch, 0, 1, 3)
+        build_path_tree(arch, 0, 1)
 
 
 def test_tree_merging_property():
@@ -92,8 +92,7 @@ def test_tree_merging_property():
         arch = staircase(n, 1) if rng.integers(2) else brickwork(
             int(rng.choice([4])), 4)
         stop = arch.slice_ranges()[0][1] if arch.slice_boundaries else arch.gate_count
-        sink = is_causal_slice(arch, 0, stop)
-        tree = build_path_tree(arch, 0, stop, sink)
+        tree = build_path_tree(arch, 0, stop)
         paths = {q: [(q, *[h[2] for h in path(tree, q)])]
                  for q in range(1, arch.n + 1)}
         seqs = {q: paths[q][0] for q in paths}
@@ -108,13 +107,37 @@ def test_tree_merging_property():
                         break
 
 
+def _causal_windows():
+    """(arch, start, stop) of a brickwork slice and of every causal window
+    of seeded random_adjacent circuits that starts at gate 0 or 3."""
+    yield brickwork(4, 4), 0, 12
+    for seed in range(12):
+        arch = random_adjacent(3 + seed % 4, 24, seed)
+        for start in (0, 3):
+            for stop in range(start + 1, arch.gate_count + 1):
+                if is_causal_slice(arch, start, stop) is not None:
+                    yield arch, start, stop
+
+
 def test_tree_hops_increase_along_paths():
-    arch = brickwork(4, 4)
-    tree = build_path_tree(arch, 0, 12)
-    for q in range(1, 5):
-        indices = [h[0] for h in path(tree, q)]
-        assert indices == sorted(indices)
-        assert len(set(indices)) == len(indices)
+    windows = 0
+    for arch, start, stop in _causal_windows():
+        tree = build_path_tree(arch, start, stop)
+        offsets = [h[0] for h in tree.hops]
+        assert offsets == sorted(set(offsets))  # one hop per gate at most
+        for q in range(1, arch.n + 1):
+            hops = path(tree, q)  # reaches the sink from every qubit
+            assert [h[2] for h in hops[-1:]] == ([] if q == tree.sink
+                                                 else [tree.sink])
+            indices = [h[0] for h in hops]
+            assert indices == sorted(set(indices))
+        # the last hop is the insertion gate: the last gate on the sink
+        offset, wires, dst = tree.hops[-1]
+        assert dst == tree.sink and tree.sink in wires
+        assert offset == witness._last_gate_on(arch, start, stop,
+                                               tree.sink) - start
+        windows += 1
+    assert windows > 100
 
 
 # -- routing ----------------------------------------------------------------------
@@ -122,7 +145,7 @@ def test_tree_hops_increase_along_paths():
 
 def test_route_sink_z_needs_no_gates():
     arch = staircase(3, 1)
-    tree = build_path_tree(arch, 0, 2, 3)
+    tree = build_path_tree(arch, 0, 2)
     assignments = route_pauli_through_slice(
         tree, PauliString.single(3, "Z", 3))
     assert all(c.is_identity for c in assignments.values())
@@ -130,21 +153,21 @@ def test_route_sink_z_needs_no_gates():
 
 def test_route_identity_rejected():
     arch = staircase(3, 1)
-    tree = build_path_tree(arch, 0, 2, 3)
+    tree = build_path_tree(arch, 0, 2)
     with pytest.raises(TrivialPauli):
         route_pauli_through_slice(tree, PauliString.identity(3))
 
 
 def test_route_wrong_register_rejected():
     arch = staircase(3, 1)
-    tree = build_path_tree(arch, 0, 2, 3)
+    tree = build_path_tree(arch, 0, 2)
     with pytest.raises(NotOnSlice):
         route_pauli_through_slice(tree, PauliString.from_label("XXXX"))
 
 
 def test_route_xxy_through_staircase():
     arch = staircase(3, 1)
-    tree = build_path_tree(arch, 0, 2, 3)
+    tree = build_path_tree(arch, 0, 2)
     p = PauliString.from_label("XXY")
     assignments = route_pauli_through_slice(tree, p)
     tab = slice_tableau(arch, 0, 2, assignments)
@@ -162,7 +185,7 @@ def test_route_random_paulis_against_tableau_and_dense():
             arch = brickwork(4, 4)
         start, stop = arch.slice_ranges()[0]
         sink = is_causal_slice(arch, start, stop)
-        tree = build_path_tree(arch, start, stop, sink)
+        tree = build_path_tree(arch, start, stop)
         p = _random_nontrivial(rng, n)
         assignments = route_pauli_through_slice(tree, p)
         tab = slice_tableau(arch, start, stop, assignments)
@@ -270,7 +293,7 @@ def test_witness_directions_survive_random_slice_conjugation():
     for _ in range(20):
         arch = staircase(3, 1)
         p = _random_nontrivial(rng, 3)
-        tree = build_path_tree(arch, 0, 2, 3)
+        tree = build_path_tree(arch, 0, 2)
         assignments = route_pauli_through_slice(tree, p)
         tab = slice_tableau(arch, 0, 2, assignments)
         directions = [tab.conjugate(d) for d in directions]
@@ -724,6 +747,19 @@ def test_verify_detects_wrong_architecture():
         verify_certificate(cert, staircase(3, 3))
 
 
+@pytest.mark.parametrize("sink", [4, 11, 0, -1],
+                         ids=["n+1", "2n+5", "0", "-1"])
+def test_verify_refuses_a_sink_off_the_register(sink):
+    # the stored sink picks a tableau row, so it is checked before it is
+    # read; n = 3
+    arch = staircase(3, 2)
+    doc = witness_point(arch, "unitary").to_json_dict()
+    doc["slices"][1]["sink"] = sink
+    cert = WitnessCertificate.from_json_dict(doc)
+    with pytest.raises(CertificateMismatch, match="sink .* outside 1..3"):
+        verify_certificate(cert, arch)
+
+
 def test_certificate_rejects_unknown_mode():
     arch = staircase(3, 3)
     cert = witness_point(arch, "state")
@@ -959,9 +995,9 @@ def test_each_shape_builds_one_tree_and_one_routing_per_string(
     trees, calls = [], []
     build, routing = witness.build_path_tree, witness.routing_clifford_2q
 
-    def counted_tree(built, start, stop, sink=None):
+    def counted_tree(built, start, stop):
         trees.append(built.gates[start:stop])
-        return build(built, start, stop, sink)
+        return build(built, start, stop)
 
     def counted_routing(p2, target=2):
         calls.append((p2, target))
