@@ -56,7 +56,6 @@ from .errors import (
     InvalidBoundary,
     InvalidQubit,
     NotCausal,
-    NotOnSlice,
     OddQubitCount,
     PhasedPauli,
     SizeLimit,
@@ -77,7 +76,6 @@ from .witness import (
     PathTree,
     WitnessCertificate,
     build_path_tree,
-    route_pauli_through_slice,
     verify_certificate,
     witness_point,
     witness_rank,

@@ -145,7 +145,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
     arch = _arch_from_args(args)
     report = accessible_dimension(
         arch, mode=args.mode, samples=args.samples, seed=args.seed,
-        tolerances=(args.tol_loose, args.tol_tight))
+        tolerances=(args.tol_loose, args.tol_tight),
+        spectrum=args.spectra is not None)
     if report.inconclusive:
         print(f"inconclusive: {report.inconclusive_reason}")
     else:

@@ -118,9 +118,12 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     half's, and the plan's scratch, counted where ``_compile`` lays out
     each transfer, read and join, covers one transfer's or read's
     temporaries or one joined pair's row copies and product.  The arena is
-    gone when the sweep returns, and the certificate takes up to three more
-    C x C arrays.  An estimate whose frame terms alone exceed
-    ``MEMORY_BUDGET`` returns before the sweep's plans are built."""
+    gone when the sweep returns, and the certificate (``_gram_estimate``)
+    takes up to three more C x C arrays: the |G| temporary of its norm,
+    then the shifted copy beside Cholesky's working copy and the factor
+    (or, for a spectrum, eigvalsh's copy).  An estimate whose frame terms
+    alone exceed ``MEMORY_BUDGET`` returns before the sweep's plans are
+    built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -1177,18 +1180,21 @@ class RankEstimate:
 
     The estimate is conclusive only when both thresholds count the same
     number of singular values above tol * sigma_max.  ``route`` names how
-    the singular values were found: ``"gram"`` (certified from the Gram
-    spectrum) or ``"svd"``; see ``numerical_rank``.  On the gram route,
-    ``gram_margin`` is the factor by which the certificate held,
-    (lam_min - delta) / ((100 loose)^2 (lam_max + delta)) >= 1.
+    it was decided: ``"gram"`` (certified from the Gram matrix) or
+    ``"svd"``; see ``numerical_rank``.  An svd-route estimate holds every
+    singular value, descending.  A gram-route estimate holds the certified
+    bounds ``sigma_max_upper`` >= sigma_max and ``sigma_min_lower`` <=
+    sigma_min, with sigma_min_lower = 100 loose sigma_max_upper, and holds
+    ``singular_values`` only when asked for the spectrum (None otherwise).
     """
 
-    singular_values: np.ndarray
+    singular_values: np.ndarray | None
     tolerances: tuple[float, float]
     loose_rank: int
     tight_rank: int
     route: str = "svd"
-    gram_margin: float | None = None
+    sigma_max_upper: float | None = None
+    sigma_min_lower: float | None = None
 
     @property
     def conclusive(self) -> bool:
@@ -1199,11 +1205,10 @@ class RankEstimate:
         return self.loose_rank if self.conclusive else None
 
     def gap_description(self) -> str:
-        sv = self.singular_values
         if self.conclusive:
             return "conclusive"
         lo, hi = sorted((self.loose_rank, self.tight_rank))
-        contested = ", ".join(f"{x:.3e}" for x in sv[lo:hi])
+        contested = ", ".join(f"{x:.3e}" for x in self.singular_values[lo:hi])
         return (f"ranks {self.loose_rank}/{self.tight_rank} disagree; "
                 f"contested singular values: {contested}")
 
@@ -1212,29 +1217,67 @@ class RankEstimate:
 # the loose cutoff.
 _GRAM_MARGIN = 100.0
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
+
 
 def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
-                   read_error: float) -> RankEstimate | None:
+                   read_error: float, spectrum: bool = False,
+                   ) -> RankEstimate | None:
     """The full-rank estimate of a real matrix M with C columns whose Gram
     matrix ``gram`` certifies it, or None when it cannot.
 
-    ``gram`` lies within ``read_error`` of the exact M^T M in the 2-norm,
-    and eigvalsh is backward stable, within C eps ||G||_2 <= C eps trace(G).
-    So lam = eigvalsh(G) lies within delta = C eps trace(G) + read_error of
-    the eigenvalues of M^T M (Weyl).  When lam_min - delta > 0 and
-    lam_min - delta >= (100 loose)^2 (lam_max + delta), every singular value
-    is at least 100x above loose * sigma_max, so an SVD would count all C of
-    them at both tolerances.
+    ``gram`` is symmetric and lies within ``read_error`` of the exact
+    A = M^T M in the 2-norm.  With u = eps / 2, gamma_k = k u / (1 - k u)
+    and floor = (100 loose)^2, the certificate proves
+    lam_min(A) >= floor U >= floor lam_max(A) with no eigensolver:
+
+    - U = ||G||_inf (1 + gamma_{C+1}) + read_error bounds lam_max(A) from
+      above; the factor covers the rounding of the C-term row sums.
+    - The shift s is floor U + read_error, plus gamma' trace(G)
+      (1 + gamma_{C+1}) with gamma' = gamma_{C+1} / (1 - gamma_{C+1}) (the
+      last factor covers the rounding of the trace), plus u max g_ii, plus
+      Rump's underflow term 4 (C + 1) (2 (C + 2) + max g_ii) eta (eta the
+      smallest subnormal), the sum taken times (1 + 16 u) to cover the
+      rounding of forming it.
+    - If floating-point Cholesky of G~ = fl(G - s I) runs to completion,
+      its factor R satisfies R^T R = G~ + dA with |dA| <= gamma' d d^T,
+      d_i = sqrt(g~_ii) (Demmel, LAPACK Working Note 14, 1989, in the form
+      of S. M. Rump, "Verification of positive definiteness", BIT 46 (2006)
+      433-452, which adds the underflow term), so ||dA||_2 <= gamma'
+      trace(G~) <= gamma' trace(G), as 0 < g~_ii <= g_ii.  G~ differs from
+      G - s I by the rounding of its diagonal, at most u max g_ii.  R^T R
+      is positive semidefinite, so lam_min(G) >= s minus those two terms
+      and the underflow term, and lam_min(A) >= lam_min(G) - read_error
+      >= floor U.
+
+    Then every singular value is at least 100x above loose * sigma_max, so
+    an SVD would count all C of them at both tolerances.  The estimate
+    holds sigma_max_upper = sqrt(U) and sigma_min_lower = sqrt(floor U).
+    A Cholesky that fails (``LinAlgError``) proves nothing, and the SVD
+    decides.  With ``spectrum``, a certified estimate also holds
+    sqrt(eigvalsh(G)), descending, as its singular values.
     """
     c = gram.shape[0]
-    delta = c * np.finfo(np.float64).eps * np.trace(gram) + read_error
-    floor = (_GRAM_MARGIN * tol_pair[0]) ** 2
-    lam = np.linalg.eigvalsh(gram)
-    low, high = lam[0] - delta, lam[-1] + delta
-    if not (low > 0.0 and low >= floor * high):
+    u = _UNIT_ROUNDOFF
+    gamma = (c + 1) * u / (1 - (c + 1) * u)
+    upper = float(np.abs(gram).sum(axis=1).max()) * (1 + gamma) + read_error
+    low = (_GRAM_MARGIN * tol_pair[0]) ** 2 * upper
+    diag = np.diagonal(gram)
+    top = float(diag.max())
+    shift = ((low + read_error + gamma / (1 - gamma) * (1 + gamma)
+              * float(diag.sum()) + u * top) * (1 + 16 * u)
+             + 4 * (c + 1) * (2 * (c + 2) + top) * _SMALLEST_SUBNORMAL)
+    shifted = gram.copy()
+    shifted[np.diag_indices(c)] -= shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
         return None
-    return RankEstimate(np.sqrt(lam[::-1]), tol_pair, c, c, route="gram",
-                        gram_margin=float(low / (floor * high)))
+    sv = np.sqrt(np.linalg.eigvalsh(gram)[::-1]) if spectrum else None
+    return RankEstimate(sv, tol_pair, c, c, route="gram",
+                        sigma_max_upper=float(np.sqrt(upper)),
+                        sigma_min_lower=float(np.sqrt(low)))
 
 
 def _check_tolerances(tol_pair: tuple[float, float]) -> tuple[float, float]:
@@ -1249,24 +1292,27 @@ def _check_tolerances(tol_pair: tuple[float, float]) -> tuple[float, float]:
 
 def numerical_rank(frame: TangentFrame | np.ndarray,
                    tol_pair: tuple[float, float] = DEFAULT_TOLERANCES,
-                   ) -> RankEstimate:
+                   *, spectrum: bool = False) -> RankEstimate:
     """Singular-value rank under two relative thresholds.
 
     A frame that carries a Gram matrix (``TangentFrame.gram``: a tall
     unitary frame, which reads it off its sweep) is first tried on the Gram
-    route: the eigenvalues of that matrix, with its error bound, certify
-    that all C singular values sit at least 100x above the loose cutoff,
-    and then the SVD would return loose = tight = C as well.  A certified
-    frame never forms its matrix; the estimate holds sqrt(eigvalsh(G)) as
-    its singular values, with ``route="gram"``.  Every other input takes a
-    full SVD (``route="svd"``): plain arrays, state frames, wide frames,
-    rank-deficient or near-cutoff spectra, and all-zero matrices.  A state
-    frame could never be certified: gate 0 acts on |0...0>, so its at least
-    9 kept directions i S_k u_0 |00> lie in the 7-dimensional tangent space
-    of the sphere at u_0 |00>, and the later gates move them by one unitary.
-    Ranks never differ between the routes; gram-route singular values
-    differ from LAPACK's SVD by rounding only (below 1e-12 sigma_max on the
-    frames measured).
+    route: a Cholesky factorization of that matrix, shifted by its error
+    bounds (``_gram_estimate``), certifies that all C singular values sit
+    at least 100x above the loose cutoff, and then the SVD would return
+    loose = tight = C as well.  A certified frame never forms its matrix;
+    the estimate holds the certified bounds ``sigma_max_upper`` and
+    ``sigma_min_lower``, with ``route="gram"``, and with ``spectrum`` also
+    sqrt(eigvalsh(G)) as its singular values.  Every other input takes a
+    full SVD (``route="svd"``), whose singular values the estimate always
+    holds: plain arrays, state frames, wide frames, rank-deficient or
+    near-cutoff spectra, and all-zero matrices.  A state frame could never
+    be certified: gate 0 acts on |0...0>, so its at least 9 kept directions
+    i S_k u_0 |00> lie in the 7-dimensional tangent space of the sphere at
+    u_0 |00>, and the later gates move them by one unitary.  Ranks never
+    differ between the routes; gram-route singular values differ from
+    LAPACK's SVD by rounding only (below 1e-12 sigma_max on the frames
+    measured).
 
     An empty or all-zero matrix has rank 0 by convention.  A matrix holding
     NaN or inf raises ``LinAlgError``; a frame with a Gram matrix is finite
@@ -1276,7 +1322,7 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     loose, tight = _check_tolerances(tol_pair)
     gram = frame.gram if isinstance(frame, TangentFrame) else None
     if gram is not None and gram.size:
-        est = _gram_estimate(gram, tol_pair, frame.gram_error)
+        est = _gram_estimate(gram, tol_pair, frame.gram_error, spectrum)
         if est is not None:
             return est
     mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)
@@ -1313,13 +1359,15 @@ def _sample_json(e: RankEstimate) -> dict:
     entry = {
         "loose_rank": e.loose_rank,
         "tight_rank": e.tight_rank,
-        "sigma_max": float(e.singular_values[0])
-        if e.singular_values.size else 0.0,
         "status": e.gap_description(),
         "route": e.route,
     }
-    if e.gram_margin is not None:
-        entry["gram_margin"] = e.gram_margin
+    if e.route == "gram":
+        entry.update(sigma_max_upper=e.sigma_max_upper,
+                     sigma_min_lower=e.sigma_min_lower)
+    else:
+        entry["sigma_max"] = float(e.singular_values[0]) \
+            if e.singular_values.size else 0.0
     return entry
 
 
@@ -1382,6 +1430,12 @@ class RankReport:
         }
 
     def spectra_csv(self) -> str:
+        """One row per singular value of each sample; a report made without
+        ``spectrum=True`` whose gram route held no spectrum raises
+        ValueError."""
+        if any(e.singular_values is None for e in self.estimates):
+            raise ValueError("a gram-route sample holds no spectrum; "
+                             "make the report with spectrum=True")
         lines = ["sample,index,singular_value"]
         for i, e in enumerate(self.estimates):
             for idx, val in enumerate(e.singular_values):
@@ -1392,12 +1446,14 @@ class RankReport:
 def accessible_dimension(arch: Architecture, mode: str = "unitary",
                          samples: int = 5, seed: int = 0,
                          tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                         ) -> RankReport:
+                         *, spectrum: bool = False) -> RankReport:
     """Consensus Jacobian rank over independent Haar-random gate assignments.
 
     All samples must agree at both tolerances; any disagreement is surfaced
     as an inconclusive report, never averaged away.  Per-sample seeds derive
-    from ``seed`` by counter.  A frame over ``MEMORY_BUDGET`` raises
+    from ``seed`` by counter.  ``spectrum`` asks ``numerical_rank`` for
+    every sample's singular values, which ``RankReport.spectra_csv``
+    writes.  A frame over ``MEMORY_BUDGET`` raises
     SizeLimit, and a tolerance pair ``numerical_rank`` would refuse, a
     sample count that is not an integer of at least 3 or a seed that is not
     a nonnegative integer (``subseed``) raises ValidationError, before the
@@ -1411,7 +1467,8 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
 
     def one(i: int) -> RankEstimate:
         gates = GateAssignment.haar(arch, subseed(seed, i))
-        return numerical_rank(tangent_frame(arch, gates, mode), tolerances)
+        return numerical_rank(tangent_frame(arch, gates, mode), tolerances,
+                              spectrum=spectrum)
 
     estimates = tuple(one(i) for i in range(samples))
 

@@ -46,10 +46,6 @@ class PhasedPauli(ValidationError):
     """
 
 
-class NotOnSlice(ValidationError):
-    """Pauli string acts on qubits outside the slice's register."""
-
-
 class NotCausal(ValidationError):
     """The gate range is not a causal slice (no sink qubit exists)."""
 

@@ -23,10 +23,7 @@ from .errors import (
     CertificateMismatch,
     CountMismatch,
     NotCausal,
-    NotOnSlice,
-    PhasedPauli,
     TooManySlices,
-    TrivialPauli,
     ValidationError,
     check_int,
     check_mode,
@@ -107,28 +104,6 @@ def _route(tree: PathTree, p: PauliString,
             f"{PauliString.from_xz_row(n, row, e).label()}, "
             f"expected {target.label()}")
     return tuple(routed)
-
-
-def route_pauli_through_slice(tree: PathTree,
-                              p: PauliString) -> dict[int, CliffordCircuit]:
-    """Per-gate Clifford circuits conjugating ``p`` to Z on the sink.
-
-    Gates off the sweep get the empty circuit.  At each hop gate the current
-    two-qubit factor, if nontrivial, is routed onto the hop's destination
-    wire as a bare Z; waiting factors on the destination merge into the same
-    step.  The input must be nontrivial and unphased, since conjugation can
-    never change the scalar prefactor.
-    """
-    if p.n != tree.n:
-        raise NotOnSlice(f"string acts on {p.n} qubits, slice register is {tree.n}")
-    if p.is_identity:
-        raise TrivialPauli("the identity string has no routing")
-    if p.phase_exp != 0:
-        raise PhasedPauli(f"cannot route phased string {p.label()!r}")
-    assignments = dict.fromkeys(range(tree.start, tree.stop), _EMPTY_2Q)
-    for offset, circuit in _route(tree, p):
-        assignments[tree.start + offset] = circuit
-    return assignments
 
 
 @dataclass(frozen=True)

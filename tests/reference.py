@@ -5,7 +5,8 @@ another way: Haar sampling one gate at a time, a gate's Pauli transfer
 matrix from traces, the per-column perturbation operator behind
 ``tangent_frame``, the gauge redundancy that its dropped columns rely on, a
 slice's tableau composed gate by gate, the tableau symplecticity check, a
-path-tree walk, a qubit's forward reach, the witness point built with a
+path-tree walk, a qubit's forward reach, one string's per-gate routing
+through a slice, the witness point built with a
 path tree, a candidate scan and a routing for every slice, a circuit
 pre-composed onto a
 tableau by testing every bit of its ``circuit_images``, the witness rank from
@@ -43,8 +44,8 @@ from archdim.witness import (
     WitnessCertificate,
     _DirectionSweep,
     _last_gate_on,
+    _route,
     build_path_tree,
-    route_pauli_through_slice,
 )
 
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
@@ -282,6 +283,18 @@ def first_new(sweep: _DirectionSweep) -> PauliString:
     raise AssertionError("every nontrivial direction is taken")
 
 
+def route_pauli_through_slice(tree: PathTree,
+                              p: PauliString) -> dict[int, CliffordCircuit]:
+    """Per-gate Clifford circuits conjugating ``p`` to Z on the tree's
+    sink, by the library's routing (``witness._route``), with the empty
+    circuit on every gate of the slice it leaves alone."""
+    assignments = dict.fromkeys(range(tree.start, tree.stop),
+                                CliffordCircuit(2))
+    for offset, circuit in _route(tree, p):
+        assignments[tree.start + offset] = circuit
+    return assignments
+
+
 def witness_point(arch: Architecture, mode: str) -> WitnessCertificate:
     """The witness construction one slice at a time: each slice builds its
     own path tree, scans for its string and routes it, with no state shared
@@ -371,17 +384,17 @@ def phase_free_rank(arch: Architecture, circuits: Sequence[CliffordCircuit],
 
 def gram_certificate(mat: np.ndarray,
                      tol_pair: tuple[float, float] = DEFAULT_TOLERANCES,
-                     ) -> RankEstimate | None:
+                     *, spectrum: bool = False) -> RankEstimate | None:
     """The Gram certificate of a tall real matrix M (m rows) from the
     computed product G = fl(M^T M), or None when it does not certify.
 
     The product is within gamma_m ||M||_F^2 <= m eps trace(G) of the exact
-    M^T M, so the certificate's eigenvalue bound is
-    delta = (m + C) eps trace(G).
+    M^T M, which is the read error the certificate takes; ``spectrum``
+    asks it for sqrt(eigvalsh(G)) as well.
     """
     gram = mat.T @ mat
     read_error = mat.shape[0] * np.finfo(np.float64).eps * np.trace(gram)
-    return _gram_estimate(gram, tol_pair, read_error)
+    return _gram_estimate(gram, tol_pair, read_error, spectrum)
 
 
 def _pauli_transfer(vecs: np.ndarray, t: np.ndarray, wires: tuple[int, int],

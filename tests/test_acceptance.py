@@ -25,7 +25,6 @@ from archdim import (
     numerical_rank,
     randomized_architecture_experiment,
     randomized_bound_probability,
-    route_pauli_through_slice,
     routing_clifford_2q,
     saturation_threshold,
     staircase,
@@ -38,6 +37,7 @@ from reference import (
     gate_assignment,
     gauge_redundancy_check,
     perturbation_operator,
+    route_pauli_through_slice,
     slice_tableau,
 )
 

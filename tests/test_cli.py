@@ -7,6 +7,7 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import archdim.experiments
@@ -14,6 +15,7 @@ from archdim import (
     Architecture,
     WitnessCertificate,
     brickwork,
+    build_family,
     staircase,
     witness_point,
 )
@@ -25,7 +27,7 @@ from archdim.cli import (
     build_parser,
     main,
 )
-from archdim.contraction import MEMORY_BUDGET, peak_bytes
+from archdim.contraction import MEMORY_BUDGET, frame_shape, peak_bytes
 
 
 def test_bounds_command_prints_lower_bound(capsys):
@@ -146,6 +148,32 @@ def test_dim_from_file_and_spectra(tmp_path):
                "--spectra", str(spectra)])
     assert rc == EXIT_OK
     assert spectra.read_text().startswith("sample,index,singular_value")
+
+
+def test_dim_runs_eigvalsh_only_for_spectra(tmp_path, monkeypatch):
+    # brickwork(6, 1) takes the gram route on every sample, whose
+    # certificate needs no eigensolver; only --spectra asks for the C
+    # eigenvalues of each sample's Gram matrix
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        lam = eigvalsh(a, *args, **kwargs)
+        calls.append(lam.shape)
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    out, spectra = tmp_path / "dim.json", tmp_path / "spectra.csv"
+    argv = ["dim", "--family", "brickwork", "--n", "6", "--t", "1",
+            "--samples", "3", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    routes = [e["route"] for e in json.loads(out.read_text())["per_sample"]]
+    assert routes == ["gram"] * 3
+    assert calls == []
+    assert main(argv + ["--spectra", str(spectra)]) == EXIT_OK
+    c = frame_shape(build_family("brickwork", 6, 1), "unitary")[1]
+    assert calls == [(c,)] * 3
+    assert len(spectra.read_text().splitlines()) == 1 + 3 * c
 
 
 def test_dim_inconclusive_exit_code(monkeypatch, tmp_path):

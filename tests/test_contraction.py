@@ -30,6 +30,7 @@ from archdim import (
 from archdim import contraction
 from archdim.bounds import gauge_fixed_count
 from archdim.contraction import (
+    DEFAULT_TOLERANCES,
     MEMORY_BUDGET,
     frame_shape,
     peak_bytes,
@@ -1391,7 +1392,7 @@ def test_gram_route_matches_svd_on_planted_spectra(ratio):
     assert np.array_equal(est.singular_values, sv)
     # the M^T M certificate holds only on spectra far from the cutoffs, and
     # then decides as the SVD does
-    cert = gram_certificate(mat)
+    cert = gram_certificate(mat, spectrum=True)
     if ratio < 1e-4:
         assert cert is None
     if ratio >= 1e-2:
@@ -1400,6 +1401,78 @@ def test_gram_route_matches_svd_on_planted_spectra(ratio):
         assert (cert.route, cert.loose_rank, cert.tight_rank) == \
             ("gram", loose, tight)
         assert np.abs(cert.singular_values - sv).max() <= 1e-12 * sv[0]
+
+
+def _planted_gram(lam, seed):
+    """Q diag(lam) Q^T for a random orthogonal Q, exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+    gram = (q * lam) @ q.T
+    return (gram + gram.T) / 2
+
+
+# lam_min / lam_max against the certificate's floor (100 loose)^2 = 1e-8
+BELOW_FLOOR = [1e-8 * (1 - 1e-3), 0.5e-8, 1e-12, 0.0, -1e-6]
+ABOVE_FLOOR = [1e-5, 1e-3, 0.1]
+
+
+@pytest.mark.parametrize("lam_min", BELOW_FLOOR + ABOVE_FLOOR)
+def test_gram_certificate_on_planted_spectra(lam_min):
+    # lam_max = 1: a lam_min below the floor is never certified, whatever
+    # Q, and one well above it always is, with bounds that bracket the
+    # planted spectrum
+    lam = np.geomspace(1.0, 0.1, 60)
+    lam[-1] = lam_min
+    for seed in range(5):
+        est = contraction._gram_estimate(_planted_gram(lam, seed),
+                                         DEFAULT_TOLERANCES, 0.0)
+        if lam_min < 1e-8:
+            assert est is None
+            continue
+        assert (est.route, est.rank, est.singular_values) == \
+            ("gram", lam.size, None)
+        assert est.sigma_min_lower <= np.sqrt(lam_min)
+        assert 1.0 <= est.sigma_max_upper
+
+
+def test_a_read_error_that_closes_the_gap_refuses_the_certificate():
+    lam = np.geomspace(1.0, 0.1, 60)
+    lam[-1] = 1e-3
+    gram = _planted_gram(lam, 36)
+    for read_error in (0.0, 0.5e-3):
+        est = contraction._gram_estimate(gram, DEFAULT_TOLERANCES, read_error)
+        assert est is not None and est.rank == lam.size
+    # within 1e-3 of G the exact M^T M may be singular
+    for read_error in (1e-3, 1.0):
+        assert contraction._gram_estimate(
+            gram, DEFAULT_TOLERANCES, read_error) is None
+
+
+DIM_WIDE_SHAPES = [
+    pytest.param(lambda: build_family("staircase", 6, 2),
+                 id="dim-staircase-6-2"),
+    pytest.param(lambda: build_family("staircase", 7, 1),
+                 id="dim-staircase-7-1"),
+    pytest.param(lambda: build_family("brickwork", 6, 1),
+                 id="dim-brickwork-6-1"),
+]
+
+
+@pytest.mark.parametrize("build", FRAME_CASES + DIM_WIDE_SHAPES)
+def test_certified_bounds_bracket_the_svd(build):
+    # every tall full-rank Haar frame is certified, its bounds bracket the
+    # SVD's extreme singular values, and every frame ranks as the SVD does
+    arch = build()
+    for seed in range(1, 21):
+        frame = tangent_frame(arch, GateAssignment.haar(arch, seed))
+        est = numerical_rank(frame)
+        m, c = frame_shape(arch, "unitary")
+        sv, loose, tight = _svd_reference(frame.matrix)
+        assert (est.loose_rank, est.tight_rank) == (loose, tight)
+        assert est.route == ("gram" if loose == c < m else "svd")
+        if est.route == "gram":
+            assert est.sigma_min_lower <= sv[-1]
+            assert sv[0] <= est.sigma_max_upper
 
 
 def test_gram_route_edge_cases():
@@ -1430,13 +1503,13 @@ def test_gram_route_on_haar_and_witness_frames(mode):
     for build in FRAME_CASES:
         arch = build.values[0]()
         frame = tangent_frame(arch, GateAssignment.haar(arch, 24), mode)
-        est = numerical_rank(frame)
+        est = numerical_rank(frame, spectrum=True)
         m, c = frame.matrix.shape
         _sv, loose, tight = _svd_reference(frame.matrix)
         assert (est.loose_rank, est.tight_rank) == (loose, tight)
         assert est.route == ("gram" if loose == c < m else "svd")
         # the Gram matrix read off the sweep decides as M^T M does
-        cert = gram_certificate(frame.matrix)
+        cert = gram_certificate(frame.matrix, spectrum=True)
         assert (est.route == "gram") == (cert is not None)
         if cert is not None:
             assert (est.loose_rank, est.tight_rank) == \
@@ -1588,12 +1661,26 @@ def test_report_json_and_spectra():
     # staircase(2, 2) frames are 16 x 24, too wide for the gram route;
     # staircase(3, 1) frames are 64 x 27 with full column rank
     assert [e["route"] for e in d["per_sample"]] == ["svd"] * 3
-    assert all("gram_margin" not in e for e in d["per_sample"])
-    tall = accessible_dimension(staircase(3, 1), samples=3, seed=1)
+    assert all(set(e) == {"loose_rank", "tight_rank", "status", "route",
+                          "sigma_max"} for e in d["per_sample"])
+    tall = accessible_dimension(staircase(3, 1), samples=3, seed=1,
+                                spectrum=True)
     entries = tall.to_json_dict()["per_sample"]
     assert [e["route"] for e in entries] == ["gram"] * 3
-    # the certificate held by this factor; at 1 it would just hold
-    assert all(e["gram_margin"] >= 1.0 for e in entries)
+    # the certified bounds bracket the spectrum, a margin of 100 loose
+    # apart; the JSON keys do not depend on the spectrum being held
+    for e, est in zip(entries, tall.estimates):
+        assert set(e) == {"loose_rank", "tight_rank", "status", "route",
+                          "sigma_max_upper", "sigma_min_lower"}
+        assert e["sigma_min_lower"] == pytest.approx(
+            100 * 1e-6 * e["sigma_max_upper"], rel=1e-14)
+        assert e["sigma_min_lower"] <= est.singular_values[-1]
+        assert est.singular_values[0] <= e["sigma_max_upper"]
+    plain = accessible_dimension(staircase(3, 1), samples=3, seed=1)
+    assert plain.to_json_dict() == tall.to_json_dict()
+    assert all(e.singular_values is None for e in plain.estimates)
+    with pytest.raises(ValueError, match="spectrum=True"):
+        plain.spectra_csv()
     for rep in (report, tall):
         lines = rep.spectra_csv().splitlines()
         assert lines[0] == "sample,index,singular_value"

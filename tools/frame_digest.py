@@ -8,7 +8,7 @@ For each shape (all of ``SHAPES`` by default) it prints one
 scratch and tables; ``peak_bytes`` in both modes; and per seed (1 to 5 by
 default) the Gram matrix and ``repr(gram_error)`` at the plan's split h, at
 h = 0 and at h = R, the frame's matrix, and the singular values, route and
-loose/tight ranks of ``numerical_rank``.  A wide frame has no Gram matrix,
+loose/tight ranks of ``numerical_rank``, which is asked for the spectrum.  A wide frame has no Gram matrix,
 and its Gram lines digest ``None``.  Arrays are digested by their shape and
 ``tobytes()`` after ``+ 0.0``, which makes -0.0 read as 0.0, and other
 values by ``repr``; pickle is not used, since its bytes follow object
@@ -89,7 +89,7 @@ def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
             yield f"seed{seed}.gram.{label}", frame.gram
             yield f"seed{seed}.gram_error.{label}", frame.gram_error
         frame = tangent_frame(arch, gates)
-        rank = numerical_rank(frame)
+        rank = numerical_rank(frame, spectrum=True)
         yield f"seed{seed}.singular_values", rank.singular_values
         yield f"seed{seed}.route", rank.route
         yield f"seed{seed}.ranks", (rank.loose_rank, rank.tight_rank)
