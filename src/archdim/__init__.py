@@ -40,6 +40,7 @@ from .contraction import (
     RankReport,
     TangentFrame,
     accessible_dimension,
+    accessible_dimensions,
     contract,
     contract_state,
     numerical_rank,
@@ -70,6 +71,7 @@ from .experiments import (
     growth_sweep,
     randomized_architecture_experiment,
     rows_to_csv,
+    sweep_architectures,
 )
 from .pauli import PauliString, nontrivial_strings
 from .witness import (

@@ -33,6 +33,7 @@ from .experiments import (
     growth_sweep,
     randomized_architecture_experiment,
     rows_to_csv,
+    sweep_architectures,
 )
 from .witness import verify_certificate, witness_point
 
@@ -79,17 +80,17 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _stamp(payload: dict, args: argparse.Namespace,
-           frame_of: Architecture | None = None) -> dict:
+           peak: int | None = None) -> dict:
     """``payload`` with the tool ``version`` and the ``config``: every field
     the command parsed, seed resolved, except the handler, the output paths
-    and ``arch_command``, which ``command`` already names.  With
-    ``frame_of``, the config also records the memory budget and the peak
-    estimate of that architecture's frame in the command's mode."""
+    and ``arch_command``, which ``command`` already names.  With ``peak``,
+    the config also records the memory budget and that peak estimate of
+    the command's frame (``peak_bytes``)."""
     config = {key: value for key, value in vars(args).items()
               if key not in ("func", "out", "spectra", "arch_command")}
-    if frame_of is not None:
+    if peak is not None:
         config.update(memory_budget_bytes=MEMORY_BUDGET,
-                      peak_estimate_bytes=peak_bytes(frame_of, args.mode))
+                      peak_estimate_bytes=peak)
     payload.update(config=config, version=__version__)
     return payload
 
@@ -154,7 +155,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
               f"(bounds [{report.lower_bound}, {report.upper_bound}], "
               f"cap {report.cap})")
     if args.out:
-        _emit_json(_stamp(report.to_json_dict(), args, arch), args.out)
+        _emit_json(_stamp(report.to_json_dict(), args,
+                          peak_bytes(arch, args.mode)), args.out)
     if args.spectra:
         _write_atomic(args.spectra, report.spectra_csv())
     if report.inconclusive:
@@ -196,9 +198,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n=args.n, family=args.family, t_max=args.t_max, samples=args.samples,
         seed=args.seed, mode=args.mode,
         tolerances=(args.tol_loose, args.tol_tight))
-    # R grows with T, so the last row's frame sets the sweep's peak
-    largest = build_family(args.family, args.n, args.t_max)
-    cfg = _stamp({}, args, largest)["config"]
+    # one union frame over the last row's gates serves every row
+    archs = sweep_architectures(args.n, args.family, args.t_max)
+    peak = peak_bytes(archs[-1], args.mode,
+                      [arch.gate_count for arch in archs])
+    cfg = _stamp({}, args, peak)["config"]
     comment = f"archdim {__version__} config={json.dumps(cfg, sort_keys=True)}"
     text = rows_to_csv(rows, header_comment=comment)
     if args.out:

@@ -27,6 +27,12 @@ only.  A state frame is built by a forward sweep over a stack of state
 vectors.  Both modes take their columns from one cached gauge-fixed
 record.  A dense call whose estimated peak memory (``peak_bytes``)
 exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
+
+Architectures whose gates are prefixes of one longest architecture share
+their Haar draws and frames (``accessible_dimensions``): one frame over the
+longest one's gates, with the union of the prefixes' gauge-fixed columns,
+serves each prefix as a column block, since the later gates act on a
+prefix's columns by one orthogonal map.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -68,6 +74,11 @@ _KEPT = {
     for later_a in (False, True) for later_b in (False, True)
 }
 
+# _KEEPS[later_a, later_b, k]: whether _KEPT[later_a, later_b] holds k.
+_KEEPS = np.array([[[k in _KEPT[later_a, later_b] for k in range(15)]
+                    for later_b in (False, True)]
+                   for later_a in (False, True)])
+
 # The 16 two-qubit Pauli matrices in label order, identity first.
 _PAULI_STACK = np.concatenate([np.eye(4, dtype=complex)[None],
                                _GENERATOR_STACK])
@@ -83,21 +94,61 @@ def subseed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def frame_shape(arch: Architecture, mode: str) -> tuple[int, int]:
+def _ends(arch: Architecture,
+          prefixes: Sequence[int] | None) -> tuple[int, ...]:
+    """The gate counts of the prefixes of ``arch`` a frame serves, sorted
+    and distinct: ``prefixes`` and R, the whole architecture (R alone for
+    None).  A prefix length that is not an integer in 0..R raises
+    ValidationError."""
+    end = arch.gate_count
+    ends = {end}
+    for length in prefixes or ():
+        length = check_int(length, "prefix length")
+        if not 0 <= length <= end:
+            raise ValidationError(
+                f"prefix length {length} outside [0, {end}]")
+        ends.add(length)
+    return tuple(sorted(ends))
+
+
+def _count(cols: slice | np.ndarray) -> int:
+    """The number of columns a ``_gauge`` row selects."""
+    if isinstance(cols, slice):
+        return len(range(cols.start, cols.stop, cols.step))
+    return cols.size
+
+
+def frame_shape(arch: Architecture, mode: str,
+                prefixes: Sequence[int] | None = None) -> tuple[int, int]:
     """(rows, columns) of the gauge-fixed tangent frame: 4^n Pauli rows in
     unitary mode, 2 * 2^n real rows in state mode, 9R + 3 * touched qubits
-    columns in both.  Any other mode raises ValidationError."""
+    columns in both.  With ``prefixes`` (gate counts) the columns are those
+    of the union gauge over them (``_gauge``).  Any other mode raises
+    ValidationError."""
     check_mode(mode)
     rows = 4 ** arch.n if mode == "unitary" else 2 * 2 ** arch.n
-    return rows, gauge_fixed_count(arch)
+    return rows, _gauge(arch, _ends(arch, prefixes))[2].shape[0]
 
 
-def peak_bytes(arch: Architecture, job: str) -> int:
+def peak_bytes(arch: Architecture, job: str,
+               prefixes: Sequence[int] | None = None) -> int:
     """Upper estimate of the peak bytes of a dense call on ``arch``; ``job``
     is a frame mode, "contract" or "contract_state", and any other job
     raises ValidationError.  A gate applied to an array holds two more of
     its size (tensordot's reordered input and output).  A frame counts its
     matrix twice (the SVD's copy).
+
+    With ``prefixes`` (gate counts) the frame is the union frame that
+    serves them (``accessible_dimensions``), and every prefix, one at a
+    time, takes its rank on its own column block (``TangentFrame.prefix``):
+    a prefix with fewer columns than the frame holds a copy of its block of
+    the matrix beside the frame's, then the SVD's copy of it, and, if it
+    has fewer columns than rows, its block of the Gram matrix, which the
+    certificate's arrays join.  When some prefix has fewer columns than
+    rows, the frame holds the Gram matrix of the longest such prefix's
+    gates' columns, and its Gram plan is that prefix's (``_tall_head``).
+    Without ``prefixes`` the frame is its one prefix, which copies no
+    block; this is the estimate below.
 
     The state sweep holds its C x 2^n complex stack (the frame's size), then
     the frame beside it; the rank holds the frame beside the SVD's copy or,
@@ -128,23 +179,39 @@ def peak_bytes(arch: Architecture, job: str) -> int:
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
         return held[job]
-    rows, cols = frame_shape(arch, job)
+    ends = _ends(arch, prefixes)
+    rows, cols = frame_shape(arch, job, ends)
     frame = 8 * rows * cols
-    gram = 8 * cols * cols if cols < rows else 0
+    counts = [_count(own) for own in _gauge(arch, ends)[3]]
+    # per prefix: its block of the matrix, and the copy that block takes
+    blocks = [8 * rows * c for c in counts]
+    copies = [b * (c < cols) for b, c in zip(blocks, counts)]
     if job == "state":  # a chunk is at most the whole stack
         temps = 2 * min(frame, max(_STACK_CHUNK, vec)) + 36 * vec
-        return 16384 * arch.gate_count + temps + frame + max(frame, 4 * gram)
-    if gram + 2 * frame > MEMORY_BUDGET:
-        return gram + 2 * frame
+        svd = max(copy + max(b, 32 * c * c * (c < rows))
+                  for copy, b, c in zip(copies, blocks, counts))
+        return 16384 * arch.gate_count + temps + frame + max(frame, svd)
+    # per tall prefix: its block of the Gram matrix, and that block's copy
+    grams = [8 * c * c * (c < rows) for c in counts]
+    gram_copies = [g * (c < cols) for g, c in zip(grams, counts)]
+    tall = _tall_head(arch, ends, rows)
+    gram = 0
+    if tall is not None:
+        head, head_ends = tall
+        gram = 8 * frame_shape(head, "unitary", head_ends)[1] ** 2
+    svd = frame + max(map(sum, zip(copies, blocks, gram_copies)))
+    if gram + svd > MEMORY_BUDGET:
+        return gram + svd
     transfers = 16384 * arch.gate_count
-    full = _frame_plan(arch)
+    full = _plan(arch, ends)
     tables = full.tables
-    phases = [transfers + 8 * (full.arena + full.scratch), 2 * frame]
+    phases = [transfers + 8 * (full.arena + full.scratch), svd]
     if gram:
-        pruned = _frame_plan(arch, prune=True)
+        pruned = _plan(head, head_ends, prune=True)
         tables += pruned.tables
         phases += [transfers + 8 * (pruned.arena + pruned.scratch),
-                   transfers + 3 * gram]
+                   transfers + max(copy + 3 * g for copy, g
+                                   in zip(gram_copies, grams))]
     return gram + tables + max(phases)
 
 
@@ -156,8 +223,9 @@ def check_budget(est: int, budget: int, needs: str) -> None:
                         f"the {budget / 2 ** 30:.0f} GiB memory budget")
 
 
-def _check_size(arch: Architecture, job: str) -> None:
-    check_budget(peak_bytes(arch, job), MEMORY_BUDGET,
+def _check_size(arch: Architecture, job: str,
+                prefixes: Sequence[int] | None = None) -> None:
+    check_budget(peak_bytes(arch, job, prefixes), MEMORY_BUDGET,
                  f"{job} on n={arch.n}, R={arch.gate_count} needs")
 
 
@@ -309,9 +377,17 @@ class TangentFrame:
     holds its transfer stack and, when ``matrix`` is first read, runs the
     matrix plan's sweep and assembles the matrix from it.  ``gram`` is the
     C x C Gram matrix M^T M of a tall unitary frame (fewer columns than
-    rows), read off the split sweep in column order, and ``gram_error`` bounds
-    its 2-norm distance from the exact Gram matrix of ``matrix``; ``gram``
-    is None in state mode and for wide frames.
+    rows), read off the split sweep in column order, and ``gram_error``
+    bounds its 2-norm distance from the exact Gram matrix of ``matrix``.
+    A unitary frame that serves tall prefixes (``tangent_frame``) holds
+    the Gram matrix of its leading columns, those of the longest tall
+    prefix's gates, which hold every tall prefix's.  ``gram`` is None in
+    state mode and for every other frame.
+
+    ``prefixes`` maps the gate count of each prefix of the architecture
+    that the frame serves, the whole one included, to that prefix's own
+    columns of ``columns``: a slice or a read-only index array
+    (``_gauge``).  ``prefix`` gives each one's frame.
     """
 
     mode: str
@@ -321,10 +397,37 @@ class TangentFrame:
     _assemble: Callable[[], np.ndarray] = field(repr=False)
     gram: np.ndarray | None = None
     gram_error: float = 0.0
+    prefixes: dict[int, slice | np.ndarray] = field(default_factory=dict,
+                                                    repr=False)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         return self._assemble()
+
+    def prefix(self, length: int) -> TangentFrame:
+        """The frame of the prefix of ``length`` gates, at the same gates:
+        its own columns of this frame.  The later gates act on them by one
+        orthogonal map, so it has the prefix's own Gram matrix and singular
+        values.  If it has fewer columns than rows it takes its block of
+        ``gram``, with this frame's ``gram_error``; its matrix is the
+        column block of ``matrix``, read on first access.  Columns that run
+        in a slice take views: the whole frame's prefix holds this frame's
+        arrays.  A length the frame does not serve raises
+        ValidationError."""
+        if length not in self.prefixes:
+            raise ValidationError(
+                f"the frame serves no prefix of {length} gates")
+        cols = self.prefixes[length]
+        rows = 4 ** self.n if self.mode == "unitary" else 2 * 2 ** self.n
+        columns = self.columns[cols]
+        gram, error = None, 0.0
+        if self.gram is not None and len(columns) < rows:
+            gram = self.gram[(cols, cols) if isinstance(cols, slice)
+                             else np.ix_(cols, cols)]
+            error = self.gram_error
+        return TangentFrame(self.mode, self.n, length, columns,
+                            lambda: self.matrix[:, cols], gram, error,
+                            {length: slice(0, len(columns), 1)})
 
 
 _Cone = tuple[int, ...]  # 1-based qubits, ascending
@@ -496,16 +599,36 @@ def _first_fit(spans: list[tuple[int, int, int]],
 
 
 @functools.lru_cache(maxsize=128)
-def _gauge(arch: Architecture) -> tuple[tuple[np.ndarray, ...],
-                                        tuple[np.ndarray, ...], np.ndarray]:
-    """The gauge-fixed columns both frame modes share (``tangent_frame``):
-    each gate's kept generator indices (into the 15), the same as
-    two-qubit labels (1 to 15) read with the lower wire leading, and the
-    frame's (gate, generator) column list.  Cached and read-only."""
-    last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
+def _gauge(arch: Architecture, ends: tuple[int, ...] | None = None,
+           ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...],
+                      np.ndarray, tuple[slice | np.ndarray, ...]]:
+    """The gauge-fixed columns both frame modes share (``tangent_frame``)
+    for the prefixes of ``arch`` that end after ``ends`` gates (``_ends``;
+    None is R alone): each gate's kept generator indices (into the 15), the
+    same as two-qubit labels (1 to 15) read with the lower wire leading,
+    the frame's (gate, generator) column list, and each prefix's own
+    columns in that list (``_span``).
+
+    Gate j keeps what the shortest prefix that holds it keeps, the union
+    gauge: a prefix drops a single-qubit generator of a wire that a later
+    gate of the prefix acts on, so a longer prefix keeps a subset, and
+    every prefix's own columns are in the list.  With one prefix this is
+    its own gauge.  Cached and read-only."""
+    end = arch.gate_count
+    ends = ends or (end,)
+    # the next gate after each gate on each of its wires, R for none
+    after = np.full((end, 2), end, dtype=np.intp)
+    nxt: dict[int, int] = {}
+    for j in range(end - 1, -1, -1):
+        a, b = arch.gates[j]
+        after[j] = nxt.get(a, end), nxt.get(b, end)
+        nxt[a] = nxt[b] = j
+    # the length of the shortest prefix that holds each gate
+    stops = np.asarray(ends)[np.searchsorted(ends, np.arange(end), "right")]
     kept_all, labels_all = [], []
-    for j, (a, b) in enumerate(arch.gates):
-        kept = _KEPT[last[a] > j, last[b] > j]
+    for (a, b), (later_a, later_b) in zip(
+            arch.gates, (after < stops[:, None]).tolist()):
+        kept = _KEPT[later_a, later_b]
         kept_all.append(kept)
         labels = _SWAPPED[kept + 1] if a > b else kept + 1
         labels.flags.writeable = False
@@ -513,17 +636,35 @@ def _gauge(arch: Architecture) -> tuple[tuple[np.ndarray, ...],
     record = np.array([(j, k) for j, kept in enumerate(kept_all) for k in kept],
                       dtype=np.intp).reshape(-1, 2)
     record.flags.writeable = False
-    return tuple(kept_all), tuple(labels_all), record
+    gate, generator = record.T
+    rows = []
+    for stop in ends:
+        later = (after[gate] < stop).astype(np.intp)
+        own = (gate < stop) & _KEEPS[later[:, 0], later[:, 1], generator]
+        rows.append(_span(np.flatnonzero(own)))
+    return tuple(kept_all), tuple(labels_all), record, tuple(rows)
+
+
+def _plan(arch: Architecture, ends: tuple[int, ...], *,
+          prune: bool = False) -> _FramePlan:
+    """``_frame_plan`` of the union gauge over ``ends``; one prefix calls
+    it as a plain architecture's plan, so that both share one cache
+    entry."""
+    if len(ends) == 1:
+        return _frame_plan(arch, prune=prune)
+    return _frame_plan(arch, prune=prune, prefixes=ends)
 
 
 # Plans repeat across a frame's Haar samples and across calls on the same
-# architecture.  The benchmark's dim-wide ops use nine architectures, its
-# three dim shapes and the sweep's staircase(3, 1..6), and ``peak_bytes``
-# builds both plans, pruned and unpruned, of each of the six tall ones: 15
-# entries.
+# architecture.  The benchmark's dim-wide ops use four frames, its three dim
+# shapes and the sweep's union over staircase(3, 1..6), and ``peak_bytes``
+# builds two plans for each, since each has a prefix with fewer columns
+# than rows: the frame's unpruned plan and its longest tall prefix's pruned
+# one (``_tall_head``): 8 entries.
 @functools.lru_cache(maxsize=128)
 def _frame_plan(arch: Architecture, *, prune: bool = False,
-                split: int | None = None) -> _FramePlan:
+                split: int | None = None,
+                prefixes: Sequence[int] | None = None) -> _FramePlan:
     """The unitary columns' light-cone groups, compiled for one sweep.
 
     After gate j, the columns of gates 0..j sit in groups, one per cone: the
@@ -565,9 +706,13 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     sweep does that the gates do not change, and counts the ``scratch``
     of the temporaries each transfer, read and join makes where it lays
     them out (``_compile``), so that ``_sweep`` runs only array calls.
+
+    With ``prefixes`` (gate counts) the columns are those of the union
+    gauge over them (``_gauge``); nothing here depends on which labels a
+    gate keeps.
     """
     end = arch.gate_count
-    labels_all = _gauge(arch)[1]
+    labels_all = _gauge(arch, _ends(arch, prefixes))[1]
     forward = _half_plan(arch, labels_all, prune, backward=False)
     backward = _half_plan(arch, labels_all, prune, backward=True) \
         if prune else []
@@ -1022,7 +1167,26 @@ def _assemble(n: int, width: int, plan: _FramePlan,
     return out.T
 
 
-def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
+# One head per frame shape: its plans are cached by it.
+@functools.lru_cache(maxsize=128)
+def _tall_head(arch: Architecture, ends: tuple[int, ...], rows: int,
+               ) -> tuple[Architecture, tuple[int, ...]] | None:
+    """The longest prefix in ``ends`` with fewer columns than ``rows``, as
+    an architecture (``arch`` itself for all its gates), and the prefixes
+    in ``ends`` up to it; None if there is none.  A prefix's own columns
+    grow with it, so the tall prefixes are the shortest ones, and a frame's
+    Gram read covers the gates of the longest (``_unitary_frame``)."""
+    own = _gauge(arch, ends)[3]
+    tall = tuple(end for end, cols in zip(ends, own) if _count(cols) < rows)
+    if not tall:
+        return None
+    head = arch if tall[-1] == arch.gate_count \
+        else Architecture(arch.n, arch.gates[:tall[-1]])
+    return head, tall
+
+
+def _unitary_frame(arch: Architecture, gates: GateAssignment,
+                   ends: tuple[int, ...]) -> TangentFrame:
     """The unitary frame by the forward sweep of ``_frame_plan``: column
     (j, k) is T_R ... T_{j+1} e_{S_k}.
 
@@ -1071,36 +1235,45 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment) -> TangentFrame:
     gives no Gram matrix: every frame entry is a sum of products of the
     stack's entries, so a finite stack makes a finite frame.
 
-    A tall frame runs the Gram plan's sweep and releases its arena on
-    return; a wide frame runs no sweep here.  Every frame takes its columns
-    from ``_gauge`` and keeps its transfer stack (2 KiB per gate), and the
-    first read of its ``matrix`` fetches the matrix plan, runs its sweep
-    and assembles the matrix from its last groups.
+    A frame one of whose prefixes (``ends``) is tall runs the Gram plan's
+    sweep and releases its arena on return; any other frame runs no sweep
+    here.  The sweep covers the gates of the longest tall prefix
+    (``_tall_head``), whose columns lead the frame's and hold every tall
+    prefix's: the later gates act on them orthogonally, so their Gram
+    matrix is the head's, and the bound above takes the head's gates and
+    columns.  Every frame takes its columns from ``_gauge`` and keeps its
+    transfer stack (2 KiB per gate), and the first read of its ``matrix``
+    fetches the matrix plan, runs its sweep and assembles the matrix from
+    its last groups.
     """
-    rows, width = frame_shape(arch, "unitary")
+    rows, width = frame_shape(arch, "unitary", ends)
+    _, _, record, own = _gauge(arch, ends)
     transfers = transfer_matrices(gates)
     defect = np.swapaxes(transfers, 1, 2) @ transfers - np.eye(16)
     tau = np.sqrt((defect * defect).sum(axis=(1, 2)).max(initial=0.0))
     gram, gram_error = None, 0.0
-    if width < rows and np.isfinite(tau):
-        pruned = _frame_plan(arch, prune=True)
+    tall = _tall_head(arch, ends, rows)
+    if tall is not None and np.isfinite(tau):
+        head, head_ends = tall
+        pruned = _plan(head, head_ends, prune=True)
         eps = np.finfo(np.float64).eps
         meet = max((4 ** len(join.meet) for join in pruned.joins), default=0)
-        gram_error = width * float(np.expm1(
-            arch.gate_count * np.log1p(tau + 256 * eps)
-            + np.log1p(meet * eps / (1 - meet * eps))))
         gram = _gram_read(transfers, pruned)
+        gram_error = gram.shape[0] * float(np.expm1(
+            head.gate_count * np.log1p(tau + 256 * eps)
+            + np.log1p(meet * eps / (1 - meet * eps))))
 
     def assemble() -> np.ndarray:
-        plan = _frame_plan(arch)
+        plan = _plan(arch, ends)
         return _assemble(arch.n, width, plan, _sweep(transfers, plan, None))
 
-    return TangentFrame("unitary", arch.n, arch.gate_count, _gauge(arch)[2],
-                        assemble, gram, gram_error)
+    return TangentFrame("unitary", arch.n, arch.gate_count, record,
+                        assemble, gram, gram_error, dict(zip(ends, own)))
 
 
 def tangent_frame(arch: Architecture, gates: GateAssignment,
-                  mode: str = "unitary") -> TangentFrame:
+                  mode: str = "unitary",
+                  prefixes: Sequence[int] | None = None) -> TangentFrame:
     """The gauge-fixed perturbation directions.
 
     Unitary mode stores the Pauli-basis expansion of each
@@ -1144,13 +1317,22 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     applies u_j to the columns built so far, advances psi by u_j, then
     appends i S_k psi for its kept k, so column (j, k) ends as
     i K_{j,k} psi.  No 2^n x 2^n operator is formed.
+
+    With ``prefixes`` (gate counts, each in 0..R) the frame serves the
+    prefixes of ``arch`` of those lengths as well: gate j keeps the
+    generators the shortest of them that holds it keeps (``_gauge``), and
+    ``TangentFrame.prefix`` gives each prefix's frame.  The frame reads its
+    Gram matrix when some prefix has fewer columns than rows.  Without
+    ``prefixes`` it is the frame of ``arch`` alone.  Either way,
+    ``TangentFrame.prefixes`` holds each prefix's own columns.
     """
     check_mode(mode)
-    _check_size(arch, mode)
+    ends = _ends(arch, prefixes)
+    _check_size(arch, mode, ends)
     _require_match(arch, gates)
     if mode == "unitary":
-        return _unitary_frame(arch, gates)
-    kept_all, _, record = _gauge(arch)
+        return _unitary_frame(arch, gates, ends)
+    kept_all, _, record, own = _gauge(arch, ends)
     n = arch.n
     dim = 2 ** n
     stack = np.empty((dim, record.shape[0]), dtype=complex)
@@ -1168,7 +1350,8 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
                                           wires, n).T
         filled = block.stop
     matrix = np.concatenate([stack.real, stack.imag])
-    return TangentFrame(mode, n, arch.gate_count, record, lambda: matrix)
+    return TangentFrame(mode, n, arch.gate_count, record, lambda: matrix,
+                        prefixes=dict(zip(ends, own)))
 
 
 # -- numerical rank ------------------------------------------------------------
@@ -1295,10 +1478,11 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
                    *, spectrum: bool = False) -> RankEstimate:
     """Singular-value rank under two relative thresholds.
 
-    A frame that carries a Gram matrix (``TangentFrame.gram``: a tall
-    unitary frame, which reads it off its sweep) is first tried on the Gram
-    route: a Cholesky factorization of that matrix, shifted by its error
-    bounds (``_gram_estimate``), certifies that all C singular values sit
+    A frame that carries the Gram matrix of all its columns
+    (``TangentFrame.gram``: a tall unitary frame, which reads it off its
+    sweep or takes its block of a frame that serves it) is first tried on
+    the Gram route: a Cholesky factorization of that matrix, shifted by its
+    error bounds (``_gram_estimate``), certifies that all C singular values sit
     at least 100x above the loose cutoff, and then the SVD would return
     loose = tight = C as well.  A certified frame never forms its matrix;
     the estimate holds the certified bounds ``sigma_max_upper`` and
@@ -1321,7 +1505,8 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     """
     loose, tight = _check_tolerances(tol_pair)
     gram = frame.gram if isinstance(frame, TangentFrame) else None
-    if gram is not None and gram.size:
+    if gram is not None and gram.size \
+            and gram.shape[0] == frame.columns.shape[0]:
         est = _gram_estimate(gram, tol_pair, frame.gram_error, spectrum)
         if est is not None:
             return est
@@ -1443,35 +1628,79 @@ class RankReport:
         return "\n".join(lines) + "\n"
 
 
-def accessible_dimension(arch: Architecture, mode: str = "unitary",
-                         samples: int = 5, seed: int = 0,
-                         tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
-                         *, spectrum: bool = False) -> RankReport:
-    """Consensus Jacobian rank over independent Haar-random gate assignments.
+def _prefix_lengths(archs: tuple[Architecture, ...],
+                    ) -> tuple[Architecture, list[int]]:
+    """The longest of ``archs`` and every one's gate count, or
+    ValidationError unless there is at least one, all act on one qubit
+    count and each one's gates are the first gates of the longest's."""
+    if not archs:
+        raise ValidationError("need at least one architecture")
+    longest = max(archs, key=lambda arch: arch.gate_count)
+    for arch in archs:
+        if arch.n != longest.n:
+            raise ValidationError(
+                f"architectures on n={arch.n} and n={longest.n} cannot "
+                f"share draws")
+        if arch.gates != longest.gates[:arch.gate_count]:
+            raise ValidationError(
+                f"the {arch.gate_count} gates of one architecture are not "
+                f"the first gates of the longest one's {longest.gate_count}")
+    return longest, [arch.gate_count for arch in archs]
 
-    All samples must agree at both tolerances; any disagreement is surfaced
-    as an inconclusive report, never averaged away.  Per-sample seeds derive
-    from ``seed`` by counter.  ``spectrum`` asks ``numerical_rank`` for
-    every sample's singular values, which ``RankReport.spectra_csv``
-    writes.  A frame over ``MEMORY_BUDGET`` raises
-    SizeLimit, and a tolerance pair ``numerical_rank`` would refuse, a
-    sample count that is not an integer of at least 3 or a seed that is not
-    a nonnegative integer (``subseed``) raises ValidationError, before the
-    first sample is drawn.
+
+def accessible_dimensions(archs: Sequence[Architecture],
+                          mode: str = "unitary", samples: int = 5,
+                          seed: int = 0,
+                          tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
+                          *, spectrum: bool = False,
+                          ) -> tuple[RankReport, ...]:
+    """Consensus Jacobian ranks of ``archs``, whose gates are the first
+    gates of the longest one's, one report each, over shared Haar samples.
+
+    Sample i draws ``GateAssignment.haar(longest, subseed(seed, i))`` once.
+    A prefix of R gates reads its first R gates, which are, bit for bit,
+    ``haar(prefix, subseed(seed, i))``, since the gates are drawn from one
+    stream in order.  One frame per sample serves every architecture
+    (``tangent_frame`` with their gate counts as prefixes): each takes its
+    own column block (``TangentFrame.prefix``) through ``numerical_rank``.
+    The frame reads its Gram matrix once when some architecture's frame is
+    tall, and forms its matrix once when a wide one or a failed certificate
+    first reads it.
+
+    For each architecture all samples must agree at both tolerances; any
+    disagreement is surfaced as an inconclusive report, never averaged
+    away.  ``spectrum`` asks ``numerical_rank`` for every sample's singular
+    values, which ``RankReport.spectra_csv`` writes.  A union frame over
+    ``MEMORY_BUDGET`` raises SizeLimit; a tolerance pair ``numerical_rank``
+    would refuse, a sample count that is not an integer of at least 3, a
+    seed that is not a nonnegative integer (``subseed``), or an
+    architecture list that is empty, mixes qubit counts or is not
+    prefix-closed raises ValidationError; all before the first sample is
+    drawn.
     """
     check_mode(mode)
     if check_int(samples, "samples") < 3:
         raise ValidationError(f"need at least 3 samples, got {samples}")
     _check_tolerances(tolerances)
-    _check_size(arch, mode)
+    archs = tuple(archs)
+    longest, prefixes = _prefix_lengths(archs)
+    _check_size(longest, mode, prefixes)
+    estimates: list[list[RankEstimate]] = [[] for _ in archs]
+    for i in range(samples):
+        gates = GateAssignment.haar(longest, subseed(seed, i))
+        frame = tangent_frame(longest, gates, mode, prefixes)
+        for row, length in zip(estimates, prefixes):
+            row.append(numerical_rank(frame.prefix(length), tolerances,
+                                      spectrum=spectrum))
+    return tuple(_consensus(arch, mode, seed, tolerances, tuple(row))
+                 for arch, row in zip(archs, estimates))
 
-    def one(i: int) -> RankEstimate:
-        gates = GateAssignment.haar(arch, subseed(seed, i))
-        return numerical_rank(tangent_frame(arch, gates, mode), tolerances,
-                              spectrum=spectrum)
 
-    estimates = tuple(one(i) for i in range(samples))
-
+def _consensus(arch: Architecture, mode: str, seed: int,
+               tolerances: tuple[float, float],
+               estimates: tuple[RankEstimate, ...]) -> RankReport:
+    """The report of ``arch``'s per-sample estimates: their consensus if
+    every one is conclusive and all agree, else the first reason not."""
     reason = None
     for i, e in enumerate(estimates):
         if not e.conclusive:
@@ -1484,9 +1713,23 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
     consensus = estimates[0].rank if reason is None else None
     lower, upper, cap = dimension_bounds(arch, mode)
     return RankReport(
-        n=arch.n, gate_count=arch.gate_count, mode=mode, samples=samples,
-        seed=seed, tolerances=tolerances, estimates=estimates,
-        consensus=consensus, inconclusive=reason is not None,
-        inconclusive_reason=reason, lower_bound=lower, upper_bound=upper,
-        cap=cap,
+        n=arch.n, gate_count=arch.gate_count, mode=mode,
+        samples=len(estimates), seed=seed, tolerances=tolerances,
+        estimates=estimates, consensus=consensus,
+        inconclusive=reason is not None, inconclusive_reason=reason,
+        lower_bound=lower, upper_bound=upper, cap=cap,
     )
+
+
+def accessible_dimension(arch: Architecture, mode: str = "unitary",
+                         samples: int = 5, seed: int = 0,
+                         tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
+                         *, spectrum: bool = False) -> RankReport:
+    """Consensus Jacobian rank over independent Haar-random gate
+    assignments: ``accessible_dimensions`` of ``arch`` alone.
+
+    Per-sample seeds derive from ``seed`` by counter.  It refuses what
+    ``accessible_dimensions`` refuses, before the first sample is drawn.
+    """
+    return accessible_dimensions((arch,), mode, samples, seed, tolerances,
+                                 spectrum=spectrum)[0]

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .architecture import (
+    Architecture,
     _adjacent_positions,
     build_family,
     staircase_block_flags,
@@ -22,7 +23,7 @@ from .bounds import randomized_bound_probability, staircase_slice_probability
 from .contraction import (
     DEFAULT_TOLERANCES,
     MEMORY_BUDGET,
-    accessible_dimension,
+    accessible_dimensions,
     check_budget,
     subseed,
     # not called here since the witness rank became exact; kept because
@@ -114,36 +115,61 @@ def check_ramp(rows: list[SweepRow]) -> None:
         prev = row
 
 
+def sweep_architectures(n: int, family: str, t_max: int,
+                        ) -> list[Architecture]:
+    """The architectures of a growth sweep's rows, ``build_family(family,
+    n, T)`` for T = 1..t_max; in the staircase and brickwork families each
+    one's gates are the first gates of the next one's.  A ``t_max`` that is
+    not a positive integer raises ValidationError."""
+    if check_int(t_max, "t_max") < 1:
+        raise ValidationError(f"t_max must be positive, got {t_max}")
+    return [build_family(family, n, t) for t in range(1, t_max + 1)]
+
+
 def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
                  seed: int = 0, mode: str = "unitary",
                  tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
                  ) -> list[SweepRow]:
     """One row per slice count T = 1..t_max, ramp shape asserted.
 
+    The rows share their Haar draws (``accessible_dimensions``): sample i
+    draws the gates of the last row, T = t_max, once from seed
+    ``subseed(subseed(seed, t_max), i)``, and row T reads the first R_T of
+    them, bit for bit the draw ``haar`` makes for row T's own architecture
+    from that seed.  So the last row keeps the Haar points a sweep drew for
+    it when every row drew its own (row T from ``subseed(seed, T)``), and
+    the shorter rows moved.  One frame per sample, over the union gauge
+    (gate j keeps the generators that the shortest row holding it keeps),
+    serves every row as a column block.
+
+    The ``ms`` column counts each row's own witness; the last row's also
+    counts the shared consensus run: the draws, the frames and every row's
+    rank decisions.
+
     Inconclusive consensus ranks propagate as empty dimension cells; the
     sweep continues and the ramp check skips them.  The witness rank is
-    exact (``witness_rank``), so its cell is never empty.  A frame over the
-    memory budget raises SizeLimit, and a ``t_max`` that is not a positive
-    integer, or a sample count or seed ``accessible_dimension`` refuses,
-    ValidationError, before its first Haar sample.
+    exact (``witness_rank``), so its cell is never empty.  A union frame
+    over the memory budget raises SizeLimit, and a ``t_max`` that is not a
+    positive integer, or a sample count or seed ``accessible_dimensions``
+    refuses, ValidationError, before its first Haar sample.
     """
-    if check_int(t_max, "t_max") < 1:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    archs = sweep_architectures(n, family, t_max)
+    started = time.perf_counter()
+    reports = accessible_dimensions(archs, mode, samples, subseed(seed, t_max),
+                                    tolerances)
+    shared = time.perf_counter() - started
     rows: list[SweepRow] = []
-    for t in range(1, t_max + 1):
-        arch = build_family(family, n, t)
+    for t, (arch, report) in enumerate(zip(archs, reports), start=1):
         started = time.perf_counter()
-        report = accessible_dimension(
-            arch, mode, samples, subseed(seed, t), tolerances)
         cert = witness_point(arch, mode)
         wrank = witness_rank(arch, cert.gate_circuits, mode)
-        ms = int(round((time.perf_counter() - started) * 1000))
+        seconds = time.perf_counter() - started + shared * (t == t_max)
         rows.append(SweepRow(
             n=n, family=family, t_slices=t, r_gates=arch.gate_count,
             l_gates=arch.gate_count // t, accessible=report.consensus,
             witness_rank=wrank, lower=report.lower_bound,
             upper=report.upper_bound, cap=report.cap, samples=samples,
-            seed=seed, ms=ms))
+            seed=seed, ms=int(round(seconds * 1000))))
     check_ramp(rows)
     return rows
 

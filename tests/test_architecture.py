@@ -194,6 +194,25 @@ def test_build_family_dispatch():
         build_family("ladder", 4, 1)
 
 
+@pytest.mark.parametrize("family, n", [("staircase", 2), ("staircase", 5),
+                                       ("brickwork", 2), ("brickwork", 6)])
+def test_a_sweep_row_is_a_prefix_of_the_next(family, n):
+    # the rows of a growth sweep share their Haar draws: each one's gates
+    # are the first gates of the next one's
+    for t in range(1, 6):
+        row = build_family(family, n, t)
+        following = build_family(family, n, t + 1)
+        assert row.gates == following.gates[:row.gate_count]
+        assert row.gate_count < following.gate_count
+
+
+def test_random_adjacent_grows_by_appending_gates():
+    # one position stream: fewer gates from one seed are its first ones
+    longest = random_adjacent(6, 40, 1)
+    for r in range(41):
+        assert random_adjacent(6, r, 1).gates == longest.gates[:r]
+
+
 def test_random_adjacent_reproducible():
     a = random_adjacent(5, 100, seed=42)
     b = random_adjacent(5, 100, seed=42)

@@ -290,11 +290,16 @@ def test_dim_and_sweep_record_the_memory_budget(tmp_path):
     # the sweep records every option it parsed, and no output path
     assert set(sweep_config) == ({"command", "family", "n", "t_max"}
                                  | RANK_KEYS | MEMORY_KEYS)
-    for cfg, arch, mode in ((config, brickwork(4, 4), "unitary"),
-                            (sweep_config, staircase(3, 3), "state")):
+    # the sweep's estimate is that of the union frame its rows share,
+    # over the last row's gates with every row's prefix length
+    for cfg, want in ((config, peak_bytes(brickwork(4, 4), "unitary")),
+                      (sweep_config, peak_bytes(staircase(3, 3), "state",
+                                                [2, 4, 6]))):
         assert cfg["memory_budget_bytes"] == MEMORY_BUDGET
-        assert cfg["peak_estimate_bytes"] == peak_bytes(arch, mode)
+        assert cfg["peak_estimate_bytes"] == want
         assert 0 < cfg["peak_estimate_bytes"] < MEMORY_BUDGET
+    assert sweep_config["peak_estimate_bytes"] \
+        > peak_bytes(staircase(3, 3), "state")
 
 
 @pytest.mark.parametrize("arch, loose, tight", [

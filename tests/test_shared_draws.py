@@ -1,0 +1,242 @@
+"""Prefixes of one architecture share its Haar draws and one frame per
+sample (``accessible_dimensions``), as the rows of a growth sweep do."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from archdim import (
+    GateAssignment,
+    SizeLimit,
+    ValidationError,
+    accessible_dimension,
+    accessible_dimensions,
+    brickwork,
+    from_gate_sequence,
+    growth_sweep,
+    numerical_rank,
+    random_adjacent,
+    staircase,
+    subseed,
+    sweep_architectures,
+    tangent_frame,
+)
+from archdim import contraction
+from archdim.contraction import frame_shape, peak_bytes
+
+# prefix chains of the frame tests' shapes
+CHAINS = [
+    pytest.param(lambda: [staircase(3, t) for t in range(1, 5)],
+                 id="staircase-3-1..4"),
+    pytest.param(lambda: [brickwork(4, rounds) for rounds in range(1, 5)],
+                 id="brickwork-4-1..4"),
+    pytest.param(lambda: [random_adjacent(6, r, 1) for r in range(10, 41)],
+                 id="random-6-10..40")]
+
+# Python objects (reports, estimates, plan caches' keys) that do not scale
+# with the arrays the estimate counts.
+_OBJECT_SLACK = 2 ** 16
+
+
+def _lengths(archs):
+    return [arch.gate_count for arch in archs]
+
+
+def _never_drawn(*args):
+    raise AssertionError("sampled before the input was checked")
+
+
+@pytest.mark.parametrize("build", CHAINS)
+def test_a_prefix_draws_the_first_gates_of_a_longer_draw(build):
+    archs = build()
+    longest = archs[-1]
+    for seed in (0, 7, subseed(3, 2)):
+        drawn = GateAssignment.haar(longest, seed).matrices
+        for arch in archs:
+            assert np.array_equal(GateAssignment.haar(arch, seed).matrices,
+                                  drawn[:arch.gate_count])
+
+
+@pytest.mark.parametrize("archs, match", [
+    ([], "at least one"),
+    ([staircase(3, 1), staircase(4, 1)], "cannot share draws"),
+    ([staircase(3, 2), from_gate_sequence(3, [(2, 3)])],
+     "not the first gates"),
+    ([brickwork(4, 2), staircase(4, 3)], "not the first gates")],
+    ids=["empty", "mixed-n", "not-a-prefix", "other-family"])
+def test_the_consensus_refuses_archs_that_share_no_draws(archs, match,
+                                                          monkeypatch):
+    monkeypatch.setattr(GateAssignment, "haar", _never_drawn)
+    with pytest.raises(ValidationError, match=match):
+        accessible_dimensions(archs, "unitary", 3, 1)
+
+
+def _gram_gap(a, b):
+    return np.linalg.norm(a - b, 2) if a.size else 0.0
+
+
+@pytest.mark.parametrize("build", CHAINS)
+def test_each_prefix_of_a_union_frame_matches_its_own_frame(build):
+    # at one Haar point: a tall prefix's Gram block agrees with its own
+    # frame's Gram read within both bounds, a wide one's singular values
+    # to 1e-12 sigma_max, and the ranks are equal
+    archs = build()
+    longest = archs[-1]
+    gates = GateAssignment.haar(longest, 21)
+    union = tangent_frame(longest, gates, prefixes=_lengths(archs))
+    rows, cols = frame_shape(longest, "unitary", _lengths(archs))
+    assert union.columns.shape[0] == cols \
+        >= frame_shape(longest, "unitary")[1]
+    assert union.gram is not None  # the shortest prefix is tall
+    for arch in archs:
+        row = union.prefix(arch.gate_count)
+        own = tangent_frame(arch, GateAssignment(
+            gates.matrices[:arch.gate_count]))
+        assert row.gate_count == arch.gate_count
+        assert np.array_equal(row.columns, own.columns)
+        got, want = numerical_rank(row), numerical_rank(own)
+        assert (got.loose_rank, got.tight_rank) \
+            == (want.loose_rank, want.tight_rank)
+        if own.gram is None:
+            assert row.gram is None and own.columns.shape[0] >= rows
+            assert np.abs(got.singular_values - want.singular_values).max() \
+                <= 1e-12 * want.singular_values[0]
+        else:
+            assert row.gram_error == union.gram_error
+            assert _gram_gap(row.gram, own.gram) \
+                <= row.gram_error + own.gram_error
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_a_state_or_unitary_prefix_keeps_its_singular_values(mode):
+    archs = [staircase(3, t) for t in range(1, 5)]
+    gates = GateAssignment.haar(archs[-1], 8)
+    union = tangent_frame(archs[-1], gates, mode, _lengths(archs))
+    for arch in archs:
+        own = tangent_frame(arch, GateAssignment(
+            gates.matrices[:arch.gate_count]), mode)
+        got = np.linalg.svd(union.prefix(arch.gate_count).matrix,
+                            compute_uv=False)
+        want = np.linalg.svd(own.matrix, compute_uv=False)
+        assert np.abs(got - want).max() <= 1e-12 * want[0]
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_a_one_prefix_union_adds_no_column(mode):
+    # the frame of an architecture alone is its one-prefix union, and its
+    # one prefix holds the frame's own arrays
+    arch = staircase(3, 3)
+    end = arch.gate_count
+    gates = GateAssignment.haar(arch, 2)
+    plain = tangent_frame(arch, gates, mode)
+    union = tangent_frame(arch, gates, mode, [end])
+    assert frame_shape(arch, mode, [end]) == frame_shape(arch, mode)
+    assert peak_bytes(arch, mode, [end]) == peak_bytes(arch, mode)
+    assert np.array_equal(union.columns, plain.columns)
+    assert list(plain.prefixes) == [end]
+    whole = plain.prefix(end)
+    assert np.shares_memory(whole.matrix, plain.matrix)
+    assert np.array_equal(whole.matrix, plain.matrix)
+    assert (whole.gram is None) == (plain.gram is None)
+    with pytest.raises(ValidationError, match="no prefix of 2 gates"):
+        plain.prefix(2)
+
+
+def test_a_union_keeps_what_the_shortest_prefix_holding_a_gate_keeps():
+    # staircase(3, 1..2): gates 0 and 2 on (1, 2) are followed on wire 2
+    # within their rows, gates 1 and 3 on (2, 3) are their rows' last; the
+    # whole architecture alone keeps 9 of gates 0 and 1, whose wires later
+    # gates act on
+    archs = [staircase(3, 1), staircase(3, 2)]
+    kept, _, record, own = contraction._gauge(
+        archs[-1], contraction._ends(archs[-1], _lengths(archs)))
+    assert [k.size for k in kept] == [12, 15, 12, 15]
+    assert [contraction._count(cols) for cols in own] == [27, 45]
+    assert record.shape[0] == 54 > frame_shape(archs[-1], "unitary")[1]
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
+    # a work count: one Haar draw of the last row's gates and one frame per
+    # sample, and one rank decision per row and sample; the draws are the
+    # ones the last row made when every row drew its own
+    drawn, frames, ranks = [], [], []
+    haar = GateAssignment.haar
+    frame, rank = contraction.tangent_frame, contraction.numerical_rank
+
+    def counted_haar(arch, seed):
+        drawn.append((arch.gate_count, seed))
+        return haar(arch, seed)
+
+    def counted_frame(*args, **kwargs):
+        frames.append(args[0].gate_count)
+        return frame(*args, **kwargs)
+
+    def counted_rank(*args, **kwargs):
+        ranks.append(args[0].gate_count)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(GateAssignment, "haar", counted_haar)
+    monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
+    monkeypatch.setattr(contraction, "numerical_rank", counted_rank)
+    samples, t_max, seed = 4, 5, 9
+    rows = growth_sweep(3, "staircase", t_max, samples, seed, mode)
+    assert len(rows) == t_max
+    assert drawn == [(2 * t_max, subseed(subseed(seed, t_max), i))
+                     for i in range(samples)]
+    assert frames == [2 * t_max] * samples
+    assert ranks == [2 * t for t in range(1, t_max + 1)] * samples
+
+
+def test_the_consensus_of_one_architecture_is_accessible_dimension():
+    arch = brickwork(4, 2)
+    one = accessible_dimension(arch, "unitary", 3, 6)
+    (alone,) = accessible_dimensions([arch], "unitary", 3, 6)
+    assert one.to_json_dict() == alone.to_json_dict()
+
+
+def test_the_last_row_keeps_the_draws_of_its_own_consensus():
+    # the last row's samples are the Haar points accessible_dimension
+    # draws for its architecture from the sweep's row seed: its frames
+    # differ only by the union's extra columns, and keep their singular
+    # values
+    archs = sweep_architectures(2, "staircase", 3)
+    seed = subseed(4, 3)
+    shared = accessible_dimensions(archs, "unitary", 3, seed,
+                                   spectrum=True)[-1]
+    alone = accessible_dimension(archs[-1], "unitary", 3, seed, spectrum=True)
+    assert shared.consensus == alone.consensus == 15
+    for got, want in zip(shared.estimates, alone.estimates):
+        assert np.abs(got.singular_values - want.singular_values).max() \
+            <= 1e-12 * want.singular_values[0]
+
+
+def test_a_sweep_over_budget_refuses_before_its_first_draw(monkeypatch):
+    # the budget is checked once, on the union frame, which has more
+    # columns than the last row's own
+    archs = sweep_architectures(3, "staircase", 4)
+    union = peak_bytes(archs[-1], "unitary", _lengths(archs))
+    assert union > peak_bytes(archs[-1], "unitary")
+    monkeypatch.setattr(contraction, "MEMORY_BUDGET", union - 1)
+    monkeypatch.setattr(GateAssignment, "haar", _never_drawn)
+    with pytest.raises(SizeLimit):
+        growth_sweep(3, "staircase", 4, 3, 1)
+
+
+@pytest.mark.parametrize("archs, mode", [
+    ([staircase(3, t) for t in range(1, 9)], "unitary"),
+    ([staircase(5, t) for t in range(1, 4)], "state")],
+    ids=["staircase-3-1..8-unitary", "staircase-5-1..3-state"])
+def test_a_union_sweep_stays_under_its_estimate(archs, mode):
+    # a first small consensus sets up numpy's own state, which a fresh
+    # process makes on its first rank call; the traced shape stays cold
+    accessible_dimension(staircase(2, 1), mode, 3, 1)
+    estimate = peak_bytes(archs[-1], mode, _lengths(archs))
+    tracemalloc.start()
+    try:
+        accessible_dimensions(archs, mode, 3, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate + _OBJECT_SLACK

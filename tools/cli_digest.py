@@ -30,9 +30,10 @@ SEED = "11"
 
 WITNESS = ["witness", "--family", "brickwork", "--n", "4", "--t", "2"]
 
-# (name, argv): every subcommand, dim with --spectra, and both witness modes
-# with and without --skip-rank-check; each command writes files of its own,
-# and one left without --seed reads SEED
+# (name, argv): every subcommand, dim with --spectra, both witness modes
+# with and without --skip-rank-check, and sweeps in both modes and both
+# families; each command writes files of its own, and one left without
+# --seed reads SEED
 COMMANDS: list[tuple[str, list[str]]] = [
     ("arch-gen", ["arch", "gen", "--family", "staircase", "--n", "3",
                   "--t", "2", "--out", "arch.json"]),
@@ -56,6 +57,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
                 "--alpha", "0.5", "--out", "bounds.json"]),
     ("sweep", ["sweep", "--n", "2", "--t-max", "2", "--samples", "3",
                "--out", "sweep.csv"]),
+    ("sweep-state", ["sweep", "--n", "3", "--t-max", "3", "--samples", "3",
+                     "--mode", "state", "--seed", "2",
+                     "--out", "sweep-state.csv"]),
+    ("sweep-brickwork", ["sweep", "--family", "brickwork", "--n", "4",
+                         "--t-max", "2", "--samples", "3", "--seed", "2",
+                         "--out", "sweep-brickwork.csv"]),
     ("mc-arch", ["mc-arch", "--n", "4", "--trials", "300", "--seed", "5",
                  "--out", "mc.json"]),
 ]
