@@ -41,7 +41,7 @@ import functools
 import itertools
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -142,9 +142,10 @@ def peak_bytes(arch: Architecture, job: str,
     serves them (``accessible_dimensions``), and every prefix, one at a
     time, takes its rank on its own column block (``TangentFrame.prefix``):
     a prefix with fewer columns than the frame holds a copy of its block of
-    the matrix beside the frame's, then the SVD's copy of it, and, if it
-    has fewer columns than rows, its block of the Gram matrix, which the
-    certificate's arrays join.  When some prefix has fewer columns than
+    the matrix beside the frame's, then the SVD's copy of it or, if it has
+    at least as many columns as rows, the wide certificate's arrays, and,
+    if it has fewer columns than rows, its block of the Gram matrix, which
+    the certificate's arrays join.  When some prefix has fewer columns than
     rows, the frame holds the Gram matrix of the longest such prefix's
     gates' columns, and its Gram plan is that prefix's (``_tall_head``).
     Without ``prefixes`` the frame is its one prefix, which copies no
@@ -172,9 +173,13 @@ def peak_bytes(arch: Architecture, job: str,
     gone when the sweep returns, and the certificate (``_gram_estimate``)
     takes up to three more C x C arrays: the |G| temporary of its norm,
     then the shifted copy beside Cholesky's working copy and the factor
-    (or, for a spectrum, eigvalsh's copy).  An estimate whose frame terms
-    alone exceed ``MEMORY_BUDGET`` returns before the sweep's plans are
-    built."""
+    (or, for a spectrum, eigvalsh's copy).  A wide frame, or a wide
+    prefix's block, tries its certificate (``_wide_estimate``) before the
+    SVD, beside the matrix: its (4^n - 1)^2 row Gram matrix and the three
+    arrays the certificate takes beside it, which are gone when the SVD
+    (or, for a spectrum, a certified frame's SVD) takes its copy.  An
+    estimate whose frame terms alone exceed ``MEMORY_BUDGET`` returns
+    before the sweep's plans are built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -199,7 +204,10 @@ def peak_bytes(arch: Architecture, job: str,
     if tall is not None:
         head, head_ends = tall
         gram = 8 * frame_shape(head, "unitary", head_ends)[1] ** 2
-    svd = frame + max(map(sum, zip(copies, blocks, gram_copies)))
+    # per wide prefix: its row Gram matrix and the certificate's arrays
+    wides = [32 * (rows - 1) ** 2 * (c >= rows) for c in counts]
+    svd = frame + max(copy + max(b, w) + g for copy, b, w, g
+                      in zip(copies, blocks, wides, gram_copies))
     if gram + svd > MEMORY_BUDGET:
         return gram + svd
     transfers = 16384 * arch.gate_count
@@ -409,10 +417,15 @@ class TangentFrame:
         its own columns of this frame.  The later gates act on them by one
         orthogonal map, so it has the prefix's own Gram matrix and singular
         values.  If it has fewer columns than rows it takes its block of
-        ``gram``, with this frame's ``gram_error``; its matrix is the
-        column block of ``matrix``, read on first access.  Columns that run
-        in a slice take views: the whole frame's prefix holds this frame's
-        arrays.  A length the frame does not serve raises
+        ``gram``.  ``gram_error`` is C_head times a bound on each entry's
+        error, C_head the columns ``gram`` holds, and a block of C_t
+        columns is within C_t times that bound in the Frobenius norm and
+        so in the 2-norm; the block's error is ``gram_error`` C_t / C_head,
+        raised by 8 u (u = eps / 2) over the three roundings of forming
+        it, and ``gram_error`` itself for the whole head.  Its matrix is
+        the column block of ``matrix``, read on first access.  Columns that
+        run in a slice take views: the whole frame's prefix holds this
+        frame's arrays.  A length the frame does not serve raises
         ValidationError."""
         if length not in self.prefixes:
             raise ValidationError(
@@ -425,6 +438,9 @@ class TangentFrame:
             gram = self.gram[(cols, cols) if isinstance(cols, slice)
                              else np.ix_(cols, cols)]
             error = self.gram_error
+            if len(columns) < len(self.gram):
+                error = error * len(columns) / len(self.gram) \
+                    * float(1 + 8 * _UNIT_ROUNDOFF)
         return TangentFrame(self.mode, self.n, length, columns,
                             lambda: self.matrix[:, cols], gram, error,
                             {length: slice(0, len(columns), 1)})
@@ -1365,10 +1381,12 @@ class RankEstimate:
     number of singular values above tol * sigma_max.  ``route`` names how
     it was decided: ``"gram"`` (certified from the Gram matrix) or
     ``"svd"``; see ``numerical_rank``.  An svd-route estimate holds every
-    singular value, descending.  A gram-route estimate holds the certified
-    bounds ``sigma_max_upper`` >= sigma_max and ``sigma_min_lower`` <=
-    sigma_min, with sigma_min_lower = 100 loose sigma_max_upper, and holds
-    ``singular_values`` only when asked for the spectrum (None otherwise).
+    singular value, descending.  A gram-route estimate of rank r holds the
+    certified bounds ``sigma_max_upper`` >= sigma_max and
+    ``sigma_min_lower`` <= sigma_r, the r-th largest singular value (for a
+    tall frame, r = C and sigma_r is sigma_min), with sigma_min_lower =
+    100 loose sigma_max_upper, and holds ``singular_values`` only when
+    asked for the spectrum (None otherwise).
     """
 
     singular_values: np.ndarray | None
@@ -1463,6 +1481,51 @@ def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
                         sigma_min_lower=float(np.sqrt(low)))
 
 
+def _wide_estimate(mat: np.ndarray, tol_pair: tuple[float, float],
+                   ) -> RankEstimate | None:
+    """The rank-(m - 1) estimate of a wide unitary frame ``mat`` (m = 4^n
+    rows, C >= m columns) that its row Gram matrix certifies, or None
+    when it cannot.
+
+    Row 0, m_0, is the identity string's: 0 in exact arithmetic, since
+    every generator is traceless and each T_j fixes the identity.  Let M'
+    be the other m - 1 rows and H = M' M'^T, with gamma = gamma_C.
+    Floating point forms G = fl(H) with |G - H| <= gamma |M'| |M'|^T
+    entrywise, so ||G - H||_2 <= gamma ||M'||_F^2 = gamma trace(H), and
+    trace(H) <= fl(sum of g_ii) / (1 - gamma)^2 over the diagonal's and
+    the sum's roundings.  The exact ||m_0||^2 is at most fl(m_0 . m_0) /
+    (1 - gamma).  M^T M = M'^T M' + m_0^T m_0, so
+    sigma_max(M)^2 <= lam_max(H) + ||m_0||^2, and ``_gram_estimate`` of G
+    with read_error = gamma trace(H) + ||m_0||^2 (times 1 + 16 u for
+    forming it) has U >= sigma_max(M)^2 and, on success,
+    lam_min(H) >= floor U.  By Cauchy interlacing, sigma_{m-1}(M)^2 >=
+    lam_min(H): every one of the top m - 1 singular values sits at least
+    100x above the loose cutoff.
+
+    The certificate also requires ||m_0||^2 <= (tight / 100)^2
+    max_i g_ii (1 - 2 gamma).  Each exact h_ii is at least g_ii (1 -
+    gamma) and at most sigma_max(M)^2, the extra gamma >= 16 u covering
+    the roundings of the test, so sigma_m(M) <= ||m_0|| (M^T e_0 = m_0)
+    sits 100x below the tight cutoff.  So an SVD would count m - 1 at
+    both tolerances.  A non-finite M' gives a non-finite trace, and a
+    non-finite m_0 fails the test: neither is certified.
+    """
+    rows, cols = mat.shape
+    u = _UNIT_ROUNDOFF
+    gamma = cols * u / (1 - cols * u)
+    head, rest = mat[0], mat[1:]
+    gram = rest @ rest.T
+    diag = np.diagonal(gram)
+    trace, edge = float(diag.sum()), float(head @ head)
+    ceiling = (tol_pair[1] / _GRAM_MARGIN) ** 2 \
+        * float(diag.max(initial=0.0)) * (1 - 2 * gamma)
+    if not (np.isfinite(trace) and edge / (1 - gamma) <= ceiling):
+        return None
+    read_error = (gamma * trace / (1 - gamma) + edge) / (1 - gamma) \
+        * (1 + 16 * u)
+    return _gram_estimate(gram, tol_pair, read_error)
+
+
 def _check_tolerances(tol_pair: tuple[float, float]) -> tuple[float, float]:
     """The (loose, tight) pair, or ValidationError unless
     eps <= tight <= loose < 1."""
@@ -1478,25 +1541,32 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
                    *, spectrum: bool = False) -> RankEstimate:
     """Singular-value rank under two relative thresholds.
 
-    A frame that carries the Gram matrix of all its columns
+    A unitary frame is first tried on the Gram route, which certifies its
+    rank from a small Gram matrix by one Cholesky factorization, shifted by
+    its error bounds (``_gram_estimate``), and no eigensolver.  A frame
+    that carries the Gram matrix of all its columns
     (``TangentFrame.gram``: a tall unitary frame, which reads it off its
-    sweep or takes its block of a frame that serves it) is first tried on
-    the Gram route: a Cholesky factorization of that matrix, shifted by its
-    error bounds (``_gram_estimate``), certifies that all C singular values sit
-    at least 100x above the loose cutoff, and then the SVD would return
-    loose = tight = C as well.  A certified frame never forms its matrix;
-    the estimate holds the certified bounds ``sigma_max_upper`` and
-    ``sigma_min_lower``, with ``route="gram"``, and with ``spectrum`` also
-    sqrt(eigvalsh(G)) as its singular values.  Every other input takes a
+    sweep or takes its block of a frame that serves it) is certified when
+    all C singular values sit at least 100x above the loose cutoff, and
+    never forms its matrix.  A wide unitary frame (C >= 4^n) forms its
+    matrix and is certified from its row Gram matrix, that of the 4^n - 1
+    rows of non-identity strings, when its top 4^n - 1 singular values sit
+    100x above the loose cutoff and its identity row 100x below the tight
+    one (``_wide_estimate``).  Either way the SVD would return
+    loose = tight = the certified rank as well.  The estimate holds the
+    certified bounds ``sigma_max_upper`` and ``sigma_min_lower``, with
+    ``route="gram"``, and with ``spectrum`` also its singular values:
+    sqrt(eigvalsh(G)) of a tall frame and the SVD's of a wide one.  A
+    certificate that fails proves nothing, and every other input takes a
     full SVD (``route="svd"``), whose singular values the estimate always
-    holds: plain arrays, state frames, wide frames, rank-deficient or
-    near-cutoff spectra, and all-zero matrices.  A state frame could never
-    be certified: gate 0 acts on |0...0>, so its at least 9 kept directions
+    holds: plain arrays, state frames, rank-deficient or near-cutoff
+    spectra, and all-zero matrices.  A state frame could never be
+    certified: gate 0 acts on |0...0>, so its at least 9 kept directions
     i S_k u_0 |00> lie in the 7-dimensional tangent space of the sphere at
     u_0 |00>, and the later gates move them by one unitary.  Ranks never
-    differ between the routes; gram-route singular values differ from
-    LAPACK's SVD by rounding only (below 1e-12 sigma_max on the frames
-    measured).
+    differ between the routes; gram-route singular values of a tall frame
+    differ from LAPACK's SVD by rounding only (below 1e-12 sigma_max on the
+    frames measured).
 
     An empty or all-zero matrix has rank 0 by convention.  A matrix holding
     NaN or inf raises ``LinAlgError``; a frame with a Gram matrix is finite
@@ -1504,10 +1574,16 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     eps <= tight <= loose < 1.
     """
     loose, tight = _check_tolerances(tol_pair)
-    gram = frame.gram if isinstance(frame, TangentFrame) else None
-    if gram is not None and gram.size \
-            and gram.shape[0] == frame.columns.shape[0]:
-        est = _gram_estimate(gram, tol_pair, frame.gram_error, spectrum)
+    if isinstance(frame, TangentFrame):
+        gram, est = frame.gram, None
+        if gram is not None and gram.size \
+                and gram.shape[0] == frame.columns.shape[0]:
+            est = _gram_estimate(gram, tol_pair, frame.gram_error, spectrum)
+        elif frame.mode == "unitary" and len(frame.columns) >= 4 ** frame.n:
+            est = _wide_estimate(frame.matrix, tol_pair)
+            if est is not None and spectrum:
+                est = replace(est, singular_values=np.linalg.svd(
+                    frame.matrix, compute_uv=False))
         if est is not None:
             return est
     mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)

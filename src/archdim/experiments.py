@@ -31,7 +31,7 @@ from .contraction import (
     tangent_frame,  # noqa: F401
 )
 from .errors import ValidationError, VerdictError, check_int
-from .witness import witness_point, witness_rank
+from .witness import check_slice_cap, witness_point, witness_rank
 
 # Two-sided 99% normal quantile for the binomial interval.
 _Z_99 = 2.5758293035489004
@@ -148,12 +148,15 @@ def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
 
     Inconclusive consensus ranks propagate as empty dimension cells; the
     sweep continues and the ramp check skips them.  The witness rank is
-    exact (``witness_rank``), so its cell is never empty.  A union frame
-    over the memory budget raises SizeLimit, and a ``t_max`` that is not a
-    positive integer, or a sample count or seed ``accessible_dimensions``
-    refuses, ValidationError, before its first Haar sample.
+    exact (``witness_rank``), so its cell is never empty.  A last row with
+    more slices than its witness can take (``check_slice_cap``) raises
+    TooManySlices, a union frame over the memory budget SizeLimit, and a
+    ``t_max`` that is not a positive integer, or a mode, sample count or
+    seed ``accessible_dimensions`` refuses, ValidationError, all before
+    the first Haar sample.
     """
     archs = sweep_architectures(n, family, t_max)
+    check_slice_cap(archs[-1], mode)
     started = time.perf_counter()
     reports = accessible_dimensions(archs, mode, samples, subseed(seed, t_max),
                                     tolerances)

@@ -350,6 +350,21 @@ def _last_gate_on(arch: Architecture, start: int, stop: int, qubit: int) -> int:
     raise NotCausal(f"no gate touches qubit {qubit} in slice [{start}, {stop})")
 
 
+def check_slice_cap(arch: Architecture, mode: str) -> None:
+    """Raise TooManySlices when ``arch`` marks more slices than
+    ``witness_point`` can give pairwise-distinct directions: more than the
+    cap 4^n - 1 in unitary mode, or the cap 2 * 2^n - 1 or more in state
+    mode (``saturation_threshold``, which refuses a mode that is neither
+    with ValidationError)."""
+    cap, t = saturation_threshold(arch.n, mode), arch.slice_count
+    if mode == "unitary" and t > cap:
+        raise TooManySlices(f"unitary mode supports at most {cap} slices for "
+                            f"n={arch.n}, got {t}")
+    if mode == "state" and t >= cap:
+        raise TooManySlices(f"state mode needs slice count below {cap} for "
+                            f"n={arch.n}, got {t}")
+
+
 def witness_point(arch: Architecture, mode: str = "unitary",
                   ) -> WitnessCertificate:
     """All-Clifford gate assignment with T pairwise-distinct directions.
@@ -367,13 +382,7 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     ranges = arch.slice_ranges()
     if not ranges:
         raise NotCausal("architecture has no marked slices")
-    cap, t = saturation_threshold(arch.n, mode), len(ranges)
-    if mode == "unitary" and t > cap:
-        raise TooManySlices(f"unitary mode supports at most {cap} slices for "
-                            f"n={arch.n}, got {t}")
-    if mode == "state" and t >= cap:
-        raise TooManySlices(f"state mode needs slice count below {cap} for "
-                            f"n={arch.n}, got {t}")
+    check_slice_cap(arch, mode)
 
     per_gate = [_EMPTY_2Q] * arch.gate_count  # the slices tile the gates
     sweep = _DirectionSweep(arch, mode)

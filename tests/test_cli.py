@@ -176,6 +176,34 @@ def test_dim_runs_eigvalsh_only_for_spectra(tmp_path, monkeypatch):
     assert len(spectra.read_text().splitlines()) == 1 + 3 * c
 
 
+def test_dim_runs_svd_only_for_spectra_on_a_wide_frame(tmp_path,
+                                                       monkeypatch):
+    # staircase(3, 6) frames are 64 x 117: every sample takes the wide
+    # certificate, which needs no SVD; only --spectra asks for the SVD's
+    # values of each sample's matrix
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    out, spectra = tmp_path / "dim.json", tmp_path / "spectra.csv"
+    argv = ["dim", "--family", "staircase", "--n", "3", "--t", "6",
+            "--samples", "3", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    entries = json.loads(out.read_text())["per_sample"]
+    assert [e["route"] for e in entries] == ["gram"] * 3
+    assert all(e["loose_rank"] == e["tight_rank"] == 63 for e in entries)
+    assert calls == []
+    assert main(argv + ["--spectra", str(spectra)]) == EXIT_OK
+    shape = frame_shape(build_family("staircase", 3, 6), "unitary")
+    assert shape == (64, 117)
+    assert calls == [shape] * 3
+    assert len(spectra.read_text().splitlines()) == 1 + 3 * 64
+
+
 def test_dim_inconclusive_exit_code(monkeypatch, tmp_path):
     import archdim.cli as cli_mod
 

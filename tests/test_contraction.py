@@ -371,14 +371,17 @@ def test_forward_sweep_estimate_within_the_suffix_sweeps():
     # C = 735 of 1024 rows: the Gram certificate's C x C arrays beside the
     # groups outweigh the frame twice
     staircase(5, 20),
+    # C = 282 of 256 rows: the wide certificate's row Gram matrix and its
+    # three arrays beside the frame outweigh the frame twice
+    staircase(4, 10),
     # state frames only, up to n = 14; one distant gate's new directions
     # outweigh its 15-column stack
     staircase(12, 2), staircase(13, 1), staircase(14, 1),
     from_gate_sequence(14, [(1, 14)])],
     ids=["staircase7x1", "staircase6x3", "brickwork6x1", "staircase9x1",
          "staircase6x12", "brickwork6x6", "random6x40", "sequence6x21",
-         "staircase5x20", "staircase12x2", "staircase13x1", "staircase14x1",
-         "sequence14x1"])
+         "staircase5x20", "staircase4x10", "staircase12x2", "staircase13x1",
+         "staircase14x1", "sequence14x1"])
 def test_peak_estimate_bounds_the_traced_peak(arch):
     gates = GateAssignment.haar(arch, 3)
     calls = {
@@ -1194,7 +1197,8 @@ def _count_sweeps(monkeypatch, arch):
                          ids=["staircase-3-8", "random-3-10", "staircase-2-3"])
 def test_a_wide_frame_sweeps_once_when_its_matrix_is_read(arch, monkeypatch):
     # C >= 4^n: no Gram matrix, so making the frame runs no sweep, and the
-    # first read of its matrix runs the unpruned one
+    # first read of its matrix runs the unpruned one; the rank's wide
+    # certificate reads that matrix, and holds when the rank is 4^n - 1
     rows, cols = frame_shape(arch, "unitary")
     assert cols >= rows
     gates = GateAssignment.haar(arch, 36)
@@ -1209,8 +1213,9 @@ def test_a_wide_frame_sweeps_once_when_its_matrix_is_read(arch, monkeypatch):
     ref = _scatter_reference_unitary_frame(arch, gates)
     assert np.abs(frame.matrix - ref).max() < 1e-12
     want = numerical_rank(ref)
-    assert (est.route, est.loose_rank, est.tight_rank) == \
-        ("svd", want.loose_rank, want.tight_rank)
+    assert (est.loose_rank, est.tight_rank) == \
+        (want.loose_rank, want.tight_rank)
+    assert est.route == ("gram" if want.rank == rows - 1 else "svd")
 
 
 def test_a_failed_certificate_forms_the_matrix_by_one_unpruned_sweep(
@@ -1475,6 +1480,132 @@ def test_certified_bounds_bracket_the_svd(build):
             assert sv[0] <= est.sigma_max_upper
 
 
+def _is_wide(build):
+    arch = build()
+    rows, cols = frame_shape(arch, "unitary")
+    return cols >= rows
+
+
+# the wide frames of the sweep cases, the wide rows of a staircase(3, 6)
+# sweep and a saturated frame on 4 qubits
+WIDE_CASES = [case for case in SWEEP_CASES if _is_wide(case.values[0])] + [
+    *(pytest.param(lambda t=t: staircase(3, t), id=f"staircase-3-{t}")
+      for t in (4, 5, 6)),
+    pytest.param(lambda: staircase(4, 12), id="staircase-4-12")]
+
+
+@pytest.mark.parametrize("build", WIDE_CASES)
+def test_wide_certificate_ranks_as_the_svd(build):
+    # every wide Haar frame is certified at rank 4^n - 1, and its bounds
+    # bracket the SVD's sigma_max and its (4^n - 1)-th singular value;
+    # asked for its spectrum, it holds the SVD's values
+    arch = build()
+    m, c = frame_shape(arch, "unitary")
+    assert c >= m
+    for seed in range(1, 21):
+        frame = tangent_frame(arch, GateAssignment.haar(arch, seed))
+        est = numerical_rank(frame)
+        sv, loose, tight = _svd_reference(frame.matrix)
+        assert (est.route, est.loose_rank, est.tight_rank) == \
+            ("gram", loose, tight)
+        assert loose == m - 1
+        assert est.singular_values is None
+        assert est.sigma_min_lower <= sv[m - 2] <= sv[0] \
+            <= est.sigma_max_upper
+        held = numerical_rank(frame, spectrum=True)
+        assert held.route == "gram"
+        assert np.array_equal(held.singular_values, sv)
+
+
+def _planted_wide(edge, smallest, seed, aligned=False):
+    """A 64 x 96 frame (n = 3): rows 1..63 are orthogonal with norms from 1
+    down to ``smallest``, row 0 has norm ``edge``.  Row 0 is orthogonal to
+    the others, so the singular values are the norms and ``edge``, or, if
+    ``aligned``, along row 1, so that sigma_max^2 = 1 + edge^2 and the
+    rank is 63."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((96, 64)))
+    norms = np.geomspace(1.0, 0.3, 63)
+    norms[-1] = smallest
+    rest = norms[:, None] * basis[:, 1:].T
+    head = edge * basis[:, 1 if aligned else 0]
+    mat = np.vstack([head, rest])
+    return _frame_of(mat), mat
+
+
+def _frame_of(mat):
+    """A unitary TangentFrame on n = 3 whose matrix is ``mat``."""
+    return contraction.TangentFrame("unitary", 3, 0,
+                                    np.zeros((mat.shape[1], 2), dtype=int),
+                                    lambda: mat)
+
+
+# |m_0| / sigma_max against the identity row's ceiling tight / 100 = 1e-12,
+# and sigma_63 / sigma_max against the floor 100 loose = 1e-4
+PLANTED_EDGES = [0.0, 1e-13, 1e-9]
+PLANTED_SMALLEST = [1e-4 * (1 - 1e-3), 0.5e-4, 1e-8, 0.0, 1e-4 * (1 + 1e-3),
+                    1e-2, 0.1]
+
+
+@pytest.mark.parametrize("smallest", PLANTED_SMALLEST)
+@pytest.mark.parametrize("edge", PLANTED_EDGES)
+def test_wide_certificate_on_planted_frames(edge, smallest):
+    # only a frame whose identity row sits under its ceiling and whose
+    # other rows' smallest singular value sits over the floor is
+    # certified, and then at the SVD's ranks; one well inside both always
+    # is
+    for seed in range(3):
+        frame, mat = _planted_wide(edge, smallest, seed)
+        est = numerical_rank(frame)
+        sv, loose, tight = _svd_reference(mat)
+        admissible = edge <= 1e-12 and smallest >= 1e-4
+        if est.route == "gram":
+            assert admissible
+            assert (est.loose_rank, est.tight_rank) == (loose, tight) \
+                == (63, 63)
+            assert est.sigma_min_lower <= smallest
+            assert sv[0] <= est.sigma_max_upper
+        else:
+            assert (est.loose_rank, est.tight_rank) == (loose, tight)
+        if admissible and smallest >= 1e-2:
+            assert est.route == "gram"
+
+
+def test_wide_certificate_bounds_the_identity_row_in_sigma_max():
+    # tolerances (1e-3, 1e-4) let the identity row reach 1e-6 sigma_max;
+    # along the top row of a diagonal row Gram matrix it raises sigma_max^2
+    # to 1 + edge^2, over ||G||_inf, and only the read error's ||m_0||^2
+    # term keeps sigma_max_upper above it
+    tolerances = (1e-3, 1e-4)
+    for edge in (0.0, 5e-7):
+        frame, mat = _planted_wide(edge, 0.2, 7, aligned=True)
+        est = numerical_rank(frame, tolerances)
+        sv, loose, tight = _svd_reference(mat, tolerances)
+        assert (est.route, est.loose_rank, est.tight_rank) == \
+            ("gram", loose, tight)
+        assert sv[0] <= est.sigma_max_upper
+
+
+def test_a_rank_deficient_wide_frame_takes_the_svd(monkeypatch):
+    # ten gates on one pair of wires span only their own 15 directions in
+    # a 64 x 96 frame: its row Gram matrix has rank 15 of 63, so the
+    # Cholesky fails, and the SVD decides
+    arch = from_gate_sequence(3, [(1, 2)] * 10)
+    assert frame_shape(arch, "unitary") == (64, 96)
+    failed = []
+    estimate = contraction._gram_estimate
+
+    def counted(*args, **kwargs):
+        est = estimate(*args, **kwargs)
+        failed.append(est is None)
+        return est
+
+    monkeypatch.setattr(contraction, "_gram_estimate", counted)
+    est = numerical_rank(tangent_frame(arch, GateAssignment.haar(arch, 4)))
+    assert failed == [True]
+    assert (est.route, est.rank) == ("svd", 15)
+
+
 def test_gram_route_edge_cases():
     zero = numerical_rank(np.zeros((5, 3)))
     assert (zero.rank, zero.route) == (0, "svd")
@@ -1489,7 +1620,8 @@ def test_gram_route_edge_cases():
         inf_frame[2, 1] = np.inf
         with pytest.raises(np.linalg.LinAlgError):
             numerical_rank(inf_frame)
-    # wide frames always take the SVD
+    # a wide plain array takes the SVD; only a unitary frame's row 0 is
+    # its identity string
     wide = numerical_rank(np.random.default_rng(32).standard_normal((3, 6)))
     assert (wide.rank, wide.route) == (3, "svd")
 
@@ -1654,34 +1786,38 @@ def test_witness_rank_never_exceeds_consensus():
 
 
 def test_report_json_and_spectra():
-    report = accessible_dimension(staircase(2, 2), samples=3, seed=1)
+    # ten gates on one pair of wires span only their 15 directions: every
+    # frame of this 64 x 96 shape is rank-deficient and takes the SVD
+    report = accessible_dimension(from_gate_sequence(3, [(1, 2)] * 10),
+                                  samples=3, seed=1)
     d = report.to_json_dict()
     assert d["consensus"] == 15
     assert len(d["per_sample"]) == 3
-    # staircase(2, 2) frames are 16 x 24, too wide for the gram route;
-    # staircase(3, 1) frames are 64 x 27 with full column rank
     assert [e["route"] for e in d["per_sample"]] == ["svd"] * 3
     assert all(set(e) == {"loose_rank", "tight_rank", "status", "route",
                           "sigma_max"} for e in d["per_sample"])
-    tall = accessible_dimension(staircase(3, 1), samples=3, seed=1,
-                                spectrum=True)
-    entries = tall.to_json_dict()["per_sample"]
-    assert [e["route"] for e in entries] == ["gram"] * 3
-    # the certified bounds bracket the spectrum, a margin of 100 loose
-    # apart; the JSON keys do not depend on the spectrum being held
-    for e, est in zip(entries, tall.estimates):
-        assert set(e) == {"loose_rank", "tight_rank", "status", "route",
-                          "sigma_max_upper", "sigma_min_lower"}
-        assert e["sigma_min_lower"] == pytest.approx(
-            100 * 1e-6 * e["sigma_max_upper"], rel=1e-14)
-        assert e["sigma_min_lower"] <= est.singular_values[-1]
-        assert est.singular_values[0] <= e["sigma_max_upper"]
-    plain = accessible_dimension(staircase(3, 1), samples=3, seed=1)
-    assert plain.to_json_dict() == tall.to_json_dict()
-    assert all(e.singular_values is None for e in plain.estimates)
-    with pytest.raises(ValueError, match="spectrum=True"):
-        plain.spectra_csv()
-    for rep in (report, tall):
+    # staircase(3, 1) frames are 64 x 27 with full column rank, and
+    # staircase(2, 2) frames are 16 x 24 with rank 15, 4^n - 1
+    for arch, rank in ((staircase(3, 1), 27), (staircase(2, 2), 15)):
+        held = accessible_dimension(arch, samples=3, seed=1, spectrum=True)
+        entries = held.to_json_dict()["per_sample"]
+        assert held.consensus == rank
+        assert [e["route"] for e in entries] == ["gram"] * 3
+        # the certified bounds bracket the spectrum, a margin of 100 loose
+        # apart; the JSON keys do not depend on the spectrum being held
+        for e, est in zip(entries, held.estimates):
+            assert set(e) == {"loose_rank", "tight_rank", "status", "route",
+                              "sigma_max_upper", "sigma_min_lower"}
+            assert e["sigma_min_lower"] == pytest.approx(
+                100 * 1e-6 * e["sigma_max_upper"], rel=1e-14)
+            assert e["sigma_min_lower"] <= est.singular_values[rank - 1]
+            assert est.singular_values[0] <= e["sigma_max_upper"]
+        plain = accessible_dimension(arch, samples=3, seed=1)
+        assert plain.to_json_dict() == held.to_json_dict()
+        assert all(e.singular_values is None for e in plain.estimates)
+        with pytest.raises(ValueError, match="spectrum=True"):
+            plain.spectra_csv()
+    for rep in (report, held):
         lines = rep.spectra_csv().splitlines()
         assert lines[0] == "sample,index,singular_value"
         values = {}

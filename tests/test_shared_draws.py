@@ -9,6 +9,7 @@ import pytest
 from archdim import (
     GateAssignment,
     SizeLimit,
+    TooManySlices,
     ValidationError,
     accessible_dimension,
     accessible_dimensions,
@@ -80,7 +81,7 @@ def _gram_gap(a, b):
 def test_each_prefix_of_a_union_frame_matches_its_own_frame(build):
     # at one Haar point: a tall prefix's Gram block agrees with its own
     # frame's Gram read within both bounds, a wide one's singular values
-    # to 1e-12 sigma_max, and the ranks are equal
+    # to 1e-12 sigma_max, and the ranks and routes are equal
     archs = build()
     longest = archs[-1]
     gates = GateAssignment.haar(longest, 21)
@@ -95,17 +96,66 @@ def test_each_prefix_of_a_union_frame_matches_its_own_frame(build):
             gates.matrices[:arch.gate_count]))
         assert row.gate_count == arch.gate_count
         assert np.array_equal(row.columns, own.columns)
-        got, want = numerical_rank(row), numerical_rank(own)
-        assert (got.loose_rank, got.tight_rank) \
-            == (want.loose_rank, want.tight_rank)
+        got = numerical_rank(row, spectrum=True)
+        want = numerical_rank(own, spectrum=True)
+        assert (got.route, got.loose_rank, got.tight_rank) \
+            == (want.route, want.loose_rank, want.tight_rank)
         if own.gram is None:
             assert row.gram is None and own.columns.shape[0] >= rows
             assert np.abs(got.singular_values - want.singular_values).max() \
                 <= 1e-12 * want.singular_values[0]
         else:
-            assert row.gram_error == union.gram_error
+            assert row.gram_error == pytest.approx(
+                union.gram_error * len(row.gram) / len(union.gram),
+                rel=1e-14)
             assert _gram_gap(row.gram, own.gram) \
                 <= row.gram_error + own.gram_error
+
+
+@pytest.mark.parametrize("archs", [
+    [staircase(3, t) for t in range(1, 5)],
+    [brickwork(4, rounds) for rounds in range(1, 5)],
+    [staircase(5, t) for t in range(1, 4)]],
+    ids=["staircase-3-1..4", "brickwork-4-1..4", "staircase-5-1..3"])
+def test_a_prefix_gram_block_is_within_its_scaled_bound(archs):
+    # a tall prefix's block of C_t of the head's C_head columns carries
+    # C_t / C_head of the head's gram_error, and stays within it of the
+    # dense M^T M of its own columns
+    gates = GateAssignment.haar(archs[-1], 12)
+    union = tangent_frame(archs[-1], gates, prefixes=_lengths(archs))
+    head = len(union.gram)
+    blocks = 0
+    for arch in archs:
+        row = union.prefix(arch.gate_count)
+        if row.gram is None:
+            continue
+        cols = len(row.gram)
+        assert union.gram_error * cols / head <= row.gram_error \
+            <= union.gram_error * cols / head * (1 + 1e-14)
+        assert (row.gram_error < union.gram_error) == (cols < head)
+        assert _gram_gap(row.gram, row.matrix.T @ row.matrix) \
+            <= row.gram_error
+        blocks += 1
+    assert blocks >= 2
+
+
+def test_a_sweep_past_the_slice_cap_refuses_before_its_first_draw(
+        monkeypatch):
+    # state mode caps n = 2 at 6 slices: the last row, T = 15, is refused
+    # before the shared consensus draws a gate
+    drawn = []
+    haar = GateAssignment.haar
+
+    def counted(arch, seed):
+        drawn.append(seed)
+        return haar(arch, seed)
+
+    monkeypatch.setattr(GateAssignment, "haar", counted)
+    with pytest.raises(TooManySlices, match="below 7 for n=2, got 15"):
+        growth_sweep(2, "staircase", 15, 3, 5, "state")
+    assert drawn == []
+    assert len(growth_sweep(2, "staircase", 6, 3, 5, "state")) == 6
+    assert len(drawn) == 3
 
 
 @pytest.mark.parametrize("mode", ["unitary", "state"])
@@ -226,8 +276,12 @@ def test_a_sweep_over_budget_refuses_before_its_first_draw(monkeypatch):
 
 @pytest.mark.parametrize("archs, mode", [
     ([staircase(3, t) for t in range(1, 9)], "unitary"),
+    # rows 1..9 are tall, row 10 barely wide (282 of 256 rows): the head's
+    # Gram matrix is held while row 10 takes its wide certificate
+    ([staircase(4, t) for t in range(1, 11)], "unitary"),
     ([staircase(5, t) for t in range(1, 4)], "state")],
-    ids=["staircase-3-1..8-unitary", "staircase-5-1..3-state"])
+    ids=["staircase-3-1..8-unitary", "staircase-4-1..10-unitary",
+         "staircase-5-1..3-state"])
 def test_a_union_sweep_stays_under_its_estimate(archs, mode):
     # a first small consensus sets up numpy's own state, which a fresh
     # process makes on its first rank call; the traced shape stays cold

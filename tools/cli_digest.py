@@ -30,10 +30,10 @@ SEED = "11"
 
 WITNESS = ["witness", "--family", "brickwork", "--n", "4", "--t", "2"]
 
-# (name, argv): every subcommand, dim with --spectra, both witness modes
-# with and without --skip-rank-check, and sweeps in both modes and both
-# families; each command writes files of its own, and one left without
-# --seed reads SEED
+# (name, argv): every subcommand, dim with --spectra on a tall and on a
+# wide frame, both witness modes with and without --skip-rank-check, and
+# sweeps in both modes and both families; each command writes files of
+# its own, and one left without --seed reads SEED
 COMMANDS: list[tuple[str, list[str]]] = [
     ("arch-gen", ["arch", "gen", "--family", "staircase", "--n", "3",
                   "--t", "2", "--out", "arch.json"]),
@@ -43,6 +43,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
                     "--out", "check.json"]),
     ("dim", ["dim", "--in", "arch.json", "--samples", "3", "--seed", "3",
              "--out", "dim.json", "--spectra", "spectra.csv"]),
+    ("dim-wide", ["dim", "--family", "staircase", "--n", "3", "--t", "5",
+                  "--samples", "3", "--seed", "3", "--out", "dim-wide.json",
+                  "--spectra", "dim-wide.csv"]),
     ("dim-state", ["dim", "--family", "brickwork", "--n", "4", "--t", "1",
                    "--mode", "state", "--samples", "3",
                    "--out", "dim-state.json"]),
