@@ -6,7 +6,6 @@ feed inequalities with wide margins and stay in double precision.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,9 +151,6 @@ class BoundSheet:
             "unitary_saturated": self.unitary_saturated,
             "state_saturated": self.state_saturated,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def format_text(self) -> str:
         rows = [

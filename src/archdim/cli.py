@@ -4,15 +4,16 @@ Subcommands: ``arch gen``, ``arch check``, ``dim``, ``witness``, ``bounds``,
 ``sweep``, ``mc-arch``.  Exit codes: 0 success, 1 invalid input, 2 a rank
 consensus was numerically inconclusive, 3 a bound or verification verdict
 failed.  Every artifact embeds the resolved configuration and tool version;
-output files are written atomically after all computation succeeds.  A JSON
-artifact is one line, ``json.dumps(payload, sort_keys=True)`` and a newline,
-the layout of every library ``to_json``; ``python -m json.tool FILE``
-indents one for reading.
+a command's output files are written after all computation succeeds, and
+all of them or none.  A JSON artifact is one line,
+``json.dumps(payload, sort_keys=True)`` and a newline;
+``python -m json.tool FILE`` indents one for reading.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -26,7 +27,7 @@ from .contraction import (
     DEFAULT_TOLERANCES,
     MEMORY_BUDGET,
     accessible_dimension,
-    peak_bytes,
+    consensus_peak_bytes,
 )
 from .errors import CertificateMismatch, ValidationError, VerdictError
 from .experiments import (
@@ -61,21 +62,31 @@ def _default_seed() -> int:
             f"ARCHDIM_SEED must be an integer, got {text!r}") from None
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a fresh file beside ``path``, then rename it over
-    ``path``.  The file is created with mode 0o666 less the umask, as
-    ``open(path, "w")`` would create it; the rename keeps that mode."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory,
-                       f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _write_atomic(outputs: dict[str, str]) -> None:
+    """Write each text to a fresh file beside its path, then rename every
+    file over its path, so that a file that cannot be created or written,
+    or a path that names a directory, leaves none of the paths written:
+    the fresh files made so far are removed.  Each file is created with
+    mode 0o666 less the umask, as ``open(path, "w")`` would create it; the
+    rename keeps that mode."""
+    staged: list[tuple[str, str]] = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs.items():
+            if os.path.isdir(path):  # else its rename fails after others
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+            directory = os.path.dirname(os.path.abspath(path))
+            tmp = os.path.join(
+                directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -85,7 +96,7 @@ def _stamp(payload: dict, args: argparse.Namespace,
     the command parsed, seed resolved, except the handler, the output paths
     and ``arch_command``, which ``command`` already names.  With ``peak``,
     the config also records the memory budget and that peak estimate of
-    the command's frame (``peak_bytes``)."""
+    the command's frames (``consensus_peak_bytes``)."""
     config = {key: value for key, value in vars(args).items()
               if key not in ("func", "out", "spectra", "arch_command")}
     if peak is not None:
@@ -95,12 +106,15 @@ def _stamp(payload: dict, args: argparse.Namespace,
     return payload
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True) + "\n"
     if out:
-        _write_atomic(out, text)
+        _write_atomic({out: _json_text(payload)})
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_json_text(payload))
 
 
 def _load_arch(path: str) -> Architecture:
@@ -154,11 +168,14 @@ def cmd_dim(args: argparse.Namespace) -> int:
         print(f"accessible dimension d_A = {report.consensus} "
               f"(bounds [{report.lower_bound}, {report.upper_bound}], "
               f"cap {report.cap})")
+    outputs = {}
     if args.out:
-        _emit_json(_stamp(report.to_json_dict(), args,
-                          peak_bytes(arch, args.mode)), args.out)
+        outputs[args.out] = _json_text(_stamp(
+            report.to_json_dict(), args,
+            consensus_peak_bytes([arch], args.mode)))
     if args.spectra:
-        _write_atomic(args.spectra, report.spectra_csv())
+        outputs[args.spectra] = report.spectra_csv()
+    _write_atomic(outputs)
     if report.inconclusive:
         return EXIT_INCONCLUSIVE
     if not report.bounds_ok:
@@ -198,15 +215,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n=args.n, family=args.family, t_max=args.t_max, samples=args.samples,
         seed=args.seed, mode=args.mode,
         tolerances=(args.tol_loose, args.tol_tight))
-    # one union frame over the last row's gates serves every row
-    archs = sweep_architectures(args.n, args.family, args.t_max)
-    peak = peak_bytes(archs[-1], args.mode,
-                      [arch.gate_count for arch in archs])
+    peak = consensus_peak_bytes(
+        sweep_architectures(args.n, args.family, args.t_max), args.mode)
     cfg = _stamp({}, args, peak)["config"]
     comment = f"archdim {__version__} config={json.dumps(cfg, sort_keys=True)}"
     text = rows_to_csv(rows, header_comment=comment)
     if args.out:
-        _write_atomic(args.out, text)
+        _write_atomic({args.out: text})
     else:
         sys.stdout.write(text)
     if any(r.accessible is None for r in rows):
@@ -217,7 +232,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_mc_arch(args: argparse.Namespace) -> int:
     summary = randomized_architecture_experiment(
         args.n, args.trials, args.seed, alpha=args.alpha)
-    lo, hi = summary.interval
+    lo, hi = summary.interval_99
     print(f"causal fraction {summary.empirical:.5f} "
           f"(exact {summary.exact:.5f}, 99% interval [{lo:.5f}, {hi:.5f}])")
     if args.out:

@@ -1668,9 +1668,6 @@ class RankReport:
             return None
         return bool(self.lower_ok and self.upper_ok)
 
-    def sample_ranks(self) -> tuple[tuple[int, int], ...]:
-        return tuple((e.loose_rank, e.tight_rank) for e in self.estimates)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -1724,6 +1721,15 @@ def _prefix_lengths(archs: tuple[Architecture, ...],
     return longest, [arch.gate_count for arch in archs]
 
 
+def consensus_peak_bytes(archs: Sequence[Architecture], mode: str) -> int:
+    """The peak bytes estimate of ``accessible_dimensions(archs, mode)``:
+    ``peak_bytes`` of the one union frame per sample, over the longest
+    architecture's gates with every one's gate count as a prefix.  It
+    refuses the architecture lists ``accessible_dimensions`` refuses."""
+    longest, prefixes = _prefix_lengths(tuple(archs))
+    return peak_bytes(longest, mode, prefixes)
+
+
 def accessible_dimensions(archs: Sequence[Architecture],
                           mode: str = "unitary", samples: int = 5,
                           seed: int = 0,
@@ -1746,13 +1752,13 @@ def accessible_dimensions(archs: Sequence[Architecture],
     For each architecture all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged
     away.  ``spectrum`` asks ``numerical_rank`` for every sample's singular
-    values, which ``RankReport.spectra_csv`` writes.  A union frame over
-    ``MEMORY_BUDGET`` raises SizeLimit; a tolerance pair ``numerical_rank``
-    would refuse, a sample count that is not an integer of at least 3, a
-    seed that is not a nonnegative integer (``subseed``), or an
-    architecture list that is empty, mixes qubit counts or is not
-    prefix-closed raises ValidationError; all before the first sample is
-    drawn.
+    values, which ``RankReport.spectra_csv`` writes.  A union frame whose
+    estimate (``consensus_peak_bytes``) is over ``MEMORY_BUDGET`` raises
+    SizeLimit; a tolerance pair ``numerical_rank`` would refuse, a sample
+    count that is not an integer of at least 3, a seed that is not a
+    nonnegative integer (``subseed``), or an architecture list that is
+    empty, mixes qubit counts or is not prefix-closed raises
+    ValidationError; all before the first sample is drawn.
     """
     check_mode(mode)
     if check_int(samples, "samples") < 3:
@@ -1760,7 +1766,8 @@ def accessible_dimensions(archs: Sequence[Architecture],
     _check_tolerances(tolerances)
     archs = tuple(archs)
     longest, prefixes = _prefix_lengths(archs)
-    _check_size(longest, mode, prefixes)
+    check_budget(consensus_peak_bytes(archs, mode), MEMORY_BUDGET,
+                 f"{mode} on n={longest.n}, R={longest.gate_count} needs")
     estimates: list[list[RankEstimate]] = [[] for _ in archs]
     for i in range(samples):
         gates = GateAssignment.haar(longest, subseed(seed, i))

@@ -8,10 +8,9 @@ for operator convenience; every other column is deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from .architecture import (
     Architecture,
@@ -31,7 +30,7 @@ from .contraction import (
     tangent_frame,  # noqa: F401
 )
 from .errors import ValidationError, VerdictError, check_int
-from .witness import check_slice_cap, witness_point, witness_rank
+from .witness import witness_point, witness_rank
 
 # Two-sided 99% normal quantile for the binomial interval.
 _Z_99 = 2.5758293035489004
@@ -61,11 +60,9 @@ class SweepRow:
     ms: int
 
     def csv_line(self) -> str:
-        d = "" if self.accessible is None else str(self.accessible)
-        return (f"{self.n},{self.family},{self.t_slices},{self.r_gates},"
-                f"{self.l_gates},{d},{self.witness_rank},{self.lower},"
-                f"{self.upper},{self.cap},"
-                f"{self.samples},{self.seed},{self.ms}")
+        """The row under ``CSV_HEADER``, whose columns are the fields in
+        order; an inconclusive dimension is an empty cell."""
+        return ",".join("" if v is None else str(v) for v in astuple(self))
 
 
 def check_ramp(rows: list[SweepRow]) -> None:
@@ -142,30 +139,33 @@ def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
     (gate j keeps the generators that the shortest row holding it keeps),
     serves every row as a column block.
 
-    The ``ms`` column counts each row's own witness; the last row's also
-    counts the shared consensus run: the draws, the frames and every row's
-    rank decisions.
+    The rows share one witness too: ``witness_point`` of the last row,
+    built before the first draw, whose first R_T gate circuits are row T's
+    own witness, so row T's witness rank is ``witness_rank`` of them.
+
+    The ``ms`` column counts each row's own witness rank; the last row's
+    also counts the shared witness build and the shared consensus run: the
+    draws, the frames and every row's rank decisions.
 
     Inconclusive consensus ranks propagate as empty dimension cells; the
     sweep continues and the ramp check skips them.  The witness rank is
     exact (``witness_rank``), so its cell is never empty.  A last row with
-    more slices than its witness can take (``check_slice_cap``) raises
-    TooManySlices, a union frame over the memory budget SizeLimit, and a
-    ``t_max`` that is not a positive integer, or a mode, sample count or
-    seed ``accessible_dimensions`` refuses, ValidationError, all before
+    more slices than its witness can take raises TooManySlices (in
+    ``witness_point``), a union frame over the memory budget SizeLimit,
+    and a ``t_max`` that is not a positive integer, or a mode, sample count
+    or seed ``accessible_dimensions`` refuses, ValidationError, all before
     the first Haar sample.
     """
     archs = sweep_architectures(n, family, t_max)
-    check_slice_cap(archs[-1], mode)
     started = time.perf_counter()
+    circuits = witness_point(archs[-1], mode).gate_circuits
     reports = accessible_dimensions(archs, mode, samples, subseed(seed, t_max),
                                     tolerances)
     shared = time.perf_counter() - started
     rows: list[SweepRow] = []
     for t, (arch, report) in enumerate(zip(archs, reports), start=1):
         started = time.perf_counter()
-        cert = witness_point(arch, mode)
-        wrank = witness_rank(arch, cert.gate_circuits, mode)
+        wrank = witness_rank(arch, circuits[:arch.gate_count], mode)
         seconds = time.perf_counter() - started + shared * (t == t_max)
         rows.append(SweepRow(
             n=n, family=family, t_slices=t, r_gates=arch.gate_count,
@@ -197,30 +197,14 @@ class MonteCarloSummary:
     causal_blocks: int
     empirical: float
     exact: float
-    interval: tuple[float, float]
+    interval_99: list[float]
     within_interval: bool
     alpha: float
     probability_bound: float
     complexity_threshold: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "block_gates": self.block_gates,
-            "seed": self.seed,
-            "causal_blocks": self.causal_blocks,
-            "empirical": self.empirical,
-            "exact": self.exact,
-            "interval_99": list(self.interval),
-            "within_interval": self.within_interval,
-            "alpha": self.alpha,
-            "probability_bound": self.probability_bound,
-            "complexity_threshold": self.complexity_threshold,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return asdict(self)
 
 
 def randomized_architecture_experiment(n: int, trials: int, seed: int,
@@ -247,11 +231,11 @@ def randomized_architecture_experiment(n: int, trials: int, seed: int,
     p_hat = hits / trials
     exact = staircase_slice_probability(n).value
     half = _Z_99 * math.sqrt(exact * (1.0 - exact) / trials)
-    interval = (exact - half, exact + half)
+    interval = [exact - half, exact + half]
     threshold = alpha * r_total / (9 * n * (n - 1) ** 2) - n / 3.0
     return MonteCarloSummary(
         n=n, trials=trials, block_gates=block, seed=seed, causal_blocks=hits,
-        empirical=p_hat, exact=exact, interval=interval,
+        empirical=p_hat, exact=exact, interval_99=interval,
         within_interval=interval[0] <= p_hat <= interval[1], alpha=alpha,
         probability_bound=probability_bound,
         complexity_threshold=threshold)

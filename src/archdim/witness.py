@@ -350,21 +350,6 @@ def _last_gate_on(arch: Architecture, start: int, stop: int, qubit: int) -> int:
     raise NotCausal(f"no gate touches qubit {qubit} in slice [{start}, {stop})")
 
 
-def check_slice_cap(arch: Architecture, mode: str) -> None:
-    """Raise TooManySlices when ``arch`` marks more slices than
-    ``witness_point`` can give pairwise-distinct directions: more than the
-    cap 4^n - 1 in unitary mode, or the cap 2 * 2^n - 1 or more in state
-    mode (``saturation_threshold``, which refuses a mode that is neither
-    with ValidationError)."""
-    cap, t = saturation_threshold(arch.n, mode), arch.slice_count
-    if mode == "unitary" and t > cap:
-        raise TooManySlices(f"unitary mode supports at most {cap} slices for "
-                            f"n={arch.n}, got {t}")
-    if mode == "state" and t >= cap:
-        raise TooManySlices(f"state mode needs slice count below {cap} for "
-                            f"n={arch.n}, got {t}")
-
-
 def witness_point(arch: Architecture, mode: str = "unitary",
                   ) -> WitnessCertificate:
     """All-Clifford gate assignment with T pairwise-distinct directions.
@@ -377,12 +362,29 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     first of them, and one routing per chosen string; each slice writes
     those circuits at its own start.  A slice's insertion gate is its tree's
     last hop, the slice's last gate on the sink.
+
+    Before any slice it raises TooManySlices when ``arch`` marks more
+    slices than can have pairwise-distinct directions: more than the cap
+    4^n - 1 in unitary mode, or the cap 2 * 2^n - 1 or more in state mode
+    (``saturation_threshold``).  A mode that is neither raises
+    ValidationError and an architecture with no marked slices NotCausal.
+
+    The circuits of the first R gates are those of the witness of the
+    architecture cut after its first slices, R gates in all, since each
+    slice's choice reads only the slices before it; a growth sweep reads
+    every row's witness rank off its last row's witness this way.
     """
     check_mode(mode)
     ranges = arch.slice_ranges()
     if not ranges:
         raise NotCausal("architecture has no marked slices")
-    check_slice_cap(arch, mode)
+    cap, t = saturation_threshold(arch.n, mode), len(ranges)
+    if mode == "unitary" and t > cap:
+        raise TooManySlices(f"unitary mode supports at most {cap} slices for "
+                            f"n={arch.n}, got {t}")
+    if mode == "state" and t >= cap:
+        raise TooManySlices(f"state mode needs slice count below {cap} for "
+                            f"n={arch.n}, got {t}")
 
     per_gate = [_EMPTY_2Q] * arch.gate_count  # the slices tile the gates
     sweep = _DirectionSweep(arch, mode)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import archdim.experiments
+from archdim import contraction
 from archdim import (
     Architecture,
     WitnessCertificate,
@@ -330,6 +331,32 @@ def test_dim_and_sweep_record_the_memory_budget(tmp_path):
         > peak_bytes(staircase(3, 3), "state")
 
 
+def test_the_recorded_estimate_is_the_one_checked(tmp_path, monkeypatch):
+    # dim and sweep record in their config the estimate that the consensus
+    # checked against the memory budget before its first draw
+    checked = []
+    check_budget = contraction.check_budget
+
+    def recorded(est, budget, needs):
+        checked.append(est)
+        check_budget(est, budget, needs)
+
+    monkeypatch.setattr(contraction, "check_budget", recorded)
+    runs = [(["dim", "--family", "staircase", "--n", "3", "--t", "5"],
+             "dim.json"),
+            (["sweep", "--n", "3", "--t-max", "5", "--mode", "state"],
+             "sweep.csv")]
+    for argv, name in runs:
+        checked.clear()
+        out = tmp_path / name
+        assert main(argv + ["--samples", "3", "--seed", "2",
+                            "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        config = json.loads(text)["config"] if name.endswith(".json") \
+            else json.loads(text.splitlines()[0].split("config=", 1)[1])
+        assert checked and config["peak_estimate_bytes"] == checked[0]
+
+
 @pytest.mark.parametrize("arch, loose, tight", [
     (["--n", "2", "--t", "3"], "0", "0"),
     (["--n", "2", "--t", "3"], "1e-17", "1e-17"),
@@ -450,6 +477,22 @@ def test_validation_never_leaves_partial_output(tmp_path):
     rc = main(["dim", "--family", "staircase", "--n", "2", "--t", "3",
                "--samples", "2", "--out", str(out)])  # samples < 3 invalid
     assert rc == EXIT_INVALID
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("spectra", ["missing/x.csv", "sub"],
+                         ids=["missing-directory", "a-directory"])
+def test_a_failed_dim_writes_none_of_its_files(tmp_path, capsys, spectra):
+    # the spectra cannot be written: the JSON, staged first, is not
+    # renamed into place and its fresh file is removed
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "ok.json"
+    rc = main(["dim", "--family", "staircase", "--n", "3", "--t", "1",
+               "--samples", "3", "--out", str(out),
+               "--spectra", str(tmp_path / spectra)])
+    assert rc == EXIT_INVALID
+    assert spectra.split("/")[-1] in capsys.readouterr().err
     assert not out.exists()
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 

@@ -1748,7 +1748,7 @@ def test_a_refused_tolerance_pair_builds_no_frame(tolerances, monkeypatch):
 
 def test_accessible_dimension_sample_constancy():
     report = accessible_dimension(staircase(3, 4), samples=5, seed=3)
-    ranks = report.sample_ranks()
+    ranks = [(e.loose_rank, e.tight_rank) for e in report.estimates]
     assert len(set(ranks)) == 1
     assert not report.inconclusive
 

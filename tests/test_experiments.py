@@ -64,6 +64,21 @@ def test_sweep_csv_deterministic_modulo_wall_time():
     assert a.splitlines()[0] == CSV_HEADER
 
 
+def test_the_csv_header_has_one_column_per_row_field():
+    # each cell holds its field's index, and an inconclusive dimension is
+    # an empty cell
+    names = [field.name for field in dataclasses.fields(SweepRow)]
+    columns = CSV_HEADER.split(",")
+    assert len(columns) == len(names)
+    assert {"t_slices": "T", "r_gates": "R", "l_gates": "L",
+            "accessible": "dA", "ms": "ms"}.items() \
+        <= dict(zip(names, columns)).items()
+    row = SweepRow(*range(len(names)))
+    assert row.csv_line() == ",".join(map(str, range(len(names))))
+    cells = dataclasses.replace(row, accessible=None).csv_line().split(",")
+    assert cells[columns.index("dA")] == ""
+
+
 def test_sweep_refuses_a_non_integer_seed():
     # int() truncated 2.0 to 2 and drew seed 2's gates under seed 2.0
     with pytest.raises(ValidationError, match="seed must be an integer"):
@@ -138,7 +153,7 @@ def test_monte_carlo_two_qubits_always_causal():
 def test_monte_carlo_matches_formula():
     summary = randomized_architecture_experiment(4, 2000, seed=6)
     assert summary.block_gates == 36
-    lo, hi = summary.interval
+    lo, hi = summary.interval_99
     assert lo <= summary.empirical <= hi
     assert summary.within_interval
     # chained Bernoulli lower bound

@@ -14,6 +14,7 @@ from archdim import (
     accessible_dimension,
     accessible_dimensions,
     brickwork,
+    build_family,
     from_gate_sequence,
     growth_sweep,
     numerical_rank,
@@ -22,9 +23,13 @@ from archdim import (
     subseed,
     sweep_architectures,
     tangent_frame,
+    witness_point,
+    witness_rank,
 )
-from archdim import contraction
+from archdim import contraction, experiments
+from archdim.architecture import Architecture
 from archdim.contraction import frame_shape, peak_bytes
+from test_contraction import SWEEP_CASES
 
 # prefix chains of the frame tests' shapes
 CHAINS = [
@@ -237,6 +242,65 @@ def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
                      for i in range(samples)]
     assert frames == [2 * t_max] * samples
     assert ranks == [2 * t for t in range(1, t_max + 1)] * samples
+
+
+def test_a_sweep_builds_one_witness(monkeypatch):
+    # a work count: the last row's witness, before the first draw, serves
+    # every row
+    built, drawn = [], []
+    haar = GateAssignment.haar
+
+    def counted_witness(arch, mode):
+        built.append((arch.gate_count, len(drawn)))
+        return witness_point(arch, mode)
+
+    def counted_haar(arch, seed):
+        drawn.append(seed)
+        return haar(arch, seed)
+
+    monkeypatch.setattr(experiments, "witness_point", counted_witness)
+    monkeypatch.setattr(GateAssignment, "haar", counted_haar)
+    assert len(growth_sweep(3, "staircase", 5, 3, 2)) == 5
+    assert built == [(10, 0)]
+    assert len(drawn) == 3
+
+
+def _cuts(arch):
+    """``arch`` cut after each of its marked slices."""
+    return [Architecture(arch.n, arch.gates[:end],
+                         arch.slice_boundaries[:k + 1])
+            for k, end in enumerate(arch.slice_boundaries or ())]
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("build", SWEEP_CASES + [
+    pytest.param(lambda: build_family("brickwork", 4, 3),
+                 id="brickwork-4-1..3"),
+    pytest.param(lambda: staircase(3, 8), id="staircase-3-1..8"),
+    pytest.param(lambda: staircase(2, 6), id="staircase-2-1..6")])
+def test_each_cut_takes_the_first_circuits_of_the_whole_witness(build, mode):
+    # the witness of an architecture cut after its first slices is the
+    # first gates' circuits of the whole one's, so each row of a sweep
+    # reads its witness rank off the last row's witness
+    arch = build()
+    circuits = witness_point(arch, mode).gate_circuits \
+        if arch.slice_count else ()
+    for cut in _cuts(arch):
+        own = witness_point(cut, mode).gate_circuits
+        assert own == circuits[:cut.gate_count]
+        assert witness_rank(cut, own, mode) \
+            == witness_rank(cut, circuits[:cut.gate_count], mode)
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("family, n, t_max", [
+    ("staircase", 3, 5), ("staircase", 2, 6), ("brickwork", 4, 3)])
+def test_each_sweep_row_has_its_own_witness_rank(family, n, t_max, mode):
+    rows = growth_sweep(n, family, t_max, 3, 1, mode)
+    archs = sweep_architectures(n, family, t_max)
+    assert [row.witness_rank for row in rows] == [
+        witness_rank(arch, witness_point(arch, mode).gate_circuits, mode)
+        for arch in archs]
 
 
 def test_the_consensus_of_one_architecture_is_accessible_dimension():

@@ -68,8 +68,11 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
     # two runs, the second with every plan and table rebuilt, print the
     # same lines: per shape 5 items of each plan, 2 estimates, and per
     # seed 3 Gram matrices, 3 Gram errors, the matrix, the singular values,
-    # the route and the ranks
-    argv = ["staircase-3-2", "sequence-4-5", "--seeds", "1", "2"]
+    # the route and the ranks; per union shape 2 estimates, and per seed
+    # and prefix (brickwork-4-8 serves 12 and 24 gates) the Gram block, its
+    # error, the singular values, the route and the ranks
+    argv = ["staircase-3-2", "sequence-4-5", "union-brickwork-4-8",
+            "--seeds", "1", "2"]
     runs = []
     for _ in range(2):
         for cached in vars(contraction).values():
@@ -79,11 +82,17 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
     lines = [line.split() for line in runs[0]]
-    assert len(lines) == 2 * (10 + 2 + 2 * 10)
+    assert len(lines) == 2 * (10 + 2 + 2 * 10) + 2 + 2 * 2 * 5
     assert all(len(sha) == 64 for sha, _, _ in lines)
     assert len({(shape, item) for _, shape, item in lines}) == len(lines)
     assert [shape for _, shape, _ in lines] \
-        == ["staircase-3-2"] * 32 + ["sequence-4-5"] * 32
+        == ["staircase-3-2"] * 32 + ["sequence-4-5"] * 32 \
+        + ["union-brickwork-4-8"] * 22
+    assert [item for _, shape, item in lines
+            if shape == "union-brickwork-4-8"][:7] == [
+        "peak_bytes.unitary", "peak_bytes.state", "seed1.prefix12.gram",
+        "seed1.prefix12.gram_error", "seed1.prefix12.singular_values",
+        "seed1.prefix12.route", "seed1.prefix12.ranks"]
 
 
 def test_witness_digest_repeats_one_line_per_item(capsys):
@@ -132,6 +141,16 @@ def _leaf_commands(parser, prefix=()):
                          for name, sub in action.choices.items()))
 
 
+def test_cli_digest_runs_every_command():
+    # a command the parser defines and COMMANDS leaves out would escape
+    # the byte-identity check
+    assert {tuple(itertools.takewhile(lambda w: not w.startswith("-"), argv))
+            for _, argv in cli_digest.COMMANDS} \
+        == _leaf_commands(build_parser()) == {
+            ("arch", "gen"), ("arch", "check"), ("dim",), ("witness",),
+            ("bounds",), ("sweep",), ("mc-arch",)}
+
+
 def test_cli_digest_repeats_one_line_per_item(capsys, tmp_path, monkeypatch):
     # two runs print the same lines, the sweep CSV's wall times blanked: per
     # command its stdout, then each file it wrote; the working directory and
@@ -153,8 +172,6 @@ def test_cli_digest_repeats_one_line_per_item(capsys, tmp_path, monkeypatch):
         == {(name, argv[i + 1]) for name, argv in cli_digest.COMMANDS
             for i, word in enumerate(argv) if word in ("--out", "--spectra")}
     argvs = [argv for _, argv in cli_digest.COMMANDS]
-    assert {tuple(itertools.takewhile(lambda w: not w.startswith("-"), argv))
-            for argv in argvs} == _leaf_commands(build_parser())
     assert any(argv[0] == "dim" and "--spectra" in argv for argv in argvs)
     assert {("state" in argv, "--skip-rank-check" in argv)
             for argv in argvs if argv[0] == "witness"} \

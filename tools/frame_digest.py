@@ -8,11 +8,21 @@ For each shape (all of ``SHAPES`` by default) it prints one
 scratch and tables; ``peak_bytes`` in both modes; and per seed (1 to 5 by
 default) the Gram matrix and ``repr(gram_error)`` at the plan's split h, at
 h = 0 and at h = R, the frame's matrix, and the singular values, route and
-loose/tight ranks of ``numerical_rank``, which is asked for the spectrum.  A wide frame has no Gram matrix,
-and its Gram lines digest ``None``.  Arrays are digested by their shape and
-``tobytes()`` after ``+ 0.0``, which makes -0.0 read as 0.0, and other
-values by ``repr``; pickle is not used, since its bytes follow object
-sharing.  Run the same command on two trees and diff the output.
+loose/tight ranks of ``numerical_rank``, which is asked for the spectrum.
+
+Each union shape (all of ``UNIONS`` by default, after the shapes) is an
+architecture and the gate counts of its prefixes that one union frame
+serves (``tangent_frame`` with ``prefixes``).  It prints ``peak_bytes``
+of that frame in both modes and, per seed and per prefix the frame
+serves, the whole architecture included, the prefix frame's Gram block
+and ``repr(gram_error)``, and the singular values, route and loose/tight
+ranks of ``numerical_rank`` on it, asked for the spectrum.
+
+A wide frame has no Gram matrix, and its Gram lines digest ``None``.
+Arrays are digested by their shape and ``tobytes()`` after ``+ 0.0``,
+which makes -0.0 read as 0.0, and other values by ``repr``; pickle is not
+used, since its bytes follow object sharing.  Run the same command on two
+trees and diff the output.
 """
 
 from __future__ import annotations
@@ -44,6 +54,14 @@ SHAPES: dict[str, Callable] = {
         4, [(3, 1), (2, 4), (1, 4), (4, 3), (2, 1)]),
     "sequence-6-21": lambda: from_gate_sequence(
         6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4), (5, 6)] * 3),
+}
+
+# (architecture, prefix gate counts) of each union frame
+UNIONS: dict[str, Callable] = {
+    # the rows of the dim-wide workload's sweep, staircase(3, 1..6)
+    "union-staircase-3-6": lambda: (staircase(3, 6), (2, 4, 6, 8, 10)),
+    # a tall first half under a wide whole
+    "union-brickwork-4-8": lambda: (brickwork(4, 8), (12,)),
 }
 
 
@@ -96,17 +114,42 @@ def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
         yield f"seed{seed}.matrix", frame.matrix
 
 
+def union_items(arch, prefixes: tuple[int, ...],
+                seeds: list[int]) -> Iterator[tuple[str, object]]:
+    """(quantity, value) of every item digested for the union frame over
+    ``arch`` that serves ``prefixes``."""
+    for mode in ("unitary", "state"):
+        yield f"peak_bytes.{mode}", contraction.peak_bytes(arch, mode,
+                                                           prefixes)
+    for seed in seeds:
+        frame = tangent_frame(arch, GateAssignment.haar(arch, seed),
+                              prefixes=prefixes)
+        for length in frame.prefixes:
+            row = frame.prefix(length)
+            rank = numerical_rank(row, spectrum=True)
+            label = f"seed{seed}.prefix{length}"
+            yield f"{label}.gram", row.gram
+            yield f"{label}.gram_error", row.gram_error
+            yield f"{label}.singular_values", rank.singular_values
+            yield f"{label}.route", rank.route
+            yield f"{label}.ranks", (rank.loose_rank, rank.tight_rank)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("shapes", nargs="*", metavar="SHAPE",
-                        help=f"one of {', '.join(SHAPES)} (all by default)")
+                        help=f"one of {', '.join([*SHAPES, *UNIONS])} "
+                             f"(all by default)")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
     args = parser.parse_args(argv)
-    unknown = [shape for shape in args.shapes if shape not in SHAPES]
+    unknown = [shape for shape in args.shapes
+               if shape not in SHAPES and shape not in UNIONS]
     if unknown:
         parser.error(f"unknown shape {unknown[0]!r}")
-    for shape in args.shapes or SHAPES:
-        for quantity, value in items(SHAPES[shape](), args.seeds):
+    for shape in args.shapes or [*SHAPES, *UNIONS]:
+        found = items(SHAPES[shape](), args.seeds) if shape in SHAPES \
+            else union_items(*UNIONS[shape](), args.seeds)
+        for quantity, value in found:
             print(digest(value), shape, quantity)
     return 0
 
