@@ -71,7 +71,6 @@ from .experiments import (
     growth_sweep,
     randomized_architecture_experiment,
     rows_to_csv,
-    sweep_architectures,
 )
 from .pauli import PauliString, nontrivial_strings
 from .witness import (

@@ -27,14 +27,13 @@ from .contraction import (
     DEFAULT_TOLERANCES,
     MEMORY_BUDGET,
     accessible_dimension,
-    consensus_peak_bytes,
+    peak_bytes,
 )
 from .errors import CertificateMismatch, ValidationError, VerdictError
 from .experiments import (
     growth_sweep,
     randomized_architecture_experiment,
     rows_to_csv,
-    sweep_architectures,
 )
 from .witness import verify_certificate, witness_point
 
@@ -96,7 +95,9 @@ def _stamp(payload: dict, args: argparse.Namespace,
     the command parsed, seed resolved, except the handler, the output paths
     and ``arch_command``, which ``command`` already names.  With ``peak``,
     the config also records the memory budget and that peak estimate of
-    the command's frames (``consensus_peak_bytes``)."""
+    the command's frames that the consensus checked against the budget:
+    ``peak_bytes`` of the architecture, or of a sweep's last row with its
+    slice boundaries as prefixes."""
     config = {key: value for key, value in vars(args).items()
               if key not in ("func", "out", "spectra", "arch_command")}
     if peak is not None:
@@ -157,6 +158,10 @@ def cmd_arch_check(args: argparse.Namespace) -> int:
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
+    if args.out and args.spectra \
+            and os.path.realpath(args.out) == os.path.realpath(args.spectra):
+        raise ValidationError(
+            f"--out {args.out} and --spectra {args.spectra} name one file")
     arch = _arch_from_args(args)
     report = accessible_dimension(
         arch, mode=args.mode, samples=args.samples, seed=args.seed,
@@ -172,7 +177,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
     if args.out:
         outputs[args.out] = _json_text(_stamp(
             report.to_json_dict(), args,
-            consensus_peak_bytes([arch], args.mode)))
+            peak_bytes(arch, args.mode)))
     if args.spectra:
         outputs[args.spectra] = report.spectra_csv()
     _write_atomic(outputs)
@@ -215,8 +220,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n=args.n, family=args.family, t_max=args.t_max, samples=args.samples,
         seed=args.seed, mode=args.mode,
         tolerances=(args.tol_loose, args.tol_tight))
-    peak = consensus_peak_bytes(
-        sweep_architectures(args.n, args.family, args.t_max), args.mode)
+    last = build_family(args.family, args.n, args.t_max)
+    peak = peak_bytes(last, args.mode, last.slice_boundaries)
     cfg = _stamp({}, args, peak)["config"]
     comment = f"archdim {__version__} config={json.dumps(cfg, sort_keys=True)}"
     text = rows_to_csv(rows, header_comment=comment)

@@ -28,11 +28,11 @@ vectors.  Both modes take their columns from one cached gauge-fixed
 record.  A dense call whose estimated peak memory (``peak_bytes``)
 exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 
-Architectures whose gates are prefixes of one longest architecture share
-their Haar draws and frames (``accessible_dimensions``): one frame over the
-longest one's gates, with the union of the prefixes' gauge-fixed columns,
-serves each prefix as a column block, since the later gates act on a
-prefix's columns by one orthogonal map.
+The prefixes of an architecture share its Haar draws and frames
+(``accessible_dimensions`` with ``prefixes``): one frame over its gates,
+with the union of the prefixes' gauge-fixed columns, serves each prefix as
+a column block, since the later gates act on a prefix's columns by one
+orthogonal map.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .architecture import Architecture, is_causal_slice
-from .bounds import gauge_fixed_count, saturation_threshold
+from .bounds import _gauge_fixed, gauge_fixed_count, saturation_threshold
 from .dense import apply_gate_left, apply_gate_right
 from .errors import (CountMismatch, SizeLimit, ValidationError, check_int,
                      check_mode, check_seed)
@@ -118,6 +118,13 @@ def _count(cols: slice | np.ndarray) -> int:
     return cols.size
 
 
+def _frame_rows(n: int, mode: str) -> int:
+    """4^n Pauli rows in unitary mode, 2 * 2^n real rows in state mode; any
+    other mode raises ValidationError."""
+    check_mode(mode)
+    return 4 ** n if mode == "unitary" else 2 * 2 ** n
+
+
 def frame_shape(arch: Architecture, mode: str,
                 prefixes: Sequence[int] | None = None) -> tuple[int, int]:
     """(rows, columns) of the gauge-fixed tangent frame: 4^n Pauli rows in
@@ -125,9 +132,8 @@ def frame_shape(arch: Architecture, mode: str,
     columns in both.  With ``prefixes`` (gate counts) the columns are those
     of the union gauge over them (``_gauge``).  Any other mode raises
     ValidationError."""
-    check_mode(mode)
-    rows = 4 ** arch.n if mode == "unitary" else 2 * 2 ** arch.n
-    return rows, _gauge(arch, _ends(arch, prefixes))[2].shape[0]
+    return (_frame_rows(arch.n, mode),
+            _gauge(arch, _ends(arch, prefixes))[2].shape[0])
 
 
 def peak_bytes(arch: Architecture, job: str,
@@ -179,15 +185,23 @@ def peak_bytes(arch: Architecture, job: str,
     arrays the certificate takes beside it, which are gone when the SVD
     (or, for a spectrum, a certified frame's SVD) takes its copy.  An
     estimate whose frame terms alone exceed ``MEMORY_BUDGET`` returns
-    before the sweep's plans are built."""
+    before the sweep's plans are built.  Before that, when the frame and
+    the whole architecture's block, 16 bytes per row and gauge-fixed
+    column of ``arch``, which every phase above holds, exceed it alone,
+    that floor is returned before the union gauge is built."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
         return held[job]
     ends = _ends(arch, prefixes)
-    rows, cols = frame_shape(arch, job, ends)
+    rows = _frame_rows(arch.n, job)
+    floor = 16 * rows * gauge_fixed_count(arch)
+    if floor > MEMORY_BUDGET:
+        return floor
+    _, _, record, owns = _gauge(arch, ends)
+    cols = record.shape[0]
     frame = 8 * rows * cols
-    counts = [_count(own) for own in _gauge(arch, ends)[3]]
+    counts = [_count(own) for own in owns]
     # per prefix: its block of the matrix, and the copy that block takes
     blocks = [8 * rows * c for c in counts]
     copies = [b * (c < cols) for b, c in zip(blocks, counts)]
@@ -431,7 +445,7 @@ class TangentFrame:
             raise ValidationError(
                 f"the frame serves no prefix of {length} gates")
         cols = self.prefixes[length]
-        rows = 4 ** self.n if self.mode == "unitary" else 2 * 2 ** self.n
+        rows = _frame_rows(self.n, self.mode)
         columns = self.columns[cols]
         gram, error = None, 0.0
         if self.gram is not None and len(columns) < rows:
@@ -1602,18 +1616,25 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     )
 
 
-def dimension_bounds(arch: Architecture, mode: str) -> tuple[int, int, int]:
-    """(lower, upper, cap) for the accessible dimension.
+def dimension_bounds(arch: Architecture, mode: str,
+                     length: int | None = None) -> tuple[int, int, int]:
+    """(lower, upper, cap) for the accessible dimension of the prefix of
+    ``arch`` that ends after ``length`` gates (``arch`` itself for None).
 
-    The lower bound is the number of causal slices among the marked ones;
-    the cap is 4^n - 1 in unitary mode and the sphere dimension 2 * 2^n - 1
-    in state mode.
+    The lower bound is the number of causal slices among the marked ones
+    that end by ``length``, so a slice the cut splits does not count; the
+    upper bound is ``gauge_fixed_count`` of the prefix's gates, at most
+    the cap, which is 4^n - 1 in unitary mode and the sphere dimension
+    2 * 2^n - 1 in state mode.  A length that is not an integer in 0..R
+    raises ValidationError.
     """
+    end = arch.gate_count if length is None else _ends(arch, (length,))[0]
     lower = sum(
         1 for start, stop in arch.slice_ranges()
-        if is_causal_slice(arch, start, stop) is not None)
+        if stop <= end and is_causal_slice(arch, start, stop) is not None)
     cap = saturation_threshold(arch.n, mode)
-    return lower, min(gauge_fixed_count(arch), cap), cap
+    touched = len({q for gate in arch.gates[:end] for q in gate})
+    return lower, min(_gauge_fixed(end, touched), cap), cap
 
 
 def _sample_json(e: RankEstimate) -> dict:
@@ -1701,89 +1722,62 @@ class RankReport:
         return "\n".join(lines) + "\n"
 
 
-def _prefix_lengths(archs: tuple[Architecture, ...],
-                    ) -> tuple[Architecture, list[int]]:
-    """The longest of ``archs`` and every one's gate count, or
-    ValidationError unless there is at least one, all act on one qubit
-    count and each one's gates are the first gates of the longest's."""
-    if not archs:
-        raise ValidationError("need at least one architecture")
-    longest = max(archs, key=lambda arch: arch.gate_count)
-    for arch in archs:
-        if arch.n != longest.n:
-            raise ValidationError(
-                f"architectures on n={arch.n} and n={longest.n} cannot "
-                f"share draws")
-        if arch.gates != longest.gates[:arch.gate_count]:
-            raise ValidationError(
-                f"the {arch.gate_count} gates of one architecture are not "
-                f"the first gates of the longest one's {longest.gate_count}")
-    return longest, [arch.gate_count for arch in archs]
-
-
-def consensus_peak_bytes(archs: Sequence[Architecture], mode: str) -> int:
-    """The peak bytes estimate of ``accessible_dimensions(archs, mode)``:
-    ``peak_bytes`` of the one union frame per sample, over the longest
-    architecture's gates with every one's gate count as a prefix.  It
-    refuses the architecture lists ``accessible_dimensions`` refuses."""
-    longest, prefixes = _prefix_lengths(tuple(archs))
-    return peak_bytes(longest, mode, prefixes)
-
-
-def accessible_dimensions(archs: Sequence[Architecture],
-                          mode: str = "unitary", samples: int = 5,
-                          seed: int = 0,
+def accessible_dimensions(arch: Architecture, mode: str = "unitary",
+                          samples: int = 5, seed: int = 0,
                           tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
                           *, spectrum: bool = False,
+                          prefixes: Sequence[int] | None = None,
                           ) -> tuple[RankReport, ...]:
-    """Consensus Jacobian ranks of ``archs``, whose gates are the first
-    gates of the longest one's, one report each, over shared Haar samples.
+    """Consensus Jacobian ranks of the prefixes of ``arch`` that end after
+    ``prefixes`` gates and of ``arch`` itself (``_ends``; ``arch`` alone
+    for None), one report each in gate-count order, over shared Haar
+    samples.
 
-    Sample i draws ``GateAssignment.haar(longest, subseed(seed, i))`` once.
+    Sample i draws ``GateAssignment.haar(arch, subseed(seed, i))`` once.
     A prefix of R gates reads its first R gates, which are, bit for bit,
-    ``haar(prefix, subseed(seed, i))``, since the gates are drawn from one
-    stream in order.  One frame per sample serves every architecture
-    (``tangent_frame`` with their gate counts as prefixes): each takes its
-    own column block (``TangentFrame.prefix``) through ``numerical_rank``.
-    The frame reads its Gram matrix once when some architecture's frame is
-    tall, and forms its matrix once when a wide one or a failed certificate
-    first reads it.
+    the draw ``haar`` makes for the prefix's own architecture from that
+    seed, since the gates are drawn from one stream in order.  One frame
+    per sample serves every prefix (``tangent_frame`` with ``prefixes``):
+    each takes its own column block (``TangentFrame.prefix``) through
+    ``numerical_rank``.  The frame reads its Gram matrix once when some
+    prefix's frame is tall, and forms its matrix once when a wide one or a
+    failed certificate first reads it.  Each report carries its prefix's
+    gate count and bounds (``dimension_bounds``).
 
-    For each architecture all samples must agree at both tolerances; any
+    For each prefix all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged
     away.  ``spectrum`` asks ``numerical_rank`` for every sample's singular
     values, which ``RankReport.spectra_csv`` writes.  A union frame whose
-    estimate (``consensus_peak_bytes``) is over ``MEMORY_BUDGET`` raises
-    SizeLimit; a tolerance pair ``numerical_rank`` would refuse, a sample
-    count that is not an integer of at least 3, a seed that is not a
-    nonnegative integer (``subseed``), or an architecture list that is
-    empty, mixes qubit counts or is not prefix-closed raises
-    ValidationError; all before the first sample is drawn.
+    estimate (``peak_bytes`` with the prefixes) is over ``MEMORY_BUDGET``
+    raises SizeLimit; a tolerance pair ``numerical_rank`` would refuse, a
+    sample count that is not an integer of at least 3, a seed that is not
+    a nonnegative integer (``subseed``), or a prefix length that is not an
+    integer in 0..R raises ValidationError; all before the first sample is
+    drawn.
     """
     check_mode(mode)
     if check_int(samples, "samples") < 3:
         raise ValidationError(f"need at least 3 samples, got {samples}")
     _check_tolerances(tolerances)
-    archs = tuple(archs)
-    longest, prefixes = _prefix_lengths(archs)
-    check_budget(consensus_peak_bytes(archs, mode), MEMORY_BUDGET,
-                 f"{mode} on n={longest.n}, R={longest.gate_count} needs")
-    estimates: list[list[RankEstimate]] = [[] for _ in archs]
+    ends = _ends(arch, prefixes)
+    _check_size(arch, mode, ends)
+    estimates: list[list[RankEstimate]] = [[] for _ in ends]
     for i in range(samples):
-        gates = GateAssignment.haar(longest, subseed(seed, i))
-        frame = tangent_frame(longest, gates, mode, prefixes)
-        for row, length in zip(estimates, prefixes):
+        gates = GateAssignment.haar(arch, subseed(seed, i))
+        frame = tangent_frame(arch, gates, mode, ends)
+        for row, length in zip(estimates, ends):
             row.append(numerical_rank(frame.prefix(length), tolerances,
                                       spectrum=spectrum))
-    return tuple(_consensus(arch, mode, seed, tolerances, tuple(row))
-                 for arch, row in zip(archs, estimates))
+    return tuple(_consensus(arch, length, mode, seed, tolerances, tuple(row))
+                 for length, row in zip(ends, estimates))
 
 
-def _consensus(arch: Architecture, mode: str, seed: int,
+def _consensus(arch: Architecture, length: int, mode: str, seed: int,
                tolerances: tuple[float, float],
                estimates: tuple[RankEstimate, ...]) -> RankReport:
-    """The report of ``arch``'s per-sample estimates: their consensus if
-    every one is conclusive and all agree, else the first reason not."""
+    """The report of the per-sample estimates of the prefix of ``arch``
+    that ends after ``length`` gates: their consensus if every one is
+    conclusive and all agree, else the first reason not."""
     reason = None
     for i, e in enumerate(estimates):
         if not e.conclusive:
@@ -1794,9 +1788,9 @@ def _consensus(arch: Architecture, mode: str, seed: int,
         if len(ranks) > 1:
             reason = f"samples disagree: {sorted(r for r in ranks)}"
     consensus = estimates[0].rank if reason is None else None
-    lower, upper, cap = dimension_bounds(arch, mode)
+    lower, upper, cap = dimension_bounds(arch, mode, length)
     return RankReport(
-        n=arch.n, gate_count=arch.gate_count, mode=mode,
+        n=arch.n, gate_count=length, mode=mode,
         samples=len(estimates), seed=seed, tolerances=tolerances,
         estimates=estimates, consensus=consensus,
         inconclusive=reason is not None, inconclusive_reason=reason,
@@ -1814,5 +1808,5 @@ def accessible_dimension(arch: Architecture, mode: str = "unitary",
     Per-sample seeds derive from ``seed`` by counter.  It refuses what
     ``accessible_dimensions`` refuses, before the first sample is drawn.
     """
-    return accessible_dimensions((arch,), mode, samples, seed, tolerances,
+    return accessible_dimensions(arch, mode, samples, seed, tolerances,
                                  spectrum=spectrum)[0]

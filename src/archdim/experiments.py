@@ -13,7 +13,6 @@ import time
 from dataclasses import asdict, astuple, dataclass
 
 from .architecture import (
-    Architecture,
     _adjacent_positions,
     build_family,
     staircase_block_flags,
@@ -30,7 +29,7 @@ from .contraction import (
     tangent_frame,  # noqa: F401
 )
 from .errors import ValidationError, VerdictError, check_int
-from .witness import witness_point, witness_rank
+from .witness import _DirectionSweep, witness_point
 
 # Two-sided 99% normal quantile for the binomial interval.
 _Z_99 = 2.5758293035489004
@@ -112,67 +111,71 @@ def check_ramp(rows: list[SweepRow]) -> None:
         prev = row
 
 
-def sweep_architectures(n: int, family: str, t_max: int,
-                        ) -> list[Architecture]:
-    """The architectures of a growth sweep's rows, ``build_family(family,
-    n, T)`` for T = 1..t_max; in the staircase and brickwork families each
-    one's gates are the first gates of the next one's.  A ``t_max`` that is
-    not a positive integer raises ValidationError."""
-    if check_int(t_max, "t_max") < 1:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
-    return [build_family(family, n, t) for t in range(1, t_max + 1)]
-
-
 def growth_sweep(n: int, family: str, t_max: int, samples: int = 5,
                  seed: int = 0, mode: str = "unitary",
                  tolerances: tuple[float, float] = DEFAULT_TOLERANCES,
                  ) -> list[SweepRow]:
     """One row per slice count T = 1..t_max, ramp shape asserted.
 
-    The rows share their Haar draws (``accessible_dimensions``): sample i
-    draws the gates of the last row, T = t_max, once from seed
-    ``subseed(subseed(seed, t_max), i)``, and row T reads the first R_T of
-    them, bit for bit the draw ``haar`` makes for row T's own architecture
-    from that seed.  So the last row keeps the Haar points a sweep drew for
-    it when every row drew its own (row T from ``subseed(seed, T)``), and
-    the shorter rows moved.  One frame per sample, over the union gauge
-    (gate j keeps the generators that the shortest row holding it keeps),
-    serves every row as a column block.
+    Only the last row, ``build_family(family, n, t_max)``, is built: in the
+    staircase and brickwork families row T is its prefix that ends at its
+    T-th slice boundary, R_T gates, with the first T slices.  Every row is
+    read at those boundaries.
+
+    The rows share their Haar draws (``accessible_dimensions`` with the
+    boundaries as ``prefixes``): sample i draws the last row's gates once
+    from seed ``subseed(subseed(seed, t_max), i)``, and row T reads the
+    first R_T of them, bit for bit the draw ``haar`` makes for row T's own
+    architecture from that seed.  So the last row keeps the Haar points a
+    sweep drew for it when every row drew its own (row T from
+    ``subseed(seed, T)``), and the shorter rows moved.  One frame per
+    sample, over the union gauge (gate j keeps the generators that the
+    shortest row holding it keeps), serves every row as a column block.
 
     The rows share one witness too: ``witness_point`` of the last row,
     built before the first draw, whose first R_T gate circuits are row T's
-    own witness, so row T's witness rank is ``witness_rank`` of them.
+    own witness.  One pass pre-composes each of its gates once under the
+    inverse prefix (``witness._DirectionSweep``) and reads row T's exact
+    witness rank, ``witness_rank`` of those circuits, at R_T.
 
-    The ``ms`` column counts each row's own witness rank; the last row's
-    also counts the shared witness build and the shared consensus run: the
-    draws, the frames and every row's rank decisions.
+    The ``ms`` column counts each row's own stretch of the witness rank
+    pass; the last row's also counts the shared witness build and the
+    shared consensus run: the draws, the frames and every row's rank
+    decisions.
 
     Inconclusive consensus ranks propagate as empty dimension cells; the
     sweep continues and the ramp check skips them.  The witness rank is
-    exact (``witness_rank``), so its cell is never empty.  A last row with
+    exact, so its cell is never empty.  A ``t_max`` that is not a positive
+    integer raises ValidationError before any row is built; a last row with
     more slices than its witness can take raises TooManySlices (in
-    ``witness_point``), a union frame over the memory budget SizeLimit,
-    and a ``t_max`` that is not a positive integer, or a mode, sample count
-    or seed ``accessible_dimensions`` refuses, ValidationError, all before
-    the first Haar sample.
+    ``witness_point``), a union frame over the memory budget SizeLimit, and
+    a family, mode, sample count or seed ``build_family`` or
+    ``accessible_dimensions`` refuses, ValidationError, all before the
+    first Haar sample.
     """
-    archs = sweep_architectures(n, family, t_max)
+    if check_int(t_max, "t_max") < 1:
+        raise ValidationError(f"t_max must be positive, got {t_max}")
+    last = build_family(family, n, t_max)
+    ends = last.slice_boundaries
     started = time.perf_counter()
-    circuits = witness_point(archs[-1], mode).gate_circuits
-    reports = accessible_dimensions(archs, mode, samples, subseed(seed, t_max),
-                                    tolerances)
+    circuits = witness_point(last, mode).gate_circuits
+    reports = accessible_dimensions(last, mode, samples, subseed(seed, t_max),
+                                    tolerances, prefixes=ends)
     shared = time.perf_counter() - started
+    witness = _DirectionSweep(last, mode, count_rank=True)
     rows: list[SweepRow] = []
-    for t, (arch, report) in enumerate(zip(archs, reports), start=1):
+    for t, (start, end, report) in enumerate(
+            zip((0,) + ends, ends, reports), start=1):
         started = time.perf_counter()
-        wrank = witness_rank(arch, circuits[:arch.gate_count], mode)
+        witness.add_gates(start, end, circuits)
+        wrank = witness.rank()
         seconds = time.perf_counter() - started + shared * (t == t_max)
         rows.append(SweepRow(
-            n=n, family=family, t_slices=t, r_gates=arch.gate_count,
-            l_gates=arch.gate_count // t, accessible=report.consensus,
-            witness_rank=wrank, lower=report.lower_bound,
-            upper=report.upper_bound, cap=report.cap, samples=samples,
-            seed=seed, ms=int(round(seconds * 1000))))
+            n=n, family=family, t_slices=t, r_gates=end, l_gates=end // t,
+            accessible=report.consensus, witness_rank=wrank,
+            lower=report.lower_bound, upper=report.upper_bound,
+            cap=report.cap, samples=samples, seed=seed,
+            ms=int(round(seconds * 1000))))
     check_ramp(rows)
     return rows
 

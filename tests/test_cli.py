@@ -481,6 +481,21 @@ def test_validation_never_leaves_partial_output(tmp_path):
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("out, spectra", [
+    ("same.txt", "same.txt"), ("./same.txt", "same.txt")],
+    ids=["one-spelling", "two-spellings"])
+def test_dim_refuses_out_and_spectra_on_one_file(tmp_path, monkeypatch,
+                                                 capsys, out, spectra):
+    # one file cannot hold both the report and the spectra, however the
+    # two paths are spelled: refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    rc = main(["dim", "--family", "staircase", "--n", "2", "--t", "2",
+               "--samples", "3", "--out", out, "--spectra", spectra])
+    assert rc == EXIT_INVALID
+    assert "name one file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("spectra", ["missing/x.csv", "sub"],
                          ids=["missing-directory", "a-directory"])
 def test_a_failed_dim_writes_none_of_its_files(tmp_path, capsys, spectra):

@@ -15,20 +15,19 @@ from archdim import (
     accessible_dimensions,
     brickwork,
     build_family,
-    from_gate_sequence,
     growth_sweep,
     numerical_rank,
     random_adjacent,
     staircase,
     subseed,
-    sweep_architectures,
     tangent_frame,
     witness_point,
     witness_rank,
 )
-from archdim import contraction, experiments
+from archdim import contraction, experiments, witness
 from archdim.architecture import Architecture
-from archdim.contraction import frame_shape, peak_bytes
+from archdim.bounds import gauge_fixed_count
+from archdim.contraction import dimension_bounds, frame_shape, peak_bytes
 from test_contraction import SWEEP_CASES
 
 # prefix chains of the frame tests' shapes
@@ -64,18 +63,15 @@ def test_a_prefix_draws_the_first_gates_of_a_longer_draw(build):
                                   drawn[:arch.gate_count])
 
 
-@pytest.mark.parametrize("archs, match", [
-    ([], "at least one"),
-    ([staircase(3, 1), staircase(4, 1)], "cannot share draws"),
-    ([staircase(3, 2), from_gate_sequence(3, [(2, 3)])],
-     "not the first gates"),
-    ([brickwork(4, 2), staircase(4, 3)], "not the first gates")],
-    ids=["empty", "mixed-n", "not-a-prefix", "other-family"])
-def test_the_consensus_refuses_archs_that_share_no_draws(archs, match,
-                                                          monkeypatch):
+@pytest.mark.parametrize("prefixes, match", [
+    ([-1], "outside"), ([2, 7], "outside"), ([2.0], "prefix length")],
+    ids=["negative", "past-the-end", "not-an-integer"])
+def test_the_consensus_refuses_a_length_that_names_no_prefix(prefixes, match,
+                                                             monkeypatch):
     monkeypatch.setattr(GateAssignment, "haar", _never_drawn)
     with pytest.raises(ValidationError, match=match):
-        accessible_dimensions(archs, "unitary", 3, 1)
+        accessible_dimensions(staircase(3, 3), "unitary", 3, 1,
+                              prefixes=prefixes)
 
 
 def _gram_gap(a, b):
@@ -297,7 +293,7 @@ def test_each_cut_takes_the_first_circuits_of_the_whole_witness(build, mode):
     ("staircase", 3, 5), ("staircase", 2, 6), ("brickwork", 4, 3)])
 def test_each_sweep_row_has_its_own_witness_rank(family, n, t_max, mode):
     rows = growth_sweep(n, family, t_max, 3, 1, mode)
-    archs = sweep_architectures(n, family, t_max)
+    archs = [build_family(family, n, t) for t in range(1, t_max + 1)]
     assert [row.witness_rank for row in rows] == [
         witness_rank(arch, witness_point(arch, mode).gate_circuits, mode)
         for arch in archs]
@@ -306,7 +302,7 @@ def test_each_sweep_row_has_its_own_witness_rank(family, n, t_max, mode):
 def test_the_consensus_of_one_architecture_is_accessible_dimension():
     arch = brickwork(4, 2)
     one = accessible_dimension(arch, "unitary", 3, 6)
-    (alone,) = accessible_dimensions([arch], "unitary", 3, 6)
+    (alone,) = accessible_dimensions(arch, "unitary", 3, 6)
     assert one.to_json_dict() == alone.to_json_dict()
 
 
@@ -315,11 +311,11 @@ def test_the_last_row_keeps_the_draws_of_its_own_consensus():
     # draws for its architecture from the sweep's row seed: its frames
     # differ only by the union's extra columns, and keep their singular
     # values
-    archs = sweep_architectures(2, "staircase", 3)
+    last = staircase(2, 3)
     seed = subseed(4, 3)
-    shared = accessible_dimensions(archs, "unitary", 3, seed,
-                                   spectrum=True)[-1]
-    alone = accessible_dimension(archs[-1], "unitary", 3, seed, spectrum=True)
+    shared = accessible_dimensions(last, "unitary", 3, seed, spectrum=True,
+                                   prefixes=last.slice_boundaries)[-1]
+    alone = accessible_dimension(last, "unitary", 3, seed, spectrum=True)
     assert shared.consensus == alone.consensus == 15
     for got, want in zip(shared.estimates, alone.estimates):
         assert np.abs(got.singular_values - want.singular_values).max() \
@@ -329,9 +325,9 @@ def test_the_last_row_keeps_the_draws_of_its_own_consensus():
 def test_a_sweep_over_budget_refuses_before_its_first_draw(monkeypatch):
     # the budget is checked once, on the union frame, which has more
     # columns than the last row's own
-    archs = sweep_architectures(3, "staircase", 4)
-    union = peak_bytes(archs[-1], "unitary", _lengths(archs))
-    assert union > peak_bytes(archs[-1], "unitary")
+    last = staircase(3, 4)
+    union = peak_bytes(last, "unitary", last.slice_boundaries)
+    assert union > peak_bytes(last, "unitary")
     monkeypatch.setattr(contraction, "MEMORY_BUDGET", union - 1)
     monkeypatch.setattr(GateAssignment, "haar", _never_drawn)
     with pytest.raises(SizeLimit):
@@ -353,8 +349,134 @@ def test_a_union_sweep_stays_under_its_estimate(archs, mode):
     estimate = peak_bytes(archs[-1], mode, _lengths(archs))
     tracemalloc.start()
     try:
-        accessible_dimensions(archs, mode, 3, 11)
+        accessible_dimensions(archs[-1], mode, 3, 11,
+                              prefixes=_lengths(archs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= estimate + _OBJECT_SLACK
+
+
+@pytest.mark.parametrize("build", CHAINS)
+def test_each_prefix_report_is_the_prefix_s_own_consensus(build):
+    # one report per prefix, in gate-count order, with the consensus and
+    # bounds the prefix's own architecture gets at the same seed; the
+    # 31-row random chain compares every sixth row, its last included
+    archs = build()
+    reports = accessible_dimensions(archs[-1], "unitary", 3, 5,
+                                    prefixes=_lengths(archs))
+    assert [r.gate_count for r in reports] == _lengths(archs)
+    step = max(1, len(archs) // 5)
+    for arch, report in list(zip(archs, reports))[::step]:
+        own = accessible_dimension(arch, "unitary", 3, 5)
+        assert report.consensus is not None
+        assert (report.n, report.consensus, report.lower_bound,
+                report.upper_bound, report.cap) \
+            == (own.n, own.consensus, own.lower_bound, own.upper_bound,
+                own.cap)
+
+
+def _counted_builds(monkeypatch):
+    built = []
+    build = experiments.build_family
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(experiments, "build_family", counted)
+    return built
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("family, n, t_max", [
+    ("staircase", 3, 5), ("brickwork", 4, 3)])
+def test_a_sweep_builds_its_last_row_and_composes_each_gate_once(
+        family, n, t_max, mode, monkeypatch):
+    # a work count: one architecture, the last row's, and one witness rank
+    # pass that pre-composes each of its gates once, front to back
+    built, composed = _counted_builds(monkeypatch), []
+    add_gates = witness._DirectionSweep.add_gates
+
+    def counted_add(self, start, stop, circuits):
+        composed.extend(range(start, stop))
+        add_gates(self, start, stop, circuits)
+
+    monkeypatch.setattr(witness._DirectionSweep, "add_gates", counted_add)
+    rows = growth_sweep(n, family, t_max, 3, 1, mode)
+    assert built == [(family, n, t_max)]
+    assert composed == list(range(rows[-1].r_gates))
+
+
+def test_a_sweep_far_past_the_slice_cap_builds_only_its_last_row(
+        monkeypatch):
+    built = _counted_builds(monkeypatch)
+    monkeypatch.setattr(GateAssignment, "haar", _never_drawn)
+    with pytest.raises(TooManySlices, match="at most 63 slices for n=3, "
+                                            "got 5000"):
+        growth_sweep(3, "staircase", 5000, 3, 1)
+    assert built == [("staircase", 3, 5000)]
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("family, n, t_max", [
+    ("staircase", 3, 8), ("staircase", 2, 6), ("brickwork", 4, 3),
+    ("brickwork", 2, 5)])
+def test_a_sweep_row_has_the_bounds_of_its_own_architecture(family, n, t_max,
+                                                            mode):
+    last = build_family(family, n, t_max)
+    for t, end in enumerate(last.slice_boundaries, start=1):
+        assert dimension_bounds(last, mode, end) \
+            == dimension_bounds(build_family(family, n, t), mode)
+    assert dimension_bounds(last, mode, last.gate_count) \
+        == dimension_bounds(last, mode)
+
+
+def test_an_unmarked_prefix_has_the_bounds_of_its_own_architecture():
+    longest = random_adjacent(6, 40, 1)
+    for r in range(10, 41):
+        arch = random_adjacent(6, r, 1)
+        assert arch.gates == longest.gates[:r]
+        assert dimension_bounds(longest, "unitary", r) \
+            == dimension_bounds(arch, "unitary")
+
+
+def test_a_cut_inside_a_slice_counts_only_the_complete_slices():
+    # staircase(3, 2) cut at 3 gates: slice [0, 2) is complete, [2, 4)
+    # is not; the first 3 gates touch 3 qubits, 9 * 3 + 3 * 3 = 36
+    arch = staircase(3, 2)
+    assert [dimension_bounds(arch, "unitary", r) for r in range(5)] \
+        == [(0, 0, 63), (0, 15, 63), (1, 27, 63), (1, 36, 63), (2, 45, 63)]
+    for length in (-1, 5, 2.0):
+        with pytest.raises(ValidationError):
+            dimension_bounds(arch, "unitary", length)
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("build", CHAINS)
+def test_the_budget_floor_never_exceeds_the_estimate(build, mode):
+    # the frame and the whole architecture's block, which peak_bytes
+    # returns early when they alone are over the budget, are within every
+    # full estimate
+    archs = build()
+    rows = frame_shape(archs[-1], mode)[0]
+    for arch in archs:
+        assert peak_bytes(arch, mode) >= 16 * rows * gauge_fixed_count(arch)
+    assert peak_bytes(archs[-1], mode, _lengths(archs)) \
+        >= 16 * rows * gauge_fixed_count(archs[-1])
+
+
+def test_an_over_budget_union_is_refused_before_its_gauge(monkeypatch):
+    # staircase(9, 1000) in unitary mode: 4^9 rows by 9 * 8000 + 27
+    # columns, twice, is over the budget before the 1000-prefix union
+    # gauge is built
+    last = staircase(9, 1000)
+    misses = contraction._gauge.cache_info().misses
+    estimate = peak_bytes(last, "unitary", last.slice_boundaries)
+    assert estimate == 16 * 4 ** 9 * (9 * 8000 + 27) \
+        > contraction.MEMORY_BUDGET
+    assert contraction._gauge.cache_info().misses == misses
+    monkeypatch.setattr(GateAssignment, "haar", _never_drawn)
+    with pytest.raises(SizeLimit, match="281.36 GiB"):
+        growth_sweep(9, "staircase", 1000, 3, 1)
+    assert contraction._gauge.cache_info().misses == misses

@@ -33,7 +33,9 @@ WITNESS = ["witness", "--family", "brickwork", "--n", "4", "--t", "2"]
 # (name, argv): every subcommand, dim with --spectra on a tall and on a
 # wide frame, both witness modes with and without --skip-rank-check, and
 # sweeps in both modes and both families; each command writes files of
-# its own, and one left without --seed reads SEED
+# its own, and one left without --seed reads SEED; the last two are
+# refusals, which write nothing: a sweep past the slice cap and a dim
+# whose two outputs name one file
 COMMANDS: list[tuple[str, list[str]]] = [
     ("arch-gen", ["arch", "gen", "--family", "staircase", "--n", "3",
                   "--t", "2", "--out", "arch.json"]),
@@ -68,6 +70,10 @@ COMMANDS: list[tuple[str, list[str]]] = [
                          "--out", "sweep-brickwork.csv"]),
     ("mc-arch", ["mc-arch", "--n", "4", "--trials", "300", "--seed", "5",
                  "--out", "mc.json"]),
+    ("sweep-over-cap", ["sweep", "--n", "3", "--t-max", "64"]),
+    ("dim-same-file", ["dim", "--family", "staircase", "--n", "2", "--t", "2",
+                       "--samples", "3", "--out", "same.json",
+                       "--spectra", "same.json"]),
 ]
 
 
