@@ -97,7 +97,7 @@ def _stamp(payload: dict, args: argparse.Namespace,
     the config also records the memory budget and that peak estimate of
     the command's frames that the consensus checked against the budget:
     ``peak_bytes`` of the architecture, or of a sweep's last row with its
-    slice boundaries as prefixes."""
+    slice boundaries as prefixes, over the command's samples."""
     config = {key: value for key, value in vars(args).items()
               if key not in ("func", "out", "spectra", "arch_command")}
     if peak is not None:
@@ -177,7 +177,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
     if args.out:
         outputs[args.out] = _json_text(_stamp(
             report.to_json_dict(), args,
-            peak_bytes(arch, args.mode)))
+            peak_bytes(arch, args.mode, samples=args.samples)))
     if args.spectra:
         outputs[args.spectra] = report.spectra_csv()
     _write_atomic(outputs)
@@ -221,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed, mode=args.mode,
         tolerances=(args.tol_loose, args.tol_tight))
     last = build_family(args.family, args.n, args.t_max)
-    peak = peak_bytes(last, args.mode, last.slice_boundaries)
+    peak = peak_bytes(last, args.mode, last.slice_boundaries, args.samples)
     cfg = _stamp({}, args, peak)["config"]
     comment = f"archdim {__version__} config={json.dumps(cfg, sort_keys=True)}"
     text = rows_to_csv(rows, header_comment=comment)

@@ -33,6 +33,12 @@ The prefixes of an architecture share its Haar draws and frames
 with the union of the prefixes' gauge-fixed columns, serves each prefix as
 a column block, since the later gates act on a prefix's columns by one
 orthogonal map.
+
+A consensus takes its Haar samples in batches that fit in
+``_STACK_CHUNK``: one stacked draw (``GateAssignment.haar`` with a list of
+seeds), one transfer build and one sweep serve a batch, each array call
+for every sample at once with one sample's shapes, so that every sample's
+numbers are those of its own frame, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +65,9 @@ MEMORY_BUDGET = 2 * 2 ** 30
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 
 # The state sweep applies a gate to its stack in column chunks of at most
-# this many bytes, so that the allocator reuses the temporaries.
+# this many bytes, so that the allocator reuses the temporaries.  A
+# consensus batch (``_batch``) and a matrix sweep (``_matrix_batch``) hold
+# as many samples as fit in it, and at least one.
 _STACK_CHUNK = 4 * 2 ** 20
 
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
@@ -137,7 +145,8 @@ def frame_shape(arch: Architecture, mode: str,
 
 
 def peak_bytes(arch: Architecture, job: str,
-               prefixes: Sequence[int] | None = None) -> int:
+               prefixes: Sequence[int] | None = None,
+               samples: int = 1) -> int:
     """Upper estimate of the peak bytes of a dense call on ``arch``; ``job``
     is a frame mode, "contract" or "contract_state", and any other job
     raises ValidationError.  A gate applied to an array holds two more of
@@ -188,7 +197,30 @@ def peak_bytes(arch: Architecture, job: str,
     before the sweep's plans are built.  Before that, when the frame and
     the whole architecture's block, 16 bytes per row and gauge-fixed
     column of ``arch``, which every phase above holds, exceed it alone,
-    that floor is returned before the union gauge is built."""
+    that floor is returned before the union gauge is built.
+
+    A frame job counts ``samples`` Haar samples, as a consensus over that
+    many makes their frames (``accessible_dimensions``): in batches of at
+    most ``_batch`` samples, each one stacked frame, so the estimate
+    counts one batch of min(samples, batch).  Each other sample of the
+    batch holds, beside the phases above, at most what ``_batch`` counts
+    for a sample: its gates and transfers, its Gram matrix and its share
+    of the Gram sweep's arena and scratch.  A unitary frame forms the
+    matrices of up to ``_matrix_batch`` of them in one sweep, and each
+    other one's matrix sweep, with its matrix, beside the phases above.
+    A frame over ``_STACK_CHUNK`` goes one sample at a time, and its
+    estimate does not move with ``samples``; the floor and the early
+    return above do not either."""
+    if check_int(samples, "samples") < 1:
+        raise ValidationError(f"need at least 1 sample, got {samples}")
+    return _peak_bytes(arch, job, prefixes, samples, stack=False)
+
+
+def _peak_bytes(arch: Architecture, job: str,
+                prefixes: Sequence[int] | None, samples: int, *,
+                stack: bool) -> int:
+    """``peak_bytes``, or with ``stack`` that of one stacked frame of
+    ``samples`` samples (``tangent_frame``), which holds all of them."""
     vec = 16 * 2 ** arch.n  # one complex state vector
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
@@ -209,7 +241,10 @@ def peak_bytes(arch: Architecture, job: str,
         temps = 2 * min(frame, max(_STACK_CHUNK, vec)) + 36 * vec
         svd = max(copy + max(b, 32 * c * c * (c < rows))
                   for copy, b, c in zip(copies, blocks, counts))
-        return 16384 * arch.gate_count + temps + frame + max(frame, svd)
+        batch, each = _batch(arch, job, ends)
+        batch = samples if stack else min(samples, batch)
+        return 16384 * arch.gate_count + temps + frame + max(frame, svd) \
+            + (batch - 1) * each
     # per tall prefix: its block of the Gram matrix, and that block's copy
     grams = [8 * c * c * (c < rows) for c in counts]
     gram_copies = [g * (c < cols) for g, c in zip(grams, counts)]
@@ -234,7 +269,44 @@ def peak_bytes(arch: Architecture, job: str,
         phases += [transfers + 8 * (pruned.arena + pruned.scratch),
                    transfers + max(copy + 3 * g for copy, g
                                    in zip(gram_copies, grams))]
-    return gram + tables + max(phases)
+    batch, each = _batch(arch, job, ends)
+    batch = samples if stack else min(samples, batch)
+    matrices, matrix_each = _matrix_batch(arch, ends)
+    return gram + tables + max(phases) + (batch - 1) * each \
+        + (min(matrices, batch) - 1) * matrix_each
+
+
+def _batch(arch: Architecture, mode: str,
+           ends: tuple[int, ...]) -> tuple[int, int]:
+    """(samples, bytes a sample) of a consensus batch
+    (``accessible_dimensions``): as many samples as fit in
+    ``_STACK_CHUNK``, at least one.  A sample holds 16 KiB per gate for
+    its gates, their draw and, in unitary mode, its transfers and their
+    build (as ``peak_bytes`` counts them); then its state frame's matrix,
+    or a unitary frame's Gram matrix with the arena and scratch of the
+    Gram plan's sweep (``_tall_head``), if it reads one."""
+    rows = _frame_rows(arch.n, mode)
+    each = 16384 * arch.gate_count
+    if mode == "state":
+        each += 8 * rows * _gauge(arch, ends)[2].shape[0]
+    elif (tall := _tall_head(arch, ends, rows)) is not None:
+        head, head_ends = tall
+        pruned = _plan(head, head_ends, prune=True)
+        each += 8 * (frame_shape(head, "unitary", head_ends)[1] ** 2
+                     + pruned.arena + pruned.scratch)
+    return max(1, _STACK_CHUNK // max(each, 1)), each
+
+
+def _matrix_batch(arch: Architecture,
+                  ends: tuple[int, ...]) -> tuple[int, int]:
+    """(samples, bytes a sample) of one matrix sweep of a stacked unitary
+    frame (``_unitary_frame``): as many samples as fit in ``_STACK_CHUNK``
+    with the matrix plan's arena and scratch and their 4^n x C matrix, at
+    least one."""
+    plan = _plan(arch, ends)
+    rows, width = frame_shape(arch, "unitary", ends)
+    each = 8 * (plan.arena + plan.scratch + rows * width)
+    return max(1, _STACK_CHUNK // max(each, 1)), each
 
 
 def check_budget(est: int, budget: int, needs: str) -> None:
@@ -246,39 +318,52 @@ def check_budget(est: int, budget: int, needs: str) -> None:
 
 
 def _check_size(arch: Architecture, job: str,
-                prefixes: Sequence[int] | None = None) -> None:
-    check_budget(peak_bytes(arch, job, prefixes), MEMORY_BUDGET,
+                prefixes: Sequence[int] | None = None, samples: int = 1, *,
+                stack: bool = False) -> None:
+    check_budget(_peak_bytes(arch, job, prefixes, samples, stack=stack),
+                 MEMORY_BUDGET,
                  f"{job} on n={arch.n}, R={arch.gate_count} needs")
 
 
 @dataclass(frozen=True, eq=False)
 class GateAssignment:
-    """Ordered 4x4 special unitaries filling an architecture's gate slots."""
+    """Ordered 4x4 special unitaries filling an architecture's gate slots,
+    or a stack of such assignments with a leading sample axis."""
 
-    matrices: np.ndarray  # (R, 4, 4) complex
+    matrices: np.ndarray  # (R, 4, 4) or (S, R, 4, 4) complex
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1:] != (4, 4):
-            raise ValidationError(f"expected (R, 4, 4) array, got {mats.shape}")
+        if mats.ndim not in (3, 4) or mats.shape[-2:] != (4, 4):
+            raise ValidationError(
+                f"expected (R, 4, 4) or (S, R, 4, 4) array, got {mats.shape}")
         object.__setattr__(self, "matrices", mats)
-        gram = np.swapaxes(mats, 1, 2).conj() @ mats
+        gram = np.swapaxes(mats, -2, -1).conj() @ mats
         # written as ~(x <= tol) so that a NaN entry fails the check
         with np.errstate(invalid="ignore"):
-            not_unitary = ~(np.abs(gram - np.eye(4)).max(axis=(1, 2)) <= 1e-10)
+            not_unitary = ~(np.abs(gram - np.eye(4)).max(axis=(-2, -1))
+                            <= 1e-10)
             not_special = ~(np.abs(np.linalg.det(mats) - 1.0) <= 1e-10)
-        bad = np.flatnonzero(not_unitary | not_special)
+        bad = np.argwhere(not_unitary | not_special)
         if bad.size:
-            i = int(bad[0])
-            if not_unitary[i]:
-                raise ValidationError(f"gate {i} is not unitary within 1e-10")
-            raise ValidationError(f"gate {i} is not special unitary")
+            *sample, i = bad[0].tolist()
+            where = "".join(f"sample {s} " for s in sample) + f"gate {i}"
+            if not_unitary[tuple(bad[0])]:
+                raise ValidationError(f"{where} is not unitary within 1e-10")
+            raise ValidationError(f"{where} is not special unitary")
 
     def __len__(self) -> int:
-        return self.matrices.shape[0]
+        return self.matrices.shape[-3]
+
+    @property
+    def samples(self) -> int | None:
+        """The length of the sample axis of a stack, None for one
+        assignment."""
+        return len(self.matrices) if self.matrices.ndim == 4 else None
 
     @classmethod
-    def haar(cls, arch: Architecture, seed: int) -> GateAssignment:
+    def haar(cls, arch: Architecture,
+             seed: int | Sequence[int]) -> GateAssignment:
         """Haar-random SU(4) gates, one per slot: QR of complex Ginibre
         matrices with the R-diagonal phases folded into Q, then the
         determinant phased out.  A seed that is not a nonnegative integer
@@ -286,15 +371,24 @@ class GateAssignment:
 
         One draw and one stacked QR serve every gate; each matrix equals,
         bit for bit, what sampling them one at a time from the same
-        generator gives."""
-        z = np.random.default_rng(check_seed(seed)).standard_normal(
-            (arch.gate_count, 2, 4, 4))
-        z = z[:, 0] + 1j * z[:, 1]
+        generator gives.  A sequence of seeds gives their stack, shape
+        (S, R, 4, 4): each seed's generator fills its sample of one
+        Ginibre stack, and one QR and one validation serve them all, so
+        sample i equals ``haar(arch, seeds[i])`` bit for bit.  Every seed
+        is checked before the first draw."""
+        single = isinstance(seed, str) \
+            or not isinstance(seed, (Sequence, np.ndarray))
+        seeds = [check_seed(s) for s in ([seed] if single else seed)]
+        z = np.empty((len(seeds), arch.gate_count, 2, 4, 4))
+        for s, out in zip(seeds, z):
+            np.random.default_rng(s).standard_normal(out=out)
+        z = z[:, :, 0] + 1j * z[:, :, 1]
         z /= np.sqrt(2.0)
         q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        u = q * (d / np.abs(d))[:, None, :]
-        return cls(u / np.linalg.det(u)[:, None, None] ** 0.25)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        u = q * (d / np.abs(d))[..., None, :]
+        u = u / np.linalg.det(u)[..., None, None] ** 0.25
+        return cls(u[0] if single else u)
 
 
 def _require_match(arch: Architecture, gates: GateAssignment) -> None:
@@ -410,6 +504,14 @@ class TangentFrame:
     that the frame serves, the whole one included, to that prefix's own
     columns of ``columns``: a slice or a read-only index array
     (``_gauge``).  ``prefix`` gives each one's frame.
+
+    A stacked frame (``tangent_frame`` of a stacked assignment) holds S
+    samples' frames at once: ``samples`` is S (None for one sample's
+    frame), and ``gram``, ``gram_error`` and ``matrix`` carry a leading
+    sample axis.  ``sample`` gives each sample's frame, which
+    ``numerical_rank`` and ``prefix`` take; a unitary sample forms its
+    matrix with those of the next samples that fit in one matrix sweep
+    (``_unitary_frame``).
     """
 
     mode: str
@@ -418,13 +520,41 @@ class TangentFrame:
     columns: np.ndarray  # (C, 2) int
     _assemble: Callable[[], np.ndarray] = field(repr=False)
     gram: np.ndarray | None = None
-    gram_error: float = 0.0
+    gram_error: float | np.ndarray = 0.0
     prefixes: dict[int, slice | np.ndarray] = field(default_factory=dict,
                                                     repr=False)
+    samples: int | None = None
+    # a stacked frame's matrix of sample i
+    _part: Callable[[int], np.ndarray] | None = field(default=None,
+                                                      repr=False)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         return self._assemble()
+
+    def _one(self, call: str) -> None:
+        if self.samples is not None:
+            raise ValidationError(
+                f"{call} takes one sample's frame, not a stack of "
+                f"{self.samples}: see TangentFrame.sample")
+
+    def sample(self, i: int) -> TangentFrame:
+        """Sample i's frame of a stacked frame, equal bit for bit to the
+        frame of its own assignment: its Gram matrix and bound (none when
+        the bound is not finite, as a non-finite transfer stack makes it)
+        and its matrix, formed on first access.  A frame with no sample
+        axis, or an index outside it, raises ValidationError."""
+        if self.samples is None:
+            raise ValidationError("the frame has no sample axis")
+        if not 0 <= check_int(i, "sample") < self.samples:
+            raise ValidationError(
+                f"sample {i} outside [0, {self.samples - 1}]")
+        gram, error = None, 0.0
+        if self.gram is not None and np.isfinite(self.gram_error[i]):
+            gram, error = self.gram[i], float(self.gram_error[i])
+        return TangentFrame(self.mode, self.n, self.gate_count, self.columns,
+                            functools.partial(self._part, i), gram, error,
+                            self.prefixes)
 
     def prefix(self, length: int) -> TangentFrame:
         """The frame of the prefix of ``length`` gates, at the same gates:
@@ -439,8 +569,9 @@ class TangentFrame:
         it, and ``gram_error`` itself for the whole head.  Its matrix is
         the column block of ``matrix``, read on first access.  Columns that
         run in a slice take views: the whole frame's prefix holds this
-        frame's arrays.  A length the frame does not serve raises
-        ValidationError."""
+        frame's arrays.  A length the frame does not serve, or a stacked
+        frame, raises ValidationError."""
+        self._one("prefix")
         if length not in self.prefixes:
             raise ValidationError(
                 f"the frame serves no prefix of {length} gates")
@@ -478,16 +609,18 @@ class _Spec(NamedTuple):
 
     ``drop`` is None, or the shape over the source's cone and the index
     that keeps the identity letter of each wire the move drops.  ``t``
-    slices t4[P_lo, P_hi, Q_lo, Q_hi] to the identity letter of each of the
-    gate's wires new to the cone.  ``path`` is 0 when the wires sit next to
-    each other in the cone and the source fills the group (one broadcast
-    matmul), 1 when they sit next to each other and it fills a column range
-    (one matmul per outer row block) and 2 when they lie apart (tensordot
-    over the cone positions ``pq``).  ``shape`` is the source's shape for
-    that call and ``out`` the shape of its column range.  ``temps`` counts
-    the entries per source column of the temporaries the transfer makes:
-    the copy of the source's kept slice when it drops a wire, and
-    tensordot's reordered input and output on path 2."""
+    slices t4[s, P_lo, P_hi, Q_lo, Q_hi] to the identity letter of each of
+    the gate's wires new to the cone.  ``path`` is 0 when the wires sit
+    next to each other in the cone and the source fills the group (one
+    broadcast matmul), 1 when they sit next to each other and it fills a
+    column range (one matmul per outer row block) and 2 when they lie apart
+    (tensordot's product over the cone positions ``pq``).  ``shape`` is the
+    source's shape for that call and ``out`` the shape of its column range.
+    The shapes are one sample's, and both indexes take the sample axis
+    first (``_transfer``).  ``temps`` counts the entries per source column
+    of the temporaries the transfer makes: the copy of the source's kept
+    slice when it drops a wire, and tensordot's reordered input and output
+    on path 2."""
 
     drop: tuple | None
     t: tuple[slice, ...]
@@ -942,10 +1075,11 @@ def _spec(old: _Cone, new: _Cone, lo: int, hi: int, whole: bool) -> _Spec:
     # new is old and the wires new to it, less the wires it drops
     if len(new) < len(old) + (lo not in old) + (hi not in old):
         drop = ((4,) * len(old) + (-1,),
-                tuple(slice(None) if w in new else 0 for w in old))
+                (slice(None),) + tuple(slice(None) if w in new else 0
+                                       for w in old))
         old = tuple(w for w in old if w in new)
-    t = (slice(None), slice(None), slice(4 if lo in old else 1),
-         slice(4 if hi in old else 1))
+    t = (slice(None),) * 3 + (slice(4 if lo in old else 1),
+                              slice(4 if hi in old else 1))
     p, q = new.index(lo), new.index(hi)
     pair = (4 if lo in old else 1) * (4 if hi in old else 1)
     if q == p + 1 and whole:
@@ -1077,124 +1211,154 @@ def _cone_index(cone: _Cone, n: int) -> np.ndarray:
 
 def transfer_matrices(gates: GateAssignment) -> np.ndarray:
     """Pauli transfer matrices T_j[P, Q] = tr(P u_j Q u_j^dagger) / 4 over
-    the 16 two-qubit labels, shape (R, 16, 16).  Conjugation by u_j maps
-    label Q to sum_P T_j[P, Q] P, so each T_j is real and orthogonal, with
+    the 16 two-qubit labels, shape (R, 16, 16), or (S, R, 16, 16) for a
+    stack: the leading axes are kept, and one build serves every sample,
+    each equal bit for bit to its own.  Conjugation by u_j maps label Q to
+    sum_P T_j[P, Q] P, so each T_j is real and orthogonal, with
     T_j[0, 0] = 1 and the rest of row and column 0 zero."""
-    mats = gates.matrices
+    mats = gates.matrices.reshape(-1, 4, 4)
     r = len(mats)
     # u_j Q for every gate and label, then u_j Q u_j^dagger
     conj = apply_gate_right(mats.reshape(4 * r, 4), _PAULI_STACK, (1, 2), 2)
     conj = conj.reshape(16, r, 4, 4) @ np.swapaxes(mats, 1, 2).conj()
-    return np.ascontiguousarray(pauli_coefficients(conj, 2).transpose(1, 2, 0))
+    return np.ascontiguousarray(pauli_coefficients(conj, 2).transpose(
+        1, 2, 0)).reshape(gates.matrices.shape[:-2] + (16, 16))
+
+
+def _group(arena: np.ndarray, block: _Block, samples: int) -> np.ndarray:
+    """The group at ``block`` of every sample, (S, rows, width), in its
+    ``arena``: a sweep over S samples lays out each block S times its
+    planned size, one sample after another, so that each sample's group
+    has one sample's layout and blocks that never overlap keep apart."""
+    span = block.span
+    return arena[samples * span.start:samples * span.stop].reshape(
+        samples, -1, block.width)
 
 
 def _transfer(arenas: tuple[np.ndarray, np.ndarray], t4: np.ndarray,
               feed: _Feed, x: np.ndarray) -> None:
-    """Apply a transfer matrix t4[P_lo, P_hi, Q_lo, Q_hi] on the gate's
-    wires to a source group and write it into its column range of the
-    group ``x``, as ``feed`` lays out (``_Feed``).  A wire new to the cone
-    enters with the identity letter, so only that slice of t4 is read; a
-    wire the move drops leaves at its identity letter, so only that slice
-    of the source is read."""
+    """Apply each sample's transfer matrix t4[s, P_lo, P_hi, Q_lo, Q_hi] on
+    the gate's wires to its source group and write it into its column range
+    of the group ``x`` (S, rows, width), as ``feed`` lays out (``_Feed``).
+    A wire new to the cone enters with the identity letter, so only that
+    slice of t4 is read; a wire the move drops leaves at its identity
+    letter, so only that slice of the source is read.  One call serves
+    every sample, and each sample's product has one sample's shape."""
     spec = feed.spec
-    src = arenas[feed.source.arena][feed.source.span]
+    s = len(x)
+    src = _group(arenas[feed.source.arena], feed.source, s)
     if spec.drop is not None:
-        src = src.reshape(spec.drop[0])[spec.drop[1]]
-    t = t4[spec.t]
-    out = x[:, feed.cut].reshape(spec.out)
+        src = src.reshape((s,) + spec.drop[0])[spec.drop[1]]
+    src = src.reshape((s,) + spec.shape)
+    out = x[:, :, feed.cut].reshape((s,) + spec.out)
     if spec.path == 0:  # adjacent in the cone: one broadcast matmul
-        np.matmul(t.reshape(16, -1), src.reshape(spec.shape), out=out)
+        np.matmul(t4[spec.t].reshape(s, 1, 16, -1), src, out=out)
     elif spec.path == 1:  # into a column range: a matmul per outer block
-        np.matmul(t.reshape(16, -1), src.reshape(spec.shape).swapaxes(1, 2),
-                  out=out.swapaxes(1, 2))
-    else:
-        np.copyto(out, np.moveaxis(np.tensordot(
-            t, src.reshape(spec.shape), axes=([2, 3], spec.pq)),
-            (0, 1), spec.pq))
+        np.matmul(t4[spec.t].reshape(s, 1, 1, 16, -1), src.swapaxes(2, 3),
+                  out=out.swapaxes(2, 3))
+    else:  # tensordot's product: the pair's axes lead the source's
+        p, q = spec.pq
+        src = np.moveaxis(src, (p + 1, q + 1), (1, 2))
+        rest = src.shape[3:]
+        t = t4[spec.t].reshape(s, 16, -1)
+        prod = t @ src.reshape(s, t.shape[2], -1)
+        np.copyto(out, np.moveaxis(prod.reshape((s, 4, 4) + rest), (1, 2),
+                                   (p + 1, q + 1)))
 
 
 def _sweep(transfers: np.ndarray, plan: _FramePlan,
            gram: np.ndarray | None) -> np.ndarray:
-    """Run ``plan``'s sweep and return the arena's head, which holds the
-    groups the matrix plan ends with (``_assemble`` reads them).  A Gram
-    plan's sweep writes into ``gram`` (all zero) one entry of each pair of
+    """Run ``plan``'s sweep over the S samples of ``transfers``
+    (S, R, 16, 16) and return the arena's head, which holds the groups the
+    matrix plan ends with (``_assemble`` reads them).  A Gram plan's sweep
+    writes into ``gram`` (S x C x C, all zero) one entry of each pair of
     columns a read or join takes, the one whose row is the later gate's,
-    wherever the plan has read tables; ``_gram_read`` closes the matrix.
+    wherever the plan has read tables; ``_gram_read`` closes the matrices.
     The matrix plan has none and takes ``gram`` None.
 
-    The plan's arena is made by one ``np.empty`` for the rest, which is
-    gone when the sweep returns, and then one for its head.  Made second,
-    the head tends to sit just above the rest in a heap, so once the matrix
-    is formed from it and it is freed, the two free blocks join into one
-    that takes the SVD's copy of the matrix.  Every group a gate writes is
-    a view of its planned block, and the sweep runs only array calls from
-    the plan's tables: each source group's transfer writes straight into
-    its column range (``_transfer``), and the group over the gate's wires
-    takes the gate's born columns in its tail: the kept columns of I
-    forward, of T_j^T backward.  A forward read copies the group's rows of
-    the gate's kept labels; a backward one takes the product of the born
-    columns with the group's rows of all 16 labels, and a join the product
-    of each joined pair's rows of their meet, each written transposed.  A
-    row selection is a slice where the plan found one."""
-    rest, head = np.empty(plan.arena - plan.held), np.empty(plan.held)
+    Each array call serves every sample, and each sample's product keeps
+    the shape of a one-sample sweep's, so each sample's numbers are
+    those of its own sweep, bit for bit.  Each block of the plan's arena
+    holds its group of every sample (``_group``).  The arena is made by
+    one ``np.empty`` for the rest, which is gone when the sweep returns,
+    and then one for its head.  Made second, the head tends to sit just
+    above the rest in a heap, so once the matrix is formed from it and it
+    is freed, the two free blocks join into one that takes the SVD's copy
+    of the matrix.  Every group a gate writes is a view of its planned
+    block, and the sweep runs only array calls from the plan's tables:
+    each source group's transfer writes straight into its column range
+    (``_transfer``), and the group over the gate's wires takes the gate's
+    born columns in its tail: the kept columns of I forward, of T_j^T
+    backward.  A forward read copies the group's rows of the gate's kept
+    labels; a backward one takes the product of the born columns with the
+    group's rows of all 16 labels, and a join the product of each joined
+    pair's rows of their meet, each written transposed.  A row selection
+    is a slice where the plan found one."""
+    s = len(transfers)
+    rest = np.empty(s * (plan.arena - plan.held))
+    head = np.empty(s * plan.held)
     arenas = rest, head
+    every = (slice(None),)
     for gate, step in zip(plan.gates, plan.steps):
-        t4 = transfers[gate.j]
-        t4 = (t4.T if gate.backward else t4).reshape(4, 4, 4, 4)
+        t4 = transfers[:, gate.j]
+        t4 = (t4.swapaxes(1, 2) if gate.backward else t4) \
+            .reshape(s, 4, 4, 4, 4)
         if gate.swap:  # the lower wire leads, as in the plan's labels
-            t4 = t4.transpose(1, 0, 3, 2)
-        born = t4.reshape(16, 16)[:, gate.labels] if gate.backward \
+            t4 = t4.transpose(0, 2, 1, 4, 3)
+        born = t4.reshape(s, 16, 16)[:, :, gate.labels] if gate.backward \
             else gate.born
         for move in step:
-            block = move.block
-            x = arenas[block.arena][block.span].reshape(-1, block.width)
+            x = _group(arenas[move.block.arena], move.block, s)
             for feed in move.feeds:
                 _transfer(arenas, t4, feed, x)
-            if move.at < block.width:  # the gate's own group
-                x[:, move.at:] = born
+            if move.at < move.block.width:  # the gate's own group
+                x[:, :, move.at:] = born
             if move.pairs is not None:
+                rows = x[:, move.read, :move.at]
                 if gate.backward:
-                    gram[move.pairs] = (born.T @ x[move.read, :move.at]).T
-                else:
-                    gram[move.pairs] = x[move.read, :move.at]
+                    rows = (born.swapaxes(1, 2) @ rows).swapaxes(1, 2)
+                gram[every + move.pairs] = rows
     for join in plan.joins:
         ahead, behind = join.ahead, join.behind
-        xf = arenas[ahead.arena][ahead.span].reshape(-1, ahead.width)
-        xb = arenas[behind.arena][behind.span].reshape(-1, behind.width)
-        gram[join.pairs] = (xf[join.ahead_rows].T @ xb[join.behind_rows]).T
+        xf = _group(arenas[ahead.arena], ahead, s)[:, join.ahead_rows]
+        xb = _group(arenas[behind.arena], behind, s)[:, join.behind_rows]
+        gram[every + join.pairs] = (xf.swapaxes(1, 2) @ xb).swapaxes(1, 2)
     return head
 
 
 def _gram_read(transfers: np.ndarray, plan: _FramePlan) -> np.ndarray:
-    """The Gram matrix the Gram plan ``plan``'s sweep reads
-    (``_unitary_frame``), C x C for the C kept labels of its gates.  The
-    sweep writes one entry of each pair of columns it reads, and the other
-    entry stays an exact 0 (a pair no read or join takes, or of one gate's
-    columns, is 0).  Once its arena is released, one symmetrisation fills
-    the other entries and the diagonal takes 1, a born unit vector against
-    itself."""
+    """The Gram matrices the Gram plan ``plan``'s sweep reads
+    (``_unitary_frame``), S x C x C for the S samples of ``transfers`` and
+    the C kept labels of its gates.  The sweep writes one entry of each
+    pair of columns it reads, and the other entry stays an exact 0 (a pair
+    no read or join takes, or of one gate's columns, is 0).  Once its
+    arena is released, one symmetrisation per sample fills the other
+    entries, with one C x C temporary, and the diagonals take 1, a born
+    unit vector against itself."""
     width = sum(gate.labels.size for gate in plan.gates)
-    gram = np.zeros((width, width))
+    gram = np.zeros((len(transfers), width, width))
     _sweep(transfers, plan, gram)
-    gram += gram.T
-    np.fill_diagonal(gram, 1.0)
+    for one in gram:
+        one += one.T
+    gram.reshape(len(gram), width * width)[:, ::width + 1] = 1.0
     return gram
 
 
 def _assemble(n: int, width: int, plan: _FramePlan,
-              head: np.ndarray) -> np.ndarray:
-    """The 4^n x C frame, C = ``width``, from the head of the matrix plan's
-    sweep's arena, which holds the plan's final groups."""
+              head: np.ndarray, samples: int) -> np.ndarray:
+    """The S x 4^n x C frames, S = ``samples`` and C = ``width``, from the
+    head of the matrix plan's sweep's arena, which holds the plan's final
+    groups."""
     # one row per column: each group is written as one transposed block
-    out = np.empty((width, 4 ** n))
+    out = np.empty((samples, width, 4 ** n))
     for cone, block, cols in plan.final:
-        x = head[block.span].reshape(-1, block.width)
+        x = _group(head, block, samples).swapaxes(1, 2)
         if len(cone) == n:
-            out[cols] = x.T
+            out[:, cols] = x
         else:
-            out[cols] = 0.0
-            out[np.ix_(cols, _cone_index(cone, n))] = x.T
-    return out.T
+            out[:, cols] = 0.0
+            out[:, cols[:, None], _cone_index(cone, n)] = x
+    return out.swapaxes(1, 2)
 
 
 # One head per frame shape: its plans are cached by it.
@@ -1275,30 +1439,53 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     transfer stack (2 KiB per gate), and the first read of its ``matrix``
     fetches the matrix plan, runs its sweep and assembles the matrix from
     its last groups.
+
+    The frame is stacked, over the samples of a stacked assignment or a
+    stack of one: one transfer build, one Gram sweep and one bound per
+    sample serve them all, and ``TangentFrame.sample`` gives each
+    sample's frame.  The first read of a sample's matrix runs one matrix
+    sweep for it and the next samples, as many as ``_matrix_batch``
+    allows, and keeps their matrices until another sample's is read.
     """
     rows, width = frame_shape(arch, "unitary", ends)
     _, _, record, own = _gauge(arch, ends)
-    transfers = transfer_matrices(gates)
-    defect = np.swapaxes(transfers, 1, 2) @ transfers - np.eye(16)
-    tau = np.sqrt((defect * defect).sum(axis=(1, 2)).max(initial=0.0))
-    gram, gram_error = None, 0.0
+    s = gates.samples or 1
+    transfers = transfer_matrices(gates).reshape(
+        (s, arch.gate_count, 16, 16))
+    defect = np.swapaxes(transfers, 2, 3) @ transfers - np.eye(16)
+    taus = np.sqrt((defect * defect).sum(axis=(2, 3)).max(axis=1,
+                                                          initial=0.0))
+    gram, gram_error = None, np.zeros(s)
     tall = _tall_head(arch, ends, rows)
-    if tall is not None and np.isfinite(tau):
+    if tall is not None and np.isfinite(taus).any():
         head, head_ends = tall
         pruned = _plan(head, head_ends, prune=True)
         eps = np.finfo(np.float64).eps
         meet = max((4 ** len(join.meet) for join in pruned.joins), default=0)
+        join = np.log1p(meet * eps / (1 - meet * eps))
         gram = _gram_read(transfers, pruned)
-        gram_error = gram.shape[0] * float(np.expm1(
-            head.gate_count * np.log1p(tau + 256 * eps)
-            + np.log1p(meet * eps / (1 - meet * eps))))
+        gram_error = np.array([gram.shape[-1] * float(np.expm1(
+            head.gate_count * np.log1p(tau + 256 * eps) + join))
+            for tau in taus])
 
-    def assemble() -> np.ndarray:
+    def assemble(lo: int, hi: int) -> np.ndarray:
         plan = _plan(arch, ends)
-        return _assemble(arch.n, width, plan, _sweep(transfers, plan, None))
+        head = _sweep(transfers[lo:hi], plan, None)
+        return _assemble(arch.n, width, plan, head, hi - lo)
+
+    formed: dict[int, np.ndarray] = {}  # the last matrix sweep's samples
+
+    def part(i: int) -> np.ndarray:
+        if i not in formed:
+            formed.clear()  # freed once their samples' frames are gone
+            batch = _matrix_batch(arch, ends)[0]
+            lo = i - i % batch
+            formed.update(enumerate(assemble(lo, min(lo + batch, s)), lo))
+        return formed[i]
 
     return TangentFrame("unitary", arch.n, arch.gate_count, record,
-                        assemble, gram, gram_error, dict(zip(ends, own)))
+                        lambda: assemble(0, s), gram, gram_error,
+                        dict(zip(ends, own)), s, part)
 
 
 def tangent_frame(arch: Architecture, gates: GateAssignment,
@@ -1355,33 +1542,57 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     Gram matrix when some prefix has fewer columns than rows.  Without
     ``prefixes`` it is the frame of ``arch`` alone.  Either way,
     ``TangentFrame.prefixes`` holds each prefix's own columns.
+
+    A stacked assignment (``GateAssignment.haar`` with a sequence of
+    seeds) gives one stacked frame, whose ``TangentFrame.sample`` i is,
+    bit for bit, the frame of sample i's own assignment.  In unitary mode
+    one transfer build, one Gram sweep and one matrix sweep per
+    ``_matrix_batch`` samples serve the stack, each array call for every
+    sample at once; state mode builds the samples' frames one after
+    another.  One assignment gives its own frame, a stack of one's sample.
+    The size check (``peak_bytes``) covers the stacks
+    ``accessible_dimensions`` makes (``_batch``).
     """
     check_mode(mode)
     ends = _ends(arch, prefixes)
-    _check_size(arch, mode, ends)
+    _check_size(arch, mode, ends, gates.samples or 1, stack=True)
     _require_match(arch, gates)
-    if mode == "unitary":
-        return _unitary_frame(arch, gates, ends)
+    build = _unitary_frame if mode == "unitary" else _state_frame
+    frame = build(arch, gates, ends)
+    return frame if gates.samples is not None else frame.sample(0)
+
+
+def _state_frame(arch: Architecture, gates: GateAssignment,
+                 ends: tuple[int, ...]) -> TangentFrame:
+    """The stacked state frame (``tangent_frame``), one sample at a time,
+    since a gate stack applies to one target only (``apply_gate_left``):
+    one complex vector stack serves the samples in turn, and their
+    matrices fill one array."""
     kept_all, _, record, own = _gauge(arch, ends)
     n = arch.n
     dim = 2 ** n
+    mats = gates.matrices.reshape(
+        (gates.samples or 1, arch.gate_count, 4, 4))
     stack = np.empty((dim, record.shape[0]), dtype=complex)
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    filled = 0
+    matrix = np.empty((len(mats), 2 * dim, record.shape[0]))
     chunk = max(1, _STACK_CHUNK // (16 * dim))
-    for wires, u, kept in zip(arch.gates, gates.matrices, kept_all):
-        for lo in range(0, filled, chunk):
-            part = stack[:, lo:min(lo + chunk, filled)]
-            part[...] = apply_gate_left(part, u, wires, n)
-        psi = apply_gate_left(psi, u, wires, n)
-        block = slice(filled, filled + kept.size)
-        stack[:, block] = apply_gate_left(psi, 1j * _GENERATOR_STACK[kept],
-                                          wires, n).T
-        filled = block.stop
-    matrix = np.concatenate([stack.real, stack.imag])
-    return TangentFrame(mode, n, arch.gate_count, record, lambda: matrix,
-                        prefixes=dict(zip(ends, own)))
+    for sample, out in zip(mats, matrix):
+        psi = np.zeros(dim, dtype=complex)
+        psi[0] = 1.0
+        filled = 0
+        for wires, u, kept in zip(arch.gates, sample, kept_all):
+            for lo in range(0, filled, chunk):
+                part = stack[:, lo:min(lo + chunk, filled)]
+                part[...] = apply_gate_left(part, u, wires, n)
+            psi = apply_gate_left(psi, u, wires, n)
+            block = slice(filled, filled + kept.size)
+            stack[:, block] = apply_gate_left(
+                psi, 1j * _GENERATOR_STACK[kept], wires, n).T
+            filled = block.stop
+        np.concatenate([stack.real, stack.imag], out=out)
+    return TangentFrame("state", n, arch.gate_count, record, lambda: matrix,
+                        prefixes=dict(zip(ends, own)), samples=len(mats),
+                        _part=matrix.__getitem__)
 
 
 # -- numerical rank ------------------------------------------------------------
@@ -1585,10 +1796,12 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     An empty or all-zero matrix has rank 0 by convention.  A matrix holding
     NaN or inf raises ``LinAlgError``; a frame with a Gram matrix is finite
     by construction (see ``tangent_frame``).  The tolerances must satisfy
-    eps <= tight <= loose < 1.
+    eps <= tight <= loose < 1.  A stacked frame raises ValidationError:
+    each of its samples (``TangentFrame.sample``) takes its own rank.
     """
     loose, tight = _check_tolerances(tol_pair)
     if isinstance(frame, TangentFrame):
+        frame._one("numerical_rank")
         gram, est = frame.gram, None
         if gram is not None and gram.size \
                 and gram.shape[0] == frame.columns.shape[0]:
@@ -1744,6 +1957,14 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     failed certificate first reads it.  Each report carries its prefix's
     gate count and bounds (``dimension_bounds``).
 
+    The samples go in batches of ``_batch`` samples, as many as fit in
+    ``_STACK_CHUNK`` and at least one: one ``haar`` call draws a batch's
+    stack and one ``tangent_frame`` call makes its stacked frame, whose
+    samples (``TangentFrame.sample``) then take their ranks in order.
+    The batch is dropped before the next one is drawn, so a frame over
+    the chunk goes one sample at a time.  Every estimate is the one a
+    sample's own frame gives, bit for bit.
+
     For each prefix all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged
     away.  ``spectrum`` asks ``numerical_rank`` for every sample's singular
@@ -1760,14 +1981,19 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
         raise ValidationError(f"need at least 3 samples, got {samples}")
     _check_tolerances(tolerances)
     ends = _ends(arch, prefixes)
-    _check_size(arch, mode, ends)
+    _check_size(arch, mode, ends, samples)
     estimates: list[list[RankEstimate]] = [[] for _ in ends]
-    for i in range(samples):
-        gates = GateAssignment.haar(arch, subseed(seed, i))
-        frame = tangent_frame(arch, gates, mode, ends)
-        for row, length in zip(estimates, ends):
-            row.append(numerical_rank(frame.prefix(length), tolerances,
-                                      spectrum=spectrum))
+    batch = _batch(arch, mode, ends)[0]
+    for lo in range(0, samples, batch):
+        seeds = [subseed(seed, i) for i in range(lo, min(lo + batch, samples))]
+        stack = tangent_frame(arch, GateAssignment.haar(arch, seeds), mode,
+                              ends)
+        for i in range(len(seeds)):
+            frame = stack.sample(i)
+            for row, length in zip(estimates, ends):
+                row.append(numerical_rank(frame.prefix(length), tolerances,
+                                          spectrum=spectrum))
+        del stack, frame  # before the next batch is drawn
     return tuple(_consensus(arch, length, mode, seed, tolerances, tuple(row))
                  for length, row in zip(ends, estimates))
 

@@ -320,10 +320,12 @@ def test_dim_and_sweep_record_the_memory_budget(tmp_path):
     assert set(sweep_config) == ({"command", "family", "n", "t_max"}
                                  | RANK_KEYS | MEMORY_KEYS)
     # the sweep's estimate is that of the union frame its rows share,
-    # over the last row's gates with every row's prefix length
-    for cfg, want in ((config, peak_bytes(brickwork(4, 4), "unitary")),
+    # over the last row's gates with every row's prefix length; both are
+    # estimates over the runs' three samples
+    for cfg, want in ((config, peak_bytes(brickwork(4, 4), "unitary",
+                                          samples=3)),
                       (sweep_config, peak_bytes(staircase(3, 3), "state",
-                                                [2, 4, 6]))):
+                                                [2, 4, 6], 3))):
         assert cfg["memory_budget_bytes"] == MEMORY_BUDGET
         assert cfg["peak_estimate_bytes"] == want
         assert 0 < cfg["peak_estimate_bytes"] < MEMORY_BUDGET

@@ -363,25 +363,32 @@ def test_forward_sweep_estimate_within_the_suffix_sweeps():
             == admitted, (n, t, mode)
 
 
-@pytest.mark.parametrize("arch", [
-    staircase(7, 1), staircase(6, 3), brickwork(6, 1), staircase(9, 1),
-    staircase(6, 12), brickwork(6, 6), random_adjacent(6, 40, 1),
-    from_gate_sequence(6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4),
-                           (5, 6)] * 3),
+PEAK_CASES = [
+    pytest.param(staircase(7, 1), id="staircase7x1"),
+    pytest.param(staircase(6, 3), id="staircase6x3"),
+    pytest.param(brickwork(6, 1), id="brickwork6x1"),
+    pytest.param(staircase(9, 1), id="staircase9x1"),
+    pytest.param(staircase(6, 12), id="staircase6x12"),
+    pytest.param(brickwork(6, 6), id="brickwork6x6"),
+    pytest.param(random_adjacent(6, 40, 1), id="random6x40"),
+    pytest.param(from_gate_sequence(6, [(1, 6), (2, 5), (3, 4), (6, 1),
+                                        (1, 3), (2, 4), (5, 6)] * 3),
+                 id="sequence6x21"),
     # C = 735 of 1024 rows: the Gram certificate's C x C arrays beside the
     # groups outweigh the frame twice
-    staircase(5, 20),
+    pytest.param(staircase(5, 20), id="staircase5x20"),
     # C = 282 of 256 rows: the wide certificate's row Gram matrix and its
     # three arrays beside the frame outweigh the frame twice
-    staircase(4, 10),
+    pytest.param(staircase(4, 10), id="staircase4x10"),
     # state frames only, up to n = 14; one distant gate's new directions
     # outweigh its 15-column stack
-    staircase(12, 2), staircase(13, 1), staircase(14, 1),
-    from_gate_sequence(14, [(1, 14)])],
-    ids=["staircase7x1", "staircase6x3", "brickwork6x1", "staircase9x1",
-         "staircase6x12", "brickwork6x6", "random6x40", "sequence6x21",
-         "staircase5x20", "staircase4x10", "staircase12x2", "staircase13x1",
-         "staircase14x1", "sequence14x1"])
+    pytest.param(staircase(12, 2), id="staircase12x2"),
+    pytest.param(staircase(13, 1), id="staircase13x1"),
+    pytest.param(staircase(14, 1), id="staircase14x1"),
+    pytest.param(from_gate_sequence(14, [(1, 14)]), id="sequence14x1")]
+
+
+@pytest.mark.parametrize("arch", PEAK_CASES)
 def test_peak_estimate_bounds_the_traced_peak(arch):
     gates = GateAssignment.haar(arch, 3)
     calls = {
@@ -882,22 +889,24 @@ def test_each_transfer_allocates_what_its_spec_prices(build, prune):
     # a plan's scratch counts each transfer's temporaries from its _Spec:
     # tracemalloc's peak over one _transfer call stays within temps
     # entries per source column, with 8 KiB for the views and a copy of
-    # the 16 x 16 transfer matrix's slice
+    # the 16 x 16 transfer matrix's slice; a sweep of one sample
     arch = build()
     plan = contraction._frame_plan(arch, prune=prune)
-    transfers = transfer_matrices(GateAssignment.haar(arch, 27))
+    transfers = transfer_matrices(GateAssignment.haar(arch, [27]))
     arenas = np.zeros(plan.arena - plan.held), np.zeros(plan.held)
     tracemalloc.start()
     try:
         for gate, step in zip(plan.gates, plan.steps):
             # the transfer matrix as _sweep lays it out
-            t4 = transfers[gate.j]
-            t4 = (t4.T if gate.backward else t4).reshape(4, 4, 4, 4)
+            t4 = transfers[:, gate.j]
+            t4 = (t4.swapaxes(1, 2) if gate.backward else t4) \
+                .reshape(1, 4, 4, 4, 4)
             if gate.swap:
-                t4 = t4.transpose(1, 0, 3, 2)
+                t4 = t4.transpose(0, 2, 1, 4, 3)
             for move in step:
                 block = move.block
-                x = arenas[block.arena][block.span].reshape(-1, block.width)
+                x = arenas[block.arena][block.span].reshape(
+                    1, -1, block.width)
                 for feed in move.feeds:
                     tracemalloc.reset_peak()
                     before = tracemalloc.get_traced_memory()[0]
@@ -1099,8 +1108,8 @@ def test_split_gram_matches_the_dense_reference(build):
         splits = {0, 1, end // 2, end - 1, end,
                   contraction._frame_plan(arch, prune=True).split}
     for split in splits:
-        gram = contraction._gram_read(transfers, contraction._frame_plan(
-            arch, prune=True, split=split))
+        plan = contraction._frame_plan(arch, prune=True, split=split)
+        gram, = contraction._gram_read(transfers[None], plan)
         ref = split_gram(arch, transfers, kept, split)
         assert np.abs(gram - ref).max(initial=0.0) < 1e-13
         # one symmetrisation fills the entries the sweep leaves
@@ -1222,11 +1231,13 @@ def test_a_failed_certificate_forms_the_matrix_by_one_unpruned_sweep(
         monkeypatch):
     # random_adjacent(5, 12, 4) is tall and rank-deficient: every sample's
     # certificate fails on its pruned frame, and the SVD reads the matrix
-    # that one unpruned sweep forms
+    # that one unpruned sweep forms; the three samples are one batch, so
+    # one pruned sweep reads their Gram matrices and one unpruned sweep
+    # forms their matrices
     arch = random_adjacent(5, 12, 4)
     swept = _count_sweeps(monkeypatch, arch)
     report = accessible_dimension(arch, "unitary", 3, 5)
-    assert swept == [True, False] * 3
+    assert swept == [True, False]
     monkeypatch.undo()
     for i, est in enumerate(report.estimates):
         gates = GateAssignment.haar(arch, subseed(5, i))
@@ -1742,8 +1753,9 @@ def test_a_refused_tolerance_pair_builds_no_frame(tolerances, monkeypatch):
     with pytest.raises(ValidationError) as direct:
         numerical_rank(np.eye(2), tolerances)
     assert str(info.value) == str(direct.value)
+    # one stacked frame serves the batch of three samples
     accessible_dimension(staircase(3, 1), "unitary", 3, 0)
-    assert len(built) == 3
+    assert len(built) == 1
 
 
 def test_accessible_dimension_sample_constancy():

@@ -147,9 +147,9 @@ def test_a_sweep_past_the_slice_cap_refuses_before_its_first_draw(
     drawn = []
     haar = GateAssignment.haar
 
-    def counted(arch, seed):
-        drawn.append(seed)
-        return haar(arch, seed)
+    def counted(arch, seeds):
+        drawn.extend(seeds)
+        return haar(arch, seeds)
 
     monkeypatch.setattr(GateAssignment, "haar", counted)
     with pytest.raises(TooManySlices, match="below 7 for n=2, got 15"):
@@ -209,19 +209,20 @@ def test_a_union_keeps_what_the_shortest_prefix_holding_a_gate_keeps():
 
 @pytest.mark.parametrize("mode", ["unitary", "state"])
 def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
-    # a work count: one Haar draw of the last row's gates and one frame per
-    # sample, and one rank decision per row and sample; the draws are the
-    # ones the last row made when every row drew its own
+    # a work count: one Haar draw of the last row's gates per sample, and
+    # one rank decision per row and sample; the four samples are one
+    # batch, drawn by one haar call and framed by one stacked frame; the
+    # draws are the ones the last row made when every row drew its own
     drawn, frames, ranks = [], [], []
     haar = GateAssignment.haar
     frame, rank = contraction.tangent_frame, contraction.numerical_rank
 
-    def counted_haar(arch, seed):
-        drawn.append((arch.gate_count, seed))
-        return haar(arch, seed)
+    def counted_haar(arch, seeds):
+        drawn.append((arch.gate_count, list(seeds)))
+        return haar(arch, seeds)
 
     def counted_frame(*args, **kwargs):
-        frames.append(args[0].gate_count)
+        frames.append((args[0].gate_count, args[1].samples))
         return frame(*args, **kwargs)
 
     def counted_rank(*args, **kwargs):
@@ -234,9 +235,9 @@ def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
     samples, t_max, seed = 4, 5, 9
     rows = growth_sweep(3, "staircase", t_max, samples, seed, mode)
     assert len(rows) == t_max
-    assert drawn == [(2 * t_max, subseed(subseed(seed, t_max), i))
-                     for i in range(samples)]
-    assert frames == [2 * t_max] * samples
+    assert drawn == [(2 * t_max, [subseed(subseed(seed, t_max), i)
+                                  for i in range(samples)])]
+    assert frames == [(2 * t_max, samples)]
     assert ranks == [2 * t for t in range(1, t_max + 1)] * samples
 
 
@@ -250,9 +251,9 @@ def test_a_sweep_builds_one_witness(monkeypatch):
         built.append((arch.gate_count, len(drawn)))
         return witness_point(arch, mode)
 
-    def counted_haar(arch, seed):
-        drawn.append(seed)
-        return haar(arch, seed)
+    def counted_haar(arch, seeds):
+        drawn.extend(seeds)
+        return haar(arch, seeds)
 
     monkeypatch.setattr(experiments, "witness_point", counted_witness)
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
@@ -334,22 +335,36 @@ def test_a_sweep_over_budget_refuses_before_its_first_draw(monkeypatch):
         growth_sweep(3, "staircase", 4, 3, 1)
 
 
-@pytest.mark.parametrize("archs, mode", [
-    ([staircase(3, t) for t in range(1, 9)], "unitary"),
+UNION_SWEEPS = [
+    pytest.param([staircase(3, t) for t in range(1, 9)], "unitary",
+                 id="staircase-3-1..8-unitary"),
     # rows 1..9 are tall, row 10 barely wide (282 of 256 rows): the head's
     # Gram matrix is held while row 10 takes its wide certificate
-    ([staircase(4, t) for t in range(1, 11)], "unitary"),
-    ([staircase(5, t) for t in range(1, 4)], "state")],
-    ids=["staircase-3-1..8-unitary", "staircase-4-1..10-unitary",
-         "staircase-5-1..3-state"])
+    pytest.param([staircase(4, t) for t in range(1, 11)], "unitary",
+                 id="staircase-4-1..10-unitary"),
+    pytest.param([staircase(5, t) for t in range(1, 4)], "state",
+                 id="staircase-5-1..3-state")]
+
+
+@pytest.mark.parametrize("archs, mode", UNION_SWEEPS)
 def test_a_union_sweep_stays_under_its_estimate(archs, mode):
+    _assert_union_sweep_under_its_estimate(archs, mode, 3)
+
+
+@pytest.mark.parametrize("archs, mode", UNION_SWEEPS)
+def test_a_union_sweep_of_50_samples_stays_under_its_estimate(archs, mode):
+    # the estimate counts one batch of the 50 samples, at most all of them
+    _assert_union_sweep_under_its_estimate(archs, mode, 50)
+
+
+def _assert_union_sweep_under_its_estimate(archs, mode, samples):
     # a first small consensus sets up numpy's own state, which a fresh
     # process makes on its first rank call; the traced shape stays cold
     accessible_dimension(staircase(2, 1), mode, 3, 1)
-    estimate = peak_bytes(archs[-1], mode, _lengths(archs))
+    estimate = peak_bytes(archs[-1], mode, _lengths(archs), samples)
     tracemalloc.start()
     try:
-        accessible_dimensions(archs[-1], mode, 3, 11,
+        accessible_dimensions(archs[-1], mode, samples, 11,
                               prefixes=_lengths(archs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,0 +1,318 @@
+"""The samples of a Haar consensus go in batches with a leading sample axis:
+one ``GateAssignment.haar`` draw, one ``tangent_frame`` and one sweep per
+batch serve them all, and each sample's numbers are its own frame's, bit
+for bit."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from archdim import (
+    GateAssignment,
+    ValidationError,
+    accessible_dimension,
+    accessible_dimensions,
+    brickwork,
+    build_family,
+    numerical_rank,
+    staircase,
+    subseed,
+    tangent_frame,
+)
+from archdim import contraction
+from archdim.contraction import (DEFAULT_TOLERANCES, peak_bytes,
+                                 transfer_matrices)
+from test_contraction import _OBJECT_SLACK, FRAME_CASES, PEAK_CASES
+from test_shared_draws import CHAINS
+
+
+def _union(archs):
+    """The last of a prefix chain and the gate counts of the chain."""
+    return archs[-1], [arch.gate_count for arch in archs]
+
+
+# (architecture, prefix gate counts): the frame cases alone and the union
+# frames over the prefix chains
+STACK_CASES = [
+    pytest.param(lambda build=case.values[0]: (build(), None), id=case.id)
+    for case in FRAME_CASES
+] + [
+    pytest.param(lambda build=case.values[0]: _union(build()), id=case.id)
+    for case in CHAINS]
+
+
+def _bits(x):
+    """The bytes of an array, with its shape, or the repr of any other
+    value: equal for bit-identical numbers only."""
+    if isinstance(x, np.ndarray):
+        return x.shape, np.ascontiguousarray(x).tobytes()
+    return repr(x)
+
+
+def _seeds(count):
+    return [subseed(4, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("build", STACK_CASES)
+def test_a_stacked_draw_is_each_seed_s_draw(build):
+    arch, _ = build()
+    seeds = _seeds(7)
+    stack = GateAssignment.haar(arch, seeds)
+    assert stack.samples == 7 and len(stack) == arch.gate_count
+    transfers = transfer_matrices(stack)
+    assert transfers.shape == (7, arch.gate_count, 16, 16)
+    for i, seed in enumerate(seeds):
+        one = GateAssignment.haar(arch, seed)
+        assert one.samples is None
+        assert _bits(stack.matrices[i]) == _bits(one.matrices)
+        assert _bits(transfers[i]) == _bits(transfer_matrices(one))
+
+
+@pytest.mark.parametrize("count", [3, 7])
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("build", STACK_CASES)
+def test_each_sample_of_a_stacked_frame_is_its_own_frame(build, mode, count):
+    arch, prefixes = build()
+    seeds = _seeds(count)
+    stack = tangent_frame(arch, GateAssignment.haar(arch, seeds), mode,
+                          prefixes)
+    assert stack.samples == count
+    assert (stack.n, stack.mode, stack.gate_count) \
+        == (arch.n, mode, arch.gate_count)
+    for i, seed in enumerate(seeds):
+        one = tangent_frame(arch, GateAssignment.haar(arch, seed), mode,
+                            prefixes)
+        got = stack.sample(i)
+        assert one.samples is got.samples is None
+        assert _bits(got.gram) == _bits(one.gram)
+        assert _bits(got.gram_error) == _bits(one.gram_error)
+        assert _bits(got.matrix) == _bits(one.matrix)
+        assert np.array_equal(got.columns, one.columns)
+        assert got.prefixes.keys() == one.prefixes.keys()
+
+
+def test_a_stacked_frame_carries_the_sample_axis():
+    arch = staircase(4, 2)
+    seeds = _seeds(3)
+    stack = tangent_frame(arch, GateAssignment.haar(arch, seeds))
+    rows, cols = contraction.frame_shape(arch, "unitary")
+    assert stack.gram.shape == (3, cols, cols)
+    assert stack.gram_error.shape == (3,)
+    assert stack.matrix.shape == (3, rows, cols)
+    for i, seed in enumerate(seeds):
+        one = tangent_frame(arch, GateAssignment.haar(arch, seed))
+        assert _bits(stack.gram[i]) == _bits(one.gram)
+        assert _bits(stack.matrix[i]) == _bits(one.matrix)
+
+
+def test_a_stacked_frame_takes_no_one_sample_call():
+    arch = staircase(3, 2)
+    stack = tangent_frame(arch, GateAssignment.haar(arch, _seeds(3)))
+    with pytest.raises(ValidationError, match="stack of 3"):
+        numerical_rank(stack)
+    with pytest.raises(ValidationError, match="stack of 3"):
+        stack.prefix(arch.gate_count)
+    for i in (-1, 3, 1.0):
+        with pytest.raises(ValidationError):
+            stack.sample(i)
+    with pytest.raises(ValidationError, match="no sample axis"):
+        stack.sample(0).sample(0)
+
+
+def _reference_consensus(arch, mode, samples, seed, prefixes):
+    """The reports of ``accessible_dimensions`` by one frame per sample."""
+    ends = contraction._ends(arch, prefixes)
+    rows = [[] for _ in ends]
+    for i in range(samples):
+        gates = GateAssignment.haar(arch, subseed(seed, i))
+        frame = tangent_frame(arch, gates, mode, ends)
+        for row, length in zip(rows, ends):
+            row.append(numerical_rank(frame.prefix(length)))
+    return [contraction._consensus(arch, length, mode, seed,
+                                   DEFAULT_TOLERANCES, tuple(row))
+            for length, row in zip(ends, rows)]
+
+
+@pytest.mark.parametrize("mode", ["unitary", "state"])
+@pytest.mark.parametrize("build", STACK_CASES)
+def test_a_consensus_reports_what_one_frame_per_sample_reports(build, mode):
+    # the 31-row random chain keeps every sixth row and its last, since
+    # each of its rows takes an SVD
+    arch, prefixes = build()
+    if prefixes:
+        prefixes = prefixes[::6] + prefixes[-1:]
+    got = accessible_dimensions(arch, mode, 4, 5, prefixes=prefixes)
+    want = _reference_consensus(arch, mode, 4, 5, prefixes)
+    assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
+    for report, ref in zip(got, want):
+        for e, f in zip(report.estimates, ref.estimates):
+            assert _bits(e.singular_values) == _bits(f.singular_values)
+
+
+@pytest.mark.parametrize("bad, match", [(-1, "must be nonnegative"),
+                                        (2.0, "must be an integer")])
+def test_a_bad_seed_in_a_list_is_refused_before_any_draw(bad, match,
+                                                         monkeypatch):
+    def never(*args):
+        raise AssertionError("drew before every seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", never)
+    with pytest.raises(ValidationError, match=match):
+        GateAssignment.haar(staircase(3, 1), [1, 2, bad])
+
+
+def test_a_bad_gate_in_a_stack_names_its_sample():
+    mats = GateAssignment.haar(staircase(3, 1), _seeds(3)).matrices.copy()
+    mats[2, 1] *= np.exp(0.3j)
+    with pytest.raises(ValidationError,
+                       match="sample 2 gate 1 is not special unitary"):
+        GateAssignment(mats)
+
+
+# -- resource limits ----------------------------------------------------------
+
+
+def _consensus_cases():
+    """(arch, mode, samples) of each shape of the one-frame peak test, in
+    each mode it runs: 3 samples, and 50 where a batch holds more than 3,
+    since elsewhere they hold what 3 do."""
+    for case in PEAK_CASES:
+        arch, = case.values
+        for mode in ("unitary", "state") if arch.n <= 7 else ("state",):
+            batch = contraction._batch(arch, mode, (arch.gate_count,))[0]
+            for samples in (3, 50) if batch > 3 else (3,):
+                yield pytest.param(arch, mode, samples,
+                                   id=f"{case.id}-{mode}-{samples}")
+
+
+@pytest.mark.parametrize("arch, mode, samples", _consensus_cases())
+def test_a_consensus_stays_under_its_estimate(arch, mode, samples):
+    # a batch of samples stays under the estimate of the consensus over
+    # them, which counts the batch
+    tracemalloc.start()
+    try:
+        accessible_dimension(arch, mode, samples, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_bytes(arch, mode, samples=samples) + _OBJECT_SLACK
+
+
+def test_a_wide_frame_over_the_chunk_stays_under_its_one_sample_estimate():
+    # staircase(5, 30): a 1024 x 1095 frame, whose 9 MB matrix is over the
+    # chunk, so each matrix sweep forms one; three samples stay under the
+    # estimate of one
+    arch = staircase(5, 30)
+    assert contraction.frame_shape(arch, "unitary") == (1024, 1095)
+    assert contraction._matrix_batch(arch, (arch.gate_count,))[0] == 1
+    accessible_dimension(staircase(2, 1), "unitary", 3, 1)
+    tracemalloc.start()
+    try:
+        accessible_dimension(arch, "unitary", 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_bytes(arch, "unitary") + _OBJECT_SLACK
+
+
+def test_many_samples_hold_one_batch():
+    # the estimate grows with the samples up to one batch, and no further
+    arch = staircase(2, 1)
+    batch = contraction._batch(arch, "unitary", (arch.gate_count,))[0]
+    assert 3 < batch < 2000
+    estimate = peak_bytes(arch, "unitary", samples=2000)
+    assert peak_bytes(arch, "unitary") < estimate \
+        == peak_bytes(arch, "unitary", samples=batch) \
+        == peak_bytes(arch, "unitary", samples=10 ** 6)
+    tracemalloc.start()
+    try:
+        accessible_dimension(arch, "unitary", 2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate + _OBJECT_SLACK
+
+
+def test_a_frame_over_the_chunk_keeps_its_estimate():
+    # brickwork(6, 6): a 7.1 MB Gram arena, one sample a batch
+    arch = brickwork(6, 6)
+    assert contraction._batch(arch, "unitary", (arch.gate_count,))[0] == 1
+    assert peak_bytes(arch, "unitary", samples=50) \
+        == peak_bytes(arch, "unitary")
+
+
+# -- work counts --------------------------------------------------------------
+
+
+def _count_work(monkeypatch, arch):
+    """Lists that record each later call: the seeds of each ``haar`` call,
+    the sample count of each ``tangent_frame`` call, the frames
+    ``numerical_rank`` takes, and, for each ``_sweep`` call, whether it ran
+    ``arch``'s Gram plan and over how many samples."""
+    drawn, framed, ranked, swept = [], [], [], []
+    haar = GateAssignment.haar
+    frame, rank, sweep = (contraction.tangent_frame,
+                          contraction.numerical_rank, contraction._sweep)
+    pruned = contraction._frame_plan(arch, prune=True)
+
+    def counted_haar(arch, seeds):
+        drawn.append(list(seeds))
+        return haar(arch, seeds)
+
+    def counted_frame(arch, gates, *args):
+        framed.append(gates.samples)
+        return frame(arch, gates, *args)
+
+    def counted_rank(frame, *args, **kwargs):
+        ranked.append(frame.gate_count)
+        return rank(frame, *args, **kwargs)
+
+    def counted_sweep(transfers, plan, gram):
+        swept.append((plan is pruned, len(transfers)))
+        return sweep(transfers, plan, gram)
+
+    monkeypatch.setattr(GateAssignment, "haar", counted_haar)
+    monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
+    monkeypatch.setattr(contraction, "numerical_rank", counted_rank)
+    monkeypatch.setattr(contraction, "_sweep", counted_sweep)
+    return drawn, framed, ranked, swept
+
+
+def test_a_consensus_draws_and_frames_once_per_batch(monkeypatch):
+    # the dim-many digest's shape: a 1 MB Gram arena, three samples a
+    # batch, so seven samples take batches of 3, 3 and 1
+    arch = build_family("staircase", 6, 2)
+    drawn, framed, ranked, swept = _count_work(monkeypatch, arch)
+    accessible_dimension(arch, "unitary", 7, 3)
+    assert drawn == [[subseed(3, i) for i in range(lo, hi)]
+                     for lo, hi in ((0, 3), (3, 6), (6, 7))]
+    assert framed == [3, 3, 1]
+    assert ranked == [arch.gate_count] * 7
+    assert swept == [(True, 3), (True, 3), (True, 1)]
+
+
+@pytest.mark.parametrize("arch, sweeps", [
+    (staircase(7, 1), [(True, 3)]),
+    (brickwork(6, 6), [(True, 1)] * 3)],
+    ids=["staircase-7-1", "brickwork-6-6"])
+def test_a_consensus_runs_one_gram_sweep_per_batch(arch, sweeps,
+                                                   monkeypatch):
+    # staircase(7, 1) holds its three samples in one batch; brickwork(6,
+    # 6)'s 7.1 MB Gram arena takes one sample a batch
+    *_, swept = _count_work(monkeypatch, arch)
+    report = accessible_dimension(arch, "unitary", 3, 0)
+    assert [e.route for e in report.estimates] == ["gram"] * 3
+    assert swept == sweeps
+
+
+@pytest.mark.parametrize("arch", [staircase(3, 8), staircase(5, 30)],
+                         ids=["staircase-3-8", "staircase-5-30"])
+def test_a_matrix_sweep_forms_what_fits_in_the_chunk(arch, monkeypatch):
+    # wide frames: staircase(3, 8)'s 64 x 153 matrices fit in one sweep,
+    # staircase(5, 30)'s 9 MB ones go one a sweep
+    *_, swept = _count_work(monkeypatch, arch)
+    accessible_dimension(arch, "unitary", 3, 1)
+    matrices = contraction._matrix_batch(arch, (arch.gate_count,))[0]
+    assert swept == [(False, min(matrices, 3))] * math.ceil(3 / matrices)

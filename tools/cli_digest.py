@@ -31,11 +31,12 @@ SEED = "11"
 WITNESS = ["witness", "--family", "brickwork", "--n", "4", "--t", "2"]
 
 # (name, argv): every subcommand, dim with --spectra on a tall and on a
-# wide frame, both witness modes with and without --skip-rank-check, and
-# sweeps in both modes and both families; each command writes files of
-# its own, and one left without --seed reads SEED; the last two are
-# refusals, which write nothing: a sweep past the slice cap and a dim
-# whose two outputs name one file
+# wide frame, a dim whose seven samples take three batches (3, 3 and 1)
+# of its consensus, both witness modes with and without
+# --skip-rank-check, and sweeps in both modes and both families; each
+# command writes files of its own, and one left without --seed reads
+# SEED; the last two are refusals, which write nothing: a sweep past the
+# slice cap and a dim whose two outputs name one file
 COMMANDS: list[tuple[str, list[str]]] = [
     ("arch-gen", ["arch", "gen", "--family", "staircase", "--n", "3",
                   "--t", "2", "--out", "arch.json"]),
@@ -51,6 +52,8 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("dim-state", ["dim", "--family", "brickwork", "--n", "4", "--t", "1",
                    "--mode", "state", "--samples", "3",
                    "--out", "dim-state.json"]),
+    ("dim-many", ["dim", "--family", "staircase", "--n", "6", "--t", "2",
+                  "--samples", "7", "--seed", "3", "--out", "dim-many.json"]),
     ("witness-unitary", WITNESS + ["--out", "unitary.json"]),
     ("witness-unitary-skip", WITNESS + ["--skip-rank-check",
                                         "--out", "unitary-skip.json"]),
