@@ -1462,10 +1462,10 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
         pruned = _plan(head, head_ends, prune=True)
         eps = np.finfo(np.float64).eps
         meet = max((4 ** len(join.meet) for join in pruned.joins), default=0)
-        join = np.log1p(meet * eps / (1 - meet * eps))
+        join_term = np.log1p(meet * eps / (1 - meet * eps))
         gram = _gram_read(transfers, pruned)
         gram_error = np.array([gram.shape[-1] * float(np.expm1(
-            head.gate_count * np.log1p(tau + 256 * eps) + join))
+            head.gate_count * np.log1p(tau + 256 * eps) + join_term))
             for tau in taus])
 
     def assemble(lo: int, hi: int) -> np.ndarray:
