@@ -67,7 +67,7 @@ _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 # The state sweep applies a gate to its stack in column chunks of at most
 # this many bytes, so that the allocator reuses the temporaries.  A
 # consensus batch (``_batch``) and a matrix sweep (``_matrix_batch``) hold
-# as many samples as fit in it, and at least one.
+# as many samples as fit in it, and at least one (``_fit``).
 _STACK_CHUNK = 4 * 2 ** 20
 
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
@@ -162,7 +162,8 @@ def peak_bytes(arch: Architecture, job: str,
     if it has fewer columns than rows, its block of the Gram matrix, which
     the certificate's arrays join.  When some prefix has fewer columns than
     rows, the frame holds the Gram matrix of the longest such prefix's
-    gates' columns, and its Gram plan is that prefix's (``_tall_head``).
+    gates' columns, and its Gram plan is that prefix's: one record per
+    frame holds both the plan and that column count (``_tall_head``).
     Without ``prefixes`` the frame is its one prefix, which copies no
     block; this is the estimate below.
 
@@ -248,11 +249,8 @@ def _peak_bytes(arch: Architecture, job: str,
     # per tall prefix: its block of the Gram matrix, and that block's copy
     grams = [8 * c * c * (c < rows) for c in counts]
     gram_copies = [g * (c < cols) for g, c in zip(grams, counts)]
-    tall = _tall_head(arch, ends, rows)
-    gram = 0
-    if tall is not None:
-        head, head_ends = tall
-        gram = 8 * frame_shape(head, "unitary", head_ends)[1] ** 2
+    head = _tall_head(arch, ends)
+    gram = 0 if head is None else 8 * head.width ** 2
     # per wide prefix: its row Gram matrix and the certificate's arrays
     wides = [32 * (rows - 1) ** 2 * (c >= rows) for c in counts]
     svd = frame + max(copy + max(b, w) + g for copy, b, w, g
@@ -260,13 +258,12 @@ def _peak_bytes(arch: Architecture, job: str,
     if gram + svd > MEMORY_BUDGET:
         return gram + svd
     transfers = 16384 * arch.gate_count
-    full = _plan(arch, ends)
+    full = _frame_plan(arch, ends)
     tables = full.tables
     phases = [transfers + 8 * (full.arena + full.scratch), svd]
-    if gram:
-        pruned = _plan(head, head_ends, prune=True)
-        tables += pruned.tables
-        phases += [transfers + 8 * (pruned.arena + pruned.scratch),
+    if head is not None:
+        tables += head.plan.tables
+        phases += [transfers + 8 * (head.plan.arena + head.plan.scratch),
                    transfers + max(copy + 3 * g for copy, g
                                    in zip(gram_copies, grams))]
     batch, each = _batch(arch, job, ends)
@@ -274,6 +271,12 @@ def _peak_bytes(arch: Architecture, job: str,
     matrices, matrix_each = _matrix_batch(arch, ends)
     return gram + tables + max(phases) + (batch - 1) * each \
         + (min(matrices, batch) - 1) * matrix_each
+
+
+def _fit(each: int) -> int:
+    """How many items of ``each`` bytes fit in ``_STACK_CHUNK``: at least
+    one."""
+    return max(1, _STACK_CHUNK // max(each, 1))
 
 
 def _batch(arch: Architecture, mode: str,
@@ -284,17 +287,14 @@ def _batch(arch: Architecture, mode: str,
     its gates, their draw and, in unitary mode, its transfers and their
     build (as ``peak_bytes`` counts them); then its state frame's matrix,
     or a unitary frame's Gram matrix with the arena and scratch of the
-    Gram plan's sweep (``_tall_head``), if it reads one."""
-    rows = _frame_rows(arch.n, mode)
+    Gram plan's sweep, all three read from its head's record
+    (``_tall_head``), if it reads one."""
     each = 16384 * arch.gate_count
     if mode == "state":
-        each += 8 * rows * _gauge(arch, ends)[2].shape[0]
-    elif (tall := _tall_head(arch, ends, rows)) is not None:
-        head, head_ends = tall
-        pruned = _plan(head, head_ends, prune=True)
-        each += 8 * (frame_shape(head, "unitary", head_ends)[1] ** 2
-                     + pruned.arena + pruned.scratch)
-    return max(1, _STACK_CHUNK // max(each, 1)), each
+        each += 8 * _frame_rows(arch.n, mode) * _gauge(arch, ends)[2].shape[0]
+    elif (head := _tall_head(arch, ends)) is not None:
+        each += 8 * (head.width ** 2 + head.plan.arena + head.plan.scratch)
+    return _fit(each), each
 
 
 def _matrix_batch(arch: Architecture,
@@ -303,10 +303,10 @@ def _matrix_batch(arch: Architecture,
     frame (``_unitary_frame``): as many samples as fit in ``_STACK_CHUNK``
     with the matrix plan's arena and scratch and their 4^n x C matrix, at
     least one."""
-    plan = _plan(arch, ends)
+    plan = _frame_plan(arch, ends)
     rows, width = frame_shape(arch, "unitary", ends)
     each = 8 * (plan.arena + plan.scratch + rows * width)
-    return max(1, _STACK_CHUNK // max(each, 1)), each
+    return _fit(each), each
 
 
 def check_budget(est: int, budget: int, needs: str) -> None:
@@ -762,15 +762,15 @@ def _first_fit(spans: list[tuple[int, int, int]],
 
 
 @functools.lru_cache(maxsize=128)
-def _gauge(arch: Architecture, ends: tuple[int, ...] | None = None,
+def _gauge(arch: Architecture, ends: tuple[int, ...],
            ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...],
                       np.ndarray, tuple[slice | np.ndarray, ...]]:
     """The gauge-fixed columns both frame modes share (``tangent_frame``)
-    for the prefixes of ``arch`` that end after ``ends`` gates (``_ends``;
-    None is R alone): each gate's kept generator indices (into the 15), the
-    same as two-qubit labels (1 to 15) read with the lower wire leading,
-    the frame's (gate, generator) column list, and each prefix's own
-    columns in that list (``_span``).
+    for the prefixes of ``arch`` that end after ``ends`` gates (``_ends``):
+    each gate's kept generator indices (into the 15), the same as
+    two-qubit labels (1 to 15) read with the lower wire leading, the
+    frame's (gate, generator) column list, and each prefix's own columns
+    in that list (``_span``).
 
     Gate j keeps what the shortest prefix that holds it keeps, the union
     gauge: a prefix drops a single-qubit generator of a wire that a later
@@ -778,7 +778,6 @@ def _gauge(arch: Architecture, ends: tuple[int, ...] | None = None,
     every prefix's own columns are in the list.  With one prefix this is
     its own gauge.  Cached and read-only."""
     end = arch.gate_count
-    ends = ends or (end,)
     # the next gate after each gate on each of its wires, R for none
     after = np.full((end, 2), end, dtype=np.intp)
     nxt: dict[int, int] = {}
@@ -808,16 +807,6 @@ def _gauge(arch: Architecture, ends: tuple[int, ...] | None = None,
     return tuple(kept_all), tuple(labels_all), record, tuple(rows)
 
 
-def _plan(arch: Architecture, ends: tuple[int, ...], *,
-          prune: bool = False) -> _FramePlan:
-    """``_frame_plan`` of the union gauge over ``ends``; one prefix calls
-    it as a plain architecture's plan, so that both share one cache
-    entry."""
-    if len(ends) == 1:
-        return _frame_plan(arch, prune=prune)
-    return _frame_plan(arch, prune=prune, prefixes=ends)
-
-
 # Plans repeat across a frame's Haar samples and across calls on the same
 # architecture.  The benchmark's dim-wide ops use four frames, its three dim
 # shapes and the sweep's union over staircase(3, 1..6), and ``peak_bytes``
@@ -825,9 +814,8 @@ def _plan(arch: Architecture, ends: tuple[int, ...], *,
 # than rows: the frame's unpruned plan and its longest tall prefix's pruned
 # one (``_tall_head``): 8 entries.
 @functools.lru_cache(maxsize=128)
-def _frame_plan(arch: Architecture, *, prune: bool = False,
-                split: int | None = None,
-                prefixes: Sequence[int] | None = None) -> _FramePlan:
+def _frame_plan(arch: Architecture, ends: tuple[int, ...], *,
+                prune: bool = False, split: int | None = None) -> _FramePlan:
     """The unitary columns' light-cone groups, compiled for one sweep.
 
     After gate j, the columns of gates 0..j sit in groups, one per cone: the
@@ -870,12 +858,17 @@ def _frame_plan(arch: Architecture, *, prune: bool = False,
     of the temporaries each transfer, read and join makes where it lays
     them out (``_compile``), so that ``_sweep`` runs only array calls.
 
-    With ``prefixes`` (gate counts) the columns are those of the union
-    gauge over them (``_gauge``); nothing here depends on which labels a
-    gate keeps.
+    The columns are those of the union gauge over the prefixes of ``arch``
+    that end after ``ends`` gates (``_ends``, ``_gauge``); nothing here
+    depends on which labels a gate keeps.  (``arch``, ``ends``) is the
+    frame key, so a frame and the frame that serves its one prefix share a
+    plan.  The cache keys argument forms apart, so this module fetches the
+    matrix plan as ``_frame_plan(arch, ends)`` and the Gram plan only
+    through its record (``_tall_head``), as
+    ``_frame_plan(arch, ends, prune=True)``.
     """
     end = arch.gate_count
-    labels_all = _gauge(arch, _ends(arch, prefixes))[1]
+    labels_all = _gauge(arch, ends)[1]
     forward = _half_plan(arch, labels_all, prune, backward=False)
     backward = _half_plan(arch, labels_all, prune, backward=True) \
         if prune else []
@@ -1361,22 +1354,36 @@ def _assemble(n: int, width: int, plan: _FramePlan,
     return out.swapaxes(1, 2)
 
 
-# One head per frame shape: its plans are cached by it.
+class _Head(NamedTuple):
+    """The record of a unitary frame's Gram read (``_tall_head``)."""
+
+    gate_count: int
+    ends: tuple[int, ...]
+    plan: _FramePlan
+    width: int
+
+
+# One record per frame key, which keeps the Gram plan it was built with.
 @functools.lru_cache(maxsize=128)
-def _tall_head(arch: Architecture, ends: tuple[int, ...], rows: int,
-               ) -> tuple[Architecture, tuple[int, ...]] | None:
-    """The longest prefix in ``ends`` with fewer columns than ``rows``, as
-    an architecture (``arch`` itself for all its gates), and the prefixes
-    in ``ends`` up to it; None if there is none.  A prefix's own columns
-    grow with it, so the tall prefixes are the shortest ones, and a frame's
-    Gram read covers the gates of the longest (``_unitary_frame``)."""
+def _tall_head(arch: Architecture, ends: tuple[int, ...]) -> _Head | None:
+    """The record of the Gram read of the unitary frame of ``arch`` over
+    ``ends`` (``_ends``), which its sweep (``_unitary_frame``), its
+    estimate (``peak_bytes``) and its batch (``_batch``) read; None if no
+    prefix in ``ends`` has fewer columns than the 4^n rows.  A prefix's
+    own columns grow with it, so the tall prefixes are the shortest ones,
+    and the Gram read covers the gates of the longest, the head:
+    ``gate_count`` is its length, ``ends`` the tall prefixes, ``plan`` the
+    Gram plan over them of its architecture (``arch`` itself for all its
+    gates) and ``width`` its column count, that of the Gram matrix."""
     own = _gauge(arch, ends)[3]
-    tall = tuple(end for end, cols in zip(ends, own) if _count(cols) < rows)
+    tall = tuple(end for end, cols in zip(ends, own)
+                 if _count(cols) < 4 ** arch.n)
     if not tall:
         return None
     head = arch if tall[-1] == arch.gate_count \
         else Architecture(arch.n, arch.gates[:tall[-1]])
-    return head, tall
+    return _Head(tall[-1], tall, _frame_plan(head, tall, prune=True),
+                 _gauge(head, tall)[2].shape[0])
 
 
 def _unitary_frame(arch: Architecture, gates: GateAssignment,
@@ -1431,14 +1438,15 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
 
     A frame one of whose prefixes (``ends``) is tall runs the Gram plan's
     sweep and releases its arena on return; any other frame runs no sweep
-    here.  The sweep covers the gates of the longest tall prefix
-    (``_tall_head``), whose columns lead the frame's and hold every tall
-    prefix's: the later gates act on them orthogonally, so their Gram
-    matrix is the head's, and the bound above takes the head's gates and
-    columns.  Every frame takes its columns from ``_gauge`` and keeps its
-    transfer stack (2 KiB per gate), and the first read of its ``matrix``
-    fetches the matrix plan, runs its sweep and assembles the matrix from
-    its last groups.
+    here.  The sweep covers the gates of the longest tall prefix, whose
+    columns lead the frame's and hold every tall prefix's: the later gates
+    act on them orthogonally, so their Gram matrix is the head's, and the
+    bound above takes the head's gates and columns.  The Gram plan, the
+    gate count and the column count are read from the head's record
+    (``_tall_head``).  Every frame takes its columns from ``_gauge`` and
+    keeps its transfer stack (2 KiB per gate), and the first read of its
+    ``matrix`` fetches the matrix plan, runs its sweep and assembles the
+    matrix from its last groups.
 
     The frame is stacked, over the samples of a stacked assignment or a
     stack of one: one transfer build, one Gram sweep and one bound per
@@ -1447,8 +1455,8 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     sweep for it and the next samples, as many as ``_matrix_batch``
     allows, and keeps their matrices until another sample's is read.
     """
-    rows, width = frame_shape(arch, "unitary", ends)
     _, _, record, own = _gauge(arch, ends)
+    width = record.shape[0]
     s = gates.samples or 1
     transfers = transfer_matrices(gates).reshape(
         (s, arch.gate_count, 16, 16))
@@ -1456,20 +1464,19 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     taus = np.sqrt((defect * defect).sum(axis=(2, 3)).max(axis=1,
                                                           initial=0.0))
     gram, gram_error = None, np.zeros(s)
-    tall = _tall_head(arch, ends, rows)
+    tall = _tall_head(arch, ends)
     if tall is not None and np.isfinite(taus).any():
-        head, head_ends = tall
-        pruned = _plan(head, head_ends, prune=True)
         eps = np.finfo(np.float64).eps
-        meet = max((4 ** len(join.meet) for join in pruned.joins), default=0)
+        meet = max((4 ** len(join.meet) for join in tall.plan.joins),
+                   default=0)
         join_term = np.log1p(meet * eps / (1 - meet * eps))
-        gram = _gram_read(transfers, pruned)
-        gram_error = np.array([gram.shape[-1] * float(np.expm1(
-            head.gate_count * np.log1p(tau + 256 * eps) + join_term))
+        gram = _gram_read(transfers, tall.plan)
+        gram_error = np.array([tall.width * float(np.expm1(
+            tall.gate_count * np.log1p(tau + 256 * eps) + join_term))
             for tau in taus])
 
     def assemble(lo: int, hi: int) -> np.ndarray:
-        plan = _plan(arch, ends)
+        plan = _frame_plan(arch, ends)
         head = _sweep(transfers[lo:hi], plan, None)
         return _assemble(arch.n, width, plan, head, hi - lo)
 
@@ -1575,7 +1582,7 @@ def _state_frame(arch: Architecture, gates: GateAssignment,
         (gates.samples or 1, arch.gate_count, 4, 4))
     stack = np.empty((dim, record.shape[0]), dtype=complex)
     matrix = np.empty((len(mats), 2 * dim, record.shape[0]))
-    chunk = max(1, _STACK_CHUNK // (16 * dim))
+    chunk = _fit(16 * dim)
     for sample, out in zip(mats, matrix):
         psi = np.zeros(dim, dtype=complex)
         psi[0] = 1.0

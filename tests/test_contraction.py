@@ -418,12 +418,12 @@ def test_the_plan_splits_the_gram_read_only_where_it_saves_work():
     # sweep-ramp, keep the forward read
     for arch in (brickwork(6, 6), staircase(6, 12), random_adjacent(6, 40, 1),
                  staircase(5, 20)):
-        assert 0 < contraction._frame_plan(arch, prune=True).split \
-            < arch.gate_count
+        assert 0 < contraction._frame_plan(
+            arch, (arch.gate_count,), prune=True).split < arch.gate_count
     for arch in (staircase(6, 2), staircase(7, 1), staircase(3, 1),
                  staircase(3, 2), staircase(3, 3)):
-        assert contraction._frame_plan(arch, prune=True).split \
-            == arch.gate_count
+        assert contraction._frame_plan(
+            arch, (arch.gate_count,), prune=True).split == arch.gate_count
 
 
 def test_contract_state_basics():
@@ -768,7 +768,7 @@ def _scatter_reference_unitary_frame(arch, gates):
     stop = width
     for j in range(arch.gate_count - 1, -1, -1):
         a, b = wires = arch.gates[j]
-        kept = contraction._gauge(arch)[0][j]
+        kept = contraction._gauge(arch, (arch.gate_count,))[0][j]
         block = slice(stop - kept.size, stop)
         stop = block.start
         reach[[a - 1, b - 1]] = reach[a - 1] | reach[b - 1]
@@ -834,7 +834,8 @@ def _plan_spans(arch, prune, split=None):
     """(first step, last step, offset, size) of every group of the plan,
     read back from its moves: a group lives to the end when the unpruned
     sweep ends with it or the join reads it."""
-    plan = contraction._frame_plan(arch, prune=prune, split=split)
+    plan = contraction._frame_plan(arch, (arch.gate_count,), prune=prune,
+                                   split=split)
     joined = {(False, join.forward) for join in plan.joins} \
         | {(True, join.backward) for join in plan.joins}
     spans, groups = [], {}
@@ -875,12 +876,13 @@ def test_split_pricing_on_wire_bitmasks_picks_the_same_split(build):
     # the join priced on wire bitmasks picks the h that listing each
     # candidate's meets as wire tuples picks
     arch = build()
-    labels = contraction._gauge(arch)[1]
+    labels = contraction._gauge(arch, (arch.gate_count,))[1]
     halves = [contraction._half_plan(arch, labels, True, backward=backward)
               for backward in (False, True)]
     want = split_point(*halves, contraction._CALL_MADDS)
     assert contraction._split_point(*halves) == want
-    assert contraction._frame_plan(arch, prune=True).split == want
+    assert contraction._frame_plan(arch, (arch.gate_count,),
+                                   prune=True).split == want
 
 
 @pytest.mark.parametrize("prune", [False, True])
@@ -891,7 +893,7 @@ def test_each_transfer_allocates_what_its_spec_prices(build, prune):
     # entries per source column, with 8 KiB for the views and a copy of
     # the 16 x 16 transfer matrix's slice; a sweep of one sample
     arch = build()
-    plan = contraction._frame_plan(arch, prune=prune)
+    plan = contraction._frame_plan(arch, (arch.gate_count,), prune=prune)
     transfers = transfer_matrices(GateAssignment.haar(arch, [27]))
     arenas = np.zeros(plan.arena - plan.held), np.zeros(plan.held)
     tracemalloc.start()
@@ -924,7 +926,7 @@ def test_scratch_prices_only_the_reads_a_sweep_makes(build):
     # a move's read (its rows, and backward their product with the born
     # columns) is priced where the sweep makes it, on a move with sources
     arch = build()
-    plan = contraction._frame_plan(arch, prune=True)
+    plan = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
     for gate, step in zip(plan.gates, plan.steps):
         for move in step:
             assert (move.read is None) == (move.at == 0)
@@ -935,7 +937,8 @@ def test_scratch_prices_only_the_reads_a_sweep_makes(build):
 
 def test_a_lone_gate_plan_makes_no_scratch():
     # the gate's own group has no source, so the sweep reads nothing
-    plan = contraction._frame_plan(from_gate_sequence(2, [(1, 2)]), prune=True)
+    plan = contraction._frame_plan(from_gate_sequence(2, [(1, 2)]), (1,),
+                                   prune=True)
     assert plan.scratch == 0
 
 
@@ -971,7 +974,7 @@ def test_plan_tables_bound_what_a_plan_keeps(build, prune):
     contraction._frame_plan.cache_clear()
     tracemalloc.start()
     try:
-        plan = contraction._frame_plan(arch, prune=prune)
+        plan = contraction._frame_plan(arch, (arch.gate_count,), prune=prune)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1014,14 +1017,15 @@ def test_pruned_groups_hold_no_passed_wire(build):
     last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
     first = {q: j for j, gate in reversed(list(enumerate(arch.gates)))
              for q in gate}
-    pruned, full = (contraction._frame_plan(arch, prune=True, split=end),
-                    contraction._frame_plan(arch))
+    pruned, full = (contraction._frame_plan(arch, (end,), prune=True,
+                                            split=end),
+                    contraction._frame_plan(arch, (end,)))
     dropped = False
     for j, (step, full_step) in enumerate(zip(pruned.steps, full.steps)):
         for move in step:
             assert all(last[w] >= j for w in move.cone)
         dropped |= any(last[w] < j for move in full_step for w in move.cone)
-    backward = contraction._frame_plan(arch, prune=True, split=0)
+    backward = contraction._frame_plan(arch, (end,), prune=True, split=0)
     for j, step in zip(range(end - 1, -1, -1), backward.steps):
         for move in step:
             assert all(first[w] <= j for w in move.cone)
@@ -1059,12 +1063,14 @@ def _split_frame(monkeypatch, arch, gates, split):
     plan = contraction._frame_plan
     monkeypatch.setattr(
         contraction, "_frame_plan",
-        lambda arch, prune=False: plan(arch, prune=prune,
-                                       split=split if prune else None))
+        lambda arch, ends, prune=False: plan(
+            arch, ends, prune=prune, split=split if prune else None))
+    contraction._tall_head.cache_clear()  # a record keeps its Gram plan
     try:
         return tangent_frame(arch, gates)
     finally:
         monkeypatch.undo()
+        contraction._tall_head.cache_clear()
 
 
 @pytest.mark.parametrize("build", SWEEP_CASES)
@@ -1102,13 +1108,13 @@ def test_split_gram_matches_the_dense_reference(build):
     cols = frame_shape(arch, "unitary")[1]
     end = arch.gate_count
     transfers = transfer_matrices(GateAssignment.haar(arch, 28))
-    kept = contraction._gauge(arch)[0]
+    kept = contraction._gauge(arch, (end,))[0]
     splits = set(range(end + 1))
     if end > 18:  # the reference takes about 0.15 s a split on brickwork-6-6
         splits = {0, 1, end // 2, end - 1, end,
-                  contraction._frame_plan(arch, prune=True).split}
+                  contraction._frame_plan(arch, (end,), prune=True).split}
     for split in splits:
-        plan = contraction._frame_plan(arch, prune=True, split=split)
+        plan = contraction._frame_plan(arch, (end,), prune=True, split=split)
         gram, = contraction._gram_read(transfers[None], plan)
         ref = split_gram(arch, transfers, kept, split)
         assert np.abs(gram - ref).max(initial=0.0) < 1e-13
@@ -1140,9 +1146,9 @@ def test_each_gram_pair_is_written_once(build):
     arch = build()
     end = arch.gate_count
     for split in {0, end // 2, end,
-                  contraction._frame_plan(arch, prune=True).split}:
-        plan = contraction._frame_plan(arch, prune=True, split=split)
-        gate = contraction._gauge(arch)[2][:, 0]
+                  contraction._frame_plan(arch, (end,), prune=True).split}:
+        plan = contraction._frame_plan(arch, (end,), prune=True, split=split)
+        gate = contraction._gauge(arch, (end,))[2][:, 0]
         counts = np.zeros((gate.size, gate.size), dtype=np.intp)
         for step in plan.steps:
             for move in step:
@@ -1174,11 +1180,11 @@ def test_each_plan_keeps_only_its_own_sweep_tables(build):
     # Gram plan has no final groups, and every array either cached plan
     # holds is read-only, since every frame of the architecture shares it
     arch = build()
-    matrix = contraction._frame_plan(arch)
+    matrix = contraction._frame_plan(arch, (arch.gate_count,))
     assert matrix.split == arch.gate_count and matrix.joins == ()
     assert all(move.read is None and move.pairs is None
                for step in matrix.steps for move in step)
-    gram = contraction._frame_plan(arch, prune=True)
+    gram = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
     assert gram.final == ()
     for plan in (matrix, gram):
         arrays = list(_held_arrays(plan))
@@ -1189,7 +1195,8 @@ def test_each_plan_keeps_only_its_own_sweep_tables(build):
 def _count_sweeps(monkeypatch, arch):
     """The list that records, for each later ``_sweep`` call, whether it ran
     ``arch``'s pruned plan."""
-    pruned = contraction._frame_plan(arch, prune=True)
+    contraction._tall_head.cache_clear()  # a record keeps its Gram plan
+    pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
     swept = []
     sweep = contraction._sweep
 

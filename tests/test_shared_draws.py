@@ -481,6 +481,24 @@ def test_the_budget_floor_never_exceeds_the_estimate(build, mode):
         >= 16 * rows * gauge_fixed_count(archs[-1])
 
 
+def test_one_compiled_plan_per_frame_key():
+    # plans are cached by the frame key (arch, ends): a frame and the frame
+    # that serves its one prefix share its Gram and matrix plans, and a
+    # sweep adds its head's Gram plan and its union's matrix plan
+    contraction._frame_plan.cache_clear()
+    contraction._tall_head.cache_clear()
+    arch = build_family("staircase", 6, 2)
+    accessible_dimension(arch, "unitary", 3, 1)
+    assert contraction._frame_plan.cache_info().currsize == 2
+    tangent_frame(arch, GateAssignment.haar(arch, 1), "unitary",
+                  prefixes=[arch.gate_count])
+    assert contraction._tall_head(arch, (arch.gate_count,)).plan \
+        is contraction._frame_plan(arch, (arch.gate_count,), prune=True)
+    assert contraction._frame_plan.cache_info().currsize == 2
+    growth_sweep(3, "staircase", 6, 3, 1)
+    assert contraction._frame_plan.cache_info().currsize == 4
+
+
 def test_an_over_budget_union_is_refused_before_its_gauge(monkeypatch):
     # staircase(9, 1000) in unitary mode: 4^9 rows by 9 * 8000 + 27
     # columns, twice, is over the budget before the 1000-prefix union

@@ -243,6 +243,31 @@ def test_a_frame_over_the_chunk_keeps_its_estimate():
         == peak_bytes(arch, "unitary")
 
 
+@pytest.mark.parametrize("arch, prefixes", [
+    (staircase(3, 6), staircase(3, 6).slice_boundaries),
+    (build_family("staircase", 6, 2), None),
+    (brickwork(6, 6), None)],
+    ids=["union-staircase-3-1..6", "staircase-6-2", "brickwork-6-6"])
+def test_the_heads_sizes_have_one_source(arch, prefixes):
+    # a unitary consensus sample holds its gates' 16 KiB each and the
+    # head's Gram matrix, arena and scratch, all read from the head's
+    # record, whose width is that of the Gram matrix a frame reads
+    ends = contraction._ends(arch, prefixes)
+    head = contraction._tall_head(arch, ends)
+    assert head.ends[-1] == head.gate_count
+    assert contraction._batch(arch, "unitary", ends)[1] \
+        == 16384 * arch.gate_count \
+        + 8 * (head.width ** 2 + head.plan.arena + head.plan.scratch)
+    frame = tangent_frame(arch, GateAssignment.haar(arch, 1),
+                          prefixes=prefixes)
+    assert frame.gram.shape == (head.width, head.width)
+
+
+def test_a_frame_with_no_tall_prefix_has_no_head():
+    arch = staircase(3, 6)
+    assert contraction._tall_head(arch, (arch.gate_count,)) is None
+
+
 # -- work counts --------------------------------------------------------------
 
 
@@ -255,7 +280,8 @@ def _count_work(monkeypatch, arch):
     haar = GateAssignment.haar
     frame, rank, sweep = (contraction.tangent_frame,
                           contraction.numerical_rank, contraction._sweep)
-    pruned = contraction._frame_plan(arch, prune=True)
+    contraction._tall_head.cache_clear()  # a record keeps its Gram plan
+    pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
 
     def counted_haar(arch, seeds):
         drawn.append(list(seeds))

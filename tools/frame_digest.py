@@ -82,18 +82,20 @@ def digest(value: object) -> str:
 def _split_at(split: int | None) -> Iterator[None]:
     """Make the Gram plan split at ``split`` (its own choice for None)."""
     plan = contraction._frame_plan
-    contraction._frame_plan = lambda arch, prune=False: plan(
-        arch, prune=prune, split=split if prune else None)
+    contraction._frame_plan = lambda arch, ends, prune=False: plan(
+        arch, ends, prune=prune, split=split if prune else None)
+    contraction._tall_head.cache_clear()  # a record keeps its Gram plan
     try:
         yield
     finally:
         contraction._frame_plan = plan
+        contraction._tall_head.cache_clear()
 
 
 def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
     """(quantity, value) of every item digested for ``arch``."""
     for name, prune in (("matrix", False), ("gram", True)):
-        plan = contraction._frame_plan(arch, prune=prune)
+        plan = contraction._frame_plan(arch, (arch.gate_count,), prune=prune)
         for key in ("split", "arena", "held", "scratch", "tables"):
             yield f"{name}-plan.{key}", getattr(plan, key)
     for mode in ("unitary", "state"):
