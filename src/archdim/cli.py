@@ -204,10 +204,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     sheet = make_bound_sheet(args.n, args.R, args.L)
+    # computed first, so that a refused alpha prints nothing
+    prob = None if args.alpha is None \
+        else randomized_bound_probability(args.n, args.alpha)
     print(sheet.format_text())
     payload = sheet.to_json_dict()
-    if args.alpha is not None:
-        prob = randomized_bound_probability(args.n, args.alpha)
+    if prob is not None:
         payload["randomized_probability"] = prob
         print(f"{'randomized bound prob':<22}  {prob:.6g} (alpha={args.alpha})")
     if args.out:

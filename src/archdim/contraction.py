@@ -162,8 +162,8 @@ def peak_bytes(arch: Architecture, job: str,
     if it has fewer columns than rows, its block of the Gram matrix, which
     the certificate's arrays join.  When some prefix has fewer columns than
     rows, the frame holds the Gram matrix of the longest such prefix's
-    gates' columns, and its Gram plan is that prefix's: one record per
-    frame holds both the plan and that column count (``_tall_head``).
+    gates' columns, and its Gram plan is that prefix's, which counts those
+    columns too (``_tall_head``).
     Without ``prefixes`` the frame is its one prefix, which copies no
     block; this is the estimate below.
 
@@ -262,8 +262,8 @@ def _peak_bytes(arch: Architecture, job: str,
     tables = full.tables
     phases = [transfers + 8 * (full.arena + full.scratch), svd]
     if head is not None:
-        tables += head.plan.tables
-        phases += [transfers + 8 * (head.plan.arena + head.plan.scratch),
+        tables += head.tables
+        phases += [transfers + 8 * (head.arena + head.scratch),
                    transfers + max(copy + 3 * g for copy, g
                                    in zip(gram_copies, grams))]
     batch, each = _batch(arch, job, ends)
@@ -287,13 +287,13 @@ def _batch(arch: Architecture, mode: str,
     its gates, their draw and, in unitary mode, its transfers and their
     build (as ``peak_bytes`` counts them); then its state frame's matrix,
     or a unitary frame's Gram matrix with the arena and scratch of the
-    Gram plan's sweep, all three read from its head's record
+    Gram plan's sweep, all three read from its head's Gram plan
     (``_tall_head``), if it reads one."""
     each = 16384 * arch.gate_count
     if mode == "state":
         each += 8 * _frame_rows(arch.n, mode) * _gauge(arch, ends)[2].shape[0]
     elif (head := _tall_head(arch, ends)) is not None:
-        each += 8 * (head.width ** 2 + head.plan.arena + head.plan.scratch)
+        each += 8 * (head.width ** 2 + head.arena + head.scratch)
     return _fit(each), each
 
 
@@ -304,8 +304,7 @@ def _matrix_batch(arch: Architecture,
     with the matrix plan's arena and scratch and their 4^n x C matrix, at
     least one."""
     plan = _frame_plan(arch, ends)
-    rows, width = frame_shape(arch, "unitary", ends)
-    each = 8 * (plan.arena + plan.scratch + rows * width)
+    each = 8 * (plan.arena + plan.scratch + 4 ** arch.n * plan.width)
     return _fit(each), each
 
 
@@ -328,7 +327,8 @@ def _check_size(arch: Architecture, job: str,
 @dataclass(frozen=True, eq=False)
 class GateAssignment:
     """Ordered 4x4 special unitaries filling an architecture's gate slots,
-    or a stack of such assignments with a leading sample axis."""
+    or a stack of such assignments with a leading sample axis, which holds
+    at least one sample."""
 
     matrices: np.ndarray  # (R, 4, 4) or (S, R, 4, 4) complex
 
@@ -337,6 +337,8 @@ class GateAssignment:
         if mats.ndim not in (3, 4) or mats.shape[-2:] != (4, 4):
             raise ValidationError(
                 f"expected (R, 4, 4) or (S, R, 4, 4) array, got {mats.shape}")
+        if mats.ndim == 4 and not len(mats):
+            raise ValidationError("a stack of assignments needs a sample")
         object.__setattr__(self, "matrices", mats)
         gram = np.swapaxes(mats, -2, -1).conj() @ mats
         # written as ~(x <= tol) so that a NaN entry fails the check
@@ -375,7 +377,8 @@ class GateAssignment:
         (S, R, 4, 4): each seed's generator fills its sample of one
         Ginibre stack, and one QR and one validation serve them all, so
         sample i equals ``haar(arch, seeds[i])`` bit for bit.  Every seed
-        is checked before the first draw."""
+        is checked before the first draw, and an empty sequence, which
+        draws nothing, gives no stack (ValidationError)."""
         single = isinstance(seed, str) \
             or not isinstance(seed, (Sequence, np.ndarray))
         seeds = [check_seed(s) for s in ([seed] if single else seed)]
@@ -712,8 +715,10 @@ class _FramePlan:
     its head, which holds the groups the matrix plan ends with or those the
     Gram plan joins, and ``scratch`` bounds the entries one transfer's,
     read's or join's temporaries take beside it (``_compile``).  ``tables``
-    bounds the bytes of the compiled tables the plan keeps.  The frame's
-    columns are not the plan's: both plans read them from ``_gauge``.
+    bounds the bytes of the compiled tables the plan keeps.  ``width``
+    counts the columns of ``gates``, the C of the Gram matrix a Gram plan
+    reads or of the matrix a matrix plan forms.  Which columns a gate
+    keeps is not the plan's: both plans read them from ``_gauge``.
     """
 
     steps: tuple[tuple[_Move, ...], ...]
@@ -722,6 +727,7 @@ class _FramePlan:
     scratch: int
     split: int
     gates: tuple[_Gate, ...]
+    width: int
     joins: tuple[_Join, ...]
     final: tuple[tuple[_Cone, _Block, np.ndarray], ...]
     tables: int
@@ -864,8 +870,9 @@ def _frame_plan(arch: Architecture, ends: tuple[int, ...], *,
     frame key, so a frame and the frame that serves its one prefix share a
     plan.  The cache keys argument forms apart, so this module fetches the
     matrix plan as ``_frame_plan(arch, ends)`` and the Gram plan only
-    through its record (``_tall_head``), as
-    ``_frame_plan(arch, ends, prune=True)``.
+    through ``_tall_head``, as ``_frame_plan(arch, ends, prune=True)``.
+    This cache is the only one that holds a plan, so each plan is held
+    once.
     """
     end = arch.gate_count
     labels_all = _gauge(arch, ends)[1]
@@ -998,8 +1005,8 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
     tables = sum(bases.values()) + _TABLE_OBJECT * (count + len(gates))
     return _FramePlan(
         steps=tuple(steps), arena=arena, held=held, scratch=scratch,
-        split=split, gates=tuple(gates), joins=tuple(joins), final=final,
-        tables=tables)
+        split=split, gates=tuple(gates), width=starts[-1], joins=tuple(joins),
+        final=final, tables=tables)
 
 
 # Cones repeat across the moves of a plan and across plans.
@@ -1328,7 +1335,7 @@ def _gram_read(transfers: np.ndarray, plan: _FramePlan) -> np.ndarray:
     arena is released, one symmetrisation per sample fills the other
     entries, with one C x C temporary, and the diagonals take 1, a born
     unit vector against itself."""
-    width = sum(gate.labels.size for gate in plan.gates)
+    width = plan.width
     gram = np.zeros((len(transfers), width, width))
     _sweep(transfers, plan, gram)
     for one in gram:
@@ -1337,13 +1344,13 @@ def _gram_read(transfers: np.ndarray, plan: _FramePlan) -> np.ndarray:
     return gram
 
 
-def _assemble(n: int, width: int, plan: _FramePlan,
-              head: np.ndarray, samples: int) -> np.ndarray:
-    """The S x 4^n x C frames, S = ``samples`` and C = ``width``, from the
-    head of the matrix plan's sweep's arena, which holds the plan's final
-    groups."""
+def _assemble(n: int, plan: _FramePlan, head: np.ndarray,
+              samples: int) -> np.ndarray:
+    """The S x 4^n x C frames, S = ``samples`` and C the matrix plan
+    ``plan``'s ``width``, from the head of its sweep's arena, which holds
+    the plan's final groups."""
     # one row per column: each group is written as one transposed block
-    out = np.empty((samples, width, 4 ** n))
+    out = np.empty((samples, plan.width, 4 ** n))
     for cone, block, cols in plan.final:
         x = _group(head, block, samples).swapaxes(1, 2)
         if len(cone) == n:
@@ -1354,27 +1361,18 @@ def _assemble(n: int, width: int, plan: _FramePlan,
     return out.swapaxes(1, 2)
 
 
-class _Head(NamedTuple):
-    """The record of a unitary frame's Gram read (``_tall_head``)."""
-
-    gate_count: int
-    ends: tuple[int, ...]
-    plan: _FramePlan
-    width: int
-
-
-# One record per frame key, which keeps the Gram plan it was built with.
-@functools.lru_cache(maxsize=128)
-def _tall_head(arch: Architecture, ends: tuple[int, ...]) -> _Head | None:
-    """The record of the Gram read of the unitary frame of ``arch`` over
-    ``ends`` (``_ends``), which its sweep (``_unitary_frame``), its
-    estimate (``peak_bytes``) and its batch (``_batch``) read; None if no
-    prefix in ``ends`` has fewer columns than the 4^n rows.  A prefix's
-    own columns grow with it, so the tall prefixes are the shortest ones,
-    and the Gram read covers the gates of the longest, the head:
-    ``gate_count`` is its length, ``ends`` the tall prefixes, ``plan`` the
-    Gram plan over them of its architecture (``arch`` itself for all its
-    gates) and ``width`` its column count, that of the Gram matrix."""
+def _tall_head(arch: Architecture,
+               ends: tuple[int, ...]) -> _FramePlan | None:
+    """The Gram plan of the unitary frame of ``arch`` over ``ends``
+    (``_ends``), which its sweep (``_unitary_frame``), its estimate
+    (``peak_bytes``) and its batch (``_batch``) read; None if no prefix in
+    ``ends`` has fewer columns than the 4^n rows.  A prefix's own columns
+    grow with it, so the tall prefixes are the shortest ones, and the Gram
+    read covers the gates of the longest, the head: the plan is
+    ``_frame_plan``'s pruned one over the tall prefixes of the head's
+    architecture (``arch`` itself for all its gates), so its ``gates`` are
+    the head's and its ``width`` is the Gram matrix's.  The plan is the
+    head's only record, held once in ``_frame_plan``'s cache."""
     own = _gauge(arch, ends)[3]
     tall = tuple(end for end, cols in zip(ends, own)
                  if _count(cols) < 4 ** arch.n)
@@ -1382,8 +1380,7 @@ def _tall_head(arch: Architecture, ends: tuple[int, ...]) -> _Head | None:
         return None
     head = arch if tall[-1] == arch.gate_count \
         else Architecture(arch.n, arch.gates[:tall[-1]])
-    return _Head(tall[-1], tall, _frame_plan(head, tall, prune=True),
-                 _gauge(head, tall)[2].shape[0])
+    return _frame_plan(head, tall, prune=True)
 
 
 def _unitary_frame(arch: Architecture, gates: GateAssignment,
@@ -1441,8 +1438,7 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     here.  The sweep covers the gates of the longest tall prefix, whose
     columns lead the frame's and hold every tall prefix's: the later gates
     act on them orthogonally, so their Gram matrix is the head's, and the
-    bound above takes the head's gates and columns.  The Gram plan, the
-    gate count and the column count are read from the head's record
+    bound above takes the head's gates and columns, those of its Gram plan
     (``_tall_head``).  Every frame takes its columns from ``_gauge`` and
     keeps its transfer stack (2 KiB per gate), and the first read of its
     ``matrix`` fetches the matrix plan, runs its sweep and assembles the
@@ -1456,7 +1452,6 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     allows, and keeps their matrices until another sample's is read.
     """
     _, _, record, own = _gauge(arch, ends)
-    width = record.shape[0]
     s = gates.samples or 1
     transfers = transfer_matrices(gates).reshape(
         (s, arch.gate_count, 16, 16))
@@ -1464,21 +1459,20 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     taus = np.sqrt((defect * defect).sum(axis=(2, 3)).max(axis=1,
                                                           initial=0.0))
     gram, gram_error = None, np.zeros(s)
-    tall = _tall_head(arch, ends)
-    if tall is not None and np.isfinite(taus).any():
+    head = _tall_head(arch, ends)
+    if head is not None and np.isfinite(taus).any():
         eps = np.finfo(np.float64).eps
-        meet = max((4 ** len(join.meet) for join in tall.plan.joins),
-                   default=0)
+        meet = max((4 ** len(join.meet) for join in head.joins), default=0)
         join_term = np.log1p(meet * eps / (1 - meet * eps))
-        gram = _gram_read(transfers, tall.plan)
-        gram_error = np.array([tall.width * float(np.expm1(
-            tall.gate_count * np.log1p(tau + 256 * eps) + join_term))
+        gram = _gram_read(transfers, head)
+        gram_error = np.array([head.width * float(np.expm1(
+            len(head.gates) * np.log1p(tau + 256 * eps) + join_term))
             for tau in taus])
 
     def assemble(lo: int, hi: int) -> np.ndarray:
         plan = _frame_plan(arch, ends)
-        head = _sweep(transfers[lo:hi], plan, None)
-        return _assemble(arch.n, width, plan, head, hi - lo)
+        return _assemble(arch.n, plan, _sweep(transfers[lo:hi], plan, None),
+                         hi - lo)
 
     formed: dict[int, np.ndarray] = {}  # the last matrix sweep's samples
 

@@ -591,6 +591,17 @@ def test_bounds_with_alpha(tmp_path):
         1 - 18 * 2.718281828459045 ** -10)
 
 
+def test_bounds_refuses_alpha_before_it_prints(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    rc = main(["bounds", "--n", "3", "--R", "10", "--L", "3",
+               "--alpha", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INVALID
+    assert captured.out == ""
+    assert "alpha" in captured.err
+    assert not out.exists()
+
+
 FAMILY_KEYS = {"family", "n", "t", "rounds"}
 RANK_KEYS = {"samples", "seed", "mode", "tol_loose", "tol_tight"}
 MEMORY_KEYS = {"memory_budget_bytes", "peak_estimate_bytes"}

@@ -1065,12 +1065,10 @@ def _split_frame(monkeypatch, arch, gates, split):
         contraction, "_frame_plan",
         lambda arch, ends, prune=False: plan(
             arch, ends, prune=prune, split=split if prune else None))
-    contraction._tall_head.cache_clear()  # a record keeps its Gram plan
     try:
         return tangent_frame(arch, gates)
     finally:
         monkeypatch.undo()
-        contraction._tall_head.cache_clear()
 
 
 @pytest.mark.parametrize("build", SWEEP_CASES)
@@ -1195,7 +1193,6 @@ def test_each_plan_keeps_only_its_own_sweep_tables(build):
 def _count_sweeps(monkeypatch, arch):
     """The list that records, for each later ``_sweep`` call, whether it ran
     ``arch``'s pruned plan."""
-    contraction._tall_head.cache_clear()  # a record keeps its Gram plan
     pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
     swept = []
     sweep = contraction._sweep

@@ -486,17 +486,36 @@ def test_one_compiled_plan_per_frame_key():
     # that serves its one prefix share its Gram and matrix plans, and a
     # sweep adds its head's Gram plan and its union's matrix plan
     contraction._frame_plan.cache_clear()
-    contraction._tall_head.cache_clear()
     arch = build_family("staircase", 6, 2)
     accessible_dimension(arch, "unitary", 3, 1)
     assert contraction._frame_plan.cache_info().currsize == 2
     tangent_frame(arch, GateAssignment.haar(arch, 1), "unitary",
                   prefixes=[arch.gate_count])
-    assert contraction._tall_head(arch, (arch.gate_count,)).plan \
+    assert contraction._tall_head(arch, (arch.gate_count,)) \
         is contraction._frame_plan(arch, (arch.gate_count,), prune=True)
     assert contraction._frame_plan.cache_info().currsize == 2
     growth_sweep(3, "staircase", 6, 3, 1)
     assert contraction._frame_plan.cache_info().currsize == 4
+
+
+def test_a_cleared_plan_cache_leaves_no_stale_gram_plan(monkeypatch):
+    # the frame sweeps the Gram plan the plan cache holds, also after the
+    # cache is cleared, so no second, equal plan is compiled beside it
+    arch = build_family("staircase", 6, 2)
+    ends = (arch.gate_count,)
+    tangent_frame(arch, GateAssignment.haar(arch, 1))
+    contraction._frame_plan.cache_clear()
+    swept = []
+    sweep = contraction._sweep
+
+    def counted(transfers, plan, gram):
+        swept.append(plan)
+        return sweep(transfers, plan, gram)
+
+    monkeypatch.setattr(contraction, "_sweep", counted)
+    tangent_frame(arch, GateAssignment.haar(arch, 2))
+    assert len(swept) == 1
+    assert swept[0] is contraction._frame_plan(arch, ends, prune=True)
 
 
 def test_an_over_budget_union_is_refused_before_its_gauge(monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from archdim import (
+    Architecture,
     GateAssignment,
     ValidationError,
     accessible_dimension,
@@ -22,6 +23,7 @@ from archdim import (
     tangent_frame,
 )
 from archdim import contraction
+from archdim.bounds import gauge_fixed_count
 from archdim.contraction import (DEFAULT_TOLERANCES, peak_bytes,
                                  transfer_matrices)
 from test_contraction import _OBJECT_SLACK, FRAME_CASES, PEAK_CASES
@@ -171,6 +173,14 @@ def test_a_bad_gate_in_a_stack_names_its_sample():
         GateAssignment(mats)
 
 
+def test_a_stack_with_no_sample_is_refused():
+    arch = staircase(3, 1)
+    with pytest.raises(ValidationError, match="needs a sample"):
+        GateAssignment.haar(arch, [])
+    with pytest.raises(ValidationError, match="needs a sample"):
+        GateAssignment(np.empty((0, arch.gate_count, 4, 4)))
+
+
 # -- resource limits ----------------------------------------------------------
 
 
@@ -250,14 +260,18 @@ def test_a_frame_over_the_chunk_keeps_its_estimate():
     ids=["union-staircase-3-1..6", "staircase-6-2", "brickwork-6-6"])
 def test_the_heads_sizes_have_one_source(arch, prefixes):
     # a unitary consensus sample holds its gates' 16 KiB each and the
-    # head's Gram matrix, arena and scratch, all read from the head's
-    # record, whose width is that of the Gram matrix a frame reads
+    # head's Gram matrix, arena and scratch, all read from the head's Gram
+    # plan, whose gates are the longest tall prefix's and whose width is
+    # that of the Gram matrix a frame reads
     ends = contraction._ends(arch, prefixes)
     head = contraction._tall_head(arch, ends)
-    assert head.ends[-1] == head.gate_count
+    assert len(head.gates) == max(
+        end for end in ends
+        if gauge_fixed_count(Architecture(arch.n, arch.gates[:end]))
+        < 4 ** arch.n)
     assert contraction._batch(arch, "unitary", ends)[1] \
         == 16384 * arch.gate_count \
-        + 8 * (head.width ** 2 + head.plan.arena + head.plan.scratch)
+        + 8 * (head.width ** 2 + head.arena + head.scratch)
     frame = tangent_frame(arch, GateAssignment.haar(arch, 1),
                           prefixes=prefixes)
     assert frame.gram.shape == (head.width, head.width)
@@ -280,7 +294,6 @@ def _count_work(monkeypatch, arch):
     haar = GateAssignment.haar
     frame, rank, sweep = (contraction.tangent_frame,
                           contraction.numerical_rank, contraction._sweep)
-    contraction._tall_head.cache_clear()  # a record keeps its Gram plan
     pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
 
     def counted_haar(arch, seeds):

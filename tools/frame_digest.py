@@ -84,12 +84,10 @@ def _split_at(split: int | None) -> Iterator[None]:
     plan = contraction._frame_plan
     contraction._frame_plan = lambda arch, ends, prune=False: plan(
         arch, ends, prune=prune, split=split if prune else None)
-    contraction._tall_head.cache_clear()  # a record keeps its Gram plan
     try:
         yield
     finally:
         contraction._frame_plan = plan
-        contraction._tall_head.cache_clear()
 
 
 def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
