@@ -22,9 +22,11 @@ the plan.  A unitary frame keeps its transfer matrices and forms its
 4^n x C matrix, when it is read, by one forward sweep that keeps every
 wire.  Each unitary sweep reads a cached plan with one job, the Gram
 plan's read or the matrix plan's frame, which compiles all of that sweep
-the gates do not change, so that a Haar sample's sweep is array calls
-only.  A state frame is built by a forward sweep over a stack of state
-vectors.  Both modes take their columns from one cached gauge-fixed
+the gates do not change; binding the plan to a batch of samples
+(``_bind``) makes its arrays and views once, so that a sweep is a flat
+loop of array calls, and a consensus binds its Gram plan once for all
+its batches.  A state frame is built by a forward sweep over a stack of
+state vectors.  Both modes take their columns from one cached gauge-fixed
 record.  A dense call whose estimated peak memory (``peak_bytes``)
 exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 
@@ -43,8 +45,10 @@ numbers are those of its own frame, bit for bit.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
+import math
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
@@ -175,25 +179,28 @@ def peak_bytes(arch: Architecture, job: str,
     about 36 state vectors.  A unitary frame keeps its transfer matrices,
     which with their complex build take 16 KiB per gate, and its cached
     plans keep their compiled tables (``_FramePlan.tables``) throughout.
-    Reading its matrix runs the matrix plan's sweep, which holds the
-    plan's arena and its scratch, one transfer's temporaries as the
-    compiled transfer specs count them (``_compile``); the matrix is then
-    formed beside the arena's head, which holds at most its
+    Reading its matrix binds the matrix plan (``_bind``), whose program
+    holds the plan's arena and its scratch, one transfer's temporaries as
+    the compiled transfer specs count them (``_compile``); the matrix is
+    then formed beside the arena's head, which holds at most its
     4^n x C entries, and the SVD takes it twice, so the SVD's phase covers
     that one.  A tall frame also holds its C x C Gram matrix throughout.
-    It runs the Gram plan's sweep first: one arena holds the forward
-    half's groups, then the groups the join reads beside the backward
-    half's, and the plan's scratch, counted where ``_compile`` lays out
-    each transfer, read and join, covers one transfer's or read's
-    temporaries or one joined pair's row copies and product.  The arena is
-    gone when the sweep returns, and the certificate (``_gram_estimate``)
-    takes up to three more C x C arrays: the |G| temporary of its norm,
+    It binds the Gram plan first: one arena holds the forward half's
+    groups, then the groups the join reads beside the backward half's,
+    and the plan's scratch, counted where ``_compile`` lays out each
+    transfer, read and join, covers one transfer's or read's temporaries
+    or one joined pair's row copies; the staging vector lies in the Gram
+    matrix.  A consensus keeps that program, arena and scratch, through
+    the certificates (``_Binding``): the certificate (``_gram_estimate``)
+    takes up to three more C x C arrays, the |G| temporary of its norm,
     then the shifted copy beside Cholesky's working copy and the factor
-    (or, for a spectrum, eigvalsh's copy).  A wide frame, or a wide
-    prefix's block, tries its certificate (``_wide_estimate``) before the
-    SVD, beside the matrix: its (4^n - 1)^2 row Gram matrix and the three
-    arrays the certificate takes beside it, which are gone when the SVD
-    (or, for a spectrum, a certified frame's SVD) takes its copy.  An
+    (or, for a spectrum, eigvalsh's copy); the scatter's copy of the
+    staging vector and the symmetrisation's temporary come before them
+    and take less.  A wide frame, or a wide prefix's block, tries its
+    certificate (``_wide_estimate``) before the SVD, beside the matrix:
+    its (4^n - 1)^2 row Gram matrix and the three arrays the certificate
+    takes beside it, which are gone when the SVD (or, for a spectrum, a
+    certified frame's SVD) takes its copy.  An
     estimate whose frame terms alone exceed ``MEMORY_BUDGET`` returns
     before the sweep's plans are built.  Before that, when the frame and
     the whole architecture's block, 16 bytes per row and gauge-fixed
@@ -263,9 +270,9 @@ def _peak_bytes(arch: Architecture, job: str,
     phases = [transfers + 8 * (full.arena + full.scratch), svd]
     if head is not None:
         tables += head.tables
-        phases += [transfers + 8 * (head.arena + head.scratch),
-                   transfers + max(copy + 3 * g for copy, g
-                                   in zip(gram_copies, grams))]
+        phases.append(transfers + 8 * (head.arena + head.scratch)
+                      + max(copy + 3 * g for copy, g
+                            in zip(gram_copies, grams)))
     batch, each = _batch(arch, job, ends)
     batch = samples if stack else min(samples, batch)
     matrices, matrix_each = _matrix_batch(arch, ends)
@@ -620,10 +627,12 @@ class _Spec(NamedTuple):
     (tensordot's product over the cone positions ``pq``).  ``shape`` is the
     source's shape for that call and ``out`` the shape of its column range.
     The shapes are one sample's, and both indexes take the sample axis
-    first (``_transfer``).  ``temps`` counts the entries per source column
-    of the temporaries the transfer makes: the copy of the source's kept
-    slice when it drops a wire, and tensordot's reordered input and output
-    on path 2."""
+    first (``_bind_transfer``).  ``temps`` counts the entries per source
+    column of the temporaries the transfer makes: the copy of the source's
+    kept slice when it drops a wire, and tensordot's reordered input and
+    output on path 2.  ``part`` is the path and the extents of ``t`` on
+    Q_lo and Q_hi, which key a bound sweep's transfer operands
+    (``_bind``)."""
 
     drop: tuple | None
     t: tuple[slice, ...]
@@ -632,6 +641,7 @@ class _Spec(NamedTuple):
     out: tuple[int, ...]
     pq: tuple[int, int]
     temps: int
+    part: tuple[int, int, int]
 
 
 class _Feed(NamedTuple):
@@ -651,11 +661,13 @@ class _Move(NamedTuple):
 
     A move of the Gram plan with a source also holds ``read``, the group's
     rows its read takes (those that are the identity off the gate's wires,
-    ``_read``: at the gate's kept labels forward, all 16 backward), and
+    ``_read``: at the gate's kept labels forward, all 16 backward),
     ``pairs``, the index of the Gram entries the read writes: gate j's row
     and the sources' columns forward, the sources' rows and gate j's
-    columns backward, so that the row is always the later gate's.  Both
-    are None on every other move, so on every move of the matrix plan."""
+    columns backward, so that the row is always the later gate's, and
+    ``stage``, the offset of its block in the staging vector
+    (``_compile``).  All three are None on every other move, so on every
+    move of the matrix plan."""
 
     cone: _Cone
     sources: tuple[_Cone, ...]
@@ -664,14 +676,16 @@ class _Move(NamedTuple):
     at: int
     read: slice | np.ndarray | None
     pairs: tuple | None
+    stage: int | None
 
 
 class _Join(NamedTuple):
     """The cones of a forward and a backward group at the split, and their
     meet: the wires both hold.  Compiled for the sweep: both groups'
-    blocks, their rows of the meet (``_rows``) and the index of the Gram
+    blocks, their rows of the meet (``_rows``), the index of the Gram
     entries their product writes, the backward columns' rows (the later
-    gates) and the forward columns."""
+    gates) and the forward columns, and the offset of the product's block
+    in the staging vector."""
 
     forward: _Cone
     backward: _Cone
@@ -681,6 +695,7 @@ class _Join(NamedTuple):
     ahead_rows: slice | np.ndarray
     behind_rows: slice | np.ndarray
     pairs: tuple
+    stage: int
 
 
 class _Gate(NamedTuple):
@@ -714,23 +729,57 @@ class _FramePlan:
     float64 entries of the arena that holds every group, ``held`` those of
     its head, which holds the groups the matrix plan ends with or those the
     Gram plan joins, and ``scratch`` bounds the entries one transfer's,
-    read's or join's temporaries take beside it (``_compile``).  ``tables``
-    bounds the bytes of the compiled tables the plan keeps.  ``width``
-    counts the columns of ``gates``, the C of the Gram matrix a Gram plan
-    reads or of the matrix a matrix plan forms.  Which columns a gate
-    keeps is not the plan's: both plans read them from ``_gauge``.
+    read's or join's temporaries take beside it (``_compile``).
+    ``staging`` counts the entries of the Gram plan's staging vector,
+    which holds what its reads and joins take until they are scattered
+    into the Gram matrix (0 for the matrix plan), and ``index`` gives each
+    entry's place there.  ``tables`` bounds the bytes of the compiled
+    tables the plan keeps, ``index`` among them.  ``width`` counts the
+    columns of ``gates``, the C of the Gram matrix a Gram plan reads or of
+    the matrix a matrix plan forms.  Which columns a gate keeps is not the
+    plan's: both plans read them from ``_gauge``.
     """
 
     steps: tuple[tuple[_Move, ...], ...]
     arena: int
     held: int
     scratch: int
+    staging: int
     split: int
     gates: tuple[_Gate, ...]
     width: int
     joins: tuple[_Join, ...]
     final: tuple[tuple[_Cone, _Block, np.ndarray], ...]
     tables: int
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """The flat C x C Gram index of each entry of the staging vector:
+        the entry of its pair of columns whose row is the later gate's
+        (``pairs``), where a backward read's and a join's product hold
+        the transpose of their block.  Made on the first Gram read
+        (``_gram_read``), after the size check, and kept read-only with
+        the plan; int32 where C^2 allows."""
+        width = self.width
+        cell = np.arange(width, dtype=np.int32 if width ** 2 < 2 ** 31
+                         else np.intp)
+        row_cell = cell * width  # the flat offset of each row
+        index = np.empty(self.staging, dtype=cell.dtype)
+        blocks = [(move.stage, (gate.labels.size, move.at), move.pairs,
+                   gate.backward)
+                  for gate, step in zip(self.gates, self.steps)
+                  for move in step if move.stage is not None]
+        blocks += [(join.stage, (join.ahead.width, join.behind.width),
+                    join.pairs, True) for join in self.joins]
+        for at, shape, (rows, cols), flip in blocks:
+            out = index[at:at + shape[0] * shape[1]].reshape(shape)
+            if flip:
+                np.add(cell[cols].reshape(-1, 1),
+                       row_cell[rows].reshape(-1), out=out)
+            else:
+                np.add(row_cell[rows].reshape(-1, 1), cell[cols], out=out)
+        index.flags.writeable = False
+        return index
 
 
 def _first_fit(spans: list[tuple[int, int, int]],
@@ -915,7 +964,8 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
     each step's gate and its moves with their blocks and feeds; for the
     Gram plan (``prune``) each move's read rows and Gram indices and the
     joins, and for the matrix plan the final groups; the bytes these
-    tables keep; and the scratch of the sweep's temporaries.
+    tables keep; the scratch of the sweep's temporaries; and the staging
+    vector's layout.
 
     The steps' cones are wire bitmasks, which become tuples of wires here
     (``_wires``).  A gate's frame columns run from the sum of the kept
@@ -928,7 +978,16 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
     the Gram plan the read of a move with sources its rows, and backward
     their product with the born columns; a join the meet's rows of each
     group whose cone is not the meet, and their product.  It stays an upper
-    bound where the compiled rows are slices, which copy nothing."""
+    bound where the compiled rows are slices, which copy nothing.  A bound
+    sweep (``_bind``) lays each of these temporaries out at the start of
+    one scratch buffer of that size, but for the products of reads and
+    joins, which it writes into the staging vector.
+
+    The staging vector holds, in sweep order, one block per read and join:
+    a forward read's rows and a backward read's product (the gate's kept
+    labels x the source columns) and a join's product (forward x backward
+    columns), each in C order.  ``stage`` is a block's offset there, and
+    ``staging`` their total."""
     end = arch.gate_count
     offsets, arena, held = layout
     starts = [0, *itertools.accumulate(labels.size for labels in labels_all)]
@@ -936,7 +995,7 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
     born: dict[tuple, np.ndarray] = {}  # one I[:, labels] per label set
     live: dict[tuple[bool, int], tuple[_Block, np.ndarray]] = {}
     at_offset = iter(offsets)  # the offsets are in step and move order
-    gates, steps, arrays, scratch = [], [], [], 0
+    gates, steps, arrays, scratch, staged = [], [], [], 0, 0
     for s, (j, step) in enumerate(zip(order, taken)):
         backward = s >= split
         a, b = arch.gates[j]
@@ -968,22 +1027,24 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
                 cols.append(np.arange(own.start, own.stop))
             cols = cols[0] if len(cols) == 1 else np.concatenate(cols)
             live[backward, mask] = block, cols
-            read = pairs = None
+            read = pairs = stage = None
             if prune and at:  # a move with sources reads them
                 scratch = max(scratch, (16 * backward + labels.size) * width)
                 read = _read(cone, lo, hi, None if backward else key)
                 pairs = _pairs(cols[:at], own) if backward \
                     else _pairs(own, cols[:at])
                 arrays += [*pairs, read]
+                stage, staged = staged, staged + labels.size * at
             moves.append(_Move(cone, tuple(map(_wires, sources)), block,
-                               tuple(feeds), at, read, pairs))
+                               tuple(feeds), at, read, pairs, stage))
         steps.append(tuple(moves))
     joins = []
     for f, b, meet, fw, bw in meets:
         (ahead, fcols), (behind, bcols) = live[False, f], live[True, b]
         f, b, meet = _wires(f), _wires(b), _wires(meet)
         join = _Join(f, b, meet, ahead, behind, _rows(f, meet), _rows(b, meet),
-                     _pairs(bcols, fcols))
+                     _pairs(bcols, fcols), staged)
+        staged += fw * bw
         scratch = max(scratch, 4 ** len(meet) * (fw * (meet != f)
                                                  + bw * (meet != b)) + fw * bw)
         arrays += [join.ahead_rows, join.behind_rows, *join.pairs]
@@ -1002,11 +1063,14 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
              (x.base if x.base is not None else x).nbytes
              for x in arrays + list(born.values())
              if isinstance(x, np.ndarray)}
-    tables = sum(bases.values()) + _TABLE_OBJECT * (count + len(gates))
+    # the Gram index (``_FramePlan.index``) that the first Gram read makes
+    index = staged * (4 if starts[-1] ** 2 < 2 ** 31 else 8)
+    tables = sum(bases.values()) + index \
+        + _TABLE_OBJECT * (count + len(gates))
     return _FramePlan(
         steps=tuple(steps), arena=arena, held=held, scratch=scratch,
-        split=split, gates=tuple(gates), width=starts[-1], joins=tuple(joins),
-        final=final, tables=tables)
+        staging=staged, split=split, gates=tuple(gates),
+        width=starts[-1], joins=tuple(joins), final=final, tables=tables)
 
 
 # Cones repeat across the moves of a plan and across plans.
@@ -1070,7 +1134,12 @@ def _read(cone: _Cone, lo: int, hi: int,
 def _spec(old: _Cone, new: _Cone, lo: int, hi: int, whole: bool) -> _Spec:
     """The ``_Spec`` of a transfer on the gate's wires (lo, hi), lo < hi,
     from a group over cone ``old`` into a group over cone ``new``, which the
-    source fills when ``whole``, else a column range of it."""
+    source fills when ``whole``, else a column range of it.  The shapes
+    fix each GEMM operand's layout, as reshape makes it from t4's slice
+    and the source: a view where it can, else a C-ordered copy.  A bound
+    sweep keeps exactly those layouts (``_bind``): the strides of an
+    operand set the rounding of its product, and a contiguous copy of a
+    strided transfer slice moves Gram entries by up to 8e-17."""
     drop = None
     # new is old and the wires new to it, less the wires it drops
     if len(new) < len(old) + (lo not in old) + (hi not in old):
@@ -1096,7 +1165,8 @@ def _spec(old: _Cone, new: _Cone, lo: int, hi: int, whole: bool) -> _Spec:
     # output
     temps = 4 ** len(old) * ((drop is not None) + (path == 2)) \
         + 4 ** len(new) * (path == 2)
-    return _Spec(drop, t, path, shape, out, (p, q), temps)
+    return _Spec(drop, t, path, shape, out, (p, q), temps,
+                 (path, t[3].stop, t[4].stop))
 
 
 class _Step(NamedTuple):
@@ -1225,140 +1295,325 @@ def transfer_matrices(gates: GateAssignment) -> np.ndarray:
         1, 2, 0)).reshape(gates.matrices.shape[:-2] + (16, 16))
 
 
-def _group(arena: np.ndarray, block: _Block, samples: int) -> np.ndarray:
-    """The group at ``block`` of every sample, (S, rows, width), in its
-    ``arena``: a sweep over S samples lays out each block S times its
-    planned size, one sample after another, so that each sample's group
-    has one sample's layout and blocks that never overlap keep apart."""
-    span = block.span
-    return arena[samples * span.start:samples * span.stop].reshape(
-        samples, -1, block.width)
+class _Program(NamedTuple):
+    """A plan's sweep bound to a batch of S samples (``_bind``): the
+    transfer stack its operands view, (S, R, 16, 16); its array calls in
+    sweep order, each a function and its arguments; for a Gram plan the
+    S x C x C stack its Gram matrices take, whose first entries hold the
+    staging vector while it sweeps (None for the matrix plan); for the
+    matrix plan the cone, group (S, rows, width) and frame columns of each
+    group the sweep ends with."""
+
+    plan: _FramePlan
+    transfers: np.ndarray
+    calls: tuple[tuple[Callable, tuple], ...]
+    gram: np.ndarray | None
+    final: tuple[tuple[_Cone, np.ndarray, np.ndarray], ...]
 
 
-def _transfer(arenas: tuple[np.ndarray, np.ndarray], t4: np.ndarray,
-              feed: _Feed, x: np.ndarray) -> None:
-    """Apply each sample's transfer matrix t4[s, P_lo, P_hi, Q_lo, Q_hi] on
-    the gate's wires to its source group and write it into its column range
-    of the group ``x`` (S, rows, width), as ``feed`` lays out (``_Feed``).
-    A wire new to the cone enters with the identity letter, so only that
-    slice of t4 is read; a wire the move drops leaves at its identity
-    letter, so only that slice of the source is read.  One call serves
-    every sample, and each sample's product has one sample's shape."""
+def _carve(buffer: np.ndarray) -> Callable[[tuple[int, ...]], np.ndarray]:
+    """Hand out C-ordered arrays of the asked shapes from ``buffer``, one
+    after another; one past its end raises ValueError."""
+    used = 0
+
+    def take(shape: tuple[int, ...]) -> np.ndarray:
+        nonlocal used
+        start, used = used, used + math.prod(shape)
+        return buffer[start:used].reshape(shape)
+
+    return take
+
+
+def _shaped(a: np.ndarray, shape: tuple[int, ...], calls: list,
+            take: Callable) -> np.ndarray:
+    """``a.reshape(shape)`` as the sweep sees it: a view of ``a`` where
+    reshape makes one, else a buffer from ``take`` that a copy call fills
+    with ``a`` in C order, as reshape's own copy is laid out."""
+    try:
+        return a.reshape(shape, copy=False)
+    except ValueError:
+        buf = take(a.shape)
+        calls.append((np.copyto, (buf, a)))
+        return buf.reshape(shape)
+
+
+def _bind_transfer(t: np.ndarray, src: np.ndarray, x: np.ndarray,
+                   feed: _Feed, calls: list, scratch: np.ndarray) -> None:
+    """Add the calls that apply each sample's transfer slice, as the
+    operand ``t`` of the feed's path (``_OPERAND``), to its source group
+    ``src`` and write it into its column range of the group ``x``
+    (S, rows, width), as ``feed`` lays out (``_Feed``).  A wire the move
+    drops leaves at its identity letter, so only that slice of the source
+    is read.  The copies a reshape makes lie at the start of
+    ``scratch``."""
     spec = feed.spec
     s = len(x)
-    src = _group(arenas[feed.source.arena], feed.source, s)
-    if spec.drop is not None:
+    take = _carve(scratch)
+    if spec.drop is not None:  # the kept slice, which reshape may copy
         src = src.reshape((s,) + spec.drop[0])[spec.drop[1]]
-    src = src.reshape((s,) + spec.shape)
+    src = _shaped(src, (s,) + spec.shape, calls, take)
     out = x[:, :, feed.cut].reshape((s,) + spec.out)
     if spec.path == 0:  # adjacent in the cone: one broadcast matmul
-        np.matmul(t4[spec.t].reshape(s, 1, 16, -1), src, out=out)
+        calls.append((np.matmul, (t, src, out)))
     elif spec.path == 1:  # into a column range: a matmul per outer block
-        np.matmul(t4[spec.t].reshape(s, 1, 1, 16, -1), src.swapaxes(2, 3),
-                  out=out.swapaxes(2, 3))
+        calls.append((np.matmul, (t, src.swapaxes(2, 3), out.swapaxes(2, 3))))
     else:  # tensordot's product: the pair's axes lead the source's
         p, q = spec.pq
         src = np.moveaxis(src, (p + 1, q + 1), (1, 2))
         rest = src.shape[3:]
-        t = t4[spec.t].reshape(s, 16, -1)
-        prod = t @ src.reshape(s, t.shape[2], -1)
-        np.copyto(out, np.moveaxis(prod.reshape((s, 4, 4) + rest), (1, 2),
-                                   (p + 1, q + 1)))
+        src = _shaped(src, (s, t.shape[2], -1), calls, take)
+        prod = take((s, 16, src.shape[2]))
+        calls += [(np.matmul, (t, src, prod)),
+                  (np.copyto, (out, np.moveaxis(prod.reshape((s, 4, 4) + rest),
+                                                (1, 2), (p + 1, q + 1))))]
 
 
-def _sweep(transfers: np.ndarray, plan: _FramePlan,
-           gram: np.ndarray | None) -> np.ndarray:
-    """Run ``plan``'s sweep over the S samples of ``transfers``
-    (S, R, 16, 16) and return the arena's head, which holds the groups the
-    matrix plan ends with (``_assemble`` reads them).  A Gram plan's sweep
-    writes into ``gram`` (S x C x C, all zero) one entry of each pair of
-    columns a read or join takes, the one whose row is the later gate's,
-    wherever the plan has read tables; ``_gram_read`` closes the matrices.
-    The matrix plan has none and takes ``gram`` None.
+# The shape of each transfer path's operand after the sample axis: a
+# matmul broadcast over the outer row blocks (and the tail's), or one
+# 16 x k matrix for tensordot's product.
+_OPERAND = {0: (1, 16, -1), 1: (1, 1, 16, -1), 2: (16, -1)}
 
-    Each array call serves every sample, and each sample's product keeps
-    the shape of a one-sample sweep's, so each sample's numbers are
-    those of its own sweep, bit for bit.  Each block of the plan's arena
-    holds its group of every sample (``_group``).  The arena is made by
-    one ``np.empty`` for the rest, which is gone when the sweep returns,
-    and then one for its head.  Made second, the head tends to sit just
-    above the rest in a heap, so once the matrix is formed from it and it
-    is freed, the two free blocks join into one that takes the SVD's copy
-    of the matrix.  Every group a gate writes is a view of its planned
-    block, and the sweep runs only array calls from the plan's tables:
-    each source group's transfer writes straight into its column range
-    (``_transfer``), and the group over the gate's wires takes the gate's
-    born columns in its tail: the kept columns of I forward, of T_j^T
-    backward.  A forward read copies the group's rows of the gate's kept
-    labels; a backward one takes the product of the born columns with the
-    group's rows of all 16 labels, and a join the product of each joined
-    pair's rows of their meet, each written transposed.  A row selection
-    is a slice where the plan found one."""
+
+def _gate_entries(plan: _FramePlan) -> int:
+    """The entries a sample of a bound sweep's gate buffer holds
+    (``_bind``): a backward gate's born columns, at most 16 x 15, and a
+    swapped gate's copies of its transfer slices, at most one each of
+    16 x 1, 16 x 4, 16 x 4 and 16 x 16, where a swapped backward gate
+    first copies its whole transfer matrix for its born columns.  With
+    the copy of a consensus batch's transfer stack that a program keeps
+    (2 KiB per gate a sample), this fits in the 16 KiB per gate that
+    ``peak_bytes`` counts for the transfers and their complex build, which
+    is gone when the program sweeps."""
+    return 240 * (plan.split < len(plan.gates)) \
+        + 400 * any(gate.swap for gate in plan.gates)
+
+
+def _bind(plan: _FramePlan, transfers: np.ndarray) -> _Program:
+    """``plan``'s sweep bound to the S samples of ``transfers``
+    (S, R, 16, 16), which its transfer operands view (``_sweep`` copies
+    another batch in): its arrays are made once and every group view,
+    transfer operand and Gram block view is built here, so that a sweep
+    is a flat loop of matmul and copy calls.
+
+    Each block of the arena holds its group of every sample, one sample
+    after another, so that each sample's group has one sample's layout.
+    One array holds the arena's rest, the scratch and the gate buffer and,
+    for a Gram plan, the arena's head, so that the heap can reuse one
+    block from one consensus to the next.  The matrix plan's head, which
+    its final groups keep, is a second array: made second, it tends to
+    sit just above the first, so that once both are freed they can take
+    the SVD's copy of the matrix.  Each op lays its temporaries
+    (``_compile``) out at the start of the scratch, S times the plan's
+    ``scratch``; a gate's born columns and copied transfer slices take the
+    gate buffer (``_gate_entries``).  A Gram plan's staging vector takes
+    the first ``staging`` entries of each sample's matrix in the
+    program's S x C x C Gram stack.
+
+    Every product operand has one sample's layout, since a GEMM operand's
+    strides set its rounding: the slice of t4 each transfer takes is the
+    view or C-ordered copy that reshape makes of it, one per slice and
+    gate (``_spec``), and the backward born columns, the kept columns of
+    T_j^T, are column-major.  The group over the gate's wires
+    takes the born columns in its tail.  A forward read copies the rows
+    of the gate's kept labels into its staging block, a backward read
+    writes there their product with the born columns and a join the
+    product of its pair's rows of the meet; rows that no slice selects
+    are taken into the scratch first."""
     s = len(transfers)
-    rest = np.empty(s * (plan.arena - plan.held))
-    head = np.empty(s * plan.held)
+    gram_plan = not plan.final
+    sizes = [s * (plan.arena - plan.held), s * plan.scratch,
+             s * _gate_entries(plan), s * plan.held * gram_plan]
+    buffer, parts, at = np.empty(sum(sizes)), [], 0
+    for size in sizes:
+        parts.append(buffer[at:at + size])
+        at += size
+    rest, scratch, gate_buffer, head = parts
+    if not gram_plan:  # the final groups outlive the rest
+        head = np.empty(s * plan.held)
     arenas = rest, head
-    every = (slice(None),)
+    gram = np.empty((s, plan.width, plan.width)) if gram_plan else None
+    staging = gram.reshape(s, -1) if gram_plan else None
+    sliced = gate_buffer[240 * s * (plan.split < len(plan.gates)):]
+    groups: dict[int, np.ndarray] = {}  # by id, as blocks recur
+    calls: list = []
+
+    def group(block: _Block) -> np.ndarray:
+        x = groups.get(id(block))
+        if x is None:
+            span = block.span
+            x = groups[id(block)] = arenas[block.arena][
+                s * span.start:s * span.stop].reshape(s, -1, block.width)
+        return x
+
+    def rows_of(x: np.ndarray, rows: slice | np.ndarray, cols: int,
+                at: int = 0) -> np.ndarray:
+        # x[:, rows, :cols]: a view where rows is a slice, else taken in
+        # C order into the scratch from ``at`` by one take
+        if isinstance(rows, slice):
+            return x[:, rows, :cols]
+        out = scratch[at:at + s * rows.size * cols].reshape(s, -1, cols)
+        if cols == x.shape[2]:
+            calls.append((x.take, (rows, 1, out, "clip")))
+        else:  # by flat positions, as the columns are a leading range
+            flat = np.arange(0, x.size, x[0].size)[:, None, None] \
+                + (rows[:, None] * x.shape[2] + np.arange(cols))
+            calls.append((x.reshape(-1).take, (flat.ravel(), 0,
+                                               out.reshape(-1), "clip")))
+        return out
+
+    def stage(at: int, shape: tuple[int, int]) -> np.ndarray:
+        return staging[:, at:at + shape[0] * shape[1]].reshape(
+            (s,) + shape)
+
     for gate, step in zip(plan.gates, plan.steps):
+        # t4[s, P_lo, P_hi, Q_lo, Q_hi], transposed backward, with the
+        # lower wire leading, as the plan's labels read it
         t4 = transfers[:, gate.j]
-        t4 = (t4.swapaxes(1, 2) if gate.backward else t4) \
-            .reshape(s, 4, 4, 4, 4)
-        if gate.swap:  # the lower wire leads, as in the plan's labels
+        t4 = (t4.swapaxes(1, 2) if gate.backward else t4).reshape(
+            s, 4, 4, 4, 4)
+        if gate.swap:
             t4 = t4.transpose(0, 2, 1, 4, 3)
-        born = t4.reshape(s, 16, 16)[:, :, gate.labels] if gate.backward \
-            else gate.born
+        born, k = gate.born, gate.labels.size
+        if gate.backward:  # T_j^T's kept columns, column-major
+            born = gate_buffer[:s * k * 16].reshape(s, k, 16)
+            t = _shaped(t4, (s, 16, 16), calls, _carve(sliced))
+            calls.append((t.swapaxes(1, 2).take, (gate.labels, 1, born,
+                                                  "clip")))
+            born = born.swapaxes(1, 2)
+        take = _carve(sliced)
+        operands: dict[tuple, np.ndarray] = {}
         for move in step:
-            x = _group(arenas[move.block.arena], move.block, s)
+            x = group(move.block)
             for feed in move.feeds:
-                _transfer(arenas, t4, feed, x)
-            if move.at < move.block.width:  # the gate's own group
-                x[:, :, move.at:] = born
-            if move.pairs is not None:
-                rows = x[:, move.read, :move.at]
-                if gate.backward:
-                    rows = (born.swapaxes(1, 2) @ rows).swapaxes(1, 2)
-                gram[every + move.pairs] = rows
+                spec = feed.spec
+                t = operands.get(spec.part)
+                if t is None:  # one view or copy per slice of t4
+                    t = operands.get(spec.part[1:])
+                    if t is None:
+                        t = operands[spec.part[1:]] = _shaped(
+                            t4[spec.t], (s, 16, -1), calls, take)
+                    t = operands[spec.part] = t.reshape(
+                        (s,) + _OPERAND[spec.path])
+                _bind_transfer(t, group(feed.source), x, feed, calls,
+                               scratch)
+            at = move.at
+            if at < move.block.width:  # the gate's own group
+                calls.append((np.copyto, (x[:, :, at:], born)))
+            if move.stage is None:
+                continue
+            out = stage(move.stage, (k, at))
+            if gate.backward:
+                calls.append((np.matmul, (born.swapaxes(1, 2),
+                                          rows_of(x, move.read, at), out)))
+            else:  # a gather takes the rows whole, then their columns
+                rows = rows_of(x, move.read, x.shape[2])
+                calls.append((np.copyto, (out, rows[:, :, :at])))
     for join in plan.joins:
-        ahead, behind = join.ahead, join.behind
-        xf = _group(arenas[ahead.arena], ahead, s)[:, join.ahead_rows]
-        xb = _group(arenas[behind.arena], behind, s)[:, join.behind_rows]
-        gram[every + join.pairs] = (xf.swapaxes(1, 2) @ xb).swapaxes(1, 2)
-    return head
+        fw, bw = join.ahead.width, join.behind.width
+        xf = rows_of(group(join.ahead), join.ahead_rows, fw)
+        xb = rows_of(group(join.behind), join.behind_rows, bw,
+                     0 if isinstance(join.ahead_rows, slice) else xf.size)
+        calls.append((np.matmul, (xf.swapaxes(1, 2), xb,
+                                  stage(join.stage, (fw, bw)))))
+    final = tuple((cone, group(block), cols)
+                  for cone, block, cols in plan.final)
+    return _Program(plan, transfers, tuple(calls), gram, final)
 
 
-def _gram_read(transfers: np.ndarray, plan: _FramePlan) -> np.ndarray:
-    """The Gram matrices the Gram plan ``plan``'s sweep reads
+def _sweep(program: _Program, transfers: np.ndarray) -> None:
+    """Run the bound sweep ``program`` (``_bind``) over the S samples of
+    ``transfers`` (S, R, 16, 16), which it first copies into its own
+    stack unless they are that stack.  Its groups are then in its arena:
+    the matrix plan's last ones in its ``final`` views (``_assemble``
+    reads them), and a Gram plan's reads and joins in its staging vector
+    (``_gram_read`` scatters them).  Each array call serves every sample,
+    and each sample's product keeps the shape and operand layout of a
+    one-sample sweep's, so each sample's numbers are those of its own
+    sweep, bit for bit."""
+    if transfers is not program.transfers:
+        np.copyto(program.transfers, transfers)
+    for call, args in program.calls:
+        call(*args)
+
+
+def _gram_read(program: _Program, transfers: np.ndarray) -> np.ndarray:
+    """The Gram matrices the bound Gram plan ``program``'s sweep reads
     (``_unitary_frame``), S x C x C for the S samples of ``transfers`` and
-    the C kept labels of its gates.  The sweep writes one entry of each
-    pair of columns it reads, and the other entry stays an exact 0 (a pair
-    no read or join takes, or of one gate's columns, is 0).  Once its
-    arena is released, one symmetrisation per sample fills the other
-    entries, with one C x C temporary, and the diagonals take 1, a born
-    unit vector against itself."""
-    width = plan.width
-    gram = np.zeros((len(transfers), width, width))
-    _sweep(transfers, plan, gram)
+    the C kept labels of its plan's gates: the program's own stack, which
+    its next sweep overwrites.  The sweep stages one entry of each pair of
+    columns it reads at the head of each sample's Gram matrix; a copy of
+    them is scattered, by the plan's ``index``, into that matrix once it
+    is zeroed, so the other entry stays an exact 0 (a pair no read or
+    join takes, or of one gate's columns, is 0).  Then ``g += g.T.copy()``
+    fills the other entries, with one C x C temporary, and the diagonal
+    takes 1, a born unit vector against itself."""
+    _sweep(program, transfers)
+    plan, gram = program.plan, program.gram
     for one in gram:
-        one += one.T
-    gram.reshape(len(gram), width * width)[:, ::width + 1] = 1.0
+        flat = one.reshape(-1)
+        staged = flat[:plan.staging].copy()
+        flat.fill(0.0)
+        flat[plan.index] = staged
+        one += one.T.copy()
+        flat[::plan.width + 1] = 1.0
     return gram
 
 
-def _assemble(n: int, plan: _FramePlan, head: np.ndarray,
+def _assemble(n: int, width: int,
+              final: tuple[tuple[_Cone, np.ndarray, np.ndarray], ...],
               samples: int) -> np.ndarray:
-    """The S x 4^n x C frames, S = ``samples`` and C the matrix plan
-    ``plan``'s ``width``, from the head of its sweep's arena, which holds
-    the plan's final groups."""
+    """The S x 4^n x C frames, S = ``samples`` and C = ``width``, from the
+    ``final`` groups of a bound matrix plan's sweep (``_Program``)."""
     # one row per column: each group is written as one transposed block
-    out = np.empty((samples, plan.width, 4 ** n))
-    for cone, block, cols in plan.final:
-        x = _group(head, block, samples).swapaxes(1, 2)
+    out = np.empty((samples, width, 4 ** n))
+    for cone, x, cols in final:
+        x = x.swapaxes(1, 2)
         if len(cone) == n:
             out[:, cols] = x
         else:
             out[:, cols] = 0.0
             out[:, cols[:, None], _cone_index(cone, n)] = x
     return out.swapaxes(1, 2)
+
+
+class _Binding:
+    """The bound Gram sweep (``_bind``) a consensus keeps across its
+    batches: one program while the plan and the batch size stay, dropped
+    (``drop``) before any matrix sweep and when the consensus ends.  As a
+    context manager it is the consensus in progress (``_CONSENSUS``),
+    through which ``tangent_frame``, the frame call the consensus makes
+    per batch, sweeps the batch's Gram plan."""
+
+    def __init__(self) -> None:
+        self.program: _Program | None = None
+
+    def __enter__(self) -> _Binding:
+        self._token = _CONSENSUS.set(self)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        _CONSENSUS.reset(self._token)
+        self.drop()
+
+    def gram_read(self, plan: _FramePlan,
+                  transfers: np.ndarray) -> np.ndarray:
+        """``_gram_read`` by the kept program, bound first if it is not
+        ``plan``'s over a stack of the shape of ``transfers``."""
+        program = self.program
+        if program is None or program.plan is not plan \
+                or program.transfers.shape != transfers.shape:
+            self.program = program = None  # the old arena goes first
+            self.program = program = _bind(plan, np.empty_like(transfers))
+        return _gram_read(program, transfers)
+
+    def drop(self) -> None:
+        self.program = None
+
+
+# The binding of the consensus in progress (``_Binding``), which
+# ``tangent_frame`` reads, as it takes no binding of its own.
+_CONSENSUS: contextvars.ContextVar[_Binding | None] = \
+    contextvars.ContextVar("consensus", default=None)
 
 
 def _tall_head(arch: Architecture,
@@ -1384,7 +1639,8 @@ def _tall_head(arch: Architecture,
 
 
 def _unitary_frame(arch: Architecture, gates: GateAssignment,
-                   ends: tuple[int, ...]) -> TangentFrame:
+                   ends: tuple[int, ...],
+                   binding: _Binding | None) -> TangentFrame:
     """The unitary frame by the forward sweep of ``_frame_plan``: column
     (j, k) is T_R ... T_{j+1} e_{S_k}.
 
@@ -1434,22 +1690,28 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     stack's entries, so a finite stack makes a finite frame.
 
     A frame one of whose prefixes (``ends``) is tall runs the Gram plan's
-    sweep and releases its arena on return; any other frame runs no sweep
-    here.  The sweep covers the gates of the longest tall prefix, whose
-    columns lead the frame's and hold every tall prefix's: the later gates
-    act on them orthogonally, so their Gram matrix is the head's, and the
-    bound above takes the head's gates and columns, those of its Gram plan
-    (``_tall_head``).  Every frame takes its columns from ``_gauge`` and
-    keeps its transfer stack (2 KiB per gate), and the first read of its
-    ``matrix`` fetches the matrix plan, runs its sweep and assembles the
-    matrix from its last groups.
+    sweep; any other frame runs no sweep here.  With a ``binding``, the
+    one a consensus keeps across its batches, the sweep runs its bound
+    program (``_Binding``), whose Gram stack the frame then holds until
+    the next batch's sweep; without one the frame binds the plan to its
+    own transfer stack, sweeps and drops the program but for its Gram
+    stack before it returns.  The sweep covers the gates of the longest
+    tall prefix, whose columns lead the frame's and hold every tall
+    prefix's: the later gates act on them orthogonally, so their Gram
+    matrix is the head's, and the bound above takes the head's gates and
+    columns, those of its Gram plan (``_tall_head``).  Every frame takes
+    its columns from ``_gauge`` and keeps its transfer stack (2 KiB per
+    gate), and the first read of its ``matrix`` fetches the matrix plan,
+    runs its sweep and assembles the matrix from its last groups.
 
     The frame is stacked, over the samples of a stacked assignment or a
     stack of one: one transfer build, one Gram sweep and one bound per
     sample serve them all, and ``TangentFrame.sample`` gives each
-    sample's frame.  The first read of a sample's matrix runs one matrix
-    sweep for it and the next samples, as many as ``_matrix_batch``
-    allows, and keeps their matrices until another sample's is read.
+    sample's frame.  The first read of a sample's matrix drops the
+    ``binding``'s program, binds the matrix plan to the transfers of it
+    and the next samples, as many as ``_matrix_batch`` allows, sweeps,
+    drops the program but for its final groups and keeps their matrices
+    until another sample's is read.
     """
     _, _, record, own = _gauge(arch, ends)
     s = gates.samples or 1
@@ -1464,15 +1726,21 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
         eps = np.finfo(np.float64).eps
         meet = max((4 ** len(join.meet) for join in head.joins), default=0)
         join_term = np.log1p(meet * eps / (1 - meet * eps))
-        gram = _gram_read(transfers, head)
+        gram = _gram_read(_bind(head, transfers), transfers) \
+            if binding is None else binding.gram_read(head, transfers)
         gram_error = np.array([head.width * float(np.expm1(
             len(head.gates) * np.log1p(tau + 256 * eps) + join_term))
             for tau in taus])
 
     def assemble(lo: int, hi: int) -> np.ndarray:
+        if binding is not None:
+            binding.drop()
         plan = _frame_plan(arch, ends)
-        return _assemble(arch.n, plan, _sweep(transfers[lo:hi], plan, None),
-                         hi - lo)
+        program = _bind(plan, transfers[lo:hi])
+        _sweep(program, program.transfers)
+        final = program.final
+        del program  # the arena's rest goes before the matrix is formed
+        return _assemble(arch.n, plan.width, final, hi - lo)
 
     formed: dict[int, np.ndarray] = {}  # the last matrix sweep's samples
 
@@ -1549,17 +1817,20 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     bit for bit, the frame of sample i's own assignment.  In unitary mode
     one transfer build, one Gram sweep and one matrix sweep per
     ``_matrix_batch`` samples serve the stack, each array call for every
-    sample at once; state mode builds the samples' frames one after
-    another.  One assignment gives its own frame, a stack of one's sample.
-    The size check (``peak_bytes``) covers the stacks
-    ``accessible_dimensions`` makes (``_batch``).
+    sample at once, and each sweep binds its plan (``_bind``) and drops
+    the program when it is done; inside a consensus the Gram sweep runs
+    the consensus's program instead (``accessible_dimensions``).  State
+    mode builds the samples' frames one after another.  One assignment
+    gives its own frame, a stack of one's sample.  The size check
+    (``peak_bytes``) covers the stacks ``accessible_dimensions`` makes
+    (``_batch``).
     """
     check_mode(mode)
     ends = _ends(arch, prefixes)
     _check_size(arch, mode, ends, gates.samples or 1, stack=True)
     _require_match(arch, gates)
-    build = _unitary_frame if mode == "unitary" else _state_frame
-    frame = build(arch, gates, ends)
+    frame = _unitary_frame(arch, gates, ends, _CONSENSUS.get()) \
+        if mode == "unitary" else _state_frame(arch, gates, ends)
     return frame if gates.samples is not None else frame.sample(0)
 
 
@@ -1697,8 +1968,8 @@ def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
              + 4 * (c + 1) * (2 * (c + 2) + top) * _SMALLEST_SUBNORMAL)
     shifted = gram.copy()
     shifted[np.diag_indices(c)] -= shift
-    try:
-        np.linalg.cholesky(shifted)
+    try:  # exactly symmetric: its F-ordered transpose is the same matrix
+        np.linalg.cholesky(shifted.T)
     except np.linalg.LinAlgError:
         return None
     sv = np.sqrt(np.linalg.eigvalsh(gram)[::-1]) if spectrum else None
@@ -1963,8 +2234,14 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     stack and one ``tangent_frame`` call makes its stacked frame, whose
     samples (``TangentFrame.sample``) then take their ranks in order.
     The batch is dropped before the next one is drawn, so a frame over
-    the chunk goes one sample at a time.  Every estimate is the one a
-    sample's own frame gives, bit for bit.
+    the chunk goes one sample at a time.  A unitary consensus binds its
+    Gram plan once (``_Binding``, which ``tangent_frame`` reads from
+    ``_CONSENSUS``) and sweeps every batch through that program: a last
+    batch of fewer samples binds its own.  The program, arena and all,
+    lives through the batches' certificates, and is dropped before any
+    matrix sweep (a failed certificate's or a wide prefix's, which binds
+    again for the next batch) and when the consensus returns or raises.
+    Every estimate is the one a sample's own frame gives, bit for bit.
 
     For each prefix all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged
@@ -1985,16 +2262,18 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     _check_size(arch, mode, ends, samples)
     estimates: list[list[RankEstimate]] = [[] for _ in ends]
     batch = _batch(arch, mode, ends)[0]
-    for lo in range(0, samples, batch):
-        seeds = [subseed(seed, i) for i in range(lo, min(lo + batch, samples))]
-        stack = tangent_frame(arch, GateAssignment.haar(arch, seeds), mode,
-                              ends)
-        for i in range(len(seeds)):
-            frame = stack.sample(i)
-            for row, length in zip(estimates, ends):
-                row.append(numerical_rank(frame.prefix(length), tolerances,
-                                          spectrum=spectrum))
-        del stack, frame  # before the next batch is drawn
+    with _Binding():
+        for lo in range(0, samples, batch):
+            seeds = [subseed(seed, i)
+                     for i in range(lo, min(lo + batch, samples))]
+            stack = tangent_frame(arch, GateAssignment.haar(arch, seeds),
+                                  mode, ends)
+            for i in range(len(seeds)):
+                frame = stack.sample(i)
+                for row, length in zip(estimates, ends):
+                    row.append(numerical_rank(frame.prefix(length),
+                                              tolerances, spectrum=spectrum))
+            del stack, frame  # before the next batch is drawn
     return tuple(_consensus(arch, length, mode, seed, tolerances, tuple(row))
                  for length, row in zip(ends, estimates))
 

@@ -508,9 +508,9 @@ def test_a_cleared_plan_cache_leaves_no_stale_gram_plan(monkeypatch):
     swept = []
     sweep = contraction._sweep
 
-    def counted(transfers, plan, gram):
-        swept.append(plan)
-        return sweep(transfers, plan, gram)
+    def counted(program, transfers):
+        swept.append(program.plan)
+        return sweep(program, transfers)
 
     monkeypatch.setattr(contraction, "_sweep", counted)
     tangent_frame(arch, GateAssignment.haar(arch, 2))

@@ -5,6 +5,7 @@ for bit."""
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from archdim import (
     brickwork,
     build_family,
     numerical_rank,
+    random_adjacent,
     staircase,
     subseed,
     tangent_frame,
@@ -26,6 +28,7 @@ from archdim import contraction
 from archdim.bounds import gauge_fixed_count
 from archdim.contraction import (DEFAULT_TOLERANCES, peak_bytes,
                                  transfer_matrices)
+from reference import split_gram
 from test_contraction import _OBJECT_SLACK, FRAME_CASES, PEAK_CASES
 from test_shared_draws import CHAINS
 
@@ -308,9 +311,9 @@ def _count_work(monkeypatch, arch):
         ranked.append(frame.gate_count)
         return rank(frame, *args, **kwargs)
 
-    def counted_sweep(transfers, plan, gram):
-        swept.append((plan is pruned, len(transfers)))
-        return sweep(transfers, plan, gram)
+    def counted_sweep(program, transfers):
+        swept.append((program.plan is pruned, len(transfers)))
+        return sweep(program, transfers)
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
     monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
@@ -355,3 +358,159 @@ def test_a_matrix_sweep_forms_what_fits_in_the_chunk(arch, monkeypatch):
     accessible_dimension(arch, "unitary", 3, 1)
     matrices = contraction._matrix_batch(arch, (arch.gate_count,))[0]
     assert swept == [(False, min(matrices, 3))] * math.ceil(3 / matrices)
+
+
+# -- the bound Gram sweep -----------------------------------------------------
+
+
+def _recorded_grams(monkeypatch):
+    """The list that records, for each frame ``numerical_rank`` later
+    takes, a copy of its Gram matrix (None for none) and its
+    ``gram_error``: a consensus's bound sweep overwrites its Gram stack
+    batch by batch."""
+    seen = []
+    rank = contraction.numerical_rank
+
+    def recorded(frame, *args, **kwargs):
+        gram = None if frame.gram is None else frame.gram.copy()
+        seen.append((gram, frame.gram_error))
+        return rank(frame, *args, **kwargs)
+
+    monkeypatch.setattr(contraction, "numerical_rank", recorded)
+    return seen
+
+
+def _batched(monkeypatch, batching, arch, ends):
+    """Make a consensus over ``arch`` take its samples one a batch, all in
+    one batch, or two a batch."""
+    if batching == "one":
+        monkeypatch.setattr(contraction, "_STACK_CHUNK", 1)
+    elif batching == "stacked":
+        monkeypatch.setattr(contraction, "_STACK_CHUNK", 2 ** 40)
+    else:
+        each = contraction._batch(arch, "unitary", ends)[1]
+        monkeypatch.setattr(contraction, "_STACK_CHUNK", 2 * each)
+
+
+@pytest.mark.parametrize("batching", ["one", "stacked", "pairs"])
+@pytest.mark.parametrize("build", STACK_CASES + [
+    pytest.param(lambda: (build_family("brickwork", 6, 1), None),
+                 id="brickwork-6-1")])
+def test_a_bound_sweep_reads_each_sample_s_own_gram_matrix(build, batching,
+                                                           monkeypatch):
+    # five samples in batches of one (one program swept five times), of
+    # five (one stacked sweep) and of 2, 2 and 1 (a program per batch
+    # size): each sample's Gram matrix, bound, route and ranks are those
+    # of its own frame, bit for bit, and its head's Gram matrix is the
+    # split read's of the dense reference, to rounding
+    arch, prefixes = build()
+    if prefixes:
+        prefixes = prefixes[::6] + prefixes[-1:]
+    ends = contraction._ends(arch, prefixes)
+    _batched(monkeypatch, batching, arch, ends)
+    seen = _recorded_grams(monkeypatch)
+    reports = accessible_dimensions(arch, "unitary", 5, 8, prefixes=prefixes)
+    monkeypatch.undo()
+    head = contraction._tall_head(arch, ends)
+    kept = contraction._gauge(arch, ends)[0]
+    for i in range(5):
+        gates = GateAssignment.haar(arch, subseed(8, i))
+        frame = tangent_frame(arch, gates, "unitary", ends)
+        for k, (length, report) in enumerate(zip(ends, reports)):
+            gram, error = seen[i * len(ends) + k]
+            one = frame.prefix(length)
+            assert _bits(gram) == _bits(one.gram)
+            assert _bits(error) == _bits(one.gram_error)
+            want = numerical_rank(one)
+            got = report.estimates[i]
+            assert (got.route, got.loose_rank, got.tight_rank) \
+                == (want.route, want.loose_rank, want.tight_rank)
+        if head is not None:
+            r = len(head.gates)
+            ref = split_gram(Architecture(arch.n, arch.gates[:r]),
+                             transfer_matrices(gates)[:r], kept[:r],
+                             head.split)
+            assert np.abs(frame.gram - ref).max(initial=0.0) < 1e-13
+
+
+def _count_binds(monkeypatch):
+    """The list of the plans that each later ``_bind`` call binds."""
+    bound = []
+    bind = contraction._bind
+
+    def counted(plan, transfers):
+        bound.append(plan)
+        return bind(plan, transfers)
+
+    monkeypatch.setattr(contraction, "_bind", counted)
+    return bound
+
+
+def test_a_consensus_binds_its_gram_sweep_once(monkeypatch):
+    # brickwork(6, 1)'s three samples go one a batch, through one bound
+    # program; a lone frame binds its own, once a call
+    arch = build_family("brickwork", 6, 1)
+    pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
+    bound = _count_binds(monkeypatch)
+    report = accessible_dimension(arch, "unitary", 3, 0)
+    assert [e.route for e in report.estimates] == ["gram"] * 3
+    assert contraction._batch(arch, "unitary", (arch.gate_count,))[0] == 1
+    assert bound == [pruned]
+    for seed in (1, 2):
+        tangent_frame(arch, GateAssignment.haar(arch, seed))
+    assert bound == [pruned] * 3
+
+
+def _arena(program):
+    """The largest array that a bound program's calls view, but for its
+    Gram stack and transfer stack: the one array of its arena."""
+    roots = {}
+    for _, args in program.calls:
+        for x in args:
+            if isinstance(x, np.ndarray):
+                while x.base is not None:
+                    x = x.base
+                roots[id(x)] = x
+    for held in (program.gram, program.transfers):
+        while held.base is not None:
+            held = held.base
+        roots.pop(id(held), None)
+    return max(roots.values(), key=lambda x: x.nbytes)
+
+
+@pytest.mark.parametrize("arch, route", [
+    (build_family("brickwork", 6, 1), "gram"),
+    (random_adjacent(6, 40, 1), "svd")],
+    ids=["brickwork-6-1", "random-6-40-1"])
+def test_a_bound_consensus_stays_under_its_estimate(arch, route,
+                                                    monkeypatch):
+    # the Gram program's arena lives through the certificates and stays
+    # under the estimate, which counts it there; random_adjacent(6, 40,
+    # 1)'s certificates fail, and its arena is gone before the matrix
+    # sweep that each sample's SVD then reads
+    arenas, gone = [], []
+    bind, sweep = contraction._bind, contraction._sweep
+
+    def watched_bind(plan, transfers):
+        program = bind(plan, transfers)
+        if program.gram is not None:
+            arenas.append(weakref.ref(_arena(program)))
+        return program
+
+    def watched_sweep(program, transfers):
+        if program.gram is None:
+            gone.append(all(arena() is None for arena in arenas))
+        return sweep(program, transfers)
+
+    monkeypatch.setattr(contraction, "_bind", watched_bind)
+    monkeypatch.setattr(contraction, "_sweep", watched_sweep)
+    tracemalloc.start()
+    try:
+        report = accessible_dimension(arch, "unitary", 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_bytes(arch, "unitary", samples=3) + _OBJECT_SLACK
+    assert arenas and all(arena() is None for arena in arenas)
+    assert [e.route for e in report.estimates] == [route] * 3
+    assert gone == [True] * 3 * (route == "svd")

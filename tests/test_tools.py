@@ -95,6 +95,18 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
         "seed1.prefix12.route", "seed1.prefix12.ranks"]
 
 
+def test_frame_digest_covers_a_dim_shape_s_consensus(capsys):
+    # a dim shape adds, per seed, five items of each of the five samples of
+    # its consensus, after its frame items
+    assert frame_digest.main(["dim-staircase-7-1", "--seeds", "3"]) == 0
+    items = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
+    assert len(items) == 10 + 2 + 10 + 5 * 5
+    assert items[22:27] == [f"seed3.consensus.sample0.{item}" for item in (
+        "route", "ranks", "sigma_max_upper", "sigma_min_lower",
+        "singular_values")]
+    assert items[-1] == "seed3.consensus.sample4.singular_values"
+
+
 def test_witness_digest_repeats_one_line_per_item(capsys):
     # two runs print the same lines: per shape and mode the certificate
     # and its witness rank; staircase-16-48 runs in both modes

@@ -9,6 +9,10 @@ scratch and tables; ``peak_bytes`` in both modes; and per seed (1 to 5 by
 default) the Gram matrix and ``repr(gram_error)`` at the plan's split h, at
 h = 0 and at h = R, the frame's matrix, and the singular values, route and
 loose/tight ranks of ``numerical_rank``, which is asked for the spectrum.
+Each dim shape (``CONSENSUS``) also prints, per seed, each sample's route,
+loose/tight ranks, ``sigma_max_upper``, ``sigma_min_lower`` and singular
+values from a five-sample unitary consensus asked for the spectrum
+(``accessible_dimensions``), which sweeps its samples in batches.
 
 Each union shape (all of ``UNIONS`` by default, after the shapes) is an
 architecture and the gate counts of its prefixes that one union frame
@@ -30,14 +34,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import sys
 from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from archdim import (GateAssignment, brickwork, build_family,
-                     from_gate_sequence, numerical_rank, random_adjacent,
-                     staircase, tangent_frame)
+from archdim import (GateAssignment, accessible_dimensions, brickwork,
+                     build_family, from_gate_sequence, numerical_rank,
+                     random_adjacent, staircase, tangent_frame)
 from archdim import contraction
 
 SHAPES: dict[str, Callable] = {
@@ -55,6 +60,9 @@ SHAPES: dict[str, Callable] = {
     "sequence-6-21": lambda: from_gate_sequence(
         6, [(1, 6), (2, 5), (3, 4), (6, 1), (1, 3), (2, 4), (5, 6)] * 3),
 }
+
+# the shapes of the benchmark's dim ops, whose consensus is digested too
+CONSENSUS = ("dim-staircase-6-2", "dim-staircase-7-1", "dim-brickwork-6-1")
 
 # (architecture, prefix gate counts) of each union frame
 UNIONS: dict[str, Callable] = {
@@ -114,6 +122,21 @@ def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
         yield f"seed{seed}.matrix", frame.matrix
 
 
+def consensus_items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
+    """(quantity, value) of each sample of a five-sample unitary consensus
+    over ``arch`` per seed, asked for the spectrum."""
+    for seed in seeds:
+        report, = accessible_dimensions(arch, "unitary", 5, seed,
+                                        spectrum=True)
+        for i, est in enumerate(report.estimates):
+            label = f"seed{seed}.consensus.sample{i}"
+            yield f"{label}.route", est.route
+            yield f"{label}.ranks", (est.loose_rank, est.tight_rank)
+            yield f"{label}.sigma_max_upper", est.sigma_max_upper
+            yield f"{label}.sigma_min_lower", est.sigma_min_lower
+            yield f"{label}.singular_values", est.singular_values
+
+
 def union_items(arch, prefixes: tuple[int, ...],
                 seeds: list[int]) -> Iterator[tuple[str, object]]:
     """(quantity, value) of every item digested for the union frame over
@@ -149,6 +172,9 @@ def main(argv: list[str]) -> int:
     for shape in args.shapes or [*SHAPES, *UNIONS]:
         found = items(SHAPES[shape](), args.seeds) if shape in SHAPES \
             else union_items(*UNIONS[shape](), args.seeds)
+        if shape in CONSENSUS:
+            found = itertools.chain(
+                found, consensus_items(SHAPES[shape](), args.seeds))
         for quantity, value in found:
             print(digest(value), shape, quantity)
     return 0
