@@ -193,8 +193,9 @@ def peak_bytes(arch: Architecture, job: str,
     matrix.  A consensus keeps that program, arena and scratch, through
     the certificates (``_Binding``): the certificate (``_gram_estimate``)
     takes up to three more C x C arrays, the |G| temporary of its norm,
-    then the shifted copy beside Cholesky's working copy and the factor
-    (or, for a spectrum, eigvalsh's copy); the scatter's copy of the
+    then ``_certify``'s C^2 bytes of its finite check and its shifted copy
+    beside Cholesky's working copy and the factor (or, for a spectrum,
+    eigvalsh's copy after them); the scatter's copy of the
     staging vector and the symmetrisation's temporary come before them
     and take less.  A wide frame, or a wide prefix's block, tries its
     certificate (``_wide_estimate``) before the SVD, beside the matrix:
@@ -1679,15 +1680,16 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     of M^T M of the returned frame through the R - j2 - 1 later gates; a
     backward read at gate j through j2 - j moves to that forward read and
     one more; a join through j2 - h + 1.  The join's sum over the 4^m
-    strings of a meet of m wires adds gamma_{4^m} times the norms, with m
-    the widest meet (gamma = 0 without a join).  So every entry of the read
-    Gram matrix is within (1 + gamma) (1 + rho)^R - 1 of M^T M's, and C
-    times that bounds its Frobenius norm and its 2-norm (``gram_error``).
-    Pruning dead wires changes none of this: a dropped row never feeds a
-    kept row, so every kept row is computed by the same transfers as
-    before, and the bound holds as written.  A non-finite transfer stack
-    gives no Gram matrix: every frame entry is a sum of products of the
-    stack's entries, so a finite stack makes a finite frame.
+    strings of a meet of m wires adds gamma_{2 * 4^m} (``_gamma``) times
+    the norms, with m the widest meet (gamma = 0 without a join).  So every
+    entry of the read Gram matrix is within (1 + gamma) (1 + rho)^R - 1 of
+    M^T M's, and C times that bounds its Frobenius norm and its 2-norm
+    (``gram_error``).  Pruning dead wires changes none of this: a dropped
+    row never feeds a kept row, so every kept row is computed by the same
+    transfers as before, and the bound holds as written.  A non-finite
+    transfer stack gives no Gram matrix: every frame entry is a sum of
+    products of the stack's entries, so a finite stack makes a finite
+    frame.
 
     A frame one of whose prefixes (``ends``) is tall runs the Gram plan's
     sweep; any other frame runs no sweep here.  With a ``binding``, the
@@ -1725,7 +1727,7 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     if head is not None and np.isfinite(taus).any():
         eps = np.finfo(np.float64).eps
         meet = max((4 ** len(join.meet) for join in head.joins), default=0)
-        join_term = np.log1p(meet * eps / (1 - meet * eps))
+        join_term = np.log1p(_gamma(2 * meet))
         gram = _gram_read(_bind(head, transfers), transfers) \
             if binding is None else binding.gram_read(head, transfers)
         gram_error = np.array([head.width * float(np.expm1(
@@ -1919,21 +1921,20 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 
 
-def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
-                   read_error: float, spectrum: bool = False,
-                   ) -> RankEstimate | None:
-    """The full-rank estimate of a real matrix M with C columns whose Gram
-    matrix ``gram`` certifies it, or None when it cannot.
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), with u = eps / 2: the relative rounding
+    bound of a k-term sum or dot product."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
-    ``gram`` is symmetric and lies within ``read_error`` of the exact
-    A = M^T M in the 2-norm.  With u = eps / 2, gamma_k = k u / (1 - k u)
-    and floor = (100 loose)^2, the certificate proves
-    lam_min(A) >= floor U >= floor lam_max(A) with no eigensolver:
 
-    - U = ||G||_inf (1 + gamma_{C+1}) + read_error bounds lam_max(A) from
-      above; the factor covers the rounding of the C-term row sums.
-    - The shift s is floor U + read_error, plus gamma' trace(G)
-      (1 + gamma_{C+1}) with gamma' = gamma_{C+1} / (1 - gamma_{C+1}) (the
+def _certify(gram: np.ndarray, error: float, floor: float) -> bool:
+    """Whether lam_min(A) >= ``floor`` for every symmetric A within
+    ``error`` of the symmetric C x C matrix G = ``gram`` in the 2-norm,
+    proved by one floating-point Cholesky factorization.
+
+    With u = eps / 2, gamma = gamma_{C+1} and gamma' = gamma / (1 - gamma):
+
+    - The shift s is floor + error, plus gamma' trace(G) (1 + gamma) (the
       last factor covers the rounding of the trace), plus u max g_ii, plus
       Rump's underflow term 4 (C + 1) (2 (C + 2) + max g_ii) eta (eta the
       smallest subnormal), the sum taken times (1 + 16 u) to cover the
@@ -1946,24 +1947,18 @@ def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
       trace(G~) <= gamma' trace(G), as 0 < g~_ii <= g_ii.  G~ differs from
       G - s I by the rounding of its diagonal, at most u max g_ii.  R^T R
       is positive semidefinite, so lam_min(G) >= s minus those two terms
-      and the underflow term, and lam_min(A) >= lam_min(G) - read_error
-      >= floor U.
+      and the underflow term, and lam_min(A) >= lam_min(G) - error >=
+      floor.
 
-    Then every singular value is at least 100x above loose * sigma_max, so
-    an SVD would count all C of them at both tolerances.  The estimate
-    holds sigma_max_upper = sqrt(U) and sigma_min_lower = sqrt(floor U).
-    A Cholesky that fails (``LinAlgError``) proves nothing, and the SVD
-    decides.  With ``spectrum``, a certified estimate also holds
-    sqrt(eigvalsh(G)), descending, as its singular values.
+    A Cholesky that fails (``LinAlgError``) proves nothing.  Nor does a
+    non-finite entry of G, ``error`` or ``floor``, refused before the
+    factorization, which LAPACK may run to completion on NaN.
     """
-    c = gram.shape[0]
-    u = _UNIT_ROUNDOFF
-    gamma = (c + 1) * u / (1 - (c + 1) * u)
-    upper = float(np.abs(gram).sum(axis=1).max()) * (1 + gamma) + read_error
-    low = (_GRAM_MARGIN * tol_pair[0]) ** 2 * upper
-    diag = np.diagonal(gram)
-    top = float(diag.max())
-    shift = ((low + read_error + gamma / (1 - gamma) * (1 + gamma)
+    if not (np.isfinite([error, floor]).all() and np.isfinite(gram).all()):
+        return False
+    c, u, diag = gram.shape[0], _UNIT_ROUNDOFF, np.diagonal(gram)
+    gamma, top = _gamma(c + 1), float(diag.max())
+    shift = ((floor + error + gamma / (1 - gamma) * (1 + gamma)
               * float(diag.sum()) + u * top) * (1 + 16 * u)
              + 4 * (c + 1) * (2 * (c + 2) + top) * _SMALLEST_SUBNORMAL)
     shifted = gram.copy()
@@ -1971,9 +1966,33 @@ def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
     try:  # exactly symmetric: its F-ordered transpose is the same matrix
         np.linalg.cholesky(shifted.T)
     except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
+                   read_error: float) -> RankEstimate | None:
+    """The full-rank estimate of a real matrix M with C columns whose Gram
+    matrix ``gram`` certifies it, or None when it cannot.
+
+    ``gram`` is symmetric and lies within ``read_error`` of the exact
+    A = M^T M in the 2-norm.  U = ||G||_inf (1 + gamma_{C+1}) + read_error
+    bounds lam_max(A) from above; the factor covers the rounding of the
+    C-term row sums.  With floor = (100 loose)^2, ``_certify(G,
+    read_error, floor U)`` proves lam_min(A) >= floor U >= floor
+    lam_max(A) with no eigensolver.  Then every singular value is at least
+    100x above loose * sigma_max, so an SVD would count all C of them at
+    both tolerances.  The estimate holds sigma_max_upper = sqrt(U) and
+    sigma_min_lower = sqrt(floor U), and no singular values.  A
+    certificate that fails proves nothing, and the SVD decides.
+    """
+    c = gram.shape[0]
+    upper = float(np.abs(gram).sum(axis=1).max()) * (1 + _gamma(c + 1)) \
+        + read_error
+    low = (_GRAM_MARGIN * tol_pair[0]) ** 2 * upper
+    if not _certify(gram, read_error, low):
         return None
-    sv = np.sqrt(np.linalg.eigvalsh(gram)[::-1]) if spectrum else None
-    return RankEstimate(sv, tol_pair, c, c, route="gram",
+    return RankEstimate(None, tol_pair, c, c, route="gram",
                         sigma_max_upper=float(np.sqrt(upper)),
                         sigma_min_lower=float(np.sqrt(low)))
 
@@ -2008,8 +2027,7 @@ def _wide_estimate(mat: np.ndarray, tol_pair: tuple[float, float],
     non-finite m_0 fails the test: neither is certified.
     """
     rows, cols = mat.shape
-    u = _UNIT_ROUNDOFF
-    gamma = cols * u / (1 - cols * u)
+    u, gamma = _UNIT_ROUNDOFF, _gamma(cols)
     head, rest = mat[0], mat[1:]
     gram = rest @ rest.T
     diag = np.diagonal(gram)
@@ -2040,7 +2058,7 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
 
     A unitary frame is first tried on the Gram route, which certifies its
     rank from a small Gram matrix by one Cholesky factorization, shifted by
-    its error bounds (``_gram_estimate``), and no eigensolver.  A frame
+    its error bounds (``_certify``), and no eigensolver.  A frame
     that carries the Gram matrix of all its columns
     (``TangentFrame.gram``: a tall unitary frame, which reads it off its
     sweep or takes its block of a frame that serves it) is certified when
@@ -2066,8 +2084,9 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     frames measured).
 
     An empty or all-zero matrix has rank 0 by convention.  A matrix holding
-    NaN or inf raises ``LinAlgError``; a frame with a Gram matrix is finite
-    by construction (see ``tangent_frame``).  The tolerances must satisfy
+    NaN or inf raises ``LinAlgError``.  A Gram matrix holding one is never
+    certified (``_certify``), so its frame takes the SVD of its matrix,
+    which raises if that is not finite either.  The tolerances must satisfy
     eps <= tight <= loose < 1.  A stacked frame raises ValidationError:
     each of its samples (``TangentFrame.sample``) takes its own rank.
     """
@@ -2075,14 +2094,16 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     if isinstance(frame, TangentFrame):
         frame._one("numerical_rank")
         gram, est = frame.gram, None
-        if gram is not None and gram.size \
-                and gram.shape[0] == frame.columns.shape[0]:
-            est = _gram_estimate(gram, tol_pair, frame.gram_error, spectrum)
+        tall = gram is not None and gram.size > 0 \
+            and gram.shape[0] == frame.columns.shape[0]
+        if tall:
+            est = _gram_estimate(gram, tol_pair, frame.gram_error)
         elif frame.mode == "unitary" and len(frame.columns) >= 4 ** frame.n:
             est = _wide_estimate(frame.matrix, tol_pair)
-            if est is not None and spectrum:
-                est = replace(est, singular_values=np.linalg.svd(
-                    frame.matrix, compute_uv=False))
+        if est is not None and spectrum:
+            est = replace(est, singular_values=np.sqrt(
+                np.linalg.eigvalsh(gram)[::-1]) if tall
+                else np.linalg.svd(frame.matrix, compute_uv=False))
         if est is not None:
             return est
     mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)

@@ -22,7 +22,7 @@ the tests keep their inputs small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -389,12 +389,17 @@ def gram_certificate(mat: np.ndarray,
     computed product G = fl(M^T M), or None when it does not certify.
 
     The product is within gamma_m ||M||_F^2 <= m eps trace(G) of the exact
-    M^T M, which is the read error the certificate takes; ``spectrum``
-    asks it for sqrt(eigvalsh(G)) as well.
+    M^T M, which is the read error the certificate takes; with
+    ``spectrum`` a certified estimate also holds sqrt(eigvalsh(G)),
+    descending, as its singular values.
     """
     gram = mat.T @ mat
     read_error = mat.shape[0] * np.finfo(np.float64).eps * np.trace(gram)
-    return _gram_estimate(gram, tol_pair, read_error, spectrum)
+    est = _gram_estimate(gram, tol_pair, read_error)
+    if est is None or not spectrum:
+        return est
+    return replace(est, singular_values=np.sqrt(
+        np.linalg.eigvalsh(gram)[::-1]))
 
 
 def _pauli_transfer(vecs: np.ndarray, t: np.ndarray, wires: tuple[int, int],

@@ -1445,6 +1445,17 @@ def _planted_gram(lam, seed):
     return (gram + gram.T) / 2
 
 
+def _check_certify(gram, lam_min, error, floor):
+    """``_certify``'s contract on a Gram matrix whose smallest eigenvalue
+    is ``lam_min``: it refuses whenever lam_min < error + floor, and
+    certifies when lam_min is at least twice that and at least 1e-5."""
+    certified = contraction._certify(gram, error, floor)
+    if lam_min < error + floor:
+        assert not certified
+    if lam_min >= max(2 * (error + floor), 1e-5):
+        assert certified
+
+
 # lam_min / lam_max against the certificate's floor (100 loose)^2 = 1e-8
 BELOW_FLOOR = [1e-8 * (1 - 1e-3), 0.5e-8, 1e-12, 0.0, -1e-6]
 ABOVE_FLOOR = [1e-5, 1e-3, 0.1]
@@ -1454,12 +1465,16 @@ ABOVE_FLOOR = [1e-5, 1e-3, 0.1]
 def test_gram_certificate_on_planted_spectra(lam_min):
     # lam_max = 1: a lam_min below the floor is never certified, whatever
     # Q, and one well above it always is, with bounds that bracket the
-    # planted spectrum
+    # planted spectrum; the certificate under it keeps its contract at
+    # floor 0 and 1e-8 and at errors on both sides of lam_min
     lam = np.geomspace(1.0, 0.1, 60)
     lam[-1] = lam_min
     for seed in range(5):
-        est = contraction._gram_estimate(_planted_gram(lam, seed),
-                                         DEFAULT_TOLERANCES, 0.0)
+        gram = _planted_gram(lam, seed)
+        for floor, error in itertools.product((0.0, 1e-8),
+                                              (0.0, 1e-6, 1e-4)):
+            _check_certify(gram, lam_min, error, floor)
+        est = contraction._gram_estimate(gram, DEFAULT_TOLERANCES, 0.0)
         if lam_min < 1e-8:
             assert est is None
             continue
@@ -1480,6 +1495,9 @@ def test_a_read_error_that_closes_the_gap_refuses_the_certificate():
     for read_error in (1e-3, 1.0):
         assert contraction._gram_estimate(
             gram, DEFAULT_TOLERANCES, read_error) is None
+    for floor, error in itertools.product((0.0, 1e-8),
+                                          (0.0, 0.4e-3, 1e-3, 1.0)):
+        _check_certify(gram, 1e-3, error, floor)
 
 
 DIM_WIDE_SHAPES = [
@@ -1621,18 +1639,28 @@ def test_a_rank_deficient_wide_frame_takes_the_svd(monkeypatch):
     # Cholesky fails, and the SVD decides
     arch = from_gate_sequence(3, [(1, 2)] * 10)
     assert frame_shape(arch, "unitary") == (64, 96)
-    failed = []
-    estimate = contraction._gram_estimate
+    passed = []
+    certify = contraction._certify
 
-    def counted(*args, **kwargs):
-        est = estimate(*args, **kwargs)
-        failed.append(est is None)
-        return est
+    def counted(*args):
+        passed.append(certify(*args))
+        return passed[-1]
 
-    monkeypatch.setattr(contraction, "_gram_estimate", counted)
+    monkeypatch.setattr(contraction, "_certify", counted)
     est = numerical_rank(tangent_frame(arch, GateAssignment.haar(arch, 4)))
-    assert failed == [True]
+    assert passed == [False]
     assert (est.route, est.rank) == ("svd", 15)
+    # every route decides through the one certificate: once per sample of
+    # a tall consensus, never for a state frame
+    passed.clear()
+    tall = staircase(4, 1)
+    report = accessible_dimension(tall, samples=3, seed=4)
+    assert passed == [True] * 3
+    assert [e.route for e in report.estimates] == ["gram"] * 3
+    passed.clear()
+    state = tangent_frame(tall, GateAssignment.haar(tall, 4), "state")
+    assert numerical_rank(state).route == "svd"
+    assert passed == []
 
 
 def test_gram_route_edge_cases():
@@ -1653,6 +1681,26 @@ def test_gram_route_edge_cases():
     # its identity string
     wide = numerical_rank(np.random.default_rng(32).standard_normal((3, 6)))
     assert (wide.rank, wide.route) == (3, "svd")
+    # a non-finite Gram matrix or read error is never certified, though
+    # LAPACK's Cholesky may run to completion on NaN: a frame whose Gram
+    # matrix holds NaN takes the SVD of its finite matrix
+    arch = staircase(4, 1)
+    frame = tangent_frame(arch, GateAssignment.haar(arch, 1))
+    gram = frame.gram.copy()
+    gram[0, 1] = gram[1, 0] = np.nan
+    est = numerical_rank(dataclasses.replace(frame, gram=gram))
+    assert (est.route, est.rank, est.sigma_max_upper) == ("svd", 39, None)
+    assert contraction._gram_estimate(np.eye(5), DEFAULT_TOLERANCES,
+                                      np.nan) is None
+    for bad in (np.nan, np.inf):
+        assert not contraction._certify(np.eye(5), bad, 0.0)
+        assert not contraction._certify(np.eye(5), 0.0, bad)
+        diagonal = np.eye(5)
+        diagonal[3, 3] = bad
+        assert not contraction._certify(diagonal, 0.0, 0.0)
+    mat = np.random.default_rng(33).standard_normal((20, 5))
+    mat[7, 2] = np.nan
+    assert gram_certificate(mat) is None
 
 
 @pytest.mark.parametrize("mode", ["unitary", "state"])

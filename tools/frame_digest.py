@@ -7,8 +7,9 @@ For each shape (all of ``SHAPES`` by default) it prints one
 ``sha256 shape quantity`` line per item: each plan's split, arena, held,
 scratch and tables; ``peak_bytes`` in both modes; and per seed (1 to 5 by
 default) the Gram matrix and ``repr(gram_error)`` at the plan's split h, at
-h = 0 and at h = R, the frame's matrix, and the singular values, route and
-loose/tight ranks of ``numerical_rank``, which is asked for the spectrum.
+h = 0 and at h = R, the frame's matrix, and the singular values, route,
+loose/tight ranks, ``sigma_max_upper`` and ``sigma_min_lower`` of
+``numerical_rank``, which is asked for the spectrum.
 Each dim shape (``CONSENSUS``) also prints, per seed, each sample's route,
 loose/tight ranks, ``sigma_max_upper``, ``sigma_min_lower`` and singular
 values from a five-sample unitary consensus asked for the spectrum
@@ -19,8 +20,9 @@ architecture and the gate counts of its prefixes that one union frame
 serves (``tangent_frame`` with ``prefixes``).  It prints ``peak_bytes``
 of that frame in both modes and, per seed and per prefix the frame
 serves, the whole architecture included, the prefix frame's Gram block
-and ``repr(gram_error)``, and the singular values, route and loose/tight
-ranks of ``numerical_rank`` on it, asked for the spectrum.
+and ``repr(gram_error)``, and the singular values, route, loose/tight
+ranks, ``sigma_max_upper`` and ``sigma_min_lower`` of ``numerical_rank`` on
+it, asked for the spectrum.
 
 A wide frame has no Gram matrix, and its Gram lines digest ``None``.
 Arrays are digested by their shape and ``tobytes()`` after ``+ 0.0``,
@@ -119,6 +121,8 @@ def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
         yield f"seed{seed}.singular_values", rank.singular_values
         yield f"seed{seed}.route", rank.route
         yield f"seed{seed}.ranks", (rank.loose_rank, rank.tight_rank)
+        yield f"seed{seed}.sigma_max_upper", rank.sigma_max_upper
+        yield f"seed{seed}.sigma_min_lower", rank.sigma_min_lower
         yield f"seed{seed}.matrix", frame.matrix
 
 
@@ -156,6 +160,8 @@ def union_items(arch, prefixes: tuple[int, ...],
             yield f"{label}.singular_values", rank.singular_values
             yield f"{label}.route", rank.route
             yield f"{label}.ranks", (rank.loose_rank, rank.tight_rank)
+            yield f"{label}.sigma_max_upper", rank.sigma_max_upper
+            yield f"{label}.sigma_min_lower", rank.sigma_min_lower
 
 
 def main(argv: list[str]) -> int:
