@@ -36,11 +36,13 @@ with the union of the prefixes' gauge-fixed columns, serves each prefix as
 a column block, since the later gates act on a prefix's columns by one
 orthogonal map.
 
-A consensus takes its Haar samples in batches that fit in
-``_STACK_CHUNK``: one stacked draw (``GateAssignment.haar`` with a list of
-seeds), one transfer build and one sweep serve a batch, each array call
-for every sample at once with one sample's shapes, so that every sample's
-numbers are those of its own frame, bit for bit.
+A consensus takes its Haar samples in draw batches, and sweeps each draw
+batch in sweep batches inside it, both sized to fit in ``_STACK_CHUNK``:
+one stacked draw (``GateAssignment.haar`` with a list of seeds) and one
+transfer build serve a draw batch, and one sweep a sweep batch, which
+takes its slice of the draw's transfers.  Each array call serves every
+sample at once with one sample's shapes, so that every sample's numbers
+are those of its own frame, bit for bit.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 
 # The state sweep applies a gate to its stack in column chunks of at most
 # this many bytes, so that the allocator reuses the temporaries.  A
-# consensus batch (``_batch``) and a matrix sweep (``_matrix_batch``) hold
-# as many samples as fit in it, and at least one (``_fit``).
+# consensus's sweep batch (``_batch``) and draw batch (``_draw``) and a
+# matrix sweep (``_matrix_batch``) hold as many samples as fit in it, and
+# at least one (``_fit``).
 _STACK_CHUNK = 4 * 2 ** 20
 
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
@@ -209,17 +212,22 @@ def peak_bytes(arch: Architecture, job: str,
     that floor is returned before the union gauge is built.
 
     A frame job counts ``samples`` Haar samples, as a consensus over that
-    many makes their frames (``accessible_dimensions``): in batches of at
-    most ``_batch`` samples, each one stacked frame, so the estimate
-    counts one batch of min(samples, batch).  Each other sample of the
-    batch holds, beside the phases above, at most what ``_batch`` counts
-    for a sample: its gates and transfers, its Gram matrix and its share
-    of the Gram sweep's arena and scratch.  A unitary frame forms the
-    matrices of up to ``_matrix_batch`` of them in one sweep, and each
-    other one's matrix sweep, with its matrix, beside the phases above.
-    A frame over ``_STACK_CHUNK`` goes one sample at a time, and its
-    estimate does not move with ``samples``; the floor and the early
-    return above do not either."""
+    many makes their frames (``accessible_dimensions``): in sweep batches
+    of at most ``_batch`` samples, each one stacked frame, inside draw
+    batches of at most ``_draw`` samples, each one stacked draw and
+    transfer build, so the estimate counts one sweep batch of
+    min(samples, batch) inside one draw batch of min(samples, draw).
+    Each other sample of the sweep batch holds, beside the phases above,
+    at most what ``_batch`` counts for a sample: its gates and transfers,
+    its Gram matrix and its share of the Gram sweep's arena and scratch.
+    Each sample of the draw batch outside the sweep batch holds its gates
+    and transfers, 16 KiB per gate as their build takes.  A unitary frame
+    forms the matrices of up to ``_matrix_batch`` of the sweep batch's
+    samples in one sweep, and each other one's matrix sweep, with its
+    matrix, beside the phases above.  A frame over ``_STACK_CHUNK`` goes
+    one sample a sweep batch, and its estimate moves with ``samples`` by
+    its draw batch's term alone; the floor and the early return above do
+    not move."""
     if check_int(samples, "samples") < 1:
         raise ValidationError(f"need at least 1 sample, got {samples}")
     return _peak_bytes(arch, job, prefixes, samples, stack=False)
@@ -250,10 +258,9 @@ def _peak_bytes(arch: Architecture, job: str,
         temps = 2 * min(frame, max(_STACK_CHUNK, vec)) + 36 * vec
         svd = max(copy + max(b, 32 * c * c * (c < rows))
                   for copy, b, c in zip(copies, blocks, counts))
-        batch, each = _batch(arch, job, ends)
-        batch = samples if stack else min(samples, batch)
+        batch, others = _held(arch, job, ends, samples, stack)
         return 16384 * arch.gate_count + temps + frame + max(frame, svd) \
-            + (batch - 1) * each
+            + others
     # per tall prefix: its block of the Gram matrix, and that block's copy
     grams = [8 * c * c * (c < rows) for c in counts]
     gram_copies = [g * (c < cols) for g, c in zip(grams, counts)]
@@ -274,11 +281,23 @@ def _peak_bytes(arch: Architecture, job: str,
         phases.append(transfers + 8 * (head.arena + head.scratch)
                       + max(copy + 3 * g for copy, g
                             in zip(gram_copies, grams)))
-    batch, each = _batch(arch, job, ends)
-    batch = samples if stack else min(samples, batch)
+    batch, others = _held(arch, job, ends, samples, stack)
     matrices, matrix_each = _matrix_batch(arch, ends)
-    return gram + tables + max(phases) + (batch - 1) * each \
+    return gram + tables + max(phases) + others \
         + (min(matrices, batch) - 1) * matrix_each
+
+
+def _held(arch: Architecture, mode: str, ends: tuple[int, ...],
+          samples: int, stack: bool) -> tuple[int, int]:
+    """(sweep batch, bytes) of ``_peak_bytes``'s ``samples`` in ``mode``:
+    the samples of the sweep batch, and the bytes that its samples but
+    one and the draw batch's samples outside it hold (``peak_bytes``).  A
+    ``stack`` is one sweep batch of all ``samples``, drawn already."""
+    batch, each = _batch(arch, mode, ends)
+    draw = samples if stack else min(samples, _draw(arch, batch))
+    batch = samples if stack else min(samples, batch)
+    return batch, (batch - 1) * each \
+        + (draw - batch) * 16384 * arch.gate_count
 
 
 def _fit(each: int) -> int:
@@ -289,20 +308,31 @@ def _fit(each: int) -> int:
 
 def _batch(arch: Architecture, mode: str,
            ends: tuple[int, ...]) -> tuple[int, int]:
-    """(samples, bytes a sample) of a consensus batch
-    (``accessible_dimensions``): as many samples as fit in
+    """(samples, bytes a sample) of a consensus's sweep batch, one stacked
+    frame (``accessible_dimensions``): as many samples as fit in
     ``_STACK_CHUNK``, at least one.  A sample holds 16 KiB per gate for
     its gates, their draw and, in unitary mode, its transfers and their
     build (as ``peak_bytes`` counts them); then its state frame's matrix,
     or a unitary frame's Gram matrix with the arena and scratch of the
     Gram plan's sweep, all three read from its head's Gram plan
-    (``_tall_head``), if it reads one."""
+    (``_tall_head``), if it reads one.  The sweep batches of a draw batch
+    (``_draw``) take their slices of its draw and transfers."""
     each = 16384 * arch.gate_count
     if mode == "state":
         each += 8 * _frame_rows(arch.n, mode) * _gauge(arch, ends)[2].shape[0]
     elif (head := _tall_head(arch, ends)) is not None:
         each += 8 * (head.width ** 2 + head.arena + head.scratch)
     return _fit(each), each
+
+
+def _draw(arch: Architecture, batch: int) -> int:
+    """The samples of a consensus's draw batch, one stacked draw and
+    transfer build (``accessible_dimensions``): as many whole sweep
+    batches of ``batch`` samples (``_batch``) as fit in ``_STACK_CHUNK``
+    at 16 KiB per gate a sample, at least one.  A sweep batch's sample
+    counts those 16 KiB too, so the draw batch holds at least one sweep
+    batch, and the sweep batches keep the sizes they would have alone."""
+    return batch * max(1, _fit(16384 * arch.gate_count) // batch)
 
 
 def _matrix_batch(arch: Architecture,
@@ -364,6 +394,13 @@ class GateAssignment:
 
     def __len__(self) -> int:
         return self.matrices.shape[-3]
+
+    def _samples(self, lo: int, hi: int) -> GateAssignment:
+        """Samples lo..hi-1 of a stack, as a stack that views its matrices:
+        they passed its validation, which is not run again."""
+        part = object.__new__(GateAssignment)
+        object.__setattr__(part, "matrices", self.matrices[lo:hi])
+        return part
 
     @property
     def samples(self) -> int | None:
@@ -1286,14 +1323,22 @@ def transfer_matrices(gates: GateAssignment) -> np.ndarray:
     stack: the leading axes are kept, and one build serves every sample,
     each equal bit for bit to its own.  Conjugation by u_j maps label Q to
     sum_P T_j[P, Q] P, so each T_j is real and orthogonal, with
-    T_j[0, 0] = 1 and the rest of row and column 0 zero."""
+    T_j[0, 0] = 1 and the rest of row and column 0 zero.
+
+    One ``apply_gate_right`` call forms u_j Q for every gate and label.
+    Gate j's 16 products, stacked as the rows of one 64 x 4 matrix, then
+    take u_j^dagger in one GEMM, R in all; each entry is the same 4-term
+    sum as in 16 R separate 4 x 4 products, bit for bit on the machines
+    measured.  One ``pauli_coefficients`` call expands them all."""
     mats = gates.matrices.reshape(-1, 4, 4)
     r = len(mats)
-    # u_j Q for every gate and label, then u_j Q u_j^dagger
     conj = apply_gate_right(mats.reshape(4 * r, 4), _PAULI_STACK, (1, 2), 2)
-    conj = conj.reshape(16, r, 4, 4) @ np.swapaxes(mats, 1, 2).conj()
-    return np.ascontiguousarray(pauli_coefficients(conj, 2).transpose(
-        1, 2, 0)).reshape(gates.matrices.shape[:-2] + (16, 16))
+    # gate-major: the rows of gate j's u_j Q, label by label
+    conj = np.ascontiguousarray(conj.reshape(16, r, 4, 4).swapaxes(0, 1))
+    conj = conj.reshape(r, 64, 4) @ np.swapaxes(mats, 1, 2).conj()
+    return np.ascontiguousarray(pauli_coefficients(
+        conj.reshape(r, 16, 4, 4), 2).swapaxes(1, 2)).reshape(
+        gates.matrices.shape[:-2] + (16, 16))
 
 
 class _Program(NamedTuple):
@@ -1381,7 +1426,7 @@ def _gate_entries(plan: _FramePlan) -> int:
     swapped gate's copies of its transfer slices, at most one each of
     16 x 1, 16 x 4, 16 x 4 and 16 x 16, where a swapped backward gate
     first copies its whole transfer matrix for its born columns.  With
-    the copy of a consensus batch's transfer stack that a program keeps
+    the copy of a sweep batch's transfer stack that a program keeps
     (2 KiB per gate a sample), this fits in the 16 KiB per gate that
     ``peak_bytes`` counts for the transfers and their complex build, which
     is gone when the program sweeps."""
@@ -1578,15 +1623,22 @@ def _assemble(n: int, width: int,
 
 
 class _Binding:
-    """The bound Gram sweep (``_bind``) a consensus keeps across its
+    """The bound Gram sweep (``_bind``) a consensus keeps across its sweep
     batches: one program while the plan and the batch size stay, dropped
     (``drop``) before any matrix sweep and when the consensus ends.  As a
     context manager it is the consensus in progress (``_CONSENSUS``),
     through which ``tangent_frame``, the frame call the consensus makes
-    per batch, sweeps the batch's Gram plan."""
+    per sweep batch, sweeps the batch's Gram plan.
+
+    ``batch`` holds the sweep batch in progress: its assignment, samples
+    of the draw batch's stack (``GateAssignment._samples``), and their
+    slice of the draw's transfer stack (None in state mode), which the
+    batch's frame takes in place of a build of its own (``transfers``).
+    The consensus clears it before the next draw."""
 
     def __init__(self) -> None:
         self.program: _Program | None = None
+        self.batch: tuple[GateAssignment, np.ndarray | None] | None = None
 
     def __enter__(self) -> _Binding:
         self._token = _CONSENSUS.set(self)
@@ -1609,6 +1661,14 @@ class _Binding:
 
     def drop(self) -> None:
         self.program = None
+
+    def transfers(self, gates: GateAssignment) -> np.ndarray:
+        """The transfer stack of ``gates``: the sweep batch's slice of its
+        draw's when ``gates`` is that batch's assignment, else its own
+        build (``transfer_matrices``)."""
+        if self.batch is not None and self.batch[0] is gates:
+            return self.batch[1]
+        return transfer_matrices(gates)
 
 
 # The binding of the consensus in progress (``_Binding``), which
@@ -1693,31 +1753,35 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
 
     A frame one of whose prefixes (``ends``) is tall runs the Gram plan's
     sweep; any other frame runs no sweep here.  With a ``binding``, the
-    one a consensus keeps across its batches, the sweep runs its bound
-    program (``_Binding``), whose Gram stack the frame then holds until
-    the next batch's sweep; without one the frame binds the plan to its
-    own transfer stack, sweeps and drops the program but for its Gram
-    stack before it returns.  The sweep covers the gates of the longest
-    tall prefix, whose columns lead the frame's and hold every tall
-    prefix's: the later gates act on them orthogonally, so their Gram
-    matrix is the head's, and the bound above takes the head's gates and
-    columns, those of its Gram plan (``_tall_head``).  Every frame takes
-    its columns from ``_gauge`` and keeps its transfer stack (2 KiB per
-    gate), and the first read of its ``matrix`` fetches the matrix plan,
-    runs its sweep and assembles the matrix from its last groups.
+    one a consensus keeps across its sweep batches, the frame of a sweep
+    batch takes its slice of the draw batch's transfer stack
+    (``_Binding.transfers``), and the sweep runs the bound program, whose
+    Gram stack the frame then holds until the next sweep batch's sweep;
+    without one the frame builds its own transfer stack, binds the plan
+    to it, sweeps and drops the program but for its Gram stack before it
+    returns.  The sweep covers the gates of the longest tall prefix, whose
+    columns lead the frame's and hold every tall prefix's: the later gates
+    act on them orthogonally, so their Gram matrix is the head's, and the
+    bound above takes the head's gates and columns, those of its Gram plan
+    (``_tall_head``).  Every frame takes its columns from ``_gauge`` and
+    keeps its transfer stack (2 KiB per gate a sample; a sweep batch's
+    slice keeps its draw's whole stack), and the first read of its
+    ``matrix`` fetches the matrix plan, runs its sweep and assembles the
+    matrix from its last groups.
 
     The frame is stacked, over the samples of a stacked assignment or a
-    stack of one: one transfer build, one Gram sweep and one bound per
-    sample serve them all, and ``TangentFrame.sample`` gives each
-    sample's frame.  The first read of a sample's matrix drops the
-    ``binding``'s program, binds the matrix plan to the transfers of it
-    and the next samples, as many as ``_matrix_batch`` allows, sweeps,
-    drops the program but for its final groups and keeps their matrices
-    until another sample's is read.
+    stack of one: one transfer build (or slice of a draw's), one Gram
+    sweep and one bound per sample serve them all, and
+    ``TangentFrame.sample`` gives each sample's frame.  The first read of
+    a sample's matrix drops the ``binding``'s program, binds the matrix
+    plan to the transfers of it and the next samples, as many as
+    ``_matrix_batch`` allows, sweeps, drops the program but for its final
+    groups and keeps their matrices until another sample's is read.
     """
     _, _, record, own = _gauge(arch, ends)
     s = gates.samples or 1
-    transfers = transfer_matrices(gates).reshape(
+    transfers = (transfer_matrices(gates) if binding is None
+                 else binding.transfers(gates)).reshape(
         (s, arch.gate_count, 16, 16))
     defect = np.swapaxes(transfers, 2, 3) @ transfers - np.eye(16)
     taus = np.sqrt((defect * defect).sum(axis=(2, 3)).max(axis=1,
@@ -1820,8 +1884,9 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     one transfer build, one Gram sweep and one matrix sweep per
     ``_matrix_batch`` samples serve the stack, each array call for every
     sample at once, and each sweep binds its plan (``_bind``) and drops
-    the program when it is done; inside a consensus the Gram sweep runs
-    the consensus's program instead (``accessible_dimensions``).  State
+    the program when it is done; inside a consensus the frame takes its
+    slice of the draw batch's transfers, and the Gram sweep runs the
+    consensus's program instead (``accessible_dimensions``).  State
     mode builds the samples' frames one after another.  One assignment
     gives its own frame, a stack of one's sample.  The size check
     (``peak_bytes``) covers the stacks ``accessible_dimensions`` makes
@@ -2250,19 +2315,25 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     failed certificate first reads it.  Each report carries its prefix's
     gate count and bounds (``dimension_bounds``).
 
-    The samples go in batches of ``_batch`` samples, as many as fit in
-    ``_STACK_CHUNK`` and at least one: one ``haar`` call draws a batch's
-    stack and one ``tangent_frame`` call makes its stacked frame, whose
-    samples (``TangentFrame.sample``) then take their ranks in order.
-    The batch is dropped before the next one is drawn, so a frame over
-    the chunk goes one sample at a time.  A unitary consensus binds its
-    Gram plan once (``_Binding``, which ``tangent_frame`` reads from
-    ``_CONSENSUS``) and sweeps every batch through that program: a last
-    batch of fewer samples binds its own.  The program, arena and all,
-    lives through the batches' certificates, and is dropped before any
-    matrix sweep (a failed certificate's or a wide prefix's, which binds
-    again for the next batch) and when the consensus returns or raises.
-    Every estimate is the one a sample's own frame gives, bit for bit.
+    The samples go in draw batches of ``_draw`` samples, each swept in
+    sweep batches of ``_batch`` samples, as many as fit in
+    ``_STACK_CHUNK`` and at least one.  One ``haar`` call draws a draw
+    batch's stack, with one validation, and one ``transfer_matrices``
+    call builds its transfers (in unitary mode).  One ``tangent_frame``
+    call makes each sweep batch's stacked frame from its samples of the
+    draw (``GateAssignment._samples``), whose frame takes their slice of
+    the draw's transfers (``_Binding.batch``); its samples
+    (``TangentFrame.sample``) then take their ranks in order.  Each sweep
+    batch is dropped before the next one is framed, and the draw batch
+    before the next one is drawn, so a frame over the chunk goes one
+    sample a sweep.  A unitary consensus binds its Gram plan once
+    (``_Binding``, which ``tangent_frame`` reads from ``_CONSENSUS``) and
+    sweeps every sweep batch through that program: a last batch of fewer
+    samples binds its own.  The program, arena and all, lives through the
+    batches' certificates, and is dropped before any matrix sweep (a
+    failed certificate's or a wide prefix's, which binds again for the
+    next batch) and when the consensus returns or raises.  Every estimate
+    is the one a sample's own frame gives, bit for bit.
 
     For each prefix all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged
@@ -2283,18 +2354,27 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     _check_size(arch, mode, ends, samples)
     estimates: list[list[RankEstimate]] = [[] for _ in ends]
     batch = _batch(arch, mode, ends)[0]
-    with _Binding():
-        for lo in range(0, samples, batch):
-            seeds = [subseed(seed, i)
-                     for i in range(lo, min(lo + batch, samples))]
-            stack = tangent_frame(arch, GateAssignment.haar(arch, seeds),
-                                  mode, ends)
-            for i in range(len(seeds)):
-                frame = stack.sample(i)
-                for row, length in zip(estimates, ends):
-                    row.append(numerical_rank(frame.prefix(length),
-                                              tolerances, spectrum=spectrum))
-            del stack, frame  # before the next batch is drawn
+    draw = _draw(arch, batch)
+    with _Binding() as binding:
+        for lo in range(0, samples, draw):
+            gates = GateAssignment.haar(arch, [
+                subseed(seed, i) for i in range(lo, min(lo + draw, samples))])
+            transfers = transfer_matrices(gates) if mode == "unitary" \
+                else None
+            for at in range(0, gates.samples, batch):
+                part = gates._samples(at, at + batch)
+                binding.batch = part, None if transfers is None \
+                    else transfers[at:at + batch]
+                stack = tangent_frame(arch, part, mode, ends)
+                for i in range(part.samples):
+                    frame = stack.sample(i)
+                    for row, length in zip(estimates, ends):
+                        row.append(numerical_rank(
+                            frame.prefix(length), tolerances,
+                            spectrum=spectrum))
+                del stack, frame  # before the next sweep batch is framed
+            binding.batch = None
+            del gates, transfers, part  # before the next batch is drawn
     return tuple(_consensus(arch, length, mode, seed, tolerances, tuple(row))
                  for length, row in zip(ends, estimates))
 

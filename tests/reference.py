@@ -2,22 +2,22 @@
 
 Each one recomputes, the slow and direct way, a quantity the library builds
 another way: Haar sampling one gate at a time, a gate's Pauli transfer
-matrix from traces, the per-column perturbation operator behind
-``tangent_frame``, the gauge redundancy that its dropped columns rely on, a
-slice's tableau composed gate by gate, the tableau symplecticity check, a
-path-tree walk, a qubit's forward reach, one string's per-gate routing
-through a slice, the witness point built with a
+matrix from traces and every gate's by the 16 R separate 4 x 4 conjugation
+products that ``transfer_matrices`` regroups, the per-column perturbation
+operator behind ``tangent_frame``, the gauge redundancy that its dropped
+columns rely on, a slice's tableau composed gate by gate, the tableau
+symplecticity check, a path-tree walk, a qubit's forward reach, one
+string's per-gate routing through a slice, the witness point built with a
 path tree, a candidate scan and a routing for every slice, a circuit
-pre-composed onto a
-tableau by testing every bit of its ``circuit_images``, the witness rank from
-phase-free symplectic images alone, the Gram certificate of a plain
-matrix from its product M^T M, the split Gram read over whole 4^n-row
-Pauli vectors and the split's price from its meets listed as wire tuples.
-The dense bridge from Clifford
-circuits to matrices lives here too: the elementary gate matrices, a
-circuit's unitary and the SU(4) gate assignment of a witness point; the
-library itself keeps circuits as tableaux only.  None has a size guard;
-the tests keep their inputs small.
+pre-composed onto a tableau by testing every bit of its ``circuit_images``,
+the witness rank from phase-free symplectic images alone, the Gram
+certificate of a plain matrix from its product M^T M, the split Gram read
+over whole 4^n-row Pauli vectors and the split's price from its meets
+listed as wire tuples.  The dense bridge from Clifford circuits to
+matrices lives here too: the elementary gate matrices, a circuit's unitary
+and the SU(4) gate assignment of a witness point; the library itself keeps
+circuits as tableaux only.  None has a size guard; the tests keep their
+inputs small.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ from archdim.witness import (
 )
 
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
+# the 16 two-qubit Pauli matrices in label order, identity first
+_PAULI_STACK = np.concatenate([np.eye(4, dtype=complex)[None],
+                               _GENERATOR_STACK])
 
 _SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -116,6 +119,20 @@ def pauli_transfer_matrix(u: np.ndarray) -> np.ndarray:
         p.to_matrix() for p in nontrivial_strings(2)]
     return np.array([[np.trace(p @ u @ q @ u.conj().T).real / 4
                       for q in paulis] for p in paulis])
+
+
+def transfer_matrices_by_label(gates: GateAssignment) -> np.ndarray:
+    """The transfer stack of ``gates``, shape (R, 16, 16) or (S, R, 16,
+    16), by the conjugation that ``transfer_matrices`` regroups: u_j Q for
+    every gate and label by one ``apply_gate_right`` call, then one 4 x 4
+    product with u_j^dagger per label and gate, 16 R in all, and one
+    ``pauli_coefficients`` call.  Its bits are the library's."""
+    mats = gates.matrices.reshape(-1, 4, 4)
+    r = len(mats)
+    conj = apply_gate_right(mats.reshape(4 * r, 4), _PAULI_STACK, (1, 2), 2)
+    conj = conj.reshape(16, r, 4, 4) @ np.swapaxes(mats, 1, 2).conj()
+    return np.ascontiguousarray(pauli_coefficients(conj, 2).transpose(
+        1, 2, 0)).reshape(gates.matrices.shape[:-2] + (16, 16))
 
 
 def perturbation_operator(arch: Architecture, gates: GateAssignment,

@@ -50,6 +50,7 @@ from reference import (
     slice_tableau,
     split_gram,
     split_point,
+    transfer_matrices_by_label,
 )
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -1339,6 +1340,29 @@ def test_transfer_matrices_match_trace_oracle():
         assert np.abs(t[0, 1:]).max() < 1e-12
         assert np.abs(t[1:, 0]).max() < 1e-12
         assert np.abs(t - pauli_transfer_matrix(u)).max() < 1e-12
+
+
+def _raw_bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("build", FRAME_CASES + [
+    pytest.param(lambda: from_gate_sequence(2, [(1, 2)]), id="one-gate")])
+def test_transfer_matrices_are_the_label_by_label_build_bit_for_bit(build):
+    # one 64 x 4 product per gate gives the bits of 16 R 4 x 4 ones: on
+    # one sample's draws at seeds 1 to 3 and on stacks of 1, 3 and 5
+    arch = build()
+    for seed in (1, 2, 3):
+        gates = GateAssignment.haar(arch, seed)
+        assert _raw_bits_equal(transfer_matrices(gates),
+                               transfer_matrices_by_label(gates))
+    for count in (1, 3, 5):
+        stack = GateAssignment.haar(arch, [subseed(7, i)
+                                           for i in range(count)])
+        got = transfer_matrices(stack)
+        assert got.shape == (count, arch.gate_count, 16, 16)
+        assert _raw_bits_equal(got, transfer_matrices_by_label(stack))
 
 
 def test_cone_index_is_cached_and_read_only():

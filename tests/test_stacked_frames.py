@@ -1,7 +1,7 @@
 """The samples of a Haar consensus go in batches with a leading sample axis:
-one ``GateAssignment.haar`` draw, one ``tangent_frame`` and one sweep per
-batch serve them all, and each sample's numbers are its own frame's, bit
-for bit."""
+one ``GateAssignment.haar`` draw and one transfer build per draw batch, and
+one ``tangent_frame`` and one sweep per sweep batch inside it, serve them
+all, and each sample's numbers are its own frame's, bit for bit."""
 
 import math
 import tracemalloc
@@ -189,8 +189,9 @@ def test_a_stack_with_no_sample_is_refused():
 
 def _consensus_cases():
     """(arch, mode, samples) of each shape of the one-frame peak test, in
-    each mode it runs: 3 samples, and 50 where a batch holds more than 3,
-    since elsewhere they hold what 3 do."""
+    each mode it runs: 3 samples, and 50 where a sweep batch holds more
+    than 3.  Three samples of one-sample sweep batches take one draw
+    batch of 3, which the estimate counts."""
     for case in PEAK_CASES:
         arch, = case.values
         for mode in ("unitary", "state") if arch.n <= 7 else ("state",):
@@ -248,12 +249,16 @@ def test_many_samples_hold_one_batch():
     assert peak <= estimate + _OBJECT_SLACK
 
 
-def test_a_frame_over_the_chunk_keeps_its_estimate():
-    # brickwork(6, 6): a 7.1 MB Gram arena, one sample a batch
+def test_a_frame_over_the_chunk_adds_only_its_draw_batch():
+    # brickwork(6, 6): a 7.1 MB Gram arena, one sample a sweep batch, in
+    # draw batches of 8 (16 KiB for each of its 30 gates a sample), whose
+    # other samples' gates and transfers the estimate counts
     arch = brickwork(6, 6)
     assert contraction._batch(arch, "unitary", (arch.gate_count,))[0] == 1
+    assert contraction._draw(arch, 1) == 8
     assert peak_bytes(arch, "unitary", samples=50) \
-        == peak_bytes(arch, "unitary")
+        == peak_bytes(arch, "unitary", samples=8) \
+        == peak_bytes(arch, "unitary") + 7 * 16384 * arch.gate_count
 
 
 @pytest.mark.parametrize("arch, prefixes", [
@@ -290,18 +295,24 @@ def test_a_frame_with_no_tall_prefix_has_no_head():
 
 def _count_work(monkeypatch, arch):
     """Lists that record each later call: the seeds of each ``haar`` call,
-    the sample count of each ``tangent_frame`` call, the frames
-    ``numerical_rank`` takes, and, for each ``_sweep`` call, whether it ran
-    ``arch``'s Gram plan and over how many samples."""
-    drawn, framed, ranked, swept = [], [], [], []
+    the sample count of each ``transfer_matrices`` and ``tangent_frame``
+    call, the frames ``numerical_rank`` takes, and, for each ``_sweep``
+    call, whether it ran ``arch``'s Gram plan and over how many
+    samples."""
+    drawn, built, framed, ranked, swept = [], [], [], [], []
     haar = GateAssignment.haar
     frame, rank, sweep = (contraction.tangent_frame,
                           contraction.numerical_rank, contraction._sweep)
+    build = contraction.transfer_matrices
     pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
 
     def counted_haar(arch, seeds):
         drawn.append(list(seeds))
         return haar(arch, seeds)
+
+    def counted_build(gates):
+        built.append(gates.samples)
+        return build(gates)
 
     def counted_frame(arch, gates, *args):
         framed.append(gates.samples)
@@ -319,20 +330,53 @@ def _count_work(monkeypatch, arch):
     monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
     monkeypatch.setattr(contraction, "numerical_rank", counted_rank)
     monkeypatch.setattr(contraction, "_sweep", counted_sweep)
-    return drawn, framed, ranked, swept
+    monkeypatch.setattr(contraction, "transfer_matrices", counted_build)
+    return drawn, built, framed, ranked, swept
 
 
-def test_a_consensus_draws_and_frames_once_per_batch(monkeypatch):
+def test_a_consensus_draws_once_per_draw_batch_and_frames_per_sweep_batch(
+        monkeypatch):
     # the dim-many digest's shape: a 1 MB Gram arena, three samples a
-    # batch, so seven samples take batches of 3, 3 and 1
+    # sweep batch, in draw batches of 24, so seven samples take one draw
+    # and one transfer build, swept in batches of 3, 3 and 1
     arch = build_family("staircase", 6, 2)
-    drawn, framed, ranked, swept = _count_work(monkeypatch, arch)
+    drawn, built, framed, ranked, swept = _count_work(monkeypatch, arch)
     accessible_dimension(arch, "unitary", 7, 3)
-    assert drawn == [[subseed(3, i) for i in range(lo, hi)]
-                     for lo, hi in ((0, 3), (3, 6), (6, 7))]
+    assert drawn == [[subseed(3, i) for i in range(7)]]
+    assert built == [7]
     assert framed == [3, 3, 1]
     assert ranked == [arch.gate_count] * 7
     assert swept == [(True, 3), (True, 3), (True, 1)]
+
+
+@pytest.mark.parametrize("samples", [3, 5])
+def test_one_draw_serves_one_sample_sweep_batches(samples, monkeypatch):
+    # brickwork(6, 1)'s 7.1 MB Gram arena takes one sample a sweep batch,
+    # and its 30 gates draw 8 samples a batch: one draw, one transfer
+    # build and one bind serve every sample, and each sample's route,
+    # ranks, Gram bound and sigma bounds are its own frame's, bit for bit
+    arch = build_family("brickwork", 6, 1)
+    ends = (arch.gate_count,)
+    assert contraction._batch(arch, "unitary", ends)[0] == 1
+    assert contraction._draw(arch, 1) == 8
+    drawn, built, framed, _, swept = _count_work(monkeypatch, arch)
+    bound = _count_binds(monkeypatch)
+    seen = _recorded_grams(monkeypatch)
+    report = accessible_dimension(arch, "unitary", samples, 6)
+    monkeypatch.undo()
+    assert drawn == [[subseed(6, i) for i in range(samples)]]
+    assert built == [samples]
+    assert framed == [1] * samples
+    assert swept == [(True, 1)] * samples
+    assert len(bound) == 1
+    for i, got in enumerate(report.estimates):
+        one = tangent_frame(arch, GateAssignment.haar(arch, subseed(6, i)))
+        want = numerical_rank(one)
+        assert _bits(seen[i][1]) == _bits(one.gram_error)
+        assert (got.route, got.loose_rank, got.tight_rank) \
+            == (want.route, want.loose_rank, want.tight_rank)
+        assert _bits(got.sigma_max_upper) == _bits(want.sigma_max_upper)
+        assert _bits(got.sigma_min_lower) == _bits(want.sigma_min_lower)
 
 
 @pytest.mark.parametrize("arch, sweeps", [
@@ -478,17 +522,27 @@ def _arena(program):
     return max(roots.values(), key=lambda x: x.nbytes)
 
 
-@pytest.mark.parametrize("arch, route", [
-    (build_family("brickwork", 6, 1), "gram"),
-    (random_adjacent(6, 40, 1), "svd")],
-    ids=["brickwork-6-1", "random-6-40-1"])
-def test_a_bound_consensus_stays_under_its_estimate(arch, route,
+@pytest.mark.parametrize("arch, route, samples", [
+    pytest.param(build_family("brickwork", 6, 1), "gram", 3,
+                 id="brickwork-6-1"),
+    pytest.param(build_family("brickwork", 6, 1), "gram", 5,
+                 id="brickwork-6-1-5-samples"),
+    pytest.param(random_adjacent(6, 40, 1), "svd", 3, id="random-6-40-1")])
+def test_a_bound_consensus_stays_under_its_estimate(arch, route, samples,
                                                     monkeypatch):
     # the Gram program's arena lives through the certificates and stays
     # under the estimate, which counts it there; random_adjacent(6, 40,
     # 1)'s certificates fail, and its arena is gone before the matrix
-    # sweep that each sample's SVD then reads
-    arenas, gone = [], []
+    # sweep that each sample's SVD then reads.  brickwork(6, 1)'s five
+    # samples take one draw of 5 and five one-sample sweep batches, and
+    # the draw's gates and transfers stay beside the arena
+    draws, arenas, gone = [], [], []
+    haar = GateAssignment.haar
+
+    def counted_haar(arch, seeds):
+        draws.append(len(seeds))
+        return haar(arch, seeds)
+
     bind, sweep = contraction._bind, contraction._sweep
 
     def watched_bind(plan, transfers):
@@ -502,15 +556,18 @@ def test_a_bound_consensus_stays_under_its_estimate(arch, route,
             gone.append(all(arena() is None for arena in arenas))
         return sweep(program, transfers)
 
+    monkeypatch.setattr(GateAssignment, "haar", counted_haar)
     monkeypatch.setattr(contraction, "_bind", watched_bind)
     monkeypatch.setattr(contraction, "_sweep", watched_sweep)
     tracemalloc.start()
     try:
-        report = accessible_dimension(arch, "unitary", 3, 3)
+        report = accessible_dimension(arch, "unitary", samples, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= peak_bytes(arch, "unitary", samples=3) + _OBJECT_SLACK
+    assert peak <= peak_bytes(arch, "unitary", samples=samples) \
+        + _OBJECT_SLACK
+    assert draws == [samples]
     assert arenas and all(arena() is None for arena in arenas)
-    assert [e.route for e in report.estimates] == [route] * 3
-    assert gone == [True] * 3 * (route == "svd")
+    assert [e.route for e in report.estimates] == [route] * samples
+    assert gone == [True] * samples * (route == "svd")

@@ -6,14 +6,16 @@ two trees can be checked for bit-identical results.
 For each shape (all of ``SHAPES`` by default) it prints one
 ``sha256 shape quantity`` line per item: each plan's split, arena, held,
 scratch and tables; ``peak_bytes`` in both modes; and per seed (1 to 5 by
-default) the Gram matrix and ``repr(gram_error)`` at the plan's split h, at
-h = 0 and at h = R, the frame's matrix, and the singular values, route,
-loose/tight ranks, ``sigma_max_upper`` and ``sigma_min_lower`` of
-``numerical_rank``, which is asked for the spectrum.
+default) the transfer stack (``transfer_matrices``), the Gram matrix and
+``repr(gram_error)`` at the plan's split h, at h = 0 and at h = R, the
+frame's matrix, and the singular values, route, loose/tight ranks,
+``sigma_max_upper`` and ``sigma_min_lower`` of ``numerical_rank``, which
+is asked for the spectrum.
 Each dim shape (``CONSENSUS``) also prints, per seed, each sample's route,
 loose/tight ranks, ``sigma_max_upper``, ``sigma_min_lower`` and singular
 values from a five-sample unitary consensus asked for the spectrum
-(``accessible_dimensions``), which sweeps its samples in batches.
+(``accessible_dimensions``), which draws its samples in draw batches and
+sweeps them in sweep batches.
 
 Each union shape (all of ``UNIONS`` by default, after the shapes) is an
 architecture and the gate counts of its prefixes that one union frame
@@ -46,6 +48,7 @@ from archdim import (GateAssignment, accessible_dimensions, brickwork,
                      build_family, from_gate_sequence, numerical_rank,
                      random_adjacent, staircase, tangent_frame)
 from archdim import contraction
+from archdim.contraction import transfer_matrices
 
 SHAPES: dict[str, Callable] = {
     "dim-staircase-6-2": lambda: build_family("staircase", 6, 2),
@@ -111,6 +114,7 @@ def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
     end = arch.gate_count
     for seed in seeds:
         gates = GateAssignment.haar(arch, seed)
+        yield f"seed{seed}.transfers", transfer_matrices(gates)
         for label, split in (("plan-h", None), ("h-0", 0), ("h-R", end)):
             with _split_at(split):
                 frame = tangent_frame(arch, gates)
