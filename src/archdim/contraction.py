@@ -42,7 +42,11 @@ one stacked draw (``GateAssignment.haar`` with a list of seeds) and one
 transfer build serve a draw batch, and one sweep a sweep batch, which
 takes its slice of the draw's transfers.  Each array call serves every
 sample at once with one sample's shapes, so that every sample's numbers
-are those of its own frame, bit for bit.
+are those of its own frame, bit for bit.  A sweep batch's rank decisions
+go one prefix at a time (``_decide``): each stacks its samples' Gram
+matrices and certifies them with one Cholesky call (``_certify``), while
+each sum and product keeps one sample's operands, and a lone frame's
+decision (``numerical_rank``) is that routine on a stack of one.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -198,13 +202,16 @@ def peak_bytes(arch: Architecture, job: str,
     takes up to three more C x C arrays, the |G| temporary of its norm,
     then ``_certify``'s C^2 bytes of its finite check and its shifted copy
     beside Cholesky's working copy and the factor (or, for a spectrum,
-    eigvalsh's copy after them); the scatter's copy of the
+    eigvalsh's copy after them), and a sweep batch's certificate
+    (``_decide``) takes them for each of its samples at once, with the
+    block copies it stacks; the scatter's copy of the
     staging vector and the symmetrisation's temporary come before them
     and take less.  A wide frame, or a wide prefix's block, tries its
     certificate (``_wide_estimate``) before the SVD, beside the matrix:
     its (4^n - 1)^2 row Gram matrix and the three arrays the certificate
-    takes beside it, which are gone when the SVD (or, for a spectrum, a
-    certified frame's SVD) takes its copy.  An
+    takes beside it, for each sample of one matrix sweep at once, which
+    are gone when the SVD (or, for a spectrum, a certified frame's SVD)
+    takes its copy.  An
     estimate whose frame terms alone exceed ``MEMORY_BUDGET`` returns
     before the sweep's plans are built.  Before that, when the frame and
     the whole architecture's block, 16 bytes per row and gauge-fixed
@@ -268,21 +275,25 @@ def _peak_bytes(arch: Architecture, job: str,
     gram = 0 if head is None else 8 * head.width ** 2
     # per wide prefix: its row Gram matrix and the certificate's arrays
     wides = [32 * (rows - 1) ** 2 * (c >= rows) for c in counts]
-    svd = frame + max(copy + max(b, w) + g for copy, b, w, g
-                      in zip(copies, blocks, wides, gram_copies))
-    if gram + svd > MEMORY_BUDGET:
-        return gram + svd
+
+    def svd(stacked: int) -> int:  # with ``stacked`` wide certificates
+        return frame + max(copy + max(b, stacked * w) + g for copy, b, w, g
+                           in zip(copies, blocks, wides, gram_copies))
+
+    if gram + svd(1) > MEMORY_BUDGET:
+        return gram + svd(1)
     transfers = 16384 * arch.gate_count
     full = _frame_plan(arch, ends)
     tables = full.tables
-    phases = [transfers + 8 * (full.arena + full.scratch), svd]
+    batch, others = _held(arch, job, ends, samples, stack)
+    matrices, matrix_each = _matrix_batch(arch, ends)
+    phases = [transfers + 8 * (full.arena + full.scratch),
+              svd(min(matrices, batch))]
     if head is not None:
         tables += head.tables
         phases.append(transfers + 8 * (head.arena + head.scratch)
-                      + max(copy + 3 * g for copy, g
-                            in zip(gram_copies, grams)))
-    batch, others = _held(arch, job, ends, samples, stack)
-    matrices, matrix_each = _matrix_batch(arch, ends)
+                      + batch * max(copy + 3 * g for copy, g
+                                    in zip(gram_copies, grams)))
     return gram + tables + max(phases) + others \
         + (min(matrices, batch) - 1) * matrix_each
 
@@ -628,15 +639,25 @@ class TangentFrame:
         columns = self.columns[cols]
         gram, error = None, 0.0
         if self.gram is not None and len(columns) < rows:
-            gram = self.gram[(cols, cols) if isinstance(cols, slice)
-                             else np.ix_(cols, cols)]
-            error = self.gram_error
-            if len(columns) < len(self.gram):
-                error = error * len(columns) / len(self.gram) \
-                    * float(1 + 8 * _UNIT_ROUNDOFF)
+            gram, error = _gram_block(self.gram, self.gram_error, cols)
         return TangentFrame(self.mode, self.n, length, columns,
                             lambda: self.matrix[:, cols], gram, error,
                             {length: slice(0, len(columns), 1)})
+
+
+def _gram_block(gram: np.ndarray, error: float | np.ndarray,
+                cols: slice | np.ndarray) -> tuple[np.ndarray,
+                                                   float | np.ndarray]:
+    """The block of ``gram`` on the columns ``cols``, and its bound from
+    ``gram_error``'s ``error`` (``TangentFrame.prefix``); with a leading
+    sample axis, each sample's block and bound.  Columns in a slice take
+    a view, others a C-ordered copy, as ``np.ix_`` gathers it."""
+    c, width = _count(cols), gram.shape[-1]
+    block = gram[..., cols, cols] if isinstance(cols, slice) \
+        else gram[np.ix_(*map(range, gram.shape[:-2]), cols, cols)]
+    if c < width:
+        error = error * c / width * float(1 + 8 * _UNIT_ROUNDOFF)
+    return block, error
 
 
 _Cone = tuple[int, ...]  # 1-based qubits, ascending
@@ -1992,18 +2013,32 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
-def _certify(gram: np.ndarray, error: float, floor: float) -> bool:
+def _shift(gram: np.ndarray, error: float | np.ndarray,
+           floor: float | np.ndarray) -> float | np.ndarray:
+    """``_certify``'s diagonal shift s of the symmetric C x C matrix
+    ``gram``, or of each matrix of an S x C x C stack (with ``error`` and
+    ``floor`` one value or S values), from its diagonal alone."""
+    c, u = gram.shape[-1], _UNIT_ROUNDOFF
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    gamma, top = _gamma(c + 1), diag.max(axis=-1)
+    return ((floor + error + gamma / (1 - gamma) * (1 + gamma)
+             * diag.sum(axis=-1) + u * top) * (1 + 16 * u)
+            + 4 * (c + 1) * (2 * (c + 2) + top) * _SMALLEST_SUBNORMAL)
+
+
+def _certify(gram: np.ndarray, error: float | np.ndarray,
+             floor: float | np.ndarray) -> bool | np.ndarray:
     """Whether lam_min(A) >= ``floor`` for every symmetric A within
     ``error`` of the symmetric C x C matrix G = ``gram`` in the 2-norm,
     proved by one floating-point Cholesky factorization.
 
     With u = eps / 2, gamma = gamma_{C+1} and gamma' = gamma / (1 - gamma):
 
-    - The shift s is floor + error, plus gamma' trace(G) (1 + gamma) (the
-      last factor covers the rounding of the trace), plus u max g_ii, plus
-      Rump's underflow term 4 (C + 1) (2 (C + 2) + max g_ii) eta (eta the
-      smallest subnormal), the sum taken times (1 + 16 u) to cover the
-      rounding of forming it.
+    - The shift s (``_shift``) is floor + error, plus gamma' trace(G)
+      (1 + gamma) (the last factor covers the rounding of the trace), plus
+      u max g_ii, plus Rump's underflow term 4 (C + 1) (2 (C + 2) +
+      max g_ii) eta (eta the smallest subnormal), the sum taken times
+      (1 + 16 u) to cover the rounding of forming it.
     - If floating-point Cholesky of G~ = fl(G - s I) runs to completion,
       its factor R satisfies R^T R = G~ + dA with |dA| <= gamma' d d^T,
       d_i = sqrt(g~_ii) (Demmel, LAPACK Working Note 14, 1989, in the form
@@ -2018,55 +2053,82 @@ def _certify(gram: np.ndarray, error: float, floor: float) -> bool:
     A Cholesky that fails (``LinAlgError``) proves nothing.  Nor does a
     non-finite entry of G, ``error`` or ``floor``, refused before the
     factorization, which LAPACK may run to completion on NaN.
+
+    ``gram`` may carry a leading sample axis, an S x C x C stack with S
+    values of ``error`` and of ``floor``; then the result is the S
+    verdicts.  One Cholesky call factors the shifted copies of every
+    finite sample, and when it fails, each is factored alone, so each
+    verdict is its sample's own, computed on the same numbers.
     """
-    if not (np.isfinite([error, floor]).all() and np.isfinite(gram).all()):
-        return False
-    c, u, diag = gram.shape[0], _UNIT_ROUNDOFF, np.diagonal(gram)
-    gamma, top = _gamma(c + 1), float(diag.max())
-    shift = ((floor + error + gamma / (1 - gamma) * (1 + gamma)
-              * float(diag.sum()) + u * top) * (1 + 16 * u)
-             + 4 * (c + 1) * (2 * (c + 2) + top) * _SMALLEST_SUBNORMAL)
-    shifted = gram.copy()
-    shifted[np.diag_indices(c)] -= shift
-    try:  # exactly symmetric: its F-ordered transpose is the same matrix
-        np.linalg.cholesky(shifted.T)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    def factors(shifted: np.ndarray) -> bool:  # one matrix or a stack
+        try:  # exactly symmetric: its F-ordered transpose is the same
+            np.linalg.cholesky(np.swapaxes(shifted, -1, -2))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    grams = gram if gram.ndim == 3 else gram[None]
+    error, floor = np.atleast_1d(error, floor)
+    ok = np.isfinite(error) & np.isfinite(floor) \
+        & np.isfinite(grams).all(axis=(1, 2))
+    shifted = grams[ok]
+    s, c = shifted.shape[:2]
+    shifted.reshape(s, c * c)[:, ::c + 1] -= _shift(
+        shifted, error[ok], floor[ok])[:, None]
+    if s and not factors(shifted):
+        # the stack fails if one sample fails: factor each alone
+        ok[ok] = [s > 1 and factors(one) for one in shifted]
+    return ok if gram.ndim == 3 else bool(ok[0])
+
+
+def _upper(gram: np.ndarray,
+           read_error: float | np.ndarray) -> float | np.ndarray:
+    """``_gram_estimate``'s U of ``gram``, or of each matrix of a stack of
+    them (with ``read_error`` one value or S values)."""
+    return np.abs(gram).sum(axis=-1).max(axis=-1) \
+        * (1 + _gamma(gram.shape[-1] + 1)) + read_error
 
 
 def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
-                   read_error: float) -> RankEstimate | None:
+                   read_error: float | np.ndarray,
+                   ) -> RankEstimate | None | list[RankEstimate | None]:
     """The full-rank estimate of a real matrix M with C columns whose Gram
     matrix ``gram`` certifies it, or None when it cannot.
 
     ``gram`` is symmetric and lies within ``read_error`` of the exact
     A = M^T M in the 2-norm.  U = ||G||_inf (1 + gamma_{C+1}) + read_error
-    bounds lam_max(A) from above; the factor covers the rounding of the
-    C-term row sums.  With floor = (100 loose)^2, ``_certify(G,
-    read_error, floor U)`` proves lam_min(A) >= floor U >= floor
-    lam_max(A) with no eigensolver.  Then every singular value is at least
-    100x above loose * sigma_max, so an SVD would count all C of them at
-    both tolerances.  The estimate holds sigma_max_upper = sqrt(U) and
-    sigma_min_lower = sqrt(floor U), and no singular values.  A
-    certificate that fails proves nothing, and the SVD decides.
+    (``_upper``) bounds lam_max(A) from above; the factor covers the
+    rounding of the C-term row sums.  With floor = (100 loose)^2,
+    ``_certify(G, read_error, floor U)`` proves lam_min(A) >= floor U >=
+    floor lam_max(A) with no eigensolver.  Then every singular value is at
+    least 100x above loose * sigma_max, so an SVD would count all C of
+    them at both tolerances.  The estimate holds sigma_max_upper =
+    sqrt(U) and sigma_min_lower = sqrt(floor U), and no singular values.
+    A certificate that fails proves nothing, and the SVD decides.
+
+    With a leading sample axis (an S x C x C stack, and S values of
+    ``read_error``) it returns each sample's estimate or None, in
+    order, from one ``_certify`` call.
     """
-    c = gram.shape[0]
-    upper = float(np.abs(gram).sum(axis=1).max()) * (1 + _gamma(c + 1)) \
-        + read_error
+    grams = gram if gram.ndim == 3 else gram[None]
+    c = grams.shape[-1]
+    upper = _upper(grams, read_error)
     low = (_GRAM_MARGIN * tol_pair[0]) ** 2 * upper
-    if not _certify(gram, read_error, low):
-        return None
-    return RankEstimate(None, tol_pair, c, c, route="gram",
-                        sigma_max_upper=float(np.sqrt(upper)),
-                        sigma_min_lower=float(np.sqrt(low)))
+    found = [RankEstimate(None, tol_pair, c, c, route="gram",
+                          sigma_max_upper=float(np.sqrt(top)),
+                          sigma_min_lower=float(np.sqrt(bottom)))
+             if passed else None
+             for passed, top, bottom
+             in zip(_certify(grams, read_error, low), upper, low)]
+    return found if gram.ndim == 3 else found[0]
 
 
-def _wide_estimate(mat: np.ndarray, tol_pair: tuple[float, float],
-                   ) -> RankEstimate | None:
-    """The rank-(m - 1) estimate of a wide unitary frame ``mat`` (m = 4^n
-    rows, C >= m columns) that its row Gram matrix certifies, or None
-    when it cannot.
+def _wide_estimate(mats: Iterable[np.ndarray], samples: int, rows: int,
+                   tol_pair: tuple[float, float],
+                   ) -> list[RankEstimate | None]:
+    """The rank-(m - 1) estimate of each of the ``samples`` wide unitary
+    frames ``mats`` (m = 4^n = ``rows`` rows, C >= m columns) that its row
+    Gram matrix certifies, or None when it cannot, in order.
 
     Row 0, m_0, is the identity string's: 0 in exact arithmetic, since
     every generator is traceless and each T_j fixes the identity.  Let M'
@@ -2089,21 +2151,31 @@ def _wide_estimate(mat: np.ndarray, tol_pair: tuple[float, float],
     the roundings of the test, so sigma_m(M) <= ||m_0|| (M^T e_0 = m_0)
     sits 100x below the tight cutoff.  So an SVD would count m - 1 at
     both tolerances.  A non-finite M' gives a non-finite trace, and a
-    non-finite m_0 fails the test: neither is certified.
+    non-finite m_0 fails the test: neither is certified; such a sample,
+    or one that fails the test, takes no read error (NaN), which
+    ``_certify`` refuses.
+
+    The matrices are read one at a time: each forms its G by its own GEMM
+    into one S x (m - 1) x (m - 1) stack, which one ``_gram_estimate``
+    call certifies.
     """
-    rows, cols = mat.shape
+    grams = np.empty((samples, rows - 1, rows - 1))
+    edges = np.empty(samples)
+    for k, mat in enumerate(mats):
+        cols = mat.shape[1]
+        rest = mat[1:]
+        np.matmul(rest, rest.T, out=grams[k])
+        edges[k] = mat[0] @ mat[0]
     u, gamma = _UNIT_ROUNDOFF, _gamma(cols)
-    head, rest = mat[0], mat[1:]
-    gram = rest @ rest.T
-    diag = np.diagonal(gram)
-    trace, edge = float(diag.sum()), float(head @ head)
+    diag = np.diagonal(grams, axis1=1, axis2=2)
+    trace = diag.sum(axis=1)
     ceiling = (tol_pair[1] / _GRAM_MARGIN) ** 2 \
-        * float(diag.max(initial=0.0)) * (1 - 2 * gamma)
-    if not (np.isfinite(trace) and edge / (1 - gamma) <= ceiling):
-        return None
-    read_error = (gamma * trace / (1 - gamma) + edge) / (1 - gamma) \
-        * (1 + 16 * u)
-    return _gram_estimate(gram, tol_pair, read_error)
+        * diag.max(axis=1, initial=0.0) * (1 - 2 * gamma)
+    ok = np.isfinite(trace) & (edges / (1 - gamma) <= ceiling)
+    read_error = np.where(
+        ok, (gamma * trace / (1 - gamma) + edges) / (1 - gamma)
+        * (1 + 16 * u), np.nan)
+    return _gram_estimate(grams, tol_pair, read_error)
 
 
 def _check_tolerances(tol_pair: tuple[float, float]) -> tuple[float, float]:
@@ -2114,6 +2186,88 @@ def _check_tolerances(tol_pair: tuple[float, float]) -> tuple[float, float]:
         raise ValidationError("tolerances must satisfy eps <= tight <= loose"
                               f" < 1, got (loose, tight) = {tol_pair}")
     return loose, tight
+
+
+def _svd_estimate(mat: np.ndarray,
+                  tol_pair: tuple[float, float]) -> RankEstimate:
+    """The svd-route estimate of ``mat`` (``numerical_rank``)."""
+    loose, tight = tol_pair
+    if mat.size == 0:
+        return RankEstimate(np.zeros(0), tol_pair, 0, 0)
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("frame holds a non-finite entry")
+    sv = np.linalg.svd(mat, compute_uv=False)
+    smax = sv[0]
+    if smax == 0.0:
+        return RankEstimate(sv, tol_pair, 0, 0)
+    return RankEstimate(
+        sv, tol_pair,
+        int((sv > loose * smax).sum()),
+        int((sv > tight * smax).sum()),
+    )
+
+
+def _tall_estimates(stack: TangentFrame, cols: slice | np.ndarray,
+                    tol_pair: tuple[float, float],
+                    spectrum: bool) -> list[RankEstimate | None]:
+    """Each sample's gram-route estimate of the column block ``cols`` of
+    the stacked frame ``stack`` (``_decide``), or None for each sample it
+    leaves to a matrix: every sample when the block is not a tall block
+    of ``gram``."""
+    if stack.gram is None \
+            or not 0 < _count(cols) < _frame_rows(stack.n, stack.mode):
+        return [None] * stack.samples
+    # each sample's block in its own frame's layout, which a sum's order
+    # follows
+    grams, errors = _gram_block(stack.gram, stack.gram_error, cols)
+    found = _gram_estimate(grams, tol_pair, errors)
+    if not spectrum:
+        return found
+    return [None if e is None else replace(
+        e, singular_values=np.sqrt(np.linalg.eigvalsh(g)[::-1]))
+        for e, g in zip(found, grams)]
+
+
+def _decide(stack: TangentFrame, lengths: Sequence[int],
+            tol_pair: tuple[float, float], spectrum: bool,
+            chunk: int) -> list[list[RankEstimate]]:
+    """``numerical_rank`` of every sample's frame of each prefix of
+    ``lengths`` gates that the stacked frame ``stack`` serves: one list
+    per prefix, in sample order, each estimate its sample's own frame's
+    (``TangentFrame.sample`` and ``prefix``), bit for bit.
+
+    First the tall prefixes that carry their blocks of ``gram``, which
+    read no matrix: each stacks its S samples' Gram blocks, each bounded
+    by its own ``gram_error`` as ``TangentFrame.prefix`` scales it, and
+    one ``_gram_estimate`` call certifies them.  A sample whose bound is
+    not finite (``TangentFrame.sample`` gives it no Gram matrix) is
+    refused there.  With ``spectrum`` each certified sample takes
+    eigvalsh of its own block.  Then, ``chunk`` samples at a time, those
+    whose matrices one matrix sweep forms (``_matrix_batch``), every
+    decision that reads a matrix: one ``_wide_estimate`` call per wide
+    unitary prefix (C >= 4^n), each certified one with ``spectrum``
+    taking its SVD's values, and then the SVD (``_svd_estimate``) of
+    each sample's block that is still undecided.  Every reduction and
+    GEMM takes one sample's operands as its own frame's decision would,
+    so only the Cholesky factorizations share a call."""
+    rows = _frame_rows(stack.n, stack.mode)
+    found = [_tall_estimates(stack, stack.prefixes[length], tol_pair,
+                             spectrum) for length in lengths]
+    for lo in range(0, stack.samples, chunk):
+        samples = range(lo, min(lo + chunk, stack.samples))
+        for length, ests in zip(lengths, found):
+            cols = stack.prefixes[length]
+            if stack.mode == "unitary" and _count(cols) >= rows:
+                ests[lo:samples.stop] = _wide_estimate(
+                    (stack._part(i)[:, cols] for i in samples),
+                    len(samples), rows, tol_pair)
+            for i in samples:
+                if ests[i] is None:
+                    ests[i] = _svd_estimate(stack._part(i)[:, cols], tol_pair)
+                elif spectrum and ests[i].singular_values is None:
+                    ests[i] = replace(ests[i], singular_values=np.linalg.svd(
+                        stack._part(i)[:, cols], compute_uv=False))
+    return found
 
 
 def numerical_rank(frame: TangentFrame | np.ndarray,
@@ -2148,6 +2302,10 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     differ from LAPACK's SVD by rounding only (below 1e-12 sigma_max on the
     frames measured).
 
+    A frame is decided as the one sample of a stack, by the routine
+    (``_decide``) that decides every sample of a consensus's sweep batch
+    at once, so a frame's estimate is the one its sample gets there.
+
     An empty or all-zero matrix has rank 0 by convention.  A matrix holding
     NaN or inf raises ``LinAlgError``.  A Gram matrix holding one is never
     certified (``_certify``), so its frame takes the SVD of its matrix,
@@ -2155,36 +2313,15 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     eps <= tight <= loose < 1.  A stacked frame raises ValidationError:
     each of its samples (``TangentFrame.sample``) takes its own rank.
     """
-    loose, tight = _check_tolerances(tol_pair)
-    if isinstance(frame, TangentFrame):
-        frame._one("numerical_rank")
-        gram, est = frame.gram, None
-        tall = gram is not None and gram.size > 0 \
-            and gram.shape[0] == frame.columns.shape[0]
-        if tall:
-            est = _gram_estimate(gram, tol_pair, frame.gram_error)
-        elif frame.mode == "unitary" and len(frame.columns) >= 4 ** frame.n:
-            est = _wide_estimate(frame.matrix, tol_pair)
-        if est is not None and spectrum:
-            est = replace(est, singular_values=np.sqrt(
-                np.linalg.eigvalsh(gram)[::-1]) if tall
-                else np.linalg.svd(frame.matrix, compute_uv=False))
-        if est is not None:
-            return est
-    mat = frame.matrix if isinstance(frame, TangentFrame) else np.asarray(frame)
-    if mat.size == 0:
-        return RankEstimate(np.zeros(0), tol_pair, 0, 0)
-    if not np.isfinite(mat).all():
-        raise np.linalg.LinAlgError("frame holds a non-finite entry")
-    sv = np.linalg.svd(mat, compute_uv=False)
-    smax = sv[0]
-    if smax == 0.0:
-        return RankEstimate(sv, tol_pair, 0, 0)
-    return RankEstimate(
-        sv, tol_pair,
-        int((sv > loose * smax).sum()),
-        int((sv > tight * smax).sum()),
-    )
+    _check_tolerances(tol_pair)
+    if not isinstance(frame, TangentFrame):
+        return _svd_estimate(np.asarray(frame), tol_pair)
+    frame._one("numerical_rank")
+    one = replace(frame, gram=None if frame.gram is None else frame.gram[None],
+                  gram_error=np.array([frame.gram_error]),
+                  prefixes={frame.gate_count: slice(0, len(frame.columns), 1)},
+                  samples=1, _part=lambda i: frame.matrix)
+    return _decide(one, [frame.gate_count], tol_pair, spectrum, 1)[0][0]
 
 
 def dimension_bounds(arch: Architecture, mode: str,
@@ -2200,9 +2337,22 @@ def dimension_bounds(arch: Architecture, mode: str,
     raises ValidationError.
     """
     end = arch.gate_count if length is None else _ends(arch, (length,))[0]
-    lower = sum(
-        1 for start, stop in arch.slice_ranges()
-        if stop <= end and is_causal_slice(arch, start, stop) is not None)
+    return _bounds(arch, mode, end, _causal_stops(arch, end))
+
+
+def _causal_stops(arch: Architecture, end: int) -> list[int]:
+    """The stop of each causal slice (``is_causal_slice``) among the
+    marked slices of ``arch`` that end by gate ``end``."""
+    return [stop for start, stop in arch.slice_ranges()
+            if stop <= end and is_causal_slice(arch, start, stop) is not None]
+
+
+def _bounds(arch: Architecture, mode: str, end: int,
+            stops: list[int]) -> tuple[int, int, int]:
+    """``dimension_bounds`` of the prefix of ``arch`` that ends after
+    ``end`` gates, from the causal slices' ``stops`` (``_causal_stops``
+    up to ``end`` or further)."""
+    lower = sum(1 for stop in stops if stop <= end)
     cap = saturation_threshold(arch.n, mode)
     touched = len({q for gate in arch.gates[:end] for q in gate})
     return lower, min(_gauge_fixed(end, touched), cap), cap
@@ -2309,11 +2459,13 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     the draw ``haar`` makes for the prefix's own architecture from that
     seed, since the gates are drawn from one stream in order.  One frame
     per sample serves every prefix (``tangent_frame`` with ``prefixes``):
-    each takes its own column block (``TangentFrame.prefix``) through
-    ``numerical_rank``.  The frame reads its Gram matrix once when some
-    prefix's frame is tall, and forms its matrix once when a wide one or a
-    failed certificate first reads it.  Each report carries its prefix's
-    gate count and bounds (``dimension_bounds``).
+    each takes its own column block (``TangentFrame.prefix``), and its
+    estimate is the one ``numerical_rank`` gives that block.  The frame
+    reads its Gram matrix once when some prefix's frame is tall, and
+    forms its matrix once when a wide one or a failed certificate first
+    reads it.  Each report carries its prefix's gate count and bounds
+    (``dimension_bounds``), whose lower bounds read each marked slice's
+    causal flag once (``_causal_stops``).
 
     The samples go in draw batches of ``_draw`` samples, each swept in
     sweep batches of ``_batch`` samples, as many as fit in
@@ -2322,8 +2474,12 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     call builds its transfers (in unitary mode).  One ``tangent_frame``
     call makes each sweep batch's stacked frame from its samples of the
     draw (``GateAssignment._samples``), whose frame takes their slice of
-    the draw's transfers (``_Binding.batch``); its samples
-    (``TangentFrame.sample``) then take their ranks in order.  Each sweep
+    the draw's transfers (``_Binding.batch``); ``_decide`` then decides
+    all its samples with one call per prefix: one certificate over the
+    stack of the samples' Gram blocks of each tall prefix, and one over
+    their row Gram matrices of each wide prefix, for the samples of each
+    matrix sweep (``_matrix_batch``), before the SVD of each sample
+    whose certificate fails.  Each sweep
     batch is dropped before the next one is framed, and the draw batch
     before the next one is drawn, so a frame over the chunk goes one
     sample a sweep.  A unitary consensus binds its Gram plan once
@@ -2337,8 +2493,9 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
 
     For each prefix all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged
-    away.  ``spectrum`` asks ``numerical_rank`` for every sample's singular
-    values, which ``RankReport.spectra_csv`` writes.  A union frame whose
+    away.  ``spectrum`` asks for every sample's singular values, as
+    ``numerical_rank`` gives them, which ``RankReport.spectra_csv``
+    writes.  A union frame whose
     estimate (``peak_bytes`` with the prefixes) is over ``MEMORY_BUDGET``
     raises SizeLimit; a tolerance pair ``numerical_rank`` would refuse, a
     sample count that is not an integer of at least 3, a seed that is not
@@ -2355,6 +2512,7 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     estimates: list[list[RankEstimate]] = [[] for _ in ends]
     batch = _batch(arch, mode, ends)[0]
     draw = _draw(arch, batch)
+    chunk = _matrix_batch(arch, ends)[0] if mode == "unitary" else batch
     with _Binding() as binding:
         for lo in range(0, samples, draw):
             gates = GateAssignment.haar(arch, [
@@ -2366,25 +2524,26 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
                 binding.batch = part, None if transfers is None \
                     else transfers[at:at + batch]
                 stack = tangent_frame(arch, part, mode, ends)
-                for i in range(part.samples):
-                    frame = stack.sample(i)
-                    for row, length in zip(estimates, ends):
-                        row.append(numerical_rank(
-                            frame.prefix(length), tolerances,
-                            spectrum=spectrum))
-                del stack, frame  # before the next sweep batch is framed
+                for row, found in zip(estimates, _decide(
+                        stack, ends, tolerances, spectrum, chunk)):
+                    row.extend(found)
+                del stack  # before the next sweep batch is framed
             binding.batch = None
             del gates, transfers, part  # before the next batch is drawn
-    return tuple(_consensus(arch, length, mode, seed, tolerances, tuple(row))
+    stops = _causal_stops(arch, ends[-1])
+    return tuple(_consensus(arch, length, mode, seed, tolerances, tuple(row),
+                            _bounds(arch, mode, length, stops))
                  for length, row in zip(ends, estimates))
 
 
 def _consensus(arch: Architecture, length: int, mode: str, seed: int,
                tolerances: tuple[float, float],
-               estimates: tuple[RankEstimate, ...]) -> RankReport:
+               estimates: tuple[RankEstimate, ...],
+               bounds: tuple[int, int, int]) -> RankReport:
     """The report of the per-sample estimates of the prefix of ``arch``
-    that ends after ``length`` gates: their consensus if every one is
-    conclusive and all agree, else the first reason not."""
+    that ends after ``length`` gates, with its ``bounds``
+    (``dimension_bounds``): their consensus if every one is conclusive
+    and all agree, else the first reason not."""
     reason = None
     for i, e in enumerate(estimates):
         if not e.conclusive:
@@ -2395,7 +2554,7 @@ def _consensus(arch: Architecture, length: int, mode: str, seed: int,
         if len(ranks) > 1:
             reason = f"samples disagree: {sorted(r for r in ranks)}"
     consensus = estimates[0].rank if reason is None else None
-    lower, upper, cap = dimension_bounds(arch, mode, length)
+    lower, upper, cap = bounds
     return RankReport(
         n=arch.n, gate_count=length, mode=mode,
         samples=len(estimates), seed=seed, tolerances=tolerances,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 
 from .architecture import (
     _adjacent_positions,
@@ -61,7 +61,10 @@ class SweepRow:
     def csv_line(self) -> str:
         """The row under ``CSV_HEADER``, whose columns are the fields in
         order; an inconclusive dimension is an empty cell."""
-        return ",".join("" if v is None else str(v) for v in astuple(self))
+        return ",".join("" if v is None else str(v) for v in (
+            self.n, self.family, self.t_slices, self.r_gates, self.l_gates,
+            self.accessible, self.witness_rank, self.lower, self.upper,
+            self.cap, self.samples, self.seed, self.ms))
 
 
 def check_ramp(rows: list[SweepRow]) -> None:

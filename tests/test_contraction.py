@@ -1667,15 +1667,16 @@ def test_a_rank_deficient_wide_frame_takes_the_svd(monkeypatch):
     certify = contraction._certify
 
     def counted(*args):
-        passed.append(certify(*args))
-        return passed[-1]
+        verdicts = certify(*args)
+        passed.extend(np.atleast_1d(verdicts).tolist())
+        return verdicts
 
     monkeypatch.setattr(contraction, "_certify", counted)
     est = numerical_rank(tangent_frame(arch, GateAssignment.haar(arch, 4)))
     assert passed == [False]
     assert (est.route, est.rank) == ("svd", 15)
-    # every route decides through the one certificate: once per sample of
-    # a tall consensus, never for a state frame
+    # every route decides through the one certificate: one verdict per
+    # sample of a tall consensus, never one for a state frame
     passed.clear()
     tall = staircase(4, 1)
     report = accessible_dimension(tall, samples=3, seed=4)

@@ -215,7 +215,7 @@ def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
     # draws are the ones the last row made when every row drew its own
     drawn, frames, ranks = [], [], []
     haar = GateAssignment.haar
-    frame, rank = contraction.tangent_frame, contraction.numerical_rank
+    frame, decide = contraction.tangent_frame, contraction._decide
 
     def counted_haar(arch, seeds):
         drawn.append((arch.gate_count, list(seeds)))
@@ -225,13 +225,14 @@ def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
         frames.append((args[0].gate_count, args[1].samples))
         return frame(*args, **kwargs)
 
-    def counted_rank(*args, **kwargs):
-        ranks.append(args[0].gate_count)
-        return rank(*args, **kwargs)
+    def counted_decide(stack, lengths, *args):
+        ranks.extend(length for _ in range(stack.samples)
+                     for length in lengths)
+        return decide(stack, lengths, *args)
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
     monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
-    monkeypatch.setattr(contraction, "numerical_rank", counted_rank)
+    monkeypatch.setattr(contraction, "_decide", counted_decide)
     samples, t_max, seed = 4, 5, 9
     rows = growth_sweep(3, "staircase", t_max, samples, seed, mode)
     assert len(rows) == t_max
@@ -465,6 +466,32 @@ def test_a_cut_inside_a_slice_counts_only_the_complete_slices():
     for length in (-1, 5, 2.0):
         with pytest.raises(ValidationError):
             dimension_bounds(arch, "unitary", length)
+
+
+@pytest.mark.parametrize("build", SWEEP_CASES + CHAINS)
+def test_each_report_has_its_prefix_s_bounds(build, monkeypatch):
+    # a consensus over every prefix, cuts inside a slice included, reads
+    # each marked slice's causal flag once and gives each report the
+    # bounds of its own prefix; state frames keep it cheap
+    arch = build()
+    if isinstance(arch, list):
+        arch = arch[-1]
+    flagged = []
+    causal = contraction.is_causal_slice
+
+    def counted(arch, start, stop):
+        flagged.append((start, stop))
+        return causal(arch, start, stop)
+
+    monkeypatch.setattr(contraction, "is_causal_slice", counted)
+    lengths = list(range(arch.gate_count + 1))
+    reports = accessible_dimensions(arch, "state", 3, 2, prefixes=lengths)
+    assert flagged == list(arch.slice_ranges())
+    monkeypatch.undo()
+    for report, length in zip(reports, lengths):
+        assert report.gate_count == length
+        assert (report.lower_bound, report.upper_bound, report.cap) \
+            == dimension_bounds(arch, "state", length)
 
 
 @pytest.mark.parametrize("mode", ["unitary", "state"])

@@ -26,8 +26,8 @@ from archdim import (
 )
 from archdim import contraction
 from archdim.bounds import gauge_fixed_count
-from archdim.contraction import (DEFAULT_TOLERANCES, peak_bytes,
-                                 transfer_matrices)
+from archdim.contraction import (DEFAULT_TOLERANCES, dimension_bounds,
+                                 peak_bytes, transfer_matrices)
 from reference import split_gram
 from test_contraction import _OBJECT_SLACK, FRAME_CASES, PEAK_CASES
 from test_shared_draws import CHAINS
@@ -136,7 +136,8 @@ def _reference_consensus(arch, mode, samples, seed, prefixes):
         for row, length in zip(rows, ends):
             row.append(numerical_rank(frame.prefix(length)))
     return [contraction._consensus(arch, length, mode, seed,
-                                   DEFAULT_TOLERANCES, tuple(row))
+                                   DEFAULT_TOLERANCES, tuple(row),
+                                   dimension_bounds(arch, mode, length))
             for length, row in zip(ends, rows)]
 
 
@@ -296,13 +297,13 @@ def test_a_frame_with_no_tall_prefix_has_no_head():
 def _count_work(monkeypatch, arch):
     """Lists that record each later call: the seeds of each ``haar`` call,
     the sample count of each ``transfer_matrices`` and ``tangent_frame``
-    call, the frames ``numerical_rank`` takes, and, for each ``_sweep``
-    call, whether it ran ``arch``'s Gram plan and over how many
-    samples."""
+    call, the gate count of each prefix of each sample that ``_decide``
+    decides, and, for each ``_sweep`` call, whether it ran ``arch``'s
+    Gram plan and over how many samples."""
     drawn, built, framed, ranked, swept = [], [], [], [], []
     haar = GateAssignment.haar
-    frame, rank, sweep = (contraction.tangent_frame,
-                          contraction.numerical_rank, contraction._sweep)
+    frame, decide, sweep = (contraction.tangent_frame, contraction._decide,
+                            contraction._sweep)
     build = contraction.transfer_matrices
     pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
 
@@ -318,9 +319,10 @@ def _count_work(monkeypatch, arch):
         framed.append(gates.samples)
         return frame(arch, gates, *args)
 
-    def counted_rank(frame, *args, **kwargs):
-        ranked.append(frame.gate_count)
-        return rank(frame, *args, **kwargs)
+    def counted_decide(stack, lengths, *args):
+        ranked.extend(length for _ in range(stack.samples)
+                      for length in lengths)
+        return decide(stack, lengths, *args)
 
     def counted_sweep(program, transfers):
         swept.append((program.plan is pruned, len(transfers)))
@@ -328,7 +330,7 @@ def _count_work(monkeypatch, arch):
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
     monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
-    monkeypatch.setattr(contraction, "numerical_rank", counted_rank)
+    monkeypatch.setattr(contraction, "_decide", counted_decide)
     monkeypatch.setattr(contraction, "_sweep", counted_sweep)
     monkeypatch.setattr(contraction, "transfer_matrices", counted_build)
     return drawn, built, framed, ranked, swept
@@ -408,19 +410,23 @@ def test_a_matrix_sweep_forms_what_fits_in_the_chunk(arch, monkeypatch):
 
 
 def _recorded_grams(monkeypatch):
-    """The list that records, for each frame ``numerical_rank`` later
-    takes, a copy of its Gram matrix (None for none) and its
+    """The list that records, for each sample's frame of each prefix that
+    ``_decide`` later decides (``TangentFrame.sample`` and ``prefix``),
+    in sample order, a copy of its Gram matrix (None for none) and its
     ``gram_error``: a consensus's bound sweep overwrites its Gram stack
     batch by batch."""
     seen = []
-    rank = contraction.numerical_rank
+    decide = contraction._decide
 
-    def recorded(frame, *args, **kwargs):
-        gram = None if frame.gram is None else frame.gram.copy()
-        seen.append((gram, frame.gram_error))
-        return rank(frame, *args, **kwargs)
+    def recorded(stack, lengths, *args):
+        for i in range(stack.samples):
+            for length in lengths:
+                frame = stack.sample(i).prefix(length)
+                gram = None if frame.gram is None else frame.gram.copy()
+                seen.append((gram, frame.gram_error))
+        return decide(stack, lengths, *args)
 
-    monkeypatch.setattr(contraction, "numerical_rank", recorded)
+    monkeypatch.setattr(contraction, "_decide", recorded)
     return seen
 
 
@@ -477,6 +483,107 @@ def test_a_bound_sweep_reads_each_sample_s_own_gram_matrix(build, batching,
             assert np.abs(frame.gram - ref).max(initial=0.0) < 1e-13
 
 
+def _estimate_bits(e):
+    """Every field of a rank estimate, floats and arrays by their bits."""
+    return (e.route, e.loose_rank, e.tight_rank, e.tolerances,
+            _bits(e.sigma_max_upper), _bits(e.sigma_min_lower),
+            _bits(e.singular_values))
+
+
+@pytest.mark.parametrize("spectrum", [False, True])
+@pytest.mark.parametrize("batching", ["one", "stacked", "pairs"])
+@pytest.mark.parametrize("build", STACK_CASES)
+def test_a_stacked_decision_is_each_sample_s_own(build, batching, spectrum,
+                                                 monkeypatch):
+    # a sweep batch's samples are decided together, one certificate per
+    # prefix; in batches of one, of five and of 2, 2 and 1, every
+    # estimate, with or without the spectrum, is its own frame's, bit for
+    # bit
+    arch, prefixes = build()
+    if prefixes:
+        prefixes = prefixes[::6] + prefixes[-1:]
+    ends = contraction._ends(arch, prefixes)
+    _batched(monkeypatch, batching, arch, ends)
+    reports = accessible_dimensions(arch, "unitary", 5, 8, spectrum=spectrum,
+                                    prefixes=prefixes)
+    monkeypatch.undo()
+    for i in range(5):
+        gates = GateAssignment.haar(arch, subseed(8, i))
+        frame = tangent_frame(arch, gates, "unitary", ends)
+        for length, report in zip(ends, reports):
+            want = numerical_rank(frame.prefix(length), spectrum=spectrum)
+            assert _estimate_bits(report.estimates[i]) \
+                == _estimate_bits(want)
+
+
+@pytest.mark.parametrize("plant", ["non-finite", "singular"])
+def test_a_failing_sample_alone_takes_the_svd(plant, monkeypatch):
+    # one sample of a four-sample batch gets a non-finite Gram entry,
+    # refused before the one Cholesky call factors the other three, or a
+    # zero last row and column, on which the stacked call fails and each
+    # sample is factored alone: either way the others are certified, and
+    # only it takes the SVD, of its own matrix
+    arch = staircase(5, 2)
+    _batched(monkeypatch, "stacked", arch, (arch.gate_count,))
+    read = contraction._gram_read
+
+    def planted(program, transfers):
+        gram = read(program, transfers)
+        if plant == "non-finite":
+            gram[1, 0, 1] = np.nan
+        else:
+            gram[1, -1, :] = gram[1, :, -1] = 0.0
+        return gram
+
+    svds, factored = [], []
+    svd, cholesky = np.linalg.svd, np.linalg.cholesky
+
+    def counted_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def counted_cholesky(a):
+        factored.append(a.shape[:-2])
+        return cholesky(a)
+
+    monkeypatch.setattr(contraction, "_gram_read", planted)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    report = accessible_dimension(arch, "unitary", 4, 3)
+    monkeypatch.undo()
+    assert [e.route for e in report.estimates] == ["gram", "svd", "gram",
+                                                   "gram"]
+    assert svds == [contraction.frame_shape(arch, "unitary")]
+    assert factored == ([(3,)] if plant == "non-finite"
+                        else [(4,), (), (), (), ()])
+    for i, got in enumerate(report.estimates):
+        frame = tangent_frame(arch, GateAssignment.haar(arch, subseed(3, i)))
+        want = numerical_rank(frame.matrix if i == 1 else frame)
+        assert _estimate_bits(got) == _estimate_bits(want)
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+@pytest.mark.parametrize("build", STACK_CASES)
+def test_stacked_shifts_and_upper_bounds_keep_their_bits(build, count):
+    # the certificate's shift and U of a stack of Gram matrices are each
+    # sample's own, as raw bits
+    arch, prefixes = build()
+    stack = tangent_frame(arch, GateAssignment.haar(arch, _seeds(count)),
+                          "unitary", prefixes)
+    grams, errors = stack.gram, stack.gram_error
+    floors = (100 * DEFAULT_TOLERANCES[0]) ** 2 \
+        * contraction._upper(grams, errors)
+    for stacked, one in [
+            (contraction._shift(grams, errors, floors),
+             [contraction._shift(g, float(e), float(f))
+              for g, e, f in zip(grams, errors, floors)]),
+            (contraction._upper(grams, errors),
+             [contraction._upper(g, float(e)) for g, e in zip(grams, errors)])]:
+        assert stacked.shape == (count,)
+        assert stacked.view(np.int64).tolist() \
+            == np.array(one).view(np.int64).tolist()
+
+
 def _count_binds(monkeypatch):
     """The list of the plans that each later ``_bind`` call binds."""
     bound = []
@@ -522,20 +629,29 @@ def _arena(program):
     return max(roots.values(), key=lambda x: x.nbytes)
 
 
-@pytest.mark.parametrize("arch, route, samples", [
-    pytest.param(build_family("brickwork", 6, 1), "gram", 3,
+@pytest.mark.parametrize("arch, prefixes, route, samples, sweeps", [
+    pytest.param(build_family("brickwork", 6, 1), None, "gram", 3, 0,
                  id="brickwork-6-1"),
-    pytest.param(build_family("brickwork", 6, 1), "gram", 5,
+    pytest.param(build_family("brickwork", 6, 1), None, "gram", 5, 0,
                  id="brickwork-6-1-5-samples"),
-    pytest.param(random_adjacent(6, 40, 1), "svd", 3, id="random-6-40-1")])
-def test_a_bound_consensus_stays_under_its_estimate(arch, route, samples,
+    pytest.param(random_adjacent(6, 40, 1), None, "svd", 3, 3,
+                 id="random-6-40-1"),
+    pytest.param(build_family("staircase", 6, 2), None, "gram", 3, 0,
+                 id="staircase-6-2"),
+    pytest.param(staircase(3, 6), staircase(3, 6).slice_boundaries, "gram",
+                 3, 1, id="union-staircase-3-1..6")])
+def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
+                                                    samples, sweeps,
                                                     monkeypatch):
     # the Gram program's arena lives through the certificates and stays
     # under the estimate, which counts it there; random_adjacent(6, 40,
     # 1)'s certificates fail, and its arena is gone before the matrix
     # sweep that each sample's SVD then reads.  brickwork(6, 1)'s five
     # samples take one draw of 5 and five one-sample sweep batches, and
-    # the draw's gates and transfers stay beside the arena
+    # the draw's gates and transfers stay beside the arena.  The three
+    # samples of staircase(6, 2) and of the staircase(3, 1..6) union
+    # share a sweep batch, whose tall prefixes' certificates stack them;
+    # the union's wide rows stack theirs after its one matrix sweep
     draws, arenas, gone = [], [], []
     haar = GateAssignment.haar
 
@@ -561,13 +677,15 @@ def test_a_bound_consensus_stays_under_its_estimate(arch, route, samples,
     monkeypatch.setattr(contraction, "_sweep", watched_sweep)
     tracemalloc.start()
     try:
-        report = accessible_dimension(arch, "unitary", samples, 3)
+        reports = accessible_dimensions(arch, "unitary", samples, 3,
+                                        prefixes=prefixes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= peak_bytes(arch, "unitary", samples=samples) \
+    assert peak <= peak_bytes(arch, "unitary", prefixes, samples=samples) \
         + _OBJECT_SLACK
     assert draws == [samples]
     assert arenas and all(arena() is None for arena in arenas)
-    assert [e.route for e in report.estimates] == [route] * samples
-    assert gone == [True] * samples * (route == "svd")
+    for report in reports:
+        assert [e.route for e in report.estimates] == [route] * samples
+    assert gone == [True] * sweeps

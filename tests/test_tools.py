@@ -71,7 +71,9 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
     # the singular values, the route, the ranks and the two certified
     # bounds; per union shape 2 estimates, and per seed and prefix
     # (brickwork-4-8 serves 12 and 24 gates) the Gram block, its error, the
-    # singular values, the route, the ranks and the two certified bounds
+    # singular values, the route, the ranks and the two certified bounds,
+    # then per seed, prefix and sample of a five-sample consensus without
+    # the spectrum the route, the ranks and the two certified bounds
     argv = ["staircase-3-2", "sequence-4-5", "union-brickwork-4-8",
             "--seeds", "1", "2"]
     runs = []
@@ -83,12 +85,12 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]
     lines = [line.split() for line in runs[0]]
-    assert len(lines) == 2 * (10 + 2 + 2 * 13) + 2 + 2 * 2 * 7
+    assert len(lines) == 2 * (10 + 2 + 2 * 13) + 2 + 2 * 2 * (7 + 5 * 4)
     assert all(len(sha) == 64 for sha, _, _ in lines)
     assert len({(shape, item) for _, shape, item in lines}) == len(lines)
     assert [shape for _, shape, _ in lines] \
         == ["staircase-3-2"] * 38 + ["sequence-4-5"] * 38 \
-        + ["union-brickwork-4-8"] * 30
+        + ["union-brickwork-4-8"] * 110
     assert [item for _, shape, item in lines
             if shape == "union-brickwork-4-8"][:9] == [
         "peak_bytes.unitary", "peak_bytes.state", "seed1.prefix12.gram",
@@ -100,15 +102,20 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
 def test_frame_digest_covers_a_dim_shape_s_consensus(capsys):
     # a dim shape adds, per seed, five items of each of the five samples of
     # its consensus, after its frame items, which open with the transfer
-    # stack
+    # stack, then four items of each sample of its consensus without the
+    # spectrum
     assert frame_digest.main(["dim-staircase-7-1", "--seeds", "3"]) == 0
     items = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
-    assert len(items) == 10 + 2 + 13 + 5 * 5
+    assert len(items) == 10 + 2 + 13 + 5 * 5 + 5 * 4
     assert items[12] == "seed3.transfers"
     assert items[25:30] == [f"seed3.consensus.sample0.{item}" for item in (
         "route", "ranks", "sigma_max_upper", "sigma_min_lower",
         "singular_values")]
-    assert items[-1] == "seed3.consensus.sample4.singular_values"
+    assert items[49] == "seed3.consensus.sample4.singular_values"
+    assert items[50:54] == [f"seed3.bench.prefix6.sample0.{item}"
+                            for item in ("route", "ranks", "sigma_max_upper",
+                                         "sigma_min_lower")]
+    assert items[-1] == "seed3.bench.prefix6.sample4.sigma_min_lower"
 
 
 def test_witness_digest_repeats_one_line_per_item(capsys):

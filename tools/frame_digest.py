@@ -26,6 +26,12 @@ and ``repr(gram_error)``, and the singular values, route, loose/tight
 ranks, ``sigma_max_upper`` and ``sigma_min_lower`` of ``numerical_rank`` on
 it, asked for the spectrum.
 
+Each dim shape and each union shape, the latter with its prefixes, then
+prints per seed, per prefix (a dim shape's one) and per sample the route,
+loose/tight ranks, ``sigma_max_upper`` and ``sigma_min_lower`` of a
+five-sample unitary consensus without the spectrum, the path the
+benchmark's ``dim`` and ``sweep`` ops take.
+
 A wide frame has no Gram matrix, and its Gram lines digest ``None``.
 Arrays are digested by their shape and ``tobytes()`` after ``+ 0.0``,
 which makes -0.0 read as 0.0, and other values by ``repr``; pickle is not
@@ -145,6 +151,23 @@ def consensus_items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
             yield f"{label}.singular_values", est.singular_values
 
 
+def bench_items(arch, prefixes: tuple[int, ...] | None,
+                seeds: list[int]) -> Iterator[tuple[str, object]]:
+    """(quantity, value) of each sample of a five-sample unitary consensus
+    over ``arch`` and ``prefixes`` per seed and prefix, without the
+    spectrum."""
+    for seed in seeds:
+        for report in accessible_dimensions(arch, "unitary", 5, seed,
+                                            prefixes=prefixes):
+            for i, est in enumerate(report.estimates):
+                label = f"seed{seed}.bench.prefix{report.gate_count}" \
+                    f".sample{i}"
+                yield f"{label}.route", est.route
+                yield f"{label}.ranks", (est.loose_rank, est.tight_rank)
+                yield f"{label}.sigma_max_upper", est.sigma_max_upper
+                yield f"{label}.sigma_min_lower", est.sigma_min_lower
+
+
 def union_items(arch, prefixes: tuple[int, ...],
                 seeds: list[int]) -> Iterator[tuple[str, object]]:
     """(quantity, value) of every item digested for the union frame over
@@ -184,7 +207,11 @@ def main(argv: list[str]) -> int:
             else union_items(*UNIONS[shape](), args.seeds)
         if shape in CONSENSUS:
             found = itertools.chain(
-                found, consensus_items(SHAPES[shape](), args.seeds))
+                found, consensus_items(SHAPES[shape](), args.seeds),
+                bench_items(SHAPES[shape](), None, args.seeds))
+        elif shape in UNIONS:
+            found = itertools.chain(
+                found, bench_items(*UNIONS[shape](), args.seeds))
         for quantity, value in found:
             print(digest(value), shape, quantity)
     return 0
