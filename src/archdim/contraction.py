@@ -24,11 +24,13 @@ wire.  Each unitary sweep reads a cached plan with one job, the Gram
 plan's read or the matrix plan's frame, which compiles all of that sweep
 the gates do not change; binding the plan to a batch of samples
 (``_bind``) makes its arrays and views once, so that a sweep is a flat
-loop of array calls, and a consensus binds its Gram plan once for all
-its batches.  A state frame is built by a forward sweep over a stack of
-state vectors.  Both modes take their columns from one cached gauge-fixed
-record.  A dense call whose estimated peak memory (``peak_bytes``)
-exceeds ``MEMORY_BUDGET`` raises SizeLimit before it allocates.
+loop of array calls, and a thread keeps the Gram plan's bound sweep per
+batch size across its consensuses, all carved from one reused pair of
+buffers (``_Store``), so that a repeat consensus binds nothing.  A state
+frame is built by a forward sweep over a stack of state vectors.  Both
+modes take their columns from one cached gauge-fixed record.  A dense
+call whose estimated peak memory (``peak_bytes``) exceeds
+``MEMORY_BUDGET`` raises SizeLimit before it allocates.
 
 The prefixes of an architecture share its Haar draws and frames
 (``accessible_dimensions`` with ``prefixes``): one frame over its gates,
@@ -56,6 +58,7 @@ import functools
 import itertools
 import math
 import operator
+import threading
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -80,6 +83,10 @@ _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 # matrix sweep (``_matrix_batch``) hold as many samples as fit in it, and
 # at least one (``_fit``).
 _STACK_CHUNK = 4 * 2 ** 20
+
+# The Gram programs a thread keeps across consensuses (``_Store``) hold at
+# most this many bytes.
+_KEPT_CAP = 4 * _STACK_CHUNK
 
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
 # gauge-fixed frame.  A single-qubit generator on a wire that a later gate
@@ -234,7 +241,8 @@ def peak_bytes(arch: Architecture, job: str,
     matrix, beside the phases above.  A frame over ``_STACK_CHUNK`` goes
     one sample a sweep batch, and its estimate moves with ``samples`` by
     its draw batch's term alone; the floor and the early return above do
-    not move."""
+    not move.  The Gram programs a thread keeps across consensuses
+    (``_Store``) are not counted: the admission adds them (``_check_size``)."""
     if check_int(samples, "samples") < 1:
         raise ValidationError(f"need at least 1 sample, got {samples}")
     return _peak_bytes(arch, job, prefixes, samples, stack=False)
@@ -249,6 +257,10 @@ def _peak_bytes(arch: Architecture, job: str,
     held = {"contract": 3 * vec * 2 ** arch.n, "contract_state": 3 * vec}
     if job in held:
         return held[job]
+    if job not in ("unitary", "state"):
+        raise ValidationError(
+            "job must be 'unitary' or 'state' (a frame mode), 'contract' "
+            f"or 'contract_state', got {job!r}")
     ends = _ends(arch, prefixes)
     rows = _frame_rows(arch.n, job)
     floor = 16 * rows * gauge_fixed_count(arch)
@@ -368,8 +380,13 @@ def check_budget(est: int, budget: int, needs: str) -> None:
 def _check_size(arch: Architecture, job: str,
                 prefixes: Sequence[int] | None = None, samples: int = 1, *,
                 stack: bool = False) -> None:
-    check_budget(_peak_bytes(arch, job, prefixes, samples, stack=stack),
-                 MEMORY_BUDGET,
+    """Refuse a call whose estimate (``_peak_bytes``) is over the budget;
+    outside a consensus, first drop the kept Gram programs (``_Store``)
+    if the estimate and their bytes are over it."""
+    est = _peak_bytes(arch, job, prefixes, samples, stack=stack)
+    if _CONSENSUS.get() is None and est + _STORE.kept > MEMORY_BUDGET:
+        _STORE.release()
+    check_budget(est, MEMORY_BUDGET,
                  f"{job} on n={arch.n}, R={arch.gate_count} needs")
 
 
@@ -1455,18 +1472,28 @@ def _gate_entries(plan: _FramePlan) -> int:
         + 400 * any(gate.swap for gate in plan.gates)
 
 
-def _bind(plan: _FramePlan, transfers: np.ndarray) -> _Program:
+def _footprint(plan: _FramePlan, samples: int) -> list[int]:
+    """The entries of ``_bind``'s arrays for ``samples`` samples: the
+    arena's rest, scratch, gate buffer and a Gram plan's arena head."""
+    return [samples * (plan.arena - plan.held), samples * plan.scratch,
+            samples * _gate_entries(plan),
+            samples * plan.held * (not plan.final)]
+
+
+def _bind(plan: _FramePlan, transfers: np.ndarray,
+          kept: tuple[np.ndarray, np.ndarray] | None = None) -> _Program:
     """``plan``'s sweep bound to the S samples of ``transfers``
     (S, R, 16, 16), which its transfer operands view (``_sweep`` copies
     another batch in): its arrays are made once and every group view,
     transfer operand and Gram block view is built here, so that a sweep
-    is a flat loop of matmul and copy calls.
+    is a flat loop of matmul and copy calls.  With ``kept`` (``_Store``)
+    a Gram plan's arrays and its own copy of a ``transfers``-shaped stack
+    are carved from the first buffer, its Gram stack from the second.
 
     Each block of the arena holds its group of every sample, one sample
     after another, so that each sample's group has one sample's layout.
     One array holds the arena's rest, the scratch and the gate buffer and,
-    for a Gram plan, the arena's head, so that the heap can reuse one
-    block from one consensus to the next.  The matrix plan's head, which
+    for a Gram plan, the arena's head.  The matrix plan's head, which
     its final groups keep, is a second array: made second, it tends to
     sit just above the first, so that once both are freed they can take
     the SVD's copy of the matrix.  Each op lays its temporaries
@@ -1486,11 +1513,18 @@ def _bind(plan: _FramePlan, transfers: np.ndarray) -> _Program:
     writes there their product with the born columns and a join the
     product of its pair's rows of the meet; rows that no slice selects
     are taken into the scratch first."""
-    s = len(transfers)
+    s, c = len(transfers), plan.width
     gram_plan = not plan.final
-    sizes = [s * (plan.arena - plan.held), s * plan.scratch,
-             s * _gate_entries(plan), s * plan.held * gram_plan]
-    buffer, parts, at = np.empty(sum(sizes)), [], 0
+    sizes = _footprint(plan, s)
+    if kept is None:
+        buffer = np.empty(sum(sizes))
+        gram = np.empty((s, c, c)) if gram_plan else None
+    else:
+        buffer, grams = kept
+        transfers = buffer[sum(sizes):sum(sizes) + transfers.size].reshape(
+            transfers.shape)
+        gram = grams[:s * c * c].reshape(s, c, c)
+    parts, at = [], 0
     for size in sizes:
         parts.append(buffer[at:at + size])
         at += size
@@ -1498,7 +1532,6 @@ def _bind(plan: _FramePlan, transfers: np.ndarray) -> _Program:
     if not gram_plan:  # the final groups outlive the rest
         head = np.empty(s * plan.held)
     arenas = rest, head
-    gram = np.empty((s, plan.width, plan.width)) if gram_plan else None
     staging = gram.reshape(s, -1) if gram_plan else None
     sliced = gate_buffer[240 * s * (plan.split < len(plan.gates)):]
     groups: dict[int, np.ndarray] = {}  # by id, as blocks recur
@@ -1643,13 +1676,73 @@ def _assemble(n: int, width: int,
     return out.swapaxes(1, 2)
 
 
+class _Store(threading.local):
+    """A thread's bound Gram sweeps (``_bind``), kept across consensuses
+    by Gram plan and transfer-stack shape (frames of several lengths can
+    share a head's plan), all carved from two buffers: one for arenas,
+    scratch and transfers, one for the Gram stacks a frame holds through
+    its matrix sweeps.  One program sweeps at a time and a consensus
+    drops its frames before it returns, so the programs share the bytes
+    the largest needs.  A program that does not fit grows the buffers and
+    drops every program; one over ``_KEPT_CAP`` is not kept.  At most as
+    many programs stay as ``_frame_plan`` caches plans."""
+
+    def __init__(self) -> None:
+        self.release()
+
+    def release(self) -> None:
+        """Drop every kept program and both buffers."""
+        self.programs: dict[tuple[_FramePlan, tuple[int, ...]],
+                            _Program] = {}
+        self.buffers = np.empty(0), np.empty(0)
+
+    @property
+    def kept(self) -> int:
+        """The bytes the buffers hold."""
+        return sum(buffer.nbytes for buffer in self.buffers)
+
+    def program(self, plan: _FramePlan,
+                transfers: np.ndarray) -> tuple[_Program, bool] | None:
+        """The kept program of ``plan`` over a stack of the shape of
+        ``transfers``, bound first if it is not kept, and whether binding
+        it grew a buffer; None for a program over ``_KEPT_CAP``."""
+        key = plan, transfers.shape
+        program = self.programs.get(key)
+        if program is not None:
+            return program, False
+        need = (sum(_footprint(plan, len(transfers))) + transfers.size,
+                len(transfers) * plan.width ** 2)
+        if 8 * sum(need) > _KEPT_CAP:
+            return None
+        sizes = [max(size, buffer.size)
+                 for size, buffer in zip(need, self.buffers)]
+        if 8 * sum(sizes) > _KEPT_CAP:
+            sizes = list(need)
+        grew = sizes != [buffer.size for buffer in self.buffers]
+        if grew:  # a buffer that changes size goes before the new one
+            stay = [buffer if buffer.size == size else None
+                    for buffer, size in zip(self.buffers, sizes)]
+            self.release()
+            self.buffers = tuple(np.empty(size) if buffer is None else buffer
+                                 for buffer, size in zip(stay, sizes))
+        elif len(self.programs) >= _frame_plan.cache_info().maxsize:
+            del self.programs[next(iter(self.programs))]
+        program = self.programs[key] = _bind(plan, transfers, self.buffers)
+        return program, grew
+
+
+# Each thread's kept Gram programs (``_Store``).
+_STORE = _Store()
+
+
 class _Binding:
-    """The bound Gram sweep (``_bind``) a consensus keeps across its sweep
-    batches: one program while the plan and the batch size stay, dropped
-    (``drop``) before any matrix sweep and when the consensus ends.  As a
-    context manager it is the consensus in progress (``_CONSENSUS``),
-    through which ``tangent_frame``, the frame call the consensus makes
-    per sweep batch, sweeps the batch's Gram plan.
+    """The bound Gram sweep (``_bind``) a consensus sweeps its batches
+    through: the kept program (``_Store``), or one of its own over
+    ``_KEPT_CAP``.  As a context manager it is the consensus in progress
+    (``_CONSENSUS``), through which ``tangent_frame``, the frame call the
+    consensus makes per sweep batch, sweeps the batch's Gram plan.  Before
+    a matrix sweep (``drop``) the program goes, and the kept buffers too
+    if this consensus grew them, as ``peak_bytes`` counts.
 
     ``batch`` holds the sweep batch in progress: its assignment, samples
     of the draw batch's stack (``GateAssignment._samples``), and their
@@ -1659,6 +1752,7 @@ class _Binding:
 
     def __init__(self) -> None:
         self.program: _Program | None = None
+        self.grew = False
         self.batch: tuple[GateAssignment, np.ndarray | None] | None = None
 
     def __enter__(self) -> _Binding:
@@ -1667,21 +1761,28 @@ class _Binding:
 
     def __exit__(self, *exc: object) -> None:
         _CONSENSUS.reset(self._token)
-        self.drop()
+        self.program = None
 
     def gram_read(self, plan: _FramePlan,
                   transfers: np.ndarray) -> np.ndarray:
-        """``_gram_read`` by the kept program, bound first if it is not
-        ``plan``'s over a stack of the shape of ``transfers``."""
+        """``_gram_read`` by ``plan``'s program over ``transfers``."""
         program = self.program
         if program is None or program.plan is not plan \
                 or program.transfers.shape != transfers.shape:
-            self.program = program = None  # the old arena goes first
-            self.program = program = _bind(plan, np.empty_like(transfers))
+            self.program = None  # an arena of this consensus alone goes
+            kept = _STORE.program(plan, transfers)
+            if kept is None:
+                program = _bind(plan, np.empty_like(transfers))
+            else:
+                program, grew = kept
+                self.grew |= grew
+            self.program = program
         return _gram_read(program, transfers)
 
     def drop(self) -> None:
         self.program = None
+        if self.grew:
+            _STORE.release()
 
     def transfers(self, gates: GateAssignment) -> np.ndarray:
         """The transfer stack of ``gates``: the sweep batch's slice of its
@@ -1774,12 +1875,13 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
 
     A frame one of whose prefixes (``ends``) is tall runs the Gram plan's
     sweep; any other frame runs no sweep here.  With a ``binding``, the
-    one a consensus keeps across its sweep batches, the frame of a sweep
-    batch takes its slice of the draw batch's transfer stack
-    (``_Binding.transfers``), and the sweep runs the bound program, whose
-    Gram stack the frame then holds until the next sweep batch's sweep;
-    without one the frame builds its own transfer stack, binds the plan
-    to it, sweeps and drops the program but for its Gram stack before it
+    consensus's, the frame of a sweep batch takes its slice of the draw
+    batch's transfer stack (``_Binding.transfers``), and the sweep runs
+    the consensus's program, most often the one the thread keeps for the
+    plan and batch size (``_Store``), whose Gram stack the frame then
+    holds until the next sweep batch's sweep; without one the frame
+    builds its own transfer stack, binds the plan to it, sweeps and drops
+    the program but for its Gram stack, which the frame keeps, before it
     returns.  The sweep covers the gates of the longest tall prefix, whose
     columns lead the frame's and hold every tall prefix's: the later gates
     act on them orthogonally, so their Gram matrix is the head's, and the
@@ -1794,7 +1896,8 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     stack of one: one transfer build (or slice of a draw's), one Gram
     sweep and one bound per sample serve them all, and
     ``TangentFrame.sample`` gives each sample's frame.  The first read of
-    a sample's matrix drops the ``binding``'s program, binds the matrix
+    a sample's matrix drops the ``binding``'s program (``_Binding.drop``:
+    with the kept buffers, if the consensus grew them), binds the matrix
     plan to the transfers of it and the next samples, as many as
     ``_matrix_batch`` allows, sweeps, drops the program but for its final
     groups and keeps their matrices until another sample's is read.
@@ -2482,14 +2585,15 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     whose certificate fails.  Each sweep
     batch is dropped before the next one is framed, and the draw batch
     before the next one is drawn, so a frame over the chunk goes one
-    sample a sweep.  A unitary consensus binds its Gram plan once
-    (``_Binding``, which ``tangent_frame`` reads from ``_CONSENSUS``) and
-    sweeps every sweep batch through that program: a last batch of fewer
-    samples binds its own.  The program, arena and all, lives through the
-    batches' certificates, and is dropped before any matrix sweep (a
-    failed certificate's or a wide prefix's, which binds again for the
-    next batch) and when the consensus returns or raises.  Every estimate
-    is the one a sample's own frame gives, bit for bit.
+    sample a sweep.  A unitary consensus sweeps every sweep batch through
+    one program of its Gram plan (``_Binding``, which ``tangent_frame``
+    reads from ``_CONSENSUS``): the one the thread keeps for the plan and
+    the batch size (``_Store``), bound by the first consensus that needs
+    it, so that a repeat consensus binds nothing; a last batch of fewer
+    samples takes its own.  The program, arena and all, lives through the
+    batches' certificates; before any matrix sweep a consensus that grew
+    the kept buffers drops them (``_Binding.drop``).  Every estimate is
+    the one a sample's own frame gives, bit for bit.
 
     For each prefix all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged

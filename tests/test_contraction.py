@@ -296,6 +296,19 @@ def test_budget_refusal_message():
     contraction.check_budget(2 ** 31, 2 ** 31, "a job at the budget needs")
 
 
+def test_peak_bytes_names_every_job_it_takes():
+    # the two frame modes and the two contractions; any other job is
+    # refused with all four named
+    arch = staircase(3, 1)
+    for job in ("unitary", "state", "contract", "contract_state"):
+        assert peak_bytes(arch, job) > 0
+    with pytest.raises(ValidationError) as info:
+        peak_bytes(arch, "foo")
+    assert str(info.value) == (
+        "job must be 'unitary' or 'state' (a frame mode), 'contract' or "
+        "'contract_state', got 'foo'")
+
+
 def test_an_unknown_mode_is_refused_before_the_size_estimate():
     # the mode is checked first: staircase(20, 3) would otherwise be refused
     # as a state frame over the memory budget

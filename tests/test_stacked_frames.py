@@ -60,6 +60,14 @@ def _seeds(count):
     return [subseed(4, i) for i in range(count)]
 
 
+@pytest.fixture
+def cleared_store():
+    """No Gram program kept from an earlier consensus of this thread
+    (``contraction._Store``), so that the consensus under test binds
+    its own."""
+    contraction._STORE.release()
+
+
 @pytest.mark.parametrize("build", STACK_CASES)
 def test_a_stacked_draw_is_each_seed_s_draw(build):
     arch, _ = build()
@@ -352,7 +360,8 @@ def test_a_consensus_draws_once_per_draw_batch_and_frames_per_sweep_batch(
 
 
 @pytest.mark.parametrize("samples", [3, 5])
-def test_one_draw_serves_one_sample_sweep_batches(samples, monkeypatch):
+def test_one_draw_serves_one_sample_sweep_batches(samples, monkeypatch,
+                                                  cleared_store):
     # brickwork(6, 1)'s 7.1 MB Gram arena takes one sample a sweep batch,
     # and its 30 gates draw 8 samples a batch: one draw, one transfer
     # build and one bind serve every sample, and each sample's route,
@@ -589,15 +598,15 @@ def _count_binds(monkeypatch):
     bound = []
     bind = contraction._bind
 
-    def counted(plan, transfers):
+    def counted(plan, transfers, *kept):
         bound.append(plan)
-        return bind(plan, transfers)
+        return bind(plan, transfers, *kept)
 
     monkeypatch.setattr(contraction, "_bind", counted)
     return bound
 
 
-def test_a_consensus_binds_its_gram_sweep_once(monkeypatch):
+def test_a_consensus_binds_its_gram_sweep_once(monkeypatch, cleared_store):
     # brickwork(6, 1)'s three samples go one a batch, through one bound
     # program; a lone frame binds its own, once a call
     arch = build_family("brickwork", 6, 1)
@@ -614,7 +623,8 @@ def test_a_consensus_binds_its_gram_sweep_once(monkeypatch):
 
 def _arena(program):
     """The largest array that a bound program's calls view, but for its
-    Gram stack and transfer stack: the one array of its arena."""
+    Gram stack: the one array of its arena, which a kept program's
+    transfer stack shares (``contraction._bind``)."""
     roots = {}
     for _, args in program.calls:
         for x in args:
@@ -622,10 +632,10 @@ def _arena(program):
                 while x.base is not None:
                     x = x.base
                 roots[id(x)] = x
-    for held in (program.gram, program.transfers):
-        while held.base is not None:
-            held = held.base
-        roots.pop(id(held), None)
+    held = program.gram
+    while held.base is not None:
+        held = held.base
+    roots.pop(id(held), None)
     return max(roots.values(), key=lambda x: x.nbytes)
 
 
@@ -642,17 +652,20 @@ def _arena(program):
                  3, 1, id="union-staircase-3-1..6")])
 def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
                                                     samples, sweeps,
-                                                    monkeypatch):
+                                                    monkeypatch,
+                                                    cleared_store):
     # the Gram program's arena lives through the certificates and stays
     # under the estimate, which counts it there; random_adjacent(6, 40,
-    # 1)'s certificates fail, and its arena is gone before the matrix
-    # sweep that each sample's SVD then reads.  brickwork(6, 1)'s five
+    # 1)'s certificates fail, and its arena, which the consensus grew
+    # the kept buffers for, is gone before the matrix sweep that each
+    # sample's SVD then reads.  After the consensus the last arena stays
+    # kept, under the cap, unless a matrix sweep followed its bind.  brickwork(6, 1)'s five
     # samples take one draw of 5 and five one-sample sweep batches, and
     # the draw's gates and transfers stay beside the arena.  The three
     # samples of staircase(6, 2) and of the staircase(3, 1..6) union
     # share a sweep batch, whose tall prefixes' certificates stack them;
     # the union's wide rows stack theirs after its one matrix sweep
-    draws, arenas, gone = [], [], []
+    draws, arenas, gone, last_swept = [], [], [], []
     haar = GateAssignment.haar
 
     def counted_haar(arch, seeds):
@@ -661,15 +674,17 @@ def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
 
     bind, sweep = contraction._bind, contraction._sweep
 
-    def watched_bind(plan, transfers):
-        program = bind(plan, transfers)
+    def watched_bind(plan, transfers, *kept):
+        program = bind(plan, transfers, *kept)
         if program.gram is not None:
             arenas.append(weakref.ref(_arena(program)))
+            last_swept.clear()
         return program
 
     def watched_sweep(program, transfers):
         if program.gram is None:
             gone.append(all(arena() is None for arena in arenas))
+            last_swept.append(True)
         return sweep(program, transfers)
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
@@ -685,7 +700,14 @@ def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
     assert peak <= peak_bytes(arch, "unitary", prefixes, samples=samples) \
         + _OBJECT_SLACK
     assert draws == [samples]
-    assert arenas and all(arena() is None for arena in arenas)
+    assert arenas and all(arena() is None for arena in arenas[:-1])
+    ends = contraction._ends(arch, prefixes)
+    head = contraction._tall_head(arch, ends)
+    batch = min(samples, contraction._batch(arch, "unitary", ends)[0])
+    assert 8 * (sum(contraction._footprint(head, batch))
+                + batch * (256 * len(head.gates) + head.width ** 2)) \
+        <= contraction._KEPT_CAP
+    assert (arenas[-1]() is None) == bool(last_swept)
     for report in reports:
         assert [e.route for e in report.estimates] == [route] * samples
     assert gone == [True] * sweeps

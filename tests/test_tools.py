@@ -103,10 +103,15 @@ def test_frame_digest_covers_a_dim_shape_s_consensus(capsys):
     # a dim shape adds, per seed, five items of each of the five samples of
     # its consensus, after its frame items, which open with the transfer
     # stack, then four items of each sample of its consensus without the
-    # spectrum
+    # spectrum, and those four again, with their digests, from a second
+    # round on the kept Gram programs
     assert frame_digest.main(["dim-staircase-7-1", "--seeds", "3"]) == 0
-    items = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
-    assert len(items) == 10 + 2 + 13 + 5 * 5 + 5 * 4
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    items = [item for _, _, item in lines]
+    assert len(items) == 10 + 2 + 13 + 5 * 5 + 5 * 4 + 5 * 4
+    assert items[70:] == [f"kept.{item}" for item in items[50:70]]
+    assert [sha for sha, _, _ in lines[70:]] \
+        == [sha for sha, _, _ in lines[50:70]]
     assert items[12] == "seed3.transfers"
     assert items[25:30] == [f"seed3.consensus.sample0.{item}" for item in (
         "route", "ranks", "sigma_max_upper", "sigma_min_lower",
@@ -115,7 +120,7 @@ def test_frame_digest_covers_a_dim_shape_s_consensus(capsys):
     assert items[50:54] == [f"seed3.bench.prefix6.sample0.{item}"
                             for item in ("route", "ranks", "sigma_max_upper",
                                          "sigma_min_lower")]
-    assert items[-1] == "seed3.bench.prefix6.sample4.sigma_min_lower"
+    assert items[69] == "seed3.bench.prefix6.sample4.sigma_min_lower"
 
 
 def test_witness_digest_repeats_one_line_per_item(capsys):

@@ -32,6 +32,13 @@ loose/tight ranks, ``sigma_max_upper`` and ``sigma_min_lower`` of a
 five-sample unitary consensus without the spectrum, the path the
 benchmark's ``dim`` and ``sweep`` ops take.
 
+Last, the dim shapes' consensuses without the spectrum run a second
+round, seed by seed and within a seed shape by shape, in the order of
+``CONSENSUS``, on the Gram programs the process keeps from one consensus
+to the next (``contraction._Store``), so that each consensus finds the
+buffers of another shape's.  Their lines repeat the first round's items
+with a ``kept.`` prefix, and their digests the first round's.
+
 A wide frame has no Gram matrix, and its Gram lines digest ``None``.
 Arrays are digested by their shape and ``tobytes()`` after ``+ 0.0``,
 which makes -0.0 read as 0.0, and other values by ``repr``; pickle is not
@@ -214,6 +221,12 @@ def main(argv: list[str]) -> int:
                 found, bench_items(*UNIONS[shape](), args.seeds))
         for quantity, value in found:
             print(digest(value), shape, quantity)
+    again = [shape for shape in CONSENSUS
+             if not args.shapes or shape in args.shapes]
+    for seed in args.seeds:
+        for shape in again:
+            for quantity, value in bench_items(SHAPES[shape](), None, [seed]):
+                print(digest(value), shape, f"kept.{quantity}")
     return 0
 
 
