@@ -84,8 +84,10 @@ _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 # at least one (``_fit``).
 _STACK_CHUNK = 4 * 2 ** 20
 
-# The Gram programs a thread keeps across consensuses (``_Store``) hold at
-# most this many bytes.
+# A thread keeps at most this many Gram programs across consensuses
+# (``_Store``), in buffers of at most this many bytes: dim-wide's shapes
+# keep four.
+_KEPT_PROGRAMS = 8
 _KEPT_CAP = 4 * _STACK_CHUNK
 
 # _KEPT[later_a, later_b]: the generators a gate on wires (a, b) keeps in the
@@ -1516,14 +1518,12 @@ def _bind(plan: _FramePlan, transfers: np.ndarray,
     s, c = len(transfers), plan.width
     gram_plan = not plan.final
     sizes = _footprint(plan, s)
-    if kept is None:
-        buffer = np.empty(sum(sizes))
-        gram = np.empty((s, c, c)) if gram_plan else None
-    else:
-        buffer, grams = kept
+    buffer, grams = kept or (np.empty(sum(sizes)),
+                             np.empty(s * c * c * gram_plan))
+    if kept:
         transfers = buffer[sum(sizes):sum(sizes) + transfers.size].reshape(
             transfers.shape)
-        gram = grams[:s * c * c].reshape(s, c, c)
+    gram = grams[:s * c * c].reshape(s, c, c) if gram_plan else None
     parts, at = [], 0
     for size in sizes:
         parts.append(buffer[at:at + size])
@@ -1684,8 +1684,14 @@ class _Store(threading.local):
     its matrix sweeps.  One program sweeps at a time and a consensus
     drops its frames before it returns, so the programs share the bytes
     the largest needs.  A program that does not fit grows the buffers and
-    drops every program; one over ``_KEPT_CAP`` is not kept.  At most as
-    many programs stay as ``_frame_plan`` caches plans."""
+    drops every program; one over ``_KEPT_CAP`` is bound for its caller
+    alone.  At most ``_KEPT_PROGRAMS`` stay, the oldest going first.
+
+    Beside the buffers, which ``kept`` counts, a program's views and call
+    tuples take about 500 bytes a call: 165 KB for brickwork(6, 1)'s 331
+    calls, 215 KB for the four programs dim-wide keeps (tracemalloc).  A
+    kept program holds its plan, also once ``_frame_plan`` has dropped
+    it, until the program goes."""
 
     def __init__(self) -> None:
         self.release()
@@ -1702,30 +1708,31 @@ class _Store(threading.local):
         return sum(buffer.nbytes for buffer in self.buffers)
 
     def program(self, plan: _FramePlan,
-                transfers: np.ndarray) -> tuple[_Program, bool] | None:
-        """The kept program of ``plan`` over a stack of the shape of
-        ``transfers``, bound first if it is not kept, and whether binding
-        it grew a buffer; None for a program over ``_KEPT_CAP``."""
+                transfers: np.ndarray) -> tuple[_Program, bool]:
+        """The program of ``plan`` over a stack of the shape of
+        ``transfers``: the kept one, bound first if it is not kept, or
+        one of its own over ``_KEPT_CAP``; and whether binding it grew
+        the buffers."""
         key = plan, transfers.shape
-        program = self.programs.get(key)
-        if program is not None:
-            return program, False
+        if key in self.programs:
+            return self.programs[key], False
         need = (sum(_footprint(plan, len(transfers))) + transfers.size,
                 len(transfers) * plan.width ** 2)
         if 8 * sum(need) > _KEPT_CAP:
-            return None
-        sizes = [max(size, buffer.size)
-                 for size, buffer in zip(need, self.buffers)]
-        if 8 * sum(sizes) > _KEPT_CAP:
-            sizes = list(need)
-        grew = sizes != [buffer.size for buffer in self.buffers]
-        if grew:  # a buffer that changes size goes before the new one
-            stay = [buffer if buffer.size == size else None
-                    for buffer, size in zip(self.buffers, sizes)]
+            return _bind(plan, np.empty_like(transfers)), False
+        grew = any(size > buffer.size
+                   for size, buffer in zip(need, self.buffers))
+        if grew:  # the old buffers go before the new ones
+            sizes = [max(size, buffer.size)
+                     for size, buffer in zip(need, self.buffers)]
+            sizes = sizes if 8 * sum(sizes) <= _KEPT_CAP else need
             self.release()
-            self.buffers = tuple(np.empty(size) if buffer is None else buffer
-                                 for buffer, size in zip(stay, sizes))
-        elif len(self.programs) >= _frame_plan.cache_info().maxsize:
+            # a block of their size, made and freed first, raises glibc's
+            # mmap threshold, as freeing each consensus's own arena did:
+            # without it temporaries over 128 KiB get new pages each time
+            np.empty(sum(sizes))
+            self.buffers = tuple(np.empty(size) for size in sizes)
+        elif len(self.programs) >= _KEPT_PROGRAMS:
             del self.programs[next(iter(self.programs))]
         program = self.programs[key] = _bind(plan, transfers, self.buffers)
         return program, grew
@@ -1770,14 +1777,9 @@ class _Binding:
         if program is None or program.plan is not plan \
                 or program.transfers.shape != transfers.shape:
             self.program = None  # an arena of this consensus alone goes
-            kept = _STORE.program(plan, transfers)
-            if kept is None:
-                program = _bind(plan, np.empty_like(transfers))
-            else:
-                program, grew = kept
-                self.grew |= grew
-            self.program = program
-        return _gram_read(program, transfers)
+            self.program, grew = _STORE.program(plan, transfers)
+            self.grew |= grew
+        return _gram_read(self.program, transfers)
 
     def drop(self) -> None:
         self.program = None

@@ -4,18 +4,19 @@ kept buffers count in the admission and stay under the cap, and every
 estimate is the one a consensus on a cleared store gives, bit for bit."""
 
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from archdim import (GateAssignment, SizeLimit, accessible_dimensions,
-                     build_family, staircase)
+                     build_family, random_adjacent, staircase)
 from archdim import contraction
 from archdim.contraction import peak_bytes
+from test_contraction import _OBJECT_SLACK
 from test_stacked_frames import (_arena, _bits, _count_binds,
-                                 _estimate_bits, _recorded_grams,
-                                 cleared_store)  # noqa: F401
+                                 _estimate_bits, _recorded_grams)
 
 # (architecture, prefixes) of the consensuses that share one store, the
 # first again last: two Gram plans at one sample a batch and at three,
@@ -55,7 +56,7 @@ def test_kept_programs_give_a_cleared_store_s_estimates(monkeypatch):
     assert contraction._STORE.programs
 
 
-def test_a_repeat_consensus_binds_nothing(monkeypatch, cleared_store):
+def test_a_repeat_consensus_binds_nothing(monkeypatch):
     # staircase(6, 2) takes three samples a sweep batch: three samples bind
     # once, again none, and five (3 and 2) and four (3 and 1) bind the
     # one batch size each adds
@@ -75,7 +76,7 @@ def _never_drawn(arch, seeds):
     raise AssertionError("a refused consensus drew its samples")
 
 
-def test_the_admission_counts_the_kept_buffers(monkeypatch, cleared_store):
+def test_the_admission_counts_the_kept_buffers(monkeypatch):
     # brickwork(6, 1) leaves its 8 MB program kept; a staircase(6, 2)
     # consensus whose estimate fits a budget that the kept bytes would
     # overflow releases them first and runs, and one whose estimate
@@ -101,8 +102,7 @@ def test_the_admission_counts_the_kept_buffers(monkeypatch, cleared_store):
         accessible_dimensions(arch, "unitary", 3, 1)
 
 
-def test_a_program_over_the_cap_goes_with_its_consensus(monkeypatch,
-                                                         cleared_store):
+def test_a_program_over_the_cap_goes_with_its_consensus(monkeypatch):
     # brickwork(6, 2)'s one-sample program takes about 24 MiB, over the
     # cap: it is bound for its consensus alone and gone after it, while
     # the buffers staircase(6, 2) left stay kept
@@ -184,3 +184,66 @@ def test_frames_that_share_a_head_keep_a_program_each(monkeypatch):
         assert _consensus(monkeypatch, *shape, samples=3) == one
     assert len([plan for plan, _ in contraction._STORE.programs
                 if plan in heads]) == 2
+
+
+@pytest.mark.parametrize("arch, prefixes, sweeps", [
+    pytest.param(staircase(3, 6), staircase(3, 6).slice_boundaries, 1,
+                 id="union-staircase-3-1..6"),
+    pytest.param(random_adjacent(6, 30, 1), None, 3, id="random-6-30-1")])
+def test_a_consensus_holds_found_buffers_under_its_estimate(arch, prefixes,
+                                                            sweeps,
+                                                            monkeypatch):
+    # brickwork(6, 1) leaves its buffers kept; a consensus whose program
+    # fits them binds there and holds them through its matrix sweeps (the
+    # union's wide prefixes', each failed certificate's of random_adjacent
+    # (6, 30, 1)), and with them stays under its estimate plus the kept
+    # bytes.  The trace starts before the buffers are made, so it counts
+    # them.
+    held = []
+    sweep = contraction._sweep
+
+    def watched_sweep(program, transfers):
+        if program.gram is None:
+            held.append(all(buffer() is not None for buffer in buffers))
+        return sweep(program, transfers)
+
+    tracemalloc.start()
+    try:
+        accessible_dimensions(build_family("brickwork", 6, 1), "unitary", 3,
+                              1)
+        buffers = [weakref.ref(buffer)
+                   for buffer in contraction._STORE.buffers]
+        kept = contraction._STORE.kept
+        other = tracemalloc.get_traced_memory()[0] - kept
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(contraction, "_sweep", watched_sweep)
+        accessible_dimensions(arch, "unitary", 3, 3, prefixes=prefixes)
+        peak = tracemalloc.get_traced_memory()[1] - other
+    finally:
+        tracemalloc.stop()
+    assert held == [True] * sweeps
+    assert [buffer() for buffer in buffers] \
+        == list(contraction._STORE.buffers)
+    assert peak <= peak_bytes(arch, "unitary", prefixes, samples=3) + kept \
+        + _OBJECT_SLACK
+
+
+def test_a_thread_keeps_a_bounded_number_of_programs(monkeypatch):
+    # on the buffers brickwork(6, 1) left, consensuses bind more Gram
+    # programs than the store keeps: it holds the latest _KEPT_PROGRAMS,
+    # and the first consensus, run again, binds again
+    accessible_dimensions(build_family("brickwork", 6, 1), "unitary", 3, 1)
+    archs = [staircase(4, t) for t in range(1, 3)] \
+        + [staircase(5, t) for t in range(1, 5)] \
+        + [staircase(6, t) for t in range(1, 4)]
+    buffers = contraction._STORE.buffers
+    bound = _count_binds(monkeypatch)
+    for arch in archs:
+        accessible_dimensions(arch, "unitary", 3, 1)
+    assert len(bound) > contraction._KEPT_PROGRAMS
+    assert contraction._STORE.buffers is buffers
+    assert [plan for plan, _ in contraction._STORE.programs] \
+        == bound[-contraction._KEPT_PROGRAMS:]
+    rebound = len(bound)
+    accessible_dimensions(archs[0], "unitary", 3, 1)
+    assert len(bound) > rebound

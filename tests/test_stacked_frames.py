@@ -60,14 +60,6 @@ def _seeds(count):
     return [subseed(4, i) for i in range(count)]
 
 
-@pytest.fixture
-def cleared_store():
-    """No Gram program kept from an earlier consensus of this thread
-    (``contraction._Store``), so that the consensus under test binds
-    its own."""
-    contraction._STORE.release()
-
-
 @pytest.mark.parametrize("build", STACK_CASES)
 def test_a_stacked_draw_is_each_seed_s_draw(build):
     arch, _ = build()
@@ -360,8 +352,7 @@ def test_a_consensus_draws_once_per_draw_batch_and_frames_per_sweep_batch(
 
 
 @pytest.mark.parametrize("samples", [3, 5])
-def test_one_draw_serves_one_sample_sweep_batches(samples, monkeypatch,
-                                                  cleared_store):
+def test_one_draw_serves_one_sample_sweep_batches(samples, monkeypatch):
     # brickwork(6, 1)'s 7.1 MB Gram arena takes one sample a sweep batch,
     # and its 30 gates draw 8 samples a batch: one draw, one transfer
     # build and one bind serve every sample, and each sample's route,
@@ -606,7 +597,7 @@ def _count_binds(monkeypatch):
     return bound
 
 
-def test_a_consensus_binds_its_gram_sweep_once(monkeypatch, cleared_store):
+def test_a_consensus_binds_its_gram_sweep_once(monkeypatch):
     # brickwork(6, 1)'s three samples go one a batch, through one bound
     # program; a lone frame binds its own, once a call
     arch = build_family("brickwork", 6, 1)
@@ -652,16 +643,16 @@ def _arena(program):
                  3, 1, id="union-staircase-3-1..6")])
 def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
                                                     samples, sweeps,
-                                                    monkeypatch,
-                                                    cleared_store):
+                                                    monkeypatch):
     # the Gram program's arena lives through the certificates and stays
     # under the estimate, which counts it there; random_adjacent(6, 40,
     # 1)'s certificates fail, and its arena, which the consensus grew
     # the kept buffers for, is gone before the matrix sweep that each
     # sample's SVD then reads.  After the consensus the last arena stays
-    # kept, under the cap, unless a matrix sweep followed its bind.  brickwork(6, 1)'s five
-    # samples take one draw of 5 and five one-sample sweep batches, and
-    # the draw's gates and transfers stay beside the arena.  The three
+    # kept, under the cap, unless a matrix sweep followed its bind.
+    # brickwork(6, 1)'s five samples take one draw of 5 and five
+    # one-sample sweep batches, and the draw's gates and transfers stay
+    # beside the arena.  The three
     # samples of staircase(6, 2) and of the staircase(3, 1..6) union
     # share a sweep batch, whose tall prefixes' certificates stack them;
     # the union's wide rows stack theirs after its one matrix sweep
