@@ -36,15 +36,11 @@ from .clifford import (
 )
 from .contraction import (
     GateAssignment,
-    RankEstimate,
     RankReport,
-    TangentFrame,
     accessible_dimension,
     accessible_dimensions,
     contract,
     contract_state,
-    numerical_rank,
-    pauli_coefficients,
     subseed,
     tangent_frame,
 )
@@ -73,6 +69,8 @@ from .experiments import (
     rows_to_csv,
 )
 from .pauli import PauliString, nontrivial_strings
+from .rank import RankEstimate, TangentFrame, numerical_rank
+from .sweep import pauli_coefficients
 from .witness import (
     PathTree,
     WitnessCertificate,

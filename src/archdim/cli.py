@@ -24,7 +24,6 @@ from . import __version__
 from .architecture import Architecture, build_family, is_causal_slice
 from .bounds import make_bound_sheet, randomized_bound_probability
 from .contraction import (
-    DEFAULT_TOLERANCES,
     MEMORY_BUDGET,
     accessible_dimension,
     peak_bytes,
@@ -35,6 +34,7 @@ from .experiments import (
     randomized_architecture_experiment,
     rows_to_csv,
 )
+from .rank import DEFAULT_TOLERANCES
 from .witness import verify_certificate, witness_point
 
 EXIT_OK = 0

@@ -19,7 +19,6 @@ from .architecture import (
 )
 from .bounds import randomized_bound_probability, staircase_slice_probability
 from .contraction import (
-    DEFAULT_TOLERANCES,
     MEMORY_BUDGET,
     accessible_dimensions,
     check_budget,
@@ -29,6 +28,7 @@ from .contraction import (
     tangent_frame,  # noqa: F401
 )
 from .errors import ValidationError, VerdictError, check_int
+from .rank import DEFAULT_TOLERANCES
 from .witness import _DirectionSweep, witness_point
 
 # Two-sided 99% normal quantile for the binomial interval.

@@ -2,12 +2,12 @@
 
 import pytest
 
-from archdim import contraction
+import archdim.sweep
 
 
 @pytest.fixture(autouse=True)
 def cleared_store():
-    """No Gram program kept from an earlier test (``contraction._Store``):
+    """No Gram program kept from an earlier test (``sweep._Store``):
     each test's consensuses bind their own programs, and a test that
     traces memory traces their buffers, whatever ran before it."""
-    contraction._STORE.release()
+    archdim.sweep._STORE.release()

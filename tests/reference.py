@@ -30,12 +30,8 @@ import numpy as np
 from archdim import CliffordTableau, GateAssignment, PauliString
 from archdim.architecture import Architecture
 from archdim.clifford import CliffordCircuit, circuit_images
-from archdim.contraction import (
-    DEFAULT_TOLERANCES,
-    RankEstimate,
-    _gram_estimate,
-    pauli_coefficients,
-)
+from archdim.rank import DEFAULT_TOLERANCES, RankEstimate, _gram_estimate
+from archdim.sweep import pauli_coefficients
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, lex_flips, nontrivial_strings
 from archdim.witness import (
@@ -478,7 +474,7 @@ def split_gram(arch: Architecture, transfers: np.ndarray,
 
 def split_point(forward: Sequence, backward: Sequence, call_madds: int) -> int:
     """The split h of least work from the half plans' steps
-    (``contraction._half_plan``), priced as the plan priced it before it
+    (``plan._half_plan``), priced as the plan priced it before it
     read wire bitmasks: each candidate h lists the groups alive there, with
     each cone's bitmask turned into a tuple of wires, and the meet of each
     forward and backward pair as a tuple of wires.  A step costs its

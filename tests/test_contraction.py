@@ -7,6 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import archdim.plan
+import archdim.rank
+import archdim.sweep
 from archdim import (
     CountMismatch,
     GateAssignment,
@@ -29,15 +32,11 @@ from archdim import (
 )
 from archdim import contraction
 from archdim.bounds import gauge_fixed_count
-from archdim.contraction import (
-    DEFAULT_TOLERANCES,
-    MEMORY_BUDGET,
-    frame_shape,
-    peak_bytes,
-    transfer_matrices,
-)
+from archdim.contraction import MEMORY_BUDGET, frame_shape, peak_bytes
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, nontrivial_strings
+from archdim.rank import DEFAULT_TOLERANCES
+from archdim.sweep import transfer_matrices
 from reference import (
     explicit,
     forward_reach,
@@ -432,11 +431,11 @@ def test_the_plan_splits_the_gram_read_only_where_it_saves_work():
     # sweep-ramp, keep the forward read
     for arch in (brickwork(6, 6), staircase(6, 12), random_adjacent(6, 40, 1),
                  staircase(5, 20)):
-        assert 0 < contraction._frame_plan(
+        assert 0 < archdim.plan._frame_plan(
             arch, (arch.gate_count,), prune=True).split < arch.gate_count
     for arch in (staircase(6, 2), staircase(7, 1), staircase(3, 1),
                  staircase(3, 2), staircase(3, 3)):
-        assert contraction._frame_plan(
+        assert archdim.plan._frame_plan(
             arch, (arch.gate_count,), prune=True).split == arch.gate_count
 
 
@@ -782,14 +781,14 @@ def _scatter_reference_unitary_frame(arch, gates):
     stop = width
     for j in range(arch.gate_count - 1, -1, -1):
         a, b = wires = arch.gates[j]
-        kept = contraction._gauge(arch, (arch.gate_count,))[0][j]
+        kept = archdim.plan._gauge(arch, (arch.gate_count,))[0][j]
         block = slice(stop - kept.size, stop)
         stop = block.start
         reach[[a - 1, b - 1]] = reach[a - 1] | reach[b - 1]
         cone = np.flatnonzero(reach[a - 1]) + 1
         sub = suffix[_cone_index_loop(cone, n, 2)]
-        ks = apply_gate_right(sub, contraction._GENERATOR_STACK[kept], wires,
-                              n) @ sub.conj().T
+        ks = apply_gate_right(sub, archdim.sweep._GENERATOR_STACK[kept],
+                              wires, n) @ sub.conj().T
         cols[block, _cone_index_loop(cone, n, 4)] = \
             pauli_coefficients(ks, cone.size)
         suffix = apply_gate_right(suffix, gates.matrices[j], wires, n)
@@ -848,8 +847,8 @@ def _plan_spans(arch, prune, split=None):
     """(first step, last step, offset, size) of every group of the plan,
     read back from its moves: a group lives to the end when the unpruned
     sweep ends with it or the join reads it."""
-    plan = contraction._frame_plan(arch, (arch.gate_count,), prune=prune,
-                                   split=split)
+    plan = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=prune,
+                                    split=split)
     joined = {(False, join.forward) for join in plan.joins} \
         | {(True, join.backward) for join in plan.joins}
     spans, groups = [], {}
@@ -890,13 +889,13 @@ def test_split_pricing_on_wire_bitmasks_picks_the_same_split(build):
     # the join priced on wire bitmasks picks the h that listing each
     # candidate's meets as wire tuples picks
     arch = build()
-    labels = contraction._gauge(arch, (arch.gate_count,))[1]
-    halves = [contraction._half_plan(arch, labels, True, backward=backward)
+    labels = archdim.plan._gauge(arch, (arch.gate_count,))[1]
+    halves = [archdim.plan._half_plan(arch, labels, True, backward=backward)
               for backward in (False, True)]
-    want = split_point(*halves, contraction._CALL_MADDS)
-    assert contraction._split_point(*halves) == want
-    assert contraction._frame_plan(arch, (arch.gate_count,),
-                                   prune=True).split == want
+    want = split_point(*halves, archdim.plan._CALL_MADDS)
+    assert archdim.plan._split_point(*halves) == want
+    assert archdim.plan._frame_plan(arch, (arch.gate_count,),
+                                    prune=True).split == want
 
 
 @pytest.mark.parametrize("samples", [1, 3])
@@ -910,7 +909,7 @@ def test_a_bound_sweep_allocates_only_when_it_binds(build, prune, samples):
     # and calls per compiled move, feed, join and gate.  Its sweep then
     # makes no array that grows with the frame.
     arch = build()
-    plan = contraction._frame_plan(arch, (arch.gate_count,), prune=prune)
+    plan = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=prune)
     for step in plan.steps:
         for move in step:
             for feed in move.feeds:
@@ -918,21 +917,21 @@ def test_a_bound_sweep_allocates_only_when_it_binds(build, prune, samples):
     transfers = transfer_matrices(
         GateAssignment.haar(arch, list(range(27, 27 + samples))))
     arrays = 8 * samples * (plan.arena + plan.scratch
-                            + contraction._gate_entries(plan)
+                            + archdim.sweep._gate_entries(plan)
                             + prune * plan.width ** 2)
     objects = len(plan.gates) + len(plan.joins) + sum(
         len(step) + sum(len(move.feeds) for move in step)
         for step in plan.steps)
     tracemalloc.start()
     try:
-        program = contraction._bind(plan, transfers)
+        program = archdim.sweep._bind(plan, transfers)
         kept = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        contraction._sweep(program, transfers)
+        archdim.sweep._sweep(program, transfers)
         swept = tracemalloc.get_traced_memory()[1] - kept
     finally:
         tracemalloc.stop()
-    assert kept <= arrays + contraction._TABLE_OBJECT * objects + 1024
+    assert kept <= arrays + archdim.plan._TABLE_OBJECT * objects + 1024
     assert swept <= 8192 * samples
 
 
@@ -941,7 +940,7 @@ def test_scratch_prices_only_the_reads_a_sweep_makes(build):
     # a move's read (its rows, and backward their product with the born
     # columns) is priced where the sweep makes it, on a move with sources
     arch = build()
-    plan = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
+    plan = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=True)
     for gate, step in zip(plan.gates, plan.steps):
         for move in step:
             assert (move.read is None) == (move.at == 0)
@@ -952,7 +951,7 @@ def test_scratch_prices_only_the_reads_a_sweep_makes(build):
 
 def test_a_lone_gate_plan_makes_no_scratch():
     # the gate's own group has no source, so the sweep reads nothing
-    plan = contraction._frame_plan(from_gate_sequence(2, [(1, 2)]), (1,),
+    plan = archdim.plan._frame_plan(from_gate_sequence(2, [(1, 2)]), (1,),
                                    prune=True)
     assert plan.scratch == 0
 
@@ -991,10 +990,10 @@ def test_plan_tables_bound_what_a_plan_keeps(build, prune):
     # 16 KiB a gate of the transfer term), they bound all a build keeps,
     # the Gram index that a first Gram read makes included
     arch = build()
-    contraction._frame_plan.cache_clear()
+    archdim.plan._frame_plan.cache_clear()
     tracemalloc.start()
     try:
-        plan = contraction._frame_plan(arch, (arch.gate_count,), prune=prune)
+        plan = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=prune)
         assert plan.index.size == plan.staging
         kept = tracemalloc.get_traced_memory()[0]
     finally:
@@ -1038,15 +1037,15 @@ def test_pruned_groups_hold_no_passed_wire(build):
     last = {q: j for j, gate in enumerate(arch.gates) for q in gate}
     first = {q: j for j, gate in reversed(list(enumerate(arch.gates)))
              for q in gate}
-    pruned, full = (contraction._frame_plan(arch, (end,), prune=True,
-                                            split=end),
-                    contraction._frame_plan(arch, (end,)))
+    pruned, full = (archdim.plan._frame_plan(arch, (end,), prune=True,
+                                             split=end),
+                    archdim.plan._frame_plan(arch, (end,)))
     dropped = False
     for j, (step, full_step) in enumerate(zip(pruned.steps, full.steps)):
         for move in step:
             assert all(last[w] >= j for w in move.cone)
         dropped |= any(last[w] < j for move in full_step for w in move.cone)
-    backward = contraction._frame_plan(arch, (end,), prune=True, split=0)
+    backward = archdim.plan._frame_plan(arch, (end,), prune=True, split=0)
     for j, step in zip(range(end - 1, -1, -1), backward.steps):
         for move in step:
             assert all(first[w] <= j for w in move.cone)
@@ -1081,11 +1080,12 @@ def test_pruned_gram_matches_the_unpruned_sweep(build):
 
 def _split_frame(monkeypatch, arch, gates, split):
     """The unitary frame whose Gram read splits the gates at ``split``."""
-    plan = contraction._frame_plan
-    monkeypatch.setattr(
-        contraction, "_frame_plan",
-        lambda arch, ends, prune=False: plan(
-            arch, ends, prune=prune, split=split if prune else None))
+    plan = archdim.plan._frame_plan
+    for module in (archdim.plan, contraction):
+        monkeypatch.setattr(
+            module, "_frame_plan",
+            lambda arch, ends, prune=False: plan(
+                arch, ends, prune=prune, split=split if prune else None))
     try:
         return tangent_frame(arch, gates)
     finally:
@@ -1127,15 +1127,16 @@ def test_split_gram_matches_the_dense_reference(build):
     cols = frame_shape(arch, "unitary")[1]
     end = arch.gate_count
     transfers = transfer_matrices(GateAssignment.haar(arch, 28))
-    kept = contraction._gauge(arch, (end,))[0]
+    kept = archdim.plan._gauge(arch, (end,))[0]
     splits = set(range(end + 1))
     if end > 18:  # the reference takes about 0.15 s a split on brickwork-6-6
         splits = {0, 1, end // 2, end - 1, end,
-                  contraction._frame_plan(arch, (end,), prune=True).split}
+                  archdim.plan._frame_plan(arch, (end,), prune=True).split}
     for split in splits:
-        plan = contraction._frame_plan(arch, (end,), prune=True, split=split)
+        plan = archdim.plan._frame_plan(arch, (end,), prune=True, split=split)
         stack = transfers[None]
-        gram, = contraction._gram_read(contraction._bind(plan, stack), stack)
+        gram, = archdim.sweep._gram_read(archdim.sweep._bind(plan, stack),
+                                         stack)
         ref = split_gram(arch, transfers, kept, split)
         assert np.abs(gram - ref).max(initial=0.0) < 1e-13
         # one symmetrisation fills the entries the sweep leaves
@@ -1166,9 +1167,9 @@ def test_each_gram_pair_is_written_once(build):
     arch = build()
     end = arch.gate_count
     for split in {0, end // 2, end,
-                  contraction._frame_plan(arch, (end,), prune=True).split}:
-        plan = contraction._frame_plan(arch, (end,), prune=True, split=split)
-        gate = contraction._gauge(arch, (end,))[2][:, 0]
+                  archdim.plan._frame_plan(arch, (end,), prune=True).split}:
+        plan = archdim.plan._frame_plan(arch, (end,), prune=True, split=split)
+        gate = archdim.plan._gauge(arch, (end,))[2][:, 0]
         counts = np.zeros((gate.size, gate.size), dtype=np.intp)
         for step in plan.steps:
             for move in step:
@@ -1206,11 +1207,11 @@ def test_each_plan_keeps_only_its_own_sweep_tables(build):
     # Gram plan has no final groups, and every array either cached plan
     # holds is read-only, since every frame of the architecture shares it
     arch = build()
-    matrix = contraction._frame_plan(arch, (arch.gate_count,))
+    matrix = archdim.plan._frame_plan(arch, (arch.gate_count,))
     assert matrix.split == arch.gate_count and matrix.joins == ()
     assert all(move.read is None and move.pairs is None
                for step in matrix.steps for move in step)
-    gram = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
+    gram = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=True)
     assert gram.final == ()
     for plan in (matrix, gram):
         arrays = list(_held_arrays(plan))
@@ -1221,15 +1222,16 @@ def test_each_plan_keeps_only_its_own_sweep_tables(build):
 def _count_sweeps(monkeypatch, arch):
     """The list that records, for each later ``_sweep`` call, whether it ran
     ``arch``'s pruned plan."""
-    pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
+    pruned = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=True)
     swept = []
-    sweep = contraction._sweep
+    sweep = archdim.sweep._sweep
 
     def counted(program, transfers):
         swept.append(program.plan is pruned)
         return sweep(program, transfers)
 
-    monkeypatch.setattr(contraction, "_sweep", counted)
+    for module in (archdim.sweep, contraction):
+        monkeypatch.setattr(module, "_sweep", counted)
     return swept
 
 
@@ -1380,8 +1382,8 @@ def test_transfer_matrices_are_the_label_by_label_build_bit_for_bit(build):
 
 def test_cone_index_is_cached_and_read_only():
     for cone, n in [((2, 3), 4), ((1, 3, 4), 5), ((2,), 3)]:
-        idx = contraction._cone_index(cone, n)
-        assert idx is contraction._cone_index(cone, n)
+        idx = archdim.plan._cone_index(cone, n)
+        assert idx is archdim.plan._cone_index(cone, n)
         assert not idx.flags.writeable
         assert np.array_equal(idx, _cone_index_loop(cone, n, 4))
 
@@ -1396,9 +1398,9 @@ def test_meet_row_selectors_take_the_meet_rows():
         rows = np.arange(4 ** size)
         for m in range(1, size + 1):
             for meet in itertools.combinations(cone, m):
-                sel = contraction._rows(cone, meet)
+                sel = archdim.plan._rows(cone, meet)
                 assert np.array_equal(rows[sel],
-                                      contraction._meet_rows(cone, meet))
+                                      archdim.plan._meet_rows(cone, meet))
                 kinds.add(sel.step if isinstance(sel, slice) else "gather")
     assert {None, "gather"} < kinds
 
@@ -1486,7 +1488,7 @@ def _check_certify(gram, lam_min, error, floor):
     """``_certify``'s contract on a Gram matrix whose smallest eigenvalue
     is ``lam_min``: it refuses whenever lam_min < error + floor, and
     certifies when lam_min is at least twice that and at least 1e-5."""
-    certified = contraction._certify(gram, error, floor)
+    certified = archdim.rank._certify(gram, error, floor)
     if lam_min < error + floor:
         assert not certified
     if lam_min >= max(2 * (error + floor), 1e-5):
@@ -1511,7 +1513,7 @@ def test_gram_certificate_on_planted_spectra(lam_min):
         for floor, error in itertools.product((0.0, 1e-8),
                                               (0.0, 1e-6, 1e-4)):
             _check_certify(gram, lam_min, error, floor)
-        est = contraction._gram_estimate(gram, DEFAULT_TOLERANCES, 0.0)
+        est = archdim.rank._gram_estimate(gram, DEFAULT_TOLERANCES, 0.0)
         if lam_min < 1e-8:
             assert est is None
             continue
@@ -1526,11 +1528,11 @@ def test_a_read_error_that_closes_the_gap_refuses_the_certificate():
     lam[-1] = 1e-3
     gram = _planted_gram(lam, 36)
     for read_error in (0.0, 0.5e-3):
-        est = contraction._gram_estimate(gram, DEFAULT_TOLERANCES, read_error)
+        est = archdim.rank._gram_estimate(gram, DEFAULT_TOLERANCES, read_error)
         assert est is not None and est.rank == lam.size
     # within 1e-3 of G the exact M^T M may be singular
     for read_error in (1e-3, 1.0):
-        assert contraction._gram_estimate(
+        assert archdim.rank._gram_estimate(
             gram, DEFAULT_TOLERANCES, read_error) is None
     for floor, error in itertools.product((0.0, 1e-8),
                                           (0.0, 0.4e-3, 1e-3, 1.0)):
@@ -1619,9 +1621,9 @@ def _planted_wide(edge, smallest, seed, aligned=False):
 
 def _frame_of(mat):
     """A unitary TangentFrame on n = 3 whose matrix is ``mat``."""
-    return contraction.TangentFrame("unitary", 3, 0,
-                                    np.zeros((mat.shape[1], 2), dtype=int),
-                                    lambda: mat)
+    return archdim.rank.TangentFrame("unitary", 3, 0,
+                                     np.zeros((mat.shape[1], 2), dtype=int),
+                                     lambda: mat)
 
 
 # |m_0| / sigma_max against the identity row's ceiling tight / 100 = 1e-12,
@@ -1677,14 +1679,14 @@ def test_a_rank_deficient_wide_frame_takes_the_svd(monkeypatch):
     arch = from_gate_sequence(3, [(1, 2)] * 10)
     assert frame_shape(arch, "unitary") == (64, 96)
     passed = []
-    certify = contraction._certify
+    certify = archdim.rank._certify
 
     def counted(*args):
         verdicts = certify(*args)
         passed.extend(np.atleast_1d(verdicts).tolist())
         return verdicts
 
-    monkeypatch.setattr(contraction, "_certify", counted)
+    monkeypatch.setattr(archdim.rank, "_certify", counted)
     est = numerical_rank(tangent_frame(arch, GateAssignment.haar(arch, 4)))
     assert passed == [False]
     assert (est.route, est.rank) == ("svd", 15)
@@ -1728,14 +1730,14 @@ def test_gram_route_edge_cases():
     gram[0, 1] = gram[1, 0] = np.nan
     est = numerical_rank(dataclasses.replace(frame, gram=gram))
     assert (est.route, est.rank, est.sigma_max_upper) == ("svd", 39, None)
-    assert contraction._gram_estimate(np.eye(5), DEFAULT_TOLERANCES,
-                                      np.nan) is None
+    assert archdim.rank._gram_estimate(np.eye(5), DEFAULT_TOLERANCES,
+                                       np.nan) is None
     for bad in (np.nan, np.inf):
-        assert not contraction._certify(np.eye(5), bad, 0.0)
-        assert not contraction._certify(np.eye(5), 0.0, bad)
+        assert not archdim.rank._certify(np.eye(5), bad, 0.0)
+        assert not archdim.rank._certify(np.eye(5), 0.0, bad)
         diagonal = np.eye(5)
         diagonal[3, 3] = bad
-        assert not contraction._certify(diagonal, 0.0, 0.0)
+        assert not archdim.rank._certify(diagonal, 0.0, 0.0)
     mat = np.random.default_rng(33).standard_normal((20, 5))
     mat[7, 2] = np.nan
     assert gram_certificate(mat) is None

@@ -1,5 +1,5 @@
 """A thread keeps its consensuses' bound Gram sweeps from one consensus to
-the next (``contraction._Store``): a repeat consensus binds nothing, the
+the next (``sweep._Store``): a repeat consensus binds nothing, the
 kept buffers count in the admission and stay under the cap, and every
 estimate is the one a consensus on a cleared store gives, bit for bit."""
 
@@ -10,6 +10,8 @@ import weakref
 import numpy as np
 import pytest
 
+import archdim.plan
+import archdim.sweep
 from archdim import (GateAssignment, SizeLimit, accessible_dimensions,
                      build_family, random_adjacent, staircase)
 from archdim import contraction
@@ -45,15 +47,15 @@ def test_kept_programs_give_a_cleared_store_s_estimates(monkeypatch):
     # with NaN: a sweep reads no entry it has not written
     want = []
     for arch, prefixes in SEQUENCE:
-        contraction._STORE.release()
+        archdim.sweep._STORE.release()
         want.append(_consensus(monkeypatch, arch, prefixes))
     for poison in (False, True):
         for (arch, prefixes), one in zip(SEQUENCE, want):
             if poison:
-                for buffer in contraction._STORE.buffers:
+                for buffer in archdim.sweep._STORE.buffers:
                     buffer.fill(np.nan)
             assert _consensus(monkeypatch, arch, prefixes) == one
-    assert contraction._STORE.programs
+    assert archdim.sweep._STORE.programs
 
 
 def test_a_repeat_consensus_binds_nothing(monkeypatch):
@@ -68,7 +70,7 @@ def test_a_repeat_consensus_binds_nothing(monkeypatch):
         accessible_dimensions(arch, "unitary", samples, 1)
         counts.append(len(bound))
     assert counts == [1, 1, 2, 2, 3]
-    assert {shape[0] for _, shape in contraction._STORE.programs} \
+    assert {shape[0] for _, shape in archdim.sweep._STORE.programs} \
         == {1, 2, 3}
 
 
@@ -82,20 +84,20 @@ def test_the_admission_counts_the_kept_buffers(monkeypatch):
     # overflow releases them first and runs, and one whose estimate
     # alone is over the budget is refused before any draw
     accessible_dimensions(build_family("brickwork", 6, 1), "unitary", 3, 1)
-    kept = contraction._STORE.kept
-    first = weakref.ref(contraction._STORE.buffers[0])
+    kept = archdim.sweep._STORE.kept
+    first = weakref.ref(archdim.sweep._STORE.buffers[0])
     assert kept > 8 * 2 ** 20
     arch = build_family("staircase", 6, 2)
     est = peak_bytes(arch, "unitary", samples=3)
     monkeypatch.setattr(contraction, "MEMORY_BUDGET", est + kept)
     accessible_dimensions(arch, "unitary", 3, 1)
     assert first() is not None
-    assert contraction._STORE.kept == kept
+    assert archdim.sweep._STORE.kept == kept
     monkeypatch.setattr(contraction, "MEMORY_BUDGET", est + kept // 2)
     reports = accessible_dimensions(arch, "unitary", 3, 1)
     assert reports[0].consensus is not None
     assert first() is None
-    assert contraction._STORE.kept < kept
+    assert archdim.sweep._STORE.kept < kept
     monkeypatch.setattr(contraction, "MEMORY_BUDGET", est - 1)
     monkeypatch.setattr(GateAssignment, "haar", _never_drawn)
     with pytest.raises(SizeLimit):
@@ -107,27 +109,28 @@ def test_a_program_over_the_cap_goes_with_its_consensus(monkeypatch):
     # cap: it is bound for its consensus alone and gone after it, while
     # the buffers staircase(6, 2) left stay kept
     accessible_dimensions(build_family("staircase", 6, 2), "unitary", 3, 1)
-    buffers = [weakref.ref(buffer) for buffer in contraction._STORE.buffers]
-    programs = dict(contraction._STORE.programs)
+    buffers = [weakref.ref(buffer) for buffer in archdim.sweep._STORE.buffers]
+    programs = dict(archdim.sweep._STORE.programs)
     arch = build_family("brickwork", 6, 2)
-    head = contraction._tall_head(arch, (arch.gate_count,))
+    head = archdim.plan._tall_head(arch, (arch.gate_count,))
     assert contraction._batch(arch, "unitary", (arch.gate_count,))[0] == 1
-    assert 8 * (sum(contraction._footprint(head, 1)) + 256 * len(head.gates)
-                + head.width ** 2) > contraction._KEPT_CAP
+    assert 8 * (sum(archdim.sweep._footprint(head, 1)) + 256 * len(head.gates)
+                + head.width ** 2) > archdim.sweep._KEPT_CAP
     arenas = []
-    bind = contraction._bind
+    bind = archdim.sweep._bind
 
     def watched_bind(plan, transfers, *kept):
         program = bind(plan, transfers, *kept)
         arenas.append(weakref.ref(_arena(program)))
         return program
 
-    monkeypatch.setattr(contraction, "_bind", watched_bind)
+    for module in (archdim.sweep, contraction):
+        monkeypatch.setattr(module, "_bind", watched_bind)
     report, = accessible_dimensions(arch, "unitary", 3, 1)
     assert [e.route for e in report.estimates] == ["gram"] * 3
     assert len(arenas) == 1 and arenas[0]() is None
     assert all(buffer() is not None for buffer in buffers)
-    assert contraction._STORE.programs.keys() == programs.keys()
+    assert archdim.sweep._STORE.programs.keys() == programs.keys()
 
 
 def _estimates(arch, prefixes, seed):
@@ -145,7 +148,7 @@ def test_two_threads_keep_their_own_programs():
               (staircase(3, 6), staircase(3, 6).slice_boundaries)]
     want = [[_estimates(*shape, seed) for seed in (1, 2, 3)]
             for shape in shapes]
-    mine = contraction._STORE.buffers
+    mine = archdim.sweep._STORE.buffers
     start = threading.Barrier(2)
     got: list = [None, None]
     kept: list = [None, None]
@@ -153,7 +156,7 @@ def test_two_threads_keep_their_own_programs():
     def run(i):
         start.wait()
         got[i] = [_estimates(*shapes[i], seed) for seed in (1, 2, 3)]
-        kept[i] = contraction._STORE.buffers
+        kept[i] = archdim.sweep._STORE.buffers
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for thread in threads:
@@ -161,7 +164,7 @@ def test_two_threads_keep_their_own_programs():
     for thread in threads:
         thread.join()
     assert got == want
-    assert contraction._STORE.buffers is mine
+    assert archdim.sweep._STORE.buffers is mine
     assert len({id(buffers[0]) for buffers in [mine] + kept}) == 3
 
 
@@ -172,17 +175,17 @@ def test_frames_that_share_a_head_keep_a_program_each(monkeypatch):
     # keeps its own program and gives a cleared store's estimates
     shapes = [(staircase(2, t), staircase(2, t).slice_boundaries)
               for t in (2, 3)]
-    heads = {contraction._tall_head(arch, contraction._ends(arch, prefixes))
+    heads = {archdim.plan._tall_head(arch, contraction._ends(arch, prefixes))
              for arch, prefixes in shapes}
     assert len(heads) == 1
     want = []
     for shape in shapes:
-        contraction._STORE.release()
+        archdim.sweep._STORE.release()
         want.append(_consensus(monkeypatch, *shape, samples=3))
     accessible_dimensions(build_family("staircase", 6, 2), "unitary", 3, 1)
     for shape, one in zip(shapes * 2, want * 2):
         assert _consensus(monkeypatch, *shape, samples=3) == one
-    assert len([plan for plan, _ in contraction._STORE.programs
+    assert len([plan for plan, _ in archdim.sweep._STORE.programs
                 if plan in heads]) == 2
 
 
@@ -200,7 +203,7 @@ def test_a_consensus_holds_found_buffers_under_its_estimate(arch, prefixes,
     # bytes.  The trace starts before the buffers are made, so it counts
     # them.
     held = []
-    sweep = contraction._sweep
+    sweep = archdim.sweep._sweep
 
     def watched_sweep(program, transfers):
         if program.gram is None:
@@ -212,18 +215,19 @@ def test_a_consensus_holds_found_buffers_under_its_estimate(arch, prefixes,
         accessible_dimensions(build_family("brickwork", 6, 1), "unitary", 3,
                               1)
         buffers = [weakref.ref(buffer)
-                   for buffer in contraction._STORE.buffers]
-        kept = contraction._STORE.kept
+                   for buffer in archdim.sweep._STORE.buffers]
+        kept = archdim.sweep._STORE.kept
         other = tracemalloc.get_traced_memory()[0] - kept
         tracemalloc.reset_peak()
-        monkeypatch.setattr(contraction, "_sweep", watched_sweep)
+        for module in (archdim.sweep, contraction):
+            monkeypatch.setattr(module, "_sweep", watched_sweep)
         accessible_dimensions(arch, "unitary", 3, 3, prefixes=prefixes)
         peak = tracemalloc.get_traced_memory()[1] - other
     finally:
         tracemalloc.stop()
     assert held == [True] * sweeps
     assert [buffer() for buffer in buffers] \
-        == list(contraction._STORE.buffers)
+        == list(archdim.sweep._STORE.buffers)
     assert peak <= peak_bytes(arch, "unitary", prefixes, samples=3) + kept \
         + _OBJECT_SLACK
 
@@ -236,14 +240,14 @@ def test_a_thread_keeps_a_bounded_number_of_programs(monkeypatch):
     archs = [staircase(4, t) for t in range(1, 3)] \
         + [staircase(5, t) for t in range(1, 5)] \
         + [staircase(6, t) for t in range(1, 4)]
-    buffers = contraction._STORE.buffers
+    buffers = archdim.sweep._STORE.buffers
     bound = _count_binds(monkeypatch)
     for arch in archs:
         accessible_dimensions(arch, "unitary", 3, 1)
-    assert len(bound) > contraction._KEPT_PROGRAMS
-    assert contraction._STORE.buffers is buffers
-    assert [plan for plan, _ in contraction._STORE.programs] \
-        == bound[-contraction._KEPT_PROGRAMS:]
+    assert len(bound) > archdim.sweep._KEPT_PROGRAMS
+    assert archdim.sweep._STORE.buffers is buffers
+    assert [plan for plan, _ in archdim.sweep._STORE.programs] \
+        == bound[-archdim.sweep._KEPT_PROGRAMS:]
     rebound = len(bound)
     accessible_dimensions(archs[0], "unitary", 3, 1)
     assert len(bound) > rebound

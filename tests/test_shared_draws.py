@@ -6,6 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import archdim.plan
+import archdim.rank
+import archdim.sweep
 from archdim import (
     GateAssignment,
     SizeLimit,
@@ -200,10 +203,10 @@ def test_a_union_keeps_what_the_shortest_prefix_holding_a_gate_keeps():
     # whole architecture alone keeps 9 of gates 0 and 1, whose wires later
     # gates act on
     archs = [staircase(3, 1), staircase(3, 2)]
-    kept, _, record, own = contraction._gauge(
+    kept, _, record, own = archdim.plan._gauge(
         archs[-1], contraction._ends(archs[-1], _lengths(archs)))
     assert [k.size for k in kept] == [12, 15, 12, 15]
-    assert [contraction._count(cols) for cols in own] == [27, 45]
+    assert [archdim.plan._count(cols) for cols in own] == [27, 45]
     assert record.shape[0] == 54 > frame_shape(archs[-1], "unitary")[1]
 
 
@@ -215,7 +218,7 @@ def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
     # draws are the ones the last row made when every row drew its own
     drawn, frames, ranks = [], [], []
     haar = GateAssignment.haar
-    frame, decide = contraction.tangent_frame, contraction._decide
+    frame, decide = contraction.tangent_frame, archdim.rank._decide
 
     def counted_haar(arch, seeds):
         drawn.append((arch.gate_count, list(seeds)))
@@ -232,7 +235,8 @@ def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
     monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
-    monkeypatch.setattr(contraction, "_decide", counted_decide)
+    for module in (archdim.rank, contraction):
+        monkeypatch.setattr(module, "_decide", counted_decide)
     samples, t_max, seed = 4, 5, 9
     rows = growth_sweep(3, "staircase", t_max, samples, seed, mode)
     assert len(rows) == t_max
@@ -512,17 +516,17 @@ def test_one_compiled_plan_per_frame_key():
     # plans are cached by the frame key (arch, ends): a frame and the frame
     # that serves its one prefix share its Gram and matrix plans, and a
     # sweep adds its head's Gram plan and its union's matrix plan
-    contraction._frame_plan.cache_clear()
+    archdim.plan._frame_plan.cache_clear()
     arch = build_family("staircase", 6, 2)
     accessible_dimension(arch, "unitary", 3, 1)
-    assert contraction._frame_plan.cache_info().currsize == 2
+    assert archdim.plan._frame_plan.cache_info().currsize == 2
     tangent_frame(arch, GateAssignment.haar(arch, 1), "unitary",
                   prefixes=[arch.gate_count])
-    assert contraction._tall_head(arch, (arch.gate_count,)) \
-        is contraction._frame_plan(arch, (arch.gate_count,), prune=True)
-    assert contraction._frame_plan.cache_info().currsize == 2
+    assert archdim.plan._tall_head(arch, (arch.gate_count,)) \
+        is archdim.plan._frame_plan(arch, (arch.gate_count,), prune=True)
+    assert archdim.plan._frame_plan.cache_info().currsize == 2
     growth_sweep(3, "staircase", 6, 3, 1)
-    assert contraction._frame_plan.cache_info().currsize == 4
+    assert archdim.plan._frame_plan.cache_info().currsize == 4
 
 
 def test_a_cleared_plan_cache_leaves_no_stale_gram_plan(monkeypatch):
@@ -531,18 +535,19 @@ def test_a_cleared_plan_cache_leaves_no_stale_gram_plan(monkeypatch):
     arch = build_family("staircase", 6, 2)
     ends = (arch.gate_count,)
     tangent_frame(arch, GateAssignment.haar(arch, 1))
-    contraction._frame_plan.cache_clear()
+    archdim.plan._frame_plan.cache_clear()
     swept = []
-    sweep = contraction._sweep
+    sweep = archdim.sweep._sweep
 
     def counted(program, transfers):
         swept.append(program.plan)
         return sweep(program, transfers)
 
-    monkeypatch.setattr(contraction, "_sweep", counted)
+    for module in (archdim.sweep, contraction):
+        monkeypatch.setattr(module, "_sweep", counted)
     tangent_frame(arch, GateAssignment.haar(arch, 2))
     assert len(swept) == 1
-    assert swept[0] is contraction._frame_plan(arch, ends, prune=True)
+    assert swept[0] is archdim.plan._frame_plan(arch, ends, prune=True)
 
 
 def test_an_over_budget_union_is_refused_before_its_gauge(monkeypatch):
@@ -550,12 +555,12 @@ def test_an_over_budget_union_is_refused_before_its_gauge(monkeypatch):
     # columns, twice, is over the budget before the 1000-prefix union
     # gauge is built
     last = staircase(9, 1000)
-    misses = contraction._gauge.cache_info().misses
+    misses = archdim.plan._gauge.cache_info().misses
     estimate = peak_bytes(last, "unitary", last.slice_boundaries)
     assert estimate == 16 * 4 ** 9 * (9 * 8000 + 27) \
         > contraction.MEMORY_BUDGET
-    assert contraction._gauge.cache_info().misses == misses
+    assert archdim.plan._gauge.cache_info().misses == misses
     monkeypatch.setattr(GateAssignment, "haar", _never_drawn)
     with pytest.raises(SizeLimit, match="281.36 GiB"):
         growth_sweep(9, "staircase", 1000, 3, 1)
-    assert contraction._gauge.cache_info().misses == misses
+    assert archdim.plan._gauge.cache_info().misses == misses

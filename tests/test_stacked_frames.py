@@ -10,6 +10,9 @@ import weakref
 import numpy as np
 import pytest
 
+import archdim.plan
+import archdim.rank
+import archdim.sweep
 from archdim import (
     Architecture,
     GateAssignment,
@@ -26,8 +29,9 @@ from archdim import (
 )
 from archdim import contraction
 from archdim.bounds import gauge_fixed_count
-from archdim.contraction import (DEFAULT_TOLERANCES, dimension_bounds,
-                                 peak_bytes, transfer_matrices)
+from archdim.contraction import dimension_bounds, peak_bytes
+from archdim.rank import DEFAULT_TOLERANCES
+from archdim.sweep import transfer_matrices
 from reference import split_gram
 from test_contraction import _OBJECT_SLACK, FRAME_CASES, PEAK_CASES
 from test_shared_draws import CHAINS
@@ -273,7 +277,7 @@ def test_the_heads_sizes_have_one_source(arch, prefixes):
     # plan, whose gates are the longest tall prefix's and whose width is
     # that of the Gram matrix a frame reads
     ends = contraction._ends(arch, prefixes)
-    head = contraction._tall_head(arch, ends)
+    head = archdim.plan._tall_head(arch, ends)
     assert len(head.gates) == max(
         end for end in ends
         if gauge_fixed_count(Architecture(arch.n, arch.gates[:end]))
@@ -288,7 +292,7 @@ def test_the_heads_sizes_have_one_source(arch, prefixes):
 
 def test_a_frame_with_no_tall_prefix_has_no_head():
     arch = staircase(3, 6)
-    assert contraction._tall_head(arch, (arch.gate_count,)) is None
+    assert archdim.plan._tall_head(arch, (arch.gate_count,)) is None
 
 
 # -- work counts --------------------------------------------------------------
@@ -302,10 +306,10 @@ def _count_work(monkeypatch, arch):
     Gram plan and over how many samples."""
     drawn, built, framed, ranked, swept = [], [], [], [], []
     haar = GateAssignment.haar
-    frame, decide, sweep = (contraction.tangent_frame, contraction._decide,
-                            contraction._sweep)
-    build = contraction.transfer_matrices
-    pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
+    frame, decide, sweep = (contraction.tangent_frame, archdim.rank._decide,
+                            archdim.sweep._sweep)
+    build = archdim.sweep.transfer_matrices
+    pruned = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=True)
 
     def counted_haar(arch, seeds):
         drawn.append(list(seeds))
@@ -330,9 +334,11 @@ def _count_work(monkeypatch, arch):
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
     monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
-    monkeypatch.setattr(contraction, "_decide", counted_decide)
-    monkeypatch.setattr(contraction, "_sweep", counted_sweep)
-    monkeypatch.setattr(contraction, "transfer_matrices", counted_build)
+    for module in (archdim.rank, contraction):
+        monkeypatch.setattr(module, "_decide", counted_decide)
+    for module in (archdim.sweep, contraction):
+        monkeypatch.setattr(module, "_sweep", counted_sweep)
+        monkeypatch.setattr(module, "transfer_matrices", counted_build)
     return drawn, built, framed, ranked, swept
 
 
@@ -416,7 +422,7 @@ def _recorded_grams(monkeypatch):
     ``gram_error``: a consensus's bound sweep overwrites its Gram stack
     batch by batch."""
     seen = []
-    decide = contraction._decide
+    decide = archdim.rank._decide
 
     def recorded(stack, lengths, *args):
         for i in range(stack.samples):
@@ -426,7 +432,8 @@ def _recorded_grams(monkeypatch):
                 seen.append((gram, frame.gram_error))
         return decide(stack, lengths, *args)
 
-    monkeypatch.setattr(contraction, "_decide", recorded)
+    for module in (archdim.rank, contraction):
+        monkeypatch.setattr(module, "_decide", recorded)
     return seen
 
 
@@ -461,8 +468,8 @@ def test_a_bound_sweep_reads_each_sample_s_own_gram_matrix(build, batching,
     seen = _recorded_grams(monkeypatch)
     reports = accessible_dimensions(arch, "unitary", 5, 8, prefixes=prefixes)
     monkeypatch.undo()
-    head = contraction._tall_head(arch, ends)
-    kept = contraction._gauge(arch, ends)[0]
+    head = archdim.plan._tall_head(arch, ends)
+    kept = archdim.plan._gauge(arch, ends)[0]
     for i in range(5):
         gates = GateAssignment.haar(arch, subseed(8, i))
         frame = tangent_frame(arch, gates, "unitary", ends)
@@ -525,7 +532,7 @@ def test_a_failing_sample_alone_takes_the_svd(plant, monkeypatch):
     # only it takes the SVD, of its own matrix
     arch = staircase(5, 2)
     _batched(monkeypatch, "stacked", arch, (arch.gate_count,))
-    read = contraction._gram_read
+    read = archdim.sweep._gram_read
 
     def planted(program, transfers):
         gram = read(program, transfers)
@@ -546,7 +553,8 @@ def test_a_failing_sample_alone_takes_the_svd(plant, monkeypatch):
         factored.append(a.shape[:-2])
         return cholesky(a)
 
-    monkeypatch.setattr(contraction, "_gram_read", planted)
+    for module in (archdim.sweep, contraction):
+        monkeypatch.setattr(module, "_gram_read", planted)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     report = accessible_dimension(arch, "unitary", 4, 3)
@@ -572,13 +580,14 @@ def test_stacked_shifts_and_upper_bounds_keep_their_bits(build, count):
                           "unitary", prefixes)
     grams, errors = stack.gram, stack.gram_error
     floors = (100 * DEFAULT_TOLERANCES[0]) ** 2 \
-        * contraction._upper(grams, errors)
+        * archdim.rank._upper(grams, errors)
     for stacked, one in [
-            (contraction._shift(grams, errors, floors),
-             [contraction._shift(g, float(e), float(f))
+            (archdim.rank._shift(grams, errors, floors),
+             [archdim.rank._shift(g, float(e), float(f))
               for g, e, f in zip(grams, errors, floors)]),
-            (contraction._upper(grams, errors),
-             [contraction._upper(g, float(e)) for g, e in zip(grams, errors)])]:
+            (archdim.rank._upper(grams, errors),
+             [archdim.rank._upper(g, float(e))
+              for g, e in zip(grams, errors)])]:
         assert stacked.shape == (count,)
         assert stacked.view(np.int64).tolist() \
             == np.array(one).view(np.int64).tolist()
@@ -587,13 +596,14 @@ def test_stacked_shifts_and_upper_bounds_keep_their_bits(build, count):
 def _count_binds(monkeypatch):
     """The list of the plans that each later ``_bind`` call binds."""
     bound = []
-    bind = contraction._bind
+    bind = archdim.sweep._bind
 
     def counted(plan, transfers, *kept):
         bound.append(plan)
         return bind(plan, transfers, *kept)
 
-    monkeypatch.setattr(contraction, "_bind", counted)
+    for module in (archdim.sweep, contraction):
+        monkeypatch.setattr(module, "_bind", counted)
     return bound
 
 
@@ -601,7 +611,7 @@ def test_a_consensus_binds_its_gram_sweep_once(monkeypatch):
     # brickwork(6, 1)'s three samples go one a batch, through one bound
     # program; a lone frame binds its own, once a call
     arch = build_family("brickwork", 6, 1)
-    pruned = contraction._frame_plan(arch, (arch.gate_count,), prune=True)
+    pruned = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=True)
     bound = _count_binds(monkeypatch)
     report = accessible_dimension(arch, "unitary", 3, 0)
     assert [e.route for e in report.estimates] == ["gram"] * 3
@@ -615,7 +625,7 @@ def test_a_consensus_binds_its_gram_sweep_once(monkeypatch):
 def _arena(program):
     """The largest array that a bound program's calls view, but for its
     Gram stack: the one array of its arena, which a kept program's
-    transfer stack shares (``contraction._bind``)."""
+    transfer stack shares (``sweep._bind``)."""
     roots = {}
     for _, args in program.calls:
         for x in args:
@@ -663,7 +673,7 @@ def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
         draws.append(len(seeds))
         return haar(arch, seeds)
 
-    bind, sweep = contraction._bind, contraction._sweep
+    bind, sweep = archdim.sweep._bind, archdim.sweep._sweep
 
     def watched_bind(plan, transfers, *kept):
         program = bind(plan, transfers, *kept)
@@ -679,8 +689,9 @@ def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
         return sweep(program, transfers)
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
-    monkeypatch.setattr(contraction, "_bind", watched_bind)
-    monkeypatch.setattr(contraction, "_sweep", watched_sweep)
+    for module in (archdim.sweep, contraction):
+        monkeypatch.setattr(module, "_bind", watched_bind)
+        monkeypatch.setattr(module, "_sweep", watched_sweep)
     tracemalloc.start()
     try:
         reports = accessible_dimensions(arch, "unitary", samples, 3,
@@ -693,11 +704,11 @@ def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
     assert draws == [samples]
     assert arenas and all(arena() is None for arena in arenas[:-1])
     ends = contraction._ends(arch, prefixes)
-    head = contraction._tall_head(arch, ends)
+    head = archdim.plan._tall_head(arch, ends)
     batch = min(samples, contraction._batch(arch, "unitary", ends)[0])
-    assert 8 * (sum(contraction._footprint(head, batch))
+    assert 8 * (sum(archdim.sweep._footprint(head, batch))
                 + batch * (256 * len(head.gates) + head.width ** 2)) \
-        <= contraction._KEPT_CAP
+        <= archdim.sweep._KEPT_CAP
     assert (arenas[-1]() is None) == bool(last_swept)
     for report in reports:
         assert [e.route for e in report.estimates] == [route] * samples

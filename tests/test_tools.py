@@ -2,9 +2,11 @@ import argparse
 import importlib.util
 import itertools
 import sys
+import tokenize
 from pathlib import Path
 
-from archdim import contraction
+import archdim.plan
+import archdim.sweep
 from archdim.cli import build_parser
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -64,6 +66,16 @@ def test_code_lines_counts_each_module(tmp_path, capsys):
     assert out[-1].endswith("total")
 
 
+def test_every_module_stays_under_the_compile_token_step():
+    # CPython 3.11 compiles a module of more than 16384 tokens at about
+    # 0.8 MB more peak memory, which every process that compiles archdim
+    # from source, such as each benchmark child, pays
+    for path in sorted(code_lines.PACKAGE.glob("*.py")):
+        with path.open() as source:
+            count = sum(1 for _ in tokenize.generate_tokens(source.readline))
+        assert count < 16384, (path.name, count)
+
+
 def test_frame_digest_repeats_one_line_per_item(capsys):
     # two runs, the second with every plan and table rebuilt, print the
     # same lines: per shape 5 items of each plan, 2 estimates, and per
@@ -78,9 +90,10 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
             "--seeds", "1", "2"]
     runs = []
     for _ in range(2):
-        for cached in vars(contraction).values():
-            if hasattr(cached, "cache_clear"):
-                cached.cache_clear()
+        for module in (archdim.plan, archdim.sweep):
+            for cached in vars(module).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
         assert frame_digest.main(argv) == 0
         runs.append(capsys.readouterr().out.splitlines())
     assert runs[0] == runs[1]

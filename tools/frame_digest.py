@@ -35,7 +35,7 @@ benchmark's ``dim`` and ``sweep`` ops take.
 Last, the dim shapes' consensuses without the spectrum run a second
 round, seed by seed and within a seed shape by shape, in the order of
 ``CONSENSUS``, on the Gram programs the process keeps from one consensus
-to the next (``contraction._Store``), so that each consensus finds the
+to the next (``sweep._Store``), so that each consensus finds the
 buffers of another shape's.  Their lines repeat the first round's items
 with a ``kept.`` prefix, and their digests the first round's.
 
@@ -57,11 +57,12 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
+import archdim.plan
 from archdim import (GateAssignment, accessible_dimensions, brickwork,
                      build_family, from_gate_sequence, numerical_rank,
                      random_adjacent, staircase, tangent_frame)
 from archdim import contraction
-from archdim.contraction import transfer_matrices
+from archdim.sweep import transfer_matrices
 
 SHAPES: dict[str, Callable] = {
     "dim-staircase-6-2": lambda: build_family("staircase", 6, 2),
@@ -106,20 +107,24 @@ def digest(value: object) -> str:
 
 @contextlib.contextmanager
 def _split_at(split: int | None) -> Iterator[None]:
-    """Make the Gram plan split at ``split`` (its own choice for None)."""
-    plan = contraction._frame_plan
-    contraction._frame_plan = lambda arch, ends, prune=False: plan(
-        arch, ends, prune=prune, split=split if prune else None)
+    """Make the Gram plan split at ``split`` (its own choice for None), in
+    every module that reads ``_frame_plan``."""
+    plan = archdim.plan._frame_plan
+    readers = (archdim.plan, contraction)
+    for module in readers:
+        module._frame_plan = lambda arch, ends, prune=False: plan(
+            arch, ends, prune=prune, split=split if prune else None)
     try:
         yield
     finally:
-        contraction._frame_plan = plan
+        for module in readers:
+            module._frame_plan = plan
 
 
 def items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
     """(quantity, value) of every item digested for ``arch``."""
     for name, prune in (("matrix", False), ("gram", True)):
-        plan = contraction._frame_plan(arch, (arch.gate_count,), prune=prune)
+        plan = archdim.plan._frame_plan(arch, (arch.gate_count,), prune=prune)
         for key in ("split", "arena", "held", "scratch", "tables"):
             yield f"{name}-plan.{key}", getattr(plan, key)
     for mode in ("unitary", "state"):
