@@ -31,7 +31,10 @@ transfer build serve a draw batch, and one sweep a sweep batch, which
 takes its slice of the draw's transfers.  Each array call serves every
 sample at once with one sample's shapes, so that every sample's numbers
 are those of its own frame, bit for bit.  A sweep batch's rank decisions
-go one prefix at a time (``_decide``).
+go one prefix at a time (``_decide``).  A consensus checks its size once
+and borrows the thread's kept Gram programs (``sweep._Store``) for its
+sweep batches; a frame made outside a consensus checks its own size and
+binds its own sweep.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ from .rank import (DEFAULT_TOLERANCES, RankEstimate, TangentFrame,
 # bench/tracer.py wraps numerical_rank and pauli_coefficients by this
 # module's name; neither is called here
 from .rank import numerical_rank  # noqa: F401
-from .sweep import (_CONSENSUS, _GENERATOR_STACK, _STACK_CHUNK, _STORE,
-                    _assemble, _bind, _Binding, _gram_read, _sweep,
-                    transfer_matrices)
+from .sweep import (_GENERATOR_STACK, _STACK_CHUNK, _STORE, _assemble,
+                    _bind, _gram_read, _Store, _sweep, transfer_matrices)
 from .sweep import pauli_coefficients  # noqa: F401
 
 MEMORY_BUDGET = 2 * 2 ** 30
@@ -139,7 +141,7 @@ def peak_bytes(arch: Architecture, job: str,
     transfer, read and join, covers one transfer's or read's temporaries
     or one joined pair's row copies; the staging vector lies in the Gram
     matrix.  A consensus keeps that program, arena and scratch, through
-    the certificates (``_Binding``): the certificate (``_gram_estimate``)
+    the certificates (``_Store``): the certificate (``_gram_estimate``)
     takes up to three more C x C arrays, the |G| temporary of its norm,
     then ``_certify``'s C^2 bytes of its finite check and its shifted copy
     beside Cholesky's working copy and the factor (or, for a spectrum,
@@ -315,10 +317,10 @@ def _check_size(arch: Architecture, job: str,
                 prefixes: Sequence[int] | None = None, samples: int = 1, *,
                 stack: bool = False) -> None:
     """Refuse a call whose estimate (``_peak_bytes``) is over the budget;
-    outside a consensus, first drop the kept Gram programs (``_Store``)
-    if the estimate and their bytes are over it."""
+    first drop the kept Gram programs (``_Store``) if the estimate and
+    their bytes are over it."""
     est = _peak_bytes(arch, job, prefixes, samples, stack=stack)
-    if _CONSENSUS.get() is None and est + _STORE.kept > MEMORY_BUDGET:
+    if est + _STORE.kept > MEMORY_BUDGET:
         _STORE.release()
     check_budget(est, MEMORY_BUDGET,
                  f"{job} on n={arch.n}, R={arch.gate_count} needs")
@@ -331,6 +333,9 @@ class GateAssignment:
     at least one sample."""
 
     matrices: np.ndarray  # (R, 4, 4) or (S, R, 4, 4) complex
+    # a consensus's sweep batch carries its slice of the draw's transfer
+    # stack (``_samples``); any other assignment carries none
+    _transfers = None
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.matrices, dtype=complex)
@@ -357,11 +362,17 @@ class GateAssignment:
     def __len__(self) -> int:
         return self.matrices.shape[-3]
 
-    def _samples(self, lo: int, hi: int) -> GateAssignment:
+    def _samples(self, lo: int, hi: int,
+                 transfers: np.ndarray | None) -> GateAssignment:
         """Samples lo..hi-1 of a stack, as a stack that views its matrices:
-        they passed its validation, which is not run again."""
+        they passed its validation, which is not run again.  With the
+        stack's ``transfers`` (``transfer_matrices``; None in state mode)
+        it carries their slice, which its unitary frame takes in place of
+        a build."""
         part = object.__new__(GateAssignment)
         object.__setattr__(part, "matrices", self.matrices[lo:hi])
+        if transfers is not None:
+            object.__setattr__(part, "_transfers", transfers[lo:hi])
         return part
 
     @property
@@ -430,7 +441,7 @@ def contract_state(arch: Architecture, gates: GateAssignment) -> np.ndarray:
 
 def _unitary_frame(arch: Architecture, gates: GateAssignment,
                    ends: tuple[int, ...],
-                   binding: _Binding | None) -> TangentFrame:
+                   store: _Store | None) -> TangentFrame:
     """The unitary frame by the forward sweep of ``_frame_plan``: column
     (j, k) is T_R ... T_{j+1} e_{S_k}.
 
@@ -481,14 +492,15 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     frame.
 
     A frame one of whose prefixes (``ends``) is tall runs the Gram plan's
-    sweep; any other frame runs no sweep here.  With a ``binding``, the
-    consensus's, the frame of a sweep batch takes its slice of the draw
-    batch's transfer stack (``_Binding.transfers``), and the sweep runs
-    the consensus's program, most often the one the thread keeps for the
-    plan and batch size (``_Store``), whose Gram stack the frame then
-    holds until the next sweep batch's sweep; without one the frame
-    builds its own transfer stack, binds the plan to it, sweeps and drops
-    the program but for its Gram stack, which the frame keeps, before it
+    sweep; any other frame runs no sweep here.  A sweep batch's
+    assignment carries its slice of the draw batch's transfer stack
+    (``GateAssignment._samples``), which its frame takes; any other frame
+    builds its own.  With the ``store``, lent to the consensus in
+    progress, the sweep runs the program it keeps for the plan and batch
+    size, or the consensus's own (``_Store.gram_read``), whose Gram stack
+    the frame then holds until the next sweep batch's sweep; without one
+    the frame binds the plan to its transfers, sweeps and drops the
+    program but for its Gram stack, which the frame keeps, before it
     returns.  The sweep covers the gates of the longest tall prefix, whose
     columns lead the frame's and hold every tall prefix's: the later gates
     act on them orthogonally, so their Gram matrix is the head's, and the
@@ -503,7 +515,7 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     stack of one: one transfer build (or slice of a draw's), one Gram
     sweep and one bound per sample serve them all, and
     ``TangentFrame.sample`` gives each sample's frame.  The first read of
-    a sample's matrix drops the ``binding``'s program (``_Binding.drop``:
+    a sample's matrix drops the ``store``'s own program (``_Store.drop``:
     with the kept buffers, if the consensus grew them), binds the matrix
     plan to the transfers of it and the next samples, as many as
     ``_matrix_batch`` allows, sweeps, drops the program but for its final
@@ -511,9 +523,8 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     """
     _, _, record, own = _gauge(arch, ends)
     s = gates.samples or 1
-    transfers = (transfer_matrices(gates) if binding is None
-                 else binding.transfers(gates)).reshape(
-        (s, arch.gate_count, 16, 16))
+    transfers = (transfer_matrices(gates) if gates._transfers is None
+                 else gates._transfers).reshape((s, arch.gate_count, 16, 16))
     defect = np.swapaxes(transfers, 2, 3) @ transfers - np.eye(16)
     taus = np.sqrt((defect * defect).sum(axis=(2, 3)).max(axis=1,
                                                           initial=0.0))
@@ -524,14 +535,14 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
         meet = max((4 ** len(join.meet) for join in head.joins), default=0)
         join_term = np.log1p(_gamma(2 * meet))
         gram = _gram_read(_bind(head, transfers), transfers) \
-            if binding is None else binding.gram_read(head, transfers)
+            if store is None else store.gram_read(head, transfers)
         gram_error = np.array([head.width * float(np.expm1(
             len(head.gates) * np.log1p(tau + 256 * eps) + join_term))
             for tau in taus])
 
     def assemble(lo: int, hi: int) -> np.ndarray:
-        if binding is not None:
-            binding.drop()
+        if store is not None:
+            store.drop()
         plan = _frame_plan(arch, ends)
         program = _bind(plan, transfers[lo:hi])
         _sweep(program, program.transfers)
@@ -617,17 +628,20 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     sample at once, and each sweep binds its plan (``_bind``) and drops
     the program when it is done; inside a consensus the frame takes its
     slice of the draw batch's transfers, and the Gram sweep runs the
-    consensus's program instead (``accessible_dimensions``).  State
-    mode builds the samples' frames one after another.  One assignment
-    gives its own frame, a stack of one's sample.  The size check
-    (``peak_bytes``) covers the stacks ``accessible_dimensions`` makes
-    (``_batch``).
+    program of the store lent to the consensus instead
+    (``accessible_dimensions``).  State mode builds the samples' frames
+    one after another.  One assignment gives its own frame, a stack of
+    one's sample.  A frame outside a consensus checks its size
+    (``peak_bytes`` of its stack); inside one it is not checked again,
+    since the consensus's check covers the stacks it makes (``_batch``).
     """
     check_mode(mode)
     ends = _ends(arch, prefixes)
-    _check_size(arch, mode, ends, gates.samples or 1, stack=True)
+    store = _STORE if _STORE.lent else None  # a consensus's, admitted once
+    if store is None:
+        _check_size(arch, mode, ends, gates.samples or 1, stack=True)
     _require_match(arch, gates)
-    frame = _unitary_frame(arch, gates, ends, _CONSENSUS.get()) \
+    frame = _unitary_frame(arch, gates, ends, store) \
         if mode == "unitary" else _state_frame(arch, gates, ends)
     return frame if gates.samples is not None else frame.sample(0)
 
@@ -814,8 +828,8 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     batch's stack, with one validation, and one ``transfer_matrices``
     call builds its transfers (in unitary mode).  One ``tangent_frame``
     call makes each sweep batch's stacked frame from its samples of the
-    draw (``GateAssignment._samples``), whose frame takes their slice of
-    the draw's transfers (``_Binding.batch``); ``_decide`` then decides
+    draw (``GateAssignment._samples``), which carry their slice of the
+    draw's transfers for the frame to take; ``_decide`` then decides
     all its samples with one call per prefix: one certificate over the
     stack of the samples' Gram blocks of each tall prefix, and one over
     their row Gram matrices of each wide prefix, for the samples of each
@@ -823,15 +837,17 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     whose certificate fails.  Each sweep
     batch is dropped before the next one is framed, and the draw batch
     before the next one is drawn, so a frame over the chunk goes one
-    sample a sweep.  A unitary consensus sweeps every sweep batch through
-    one program of its Gram plan (``_Binding``, which ``tangent_frame``
-    reads from ``_CONSENSUS``): the one the thread keeps for the plan and
-    the batch size (``_Store``), bound by the first consensus that needs
-    it, so that a repeat consensus binds nothing; a last batch of fewer
-    samples takes its own.  The program, arena and all, lives through the
-    batches' certificates; before any matrix sweep a consensus that grew
-    the kept buffers drops them (``_Binding.drop``).  Every estimate is
-    the one a sample's own frame gives, bit for bit.
+    sample a sweep.  The consensus checks its size once, then borrows the
+    thread's store (``_Store``) until it returns or raises, so that each
+    ``tangent_frame`` call sweeps through it and checks nothing.  A
+    unitary consensus sweeps every sweep batch through one program of its
+    Gram plan: the one the store keeps for the plan and the batch size,
+    bound by the first consensus that needs it, so that a repeat
+    consensus binds nothing; a last batch of fewer samples takes its own.
+    The program, arena and all, lives through the batches' certificates;
+    before any matrix sweep a consensus that grew the kept buffers drops
+    them (``_Store.drop``).  Every estimate is the one a sample's own
+    frame gives, bit for bit.
 
     For each prefix all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged
@@ -855,22 +871,19 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     batch = _batch(arch, mode, ends)[0]
     draw = _draw(arch, batch)
     chunk = _matrix_batch(arch, ends)[0] if mode == "unitary" else batch
-    with _Binding() as binding:
+    with _STORE:
         for lo in range(0, samples, draw):
             gates = GateAssignment.haar(arch, [
                 subseed(seed, i) for i in range(lo, min(lo + draw, samples))])
             transfers = transfer_matrices(gates) if mode == "unitary" \
                 else None
             for at in range(0, gates.samples, batch):
-                part = gates._samples(at, at + batch)
-                binding.batch = part, None if transfers is None \
-                    else transfers[at:at + batch]
+                part = gates._samples(at, at + batch, transfers)
                 stack = tangent_frame(arch, part, mode, ends)
                 for row, found in zip(estimates, _decide(
                         stack, ends, tolerances, spectrum, chunk)):
                     row.extend(found)
                 del stack  # before the next sweep batch is framed
-            binding.batch = None
             del gates, transfers, part  # before the next batch is drawn
     stops = _causal_stops(arch, ends[-1])
     return tuple(_consensus(arch, length, mode, seed, tolerances, tuple(row),

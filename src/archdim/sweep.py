@@ -9,13 +9,12 @@ calls: a Gram plan's sweep stages what its reads and joins take, which
 matrix plan's sweep form the frames' 4^n x C matrices (``_assemble``).  A
 thread keeps the Gram plan's bound sweep per batch size across its
 consensuses, all carved from one reused pair of buffers (``_Store``), so
-that a repeat consensus binds nothing; the consensus in progress sweeps
-through one binding (``_Binding``).
+that a repeat consensus binds nothing; the store is lent to the consensus
+in progress, and a frame outside one binds its own sweep.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import threading
@@ -440,8 +439,18 @@ class _Store(threading.local):
     its matrix sweeps.  One program sweeps at a time and a consensus
     drops its frames before it returns, so the programs share the bytes
     the largest needs.  A program that does not fit grows the buffers and
-    drops every program; one over ``_KEPT_CAP`` is bound for its caller
-    alone.  At most ``_KEPT_PROGRAMS`` stay, the oldest going first.
+    drops every program; one over ``_KEPT_CAP`` is bound for its
+    consensus alone (``own``).  At most ``_KEPT_PROGRAMS`` stay, the
+    oldest going first.
+
+    As a context manager the store is lent to the consensus in progress
+    (``lent``), whose frames, one per sweep batch, sweep their Gram plans
+    through it (``gram_read``); a frame made outside a consensus binds
+    its own program.  The lease holds the consensus's own program and
+    whether the consensus grew the buffers (``grew``).  Before a matrix
+    sweep the own program goes, and the buffers too if this consensus
+    grew them (``drop``), as ``peak_bytes`` counts; when the consensus
+    ends, or raises, the own program goes and the kept ones stay.
 
     Beside the buffers, which ``kept`` counts, a program's views and call
     tuples take about 500 bytes a call: 165 KB for brickwork(6, 1)'s 331
@@ -450,7 +459,16 @@ class _Store(threading.local):
     it, until the program goes."""
 
     def __init__(self) -> None:
+        self.lent, self.grew = False, False
+        self.own: _Program | None = None
         self.release()
+
+    def __enter__(self) -> _Store:
+        self.lent, self.grew = True, False
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.lent, self.own = False, None
 
     def release(self) -> None:
         """Drop every kept program and both buffers."""
@@ -463,22 +481,29 @@ class _Store(threading.local):
         """The bytes the buffers hold."""
         return sum(buffer.nbytes for buffer in self.buffers)
 
-    def program(self, plan: _FramePlan,
-                transfers: np.ndarray) -> tuple[_Program, bool]:
-        """The program of ``plan`` over a stack of the shape of
-        ``transfers``: the kept one, bound first if it is not kept, or
-        one of its own over ``_KEPT_CAP``; and whether binding it grew
-        the buffers."""
-        key = plan, transfers.shape
-        if key in self.programs:
-            return self.programs[key], False
+    def gram_read(self, plan: _FramePlan,
+                  transfers: np.ndarray) -> np.ndarray:
+        """``_gram_read`` by the program of ``plan`` over a stack of the
+        shape of ``transfers``: the kept one, or the consensus's own, bound
+        first if it is neither."""
+        program = self.programs.get((plan, transfers.shape), self.own)
+        if program is None or program.plan is not plan \
+                or program.transfers.shape != transfers.shape:
+            self.own = None  # an arena of this consensus alone goes
+            program = self._bind(plan, transfers)
+        return _gram_read(program, transfers)
+
+    def _bind(self, plan: _FramePlan, transfers: np.ndarray) -> _Program:
+        """Bind ``plan`` over a stack of the shape of ``transfers``: kept,
+        growing the buffers if it does not fit them, or over ``_KEPT_CAP``
+        as the consensus's own."""
         need = (sum(_footprint(plan, len(transfers))) + transfers.size,
                 len(transfers) * plan.width ** 2)
         if 8 * sum(need) > _KEPT_CAP:
-            return _bind(plan, np.empty_like(transfers)), False
-        grew = any(size > buffer.size
-                   for size, buffer in zip(need, self.buffers))
-        if grew:  # the old buffers go before the new ones
+            self.own = _bind(plan, np.empty_like(transfers))
+            return self.own
+        if any(size > buffer.size for size, buffer in zip(need, self.buffers)):
+            # the old buffers go before the new ones
             sizes = [max(size, buffer.size)
                      for size, buffer in zip(need, self.buffers)]
             sizes = sizes if 8 * sum(sizes) <= _KEPT_CAP else need
@@ -488,70 +513,20 @@ class _Store(threading.local):
             # without it temporaries over 128 KiB get new pages each time
             np.empty(sum(sizes))
             self.buffers = tuple(np.empty(size) for size in sizes)
+            self.grew = True
         elif len(self.programs) >= _KEPT_PROGRAMS:
             del self.programs[next(iter(self.programs))]
-        program = self.programs[key] = _bind(plan, transfers, self.buffers)
-        return program, grew
+        program = self.programs[plan, transfers.shape] = _bind(
+            plan, transfers, self.buffers)
+        return program
+
+    def drop(self) -> None:
+        """Before a matrix sweep: drop the consensus's own program, and the
+        buffers with every kept program if the consensus grew them."""
+        self.own = None
+        if self.grew:
+            self.release()
 
 
 # Each thread's kept Gram programs (``_Store``).
 _STORE = _Store()
-
-
-class _Binding:
-    """The bound Gram sweep (``_bind``) a consensus sweeps its batches
-    through: the kept program (``_Store``), or one of its own over
-    ``_KEPT_CAP``.  As a context manager it is the consensus in progress
-    (``_CONSENSUS``), through which ``tangent_frame``, the frame call the
-    consensus makes per sweep batch, sweeps the batch's Gram plan.  Before
-    a matrix sweep (``drop``) the program goes, and the kept buffers too
-    if this consensus grew them, as ``peak_bytes`` counts.
-
-    ``batch`` holds the sweep batch in progress: its assignment, samples
-    of the draw batch's stack (``GateAssignment._samples``), and their
-    slice of the draw's transfer stack (None in state mode), which the
-    batch's frame takes in place of a build of its own (``transfers``).
-    The consensus clears it before the next draw."""
-
-    def __init__(self) -> None:
-        self.program: _Program | None = None
-        self.grew = False
-        self.batch: tuple[GateAssignment, np.ndarray | None] | None = None
-
-    def __enter__(self) -> _Binding:
-        self._token = _CONSENSUS.set(self)
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        _CONSENSUS.reset(self._token)
-        self.program = None
-
-    def gram_read(self, plan: _FramePlan,
-                  transfers: np.ndarray) -> np.ndarray:
-        """``_gram_read`` by ``plan``'s program over ``transfers``."""
-        program = self.program
-        if program is None or program.plan is not plan \
-                or program.transfers.shape != transfers.shape:
-            self.program = None  # an arena of this consensus alone goes
-            self.program, grew = _STORE.program(plan, transfers)
-            self.grew |= grew
-        return _gram_read(self.program, transfers)
-
-    def drop(self) -> None:
-        self.program = None
-        if self.grew:
-            _STORE.release()
-
-    def transfers(self, gates: GateAssignment) -> np.ndarray:
-        """The transfer stack of ``gates``: the sweep batch's slice of its
-        draw's when ``gates`` is that batch's assignment, else its own
-        build (``transfer_matrices``)."""
-        if self.batch is not None and self.batch[0] is gates:
-            return self.batch[1]
-        return transfer_matrices(gates)
-
-
-# The binding of the consensus in progress (``_Binding``), which
-# ``tangent_frame`` reads, as it takes no binding of its own.
-_CONSENSUS: contextvars.ContextVar[_Binding | None] = \
-    contextvars.ContextVar("consensus", default=None)

@@ -1,7 +1,10 @@
 """A thread keeps its consensuses' bound Gram sweeps from one consensus to
 the next (``sweep._Store``): a repeat consensus binds nothing, the
 kept buffers count in the admission and stay under the cap, and every
-estimate is the one a consensus on a cleared store gives, bit for bit."""
+estimate is the one a consensus on a cleared store gives, bit for bit.
+The store is lent to one consensus at a time, which checks its size once,
+and comes back when the consensus returns or raises; a frame made outside
+a consensus never sweeps through it."""
 
 import threading
 import tracemalloc
@@ -13,7 +16,7 @@ import pytest
 import archdim.plan
 import archdim.sweep
 from archdim import (GateAssignment, SizeLimit, accessible_dimensions,
-                     build_family, random_adjacent, staircase)
+                     build_family, random_adjacent, staircase, tangent_frame)
 from archdim import contraction
 from archdim.contraction import peak_bytes
 from test_contraction import _OBJECT_SLACK
@@ -251,3 +254,75 @@ def test_a_thread_keeps_a_bounded_number_of_programs(monkeypatch):
     rebound = len(bound)
     accessible_dimensions(archs[0], "unitary", 3, 1)
     assert len(bound) > rebound
+
+
+@pytest.mark.parametrize("family, n, t", [("brickwork", 6, 1),
+                                          ("staircase", 6, 2),
+                                          ("staircase", 7, 1)])
+def test_a_consensus_checks_its_size_once(family, n, t, monkeypatch):
+    # brickwork(6, 1) takes three sweep batches, staircase(6, 2) and (7, 1)
+    # one each: the consensus's own check covers them all, while a lone
+    # frame checks its stack once
+    arch = build_family(family, n, t)
+    estimate = contraction._peak_bytes
+    checks = []
+
+    def counted(*args, **kwargs):
+        checks.append(args[1])
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(contraction, "_peak_bytes", counted)
+    accessible_dimensions(arch, "unitary", 3, 1)
+    assert checks == ["unitary"]
+    tangent_frame(arch, GateAssignment.haar(arch, 1))
+    assert checks == ["unitary"] * 2
+
+
+def test_a_lone_frame_never_uses_the_kept_store():
+    # a lone frame of the shape a consensus keeps a program for binds its
+    # own: its Gram matrix lies outside the kept buffers and keeps its bits
+    # through the next consensus, which sweeps through them
+    arch = build_family("brickwork", 6, 1)
+    accessible_dimensions(arch, "unitary", 3, 1)
+    assert archdim.sweep._STORE.programs
+    frame = tangent_frame(arch, GateAssignment.haar(arch, 5))
+    assert not any(np.shares_memory(frame.gram, buffer)
+                   for buffer in archdim.sweep._STORE.buffers)
+    want = _bits(frame.gram)
+    accessible_dimensions(arch, "unitary", 3, 2)
+    assert _bits(frame.gram) == want
+
+
+def test_a_consensus_that_raises_returns_the_store(monkeypatch):
+    # with the cap patched below brickwork(6, 1)'s program, its consensus
+    # binds one of its own; a decision that raises on the second sweep
+    # batch ends the lease: that program goes, the programs staircase(6, 2)
+    # left stay, and a lone frame binds its own again
+    accessible_dimensions(build_family("staircase", 6, 2), "unitary", 3, 1)
+    programs = dict(archdim.sweep._STORE.programs)
+    buffers = archdim.sweep._STORE.buffers
+    assert programs
+    monkeypatch.setattr(archdim.sweep, "_KEPT_CAP", 0)
+    arch = build_family("brickwork", 6, 1)
+    decide = contraction._decide
+    own = []
+
+    def failing(*args):
+        if own:
+            raise RuntimeError("planted")
+        own.append(weakref.ref(_arena(archdim.sweep._STORE.own)))
+        return decide(*args)
+
+    monkeypatch.setattr(contraction, "_decide", failing)
+    with pytest.raises(RuntimeError, match="planted"):
+        accessible_dimensions(arch, "unitary", 3, 1)
+    store = archdim.sweep._STORE
+    assert not store.lent
+    assert store.own is None and own[0]() is None
+    assert store.programs == programs and store.buffers is buffers
+    bound = _count_binds(monkeypatch)
+    frame = tangent_frame(arch, GateAssignment.haar(arch, 5))
+    assert bound == [archdim.plan._tall_head(arch, (arch.gate_count,))]
+    assert store.own is None and store.programs == programs
+    assert not any(np.shares_memory(frame.gram, buffer)
+                   for buffer in store.buffers)

@@ -34,10 +34,12 @@ benchmark's ``dim`` and ``sweep`` ops take.
 
 Last, the dim shapes' consensuses without the spectrum run a second
 round, seed by seed and within a seed shape by shape, in the order of
-``CONSENSUS``, on the Gram programs the process keeps from one consensus
-to the next (``sweep._Store``), so that each consensus finds the
-buffers of another shape's.  Their lines repeat the first round's items
-with a ``kept.`` prefix, and their digests the first round's.
+``CONSENSUS``, on the thread's store of kept Gram programs
+(``sweep._Store``): each consensus borrows the store and returns it
+with its programs kept, so that each finds the buffers and programs
+that the consensuses before it left.  Their lines repeat the first
+round's items with a ``kept.`` prefix, and their digests the first
+round's.
 
 A wide frame has no Gram matrix, and its Gram lines digest ``None``.
 Arrays are digested by their shape and ``tobytes()`` after ``+ 0.0``,
