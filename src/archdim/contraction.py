@@ -507,19 +507,16 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     bound above takes the head's gates and columns, those of its Gram plan
     (``_tall_head``).  Every frame takes its columns from ``_gauge`` and
     keeps its transfer stack (2 KiB per gate a sample; a sweep batch's
-    slice keeps its draw's whole stack), and the first read of its
-    ``matrix`` fetches the matrix plan, runs its sweep and assembles the
-    matrix from its last groups.
+    slice keeps its draw's whole stack) for its matrices.
 
     The frame is stacked, over the samples of a stacked assignment or a
     stack of one: one transfer build (or slice of a draw's), one Gram
     sweep and one bound per sample serve them all, and
-    ``TangentFrame.sample`` gives each sample's frame.  The first read of
-    a sample's matrix drops the ``store``'s own program (``_Store.drop``:
-    with the kept buffers, if the consensus grew them), binds the matrix
-    plan to the transfers of it and the next samples, as many as
-    ``_matrix_batch`` allows, sweeps, drops the program but for its final
-    groups and keeps their matrices until another sample's is read.
+    ``TangentFrame.sample`` gives each sample's frame, whose matrix forms
+    as ``TangentFrame`` says.  Each matrix sweep drops the ``store``'s
+    own program (``_Store.drop``: with the kept buffers, if the consensus
+    grew them), binds the matrix plan, sweeps, drops the program but for
+    its final groups and assembles the matrices from them.
     """
     _, _, record, own = _gauge(arch, ends)
     s = gates.samples or 1
@@ -540,29 +537,26 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
             len(head.gates) * np.log1p(tau + 256 * eps) + join_term))
             for tau in taus])
 
-    def assemble(lo: int, hi: int) -> np.ndarray:
-        if store is not None:
-            store.drop()
-        plan = _frame_plan(arch, ends)
-        program = _bind(plan, transfers[lo:hi])
-        _sweep(program, program.transfers)
-        final = program.final
-        del program  # the arena's rest goes before the matrix is formed
-        return _assemble(arch.n, plan.width, final, hi - lo)
-
     formed: dict[int, np.ndarray] = {}  # the last matrix sweep's samples
+    batch = _matrix_batch(arch, ends)[0]
 
     def part(i: int) -> np.ndarray:
         if i not in formed:
             formed.clear()  # freed once their samples' frames are gone
-            batch = _matrix_batch(arch, ends)[0]
+            if store is not None:
+                store.drop()
+            plan = _frame_plan(arch, ends)
             lo = i - i % batch
-            formed.update(enumerate(assemble(lo, min(lo + batch, s)), lo))
+            program = _bind(plan, transfers[lo:lo + batch])
+            _sweep(program, program.transfers)
+            final = program.final
+            del program  # the arena's rest goes before the matrix is formed
+            formed.update(enumerate(_assemble(
+                arch.n, plan.width, final, min(batch, s - lo)), lo))
         return formed[i]
 
-    return TangentFrame("unitary", arch.n, arch.gate_count, record,
-                        lambda: assemble(0, s), gram, gram_error,
-                        dict(zip(ends, own)), s, part)
+    return TangentFrame("unitary", arch.n, arch.gate_count, record, part,
+                        gram, gram_error, dict(zip(ends, own)), s)
 
 
 def tangent_frame(arch: Architecture, gates: GateAssignment,
@@ -623,12 +617,11 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     A stacked assignment (``GateAssignment.haar`` with a sequence of
     seeds) gives one stacked frame, whose ``TangentFrame.sample`` i is,
     bit for bit, the frame of sample i's own assignment.  In unitary mode
-    one transfer build, one Gram sweep and one matrix sweep per
-    ``_matrix_batch`` samples serve the stack, each array call for every
-    sample at once, and each sweep binds its plan (``_bind``) and drops
-    the program when it is done; inside a consensus the frame takes its
-    slice of the draw batch's transfers, and the Gram sweep runs the
-    program of the store lent to the consensus instead
+    one transfer build and one Gram sweep serve the stack, each array
+    call for every sample at once, and each sweep binds its plan
+    (``_bind``) and drops the program when it is done; inside a consensus
+    the frame takes its slice of the draw batch's transfers, and the Gram
+    sweep runs the program of the store lent to the consensus instead
     (``accessible_dimensions``).  State mode builds the samples' frames
     one after another.  One assignment gives its own frame, a stack of
     one's sample.  A frame outside a consensus checks its size
@@ -674,9 +667,9 @@ def _state_frame(arch: Architecture, gates: GateAssignment,
                 psi, 1j * _GENERATOR_STACK[kept], wires, n).T
             filled = block.stop
         np.concatenate([stack.real, stack.imag], out=out)
-    return TangentFrame("state", n, arch.gate_count, record, lambda: matrix,
-                        prefixes=dict(zip(ends, own)), samples=len(mats),
-                        _part=matrix.__getitem__)
+    return TangentFrame("state", n, arch.gate_count, record,
+                        matrix.__getitem__, prefixes=dict(zip(ends, own)),
+                        samples=len(mats))
 
 
 def dimension_bounds(arch: Architecture, mode: str,

@@ -57,30 +57,31 @@ class TangentFrame:
 
     A stacked frame (``tangent_frame`` of a stacked assignment) holds S
     samples' frames at once: ``samples`` is S (None for one sample's
-    frame), and ``gram``, ``gram_error`` and ``matrix`` carry a leading
-    sample axis.  ``sample`` gives each sample's frame, which
-    ``numerical_rank`` and ``prefix`` take; a unitary sample forms its
-    matrix with those of the next samples that fit in one matrix sweep
-    (``_unitary_frame``).
+    frame), and ``gram`` and ``gram_error`` carry a leading sample axis.
+    ``sample`` gives each sample's frame, which ``matrix``,
+    ``numerical_rank`` and ``prefix`` take, so a stack's matrices form per
+    sample, through ``sample(i)``, one matrix sweep at a time: a unitary
+    stack's first read of a sample's matrix forms those of the
+    ``_matrix_batch`` samples of its sweep, which the stack keeps until a
+    sample of another sweep is read; a state stack holds them all.
     """
 
     mode: str
     n: int
     gate_count: int
     columns: np.ndarray  # (C, 2) int
-    _assemble: Callable[[], np.ndarray] = field(repr=False)
+    # the matrix of sample i; a frame with no sample axis ignores i
+    _part: Callable[[int], np.ndarray] = field(repr=False)
     gram: np.ndarray | None = None
     gram_error: float | np.ndarray = 0.0
     prefixes: dict[int, slice | np.ndarray] = field(default_factory=dict,
                                                     repr=False)
     samples: int | None = None
-    # a stacked frame's matrix of sample i
-    _part: Callable[[int], np.ndarray] | None = field(default=None,
-                                                      repr=False)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return self._assemble()
+        self._one("matrix")
+        return self._part(0)
 
     def _one(self, call: str) -> None:
         if self.samples is not None:
@@ -103,7 +104,7 @@ class TangentFrame:
         if self.gram is not None and np.isfinite(self.gram_error[i]):
             gram, error = self.gram[i], float(self.gram_error[i])
         return TangentFrame(self.mode, self.n, self.gate_count, self.columns,
-                            functools.partial(self._part, i), gram, error,
+                            lambda _: self._part(i), gram, error,
                             self.prefixes)
 
     def prefix(self, length: int) -> TangentFrame:
@@ -132,7 +133,7 @@ class TangentFrame:
         if self.gram is not None and len(columns) < rows:
             gram, error = _gram_block(self.gram, self.gram_error, cols)
         return TangentFrame(self.mode, self.n, length, columns,
-                            lambda: self.matrix[:, cols], gram, error,
+                            lambda _: self.matrix[:, cols], gram, error,
                             {length: slice(0, len(columns), 1)})
 
 
@@ -513,5 +514,5 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
     one = replace(frame, gram=None if frame.gram is None else frame.gram[None],
                   gram_error=np.array([frame.gram_error]),
                   prefixes={frame.gate_count: slice(0, len(frame.columns), 1)},
-                  samples=1, _part=lambda i: frame.matrix)
+                  samples=1, _part=lambda _: frame.matrix)
     return _decide(one, [frame.gate_count], tol_pair, spectrum, 1)[0][0]

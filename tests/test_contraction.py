@@ -1623,7 +1623,7 @@ def _frame_of(mat):
     """A unitary TangentFrame on n = 3 whose matrix is ``mat``."""
     return archdim.rank.TangentFrame("unitary", 3, 0,
                                      np.zeros((mat.shape[1], 2), dtype=int),
-                                     lambda: mat)
+                                     lambda _: mat)
 
 
 # |m_0| / sigma_max against the identity row's ceiling tight / 100 = 1e-12,

@@ -109,11 +109,13 @@ def test_a_stacked_frame_carries_the_sample_axis():
     rows, cols = contraction.frame_shape(arch, "unitary")
     assert stack.gram.shape == (3, cols, cols)
     assert stack.gram_error.shape == (3,)
-    assert stack.matrix.shape == (3, rows, cols)
+    with pytest.raises(ValidationError, match="TangentFrame.sample"):
+        stack.matrix
     for i, seed in enumerate(seeds):
         one = tangent_frame(arch, GateAssignment.haar(arch, seed))
         assert _bits(stack.gram[i]) == _bits(one.gram)
-        assert _bits(stack.matrix[i]) == _bits(one.matrix)
+        assert stack.sample(i).matrix.shape == (rows, cols)
+        assert _bits(stack.sample(i).matrix) == _bits(one.matrix)
 
 
 def test_a_stacked_frame_takes_no_one_sample_call():
@@ -234,6 +236,33 @@ def test_a_wide_frame_over_the_chunk_stays_under_its_one_sample_estimate():
     finally:
         tracemalloc.stop()
     assert peak <= peak_bytes(arch, "unitary") + _OBJECT_SLACK
+
+
+def test_a_lone_stack_forms_its_matrices_one_sweep_at_a_time():
+    # staircase(6, 2): 4096 x 108 matrices, one a matrix sweep; a lone
+    # stack of 8 refuses its whole matrix and forms each sample's through
+    # sample(i), so reading every matrix and spectrum stays under the
+    # stack's estimate
+    arch = staircase(6, 2)
+    assert contraction._matrix_batch(arch, (arch.gate_count,))[0] == 1
+    seeds = _seeds(8)
+    gates = GateAssignment.haar(arch, seeds)
+    estimate = contraction._peak_bytes(arch, "unitary", None, 8, stack=True)
+    tracemalloc.start()
+    try:
+        stack = tangent_frame(arch, gates)
+        with pytest.raises(ValidationError, match="TangentFrame.sample"):
+            stack.matrix
+        for i in range(8):
+            numerical_rank(stack.sample(i), spectrum=True)
+            stack.sample(i).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate + _OBJECT_SLACK
+    for i, seed in enumerate(seeds):
+        one = tangent_frame(arch, GateAssignment.haar(arch, seed))
+        assert _bits(stack.sample(i).matrix) == _bits(one.matrix)
 
 
 def test_many_samples_hold_one_batch():

@@ -115,25 +115,28 @@ def test_frame_digest_repeats_one_line_per_item(capsys):
 def test_frame_digest_covers_a_dim_shape_s_consensus(capsys):
     # a dim shape adds, per seed, five items of each of the five samples of
     # its consensus, after its frame items, which open with the transfer
-    # stack, then four items of each sample of its consensus without the
+    # stack, then three items of each sample of a lone three-sample stack,
+    # then four items of each sample of its consensus without the
     # spectrum, and those four again, with their digests, from a second
     # round on the kept Gram programs
     assert frame_digest.main(["dim-staircase-7-1", "--seeds", "3"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     items = [item for _, _, item in lines]
-    assert len(items) == 10 + 2 + 13 + 5 * 5 + 5 * 4 + 5 * 4
-    assert items[70:] == [f"kept.{item}" for item in items[50:70]]
-    assert [sha for sha, _, _ in lines[70:]] \
-        == [sha for sha, _, _ in lines[50:70]]
+    assert len(items) == 10 + 2 + 13 + 5 * 5 + 3 * 3 + 5 * 4 + 5 * 4
+    assert items[79:] == [f"kept.{item}" for item in items[59:79]]
+    assert [sha for sha, _, _ in lines[79:]] \
+        == [sha for sha, _, _ in lines[59:79]]
     assert items[12] == "seed3.transfers"
     assert items[25:30] == [f"seed3.consensus.sample0.{item}" for item in (
         "route", "ranks", "sigma_max_upper", "sigma_min_lower",
         "singular_values")]
     assert items[49] == "seed3.consensus.sample4.singular_values"
-    assert items[50:54] == [f"seed3.bench.prefix6.sample0.{item}"
+    assert items[50:59] == [f"seed3.stack.sample{i}.{item}" for i in range(3)
+                            for item in ("gram", "gram_error", "matrix")]
+    assert items[59:63] == [f"seed3.bench.prefix6.sample0.{item}"
                             for item in ("route", "ranks", "sigma_max_upper",
                                          "sigma_min_lower")]
-    assert items[69] == "seed3.bench.prefix6.sample4.sigma_min_lower"
+    assert items[78] == "seed3.bench.prefix6.sample4.sigma_min_lower"
 
 
 def test_witness_digest_repeats_one_line_per_item(capsys):

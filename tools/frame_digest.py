@@ -15,7 +15,10 @@ Each dim shape (``CONSENSUS``) also prints, per seed, each sample's route,
 loose/tight ranks, ``sigma_max_upper``, ``sigma_min_lower`` and singular
 values from a five-sample unitary consensus asked for the spectrum
 (``accessible_dimensions``), which draws its samples in draw batches and
-sweeps them in sweep batches.
+sweeps them in sweep batches.  Then, per seed, it prints each sample's
+Gram matrix, ``repr(gram_error)`` and matrix of a lone three-sample
+unitary stack (``tangent_frame`` of a stacked assignment), read through
+``TangentFrame.sample``.
 
 Each union shape (all of ``UNIONS`` by default, after the shapes) is an
 architecture and the gate counts of its prefixes that one union frame
@@ -62,7 +65,7 @@ import numpy as np
 import archdim.plan
 from archdim import (GateAssignment, accessible_dimensions, brickwork,
                      build_family, from_gate_sequence, numerical_rank,
-                     random_adjacent, staircase, tangent_frame)
+                     random_adjacent, staircase, subseed, tangent_frame)
 from archdim import contraction
 from archdim.sweep import transfer_matrices
 
@@ -165,6 +168,20 @@ def consensus_items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
             yield f"{label}.singular_values", est.singular_values
 
 
+def stack_items(arch, seeds: list[int]) -> Iterator[tuple[str, object]]:
+    """(quantity, value) of each sample of a lone three-sample unitary
+    stack over ``arch`` per seed, read through ``TangentFrame.sample``."""
+    for seed in seeds:
+        stack = tangent_frame(arch, GateAssignment.haar(
+            arch, [subseed(seed, i) for i in range(3)]))
+        for i in range(3):
+            frame = stack.sample(i)
+            label = f"seed{seed}.stack.sample{i}"
+            yield f"{label}.gram", frame.gram
+            yield f"{label}.gram_error", frame.gram_error
+            yield f"{label}.matrix", frame.matrix
+
+
 def bench_items(arch, prefixes: tuple[int, ...] | None,
                 seeds: list[int]) -> Iterator[tuple[str, object]]:
     """(quantity, value) of each sample of a five-sample unitary consensus
@@ -222,6 +239,7 @@ def main(argv: list[str]) -> int:
         if shape in CONSENSUS:
             found = itertools.chain(
                 found, consensus_items(SHAPES[shape](), args.seeds),
+                stack_items(SHAPES[shape](), args.seeds),
                 bench_items(SHAPES[shape](), None, args.seeds))
         elif shape in UNIONS:
             found = itertools.chain(
