@@ -55,11 +55,18 @@ from .rank import (DEFAULT_TOLERANCES, RankEstimate, TangentFrame,
 # bench/tracer.py wraps numerical_rank and pauli_coefficients by this
 # module's name; neither is called here
 from .rank import numerical_rank  # noqa: F401
-from .sweep import (_GENERATOR_STACK, _STACK_CHUNK, _STORE, _assemble,
-                    _bind, _gram_read, _Store, _sweep, transfer_matrices)
+from .sweep import (_GENERATOR_STACK, _STORE, _assemble, _bind, _gram_read,
+                    _Store, _sweep, transfer_matrices)
 from .sweep import pauli_coefficients  # noqa: F401
 
 MEMORY_BUDGET = 2 * 2 ** 30
+
+# The state sweep applies a gate to its stack in column chunks of at most
+# this many bytes, so that the allocator reuses the temporaries.  A
+# consensus's sweep batch (``_batch``) and draw batch (``_draw``) and a
+# matrix sweep (``_matrix_batch``) hold as many samples as fit in it, and
+# at least one (``_fit``).
+_STACK_CHUNK = 4 * 2 ** 20
 
 
 def subseed(seed: int, *key: int) -> int:
@@ -556,7 +563,7 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
         return formed[i]
 
     return TangentFrame("unitary", arch.n, arch.gate_count, record, part,
-                        gram, gram_error, dict(zip(ends, own)), s)
+                        gram, gram_error, dict(zip(ends, own)), s, batch)
 
 
 def tangent_frame(arch: Architecture, gates: GateAssignment,
@@ -669,7 +676,7 @@ def _state_frame(arch: Architecture, gates: GateAssignment,
         np.concatenate([stack.real, stack.imag], out=out)
     return TangentFrame("state", n, arch.gate_count, record,
                         matrix.__getitem__, prefixes=dict(zip(ends, own)),
-                        samples=len(mats))
+                        samples=len(mats), _chunk=len(mats))
 
 
 def dimension_bounds(arch: Architecture, mode: str,
@@ -863,7 +870,6 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     estimates: list[list[RankEstimate]] = [[] for _ in ends]
     batch = _batch(arch, mode, ends)[0]
     draw = _draw(arch, batch)
-    chunk = _matrix_batch(arch, ends)[0] if mode == "unitary" else batch
     with _STORE:
         for lo in range(0, samples, draw):
             gates = GateAssignment.haar(arch, [
@@ -874,7 +880,7 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
                 part = gates._samples(at, at + batch, transfers)
                 stack = tangent_frame(arch, part, mode, ends)
                 for row, found in zip(estimates, _decide(
-                        stack, ends, tolerances, spectrum, chunk)):
+                        stack, ends, tolerances, spectrum)):
                     row.extend(found)
                 del stack  # before the next sweep batch is framed
             del gates, transfers, part  # before the next batch is drawn

@@ -77,6 +77,9 @@ class TangentFrame:
     prefixes: dict[int, slice | np.ndarray] = field(default_factory=dict,
                                                     repr=False)
     samples: int | None = None
+    # the samples whose matrices one ``_part`` read forms together
+    # (``_decide``): one matrix sweep's, a state stack's all, or 1
+    _chunk: int = field(default=1, repr=False)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -207,11 +210,11 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
 
 
-def _shift(gram: np.ndarray, error: float | np.ndarray,
-           floor: float | np.ndarray) -> float | np.ndarray:
-    """``_certify``'s diagonal shift s of the symmetric C x C matrix
-    ``gram``, or of each matrix of an S x C x C stack (with ``error`` and
-    ``floor`` one value or S values), from its diagonal alone."""
+def _shift(gram: np.ndarray, error: np.ndarray,
+           floor: np.ndarray) -> np.ndarray:
+    """``_certify``'s diagonal shift s of each symmetric C x C matrix of
+    the S x C x C stack ``gram``, with S values of ``error`` and of
+    ``floor``, from its diagonal alone."""
     c, u = gram.shape[-1], _UNIT_ROUNDOFF
     diag = np.diagonal(gram, axis1=-2, axis2=-1)
     gamma, top = _gamma(c + 1), diag.max(axis=-1)
@@ -220,11 +223,12 @@ def _shift(gram: np.ndarray, error: float | np.ndarray,
             + 4 * (c + 1) * (2 * (c + 2) + top) * _SMALLEST_SUBNORMAL)
 
 
-def _certify(gram: np.ndarray, error: float | np.ndarray,
-             floor: float | np.ndarray) -> bool | np.ndarray:
-    """Whether lam_min(A) >= ``floor`` for every symmetric A within
-    ``error`` of the symmetric C x C matrix G = ``gram`` in the 2-norm,
-    proved by one floating-point Cholesky factorization.
+def _certify(gram: np.ndarray, error: np.ndarray,
+             floor: np.ndarray) -> np.ndarray:
+    """For each symmetric C x C matrix G of the S x C x C stack ``gram``,
+    with its values of the S-vectors ``error`` and ``floor``, whether
+    lam_min(A) >= floor for every symmetric A within error of G in the
+    2-norm, proved by one floating-point Cholesky factorization.
 
     With u = eps / 2, gamma = gamma_{C+1} and gamma' = gamma / (1 - gamma):
 
@@ -248,11 +252,10 @@ def _certify(gram: np.ndarray, error: float | np.ndarray,
     non-finite entry of G, ``error`` or ``floor``, refused before the
     factorization, which LAPACK may run to completion on NaN.
 
-    ``gram`` may carry a leading sample axis, an S x C x C stack with S
-    values of ``error`` and of ``floor``; then the result is the S
-    verdicts.  One Cholesky call factors the shifted copies of every
-    finite sample, and when it fails, each is factored alone, so each
-    verdict is its sample's own, computed on the same numbers.
+    The result is the S verdicts.  One Cholesky call factors the shifted
+    copies of every finite sample, and when it fails, each is factored
+    alone, so each verdict is its sample's own, computed on the same
+    numbers.
     """
     def factors(shifted: np.ndarray) -> bool:  # one matrix or a stack
         try:  # exactly symmetric: its F-ordered transpose is the same
@@ -261,60 +264,52 @@ def _certify(gram: np.ndarray, error: float | np.ndarray,
             return False
         return True
 
-    grams = gram if gram.ndim == 3 else gram[None]
-    error, floor = np.atleast_1d(error, floor)
     ok = np.isfinite(error) & np.isfinite(floor) \
-        & np.isfinite(grams).all(axis=(1, 2))
-    shifted = grams[ok]
+        & np.isfinite(gram).all(axis=(1, 2))
+    shifted = gram[ok]
     s, c = shifted.shape[:2]
     shifted.reshape(s, c * c)[:, ::c + 1] -= _shift(
         shifted, error[ok], floor[ok])[:, None]
     if s and not factors(shifted):
         # the stack fails if one sample fails: factor each alone
         ok[ok] = [s > 1 and factors(one) for one in shifted]
-    return ok if gram.ndim == 3 else bool(ok[0])
+    return ok
 
 
-def _upper(gram: np.ndarray,
-           read_error: float | np.ndarray) -> float | np.ndarray:
-    """``_gram_estimate``'s U of ``gram``, or of each matrix of a stack of
-    them (with ``read_error`` one value or S values)."""
+def _upper(gram: np.ndarray, read_error: np.ndarray) -> np.ndarray:
+    """``_gram_estimate``'s U of each matrix of the stack ``gram``, with
+    its value of ``read_error``."""
     return np.abs(gram).sum(axis=-1).max(axis=-1) \
         * (1 + _gamma(gram.shape[-1] + 1)) + read_error
 
 
 def _gram_estimate(gram: np.ndarray, tol_pair: tuple[float, float],
-                   read_error: float | np.ndarray,
-                   ) -> RankEstimate | None | list[RankEstimate | None]:
-    """The full-rank estimate of a real matrix M with C columns whose Gram
-    matrix ``gram`` certifies it, or None when it cannot.
+                   read_error: np.ndarray) -> list[RankEstimate | None]:
+    """For each matrix G of the S x C x C stack ``gram``, the full-rank
+    estimate of a real matrix M with C columns that G certifies, or None
+    when it cannot, in order, from one ``_certify`` call.
 
-    ``gram`` is symmetric and lies within ``read_error`` of the exact
-    A = M^T M in the 2-norm.  U = ||G||_inf (1 + gamma_{C+1}) + read_error
-    (``_upper``) bounds lam_max(A) from above; the factor covers the
-    rounding of the C-term row sums.  With floor = (100 loose)^2,
+    G is symmetric and lies within its value of the S-vector
+    ``read_error`` of the exact A = M^T M in the 2-norm.
+    U = ||G||_inf (1 + gamma_{C+1}) + read_error (``_upper``) bounds
+    lam_max(A) from above; the factor covers the rounding of the C-term
+    row sums.  With floor = (100 loose)^2,
     ``_certify(G, read_error, floor U)`` proves lam_min(A) >= floor U >=
     floor lam_max(A) with no eigensolver.  Then every singular value is at
     least 100x above loose * sigma_max, so an SVD would count all C of
     them at both tolerances.  The estimate holds sigma_max_upper =
     sqrt(U) and sigma_min_lower = sqrt(floor U), and no singular values.
     A certificate that fails proves nothing, and the SVD decides.
-
-    With a leading sample axis (an S x C x C stack, and S values of
-    ``read_error``) it returns each sample's estimate or None, in
-    order, from one ``_certify`` call.
     """
-    grams = gram if gram.ndim == 3 else gram[None]
-    c = grams.shape[-1]
-    upper = _upper(grams, read_error)
+    c = gram.shape[-1]
+    upper = _upper(gram, read_error)
     low = (_GRAM_MARGIN * tol_pair[0]) ** 2 * upper
-    found = [RankEstimate(None, tol_pair, c, c, route="gram",
-                          sigma_max_upper=float(np.sqrt(top)),
-                          sigma_min_lower=float(np.sqrt(bottom)))
-             if passed else None
-             for passed, top, bottom
-             in zip(_certify(grams, read_error, low), upper, low)]
-    return found if gram.ndim == 3 else found[0]
+    return [RankEstimate(None, tol_pair, c, c, route="gram",
+                         sigma_max_upper=float(np.sqrt(top)),
+                         sigma_min_lower=float(np.sqrt(bottom)))
+            if passed else None
+            for passed, top, bottom
+            in zip(_certify(gram, read_error, low), upper, low)]
 
 
 def _wide_estimate(mats: Iterable[np.ndarray], samples: int, rows: int,
@@ -391,9 +386,7 @@ def _svd_estimate(mat: np.ndarray,
     if not np.isfinite(mat).all():
         raise np.linalg.LinAlgError("frame holds a non-finite entry")
     sv = np.linalg.svd(mat, compute_uv=False)
-    smax = sv[0]
-    if smax == 0.0:
-        return RankEstimate(sv, tol_pair, 0, 0)
+    smax = sv[0]  # 0 for an all-zero matrix, whose rank is then 0
     return RankEstimate(
         sv, tol_pair,
         int((sv > loose * smax).sum()),
@@ -423,8 +416,8 @@ def _tall_estimates(stack: TangentFrame, cols: slice | np.ndarray,
 
 
 def _decide(stack: TangentFrame, lengths: Sequence[int],
-            tol_pair: tuple[float, float], spectrum: bool,
-            chunk: int) -> list[list[RankEstimate]]:
+            tol_pair: tuple[float, float],
+            spectrum: bool) -> list[list[RankEstimate]]:
     """``numerical_rank`` of every sample's frame of each prefix of
     ``lengths`` gates that the stacked frame ``stack`` serves: one list
     per prefix, in sample order, each estimate its sample's own frame's
@@ -436,9 +429,10 @@ def _decide(stack: TangentFrame, lengths: Sequence[int],
     one ``_gram_estimate`` call certifies them.  A sample whose bound is
     not finite (``TangentFrame.sample`` gives it no Gram matrix) is
     refused there.  With ``spectrum`` each certified sample takes
-    eigvalsh of its own block.  Then, ``chunk`` samples at a time, those
-    whose matrices one matrix sweep forms (``_matrix_batch``), every
-    decision that reads a matrix: one ``_wide_estimate`` call per wide
+    eigvalsh of its own block.  Then, for the samples whose matrices one
+    read forms together (``TangentFrame._chunk``: those of one matrix
+    sweep, ``_matrix_batch``, or a state stack's all), every decision
+    that reads a matrix: one ``_wide_estimate`` call per wide
     unitary prefix (C >= 4^n), each certified one with ``spectrum``
     taking its SVD's values, and then the SVD (``_svd_estimate``) of
     each sample's block that is still undecided.  Every reduction and
@@ -447,6 +441,7 @@ def _decide(stack: TangentFrame, lengths: Sequence[int],
     rows = _frame_rows(stack.n, stack.mode)
     found = [_tall_estimates(stack, stack.prefixes[length], tol_pair,
                              spectrum) for length in lengths]
+    chunk = stack._chunk
     for lo in range(0, stack.samples, chunk):
         samples = range(lo, min(lo + chunk, stack.samples))
         for length, ests in zip(lengths, found):
@@ -515,4 +510,4 @@ def numerical_rank(frame: TangentFrame | np.ndarray,
                   gram_error=np.array([frame.gram_error]),
                   prefixes={frame.gate_count: slice(0, len(frame.columns), 1)},
                   samples=1, _part=lambda _: frame.matrix)
-    return _decide(one, [frame.gate_count], tol_pair, spectrum, 1)[0][0]
+    return _decide(one, [frame.gate_count], tol_pair, spectrum)[0][0]

@@ -32,18 +32,11 @@ if TYPE_CHECKING:  # annotations only: contraction imports this module
 
 _GENERATOR_STACK = np.stack(TWO_QUBIT_GENERATOR_MATS)  # (15, 4, 4)
 
-# The state sweep applies a gate to its stack in column chunks of at most
-# this many bytes, so that the allocator reuses the temporaries.  A
-# consensus's sweep batch (``_batch``) and draw batch (``_draw``) and a
-# matrix sweep (``_matrix_batch``) hold as many samples as fit in it, and
-# at least one (``_fit``).
-_STACK_CHUNK = 4 * 2 ** 20
-
 # A thread keeps at most this many Gram programs across consensuses
 # (``_Store``), in buffers of at most this many bytes: dim-wide's shapes
 # keep four.
 _KEPT_PROGRAMS = 8
-_KEPT_CAP = 4 * _STACK_CHUNK
+_KEPT_CAP = 16 * 2 ** 20
 
 # The 16 two-qubit Pauli matrices in label order, identity first.
 _PAULI_STACK = np.concatenate([np.eye(4, dtype=complex)[None],

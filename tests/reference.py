@@ -12,8 +12,9 @@ path tree, a candidate scan and a routing for every slice, a circuit
 pre-composed onto a tableau by testing every bit of its ``circuit_images``,
 the witness rank from phase-free symplectic images alone, the Gram
 certificate of a plain matrix from its product M^T M, the split Gram read
-over whole 4^n-row Pauli vectors and the split's price from its meets
-listed as wire tuples.  The dense bridge from Clifford circuits to
+over whole 4^n-row Pauli vectors, the split's price from its meets
+listed as wire tuples and a unitary frame's exact rank mod a prime at
+rational unitary points.  The dense bridge from Clifford circuits to
 matrices lives here too: the elementary gate matrices, a circuit's unitary
 and the SU(4) gate assignment of a witness point; the library itself keeps
 circuits as tableaux only.  None has a size guard; the tests keep their
@@ -34,6 +35,7 @@ from archdim.rank import DEFAULT_TOLERANCES, RankEstimate, _gram_estimate
 from archdim.sweep import pauli_coefficients
 from archdim.dense import apply_gate_left, apply_gate_right
 from archdim.pauli import TWO_QUBIT_GENERATOR_MATS, lex_flips, nontrivial_strings
+from archdim.plan import _gauge
 from archdim.witness import (
     PathTree,
     SliceRecord,
@@ -408,7 +410,7 @@ def gram_certificate(mat: np.ndarray,
     """
     gram = mat.T @ mat
     read_error = mat.shape[0] * np.finfo(np.float64).eps * np.trace(gram)
-    est = _gram_estimate(gram, tol_pair, read_error)
+    est, = _gram_estimate(gram[None], tol_pair, np.array([read_error]))
     if est is None or not spectrum:
         return est
     return replace(est, singular_values=np.sqrt(
@@ -503,3 +505,95 @@ def split_point(forward: Sequence, backward: Sequence, call_madds: int) -> int:
         return int(before[h] + after[h]) + join
 
     return min(range(end + 1), key=lambda h: (cost(h), -h))
+
+
+# The exact route to a frame's rank (``rank_mod_p``): a prime p = 5 mod 8,
+# so that -1 has a square root s = 2^((p-1)/4) mod p, the image of i.
+_P = 1048573
+_I_MOD_P = pow(2, (_P - 1) // 4, _P)
+
+
+def _mod_p(z: np.ndarray) -> np.ndarray:
+    """The image in F_p of an array of Gaussian integers, i going to s."""
+    return (z.real.astype(np.int64) + _I_MOD_P * z.imag.astype(np.int64)) % _P
+
+
+def _inverse_mod_p(m: np.ndarray) -> np.ndarray | None:
+    """The inverse of the square matrix ``m`` over F_p by Gauss-Jordan
+    elimination, or None when it is singular mod p."""
+    size = len(m)
+    aug = np.concatenate([m % _P, np.eye(size, dtype=np.int64)], axis=1)
+    for col in range(size):
+        nonzero = np.flatnonzero(aug[col:, col])
+        if nonzero.size == 0:
+            return None
+        aug[[col, col + nonzero[0]]] = aug[[col + nonzero[0], col]]
+        aug[col] = aug[col] * pow(int(aug[col, col]), _P - 2, _P) % _P
+        others = np.arange(size) != col
+        aug[others] = (aug[others]
+                       - np.outer(aug[others, col], aug[col])) % _P
+    return aug[:, size:]
+
+
+def _cayley_transfer_mod_p(rng: np.random.Generator) -> np.ndarray:
+    """The transfer matrix mod p of a Cayley point u = (I - A)(I + A)^-1,
+    with A = H - H^dagger for a 4 x 4 Gaussian-integer H whose parts are
+    drawn from [-3, 3] by ``rng``.  u is unitary over Q(i), with
+    u^dagger = (I - A)^-1 (I + A); H is drawn again while I + A or I - A
+    is singular mod p.  Reduction mod p is a ring map, so
+    T[P, Q] = tr(P u Q u^dagger) / 4, a rational orthogonal matrix, reduces
+    to T with T^T T = I mod p, which is asserted."""
+    eye = np.eye(4, dtype=np.int64)
+    while True:
+        h = rng.integers(-3, 4, (4, 4)) + 1j * rng.integers(-3, 4, (4, 4))
+        a = _mod_p(h - h.conj().T)
+        plus, minus = _inverse_mod_p(eye + a), _inverse_mod_p(eye - a)
+        if plus is not None and minus is not None:
+            break
+    u = (eye - a) @ plus % _P
+    u_dagger = minus @ (eye + a) % _P
+    paulis = _mod_p(_PAULI_STACK)
+    moved = (u @ paulis % _P) @ u_dagger % _P  # u Q u^dagger per label Q
+    quarter = pow(4, _P - 2, _P)
+    t = np.einsum("pab,qba->pq", paulis, moved) % _P * quarter % _P
+    assert ((t.T @ t) % _P == np.eye(16, dtype=np.int64)).all()
+    return t
+
+
+def rank_mod_p(arch: Architecture, point_seed: int) -> int:
+    """The rank over F_p of the unitary frame of ``arch`` (``tangent_frame``,
+    every gate's kept generators of ``plan._gauge``) at seeded Cayley
+    points (``_cayley_transfer_mod_p``), n <= 6.
+
+    Column (j, k) is T_R ... T_{j+1} e_{S_k}, swept forward densely over
+    4^n int64 rows, each entry reduced mod p after every gate; a
+    column-ordered elimination mod p then counts the independent columns.
+    The frame at those points is the image of a rational matrix under a
+    ring map, so rank_p <= its rank over Q <= d_A, with no rounding at
+    all."""
+    n = arch.n
+    assert n <= 6, "a dense sweep over 4^n rows"
+    kept = _gauge(arch, (arch.gate_count,))[0]
+    rng = np.random.default_rng(point_seed)
+    vecs = np.zeros((4 ** n, 0), dtype=np.int64)
+    for (a, b), gen in zip(arch.gates, kept):
+        t = _cayley_transfer_mod_p(rng)
+        born = np.zeros((4 ** n, gen.size), dtype=np.int64)
+        born[(gen + 1) // 4 * 4 ** (n - a) + (gen + 1) % 4 * 4 ** (n - b),
+             np.arange(gen.size)] = 1
+        vecs = np.hstack([_pauli_transfer(vecs, t, (a, b), n) % _P, born])
+    # reduced echelon basis: row r has a 1 at pivots[r], and every other
+    # row a 0 there
+    basis = np.zeros((0, 4 ** n), dtype=np.int64)
+    pivots: list[int] = []
+    for col in vecs.T:
+        rest = (col - col[pivots] @ basis) % _P
+        nonzero = np.flatnonzero(rest)
+        if nonzero.size == 0:
+            continue
+        pivot = int(nonzero[0])
+        rest = rest * pow(int(rest[pivot]), _P - 2, _P) % _P
+        basis = np.vstack([(basis - np.outer(basis[:, pivot], rest)) % _P,
+                           rest])
+        pivots.append(pivot)
+    return len(pivots)

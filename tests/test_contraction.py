@@ -1081,11 +1081,10 @@ def test_pruned_gram_matches_the_unpruned_sweep(build):
 def _split_frame(monkeypatch, arch, gates, split):
     """The unitary frame whose Gram read splits the gates at ``split``."""
     plan = archdim.plan._frame_plan
-    for module in (archdim.plan, contraction):
-        monkeypatch.setattr(
-            module, "_frame_plan",
-            lambda arch, ends, prune=False: plan(
-                arch, ends, prune=prune, split=split if prune else None))
+    monkeypatch.setattr_everywhere(
+        archdim.plan, "_frame_plan",
+        lambda arch, ends, prune=False: plan(
+            arch, ends, prune=prune, split=split if prune else None))
     try:
         return tangent_frame(arch, gates)
     finally:
@@ -1230,8 +1229,7 @@ def _count_sweeps(monkeypatch, arch):
         swept.append(program.plan is pruned)
         return sweep(program, transfers)
 
-    for module in (archdim.sweep, contraction):
-        monkeypatch.setattr(module, "_sweep", counted)
+    monkeypatch.setattr_everywhere(archdim.sweep, "_sweep", counted)
     return swept
 
 
@@ -1484,11 +1482,23 @@ def _planted_gram(lam, seed):
     return (gram + gram.T) / 2
 
 
+def _certify(gram, error, floor):
+    """``_certify``'s verdict on one matrix, as a stack of one."""
+    return bool(archdim.rank._certify(gram[None], np.array([error]),
+                                      np.array([floor]))[0])
+
+
+def _gram_estimate(gram, tol_pair, read_error):
+    """``_gram_estimate`` of one matrix, as a stack of one."""
+    return archdim.rank._gram_estimate(gram[None], tol_pair,
+                                       np.array([read_error]))[0]
+
+
 def _check_certify(gram, lam_min, error, floor):
     """``_certify``'s contract on a Gram matrix whose smallest eigenvalue
     is ``lam_min``: it refuses whenever lam_min < error + floor, and
     certifies when lam_min is at least twice that and at least 1e-5."""
-    certified = archdim.rank._certify(gram, error, floor)
+    certified = _certify(gram, error, floor)
     if lam_min < error + floor:
         assert not certified
     if lam_min >= max(2 * (error + floor), 1e-5):
@@ -1513,7 +1523,7 @@ def test_gram_certificate_on_planted_spectra(lam_min):
         for floor, error in itertools.product((0.0, 1e-8),
                                               (0.0, 1e-6, 1e-4)):
             _check_certify(gram, lam_min, error, floor)
-        est = archdim.rank._gram_estimate(gram, DEFAULT_TOLERANCES, 0.0)
+        est = _gram_estimate(gram, DEFAULT_TOLERANCES, 0.0)
         if lam_min < 1e-8:
             assert est is None
             continue
@@ -1528,12 +1538,11 @@ def test_a_read_error_that_closes_the_gap_refuses_the_certificate():
     lam[-1] = 1e-3
     gram = _planted_gram(lam, 36)
     for read_error in (0.0, 0.5e-3):
-        est = archdim.rank._gram_estimate(gram, DEFAULT_TOLERANCES, read_error)
+        est = _gram_estimate(gram, DEFAULT_TOLERANCES, read_error)
         assert est is not None and est.rank == lam.size
     # within 1e-3 of G the exact M^T M may be singular
     for read_error in (1e-3, 1.0):
-        assert archdim.rank._gram_estimate(
-            gram, DEFAULT_TOLERANCES, read_error) is None
+        assert _gram_estimate(gram, DEFAULT_TOLERANCES, read_error) is None
     for floor, error in itertools.product((0.0, 1e-8),
                                           (0.0, 0.4e-3, 1e-3, 1.0)):
         _check_certify(gram, 1e-3, error, floor)
@@ -1730,14 +1739,13 @@ def test_gram_route_edge_cases():
     gram[0, 1] = gram[1, 0] = np.nan
     est = numerical_rank(dataclasses.replace(frame, gram=gram))
     assert (est.route, est.rank, est.sigma_max_upper) == ("svd", 39, None)
-    assert archdim.rank._gram_estimate(np.eye(5), DEFAULT_TOLERANCES,
-                                       np.nan) is None
+    assert _gram_estimate(np.eye(5), DEFAULT_TOLERANCES, np.nan) is None
     for bad in (np.nan, np.inf):
-        assert not archdim.rank._certify(np.eye(5), bad, 0.0)
-        assert not archdim.rank._certify(np.eye(5), 0.0, bad)
+        assert not _certify(np.eye(5), bad, 0.0)
+        assert not _certify(np.eye(5), 0.0, bad)
         diagonal = np.eye(5)
         diagonal[3, 3] = bad
-        assert not archdim.rank._certify(diagonal, 0.0, 0.0)
+        assert not _certify(diagonal, 0.0, 0.0)
     mat = np.random.default_rng(33).standard_normal((20, 5))
     mat[7, 2] = np.nan
     assert gram_certificate(mat) is None

@@ -127,8 +127,7 @@ def test_a_program_over_the_cap_goes_with_its_consensus(monkeypatch):
         arenas.append(weakref.ref(_arena(program)))
         return program
 
-    for module in (archdim.sweep, contraction):
-        monkeypatch.setattr(module, "_bind", watched_bind)
+    monkeypatch.setattr_everywhere(archdim.sweep, "_bind", watched_bind)
     report, = accessible_dimensions(arch, "unitary", 3, 1)
     assert [e.route for e in report.estimates] == ["gram"] * 3
     assert len(arenas) == 1 and arenas[0]() is None
@@ -222,8 +221,7 @@ def test_a_consensus_holds_found_buffers_under_its_estimate(arch, prefixes,
         kept = archdim.sweep._STORE.kept
         other = tracemalloc.get_traced_memory()[0] - kept
         tracemalloc.reset_peak()
-        for module in (archdim.sweep, contraction):
-            monkeypatch.setattr(module, "_sweep", watched_sweep)
+        monkeypatch.setattr_everywhere(archdim.sweep, "_sweep", watched_sweep)
         accessible_dimensions(arch, "unitary", 3, 3, prefixes=prefixes)
         peak = tracemalloc.get_traced_memory()[1] - other
     finally:

@@ -1,12 +1,14 @@
 """One chain of routes to the accessible dimension over seeded random
 architectures: the closed-form bounds, the Haar consensus of each prefix in
-both modes, and the exact rank at an all-Clifford point must be ordered as
-the theory orders them."""
+both modes, the exact rank at an all-Clifford point and, for the whole
+architecture with n <= 4, the frame's rank mod p at rational unitary points
+must be ordered as the theory orders them."""
 
 import numpy as np
 
 from archdim import accessible_dimensions, random_adjacent, witness_rank
 from archdim.architecture import Architecture
+from reference import rank_mod_p
 from test_witness import _random_clifford_2q
 
 SHAPES = 150
@@ -28,8 +30,10 @@ def _shapes():
 def test_bounds_consensuses_and_clifford_ranks_are_ordered():
     # d_A lies within its bounds; a longer prefix reaches at least what a
     # shorter one does; the frame's rank at any point, an all-Clifford
-    # one included, is at most its generic rank; and the state map is the
-    # unitary one followed by U -> U|0>, so its rank is at most that one's
+    # one included, is at most its generic rank, and so is its rank mod p
+    # at any point, since reduction mod p is a ring map; and the state map
+    # is the unitary one followed by U -> U|0>, so its rank is at most that
+    # one's
     conclusive = total = 0
     for case, (arch, prefixes, circuits) in enumerate(_shapes()):
         consensus = {}
@@ -52,6 +56,9 @@ def test_bounds_consensuses_and_clifford_ranks_are_ordered():
                 assert witness_rank(head, circuits[:length], mode) <= value, \
                     where
                 consensus[mode, length] = value
+                if mode == "unitary" and arch.n <= 4 \
+                        and length == arch.gate_count:
+                    assert rank_mod_p(arch, case) <= value, where
         for (mode, length), value in consensus.items():
             if mode == "state" and ("unitary", length) in consensus:
                 assert value <= consensus["unitary", length], (case, length)

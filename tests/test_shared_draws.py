@@ -235,8 +235,7 @@ def test_a_sweep_draws_and_frames_once_per_sample(mode, monkeypatch):
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
     monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
-    for module in (archdim.rank, contraction):
-        monkeypatch.setattr(module, "_decide", counted_decide)
+    monkeypatch.setattr_everywhere(archdim.rank, "_decide", counted_decide)
     samples, t_max, seed = 4, 5, 9
     rows = growth_sweep(3, "staircase", t_max, samples, seed, mode)
     assert len(rows) == t_max
@@ -543,8 +542,7 @@ def test_a_cleared_plan_cache_leaves_no_stale_gram_plan(monkeypatch):
         swept.append(program.plan)
         return sweep(program, transfers)
 
-    for module in (archdim.sweep, contraction):
-        monkeypatch.setattr(module, "_sweep", counted)
+    monkeypatch.setattr_everywhere(archdim.sweep, "_sweep", counted)
     tangent_frame(arch, GateAssignment.haar(arch, 2))
     assert len(swept) == 1
     assert swept[0] is archdim.plan._frame_plan(arch, ends, prune=True)

@@ -363,11 +363,10 @@ def _count_work(monkeypatch, arch):
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
     monkeypatch.setattr(contraction, "tangent_frame", counted_frame)
-    for module in (archdim.rank, contraction):
-        monkeypatch.setattr(module, "_decide", counted_decide)
-    for module in (archdim.sweep, contraction):
-        monkeypatch.setattr(module, "_sweep", counted_sweep)
-        monkeypatch.setattr(module, "transfer_matrices", counted_build)
+    monkeypatch.setattr_everywhere(archdim.rank, "_decide", counted_decide)
+    monkeypatch.setattr_everywhere(archdim.sweep, "_sweep", counted_sweep)
+    monkeypatch.setattr_everywhere(
+        archdim.sweep, "transfer_matrices", counted_build)
     return drawn, built, framed, ranked, swept
 
 
@@ -461,8 +460,7 @@ def _recorded_grams(monkeypatch):
                 seen.append((gram, frame.gram_error))
         return decide(stack, lengths, *args)
 
-    for module in (archdim.rank, contraction):
-        monkeypatch.setattr(module, "_decide", recorded)
+    monkeypatch.setattr_everywhere(archdim.rank, "_decide", recorded)
     return seen
 
 
@@ -582,8 +580,7 @@ def test_a_failing_sample_alone_takes_the_svd(plant, monkeypatch):
         factored.append(a.shape[:-2])
         return cholesky(a)
 
-    for module in (archdim.sweep, contraction):
-        monkeypatch.setattr(module, "_gram_read", planted)
+    monkeypatch.setattr_everywhere(archdim.sweep, "_gram_read", planted)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     report = accessible_dimension(arch, "unitary", 4, 3)
@@ -631,8 +628,7 @@ def _count_binds(monkeypatch):
         bound.append(plan)
         return bind(plan, transfers, *kept)
 
-    for module in (archdim.sweep, contraction):
-        monkeypatch.setattr(module, "_bind", counted)
+    monkeypatch.setattr_everywhere(archdim.sweep, "_bind", counted)
     return bound
 
 
@@ -718,9 +714,8 @@ def test_a_bound_consensus_stays_under_its_estimate(arch, prefixes, route,
         return sweep(program, transfers)
 
     monkeypatch.setattr(GateAssignment, "haar", counted_haar)
-    for module in (archdim.sweep, contraction):
-        monkeypatch.setattr(module, "_bind", watched_bind)
-        monkeypatch.setattr(module, "_sweep", watched_sweep)
+    monkeypatch.setattr_everywhere(archdim.sweep, "_bind", watched_bind)
+    monkeypatch.setattr_everywhere(archdim.sweep, "_sweep", watched_sweep)
     tracemalloc.start()
     try:
         reports = accessible_dimensions(arch, "unitary", samples, 3,
