@@ -32,9 +32,9 @@ takes its slice of the draw's transfers.  Each array call serves every
 sample at once with one sample's shapes, so that every sample's numbers
 are those of its own frame, bit for bit.  A sweep batch's rank decisions
 go one prefix at a time (``_decide``).  A consensus checks its size once
-and borrows the thread's kept Gram programs (``sweep._Store``) for its
-sweep batches; a frame made outside a consensus checks its own size and
-binds its own sweep.
+and borrows the thread's store (``sweep._Store``), which runs every
+sweep, for its sweep batches; a frame made outside a consensus checks its
+own size.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ from .rank import (DEFAULT_TOLERANCES, RankEstimate, TangentFrame,
 # bench/tracer.py wraps numerical_rank and pauli_coefficients by this
 # module's name; neither is called here
 from .rank import numerical_rank  # noqa: F401
-from .sweep import (_GENERATOR_STACK, _STORE, _assemble, _bind, _gram_read,
-                    _Store, _sweep, transfer_matrices)
+from .sweep import _GENERATOR_STACK, _STORE, transfer_matrices
 from .sweep import pauli_coefficients  # noqa: F401
 
 MEMORY_BUDGET = 2 * 2 ** 30
@@ -447,8 +446,7 @@ def contract_state(arch: Architecture, gates: GateAssignment) -> np.ndarray:
 
 
 def _unitary_frame(arch: Architecture, gates: GateAssignment,
-                   ends: tuple[int, ...],
-                   store: _Store | None) -> TangentFrame:
+                   ends: tuple[int, ...]) -> TangentFrame:
     """The unitary frame by the forward sweep of ``_frame_plan``: column
     (j, k) is T_R ... T_{j+1} e_{S_k}.
 
@@ -498,20 +496,15 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     products of the stack's entries, so a finite stack makes a finite
     frame.
 
-    A frame one of whose prefixes (``ends``) is tall runs the Gram plan's
-    sweep; any other frame runs no sweep here.  A sweep batch's
-    assignment carries its slice of the draw batch's transfer stack
-    (``GateAssignment._samples``), which its frame takes; any other frame
-    builds its own.  With the ``store``, lent to the consensus in
-    progress, the sweep runs the program it keeps for the plan and batch
-    size, or the consensus's own (``_Store.gram_read``), whose Gram stack
-    the frame then holds until the next sweep batch's sweep; without one
-    the frame binds the plan to its transfers, sweeps and drops the
-    program but for its Gram stack, which the frame keeps, before it
-    returns.  The sweep covers the gates of the longest tall prefix, whose
-    columns lead the frame's and hold every tall prefix's: the later gates
-    act on them orthogonally, so their Gram matrix is the head's, and the
-    bound above takes the head's gates and columns, those of its Gram plan
+    A frame one of whose prefixes (``ends``) is tall reads its Gram
+    matrix through the thread's store (``_Store.gram_read``); any other
+    frame reads none.  A sweep batch's assignment carries its slice of the
+    draw batch's transfer stack (``GateAssignment._samples``), which its
+    frame takes; any other frame builds its own.  The Gram plan's sweep
+    covers the gates of the longest tall prefix, whose columns lead the
+    frame's and hold every tall prefix's: the later gates act on them
+    orthogonally, so their Gram matrix is the head's, and the bound above
+    takes the head's gates and columns, those of its Gram plan
     (``_tall_head``).  Every frame takes its columns from ``_gauge`` and
     keeps its transfer stack (2 KiB per gate a sample; a sweep batch's
     slice keeps its draw's whole stack) for its matrices.
@@ -520,10 +513,8 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     stack of one: one transfer build (or slice of a draw's), one Gram
     sweep and one bound per sample serve them all, and
     ``TangentFrame.sample`` gives each sample's frame, whose matrix forms
-    as ``TangentFrame`` says.  Each matrix sweep drops the ``store``'s
-    own program (``_Store.drop``: with the kept buffers, if the consensus
-    grew them), binds the matrix plan, sweeps, drops the program but for
-    its final groups and assembles the matrices from them.
+    as ``TangentFrame`` says: the store sweeps ``_matrix_batch`` samples'
+    matrices at a time (``_Store.matrices``).
     """
     _, _, record, own = _gauge(arch, ends)
     s = gates.samples or 1
@@ -538,8 +529,7 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
         eps = np.finfo(np.float64).eps
         meet = max((4 ** len(join.meet) for join in head.joins), default=0)
         join_term = np.log1p(_gamma(2 * meet))
-        gram = _gram_read(_bind(head, transfers), transfers) \
-            if store is None else store.gram_read(head, transfers)
+        gram = _STORE.gram_read(head, transfers)
         gram_error = np.array([head.width * float(np.expm1(
             len(head.gates) * np.log1p(tau + 256 * eps) + join_term))
             for tau in taus])
@@ -550,16 +540,10 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     def part(i: int) -> np.ndarray:
         if i not in formed:
             formed.clear()  # freed once their samples' frames are gone
-            if store is not None:
-                store.drop()
-            plan = _frame_plan(arch, ends)
             lo = i - i % batch
-            program = _bind(plan, transfers[lo:lo + batch])
-            _sweep(program, program.transfers)
-            final = program.final
-            del program  # the arena's rest goes before the matrix is formed
-            formed.update(enumerate(_assemble(
-                arch.n, plan.width, final, min(batch, s - lo)), lo))
+            formed.update(enumerate(_STORE.matrices(
+                arch.n, _frame_plan(arch, ends), transfers[lo:lo + batch]),
+                lo))
         return formed[i]
 
     return TangentFrame("unitary", arch.n, arch.gate_count, record, part,
@@ -625,23 +609,22 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     seeds) gives one stacked frame, whose ``TangentFrame.sample`` i is,
     bit for bit, the frame of sample i's own assignment.  In unitary mode
     one transfer build and one Gram sweep serve the stack, each array
-    call for every sample at once, and each sweep binds its plan
-    (``_bind``) and drops the program when it is done; inside a consensus
-    the frame takes its slice of the draw batch's transfers, and the Gram
-    sweep runs the program of the store lent to the consensus instead
-    (``accessible_dimensions``).  State mode builds the samples' frames
-    one after another.  One assignment gives its own frame, a stack of
-    one's sample.  A frame outside a consensus checks its size
-    (``peak_bytes`` of its stack); inside one it is not checked again,
-    since the consensus's check covers the stacks it makes (``_batch``).
+    call for every sample at once, and the thread's store runs every
+    sweep (``_Store``); inside a consensus the frame takes its slice of
+    the draw batch's transfers, and its Gram sweep runs a program of the
+    store lent to the consensus (``accessible_dimensions``).  State mode
+    builds the samples' frames one after another.  One assignment gives
+    its own frame, a stack of one's sample.  A frame outside a consensus
+    checks its size (``peak_bytes`` of its stack); inside one it is not
+    checked again, since the consensus's check covers the stacks it makes
+    (``_batch``).
     """
     check_mode(mode)
     ends = _ends(arch, prefixes)
-    store = _STORE if _STORE.lent else None  # a consensus's, admitted once
-    if store is None:
+    if not _STORE.lent:  # a consensus's frames are admitted once
         _check_size(arch, mode, ends, gates.samples or 1, stack=True)
     _require_match(arch, gates)
-    frame = _unitary_frame(arch, gates, ends, store) \
+    frame = _unitary_frame(arch, gates, ends) \
         if mode == "unitary" else _state_frame(arch, gates, ends)
     return frame if gates.samples is not None else frame.sample(0)
 
@@ -839,15 +822,9 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     before the next one is drawn, so a frame over the chunk goes one
     sample a sweep.  The consensus checks its size once, then borrows the
     thread's store (``_Store``) until it returns or raises, so that each
-    ``tangent_frame`` call sweeps through it and checks nothing.  A
-    unitary consensus sweeps every sweep batch through one program of its
-    Gram plan: the one the store keeps for the plan and the batch size,
-    bound by the first consensus that needs it, so that a repeat
-    consensus binds nothing; a last batch of fewer samples takes its own.
-    The program, arena and all, lives through the batches' certificates;
-    before any matrix sweep a consensus that grew the kept buffers drops
-    them (``_Store.drop``).  Every estimate is the one a sample's own
-    frame gives, bit for bit.
+    ``tangent_frame`` call sweeps through it and checks nothing; the store
+    keeps its Gram programs and says when they go.  Every estimate is the
+    one a sample's own frame gives, bit for bit.
 
     For each prefix all samples must agree at both tolerances; any
     disagreement is surfaced as an inconclusive report, never averaged

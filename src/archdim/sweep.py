@@ -6,11 +6,12 @@ moves.  Binding a plan to a batch of samples (``_bind``) makes its arrays
 and views once, so that a sweep (``_sweep``) is a flat loop of array
 calls: a Gram plan's sweep stages what its reads and joins take, which
 ``_gram_read`` scatters into the Gram matrices, and the last groups of a
-matrix plan's sweep form the frames' 4^n x C matrices (``_assemble``).  A
-thread keeps the Gram plan's bound sweep per batch size across its
-consensuses, all carved from one reused pair of buffers (``_Store``), so
-that a repeat consensus binds nothing; the store is lent to the consensus
-in progress, and a frame outside one binds its own sweep.
+matrix plan's sweep form the frames' 4^n x C matrices (``_assemble``).
+A thread's store (``_Store``) runs every frame's Gram reads and matrix
+sweeps.  It keeps the Gram plan's bound sweep per batch size across its
+consensuses, all carved from one reused pair of buffers, so that a repeat
+consensus binds nothing; the store is lent to the consensus in progress,
+and a Gram read outside one binds a program of its own.
 """
 
 from __future__ import annotations
@@ -425,25 +426,34 @@ def _assemble(n: int, width: int,
 
 
 class _Store(threading.local):
-    """A thread's bound Gram sweeps (``_bind``), kept across consensuses
-    by Gram plan and transfer-stack shape (frames of several lengths can
-    share a head's plan), all carved from two buffers: one for arenas,
-    scratch and transfers, one for the Gram stacks a frame holds through
-    its matrix sweeps.  One program sweeps at a time and a consensus
-    drops its frames before it returns, so the programs share the bytes
-    the largest needs.  A program that does not fit grows the buffers and
-    drops every program; one over ``_KEPT_CAP`` is bound for its
-    consensus alone (``own``).  At most ``_KEPT_PROGRAMS`` stay, the
-    oldest going first.
+    """The one runner of a thread's frame sweeps: it binds (``_bind``),
+    sweeps and frees every Gram read (``gram_read``) and matrix sweep
+    (``matrices``), for a lone frame and for a consensus's sweep batches
+    alike, so that each follows the memory phases ``peak_bytes`` counts.
+
+    It keeps bound Gram sweeps across consensuses by Gram plan and
+    transfer-stack shape (frames of several lengths can share a head's
+    plan), all carved from two buffers: one for arenas, scratch and
+    transfers, one for the Gram stacks a frame holds through its matrix
+    sweeps.  One program sweeps at a time and a consensus drops its
+    frames before it returns, so the programs share the bytes the largest
+    needs.  A program that does not fit grows the buffers and drops every
+    program; one over ``_KEPT_CAP`` is bound for its consensus alone
+    (``own``).  At most ``_KEPT_PROGRAMS`` stay, the oldest going first.
 
     As a context manager the store is lent to the consensus in progress
-    (``lent``), whose frames, one per sweep batch, sweep their Gram plans
-    through it (``gram_read``); a frame made outside a consensus binds
-    its own program.  The lease holds the consensus's own program and
-    whether the consensus grew the buffers (``grew``).  Before a matrix
-    sweep the own program goes, and the buffers too if this consensus
-    grew them (``drop``), as ``peak_bytes`` counts; when the consensus
-    ends, or raises, the own program goes and the kept ones stay.
+    (``lent``), whose frames, one per sweep batch, read their Gram
+    matrices through the kept program or the consensus's own, whose Gram
+    stack the frame holds until the next sweep batch's sweep.  The lease
+    holds the consensus's own program and whether the consensus grew the
+    buffers (``grew``); when the consensus ends, or raises, the own
+    program goes, the kept ones stay and ``grew`` is reset.  A Gram read
+    outside a consensus binds a program for that read alone and frees it
+    but for its Gram stack, which the frame keeps and which shares no
+    memory with the buffers.  Every matrix sweep first drops the own
+    program, and the buffers with every kept program if this consensus
+    grew them, as ``peak_bytes`` counts; then it binds the matrix plan,
+    sweeps, lets the arena's rest go and assembles the matrices.
 
     Beside the buffers, which ``kept`` counts, a program's views and call
     tuples take about 500 bytes a call: 165 KB for brickwork(6, 1)'s 331
@@ -461,7 +471,7 @@ class _Store(threading.local):
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.lent, self.own = False, None
+        self.lent, self.grew, self.own = False, False, None
 
     def release(self) -> None:
         """Drop every kept program and both buffers."""
@@ -477,8 +487,10 @@ class _Store(threading.local):
     def gram_read(self, plan: _FramePlan,
                   transfers: np.ndarray) -> np.ndarray:
         """``_gram_read`` by the program of ``plan`` over a stack of the
-        shape of ``transfers``: the kept one, or the consensus's own, bound
-        first if it is neither."""
+        shape of ``transfers``: lent, the kept one, or the consensus's own,
+        bound first if it is neither; not lent, one bound for this read."""
+        if not self.lent:
+            return _gram_read(_bind(plan, transfers), transfers)
         program = self.programs.get((plan, transfers.shape), self.own)
         if program is None or program.plan is not plan \
                 or program.transfers.shape != transfers.shape:
@@ -513,13 +525,20 @@ class _Store(threading.local):
             plan, transfers, self.buffers)
         return program
 
-    def drop(self) -> None:
-        """Before a matrix sweep: drop the consensus's own program, and the
-        buffers with every kept program if the consensus grew them."""
+    def matrices(self, n: int, plan: _FramePlan,
+                 transfers: np.ndarray) -> np.ndarray:
+        """The S x 4^n x C frames of the S samples of ``transfers`` by one
+        sweep of the matrix plan ``plan`` (``_assemble``), after the drop
+        the class describes."""
         self.own = None
         if self.grew:
             self.release()
+        program = _bind(plan, transfers)
+        _sweep(program, program.transfers)
+        final = program.final
+        del program  # the arena's rest goes before the matrix is formed
+        return _assemble(n, plan.width, final, len(transfers))
 
 
-# Each thread's kept Gram programs (``_Store``).
+# Each thread's sweep runner and kept Gram programs (``_Store``).
 _STORE = _Store()

@@ -13,8 +13,8 @@ pre-composed onto a tableau by testing every bit of its ``circuit_images``,
 the witness rank from phase-free symplectic images alone, the Gram
 certificate of a plain matrix from its product M^T M, the split Gram read
 over whole 4^n-row Pauli vectors, the split's price from its meets
-listed as wire tuples and a unitary frame's exact rank mod a prime at
-rational unitary points.  The dense bridge from Clifford circuits to
+listed as wire tuples and a unitary or state frame's exact rank mod a
+prime at rational unitary points.  The dense bridge from Clifford circuits to
 matrices lives here too: the elementary gate matrices, a circuit's unitary
 and the SU(4) gate assignment of a witness point; the library itself keeps
 circuits as tableaux only.  None has a size guard; the tests keep their
@@ -508,14 +508,15 @@ def split_point(forward: Sequence, backward: Sequence, call_madds: int) -> int:
 
 
 # The exact route to a frame's rank (``rank_mod_p``): a prime p = 5 mod 8,
-# so that -1 has a square root s = 2^((p-1)/4) mod p, the image of i.
+# so that -1 has a square root s = 2^((p-1)/4) mod p, the image of i; the
+# other image, p - s, is that of complex conjugation followed by i -> s.
 _P = 1048573
 _I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
-def _mod_p(z: np.ndarray) -> np.ndarray:
-    """The image in F_p of an array of Gaussian integers, i going to s."""
-    return (z.real.astype(np.int64) + _I_MOD_P * z.imag.astype(np.int64)) % _P
+def _mod_p(z: np.ndarray, i: int = _I_MOD_P) -> np.ndarray:
+    """The image in F_p of an array of Gaussian integers, i going to ``i``."""
+    return (z.real.astype(np.int64) + i * z.imag.astype(np.int64)) % _P
 
 
 def _inverse_mod_p(m: np.ndarray) -> np.ndarray | None:
@@ -535,29 +536,59 @@ def _inverse_mod_p(m: np.ndarray) -> np.ndarray | None:
     return aug[:, size:]
 
 
-def _cayley_transfer_mod_p(rng: np.random.Generator) -> np.ndarray:
-    """The transfer matrix mod p of a Cayley point u = (I - A)(I + A)^-1,
-    with A = H - H^dagger for a 4 x 4 Gaussian-integer H whose parts are
-    drawn from [-3, 3] by ``rng``.  u is unitary over Q(i), with
-    u^dagger = (I - A)^-1 (I + A); H is drawn again while I + A or I - A
-    is singular mod p.  Reduction mod p is a ring map, so
-    T[P, Q] = tr(P u Q u^dagger) / 4, a rational orthogonal matrix, reduces
-    to T with T^T T = I mod p, which is asserted."""
+def _cayley_mod_p(rng: np.random.Generator, images: Sequence[int] = (
+        _I_MOD_P,)) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(u, u^dagger) mod p of a Cayley point u = (I - A)(I + A)^-1 at each
+    image of i in ``images``, with A = H - H^dagger for a 4 x 4
+    Gaussian-integer H whose parts are drawn from [-3, 3] by ``rng``.  u
+    is unitary over Q(i), with u^dagger = (I - A)^-1 (I + A); H is drawn
+    again while I + A or I - A is singular mod p at some image."""
     eye = np.eye(4, dtype=np.int64)
     while True:
         h = rng.integers(-3, 4, (4, 4)) + 1j * rng.integers(-3, 4, (4, 4))
-        a = _mod_p(h - h.conj().T)
-        plus, minus = _inverse_mod_p(eye + a), _inverse_mod_p(eye - a)
-        if plus is not None and minus is not None:
-            break
-    u = (eye - a) @ plus % _P
-    u_dagger = minus @ (eye + a) % _P
+        points = []
+        for i in images:
+            a = _mod_p(h - h.conj().T, i)
+            plus, minus = _inverse_mod_p(eye + a), _inverse_mod_p(eye - a)
+            if plus is None or minus is None:
+                break
+            points.append(((eye - a) @ plus % _P, minus @ (eye + a) % _P))
+        else:
+            return points
+
+
+def _cayley_transfer_mod_p(rng: np.random.Generator) -> np.ndarray:
+    """The transfer matrix mod p of a Cayley point (``_cayley_mod_p``).
+    Reduction mod p is a ring map, so T[P, Q] = tr(P u Q u^dagger) / 4, a
+    rational orthogonal matrix, reduces to T with T^T T = I mod p, which
+    is asserted."""
+    (u, u_dagger), = _cayley_mod_p(rng)
     paulis = _mod_p(_PAULI_STACK)
     moved = (u @ paulis % _P) @ u_dagger % _P  # u Q u^dagger per label Q
     quarter = pow(4, _P - 2, _P)
     t = np.einsum("pab,qba->pq", paulis, moved) % _P * quarter % _P
     assert ((t.T @ t) % _P == np.eye(16, dtype=np.int64)).all()
     return t
+
+
+def _column_rank_mod_p(vecs: np.ndarray) -> int:
+    """The rank over F_p of the int64 columns of ``vecs`` by a
+    column-ordered elimination."""
+    # reduced echelon basis: row r has a 1 at pivots[r], and every other
+    # row a 0 there
+    basis = np.zeros((0, len(vecs)), dtype=np.int64)
+    pivots: list[int] = []
+    for col in vecs.T:
+        rest = (col - col[pivots] @ basis) % _P
+        nonzero = np.flatnonzero(rest)
+        if nonzero.size == 0:
+            continue
+        pivot = int(nonzero[0])
+        rest = rest * pow(int(rest[pivot]), _P - 2, _P) % _P
+        basis = np.vstack([(basis - np.outer(basis[:, pivot], rest)) % _P,
+                           rest])
+        pivots.append(pivot)
+    return len(pivots)
 
 
 def rank_mod_p(arch: Architecture, point_seed: int) -> int:
@@ -582,18 +613,40 @@ def rank_mod_p(arch: Architecture, point_seed: int) -> int:
         born[(gen + 1) // 4 * 4 ** (n - a) + (gen + 1) % 4 * 4 ** (n - b),
              np.arange(gen.size)] = 1
         vecs = np.hstack([_pauli_transfer(vecs, t, (a, b), n) % _P, born])
-    # reduced echelon basis: row r has a 1 at pivots[r], and every other
-    # row a 0 there
-    basis = np.zeros((0, 4 ** n), dtype=np.int64)
-    pivots: list[int] = []
-    for col in vecs.T:
-        rest = (col - col[pivots] @ basis) % _P
-        nonzero = np.flatnonzero(rest)
-        if nonzero.size == 0:
-            continue
-        pivot = int(nonzero[0])
-        rest = rest * pow(int(rest[pivot]), _P - 2, _P) % _P
-        basis = np.vstack([(basis - np.outer(basis[:, pivot], rest)) % _P,
-                           rest])
-        pivots.append(pivot)
-    return len(pivots)
+    return _column_rank_mod_p(vecs)
+
+
+def state_rank_mod_p(arch: Architecture, point_seed: int) -> int:
+    """The rank over F_p of the state frame of ``arch`` (``tangent_frame``
+    in state mode, every gate's kept generators of ``plan._gauge``) at
+    seeded Cayley points (``_cayley_mod_p``), n <= 8.
+
+    The frame is swept forward twice in int64 over 2^n rows, once with i
+    going to s and once with i going to p - s: at each gate, u_j applies
+    to the columns built so far and to psi, each entry reduced mod p, and
+    then i S_k psi is appended for each kept k.  The complex frame M has
+    entries in Q(i) and real rank the complex rank of [M; conj(M)], which
+    the two sweeps stacked, [M(s); M(p - s)], are the image of under a
+    ring map; so their rank mod p is at most the state frame's rank at
+    those points, and at most the state-mode d_A, with no rounding at
+    all.  Both images must send every two-qubit generator to a square
+    root of I, which is asserted."""
+    n = arch.n
+    assert n <= 8, "a dense sweep over 2^n rows, twice"
+    kept = _gauge(arch, (arch.gate_count,))[0]
+    rng = np.random.default_rng(point_seed)
+    images = (_I_MOD_P, _P - _I_MOD_P)
+    generators = [_mod_p(_GENERATOR_STACK, i) for i in images]
+    for gens in generators:
+        assert (gens @ gens % _P == np.eye(4, dtype=np.int64)).all()
+    psis = [np.eye(2 ** n, 1, dtype=np.int64)[:, 0] for _ in images]
+    halves = [np.zeros((2 ** n, 0), dtype=np.int64) for _ in images]
+    for wires, k in zip(arch.gates, kept):
+        points = _cayley_mod_p(rng, images)
+        for h, ((u, _), i, gens) in enumerate(zip(points, images,
+                                                   generators)):
+            psis[h] = apply_gate_left(psis[h], u, wires, n) % _P
+            born = i * apply_gate_left(psis[h], gens[k], wires, n) % _P
+            halves[h] = np.hstack([apply_gate_left(halves[h], u, wires, n)
+                                   % _P, born.T])
+    return _column_rank_mod_p(np.vstack(halves))

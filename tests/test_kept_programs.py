@@ -291,6 +291,21 @@ def test_a_lone_frame_never_uses_the_kept_store():
     assert _bits(frame.gram) == want
 
 
+def test_a_lone_matrix_sweep_leaves_the_kept_store_alone():
+    # staircase(6, 2)'s consensus grows the buffers of a released store;
+    # a lone wide frame's matrix read after it, which sweeps through the
+    # store, drops no kept program and no buffer: only a consensus drops
+    # the buffers it grew
+    accessible_dimensions(build_family("staircase", 6, 2), "unitary", 3, 1)
+    store = archdim.sweep._STORE
+    programs, buffers = dict(store.programs), store.buffers
+    assert programs
+    arch = staircase(3, 5)
+    frame = tangent_frame(arch, GateAssignment.haar(arch, 2))
+    assert frame.gram is None and frame.matrix.shape == (64, 99)
+    assert store.programs == programs and store.buffers is buffers
+
+
 def test_a_consensus_that_raises_returns_the_store(monkeypatch):
     # with the cap patched below brickwork(6, 1)'s program, its consensus
     # binds one of its own; a decision that raises on the second sweep

@@ -2,13 +2,13 @@
 architectures: the closed-form bounds, the Haar consensus of each prefix in
 both modes, the exact rank at an all-Clifford point and, for the whole
 architecture with n <= 4, the frame's rank mod p at rational unitary points
-must be ordered as the theory orders them."""
+in both modes must be ordered as the theory orders them."""
 
 import numpy as np
 
 from archdim import accessible_dimensions, random_adjacent, witness_rank
 from archdim.architecture import Architecture
-from reference import rank_mod_p
+from reference import rank_mod_p, state_rank_mod_p
 from test_witness import _random_clifford_2q
 
 SHAPES = 150
@@ -56,9 +56,10 @@ def test_bounds_consensuses_and_clifford_ranks_are_ordered():
                 assert witness_rank(head, circuits[:length], mode) <= value, \
                     where
                 consensus[mode, length] = value
-                if mode == "unitary" and arch.n <= 4 \
-                        and length == arch.gate_count:
-                    assert rank_mod_p(arch, case) <= value, where
+                if arch.n <= 4 and length == arch.gate_count:
+                    oracle = rank_mod_p if mode == "unitary" \
+                        else state_rank_mod_p
+                    assert oracle(arch, case) <= value, where
         for (mode, length), value in consensus.items():
             if mode == "state" and ("unitary", length) in consensus:
                 assert value <= consensus["unitary", length], (case, length)

@@ -5,6 +5,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+import archdim.contraction
 import archdim.plan
 import archdim.sweep
 from archdim.cli import build_parser
@@ -74,6 +75,13 @@ def test_every_module_stays_under_the_compile_token_step():
         with path.open() as source:
             count = sum(1 for _ in tokenize.generate_tokens(source.readline))
         assert count < 16384, (path.name, count)
+
+
+def test_the_frame_layer_runs_no_sweep():
+    # the thread's store (``sweep._Store``) binds, sweeps and frees every
+    # frame's programs; the frame layer reaches it through ``_STORE`` only
+    assert not {"_bind", "_sweep", "_gram_read", "_assemble",
+                "_Store"} & vars(archdim.contraction).keys()
 
 
 def test_frame_digest_repeats_one_line_per_item(capsys):
