@@ -30,7 +30,7 @@ def complexity_lower_bound(r_gates: int, l_gates: int, n: int) -> LowerBoundResu
 
     When R is not a multiple of L, the bound uses floor(R/L) full slices
     and the result is flagged as floored.  R, L and n must be integers
-    (``check_int``).
+    (``check_int``), and n at least 1.
     """
     r_gates = check_int(r_gates, "r_gates")
     l_gates, n = check_int(l_gates, "l_gates"), check_int(n, "n")
@@ -38,6 +38,8 @@ def complexity_lower_bound(r_gates: int, l_gates: int, n: int) -> LowerBoundResu
         raise ValidationError(f"slice size must be positive, got {l_gates}")
     if r_gates < 0:
         raise ValidationError(f"gate count must be nonnegative, got {r_gates}")
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
     t = r_gates // l_gates
     raw = Fraction(t, 9) - Fraction(n, 3)
     clamped = raw < 0

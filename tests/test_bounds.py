@@ -54,6 +54,14 @@ def test_lower_bound_clamps_at_zero():
     assert res.raw == Fraction(-4, 3)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_lower_bound_refuses_fewer_than_one_qubit(n):
+    # n = -3 gave 19/9 for 10 one-gate slices, inflated by qubits that
+    # cannot exist, and n = 0 gave 10/9
+    with pytest.raises(ValidationError, match=f"^need n >= 1, got {n}$"):
+        complexity_lower_bound(10, 1, n)
+
+
 def test_lower_bound_floors_partial_slices():
     res = complexity_lower_bound(905, 10, 6)
     assert res.floored

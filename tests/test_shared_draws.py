@@ -39,8 +39,8 @@ CHAINS = [
                  id="staircase-3-1..4"),
     pytest.param(lambda: [brickwork(4, rounds) for rounds in range(1, 5)],
                  id="brickwork-4-1..4"),
-    pytest.param(lambda: [random_adjacent(6, r, 1) for r in range(10, 41)],
-                 id="random-6-10..40")]
+    pytest.param(lambda: [random_adjacent(6, r, 4) for r in range(14, 23)],
+                 id="random-6-14..22")]
 
 # Python objects (reports, estimates, plan caches' keys) that do not scale
 # with the arrays the estimate counts.
@@ -49,6 +49,45 @@ _OBJECT_SLACK = 2 ** 16
 
 def _lengths(archs):
     return [arch.gate_count for arch in archs]
+
+
+def _row_kind(rows):
+    """How a plan table takes its rows: a gather, a stride or a slice."""
+    if isinstance(rows, np.ndarray):
+        return "gather"
+    return "slice" if rows.step in (None, 1) else "stride"
+
+
+def test_the_random_chain_reaches_every_path_of_the_union_frame():
+    # the chain tests stand for the paper's random regime, so the chain
+    # must keep the paths a longer one takes: a Gram read split between
+    # its halves, joins and reads over every kind of row table, one sample
+    # a sweep batch but several a draw batch, gathered own columns, and an
+    # SVD below the column count on every prefix
+    archs = CHAINS[-1].values[0]()  # the random chain
+    arch = archs[-1]
+    ends = contraction._ends(arch, _lengths(archs))
+    head = archdim.plan._tall_head(arch, ends)
+    assert 0 < head.split < len(head.gates)
+    joins = {(_row_kind(join.ahead_rows), _row_kind(join.behind_rows))
+             for join in head.joins}
+    assert joins >= {("gather", "slice"), ("slice", "gather"),
+                     ("slice", "slice"), ("slice", "stride"),
+                     ("stride", "slice")}
+    assert {_row_kind(move.read) for step in head.steps for move in step
+            if move.read is not None} == {"gather", "slice", "stride"}
+    assert contraction._batch(arch, "unitary", ends)[0] == 1
+    assert contraction._draw(arch, 1) > 1
+    assert any(isinstance(cols, np.ndarray)
+               for cols in archdim.plan._gauge(arch, ends)[3])
+    union = tangent_frame(arch, GateAssignment.haar(arch, 21),
+                          prefixes=_lengths(archs))
+    for length in ends:
+        row = union.prefix(length)
+        estimate = numerical_rank(row)
+        assert estimate.route == "svd"
+        assert max(estimate.loose_rank, estimate.tight_rank) \
+            < row.columns.shape[0]
 
 
 def _never_drawn(*args):
@@ -379,14 +418,12 @@ def _assert_union_sweep_under_its_estimate(archs, mode, samples):
 @pytest.mark.parametrize("build", CHAINS)
 def test_each_prefix_report_is_the_prefix_s_own_consensus(build):
     # one report per prefix, in gate-count order, with the consensus and
-    # bounds the prefix's own architecture gets at the same seed; the
-    # 31-row random chain compares every sixth row, its last included
+    # bounds the prefix's own architecture gets at the same seed
     archs = build()
     reports = accessible_dimensions(archs[-1], "unitary", 3, 5,
                                     prefixes=_lengths(archs))
     assert [r.gate_count for r in reports] == _lengths(archs)
-    step = max(1, len(archs) // 5)
-    for arch, report in list(zip(archs, reports))[::step]:
+    for arch, report in zip(archs, reports):
         own = accessible_dimension(arch, "unitary", 3, 5)
         assert report.consensus is not None
         assert (report.n, report.consensus, report.lower_bound,

@@ -150,8 +150,8 @@ def _reference_consensus(arch, mode, samples, seed, prefixes):
 @pytest.mark.parametrize("mode", ["unitary", "state"])
 @pytest.mark.parametrize("build", STACK_CASES)
 def test_a_consensus_reports_what_one_frame_per_sample_reports(build, mode):
-    # the 31-row random chain keeps every sixth row and its last, since
-    # each of its rows takes an SVD
+    # a chain keeps every sixth row and its last, rows 14, 20 and 22 of
+    # the random chain, since each of its rows takes an SVD
     arch, prefixes = build()
     if prefixes:
         prefixes = prefixes[::6] + prefixes[-1:]
