@@ -31,6 +31,11 @@ from .errors import DimensionMismatch, InvalidQubit, ValidationError
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PHASE_PREFIX = {0: "", 1: "+i", 2: "-", 3: "-i"}
+# The letters of four qubits, leftmost first, at index x4 | z4 << 4 for
+# their x bits x4 and z bits z4.
+_LETTERS_4 = tuple(
+    "".join("IZXY"[(k >> i & 1) << 1 | k >> (4 + i) & 1] for i in range(4))
+    for k in range(256))
 # Accept ASCII and Unicode minus on parse.
 _LABEL_RE = re.compile(r"^(\+i|-i|−i|\+|-|−|i)?([IXYZ]+)$")
 _PREFIX_PHASE = {
@@ -112,9 +117,10 @@ class PauliString:
     def label(self) -> str:
         """Canonical text form; phase 0 prints with no prefix."""
         x, z = self.x_bits, self.z_bits
-        letters = "".join("IZXY"[(x >> p & 1) << 1 | z >> p & 1]
-                          for p in range(self.n))
-        return _PHASE_PREFIX[self.phase_exp] + letters
+        # four qubits per lookup; the bits past n are 0 and read as I
+        letters = "".join(_LETTERS_4[(x >> p & 15) | (z >> p & 15) << 4]
+                          for p in range(0, self.n, 4))
+        return _PHASE_PREFIX[self.phase_exp] + letters[:self.n]
 
     def xz_row(self) -> tuple[int, int]:
         """Packed XZ form (x_bits | z_bits << n, e), self = i^e X^x Z^z."""

@@ -22,6 +22,7 @@ from .clifford import CliffordCircuit, CliffordTableau, routing_clifford_2q
 from .errors import (
     CertificateMismatch,
     CountMismatch,
+    DimensionMismatch,
     NotCausal,
     TooManySlices,
     ValidationError,
@@ -97,12 +98,11 @@ def _route(tree: PathTree, p: PauliString,
             if circuit.gates:  # a bare Z on the destination needs none
                 row, e = circuit.conjugate_row(row, e, n, wires=(a, b))
                 routed.append((offset, circuit))
-    target = PauliString.single(n, "Z", tree.sink)
-    if (row, e) != target.xz_row():
+    if (row, e) != (1 << (n + tree.sink - 1), 0):  # Z on the sink
         raise AssertionError(
             f"routing failed: {p.label()} swept to "
             f"{PauliString.from_xz_row(n, row, e).label()}, "
-            f"expected {target.label()}")
+            f"expected {PauliString.single(n, 'Z', tree.sink).label()}")
     return tuple(routed)
 
 
@@ -174,16 +174,25 @@ class WitnessCertificate:
     def from_json_dict(cls, d: object) -> WitnessCertificate:
         """Certificate from parsed JSON in the ``to_json_dict`` layout; any
         other shape, a missing field among them, a non-integer number, an
-        unknown mode or bad state bits raise ValidationError.  A missing
-        field is read as null, which its check refuses by name."""
+        unknown mode, bad state bits or a Pauli label not on n qubits raise
+        ValidationError.  A missing field is read as null, which its check
+        refuses by name."""
         n = check_int(json_typed(d, dict, "a certificate").get("n"), "n")
+
+        def label_on_n(text: object, what: str) -> PauliString:
+            p = PauliString.from_label(text)
+            if p.n != n:
+                raise ValidationError(f"{what} must act on {n} qubits, "
+                                      f"got {text!r}")
+            return p
+
         circuits = tuple(CliffordCircuit.from_json_ops(2, ops)
                          for ops in json_typed(d.get("gates"), list, "gates"))
         slices = tuple(
             SliceRecord(check_int(s.get("start"), "slice start"),
                         check_int(s.get("stop"), "slice stop"),
                         check_int(s.get("sink"), "slice sink"),
-                        PauliString.from_label(s.get("q")),
+                        label_on_n(s.get("q"), "slice q"),
                         check_int(s.get("insertion_gate"), "insertion gate"))
             for s in (json_typed(s, dict, "a slice")
                       for s in json_typed(d.get("slices"), list, "slices")))
@@ -192,7 +201,7 @@ class WitnessCertificate:
         entries = json_typed(d.get("directions"), list, "directions")
         if mode == "unitary":
             return cls(n, mode, circuits, slices, directions=tuple(
-                PauliString.from_label(p) for p in entries))
+                label_on_n(p, "a direction") for p in entries))
         images = []
         for e in entries:
             bits = json_typed(e, dict, "a direction").get("bits")
@@ -307,19 +316,26 @@ class _DirectionSweep:
 
     def add_gates(self, start: int, stop: int,
                   circuits: Sequence[CliffordCircuit]) -> None:
-        """Pre-compose gates start..stop-1 with ``circuits[idx]``, in order."""
+        """Pre-compose gates start..stop-1 with ``circuits[idx]``, in order;
+        without rank rows to collect, only gates with a non-empty circuit
+        are visited."""
         n, rows, rank_rows = self.n, self.inv_prefix.rows, self.rank_rows
+        gates, prepend = self.arch.gates, self.inv_prefix.prepend_circuit
+        if rank_rows is None:
+            for idx in range(start, stop):
+                if circuits[idx].gates:
+                    prepend(circuits[idx].inverse(), gates[idx])
+            return
         for idx in range(start, stop):
-            a, b = wires = self.arch.gates[idx]
-            if rank_rows is not None:
-                x_a, x_b = rows[a - 1], rows[b - 1]
-                z_a, z_b = rows[n + a - 1], rows[n + b - 1]
-                # all 16 XOR combinations, the identity row 0 included
-                rank_rows.update([x ^ z for x in (0, x_a, x_b, x_a ^ x_b)
-                                  for z in (0, z_a, z_b, z_a ^ z_b)])
+            a, b = wires = gates[idx]
+            x_a, x_b = rows[a - 1], rows[b - 1]
+            z_a, z_b = rows[n + a - 1], rows[n + b - 1]
+            # all 16 XOR combinations, the identity row 0 included
+            rank_rows.update([x ^ z for x in (0, x_a, x_b, x_a ^ x_b)
+                              for z in (0, z_a, z_b, z_a ^ z_b)])
             circuit = circuits[idx]
             if circuit.gates:
-                self.inv_prefix.prepend_circuit(circuit.inverse(), wires)
+                prepend(circuit.inverse(), wires)
 
     def rank(self) -> int:
         """The number of distinct keys among the directions of the gates
@@ -387,6 +403,7 @@ def witness_point(arch: Architecture, mode: str = "unitary",
                             f"n={arch.n}, got {t}")
 
     per_gate = [_EMPTY_2Q] * arch.gate_count  # the slices tile the gates
+    routed_gates: list[int] = []  # the gates with a non-empty circuit, in order
     sweep = _DirectionSweep(arch, mode)
     records: list[SliceRecord] = []
     # per slice shape: its tree and its routings by chosen string
@@ -402,6 +419,7 @@ def witness_point(arch: Architecture, mode: str = "unitary",
             routed = routes[chosen] = _route(tree, chosen)
         for offset, circuit in routed:  # the slice's other gates are empty
             per_gate[start + offset] = circuit
+            routed_gates.append(start + offset)
             sweep.inv_prefix.prepend_circuit(circuit.inverse(),
                                              arch.gates[start + offset])
         sweep.close_slice(tree.sink)
@@ -414,11 +432,11 @@ def witness_point(arch: Architecture, mode: str = "unitary",
     if mode == "state":
         return WitnessCertificate(arch.n, mode, circuits, tuple(records),
                                   state_images=sweep.state_images())
-    # carry each d_j to the final frame by U, prepending gates back to front
+    # carry each d_j to the final frame by U, prepending its routed gates
+    # back to front: the other gates are empty
     total = CliffordTableau.identity(arch.n)
-    for idx in range(arch.gate_count - 1, -1, -1):
-        if circuits[idx].gates:
-            total.prepend_circuit(circuits[idx], arch.gates[idx])
+    for idx in reversed(routed_gates):
+        total.prepend_circuit(circuits[idx], arch.gates[idx])
     directions = tuple(total.conjugate(d) for d in sweep.pulled_strings())
     return WitnessCertificate(
         arch.n, mode, circuits, tuple(records), directions=directions)
@@ -488,20 +506,29 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     ``CertificateMismatch``.  Without ``check_rank`` no rank keys are
     collected.  The certificate's gates are circuits, so every check is a
     tableau computation: no dense matrix is formed at any n.
+
+    A stored string on other than ``arch.n`` qubits raises
+    DimensionMismatch, checked once up front; every comparison after that
+    is between packed (row, e) pairs, and no ``PauliString`` is built.
     """
     if cert.n != arch.n or len(cert.gate_circuits) != arch.gate_count:
         raise CertificateMismatch("certificate does not match the architecture")
     ranges = arch.slice_ranges()
     if tuple((s.start, s.stop) for s in cert.slices) != ranges:
         raise CertificateMismatch("certificate slices do not match boundaries")
+    for p in itertools.chain((s.chosen for s in cert.slices), cert.directions):
+        if p.n != arch.n:  # a packed row does not show its width
+            raise DimensionMismatch(
+                f"tableau on {arch.n} qubits, string on {p.n}")
 
     sweep = _DirectionSweep(arch, cert.mode, count_rank=check_rank)
+    image = sweep.inv_prefix.image
     for s in cert.slices:
         if not 1 <= s.sink <= arch.n:  # the sink picks a tableau row
             raise CertificateMismatch(
                 f"slice [{s.start}, {s.stop}) has sink {s.sink}, outside "
                 f"1..{arch.n}")
-        pulled_q = sweep.inv_prefix.conjugate(s.chosen).xz_row()
+        pulled_q = image(*s.chosen.xz_row())
         sweep.add_gates(s.start, s.stop, cert.gate_circuits)
         sweep.close_slice(s.sink)
         if sweep.pulled[-1] != pulled_q:
@@ -512,10 +539,10 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
             raise CertificateMismatch(
                 f"insertion gate of slice [{s.start}, {s.stop}) is stale")
 
-    stored = (tuple(sweep.inv_prefix.conjugate(d) for d in cert.directions),
+    stored = ([image(*d.xz_row()) for d in cert.directions],
               cert.state_images)
-    fresh = ((sweep.pulled_strings(), ()) if cert.mode == "unitary"
-             else ((), sweep.state_images()))
+    fresh = ((sweep.pulled, ()) if cert.mode == "unitary"
+             else ([], sweep.state_images()))
     if stored != fresh:
         raise CertificateMismatch("stored directions disagree with recomputation")
     if len(sweep.keys) != len(sweep.pulled):

@@ -1,6 +1,7 @@
 """Pauli string algebra: phases, products, labels, packed rows."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ def test_label_roundtrip_canonical():
     assert PauliString.from_label("+IZ").label() == "IZ"
     # Unicode minus accepted on parse
     assert PauliString.from_label("−iXZ") == PauliString.from_label("-iXZ")
+
+
+def _label_cases():
+    for n in (1, 2, 3):
+        for x, z, phase in itertools.product(range(1 << n), range(1 << n),
+                                             range(4)):
+            yield PauliString(n, x, z, phase)
+    rng = random.Random(52)
+    for n in (5, 15, 16, 17, 64, 70):  # around and past the 4-qubit chunks
+        for _ in range(50):
+            yield PauliString(n, rng.getrandbits(n), rng.getrandbits(n),
+                              rng.randrange(4))
+
+
+def test_label_is_the_letters_of_its_qubits():
+    # every string on 1..3 qubits with each phase, and random wider ones
+    for p in _label_cases():
+        letters = "".join(p.letter(q) for q in range(1, p.n + 1))
+        assert p.label() == ("", "+i", "-", "-i")[p.phase_exp] + letters
+        assert PauliString.from_label(p.label()) == p
 
 
 def test_bad_labels_rejected():

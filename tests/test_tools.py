@@ -148,8 +148,9 @@ def test_frame_digest_covers_a_dim_shape_s_consensus(capsys):
 
 
 def test_witness_digest_repeats_one_line_per_item(capsys):
-    # two runs print the same lines: per shape and mode the certificate
-    # and its witness rank; staircase-16-48 runs in both modes
+    # two runs print the same lines: per shape and mode the certificate,
+    # its witness rank and its verification; staircase-16-48 runs in both
+    # modes
     argv = ["staircase-4-12", "staircase-16-48"]
     runs = []
     for _ in range(2):
@@ -159,13 +160,20 @@ def test_witness_digest_repeats_one_line_per_item(capsys):
     lines = [line.split() for line in runs[0]]
     assert all(len(sha) == 64 for sha, _, _ in lines)
     assert [(shape, item) for _, shape, item in lines] == [
-        ("staircase-4-12", "unitary.certificate"),
-        ("staircase-4-12", "unitary.rank"),
-        ("staircase-16-48", "unitary.certificate"),
-        ("staircase-16-48", "unitary.rank"),
-        ("staircase-16-48", "state.certificate"),
-        ("staircase-16-48", "state.rank")]
+        (shape, f"{mode}.{item}")
+        for shape, mode in [("staircase-4-12", "unitary"),
+                            ("staircase-16-48", "unitary"),
+                            ("staircase-16-48", "state")]
+        for item in ("certificate", "rank", "verify")]
     assert len({sha for sha, _, _ in lines}) == len(lines)
+
+
+def test_witness_digest_verify_item_holds_a_verdict_and_a_refusal():
+    items = dict(witness_digest.items("staircase", 4, 12, "unitary"))
+    verdict, refusal = items["verify"].split("\n")
+    assert verdict.startswith(
+        "WitnessVerdict(slice_count=12, distinct_directions=12, witness_rank=")
+    assert refusal == "stored directions disagree with recomputation"
 
 
 def test_witness_digest_covers_the_witness_certify_workload(monkeypatch):

@@ -13,6 +13,7 @@ from archdim import (
     CertificateMismatch,
     CliffordCircuit,
     CountMismatch,
+    DimensionMismatch,
     NotCausal,
     PauliString,
     TooManySlices,
@@ -741,6 +742,27 @@ def test_verify_detects_wrong_architecture():
         verify_certificate(cert, staircase(3, 3))
 
 
+@pytest.mark.parametrize("label", ["ZI", "IIXI", "IIXII"])
+@pytest.mark.parametrize("slot", ["chosen", "direction"])
+def test_verify_refuses_a_string_on_other_qubit_counts(slot, label):
+    # staircase(3, 2) chooses IIX and stores IIX as its first direction;
+    # each stand-in has their packed row, so only the qubit count tells
+    # them apart
+    arch = staircase(3, 2)
+    cert = witness_point(arch, "unitary")
+    p = PauliString.from_label(label)
+    assert (p.xz_row() == cert.slices[0].chosen.xz_row()
+            == cert.directions[0].xz_row())
+    if slot == "chosen":
+        slices = (dataclasses.replace(cert.slices[0], chosen=p),
+                  *cert.slices[1:])
+        cert = dataclasses.replace(cert, slices=slices)
+    else:
+        cert = dataclasses.replace(cert, directions=(p, *cert.directions[1:]))
+    with pytest.raises(DimensionMismatch, match="on 3 qubits"):
+        verify_certificate(cert, arch)
+
+
 @pytest.mark.parametrize("sink", [4, 11, 0, -1],
                          ids=["n+1", "2n+5", "0", "-1"])
 def test_verify_refuses_a_sink_off_the_register(sink):
@@ -822,6 +844,10 @@ WRONG_CERTIFICATES = {
     "state-direction-not-an-object": ("state",
                                       lambda d: {**d, "directions": [5]}),
     "q-not-a-string": ("unitary", lambda d: _with_slice_q(d, 5)),
+    "q-too-short": ("unitary", lambda d: _with_slice_q(d, "ZI")),
+    "q-too-long": ("unitary", lambda d: _with_slice_q(d, "IIXI")),
+    "direction-too-long": ("unitary", lambda d: {**d, "directions": [
+        d["directions"][0] + "I"] + d["directions"][1:]}),
     "direction-not-a-string": ("unitary", lambda d: {**d, "directions": [5]}),
     "bool-qubit": ("unitary", lambda d: _with_gate(d, 7, [["SWAP", True, 2]])),
     "float-qubit": ("unitary", lambda d: _with_gate(d, 1, [["H", 2.0]])),
@@ -850,7 +876,7 @@ WRONG_CERTIFICATES = {
 def test_certificate_refuses_wrong_shape(mode, mutate):
     # each raised TypeError, AttributeError, IndexError, KeyError or a
     # plain ValueError, or was read leniently (true as qubit 1, "1" as
-    # "001")
+    # "001", a Pauli label on 2 or 4 qubits)
     doc = witness_point(staircase(3, 4), mode).to_json_dict()
     with pytest.raises(ValidationError):
         WitnessCertificate.from_json(json.dumps(mutate(doc)))

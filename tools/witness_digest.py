@@ -4,19 +4,28 @@ so that two trees can be checked for bit-identical witnesses.
     PYTHONPATH=src python tools/witness_digest.py [SHAPE ...]
 
 For each shape (all of ``SHAPES`` by default, the architectures of the
-benchmark's witness-certify workload) and each of its modes it prints two
-``sha256 shape mode.item`` lines: the certificate's ``to_json()`` and the
-``witness_rank`` at its gates.  Run the same command on two trees and diff
-the output.
+benchmark's witness-certify workload) and each of its modes it prints three
+``sha256 shape mode.item`` lines: the certificate's ``to_json()``, the
+``witness_rank`` at its gates, and ``verify``: the rank-checked
+``verify_certificate`` verdict together with the ``CertificateMismatch``
+message for the certificate with its first two directions (or state
+images) swapped.  Run the same command on two trees and diff the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 
-from archdim import build_family, witness_point, witness_rank
+from archdim import (
+    CertificateMismatch,
+    build_family,
+    verify_certificate,
+    witness_point,
+    witness_rank,
+)
 
 # (family, n, t) -> modes, as the witness-certify workload builds them
 SHAPES: dict[str, tuple[tuple[str, int, int], tuple[str, ...]]] = {
@@ -43,6 +52,16 @@ def items(family: str, n: int, t: int, mode: str):
     cert = witness_point(arch, mode)
     yield "certificate", cert.to_json()
     yield "rank", repr(witness_rank(arch, cert.gate_circuits, mode))
+    field = "directions" if mode == "unitary" else "state_images"
+    first, second, *rest = getattr(cert, field)
+    swapped = dataclasses.replace(cert, **{field: (second, first, *rest)})
+    try:
+        verify_certificate(swapped, arch, check_rank=False)
+        refusal = "accepted"
+    except CertificateMismatch as exc:
+        refusal = str(exc)
+    verdict = verify_certificate(cert, arch, check_rank=True)
+    yield "verify", f"{verdict!r}\n{refusal}"
 
 
 def main(argv: list[str]) -> int:
