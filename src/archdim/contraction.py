@@ -26,9 +26,11 @@ orthogonal map.
 
 A consensus takes its Haar samples in draw batches, and sweeps each draw
 batch in sweep batches inside it, both sized to fit in ``_STACK_CHUNK``:
-one stacked draw (``GateAssignment.haar`` with a list of seeds) and one
-transfer build serve a draw batch, and one sweep a sweep batch, which
-takes its slice of the draw's transfers.  Each array call serves every
+one stacked draw (``GateAssignment.haar`` with a list of seeds) serves a
+draw batch, and one sweep a sweep batch.  An assignment builds its
+transfer matrices once, when a unitary frame first reads them
+(``GateAssignment._transfers``): a draw batch on its first sweep batch's
+frame, each sweep batch taking its slice.  Each array call serves every
 sample at once with one sample's shapes, so that every sample's numbers
 are those of its own frame, bit for bit.  A sweep batch's rank decisions
 go one prefix at a time (``_decide``).  A consensus checks its size once
@@ -39,6 +41,7 @@ own size.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -281,7 +284,8 @@ def _batch(arch: Architecture, mode: str,
     or a unitary frame's Gram matrix with the arena and scratch of the
     Gram plan's sweep, all three read from its head's Gram plan
     (``_tall_head``), if it reads one.  The sweep batches of a draw batch
-    (``_draw``) take their slices of its draw and transfers."""
+    (``_draw``) take their slices of its draw and of the transfers it
+    builds (``GateAssignment._transfers``)."""
     each = 16384 * arch.gate_count
     if mode == "state":
         each += 8 * _frame_rows(arch.n, mode) * _gauge(arch, ends)[2].shape[0]
@@ -291,12 +295,14 @@ def _batch(arch: Architecture, mode: str,
 
 
 def _draw(arch: Architecture, batch: int) -> int:
-    """The samples of a consensus's draw batch, one stacked draw and
-    transfer build (``accessible_dimensions``): as many whole sweep
-    batches of ``batch`` samples (``_batch``) as fit in ``_STACK_CHUNK``
-    at 16 KiB per gate a sample, at least one.  A sweep batch's sample
-    counts those 16 KiB too, so the draw batch holds at least one sweep
-    batch, and the sweep batches keep the sizes they would have alone."""
+    """The samples of a consensus's draw batch (``accessible_dimensions``),
+    one stacked draw and, in unitary mode, one transfer build on its first
+    sweep batch's frame (``GateAssignment._transfers``): as many whole
+    sweep batches of ``batch`` samples (``_batch``) as fit in
+    ``_STACK_CHUNK`` at 16 KiB per gate a sample, at least one.  A sweep
+    batch's sample counts those 16 KiB too, so the draw batch holds at
+    least one sweep batch, and the sweep batches keep the sizes they would
+    have alone."""
     return batch * max(1, _fit(16384 * arch.gate_count) // batch)
 
 
@@ -336,12 +342,13 @@ def _check_size(arch: Architecture, job: str,
 class GateAssignment:
     """Ordered 4x4 special unitaries filling an architecture's gate slots,
     or a stack of such assignments with a leading sample axis, which holds
-    at least one sample."""
+    at least one sample.  It owns its transfer matrices (``_transfers``),
+    built once, on their first read."""
 
     matrices: np.ndarray  # (R, 4, 4) or (S, R, 4, 4) complex
-    # a consensus's sweep batch carries its slice of the draw's transfer
-    # stack (``_samples``); any other assignment carries none
-    _transfers = None
+    # a consensus's sweep batch: its draw batch and its samples' range
+    # there (``_samples``); None for any other assignment
+    _draw = None
 
     def __post_init__(self) -> None:
         mats = np.asarray(self.matrices, dtype=complex)
@@ -368,18 +375,25 @@ class GateAssignment:
     def __len__(self) -> int:
         return self.matrices.shape[-3]
 
-    def _samples(self, lo: int, hi: int,
-                 transfers: np.ndarray | None) -> GateAssignment:
+    def _samples(self, lo: int, hi: int) -> GateAssignment:
         """Samples lo..hi-1 of a stack, as a stack that views its matrices:
-        they passed its validation, which is not run again.  With the
-        stack's ``transfers`` (``transfer_matrices``; None in state mode)
-        it carries their slice, which its unitary frame takes in place of
-        a build."""
+        they passed its validation, which is not run again.  It records
+        its draw and range (``_draw``), so that its transfers are the
+        slice of the stack's (``_transfers``)."""
         part = object.__new__(GateAssignment)
         object.__setattr__(part, "matrices", self.matrices[lo:hi])
-        if transfers is not None:
-            object.__setattr__(part, "_transfers", transfers[lo:hi])
+        object.__setattr__(part, "_draw", (self, lo, hi))
         return part
+
+    @functools.cached_property
+    def _transfers(self) -> np.ndarray:
+        """The gates' transfer matrices (``transfer_matrices``), built on
+        the first read and kept: the one build of an assignment, or of a
+        sweep batch's draw, whose slice it views (``_samples``)."""
+        if self._draw is None:
+            return transfer_matrices(self)
+        draw, lo, hi = self._draw
+        return draw._transfers[lo:hi]
 
     @property
     def samples(self) -> int | None:
@@ -498,9 +512,9 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
 
     A frame one of whose prefixes (``ends``) is tall reads its Gram
     matrix through the thread's store (``_Store.gram_read``); any other
-    frame reads none.  A sweep batch's assignment carries its slice of the
-    draw batch's transfer stack (``GateAssignment._samples``), which its
-    frame takes; any other frame builds its own.  The Gram plan's sweep
+    frame reads none.  The frame takes its assignment's transfer stack
+    (``GateAssignment._transfers``), built on the first read: a sweep
+    batch's is its slice of its draw batch's.  The Gram plan's sweep
     covers the gates of the longest tall prefix, whose columns lead the
     frame's and hold every tall prefix's: the later gates act on them
     orthogonally, so their Gram matrix is the head's, and the bound above
@@ -510,16 +524,14 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     slice keeps its draw's whole stack) for its matrices.
 
     The frame is stacked, over the samples of a stacked assignment or a
-    stack of one: one transfer build (or slice of a draw's), one Gram
-    sweep and one bound per sample serve them all, and
-    ``TangentFrame.sample`` gives each sample's frame, whose matrix forms
-    as ``TangentFrame`` says: the store sweeps ``_matrix_batch`` samples'
-    matrices at a time (``_Store.matrices``).
+    stack of one: one transfer stack, one Gram sweep and one bound per
+    sample serve them all, and ``TangentFrame.sample`` gives each sample's
+    frame, whose matrix forms as ``TangentFrame`` says: the store sweeps
+    ``_matrix_batch`` samples' matrices at a time (``_Store.matrices``).
     """
     _, _, record, own = _gauge(arch, ends)
     s = gates.samples or 1
-    transfers = (transfer_matrices(gates) if gates._transfers is None
-                 else gates._transfers).reshape((s, arch.gate_count, 16, 16))
+    transfers = gates._transfers.reshape((s, arch.gate_count, 16, 16))
     defect = np.swapaxes(transfers, 2, 3) @ transfers - np.eye(16)
     taus = np.sqrt((defect * defect).sum(axis=(2, 3)).max(axis=1,
                                                           initial=0.0))
@@ -608,20 +620,22 @@ def tangent_frame(arch: Architecture, gates: GateAssignment,
     A stacked assignment (``GateAssignment.haar`` with a sequence of
     seeds) gives one stacked frame, whose ``TangentFrame.sample`` i is,
     bit for bit, the frame of sample i's own assignment.  In unitary mode
-    one transfer build and one Gram sweep serve the stack, each array
+    one transfer stack and one Gram sweep serve the stack, each array
     call for every sample at once, and the thread's store runs every
-    sweep (``_Store``); inside a consensus the frame takes its slice of
-    the draw batch's transfers, and its Gram sweep runs a program of the
-    store lent to the consensus (``accessible_dimensions``).  State mode
-    builds the samples' frames one after another.  One assignment gives
-    its own frame, a stack of one's sample.  A frame outside a consensus
-    checks its size (``peak_bytes`` of its stack); inside one it is not
-    checked again, since the consensus's check covers the stacks it makes
-    (``_batch``).
+    sweep (``_Store``).  The transfers are the assignment's
+    (``GateAssignment._transfers``): built on its first unitary frame and
+    kept, so that a second frame builds none; a consensus's sweep batch
+    takes its slice of its draw batch's, and its Gram sweep runs a program
+    of the store lent to the consensus (``accessible_dimensions``).  State
+    mode builds the samples' frames one after another.  One assignment
+    gives its own frame, a stack of one's sample.  A frame checks its size
+    (``peak_bytes`` of its stack) unless its assignment is a consensus's
+    sweep batch (``GateAssignment._samples``), since the consensus's check
+    covers the stacks it makes (``_batch``).
     """
     check_mode(mode)
     ends = _ends(arch, prefixes)
-    if not _STORE.lent:  # a consensus's frames are admitted once
+    if gates._draw is None:  # a consensus's frames are admitted once
         _check_size(arch, mode, ends, gates.samples or 1, stack=True)
     _require_match(arch, gates)
     frame = _unitary_frame(arch, gates, ends) \
@@ -808,22 +822,23 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
     The samples go in draw batches of ``_draw`` samples, each swept in
     sweep batches of ``_batch`` samples, as many as fit in
     ``_STACK_CHUNK`` and at least one.  One ``haar`` call draws a draw
-    batch's stack, with one validation, and one ``transfer_matrices``
-    call builds its transfers (in unitary mode).  One ``tangent_frame``
-    call makes each sweep batch's stacked frame from its samples of the
-    draw (``GateAssignment._samples``), which carry their slice of the
-    draw's transfers for the frame to take; ``_decide`` then decides
-    all its samples with one call per prefix: one certificate over the
-    stack of the samples' Gram blocks of each tall prefix, and one over
-    their row Gram matrices of each wide prefix, for the samples of each
-    matrix sweep (``_matrix_batch``), before the SVD of each sample
-    whose certificate fails.  Each sweep
-    batch is dropped before the next one is framed, and the draw batch
-    before the next one is drawn, so a frame over the chunk goes one
-    sample a sweep.  The consensus checks its size once, then borrows the
-    thread's store (``_Store``) until it returns or raises, so that each
-    ``tangent_frame`` call sweeps through it and checks nothing; the store
-    keeps its Gram programs and says when they go.  Every estimate is the
+    batch's stack, with one validation.  One ``tangent_frame`` call makes
+    each sweep batch's stacked frame from its samples of the draw
+    (``GateAssignment._samples``); in unitary mode the first of them
+    builds the draw's transfers, once (``GateAssignment._transfers``),
+    and each takes its slice, while a state-mode consensus builds none.
+    ``_decide`` then decides all its samples with one call per prefix:
+    one certificate over the stack of the samples' Gram blocks of each
+    tall prefix, and one over their row Gram matrices of each wide prefix,
+    for the samples of each matrix sweep (``_matrix_batch``), before the
+    SVD of each sample whose certificate fails.  Each sweep batch is
+    dropped before the next one is framed, and the draw batch before the
+    next one is drawn, so a frame over the chunk goes one sample a sweep.
+    The consensus checks its size once, then borrows the thread's store
+    (``_Store``) until it returns or raises, so that each
+    ``tangent_frame`` call sweeps through it and, given a sweep batch,
+    checks nothing; the store keeps its Gram programs and says when they
+    go.  Every estimate is the
     one a sample's own frame gives, bit for bit.
 
     For each prefix all samples must agree at both tolerances; any
@@ -851,16 +866,14 @@ def accessible_dimensions(arch: Architecture, mode: str = "unitary",
         for lo in range(0, samples, draw):
             gates = GateAssignment.haar(arch, [
                 subseed(seed, i) for i in range(lo, min(lo + draw, samples))])
-            transfers = transfer_matrices(gates) if mode == "unitary" \
-                else None
             for at in range(0, gates.samples, batch):
-                part = gates._samples(at, at + batch, transfers)
+                part = gates._samples(at, at + batch)
                 stack = tangent_frame(arch, part, mode, ends)
                 for row, found in zip(estimates, _decide(
                         stack, ends, tolerances, spectrum)):
                     row.extend(found)
                 del stack  # before the next sweep batch is framed
-            del gates, transfers, part  # before the next batch is drawn
+            del gates, part  # before the next batch is drawn
     stops = _causal_stops(arch, ends[-1])
     return tuple(_consensus(arch, length, mode, seed, tolerances, tuple(row),
                             _bounds(arch, mode, length, stops))

@@ -78,7 +78,7 @@ class PauliString:
     def single(cls, n: int, kind: str, qubit: int) -> PauliString:
         """Single-letter string, e.g. ``single(3, "Z", 2)`` is IZI."""
         if kind not in _LETTER_BITS:
-            raise ValueError(f"unknown Pauli letter {kind!r}")
+            raise ValidationError(f"unknown Pauli letter {kind!r}")
         if not 1 <= qubit <= n:
             raise InvalidQubit(f"qubit {qubit} outside [1, {n}]")
         xb, zb = _LETTER_BITS[kind]

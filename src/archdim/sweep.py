@@ -297,17 +297,13 @@ def _bind(plan: _FramePlan, transfers: np.ndarray,
     def rows_of(x: np.ndarray, rows: slice | np.ndarray, cols: int,
                 at: int = 0) -> np.ndarray:
         # x[:, rows, :cols]: a view where rows is a slice, else taken in
-        # C order into the scratch from ``at`` by one take
+        # C order into the scratch from ``at`` by one take; a gathered
+        # read takes every column, since only a backward read takes fewer,
+        # on the gate's own group, whose rows are a slice (``_rows``)
         if isinstance(rows, slice):
             return x[:, rows, :cols]
         out = scratch[at:at + s * rows.size * cols].reshape(s, -1, cols)
-        if cols == x.shape[2]:
-            calls.append((x.take, (rows, 1, out, "clip")))
-        else:  # by flat positions, as the columns are a leading range
-            flat = np.arange(0, x.size, x[0].size)[:, None, None] \
-                + (rows[:, None] * x.shape[2] + np.arange(cols))
-            calls.append((x.reshape(-1).take, (flat.ravel(), 0,
-                                               out.reshape(-1), "clip")))
+        calls.append((x.take, (rows, 1, out, "clip")))
         return out
 
     def stage(at: int, shape: tuple[int, int]) -> np.ndarray:

@@ -359,11 +359,13 @@ class _DirectionSweep:
         return tuple(xz_state_image(self.n, row, e) for row, e in self.pulled)
 
 
-def _last_gate_on(arch: Architecture, start: int, stop: int, qubit: int) -> int:
+def _last_gate_on(arch: Architecture, start: int, stop: int,
+                  qubit: int) -> int | None:
+    """The last gate of slice [start, stop) on ``qubit``, None if none."""
     for idx in range(stop - 1, start - 1, -1):
         if qubit in arch.gates[idx]:
             return idx
-    raise NotCausal(f"no gate touches qubit {qubit} in slice [{start}, {stop})")
+    return None
 
 
 def witness_point(arch: Architecture, mode: str = "unitary",
@@ -504,8 +506,10 @@ def verify_certificate(cert: WitnessCertificate, arch: Architecture,
     slices tile the gates, so it yields the exact tangent-frame rank at the
     witness point with no second pass; a rank below the slice count raises
     ``CertificateMismatch``.  Without ``check_rank`` no rank keys are
-    collected.  The certificate's gates are circuits, so every check is a
-    tableau computation: no dense matrix is formed at any n.
+    collected.  A slice's stored insertion gate must be its last gate on
+    its sink, and a slice with no gate there is a mismatch as well.  The
+    certificate's gates are circuits, so every check is a tableau
+    computation: no dense matrix is formed at any n.
 
     A stored string on other than ``arch.n`` qubits raises
     DimensionMismatch, checked once up front; every comparison after that

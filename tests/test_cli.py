@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import archdim.cli
 import archdim.experiments
 from archdim import contraction
 from archdim import (
     Architecture,
+    VerdictError,
     WitnessCertificate,
     brickwork,
     build_family,
@@ -460,6 +462,32 @@ def test_mc_arch_within_interval(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["within_interval"] is True
     assert "causal fraction" in capsys.readouterr().out
+
+
+def test_mc_arch_outside_its_interval_exits_verdict_with_its_json(tmp_path,
+                                                                  capsys):
+    # the 99% interval is meant to miss about 1% of seeds; this seed's
+    # causal fraction, 0.978, sits just below its lower end 0.97828
+    out = tmp_path / "mc.json"
+    rc = main(["mc-arch", "--n", "5", "--trials", "1000", "--seed",
+               "1967725507", "--out", str(out)])
+    assert rc == EXIT_VERDICT
+    assert capsys.readouterr().err \
+        == "empirical fraction outside the 99% interval\n"
+    payload = json.loads(out.read_text())
+    assert payload["empirical"] == 0.978
+    assert payload["within_interval"] is False
+
+
+def test_a_verdict_error_exits_as_a_verdict_failure(monkeypatch, capsys):
+    def planted(**kwargs):
+        raise VerdictError("T=2: dimension 26 below slice count")
+
+    monkeypatch.setattr(archdim.cli, "growth_sweep", planted)
+    rc = main(["sweep", "--n", "3", "--t-max", "2", "--samples", "3"])
+    assert rc == EXIT_VERDICT
+    assert capsys.readouterr().err \
+        == "verdict failure: T=2: dimension 26 below slice count\n"
 
 
 def test_mc_arch_over_budget_exits_invalid(monkeypatch, tmp_path, capsys):

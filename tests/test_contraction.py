@@ -1001,6 +1001,37 @@ def test_plan_tables_bound_what_a_plan_keeps(build, prune):
     assert kept <= plan.tables + 4096 * arch.gate_count + 2 ** 14
 
 
+def _random_sequence(seed):
+    """A seeded architecture of 3-6 qubits and n to 4n - 1 gates on random
+    wire pairs, in either order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    return from_gate_sequence(n, [
+        tuple(int(w) for w in rng.choice(np.arange(1, n + 1), 2,
+                                         replace=False))
+        for _ in range(int(rng.integers(n, 4 * n)))])
+
+
+@pytest.mark.parametrize("build", PLAN_CASES + [
+    pytest.param(lambda seed=seed: _random_sequence(seed),
+                 id=f"sequence-random-{seed}") for seed in range(40)])
+def test_a_gathered_read_takes_its_group_whole(build):
+    # a bound read gathers whole rows (``_bind``): only a backward read
+    # takes fewer columns than its group holds, those before the gate's
+    # born columns, and only on the group over the gate's own wires,
+    # whose 16 rows are a leading slice
+    arch = build()
+    end = arch.gate_count
+    for split in {None, 0, end // 2, end}:
+        plan = archdim.plan._frame_plan(arch, (end,), prune=True,
+                                        split=split)
+        for gate, step in zip(plan.gates, plan.steps):
+            for move in step:
+                if move.read is not None and gate.backward \
+                        and move.at < move.block.width:
+                    assert move.read == slice(0, 16)
+
+
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("build", PLAN_CASES)
 def test_live_groups_never_overlap_in_the_arena(build, prune):
@@ -1412,6 +1443,21 @@ def test_rank_disagreement_is_inconclusive():
     assert not est.conclusive
     assert est.rank is None
     assert "1.000e-08" in est.gap_description()
+
+
+def test_conclusive_samples_that_disagree_have_no_consensus():
+    # each sample is conclusive, but one is a rank above the others: the
+    # report holds no consensus and no verdict on its bounds
+    arch = staircase(3, 2)
+    est = numerical_rank(np.diag([1.0, 1e-3, 0.0]))
+    above = dataclasses.replace(est, loose_rank=3, tight_rank=3)
+    report = contraction._consensus(
+        arch, arch.gate_count, "unitary", 0, DEFAULT_TOLERANCES,
+        (est, above, est), contraction.dimension_bounds(arch, "unitary"))
+    assert report.inconclusive
+    assert report.inconclusive_reason == "samples disagree: [2, 3]"
+    assert (report.consensus, report.lower_ok, report.upper_ok,
+            report.bounds_ok) == (None, None, None, None)
 
 
 def test_rank_exact_zero_is_conclusive():

@@ -128,10 +128,14 @@ def test_check_ramp_rejects_violations():
         check_ramp([row(1, 27), row(2, 27)])  # flat below the cap
     with pytest.raises(VerdictError):
         check_ramp([row(63, 62, cap=63)])  # not saturated at the cap
-    with pytest.raises(VerdictError):
-        check_ramp([row(1, 28)])  # above its upper bound 27
+    with pytest.raises(VerdictError, match="dimension 28 outside its "
+                       "bounds \\[1, 27\\]"):
+        check_ramp([row(1, 28)])
     with pytest.raises(VerdictError, match="exceeds dimension"):
         check_ramp([dataclasses.replace(row(1, 27), witness_rank=28)])
+    with pytest.raises(VerdictError, match="T=7: dimension 9 should sit at "
+                       "cap 7"):  # a row whose upper bound is past its cap
+        check_ramp([dataclasses.replace(row(7, 9, cap=7), upper=9)])
     with pytest.raises(VerdictError, match="below slice count"):
         # checked on inconclusive rows too
         check_ramp([row(1, 27), dataclasses.replace(row(2, None), witness_rank=1)])

@@ -1,7 +1,8 @@
 """The samples of a Haar consensus go in batches with a leading sample axis:
-one ``GateAssignment.haar`` draw and one transfer build per draw batch, and
-one ``tangent_frame`` and one sweep per sweep batch inside it, serve them
-all, and each sample's numbers are its own frame's, bit for bit."""
+one ``GateAssignment.haar`` draw and, in unitary mode, one transfer build
+per draw batch (``GateAssignment._transfers``), and one ``tangent_frame``
+and one sweep per sweep batch inside it, serve them all, and each sample's
+numbers are its own frame's, bit for bit."""
 
 import math
 import tracemalloc
@@ -438,6 +439,36 @@ def test_a_matrix_sweep_forms_what_fits_in_the_chunk(arch, monkeypatch):
     accessible_dimension(arch, "unitary", 3, 1)
     matrices = contraction._matrix_batch(arch, (arch.gate_count,))[0]
     assert swept == [(False, min(matrices, 3))] * math.ceil(3 / matrices)
+
+
+def test_a_state_consensus_builds_no_transfers(monkeypatch):
+    # a state frame applies the gates to state vectors, so no draw batch
+    # reads, and so builds, its transfer matrices
+    arch = build_family("staircase", 4, 2)
+    drawn, built, framed, *_ = _count_work(monkeypatch, arch)
+    accessible_dimension(arch, "state", 5, 2)
+    assert drawn == [[subseed(2, i) for i in range(5)]]
+    assert framed and built == []
+
+
+@pytest.mark.parametrize("seed", [5, [5, 6]], ids=["one", "stack"])
+def test_an_assignment_builds_its_transfers_once(seed, monkeypatch):
+    # the assignment keeps the transfers its first frame built, and a
+    # second frame, over other prefixes, reads them: the frame a fresh
+    # draw of the same seed gives, bit for bit
+    arch = staircase(4, 3)
+    gates = GateAssignment.haar(arch, seed)
+    _, built, *_ = _count_work(monkeypatch, arch)
+    tangent_frame(arch, gates)
+    again = tangent_frame(arch, gates, prefixes=[3])
+    assert built == [gates.samples]
+    monkeypatch.undo()
+    fresh = tangent_frame(arch, GateAssignment.haar(arch, seed),
+                          prefixes=[3])
+    assert _bits(again.gram) == _bits(fresh.gram)
+    if gates.samples:
+        again, fresh = again.sample(1), fresh.sample(1)
+    assert _bits(again.matrix) == _bits(fresh.matrix)
 
 
 # -- the bound Gram sweep -----------------------------------------------------

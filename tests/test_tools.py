@@ -1,6 +1,9 @@
 import argparse
 import importlib.util
 import itertools
+import os
+import re
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -239,3 +242,31 @@ def test_cli_digest_repeats_one_line_per_item(capsys, tmp_path, monkeypatch):
     assert {("state" in argv, "--skip-rank-check" in argv)
             for argv in argvs if argv[0] == "witness"} \
         == set(itertools.product((False, True), repeat=2))
+
+
+def test_unreached_lists_what_a_run_never_executes():
+    # the plugin traces a run of test_bounds.py alone: the refusal of
+    # saturation_threshold is listed and the rest of that function is
+    # not; the sweep runner never runs, so its nested function's body is
+    # listed under its own name, but not its nonlocal declaration
+    repo = TOOLS.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(repo / "src"), str(TOOLS)])}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-p", "unreached", "tests/test_bounds.py"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    head, listed = done.stdout.split("archdim statements never run: ")
+    count, *lines = listed.splitlines()
+    lines = [line for line in lines if line.startswith("src/")]
+    assert len(lines) == int(count.split()[0]) > 0
+    for line in lines:
+        assert re.fullmatch(r"src/archdim/\w+\.py:\d+ \[[\w.]+\] \S.*",
+                            line), line
+    ran = [line for line in lines if "[saturation_threshold]" in line]
+    assert len(ran) == 1 and "need n >= 1" in ran[0]
+    assert any("[_carve.take] return" in line for line in lines)
+    assert not any(re.search(r"\] (nonlocal|global) ", line)
+                   for line in lines)
+

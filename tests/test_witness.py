@@ -776,6 +776,85 @@ def test_verify_refuses_a_sink_off_the_register(sink):
         verify_certificate(cert, arch)
 
 
+def _staircase_3_2(mutate):
+    """staircase(3, 2) and its unitary certificate, its JSON document
+    changed by ``mutate``.  The certificate chooses IIX in both slices, on
+    sink 3, with insertion gates 1 and 3; each slice's circuit is H on wire
+    3 at its last gate, and the directions are IIX and IIZ."""
+    arch = staircase(3, 2)
+    doc = witness_point(arch, "unitary").to_json_dict()
+    mutate(doc)
+    return arch, WitnessCertificate.from_json_dict(doc)
+
+
+def _repeat_a_direction(doc):
+    # slice 1 keeps the prefix and chooses IIZ, which slice 0's H on wire
+    # 3 pulls back onto d_0 = IIX, so slice 1 routes it onto Z_3 with no
+    # gates; U is that H, and both stored directions are U d_0 U^dagger
+    doc["slices"][1]["q"] = "IIZ"
+    doc["gates"][2] = doc["gates"][3] = []
+    doc["directions"] = ["IIZ", "IIZ"]
+
+
+FORGED_CERTIFICATES = {
+    "stale-insertion-gate": (
+        lambda doc: doc["slices"][0].update(insertion_gate=0),
+        "insertion gate of slice \\[0, 2\\) is stale"),
+    "slices-off-the-boundaries": (
+        lambda doc: doc.update(slices=[
+            {**doc["slices"][0], "stop": 1},
+            {**doc["slices"][1], "start": 1}]),
+        "slices do not match boundaries"),
+    "repeated-direction": (_repeat_a_direction, "not pairwise distinct"),
+}
+
+
+@pytest.mark.parametrize("mutate, match", FORGED_CERTIFICATES.values(),
+                         ids=FORGED_CERTIFICATES.keys())
+def test_verify_refuses_a_forged_slice(mutate, match):
+    arch, cert = _staircase_3_2(mutate)
+    with pytest.raises(CertificateMismatch, match=match):
+        verify_certificate(cert, arch)
+
+
+def test_verify_refuses_a_rank_below_the_slice_count(monkeypatch):
+    arch, cert = _staircase_3_2(lambda doc: None)
+    monkeypatch.setattr(_DirectionSweep, "rank", lambda self: 1)
+    with pytest.raises(CertificateMismatch,
+                       match="witness rank 1 below slice count 2"):
+        verify_certificate(cert, arch)
+    assert verify_certificate(cert, arch, check_rank=False).witness_rank \
+        is None
+
+
+def test_verify_refuses_a_slice_with_no_gate_on_its_sink():
+    # gate 0 of the first slice acts on wires 1 and 2, not on its stored
+    # sink 3; with empty circuits IIZ reaches Z_3, so the slice routes its
+    # string and only its insertion gate is wrong, which the verifier
+    # reports as a mismatch, not as invalid input (NotCausal)
+    arch = from_gate_sequence(3, [(1, 2), (2, 3)], [1, 2])
+    cert = WitnessCertificate.from_json_dict({
+        "n": 3, "mode": "unitary", "gates": [[], []],
+        "slices": [
+            {"start": 0, "stop": 1, "sink": 3, "q": "IIZ",
+             "insertion_gate": 0},
+            {"start": 1, "stop": 2, "sink": 3, "q": "IIX",
+             "insertion_gate": 1}],
+        "directions": ["IIZ", "IIX"]})
+    with pytest.raises(CertificateMismatch,
+                       match="insertion gate of slice \\[0, 1\\) is stale"):
+        verify_certificate(cert, arch)
+
+
+def test_construction_refuses_directions_it_keyed_alike(monkeypatch):
+    # every pulled direction given one key: the second slice's direction
+    # repeats the first's key, which the construction refuses
+    monkeypatch.setattr(_DirectionSweep, "key", lambda self, row, e: 0)
+    with pytest.raises(AssertionError,
+                       match="constructed directions are not distinct"):
+        witness_point(staircase(3, 2), "unitary")
+
+
 def test_certificate_rejects_unknown_mode():
     arch = staircase(3, 3)
     cert = witness_point(arch, "state")
