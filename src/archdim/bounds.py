@@ -41,7 +41,7 @@ def complexity_lower_bound(r_gates: int, l_gates: int, n: int) -> LowerBoundResu
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     t = r_gates // l_gates
-    raw = Fraction(t, 9) - Fraction(n, 3)
+    raw = _complexity_bound(Fraction(t), 1, n)
     clamped = raw < 0
     return LowerBoundResult(
         value=max(raw, Fraction(0)),
@@ -52,16 +52,28 @@ def complexity_lower_bound(r_gates: int, l_gates: int, n: int) -> LowerBoundResu
     )
 
 
-def gauge_fixed_count(arch: Architecture) -> int:
+def _complexity_bound(gates, slice_gates: int, n: int):
+    """The paper's complexity lower bound T/9 - n/3 at T = ``gates`` /
+    ``slice_gates`` slices, the one place it is evaluated: exact for a
+    Fraction ``gates`` (``complexity_lower_bound``), a float for a float
+    one (the Monte Carlo's ``complexity_threshold``), whose rounding this
+    operand order fixes."""
+    return gates / (9 * slice_gates) - Fraction(n, 3)
+
+
+def gauge_fixed_count(arch: Architecture, length: int | None = None) -> int:
     """9R + 3 * touched qubits: the perturbation directions left once every
-    internally contracted wire sheds its 3-parameter single-qubit gauge.
+    internally contracted wire sheds its 3-parameter single-qubit gauge,
+    for ``arch`` or, with a ``length`` in 0..R, for its prefix of that many
+    gates.
 
     Each of the 2R gate wires carries 3 single-qubit generators, and all but
     the last gate on a qubit pass them to the next gate on that qubit, so
     15R - 3 (2R - touched) directions remain.  This is at most 15R, because
     at most 2R qubits are touched.
     """
-    return _gauge_fixed(arch.gate_count, len(arch.touched_qubits()))
+    gates = arch.gates[:length]
+    return _gauge_fixed(len(gates), len({q for gate in gates for q in gate}))
 
 
 def _gauge_fixed(r_gates: int, touched: int) -> int:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .architecture import Architecture, is_causal_slice
-from .bounds import _gauge_fixed, gauge_fixed_count, saturation_threshold
+from .bounds import gauge_fixed_count, saturation_threshold
 from .dense import apply_gate_left
 from .errors import (CountMismatch, SizeLimit, ValidationError, check_int,
                      check_mode, check_seed)
@@ -500,10 +500,10 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     backward read at gate j through j2 - j moves to that forward read and
     one more; a join through j2 - h + 1.  The join's sum over the 4^m
     strings of a meet of m wires adds gamma_{2 * 4^m} (``_gamma``) times
-    the norms, with m the widest meet (gamma = 0 without a join).  So every
-    entry of the read Gram matrix is within (1 + gamma) (1 + rho)^R - 1 of
-    M^T M's, and C times that bounds its Frobenius norm and its 2-norm
-    (``gram_error``).  Pruning dead wires changes none of this: a dropped
+    the norms, with m the widest meet (``_FramePlan.meet``; gamma = 0
+    without a join).  So every entry of the read Gram matrix is within
+    (1 + gamma) (1 + rho)^R - 1 of M^T M's, and C times that bounds its
+    Frobenius norm and its 2-norm (``gram_error``).  Pruning dead wires changes none of this: a dropped
     row never feeds a kept row, so every kept row is computed by the same
     transfers as before, and the bound holds as written.  A non-finite
     transfer stack gives no Gram matrix: every frame entry is a sum of
@@ -539,8 +539,7 @@ def _unitary_frame(arch: Architecture, gates: GateAssignment,
     head = _tall_head(arch, ends)
     if head is not None and np.isfinite(taus).any():
         eps = np.finfo(np.float64).eps
-        meet = max((4 ** len(join.meet) for join in head.joins), default=0)
-        join_term = np.log1p(_gamma(2 * meet))
+        join_term = np.log1p(_gamma(2 * head.meet))
         gram = _STORE.gram_read(head, transfers)
         gram_error = np.array([head.width * float(np.expm1(
             len(head.gates) * np.log1p(tau + 256 * eps) + join_term))
@@ -706,8 +705,7 @@ def _bounds(arch: Architecture, mode: str, end: int,
     up to ``end`` or further)."""
     lower = sum(1 for stop in stops if stop <= end)
     cap = saturation_threshold(arch.n, mode)
-    touched = len({q for gate in arch.gates[:end] for q in gate})
-    return lower, min(_gauge_fixed(end, touched), cap), cap
+    return lower, min(gauge_fixed_count(arch, end), cap), cap
 
 
 def _sample_json(e: RankEstimate) -> dict:

@@ -189,11 +189,13 @@ class _FramePlan:
     ``staging`` counts the entries of the Gram plan's staging vector,
     which holds what its reads and joins take until they are scattered
     into the Gram matrix (0 for the matrix plan), and ``index`` gives each
-    entry's place there.  ``tables`` bounds the bytes of the compiled
-    tables the plan keeps, ``index`` among them.  ``width`` counts the
-    columns of ``gates``, the C of the Gram matrix a Gram plan reads or of
-    the matrix a matrix plan forms.  Which columns a gate keeps is not the
-    plan's: both plans read them from ``_gauge``.
+    entry's place there.  ``meet`` counts the strings 4^m of the widest
+    meet of m wires among the ``joins`` (0 without a join), which the
+    Gram read's error bound takes (``_unitary_frame``).  ``tables`` bounds
+    the bytes of the compiled tables the plan keeps, ``index`` among them.
+    ``width`` counts the columns of ``gates``, the C of the Gram matrix a
+    Gram plan reads or of the matrix a matrix plan forms.  Which columns a
+    gate keeps is not the plan's: both plans read them from ``_gauge``.
     """
 
     steps: tuple[tuple[_Move, ...], ...]
@@ -205,6 +207,7 @@ class _FramePlan:
     gates: tuple[_Gate, ...]
     width: int
     joins: tuple[_Join, ...]
+    meet: int
     final: tuple[tuple[_Cone, _Block, np.ndarray], ...]
     tables: int
 
@@ -526,7 +529,8 @@ def _compile(arch: Architecture, labels_all: list[np.ndarray],
     return _FramePlan(
         steps=tuple(steps), arena=arena, held=held, scratch=scratch,
         staging=staged, split=split, gates=tuple(gates),
-        width=starts[-1], joins=tuple(joins), final=final, tables=tables)
+        width=starts[-1], joins=tuple(joins), final=final, tables=tables,
+        meet=max((4 ** len(join.meet) for join in joins), default=0))
 
 
 # Cones repeat across the moves of a plan and across plans.

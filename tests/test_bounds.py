@@ -11,11 +11,13 @@ from archdim import (
     complexity_lower_bound,
     from_gate_sequence,
     make_bound_sheet,
+    randomized_architecture_experiment,
     randomized_bound_probability,
     saturation_threshold,
     staircase,
     staircase_slice_probability,
 )
+from archdim.bounds import _complexity_bound, gauge_fixed_count
 from archdim.contraction import dimension_bounds
 
 
@@ -76,6 +78,41 @@ def test_lower_bound_monotonicity():
     assert complexity_lower_bound(900, 10, 8).raw < base
 
 
+# (alpha, n, trials, moved): ``moved`` when a threshold that divides by the
+# block's gates before it multiplies by alpha rounds to another float,
+# which takes a non-dyadic alpha
+THRESHOLD_CASES = [(0.5, 4, 300, False), (0.5, 3, 10, False),
+                   (0.3, 4, 100, True), (0.3, 5, 100, True),
+                   (0.3, 3, 30, False), (1 / 3, 5, 10, True),
+                   (1 / 3, 3, 100, True), (1 / 3, 4, 7, False)]
+
+
+@pytest.mark.parametrize("alpha, n, trials, moved", THRESHOLD_CASES)
+def test_monte_carlo_threshold_is_the_complexity_bound_bit_for_bit(
+        alpha, n, trials, moved):
+    # the Monte Carlo's threshold is T/9 - n/3 at T = alpha * trials, with
+    # the float the harness computed before the bound had one home; the
+    # moved cases fail a bound that divides first
+    summary = randomized_architecture_experiment(n, trials, seed=1,
+                                                 alpha=alpha)
+    block = n * (n - 1) ** 2
+    r_total = trials * block
+    literal = alpha * r_total / (9 * n * (n - 1) ** 2) - n / 3.0
+    assert summary.complexity_threshold.hex() == literal.hex()
+    assert literal.hex() == _complexity_bound(alpha * r_total, block, n).hex()
+    divided_first = alpha * (r_total / (9 * block)) - n / 3.0
+    assert (divided_first.hex() != literal.hex()) == moved
+
+
+@pytest.mark.parametrize("r, l, n", [(900, 10, 6), (905, 10, 6), (0, 1, 4),
+                                     (1080, 12, 4), (7, 3, 1)])
+def test_the_exact_bound_is_the_one_formula_at_floor_r_over_l(r, l, n):
+    raw = complexity_lower_bound(r, l, n).raw
+    assert type(raw) is Fraction
+    assert raw == _complexity_bound(Fraction(r // l), 1, n)
+    assert raw == Fraction(r // l, 9) - Fraction(n, 3)
+
+
 def test_dimension_upper_bound_examples():
     assert dimension_bounds(staircase(3, 1), "unitary")[1] == 27
     assert dimension_bounds(from_gate_sequence(2, [(1, 2)]), "unitary")[1] == 15
@@ -86,6 +123,12 @@ def test_dimension_upper_counts_touched_qubits_only():
     # two gates on qubits 1..3 of a 5-qubit register
     arch = from_gate_sequence(5, [(1, 2), (2, 3)])
     assert dimension_bounds(arch, "unitary")[1] == min(30, 18 + 9, 4 ** 5 - 1)
+
+
+def test_gauge_fixed_count_of_a_prefix():
+    arch = from_gate_sequence(5, [(2, 3), (3, 4), (1, 5)])
+    assert [gauge_fixed_count(arch, k) for k in range(4)] == [0, 15, 27, 42]
+    assert gauge_fixed_count(arch) == 42
 
 
 def test_saturation_thresholds():

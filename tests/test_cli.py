@@ -28,6 +28,7 @@ from archdim.cli import (
     EXIT_OK,
     EXIT_VERDICT,
     build_parser,
+    console_main,
     main,
 )
 from archdim.contraction import MEMORY_BUDGET, frame_shape, peak_bytes
@@ -51,6 +52,25 @@ def test_arch_gen_roundtrip(tmp_path):
     assert arch.slice_boundaries == (3, 6)
     assert payload["version"]
     assert payload["config"]["family"] == "staircase"
+
+
+def test_arch_gen_without_out_prints_its_json(tmp_path, capsys):
+    args = ["arch", "gen", "--family", "brickwork", "--n", "4", "--t", "2"]
+    out = tmp_path / "arch.json"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--n", "3", "--R", "20", "--L", "2"], EXIT_OK),
+    (["bounds", "--n", "3"], EXIT_INVALID)], ids=["ok", "usage"])
+def test_console_main_exits_with_the_command_code(monkeypatch, argv, code):
+    monkeypatch.setattr("sys.argv", ["archdim", *argv])
+    with pytest.raises(SystemExit) as info:
+        console_main()
+    assert info.value.code == code
 
 
 def test_arch_gen_random_requires_r():
@@ -442,6 +462,23 @@ def test_sweep_artifact_reproducible(tmp_path):
     lines = out_a.read_text().splitlines()
     assert lines[0].startswith("# archdim")
     assert lines[1] == "n,family,T,R,L,dA,witness_rank,lower,upper,cap,samples,seed,ms"
+
+
+def test_sweep_without_out_prints_its_csv(tmp_path, capsys):
+    args = ["sweep", "--n", "2", "--t-max", "2", "--samples", "3",
+            "--seed", "11"]
+    out = tmp_path / "sweep.csv"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(args) == EXIT_OK
+
+    def blank_ms(text):
+        return [line.rsplit(",", 1)[0] if line[0] != "#" else line
+                for line in text.splitlines()]
+
+    printed = capsys.readouterr().out
+    assert printed.endswith("\n")
+    assert blank_ms(printed) == blank_ms(out.read_text())
 
 
 def test_dim_artifact_byte_identical_on_rerun(tmp_path):

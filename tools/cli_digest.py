@@ -35,8 +35,10 @@ WITNESS = ["witness", "--family", "brickwork", "--n", "4", "--t", "2"]
 # of its consensus, both witness modes with and without
 # --skip-rank-check, and sweeps in both modes and both families; each
 # command writes files of its own, and one left without --seed reads
-# SEED; the last two are refusals, which write nothing: a sweep past the
-# slice cap and a dim whose two outputs name one file
+# SEED; an mc-arch at a non-dyadic --alpha, where the operand order of the
+# complexity bound decides the last bit of its threshold; the last two are
+# refusals, which write nothing: a sweep past the slice cap and a dim whose
+# two outputs name one file
 COMMANDS: list[tuple[str, list[str]]] = [
     ("arch-gen", ["arch", "gen", "--family", "staircase", "--n", "3",
                   "--t", "2", "--out", "arch.json"]),
@@ -73,6 +75,9 @@ COMMANDS: list[tuple[str, list[str]]] = [
                          "--out", "sweep-brickwork.csv"]),
     ("mc-arch", ["mc-arch", "--n", "4", "--trials", "300", "--seed", "5",
                  "--out", "mc.json"]),
+    ("mc-arch-alpha", ["mc-arch", "--n", "4", "--trials", "100",
+                       "--seed", "5", "--alpha", "0.3",
+                       "--out", "mc-alpha.json"]),
     ("sweep-over-cap", ["sweep", "--n", "3", "--t-max", "64"]),
     ("dim-same-file", ["dim", "--family", "staircase", "--n", "2", "--t", "2",
                        "--samples", "3", "--out", "same.json",
